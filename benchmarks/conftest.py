@@ -4,10 +4,10 @@ The expensive Table 3 accuracy experiment is executed once per benchmark
 session (lazily, on first use) and shared between the accuracy benchmark,
 the headline-claims benchmark and the retraining ablation.  Its size is
 deliberately scaled down from the paper's full MNIST run so the whole
-benchmark suite completes on a laptop-class CPU; see DESIGN.md ("Known
-scale-downs") and EXPERIMENTS.md for the exact configuration and for how to
-scale it back up (environment variables REPRO_TRAIN_SIZE, REPRO_TEST_SIZE,
-REPRO_EVAL_IMAGES, REPRO_BITEXACT).
+benchmark suite completes on a laptop-class CPU: the configuration is
+:func:`_benchmark_accuracy_config` below, and the environment variables
+REPRO_TRAIN_SIZE, REPRO_TEST_SIZE, REPRO_EVAL_IMAGES and REPRO_BITEXACT scale
+it back up (see :mod:`repro.eval.table3_accuracy`).
 """
 
 from __future__ import annotations

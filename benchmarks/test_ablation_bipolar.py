@@ -10,18 +10,15 @@ This ablation measures both designs' dot-product RMS error as a function of
 how close the true result is to the decision point, confirming that the split
 design is markedly more accurate exactly where the sign decision is made.
 
-Both engines run on the simulation backend selected by ``REPRO_BACKEND``
-(packed words by default; bit-identical counts either way).  The packed
-bipolar backend also makes the longer-stream sweep affordable: the 10-bit
-(N=1024) variant below was a ROADMAP follow-up blocked on the byte-per-bit
-simulation cost.
+Both engines simulate packed words (bit-identical to their byte-per-bit
+references).  The packed bipolar engine also makes the longer-stream sweep
+affordable: the 10-bit (N=1024) variant below was a ROADMAP follow-up
+blocked on the byte-per-bit simulation cost.
 """
 
 import numpy as np
 
-from repro.sc import BipolarDotProductEngine, new_sc_engine, resolve_backend
-
-BACKEND = resolve_backend()
+from repro.sc import BipolarDotProductEngine, new_sc_engine
 
 
 def _rms_error(engine_factory, targets, rng, taps=25, trials=10):
@@ -41,14 +38,12 @@ def _rms_error(engine_factory, targets, rng, taps=25, trials=10):
 
 def _run_sweep(precision, targets, rng):
     split = _rms_error(
-        lambda t: new_sc_engine(precision=precision, seed=t + 1, backend=BACKEND),
+        lambda t: new_sc_engine(precision=precision, seed=t + 1),
         targets,
         rng,
     )
     bipolar = _rms_error(
-        lambda t: BipolarDotProductEngine(
-            precision=precision, seed=t + 1, backend=BACKEND
-        ),
+        lambda t: BipolarDotProductEngine(precision=precision, seed=t + 1),
         targets,
         rng,
     )

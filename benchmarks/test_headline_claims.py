@@ -5,7 +5,7 @@ Claims checked against the reproduction:
 1. "9.8x energy efficiency savings" at 4-bit precision, break-even at 8-bit;
 2. "application-level accuracies within 0.05%" of the all-binary design
    (8-bit) -- relaxed here because the dataset and training budget are scaled
-   down, see DESIGN.md;
+   down, see ``conftest.py``;
 3. "up to 2.92% better accuracy than previous SC designs";
 4. retraining compensates for the precision loss introduced by SC.
 """

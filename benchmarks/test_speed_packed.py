@@ -1,11 +1,12 @@
-"""Benchmark: packed-word backend vs. the unpacked byte-per-bit reference.
+"""Benchmark: packed-word kernels vs. the byte-per-bit reference.
 
 Times the two hot kernels of the reproduction -- the stochastic dot product
-and the stochastic convolution layer -- on both backends, asserts the packed
-path meets its speedup floor (>= 5x on the dot-product kernel at stream
-length 4096, the acceptance criterion of the packed-backend change), and
-writes a ``BENCH_packed.json`` artifact so the speedup trajectory can be
-tracked across commits.
+and the stochastic convolution layer -- packed and against the byte-per-bit
+reference kernel :func:`~repro.sc.dotproduct.stochastic_dot_product`,
+asserts the packed path meets its speedup floor (>= 5x on the dot-product
+kernel at stream length 4096), and writes a ``BENCH_packed.json`` artifact
+(untracked; CI uploads it) so the speedup trajectory can be tracked across
+commits.
 
 Timings use best-of-``REPEATS`` wall-clock so a single scheduler hiccup on a
 loaded CI machine cannot fail the regression assertion.
@@ -17,15 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bitstream import pack_bits
+from repro.bitstream import pack_bits, packed_popcount
+from repro.rng import ComparatorSNG, VanDerCorputSource, ramp_compare_batch
 from repro.sc import (
+    AdderTree,
     BipolarDotProductEngine,
     StochasticConv2D,
     StochasticDotProductEngine,
     TffAdder,
     new_sc_engine,
+    split_weights,
 )
-from repro.sc.dotproduct import stochastic_dot_product, stochastic_dot_product_packed
+from repro.sc.dotproduct import stochastic_dot_product
 from repro.utils import extract_patches
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_packed.json"
@@ -53,7 +57,9 @@ def test_packed_dot_product_speedup_at_4096():
         lambda: stochastic_dot_product(x_bits, w_bits, TffAdder)
     )
     packed_s, packed_counts = best_of(
-        lambda: stochastic_dot_product_packed(x_words, w_words, length, TffAdder)
+        lambda: packed_popcount(
+            AdderTree(TffAdder).reduce_packed(x_words & w_words, length)
+        )
     )
 
     # Correctness first: the speedup claim is only meaningful bit-identically.
@@ -87,27 +93,41 @@ def test_packed_dot_product_speedup_at_4096():
 
 
 def test_packed_convolution_faster():
+    """The packed layer vs. the byte-per-bit reference, run per filter.
+
+    The reference generates the layer's streams as bytes (ramp-compare
+    inputs, van der Corput weights) and reduces each kernel's positive and
+    negative TFF trees with :func:`stochastic_dot_product`.
+    """
     rng = np.random.default_rng(1)
     images = rng.random((2, 12, 12))
     kernels = rng.uniform(-1.0, 1.0, (8, 5, 5))
+    flat_kernels = kernels.reshape(8, 25)
+    layer = StochasticConv2D(kernels, engine=new_sc_engine(8, seed=1), padding=2)
 
-    results, timings = {}, {}
-    for backend in ("unpacked", "packed"):
-        layer = StochasticConv2D(
-            kernels, engine=new_sc_engine(8, seed=1, backend=backend), padding=2
-        )
-        timings[backend], results[backend] = best_of(lambda: layer.forward(images))
+    def reference():
+        x_bits = ramp_compare_batch(extract_patches(images, (5, 5), padding=2), 256)
+        sng = ComparatorSNG(VanDerCorputSource(8))
+        w_pos, w_neg = (sng.generate_bits(w, 256) for w in split_weights(flat_kernels))
+        pos = [stochastic_dot_product(x_bits, w, TffAdder) for w in w_pos]
+        neg = [stochastic_dot_product(x_bits, w, TffAdder) for w in w_neg]
+        return np.stack(pos, axis=-1), np.stack(neg, axis=-1)
+
+    reference_s, (ref_pos, ref_neg) = best_of(reference)
+    packed_s, packed = best_of(lambda: layer.forward(images))
 
     np.testing.assert_array_equal(
-        results["packed"].positive_count, results["unpacked"].positive_count
+        packed.positive_count, ref_pos.transpose(0, 2, 1).reshape(2, 8, 12, 12)
     )
-    np.testing.assert_array_equal(results["packed"].sign, results["unpacked"].sign)
+    np.testing.assert_array_equal(
+        packed.sign, np.sign(ref_pos - ref_neg).transpose(0, 2, 1).reshape(2, 8, 12, 12)
+    )
 
-    speedup = timings["unpacked"] / timings["packed"]
+    speedup = reference_s / packed_s
     print(
         f"\nconvolution 12x12, 8 kernels, N=256: "
-        f"unpacked {timings['unpacked'] * 1e3:.0f} ms, "
-        f"packed {timings['packed'] * 1e3:.0f} ms ({speedup:.1f}x)"
+        f"byte reference {reference_s * 1e3:.0f} ms, "
+        f"packed {packed_s * 1e3:.0f} ms ({speedup:.1f}x)"
     )
     assert speedup > 1.2, f"packed convolution not faster ({speedup:.2f}x)"
 
@@ -116,37 +136,37 @@ def test_packed_convolution_faster():
             "image": [2, 12, 12],
             "kernels": [8, 5, 5],
             "stream_length": 256,
-            "unpacked_seconds": timings["unpacked"],
-            "packed_seconds": timings["packed"],
+            "unpacked_seconds": reference_s,
+            "packed_seconds": packed_s,
             "speedup": speedup,
         }
     )
 
 
 def test_filter_parallel_conv_speedup():
-    """Filter-parallel conv vs. the historical per-filter dot_prepared loop.
+    """Filter-parallel conv vs. a per-filter loop of one-filter banks.
 
     Table 3 scale on the filter axis: 32 kernels at N=256, evaluated over one
     16x16 image's worth of patches.  The per-filter loop is the seed path the
-    vectorized bank replaced (one ``dot_prepared`` call per kernel, weight
+    vectorized bank replaced (one single-kernel bank per filter, weight
     streams regenerated each time); the filter-parallel path reduces every
     ``(filter, sign)`` tree lane in one vectorized pass per level and must be
     bit-identical while clearing the acceptance floor of 5x.
 
     The loop side is pinned to ``mode="streams"``: it stands in for the
     historical per-filter stream path, and under the ``"auto"`` default a
-    single ``dot_prepared`` call now collapses its TFF tree to integer
-    counts too, which would erase the contrast this row has tracked since
-    the filter-parallel change.  The bank side keeps its historical default
-    (the PR 4 count reduction for all-TFF trees).
+    single-kernel bank collapses its TFF tree to integer counts too, which
+    would erase the contrast this row has tracked since the filter-parallel
+    change.  The bank side keeps its default (the count reduction for
+    all-TFF trees).
     """
     rng = np.random.default_rng(2)
     images = rng.random((1, 16, 16))
     kernels = rng.uniform(-1.0, 1.0, (32, 5, 5))
     filters, taps = kernels.shape[0], 25
     flat_kernels = kernels.reshape(filters, taps)
-    loop_engine = new_sc_engine(8, seed=1, backend="packed", mode="streams")
-    bank_engine = new_sc_engine(8, seed=1, backend="packed")
+    loop_engine = new_sc_engine(8, seed=1, mode="streams")
+    bank_engine = new_sc_engine(8, seed=1)
     patches = extract_patches(images, (5, 5), padding=2).reshape(-1, taps)
     x_streams = loop_engine.prepare_inputs(patches)
 
@@ -154,14 +174,12 @@ def test_filter_parallel_conv_speedup():
         pos = np.empty((patches.shape[0], filters), dtype=np.int64)
         neg = np.empty_like(pos)
         for f in range(filters):
-            result = loop_engine.dot_prepared(x_streams, flat_kernels[f])
-            pos[:, f] = result.positive_count
-            neg[:, f] = result.negative_count
+            bank = loop_engine.prepare_weights(flat_kernels[f : f + 1])
+            pos[:, f : f + 1], neg[:, f : f + 1] = bank.counts(x_streams)
         return pos, neg
 
     def filter_parallel():
-        result = bank_engine.dot_filters_prepared(x_streams, flat_kernels)
-        return result.positive_count, result.negative_count
+        return bank_engine.prepare_weights(flat_kernels).counts(x_streams)
 
     loop_s, (loop_pos, loop_neg) = best_of(per_filter_loop)
     parallel_s, (par_pos, par_neg) = best_of(filter_parallel)
@@ -216,7 +234,7 @@ def test_mux_count_conv_speedup():
     results, timings = {}, {}
     for mode in ("streams", "counts"):
         engine = StochasticDotProductEngine(
-            precision=8, adder="mux", seed=1, backend="packed", mode=mode
+            precision=8, adder="mux", seed=1, mode=mode
         )
         x_streams = engine.prepare_inputs(patches)
         bank = engine.prepare_weights(flat_kernels)
@@ -267,7 +285,7 @@ def test_bipolar_count_dot_speedup():
     results, timings = {}, {}
     for mode in ("streams", "counts"):
         engine = BipolarDotProductEngine(
-            precision=12, adder="tff", seed=1, backend="packed", mode=mode
+            precision=12, adder="tff", seed=1, mode=mode
         )
         timings[mode], results[mode] = best_of(lambda: engine.dot(x, w))
 

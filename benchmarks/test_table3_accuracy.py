@@ -8,7 +8,8 @@ Paper reference (misclassification rate, %):
     This Work   0.94    0.99    1.04    1.12    1.04    2.20   43.82
 
 Absolute rates differ from the paper because the dataset is the synthetic
-MNIST substitute and the training budget is scaled down (see DESIGN.md);
+MNIST substitute and the training budget is scaled down (see
+:mod:`repro.datasets.synthetic` and ``conftest.py``);
 the assertions check the paper's qualitative findings:
 
 * retraining recovers most of the accuracy lost to quantization + sign

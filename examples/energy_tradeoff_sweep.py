@@ -10,7 +10,8 @@ binary sliding-window convolution engine and the proposed stochastic engine:
 * die area,
 
 first with the raw gate-count model and then calibrated to the paper's 8-bit
-synthesis anchor (see DESIGN.md for the substitution rationale).  Ends with
+synthesis anchor (see :mod:`repro.hw.technology` and
+:mod:`repro.hw.comparison` for the substitution rationale).  Ends with
 the headline claims: break-even precision and the energy advantage at 4 bits.
 
 Run with:  python examples/energy_tradeoff_sweep.py

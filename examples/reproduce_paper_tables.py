@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate every table of the paper and write a paper-vs-measured report.
 
-This is the one-shot driver behind EXPERIMENTS.md: it runs Tables 1 and 2
+This is the one-shot paper-vs-measured driver: it runs Tables 1 and 2
 exhaustively, the Table 3 hardware comparison, the (scaled-down) Table 3
 accuracy experiment, and the headline-claim summary, then prints a markdown
 report with the paper's published numbers next to the reproduction's.
@@ -138,7 +138,8 @@ def report_accuracy(lines, quick):
     result = run_table3_accuracy(config)
     emit(lines, "## Table 3 (top) — misclassification rate (%) vs. first-layer precision")
     emit(lines)
-    emit(lines, "Synthetic-digit dataset (see DESIGN.md §5); paper numbers are MNIST.")
+    emit(lines, "Synthetic-digit dataset (see repro.datasets.synthetic); "
+         "paper numbers are MNIST.")
     emit(lines)
     header = "| Design | " + " | ".join(f"{p} bits" for p in config.precisions) + " |"
     emit(lines, header)

@@ -2,11 +2,11 @@
 """A tour of the stochastic-computing substrate, from bit-streams to gates.
 
 Goes one level deeper than the quickstart: correlation metrics, the effect of
-auto-correlated (sensor-style) streams on different adders, the packed-word
-simulation backend, the exhaustive Table 1 / Table 2 sweeps, the
-gate-level netlists behind the hardware numbers (cell counts, area, simulated
-switching activity), and the static analyzer that proves those netlists
-well-formed (``repro.netlist.lint`` / ``python -m repro lint``).
+auto-correlated (sensor-style) streams on different adders, packed-word
+simulation and its byte-per-bit reference, the exhaustive Table 1 / Table 2
+sweeps, the gate-level netlists behind the hardware numbers (cell counts,
+area, simulated switching activity), and the static analyzer that proves
+those netlists well-formed (``repro.netlist.lint`` / ``python -m repro lint``).
 
 Run with:  python examples/sc_primitives_tour.py
 """
@@ -31,12 +31,21 @@ from repro.netlist import (
     simulate,
     simulate_batch,
 )
-from repro.rng import MAXIMAL_TAPS, ComparatorSNG, LFSRSource, VanDerCorputSource, ramp_compare_stream
+from repro.rng import (
+    MAXIMAL_TAPS,
+    ComparatorSNG,
+    LFSRSource,
+    VanDerCorputSource,
+    ramp_compare_batch,
+    ramp_compare_stream,
+)
 from repro.sc import (
     MuxAdder,
     StochasticConv2D,
     StochasticDotProductEngine,
     TffAdder,
+    split_weights,
+    stochastic_dot_product,
     stochastic_to_binary,
 )
 
@@ -76,20 +85,30 @@ def main() -> None:
     print(f"unpacked storage: {stream.bits.nbytes} bytes;  "
           f"packed: {packed.words.nbytes} bytes "
           f"({stream.bits.nbytes // packed.words.nbytes}x smaller)")
+    # The engines simulate packed words only; the byte-per-bit kernel
+    # stochastic_dot_product() defines the same counters on plain bit arrays
+    # (ramp-compare inputs, van der Corput weights, a TFF adder tree).
     rng = np.random.default_rng(1)
     x = rng.random((16, 25))
     w = rng.uniform(-1, 1, 25)
-    counts = {}
-    for backend in ("unpacked", "packed"):
-        engine = StochasticDotProductEngine(precision=10, backend=backend)
-        start = time.perf_counter()
-        result = engine.dot(x, w)
-        elapsed = time.perf_counter() - start
-        counts[backend] = result.positive_count
-        print(f"{backend:>8s} dot-product engine (N=1024): {elapsed * 1e3:6.1f} ms, "
-              f"first count {int(result.positive_count[0])}")
-    assert np.array_equal(counts["packed"], counts["unpacked"])
-    print("identical counter values, one backend ~an order of magnitude faster")
+    engine = StochasticDotProductEngine(precision=10, mode="streams")
+    start = time.perf_counter()
+    result = engine.dot(x, w)
+    packed_s = time.perf_counter() - start
+    start = time.perf_counter()
+    w_pos, _ = split_weights(w)
+    reference = stochastic_dot_product(
+        ramp_compare_batch(x, 1024),
+        ComparatorSNG(VanDerCorputSource(10)).generate_bits(w_pos, 1024),
+        TffAdder,
+    )
+    reference_s = time.perf_counter() - start
+    assert np.array_equal(result.positive_count, reference)
+    print(f"packed dot-product engine (N=1024): {packed_s * 1e3:6.1f} ms, "
+          f"first count {int(result.positive_count[0])}")
+    print(f"byte-per-bit reference    (N=1024): {reference_s * 1e3:6.1f} ms, "
+          f"first count {int(reference[0])}")
+    print("identical counter values, the packed engine ~an order of magnitude faster")
 
     section("Exhaustive accuracy sweeps (Tables 1 and 2, 6-bit for speed)")
     print(format_table1(run_table1(precisions=(6, 4))))
@@ -150,21 +169,23 @@ def main() -> None:
     # The hybrid first layer applies 32 kernels to every image window.  The
     # engine's prepare_weights() builds one weight bank with a leading filter
     # axis (plus fused positive/negative trees) so a single reduction covers
-    # every kernel -- bit-identical to looping dot_prepared per kernel, and
+    # every kernel -- bit-identical to one single-kernel bank per filter, and
     # for the TFF adder the tree collapses to exact count arithmetic.
-    conv_engine = StochasticDotProductEngine(precision=8, backend="packed")
+    loop_engine = StochasticDotProductEngine(precision=8, mode="streams")
+    conv_engine = StochasticDotProductEngine(precision=8)
     windows = rng.random((256, 25))          # one 16x16 image's worth of patches
     conv_kernels = rng.uniform(-1, 1, (32, 25))
     prepared = conv_engine.prepare_inputs(windows)
     start = time.perf_counter()
     loop_counts = [
-        conv_engine.dot_prepared(prepared, k).positive_count for k in conv_kernels
+        loop_engine.prepare_weights(k[np.newaxis]).counts(prepared)[0][:, 0]
+        for k in conv_kernels
     ]
     loop_s = time.perf_counter() - start
     start = time.perf_counter()
-    bank_result = conv_engine.dot_filters_prepared(prepared, conv_kernels)
+    bank_pos, _ = conv_engine.prepare_weights(conv_kernels).counts(prepared)
     bank_s = time.perf_counter() - start
-    assert np.array_equal(bank_result.positive_count, np.stack(loop_counts, axis=-1))
+    assert np.array_equal(bank_pos, np.stack(loop_counts, axis=-1))
     print(f"32 kernels x 256 windows at N=256: per-filter loop {loop_s * 1e3:6.1f} ms, "
           f"filter-parallel {bank_s * 1e3:6.1f} ms ({loop_s / bank_s:.0f}x)")
 
@@ -178,10 +199,8 @@ def main() -> None:
     # speed and memory only.  OR trees are position-dependent and always run
     # as streams ("counts" raises for them).
     for adder in ("mux", "tff"):
-        stream_eng = StochasticDotProductEngine(
-            precision=8, adder=adder, backend="packed", mode="streams")
-        count_eng = StochasticDotProductEngine(
-            precision=8, adder=adder, backend="packed", mode="counts")
+        stream_eng = StochasticDotProductEngine(precision=8, adder=adder, mode="streams")
+        count_eng = StochasticDotProductEngine(precision=8, adder=adder, mode="counts")
         start = time.perf_counter()
         via_streams = stream_eng.dot_filters(windows, conv_kernels)
         stream_s = time.perf_counter() - start
@@ -203,10 +222,10 @@ def main() -> None:
     image = rng.random((1, 16, 16))
     full_layer = StochasticConv2D(
         conv_kernels.reshape(32, 5, 5), engine=StochasticDotProductEngine(
-            precision=8, backend="packed"), padding=2)
+            precision=8), padding=2)
     tiled_layer = StochasticConv2D(
         conv_kernels.reshape(32, 5, 5), engine=StochasticDotProductEngine(
-            precision=8, backend="packed"), padding=2, tile_patches=60)
+            precision=8), padding=2, tile_patches=60)
     full = full_layer.forward(image)
     tiled = tiled_layer.forward(image)
     assert np.array_equal(full.positive_count, tiled.positive_count)

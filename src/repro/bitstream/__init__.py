@@ -6,7 +6,7 @@ Two interchangeable stream representations are provided: the byte-per-bit
 losslessly via ``Bitstream.pack()`` / ``PackedBitstream.unpack()``.
 """
 
-from .backend import BACKENDS, resolve_backend, validate_backend
+from .backend import BACKENDS, validate_backend
 from .bitstream import Bitstream
 from .correlation import (
     autocorrelation,
@@ -52,7 +52,6 @@ from .encoding import (
 
 __all__ = [
     "BACKENDS",
-    "resolve_backend",
     "validate_backend",
     "Bitstream",
     "PackedBitstream",

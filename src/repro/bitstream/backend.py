@@ -1,19 +1,16 @@
-"""Simulation-backend selection shared by every bit-level simulator.
+"""Netlist-simulator backend names.
 
 Two interchangeable stream representations exist (see this package's
 docstring): the byte-per-bit reference arrays and the 64-bits-per-word packed
-arrays.  Every simulator that owns a representation choice -- the stochastic
-dot-product engines, the netlist simulator, the Table 1/2 sweep kernels --
-selects it through the single resolution rule below, so ``REPRO_BACKEND``
-and an explicit ``backend=`` argument behave identically everywhere.
+arrays.  The stochastic engines and the Table 1/2 sweeps always run packed;
+the gate-level netlist simulator (:mod:`repro.netlist.simulator`) keeps both
+as execution backends, because its per-cycle loop is the reference and the
+fallback for cells that have no word kernel.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-__all__ = ["BACKENDS", "validate_backend", "resolve_backend"]
+__all__ = ["BACKENDS", "validate_backend"]
 
 #: Supported simulation backends: ``"packed"`` stores 64 stream bits per
 #: uint64 word and runs word-level kernels (bit-identical results, roughly an
@@ -28,18 +25,3 @@ def validate_backend(backend: str) -> str:
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     return backend
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve and validate a backend choice.
-
-    Precedence: an explicitly passed value beats the ``REPRO_BACKEND``
-    environment variable, which beats the ``"packed"`` default.  This is the
-    single resolution rule shared by the CLI and the experiment configs.
-    Only ``None`` defers to the environment -- an explicit empty string is
-    rejected like any other invalid name -- while an empty/unset environment
-    variable falls back to the default.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "packed"
-    return validate_backend(backend)

@@ -22,15 +22,13 @@ the fanout histogram and critical-path statistics.
 
 The accuracy experiment honours the same environment variables as the
 benchmark suite (REPRO_TRAIN_SIZE, REPRO_TEST_SIZE, REPRO_BITEXACT,
-REPRO_EVAL_IMAGES, REPRO_BACKEND, REPRO_MODE, REPRO_TILE_PATCHES).  For full-test-set
+REPRO_EVAL_IMAGES, REPRO_MODE, REPRO_TILE_PATCHES).  For full-test-set
 bit-exact runs (``REPRO_BITEXACT=1`` without ``REPRO_EVAL_IMAGES``), pass
 ``accuracy --tile-patches P`` (or set ``REPRO_TILE_PATCHES``) to stream the
-stochastic convolution in bounded-memory patch tiles.  ``table1``, ``table2``, ``accuracy`` and
-``activity`` accept ``--backend {packed,unpacked}`` to select the bit-level
-simulation backend (both produce bit-identical numbers; packed is ~10x
-faster).  ``table1``, ``table2`` and ``accuracy`` also accept
-``--mode {auto,counts,streams}`` (or ``REPRO_MODE``) to choose the
-adder-tree evaluation mode: ``counts`` runs the exact count-domain shortcut
+stochastic convolution in bounded-memory patch tiles.  Stochastic streams
+are always simulated as packed 64-bit words.  ``table1``, ``table2`` and
+``accuracy`` accept ``--mode {auto,counts,streams}`` (or ``REPRO_MODE``) to
+choose the adder-tree evaluation mode: ``counts`` runs the exact count-domain shortcut
 (no adder-tree stream tensors), ``streams`` forces the reference stream
 reduction, and ``auto`` -- the default -- picks counts whenever exact.
 Every mode is bit-identical; the knob trades speed and memory only.
@@ -38,9 +36,11 @@ Every mode is bit-identical; the knob trades speed and memory only.
 estimate: it simulates the Table 3 stochastic dot-product netlist against a
 random bit-stream trace and rolls the per-net toggle counts into power;
 ``--traces K`` stacks K stimulus sets on a leading axis and covers them all
-with one batched word-parallel simulation.  ``hardware --activity-traces N``
-replaces the assumed activity factor of the stochastic power model by one
-measured the same way.
+with one batched word-parallel simulation, and ``--backend
+{packed,unpacked}`` picks the netlist simulator's word-parallel path or its
+per-cycle reference loop (bit-identical results).
+``hardware --activity-traces N`` replaces the assumed activity factor of the
+stochastic power model by one measured the same way.
 
 ``faults`` runs the deterministic fault-injection degradation sweep
 (:mod:`repro.faults.sweep`): it convolves synthetic digits through the
@@ -57,7 +57,8 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from .sc import BACKENDS, MODES, resolve_backend, resolve_mode
+from .bitstream import BACKENDS
+from .sc import MODES, resolve_mode
 
 from .eval import (
     AccuracyConfig,
@@ -94,17 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_backend(subparser: argparse.ArgumentParser) -> None:
-        # No hard-coded default: an omitted flag defers to REPRO_BACKEND
-        # (then "packed"), while an explicit flag beats the environment.
-        subparser.add_argument(
-            "--backend", choices=BACKENDS, default=None,
-            help="bit-level simulation backend (both are bit-identical; "
-                 "packed is ~10x faster; default: $REPRO_BACKEND or packed)",
-        )
-
     def add_mode(subparser: argparse.ArgumentParser) -> None:
-        # Mirrors add_backend: an omitted flag defers to REPRO_MODE (then
+        # No hard-coded default: an omitted flag defers to REPRO_MODE (then
         # "auto"), while an explicit flag beats the environment.
         subparser.add_argument(
             "--mode", choices=MODES, default=None,
@@ -119,12 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--precisions", type=_parse_precisions, default=(8, 4),
         help="comma-separated precisions, e.g. 8,4",
     )
-    add_backend(table1)
     add_mode(table1)
 
     table2 = sub.add_parser("table2", help="stochastic adder MSE (Table 2)")
     table2.add_argument("--precisions", type=_parse_precisions, default=(8, 4))
-    add_backend(table2)
     add_mode(table2)
 
     hardware = sub.add_parser("hardware", help="power / energy / area (Table 3 bottom)")
@@ -157,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical for any tile size; default: $REPRO_TILE_PATCHES "
              "or untiled)",
     )
-    add_backend(accuracy)
     add_mode(accuracy)
 
     activity = sub.add_parser(
@@ -177,7 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of stimulus trace sets, simulated in one batched "
              "word-parallel run (default 1)",
     )
-    add_backend(activity)
+    activity.add_argument(
+        "--backend", choices=BACKENDS, default="packed",
+        help="netlist simulator backend: packed word kernels or the unpacked "
+             "per-cycle reference loop (bit-identical; default: packed)",
+    )
 
     lint_cmd = sub.add_parser(
         "lint",
@@ -245,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="small smoke-test geometry (3 rates, 2 images, 4 filters, 1 trial)",
     )
-    add_backend(faults_cmd)
 
     claims = sub.add_parser("claims", help="headline-claim summary (hardware only)")
     claims.add_argument("--raw", action="store_true")
@@ -259,14 +251,6 @@ def _parse_rates(text: str) -> tuple:
         return parse_rates(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _resolve_backend(arg: Optional[str]) -> str:
-    """CLI wrapper for :func:`repro.sc.resolve_backend`: fail with a clean message."""
-    try:
-        return resolve_backend(arg)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}") from exc
 
 
 def _resolve_mode(arg: Optional[str]) -> str:
@@ -290,7 +274,6 @@ def _run_activity(args: argparse.Namespace) -> None:
         raise SystemExit("repro: error: taps must be at least 2")
     if args.traces < 1:
         raise SystemExit("repro: error: traces must be at least 1")
-    backend = _resolve_backend(args.backend)
     cycles = 1 << args.precision
     netlist = build_sc_dot_product(args.taps, args.precision + 1, adder=args.adder)
     rng = np.random.default_rng(args.seed)
@@ -299,7 +282,7 @@ def _run_activity(args: argparse.Namespace) -> None:
             net: rng.integers(0, 2, cycles, dtype=np.int64).astype(np.uint8)
             for net in netlist.primary_inputs
         }
-        result = simulate(netlist, stimulus, backend=backend, strict=True)
+        result = simulate(netlist, stimulus, backend=args.backend, strict=True)
         trace_note = ""
     else:
         stimulus = {
@@ -308,13 +291,15 @@ def _run_activity(args: argparse.Namespace) -> None:
             ).astype(np.uint8)
             for net in netlist.primary_inputs
         }
-        result = simulate_batch(netlist, stimulus, backend=backend, strict=True)
+        result = simulate_batch(
+            netlist, stimulus, backend=args.backend, strict=True
+        )
         trace_note = f" x {args.traces} traces (batched)"
     report = estimate_power(
         netlist, DEFAULT_TECH.sc_clock_mhz, simulation=result
     )
     print(f"netlist: {netlist.name} ({len(netlist.instances)} cells), "
-          f"{cycles} cycles{trace_note}, backend={backend}")
+          f"{cycles} cycles{trace_note}, backend={args.backend}")
     print(f"total toggles:      {result.total_toggles()}")
     print(f"average activity:   {result.average_activity():.4f} toggles/cycle/net")
     if args.traces > 1:
@@ -379,11 +364,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         write_artifact,
     )
 
-    kwargs = dict(
-        backend=_resolve_backend(args.backend),
-        seed=args.seed,
-        tile_patches=args.tile_patches,
-    )
+    kwargs = dict(seed=args.seed, tile_patches=args.tile_patches)
     if args.quick:
         kwargs.update(
             rates=(0.0, 1e-3, 1e-2),
@@ -422,7 +403,6 @@ def _run_faults(args: argparse.Namespace) -> int:
 def _accuracy_config(args: argparse.Namespace) -> AccuracyConfig:
     kwargs = dict(
         include_no_retrain=args.no_retrain_row,
-        backend=_resolve_backend(args.backend),
         mode=_resolve_mode(args.mode),
         tile_patches=args.tile_patches,
     )
@@ -456,17 +436,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "table1":
-        backend = _resolve_backend(args.backend)
         mode = _resolve_mode(args.mode)
-        print(format_table1(
-            run_table1(precisions=args.precisions, backend=backend, mode=mode)
-        ))
+        print(format_table1(run_table1(precisions=args.precisions, mode=mode)))
     elif args.command == "table2":
-        backend = _resolve_backend(args.backend)
         mode = _resolve_mode(args.mode)
-        print(format_table2(
-            run_table2(precisions=args.precisions, backend=backend, mode=mode)
-        ))
+        print(format_table2(run_table2(precisions=args.precisions, mode=mode)))
     elif args.command == "hardware":
         if args.activity_traces < 0:
             raise SystemExit("repro: error: --activity-traces must be non-negative")

@@ -5,8 +5,7 @@ friends, optionally gzipped) they can be dropped into a directory and loaded
 with :func:`load_mnist`, in which case every experiment runs on the real
 benchmark.  In the offline default configuration :func:`load_dataset` falls
 back to the synthetic digit generator (see
-:mod:`repro.datasets.synthetic` and DESIGN.md for the substitution
-rationale).
+:mod:`repro.datasets.synthetic` for the substitution rationale).
 """
 
 from __future__ import annotations

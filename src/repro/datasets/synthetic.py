@@ -7,8 +7,8 @@ same 10-class structure: digits are rendered from seven-segment-style stroke
 skeletons with randomized geometry (translation, rotation, scale, shear,
 stroke width), smoothed, and corrupted with sensor-like noise.
 
-The substitution is documented in DESIGN.md: every experiment in the paper
-measures *relative* behaviour between first-layer implementations (binary,
+This docstring is the record of that substitution: every experiment in the
+paper measures *relative* behaviour between first-layer implementations (binary,
 old SC, proposed SC) and the effect of retraining, so any separable 28x28
 grayscale 10-class problem exercises the identical code paths.  Absolute
 misclassification rates differ from the paper's MNIST numbers; orderings and

@@ -1,8 +1,9 @@
 """Formatting helpers: render reproduced results as paper-style text tables.
 
 Every benchmark prints its rows through these formatters so that the console
-output can be compared side by side with the paper's tables, and
-EXPERIMENTS.md can be regenerated mechanically.
+output can be compared side by side with the paper's tables, and the
+paper-vs-measured report of ``examples/reproduce_paper_tables.py`` can be
+regenerated mechanically.
 """
 
 from __future__ import annotations

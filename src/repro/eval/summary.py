@@ -13,8 +13,8 @@ claims:
    introduced by SC.
 
 :func:`summarize` evaluates every claim from the reproduced tables and
-returns a structured verdict used by the headline benchmark and
-EXPERIMENTS.md.
+returns a structured verdict used by the headline benchmark and the
+paper-vs-measured report of ``examples/reproduce_paper_tables.py``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import numpy as np
 from ..bitstream import stream_length
 from ..bitstream.packed import packed_popcount
 from ..rng.sng import TABLE1_SCHEMES, sng_pair
-from ..sc.dotproduct import resolve_backend, resolve_mode
+from ..sc.dotproduct import resolve_mode
 
 __all__ = ["Table1Result", "multiplier_mse", "run_table1"]
 
@@ -42,37 +42,27 @@ def multiplier_mse(
     scheme: str,
     precision: int,
     seed: int = 1,
-    backend: str | None = None,
     mode: str | None = None,
 ) -> float:
     """Exhaustive MSE of the AND multiplier under one number-generation scheme.
 
     Every representable value pair ``(k/N, m/N)`` for ``k, m`` in ``0..N`` is
     multiplied with streams of length ``N = 2**precision`` and compared with
-    the exact product.  Both backends evaluate the same comparator bits, so
-    the MSE is identical; ``"packed"`` runs the AND/popcount sweep on 64-bit
-    words instead of bytes.  ``None`` defers to REPRO_BACKEND, then "packed".
+    the exact product.  The AND/popcount sweep runs on packed 64-bit words.
 
     ``mode`` is accepted (and validated, see :mod:`repro.sc.mode`) for
     interface symmetry with the other table evaluators, but the multiplier
     sweep involves no adder tree: its estimate is already one popcount of the
     AND product, so ``"counts"`` and ``"streams"`` run the identical code.
     """
-    backend = resolve_backend(backend)
     resolve_mode(mode)
     n = stream_length(precision)
     values = np.arange(n + 1, dtype=np.float64) / n
     sng_x, sng_y = sng_pair(scheme, precision, seed=seed)
-    if backend == "packed":
-        x_words = sng_x.generate_packed(values, n)  # (n+1, W)
-        y_words = sng_y.generate_packed(values, n)
-        products = x_words[:, np.newaxis, :] & y_words[np.newaxis, :, :]
-        estimates = packed_popcount(products) / n
-    else:
-        x_bits = sng_x.generate_bits(values, n)  # (n+1, n)
-        y_bits = sng_y.generate_bits(values, n)
-        products = x_bits[:, np.newaxis, :] & y_bits[np.newaxis, :, :]
-        estimates = products.sum(axis=-1, dtype=np.int64) / n
+    x_words = sng_x.generate_packed(values, n)  # (n+1, W)
+    y_words = sng_y.generate_packed(values, n)
+    products = x_words[:, np.newaxis, :] & y_words[np.newaxis, :, :]
+    estimates = packed_popcount(products) / n
     exact = np.outer(values, values)
     return float(np.mean((estimates - exact) ** 2))
 
@@ -81,7 +71,6 @@ def run_table1(
     precisions: Sequence[int] = (8, 4),
     schemes: Sequence[str] | None = None,
     seed: int = 1,
-    backend: str | None = None,
     mode: str | None = None,
 ) -> Table1Result:
     """Reproduce Table 1 for the requested precisions and schemes."""
@@ -89,9 +78,7 @@ def run_table1(
     mse: Dict[str, Dict[int, float]] = {}
     for scheme in schemes:
         mse[scheme] = {
-            precision: multiplier_mse(
-                scheme, precision, seed=seed, backend=backend, mode=mode
-            )
+            precision: multiplier_mse(scheme, precision, seed=seed, mode=mode)
             for precision in precisions
         }
     return Table1Result(mse=mse, precisions=tuple(precisions))

@@ -30,8 +30,7 @@ from ..bitstream.packed import (
     packed_tff_add,
 )
 from ..rng import ComparatorSNG, LFSRSource, PseudoRandomSource, SobolSource, VanDerCorputSource
-from ..sc.dotproduct import resolve_backend, resolve_mode
-from ..sc.elements.adders import mux_add, tff_add
+from ..sc.dotproduct import resolve_mode
 
 __all__ = ["ADDER_CONFIGS", "Table2Result", "adder_mse", "run_table2"]
 
@@ -93,15 +92,12 @@ def adder_mse(
     config: str,
     precision: int,
     seed: int = 1,
-    backend: str | None = None,
     mode: str | None = None,
 ) -> float:
     """Exhaustive MSE of one adder configuration at one precision.
 
-    Both backends evaluate the same generated bits (the packed TFF/MUX word
-    kernels are bit-identical to the byte-level ones), so the MSE does not
-    depend on ``backend`` -- only the sweep's speed and memory footprint do.
-    ``None`` defers to REPRO_BACKEND, then "packed".
+    The sweep runs the packed TFF/MUX word kernels, which are bit-identical
+    to the byte-level element adders.
 
     Under ``mode="counts"`` (the ``"auto"`` default, see
     :mod:`repro.sc.mode`) the sweep never materializes the ``(N+1, N+1)``
@@ -114,46 +110,28 @@ def adder_mse(
     """
     if config not in ADDER_CONFIGS:
         raise ValueError(f"unknown adder config {config!r}; expected {sorted(ADDER_CONFIGS)}")
-    backend = resolve_backend(backend)
     mode = resolve_mode(mode)
     n = stream_length(precision)
     values = np.arange(n + 1, dtype=np.float64) / n
     sng_x, sng_y = _data_generators(config, precision, seed)
+    x_words = sng_x.generate_packed(values, n)  # (n+1, W)
+    y_words = sng_y.generate_packed(values, n)
 
     if mode != "streams":
-        if backend == "packed":
-            x_words = sng_x.generate_packed(values, n)  # (n+1, W)
-            y_words = sng_y.generate_packed(values, n)
-            if config == "new_tff":
-                # TffAdder with initial_state=0: count = floor((cx + cy) / 2).
-                counts = (
-                    packed_popcount(x_words)[:, np.newaxis]
-                    + packed_popcount(y_words)[np.newaxis, :]
-                ) >> 1
-            else:
-                select = pack_bits(_select_bits(config, precision, n, seed))
-                counts = (
-                    packed_popcount(x_words & ~select)[:, np.newaxis]
-                    + packed_popcount(y_words & select)[np.newaxis, :]
-                )
+        if config == "new_tff":
+            # TffAdder with initial_state=0: count = floor((cx + cy) / 2).
+            counts = (
+                packed_popcount(x_words)[:, np.newaxis]
+                + packed_popcount(y_words)[np.newaxis, :]
+            ) >> 1
         else:
-            x_bits = sng_x.generate_bits(values, n)
-            y_bits = sng_y.generate_bits(values, n)
-            if config == "new_tff":
-                counts = (
-                    x_bits.sum(axis=-1, dtype=np.int64)[:, np.newaxis]
-                    + y_bits.sum(axis=-1, dtype=np.int64)[np.newaxis, :]
-                ) >> 1
-            else:
-                select = _select_bits(config, precision, n, seed)
-                counts = (
-                    (x_bits & (select ^ 1)).sum(axis=-1, dtype=np.int64)[:, np.newaxis]
-                    + (y_bits & select).sum(axis=-1, dtype=np.int64)[np.newaxis, :]
-                )
+            select = pack_bits(_select_bits(config, precision, n, seed))
+            counts = (
+                packed_popcount(x_words & ~select)[:, np.newaxis]
+                + packed_popcount(y_words & select)[np.newaxis, :]
+            )
         estimates = counts / n
-    elif backend == "packed":
-        x_words = sng_x.generate_packed(values, n)  # (n+1, W)
-        y_words = sng_y.generate_packed(values, n)
+    else:
         x_all = np.broadcast_to(
             x_words[:, np.newaxis, :], (n + 1, n + 1, x_words.shape[-1])
         )
@@ -166,17 +144,6 @@ def adder_mse(
             select = pack_bits(_select_bits(config, precision, n, seed))
             sums_words = packed_mux_add(x_all, y_all, select)
         estimates = packed_popcount(sums_words) / n
-    else:
-        x_bits = sng_x.generate_bits(values, n)
-        y_bits = sng_y.generate_bits(values, n)
-        x_all = np.broadcast_to(x_bits[:, np.newaxis, :], (n + 1, n + 1, n))
-        y_all = np.broadcast_to(y_bits[np.newaxis, :, :], (n + 1, n + 1, n))
-        if config == "new_tff":
-            sums = tff_add(np.ascontiguousarray(x_all), np.ascontiguousarray(y_all))
-        else:
-            select = _select_bits(config, precision, n, seed)
-            sums = mux_add(x_all, y_all, select)
-        estimates = np.asarray(sums).sum(axis=-1, dtype=np.int64) / n
     exact = 0.5 * (values[:, np.newaxis] + values[np.newaxis, :])
     return float(np.mean((estimates - exact) ** 2))
 
@@ -185,7 +152,6 @@ def run_table2(
     precisions: Sequence[int] = (8, 4),
     configs: Sequence[str] | None = None,
     seed: int = 1,
-    backend: str | None = None,
     mode: str | None = None,
 ) -> Table2Result:
     """Reproduce Table 2 for the requested precisions and adder configurations."""
@@ -193,7 +159,7 @@ def run_table2(
     mse: Dict[str, Dict[int, float]] = {}
     for config in configs:
         mse[config] = {
-            precision: adder_mse(config, precision, seed=seed, backend=backend, mode=mode)
+            precision: adder_mse(config, precision, seed=seed, mode=mode)
             for precision in precisions
         }
     return Table2Result(mse=mse, precisions=tuple(precisions))

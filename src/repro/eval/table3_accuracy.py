@@ -15,9 +15,9 @@ The experiment is CPU-budget-aware: dataset sizes, training epochs and the
 number of bit-exact evaluation images are configurable (environment variables
 ``REPRO_TRAIN_SIZE``, ``REPRO_TEST_SIZE``, ``REPRO_EVAL_IMAGES``,
 ``REPRO_BITEXACT``, ``REPRO_TILE_PATCHES``, ``REPRO_MODE``), and the
-stochastic rows default
-to the calibrated fast emulator validated against bit-exact simulation (see
-DESIGN.md).  With ``REPRO_BITEXACT=1`` the filter-parallel, tile-streamed
+stochastic rows default to the calibrated fast emulator validated against
+bit-exact simulation (see :mod:`repro.hybrid.emulation`).  With
+``REPRO_BITEXACT=1`` the filter-parallel, tile-streamed
 convolution path (see :mod:`repro.sc.convolution`) lets the stochastic rows
 cover the full test set in bounded memory: set ``REPRO_TILE_PATCHES`` (or
 ``tile_patches``) to cap how many image patches are in flight at once.
@@ -34,13 +34,7 @@ import numpy as np
 from ..datasets import load_dataset
 from ..hybrid import HybridStochasticBinaryNetwork
 from ..nn import Adam, Sequential, build_lenet5_small, quantize_and_freeze, retrain
-from ..sc import (
-    new_sc_engine,
-    old_sc_engine,
-    resolve_backend,
-    resolve_mode,
-    resolve_tile_patches,
-)
+from ..sc import new_sc_engine, old_sc_engine, resolve_mode, resolve_tile_patches
 
 __all__ = ["AccuracyConfig", "Table3AccuracyResult", "run_table3_accuracy"]
 
@@ -73,12 +67,6 @@ class AccuracyConfig:
     tile_patches: Optional[int] = None
     #: Soft-threshold level for the stochastic sign activation (fraction of range).
     soft_threshold: float = 0.02
-    #: Bit-level simulation backend for the stochastic engines: "packed"
-    #: (64 bits per word) or "unpacked" (byte per bit).  Both are bit-order
-    #: exact, so the reported rates are identical.  None (the default)
-    #: resolves to the REPRO_BACKEND environment variable, falling back to
-    #: "packed"; an explicitly passed value always wins over the environment.
-    backend: Optional[str] = None
     #: Adder-tree evaluation mode for the stochastic engines: "counts" (exact
     #: count-domain shortcut, no adder-tree stream tensors), "streams" (the
     #: reference stream reduction) or "auto" (counts whenever exact -- TFF and
@@ -102,7 +90,6 @@ class AccuracyConfig:
             raise ValueError("sc_mode must be 'emulate' or 'bitexact'")
         if os.environ.get("REPRO_BITEXACT") == "1":
             self.sc_mode = "bitexact"
-        self.backend = resolve_backend(self.backend)
         self.mode = resolve_mode(self.mode)
         self.tile_patches = resolve_tile_patches(self.tile_patches)
         if self.sc_eval_images is None:
@@ -216,12 +203,7 @@ def run_table3_accuracy(config: Optional[AccuracyConfig] = None) -> Table3Accura
         ):
             hybrid = HybridStochasticBinaryNetwork(
                 sc_model,
-                engine=engine_factory(
-                    precision,
-                    seed=config.seed + 1,
-                    backend=config.backend,
-                    mode=config.mode,
-                ),
+                engine=engine_factory(precision, seed=config.seed + 1, mode=config.mode),
                 soft_threshold=config.soft_threshold,
                 seed=config.seed,
                 tile_patches=config.tile_patches,

@@ -8,7 +8,7 @@ claim measurable:
 
 * :mod:`~repro.faults.masks` -- counter-hashed (SplitMix64) packed word
   masks: seed-deterministic randomness that is independent of tile
-  boundaries, evaluation order, and simulation backend;
+  boundaries and evaluation order;
 * :mod:`~repro.faults.spec` -- :class:`FaultSpec` (the composable fault
   environment: soft-error flips, stuck-at-0/1 stream bits, burst faults,
   stuck SNG register cells, sensor noise), :class:`FaultPlan` (mask

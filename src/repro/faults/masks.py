@@ -12,9 +12,9 @@ never a draw from sequential generator state.  This is what makes fault
 injection deterministic under recomposition: the mask a stream receives
 depends only on its global identity (its index in the flattened batch, plus
 the caller-supplied ``offset``), not on tile boundaries, evaluation order,
-the simulation backend, or how many streams were faulted before it.  Tiled
-and untiled convolutions, packed and unpacked engines, and repeated ``dot()``
-calls therefore all see bit-identical faulted streams.
+the stream representation, or how many streams were faulted before it.
+Tiled and untiled convolutions, packed and byte-per-bit streams, and
+repeated ``dot()`` calls therefore all see bit-identical faulted streams.
 
 Per-bit Bernoulli masks with arbitrary rate ``p`` are built by the standard
 bit-slicing (Horner) combination of ``RATE_BITS`` independent uniform words:

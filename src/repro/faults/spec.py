@@ -15,8 +15,10 @@ i.e. permanent stuck-at defects first (stuck-at-0 dominates where both
 masks hit one position), transient flips -- soft errors and bursts -- last,
 modelling upsets observed downstream of the stuck wires.  Injection is
 implemented once, on packed 64-bit words
-(:func:`repro.bitstream.packed.packed_apply_faults`); the unpacked backend
-unpacks the *same* masks, so both backends corrupt bit-identically.
+(:func:`repro.bitstream.packed.packed_apply_faults`); byte-per-bit streams
+(:func:`inject_stream` on a :class:`~repro.bitstream.Bitstream`) are packed,
+corrupted with the *same* masks and unpacked, so both representations
+corrupt bit-identically.
 
 Mask randomness is counter-hashed per global stream index (see
 :mod:`repro.faults.masks`): the caller passes the ``offset`` of its current
@@ -86,7 +88,7 @@ class FaultSpec:
         whose generators are LFSR-backed.
     seed:
         Seed of the counter-hashed mask generator.  Same spec + same seed =>
-        bit-identical faults everywhere, across backends and tilings.
+        bit-identical faults everywhere, across representations and tilings.
     """
 
     flip_rate: float = 0.0
@@ -183,47 +185,30 @@ class FaultPlan:
             )
         return stuck0, stuck1, flips
 
-    def apply(
-        self, prepared: np.ndarray, n_bits: int, offset: int = 0, packed: bool = True
-    ) -> np.ndarray:
-        """Inject stream faults into a prepared input block.
+    def apply(self, prepared: np.ndarray, n_bits: int, offset: int = 0) -> np.ndarray:
+        """Inject stream faults into a prepared block of packed streams.
 
-        ``prepared`` has shape ``(..., taps, W)`` packed words
-        (``packed=True``) or ``(..., taps, N)`` uint8 bits; leading axes are
-        flattened in C order to assign global stream indices ``offset + i``.
-        Empty blocks (zero streams, zero taps or zero-length streams) pass
-        through untouched -- a fault spec on nothing is a no-op, not an
-        index error.  Returns a new array of the same shape and dtype.
+        ``prepared`` has shape ``(..., taps, W)`` packed words; leading axes
+        are flattened in C order to assign global stream indices
+        ``offset + i``.  Empty blocks (zero streams, zero taps or zero-length
+        streams) pass through untouched -- a fault spec on nothing is a
+        no-op, not an index error.  Returns a new array of the same shape
+        and dtype.
         """
         arr = np.asarray(prepared)
         if not self.spec.corrupts_streams or arr.size == 0 or n_bits == 0:
             return arr
         if arr.ndim < 2:
             raise ValueError(
-                f"prepared streams must have shape (..., taps, words-or-bits), "
-                f"got {arr.shape}"
+                f"prepared streams must have shape (..., taps, words), got {arr.shape}"
             )
         taps = arr.shape[-2]
         lead = arr.shape[:-2]
         n_streams = int(np.prod(lead)) if lead else 1
         stuck0, stuck1, flips = self.masks(n_streams, taps, n_bits, offset)
-        if packed:
-            flat = arr.reshape((n_streams, taps, arr.shape[-1]))
-            out = packed_apply_faults(flat, stuck0, stuck1, flips, n_bits)
-            return out.reshape(arr.shape)
-        # Unpacked backend: unpack the *same* masks so both backends corrupt
-        # bit-identically, then apply the identical composition on bytes.
-        if arr.shape[-1] != n_bits:
-            raise ValueError(
-                f"expected {n_bits} stream bits on the last axis, "
-                f"got {arr.shape[-1]}"
-            )
-        flat = arr.reshape((n_streams, taps, n_bits)).astype(np.uint8)
-        s0 = unpack_bits(stuck0, n_bits)
-        s1 = unpack_bits(stuck1, n_bits)
-        fl = unpack_bits(flips, n_bits)
-        out = ((flat | s1) & (1 - s0)) ^ fl
-        return out.reshape(arr.shape).astype(arr.dtype, copy=False)
+        flat = arr.reshape((n_streams, taps, arr.shape[-1]))
+        out = packed_apply_faults(flat, stuck0, stuck1, flips, n_bits)
+        return out.reshape(arr.shape)
 
 
 def inject_stream(
@@ -243,18 +228,13 @@ def inject_stream(
     if isinstance(stream, PackedBitstream):
         if stream.n_bits == 0 or not spec.corrupts_streams:
             return stream
-        words = plan.apply(
-            stream.words[np.newaxis, :], stream.n_bits, offset=index, packed=True
-        )[0]
+        words = plan.apply(stream.words[np.newaxis, :], stream.n_bits, offset=index)[0]
         return PackedBitstream(words, stream.n_bits, encoding=stream.encoding)
     if isinstance(stream, Bitstream):
         if len(stream) == 0 or not spec.corrupts_streams:
             return stream
         words = plan.apply(
-            pack_bits(stream.bits)[np.newaxis, :],
-            len(stream),
-            offset=index,
-            packed=True,
+            pack_bits(stream.bits)[np.newaxis, :], len(stream), offset=index
         )[0]
         return Bitstream(unpack_bits(words, len(stream)), encoding=stream.encoding)
     raise TypeError(

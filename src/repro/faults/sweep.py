@@ -33,7 +33,7 @@ The degradation metric is *sign agreement*: the fraction of (patch, filter)
 sign activations that match the fault-free evaluation, averaged over
 ``trials`` independent fault seeds.  Both injections run on the shared
 counter-hashed mask machinery (:mod:`repro.faults.masks`), so the whole sweep
-is seed-deterministic and backend/tiling independent.
+is seed-deterministic and tiling independent.
 
 ``write_artifact`` merges the curve into ``BENCH_faults.json`` using the same
 section-merge convention as the benchmark suite's ``BENCH_packed.json``.
@@ -87,8 +87,6 @@ class FaultSweepConfig:
     filters: int = 8
     #: Square kernel side; padding is ``kernel // 2`` ("same"-style).
     kernel: int = 5
-    #: Bit-level simulation backend ("packed" or "unpacked").
-    backend: str = "packed"
     #: Master seed: fixes the dataset, the kernels and the fault seeds.
     seed: int = 0
     #: Independent fault seeds averaged per rate.
@@ -135,7 +133,7 @@ class FaultSweepResult:
             "images": cfg.images,
             "filters": cfg.filters,
             "kernel": cfg.kernel,
-            "backend": cfg.backend,
+            "backend": "packed",
             "seed": cfg.seed,
             "trials": cfg.trials,
             "rows": self.rows,
@@ -188,7 +186,7 @@ def run_fault_sweep(config: FaultSweepConfig = FaultSweepConfig()) -> FaultSweep
     kernels = _make_kernels(config)
     padding = config.kernel // 2
 
-    engine = new_sc_engine(precision=config.precision, backend=config.backend)
+    engine = new_sc_engine(precision=config.precision)
     conv = StochasticConv2D(
         kernels, engine=engine, padding=padding, tile_patches=config.tile_patches
     )
@@ -249,7 +247,7 @@ def format_fault_sweep(result: FaultSweepResult) -> str:
         "Fault-injection degradation sweep "
         f"(precision={cfg.precision}, N={1 << cfg.precision} stream bits, "
         f"{cfg.filters}x{cfg.kernel}x{cfg.kernel} kernels, "
-        f"{cfg.images} images, {cfg.trials} trial(s), backend={cfg.backend})",
+        f"{cfg.images} images, {cfg.trials} trial(s))",
         f"binary baseline: {result.accumulator_bits}-bit accumulator words "
         "exposed for one MAC pass (same per-bit per-cycle upset rate)",
         "",

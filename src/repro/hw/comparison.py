@@ -9,7 +9,8 @@ For every precision point the comparison
 3. reports power, energy per frame and area for both designs.
 
 Because this reproduction replaces the Synopsys sign-off flow with a
-gate-count cost model (see DESIGN.md), the absolute scale of each engine can
+gate-count cost model (see :mod:`repro.hw.technology`), the absolute scale of
+each engine can
 optionally be *anchored* to the paper's published 8-bit synthesis results via
 ``calibrate=True``: a single multiplicative factor per engine is chosen so
 the 8-bit power matches Table 3, and every other precision then follows from
@@ -34,8 +35,8 @@ __all__ = [
 
 
 #: The paper's published Table 3 hardware rows (power in mW, energy in
-#: nJ/frame, area in mm^2), used for anchoring and for the EXPERIMENTS.md
-#: paper-vs-measured comparison.
+#: nJ/frame, area in mm^2), used for anchoring and for the paper-vs-measured
+#: report of ``examples/reproduce_paper_tables.py``.
 PAPER_TABLE3_REFERENCE: Dict[str, Dict[int, float]] = {
     "binary_power_mw": {8: 40.95, 7: 72.80, 6: 121.52, 5: 204.96, 4: 325.36, 3: 501.76, 2: 683.20},
     "sc_power_mw": {8: 33.17, 7: 33.55, 6: 33.26, 5: 33.01, 4: 33.20, 3: 29.96, 2: 28.35},

@@ -16,8 +16,10 @@ fixture:
   summed cell area to die area.
 
 Absolute calibration is inherited from the 65 nm-like standard-cell library
-(:mod:`repro.netlist.cells`); DESIGN.md describes why the Table 3 *trends*
-do not depend on these constants.
+(:mod:`repro.netlist.cells`).  The Table 3 *trends* rest on the relative
+costs of the two engines, which draw on the same cells and constants, not
+on their absolute values; :mod:`repro.hw.comparison` can anchor the absolute
+scale to the paper's 8-bit synthesis results.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ a shared ramp, and the comparator output *is* the stochastic bit-stream --
 no ADC, no SNG, no random number generator on the input path.
 
 There is no physical sensor in this reproduction, so the front end is
-simulated (see DESIGN.md): pixels arrive as digital values in ``[0, 1]``,
+simulated: pixels arrive as digital values in ``[0, 1]``,
 optional sensor noise models photon/readout noise, and the ramp-compare
 converter produces bit-streams with exactly the structure the analog circuit
 would emit (exact ones-counts, maximal auto-correlation).  Conversion energy

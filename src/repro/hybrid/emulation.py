@@ -22,22 +22,24 @@ experiments:
 
 :meth:`CalibratedSCEmulator.calibrate` performs the calibration,
 :meth:`CalibratedSCEmulator.forward` applies the model, and the test suite
-checks the emulator's sign decisions against the bit-exact engine.
-DESIGN.md documents this substitution; the ``REPRO_BITEXACT=1`` environment
-variable switches the Table 3 harness to full bit-exact evaluation.
+checks the emulator's sign decisions against the bit-exact engine.  This
+module docstring is the documentation of that substitution; the
+``REPRO_BITEXACT=1`` environment variable switches the Table 3 harness
+(:mod:`repro.eval.table3_accuracy`) to full bit-exact evaluation.
 
 The emulator accepts either first-layer engine: the paper's split-weight
 :class:`~repro.sc.dotproduct.StochasticDotProductEngine` (calibrating the
 positive-minus-negative counter difference) or the rejected
 :class:`~repro.sc.bipolar.BipolarDotProductEngine` (calibrating the single
 counter's offset from the mid-scale decision point ``N/2``), so the Section
-IV-B ablation can also run at full-test-set scale.  Calibration always runs
-through the engine's active simulation ``backend`` -- packed words by
-default, bit-identical counts either way -- and the engine's evaluation
-``mode`` (:mod:`repro.sc.mode`): under the default ``"auto"`` the residual
-samples come from the exact count-domain shortcut (TFF and MUX trees) with
-no adder-tree stream tensors, so calibration speed scales with the count
-path while the measured residuals stay bit-identical to ``mode="streams"``.
+IV-B ablation can also run at full-test-set scale.  Both engines calibrate
+through one tile loop over their filter banks
+(:meth:`~repro.sc.dotproduct.StochasticDotProductEngine.prepare_weights`),
+honouring the engine's evaluation ``mode`` (:mod:`repro.sc.mode`): under
+the default ``"auto"`` the residual samples come from the exact count-domain
+shortcut (TFF and MUX trees) with no adder-tree stream tensors, so
+calibration speed scales with the count path while the measured residuals
+stay bit-identical to ``mode="streams"``.
 
 Validity range: the emulator is calibrated and validated for stream lengths
 of 8 bits and above (precision >= 3).  At 2-bit precision (stream length 4)
@@ -54,7 +56,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..bitstream import quantize_bipolar, quantize_unipolar
+from ..bitstream import quantize_bipolar, quantize_unipolar, unpack_bits
 from ..netlist import build_sc_dot_product, simulate_batch
 from ..netlist.simulator import BatchSimulationResult
 from ..sc.bipolar import BipolarDotProductEngine
@@ -138,39 +140,31 @@ class CalibratedSCEmulator:
         if sample_inputs.shape[1] != sample_weights.shape[1]:
             raise ValueError("tap count mismatch between inputs and weights")
 
-        # Bit-exact reference evaluation through the engine's active backend
-        # (packed words by default; identical counts either way).  Input
-        # streams are generated per tile (bounded memory at any sample
-        # count); stream generation is stateless and weight streams / adder
-        # nodes are shared across tiles, so tiling never changes a count.
+        # Bit-exact reference evaluation: one filter bank covers every
+        # kernel per tile.  Input streams are generated per tile (bounded
+        # memory at any sample count); stream generation is stateless and the
+        # bank (weight streams, adder nodes) is shared across tiles, so tiling
+        # never changes a count.  Fault masks (if any) are keyed on the global
+        # sample index, so the residuals match the engine's faulted behaviour
+        # at any tiling.
         samples = sample_inputs.shape[0]
         tile = resolve_tile_patches(self.tile_patches)
         tile = tile if tile is not None else max(samples, 1)
         exact_diff = np.empty((samples, sample_weights.shape[0]), dtype=np.float64)
-        if self._bipolar:
-            # Single counter: the sign activation compares it to N/2.  Fault
-            # masks (if any) are keyed on the global sample index, so the
-            # residuals match the engine's faulted behaviour at any tiling.
-            for start in range(0, samples, tile):
-                stop = min(start + tile, samples)
-                x_streams = self.engine.apply_faults(
+        bank = self.engine.prepare_weights(sample_weights)
+        for start in range(0, samples, tile):
+            stop = min(start + tile, samples)
+            counts = bank.counts(
+                self.engine.apply_faults(
                     self.engine.prepare_inputs(sample_inputs[start:stop]),
                     offset=start,
                 )
-                for k, kernel in enumerate(sample_weights):
-                    result = self.engine.dot_prepared(x_streams, kernel)
-                    exact_diff[start:stop, k] = result.count - self.engine.length // 2
-        else:
-            # Filter-parallel: one weight bank covers every kernel's fused
-            # positive/negative dot products per tile.
-            bank = self.engine.prepare_weights(sample_weights)
-            for start in range(0, samples, tile):
-                stop = min(start + tile, samples)
-                x_streams = self.engine.apply_faults(
-                    self.engine.prepare_inputs(sample_inputs[start:stop]),
-                    offset=start,
-                )
-                pos, neg = bank.counts(x_streams)
+            )
+            if self._bipolar:
+                # Single counter: the sign activation compares it to N/2.
+                exact_diff[start:stop] = counts - self.engine.length // 2
+            else:
+                pos, neg = counts
                 exact_diff[start:stop] = pos - neg
         ideal_diff = self._ideal_difference(sample_inputs, sample_weights)
         # Kernel-major raveling matches the historical per-kernel ordering.
@@ -219,7 +213,7 @@ class CalibratedSCEmulator:
         self,
         windows: np.ndarray,
         weights: np.ndarray,
-        backend: Optional[str] = None,
+        backend: str = "packed",
     ) -> BatchSimulationResult:
         """Gate-level switching activity of the engine on a real trace set.
 
@@ -241,7 +235,7 @@ class CalibratedSCEmulator:
         weights:
             One signed kernel of shape ``(taps,)`` (shared by every trace).
         backend:
-            Simulation backend override; defaults to the engine's backend.
+            Netlist simulator backend (:func:`repro.netlist.simulate_batch`).
         """
         if self._bipolar:
             raise ValueError(
@@ -263,8 +257,10 @@ class CalibratedSCEmulator:
         netlist = build_sc_dot_product(
             taps, self.engine.precision + 1, adder=self.engine.adder
         )
-        x_bits = self.engine.input_streams(windows)  # (traces, taps, N)
-        wp_bits, wn_bits = self.engine.weight_streams(weights)  # (taps, N) each
+        n = self.engine.length
+        x_bits = unpack_bits(self.engine.prepare_inputs(windows), n)  # (traces, taps, N)
+        wp_words, wn_words = self.engine.weight_words(weights)
+        wp_bits, wn_bits = unpack_bits(wp_words, n), unpack_bits(wn_words, n)
 
         stimulus = {}
         for i in range(taps):
@@ -279,12 +275,7 @@ class CalibratedSCEmulator:
                 stimulus[net] = rng.integers(
                     0, 2, self.engine.length, dtype=np.int64
                 ).astype(np.uint8)
-        return simulate_batch(
-            netlist,
-            stimulus,
-            backend=backend if backend is not None else self.engine.backend,
-            strict=True,
-        )
+        return simulate_batch(netlist, stimulus, backend=backend, strict=True)
 
     # ------------------------------------------------------------------ #
     # fast forward pass

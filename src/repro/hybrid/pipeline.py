@@ -17,10 +17,9 @@ The class supports three evaluation modes for the first layer:
 * ``"emulate"``   -- the calibrated fast emulator
                      (:mod:`repro.hybrid.emulation`).
 
-Bit-level simulation runs on the engine's selected ``backend``: the default
-packed backend stores 64 stream bits per machine word (an order of magnitude
-faster, bit-identical counters), while ``backend="unpacked"`` keeps the
-byte-per-bit reference arrays (see :mod:`repro.bitstream.packed`).
+Bit-level simulation stores 64 stream bits per machine word (see
+:mod:`repro.bitstream.packed`); its counters equal those of the
+byte-per-bit reference kernels in :mod:`repro.sc.dotproduct`.
 """
 
 from __future__ import annotations
@@ -165,11 +164,6 @@ class HybridStochasticBinaryNetwork:
     def precision(self) -> int:
         """Bit precision of the stochastic first layer."""
         return self.engine.precision
-
-    @property
-    def backend(self) -> str:
-        """Simulation backend of the stochastic engine ("packed" or "unpacked")."""
-        return self.engine.backend
 
     # ------------------------------------------------------------------ #
     # first-layer evaluation modes

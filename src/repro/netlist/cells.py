@@ -2,11 +2,12 @@
 
 The paper synthesizes its designs with Synopsys Design Compiler / IC Compiler
 against a 65 nm TSMC library and measures power with PrimeTime.  That flow is
-proprietary, so this module provides the substitution documented in
-DESIGN.md: a small standard-cell library whose per-cell area, switching
-energy and leakage are representative of a commercial 65 nm process
-(normalized to a NAND2-equivalent area of 1.44 um^2 and a switching energy of
-a few femtojoules per output toggle at nominal voltage).
+proprietary, so this module provides a substitution (the system-level side
+is in :mod:`repro.hw.technology`): a small standard-cell library whose
+per-cell area, switching energy and leakage are representative of a
+commercial 65 nm process (normalized to a NAND2-equivalent area of 1.44 um^2
+and a switching energy of a few femtojoules per output toggle at nominal
+voltage).
 
 Absolute numbers from this library are *calibrated, not signed off*; what the
 reproduction relies on is that relative costs between cells (a full adder is

@@ -15,10 +15,9 @@ The simulation model is the standard zero-delay cycle model:
 
 Backend selection
 -----------------
-Two execution backends produce that model's results (selected by the same
-``backend="packed"|"unpacked"`` / ``REPRO_BACKEND`` convention as the
-stochastic dot-product engines, see
-:func:`repro.bitstream.backend.resolve_backend`):
+Two execution backends produce that model's results (selected by
+``backend="packed"|"unpacked"``, validated by
+:func:`repro.bitstream.backend.validate_backend`):
 
 * ``"unpacked"`` -- the reference interpreter: combinational cells are
   evaluated in topological order, one Python call per cell per cycle;
@@ -85,7 +84,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
-from ..bitstream.backend import resolve_backend
+from ..bitstream.backend import validate_backend
 from ..bitstream.packed import (
     extend_periodic,
     mask_tail,
@@ -268,7 +267,7 @@ def simulate(
     stimulus: Mapping[str, Sequence[int] | np.ndarray],
     cycles: Optional[int] = None,
     record: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
+    backend: str = "packed",
     strict: bool = False,
     faults: Optional[NetlistFaults | Mapping[str, int]] = None,
 ) -> SimulationResult:
@@ -291,9 +290,9 @@ def simulate(
         ``"packed"`` evaluates each cell on whole 64-cycles-per-word uint64
         waveform words, resolving register feedback cores (LFSRs, accumulator
         loops) by narrow per-cycle state iteration with periodic wrapping;
-        ``"unpacked"`` runs the per-cycle cell loop.  Both produce
-        bit-identical results on every netlist.  ``None`` defers to
-        ``REPRO_BACKEND``, then ``"packed"``.
+        ``"unpacked"`` runs the per-cycle cell loop -- the reference, and
+        the fallback for cells without a word kernel.  Both produce
+        bit-identical results on every netlist.
     strict:
         Strict elaboration mode: run the error-severity rules of
         :mod:`repro.netlist.lint` before execution and raise
@@ -315,7 +314,7 @@ def simulate(
     -------
     SimulationResult
     """
-    backend = resolve_backend(backend)
+    validate_backend(backend)
     if strict:
         _strict_elaborate(netlist)
     netlist.validate()
@@ -366,7 +365,7 @@ def simulate_batch(
     stimulus: Mapping[str, Sequence[Sequence[int]] | np.ndarray],
     cycles: Optional[int] = None,
     record: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
+    backend: str = "packed",
     batch: Optional[int] = None,
     strict: bool = False,
     faults: Optional[NetlistFaults | Mapping[str, int]] = None,
@@ -409,7 +408,7 @@ def simulate_batch(
     -------
     BatchSimulationResult
     """
-    backend = resolve_backend(backend)
+    validate_backend(backend)
     if strict:
         _strict_elaborate(netlist)
     netlist.validate()

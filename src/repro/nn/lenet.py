@@ -12,7 +12,8 @@ builders are provided:
   remainder.  Because the paper's experiments only ever modify the first
   layer, this variant exercises the identical hybrid code path at a fraction
   of the CPU-only training cost; it is the default for the Table 3 accuracy
-  benchmarks (see DESIGN.md, "Known scale-downs").
+  benchmarks (see ``benchmarks/conftest.py`` for their scaled-down
+  configuration).
 
 Both builders accept ``first_activation`` so the ReLU of the baseline model
 can be swapped for the sign activation used by the quantized / stochastic

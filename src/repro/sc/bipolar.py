@@ -14,17 +14,19 @@ a scaled adder tree entirely in the bipolar domain.  The ablation benchmark
 ``benchmarks/test_ablation_bipolar.py`` compares the two designs' accuracy
 near the decision point.
 
-Like the unipolar engine, the bipolar engine runs on either simulation
-``backend``: ``"packed"`` (64 stream bits per uint64 word, word-level XNOR /
-adder-tree kernels) or ``"unpacked"`` (one byte per bit).  Both backends are
-bit-order exact -- identical counter values in every configuration -- so the
-choice only affects speed and memory.  It also honours the engine ``mode``
-(:mod:`repro.sc.mode`): in count mode (the default, exact for both its adder
-types) the XNOR products are popcounted once and the tree is reduced in the
-count domain -- integer ``floor((cx + cy) / 2)`` halving for TFF trees, with
-odd tap counts padded by the exact alternating-stream count ``N / 2``;
-cached select masks for MUX trees -- never materializing an adder-tree
-stream tensor, bit-identically to stream mode.
+Like the unipolar engine, the bipolar engine simulates packed streams (64
+stream bits per uint64 word, word-level XNOR / adder-tree kernels) and
+evaluates through a filter bank (:class:`BipolarWeightBank`, built by
+:meth:`BipolarDotProductEngine.prepare_weights`); its byte-per-bit reference
+is :func:`repro.sc.dotproduct.bipolar_stochastic_dot_product`, which produces
+the same counter values.  The tap axis is padded to a power of two with
+alternating ``1010...`` streams, which encode bipolar zero.  The engine
+honours the ``mode`` (:mod:`repro.sc.mode`): in count mode (the default,
+exact for both its adder types) the XNOR products are popcounted once and
+the tree is reduced in the count domain -- integer ``floor((cx + cy) / 2)``
+halving for TFF trees (each pad stream counts exactly ``N / 2``), cached
+select masks for MUX trees -- never materializing an adder-tree stream
+tensor, bit-identically to stream mode.
 
 Sign-tie contract
 -----------------
@@ -41,7 +43,8 @@ zero code.  Both behaviours are pinned by regression tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,11 +54,9 @@ from ..bitstream.packed import packed_alternating, packed_popcount, packed_xnor
 from ..faults.spec import FaultSpec
 from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource
 from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
-from .elements.converters import count_ones
-from .elements.multipliers import xnor_multiply
-from .dotproduct import resolve_backend, resolve_mode, stream_length
+from .dotproduct import resolve_mode, stream_length
 
-__all__ = ["BipolarDotProductResult", "BipolarDotProductEngine"]
+__all__ = ["BipolarDotProductResult", "BipolarWeightBank", "BipolarDotProductEngine"]
 
 
 @dataclass
@@ -90,6 +91,72 @@ class BipolarDotProductResult:
         return np.where(count2 >= self.length, 1, -1).astype(np.int8)
 
 
+class BipolarWeightBank:
+    """A bipolar filter bank: ``(filters, taps)`` kernel streams plus one tree plan.
+
+    Built by :meth:`BipolarDotProductEngine.prepare_weights`.  The engine
+    restarts its MUX select seeds for every bank, so every kernel sees the
+    same select streams: the bank holds one single-lane plan over the
+    power-of-two padded tap count, broadcast over the filter axis -- the
+    same counts as evaluating each kernel on its own.  The plan caches its
+    select streams, so tiled evaluation is bit-identical to one untiled pass.
+    """
+
+    def __init__(self, engine: "BipolarDotProductEngine", weights: np.ndarray) -> None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 2:
+            raise ValueError(
+                f"weights must have shape (filters, taps), got {weights.shape}"
+            )
+        if weights.shape[0] == 0:
+            raise ValueError("need at least one filter kernel")
+        self.engine = engine
+        self.filters, self.taps = weights.shape
+        #: Kernel streams, ``(filters, taps, W)`` packed words.
+        self.weight_streams = engine.weight_words(weights)
+        self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
+            1 << AdderTree().depth(self.taps)
+        )
+
+    @property
+    def tree_scale(self) -> int:
+        """Counter scale ``2**depth`` of the adder tree."""
+        return self.plan.tree_scale
+
+    def counts(self, prepared: np.ndarray) -> np.ndarray:
+        """Tree-output counts ``(..., filters)`` for ``prepare_inputs`` output."""
+        x = np.asarray(prepared)
+        if x.ndim < 2 or x.shape[-2] != self.taps:
+            raise ValueError(
+                f"prepared inputs must have {self.taps} taps on axis -2, "
+                f"got shape {x.shape}"
+            )
+        n_bits = self.engine.length
+        products = packed_xnor(x[..., np.newaxis, :, :], self.weight_streams, n_bits)
+        # Pad the tap axis with bipolar-zero (density 0.5) streams: an
+        # all-zeros pad would encode -1 and bias the sum.
+        pad = self.plan.count - self.taps
+        if pad:
+            products = np.concatenate(
+                [
+                    products,
+                    np.broadcast_to(
+                        packed_alternating(n_bits),
+                        products.shape[:-2] + (pad, products.shape[-1]),
+                    ),
+                ],
+                axis=-2,
+            )
+        if not self.engine._use_count_mode:
+            return packed_popcount(self.plan.reduce_packed(products, n_bits))
+        if self.plan.supports_count_reduction:
+            return self.plan.reduce_counts(packed_popcount(products))
+        return self.plan.masked_counts_packed(products, n_bits)
+
+    def __repr__(self) -> str:
+        return f"BipolarWeightBank(filters={self.filters}, taps={self.taps})"
+
+
 @dataclass
 class BipolarDotProductEngine:
     """Fully bipolar stochastic dot-product engine (XNOR multipliers).
@@ -102,12 +169,6 @@ class BipolarDotProductEngine:
         ``"tff"`` or ``"mux"`` scaled adders for the reduction tree.
     seed:
         Seed for LFSR/MUX-select sources.
-    backend:
-        ``"packed"`` simulates with 64-bits-per-word kernels; ``"unpacked"``
-        keeps the one-byte-per-bit arrays.  Bit-identical counter values
-        either way.  ``None`` (the default) resolves to the ``REPRO_BACKEND``
-        environment variable, falling back to ``"packed"`` (see
-        :func:`repro.sc.dotproduct.resolve_backend`).
     mode:
         ``"counts"`` reduces the adder tree in the count domain (exact for
         both supported adders -- see the module docstring), ``"streams"``
@@ -127,17 +188,14 @@ class BipolarDotProductEngine:
     precision: int = 8
     adder: str = "tff"
     seed: int = 1
-    backend: Optional[str] = None
     mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
-    _mux_seed_counter: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.precision < 2:
             raise ValueError("precision must be at least 2 bits")
         if self.adder not in ("tff", "mux"):
             raise ValueError(f"unknown adder {self.adder!r}")
-        self.backend = resolve_backend(self.backend)
         self.mode = resolve_mode(self.mode)
         if self.faults is not None and not isinstance(self.faults, FaultSpec):
             raise TypeError(
@@ -174,9 +232,7 @@ class BipolarDotProductEngine:
         """
         if not self._stream_faults_active:
             return prepared
-        return self.faults.plan().apply(
-            prepared, self.length, offset=offset, packed=self.backend == "packed"
-        )
+        return self.faults.plan().apply(prepared, self.length, offset=offset)
 
     @property
     def length(self) -> int:
@@ -186,12 +242,11 @@ class BipolarDotProductEngine:
     def _adder_factory(self) -> Callable[[], object]:
         if self.adder == "tff":
             return TffAdder
-
-        def make_mux() -> MuxAdder:
-            self._mux_seed_counter += 1
-            return MuxAdder(seed=self.seed * 777 + self._mux_seed_counter)
-
-        return make_mux
+        # A fresh seed sequence per factory: every bank instantiates the same
+        # select sources (node i always gets seed 777*seed + i + 1), so
+        # repeated evaluations on one engine are deterministic.
+        seeds = itertools.count(self.seed * 777 + 1)
+        return lambda: MuxAdder(seed=next(seeds))
 
     # ------------------------------------------------------------------ #
     # stream generation
@@ -217,26 +272,15 @@ class BipolarDotProductEngine:
             raise ValueError("weights must lie in [-1, 1]")
         return bipolar_to_unipolar(weights)
 
-    def input_streams(self, values: np.ndarray) -> np.ndarray:
-        """Encode inputs (in ``[-1, 1]``; image pixels use ``[0, 1]``) as bipolar streams."""
-        return self._input_sng().generate_bits(
-            self._input_probabilities(values), self.length
-        )
-
-    def input_words(self, values: np.ndarray) -> np.ndarray:
-        """Packed variant of :meth:`input_streams`: ``(..., ceil(N/64))`` uint64 words."""
+    def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
+        """Encode inputs (in ``[-1, 1]``; image pixels use ``[0, 1]``) as packed
+        bipolar streams, shape ``(..., ceil(N/64))`` uint64 words."""
         return self._input_sng().generate_packed(
             self._input_probabilities(values), self.length
         )
 
-    def weight_streams(self, weights: np.ndarray) -> np.ndarray:
-        """Encode signed weights as bipolar streams (one stream per tap)."""
-        return self._weight_sng().generate_bits(
-            self._weight_probabilities(weights), self.length
-        )
-
     def weight_words(self, weights: np.ndarray) -> np.ndarray:
-        """Packed variant of :meth:`weight_streams` (uint64 words per stream)."""
+        """Encode signed weights as packed bipolar streams (one per tap)."""
         return self._weight_sng().generate_packed(
             self._weight_probabilities(weights), self.length
         )
@@ -244,135 +288,27 @@ class BipolarDotProductEngine:
     # ------------------------------------------------------------------ #
     # computation
     # ------------------------------------------------------------------ #
-    def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
-        """Generate input streams in the active backend's representation.
-
-        Mirrors :meth:`StochasticDotProductEngine.prepare_inputs`: the
-        returned array (uint8 bits or uint64 words on the last axis) is meant
-        to be passed to :meth:`dot_prepared`, possibly several times.
-        """
-        if self.backend == "packed":
-            return self.input_words(values)
-        return self.input_streams(values)
+    def prepare_weights(self, weights: np.ndarray) -> BipolarWeightBank:
+        """Build the filter bank for a ``(filters, taps)`` kernel set."""
+        return BipolarWeightBank(self, weights)
 
     def dot(self, x: np.ndarray, weights: np.ndarray) -> BipolarDotProductResult:
         """Compute ``x . w`` for inputs ``x`` (shape ``(..., k)``) and weights ``(k,)``.
 
-        Every call re-seeds the per-node MUX select sources from scratch, so
-        repeated ``dot()`` invocations on one engine are deterministic:
-        identical inputs always produce identical counts.
+        Evaluated as a one-filter bank.  Every bank re-seeds the per-node
+        MUX select sources from scratch, so repeated ``dot()`` invocations on
+        one engine are deterministic: identical inputs always produce
+        identical counts.
         """
         x = np.asarray(x, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
-        if x.shape[-1] != weights.shape[-1]:
+        if weights.ndim != 1 or x.shape[-1] != weights.shape[0]:
             raise ValueError(
                 f"tap count mismatch: inputs have {x.shape[-1]}, "
-                f"weights have {weights.shape[-1]}"
+                f"weights have shape {weights.shape}"
             )
-        return self.dot_prepared(self.apply_faults(self.prepare_inputs(x)), weights)
-
-    def dot_prepared(
-        self, prepared: np.ndarray, weights: np.ndarray
-    ) -> BipolarDotProductResult:
-        """Dot product of :meth:`prepare_inputs` output with fresh weight streams."""
-        # Reset the MUX seed counter so every evaluation instantiates the
-        # same select sources (node i always gets seed 777*seed + i + 1).
-        self._mux_seed_counter = 0
-        weights = np.asarray(weights, dtype=np.float64)
-        if self.backend == "packed":
-            return self._dot_packed(prepared, weights)
-        return self._dot_unpacked(prepared, weights)
-
-    def _dot_unpacked(
-        self, x_bits: np.ndarray, weights: np.ndarray
-    ) -> BipolarDotProductResult:
-        """Byte-per-bit evaluation (count or stream domain per :attr:`mode`)."""
-        w_bits = self.weight_streams(weights)
-        products = np.asarray(xnor_multiply(x_bits, w_bits))
-        taps = products.shape[-2]
-        depth = AdderTree().depth(taps)
-        padded_taps = 1 << depth
-
-        if self._use_count_mode and self.adder == "tff":
-            # Exact count shortcut: popcount the XNOR products once and
-            # halve integer counts level by level.  Odd tap counts are
-            # padded with the *count* of the alternating bipolar-zero pad
-            # stream -- exactly N/2 ones -- instead of the stream itself.
-            counts = self._tff_tree_counts(count_ones(products), depth, padded_taps)
-            return BipolarDotProductResult(
-                count=counts, length=self.length, tree_scale=1 << depth
-            )
-
-        # Pad the tap axis to a power of two with bipolar-zero (density 0.5)
-        # streams: an all-zeros pad would encode -1 and bias the sum.
-        if padded_taps != taps:
-            pad_shape = products.shape[:-2] + (padded_taps - taps, self.length)
-            zero_value = np.zeros(pad_shape, dtype=np.uint8)
-            zero_value[..., ::2] = 1  # alternating 0101... -> density exactly 0.5
-            products = np.concatenate([products, zero_value], axis=-2)
-
-        plan = AdderTree(self._adder_factory()).plan(padded_taps)
-        if self._use_count_mode:
-            counts = plan.masked_counts_bits(products)
-        else:
-            counts = count_ones(plan.reduce_bits(products))
+        bank = self.prepare_weights(weights[np.newaxis])
+        count = bank.counts(self.apply_faults(self.prepare_inputs(x)))[..., 0]
         return BipolarDotProductResult(
-            count=counts, length=self.length, tree_scale=1 << depth
+            count=count, length=self.length, tree_scale=bank.tree_scale
         )
-
-    def _dot_packed(
-        self, x_words: np.ndarray, weights: np.ndarray
-    ) -> BipolarDotProductResult:
-        """Packed-word evaluation, bit-identical to :meth:`_dot_unpacked`."""
-        w_words = self.weight_words(weights)
-        products = packed_xnor(x_words, w_words, self.length)
-        taps = products.shape[-2]
-        depth = AdderTree().depth(taps)
-        padded_taps = 1 << depth
-
-        if self._use_count_mode and self.adder == "tff":
-            counts = self._tff_tree_counts(
-                packed_popcount(products), depth, padded_taps
-            )
-            return BipolarDotProductResult(
-                count=counts, length=self.length, tree_scale=1 << depth
-            )
-
-        if padded_taps != taps:
-            pad = np.broadcast_to(
-                packed_alternating(self.length),
-                products.shape[:-2] + (padded_taps - taps, products.shape[-1]),
-            )
-            products = np.concatenate([products, pad], axis=-2)
-
-        plan = AdderTree(self._adder_factory()).plan(padded_taps)
-        if self._use_count_mode:
-            counts = plan.masked_counts_packed(products, self.length)
-        else:
-            counts = packed_popcount(plan.reduce_packed(products, self.length))
-        return BipolarDotProductResult(
-            count=counts, length=self.length, tree_scale=1 << depth
-        )
-
-    def _tff_tree_counts(
-        self, leaf_counts: np.ndarray, depth: int, padded_taps: int
-    ) -> np.ndarray:
-        """Count-domain all-TFF reduction with exact bipolar-zero padding.
-
-        ``leaf_counts`` holds the per-tap XNOR product ones-counts
-        ``(..., taps)``.  Missing leaves up to ``padded_taps`` contribute
-        exactly ``N / 2`` ones each (the alternating 0101... pad stream has
-        one 1 per bit pair and ``N = 2**precision`` is even), so the padded
-        integer reduction is bit-identical to reducing the padded streams.
-        """
-        taps = leaf_counts.shape[-1]
-        if padded_taps != taps:
-            padded = np.full(
-                leaf_counts.shape[:-1] + (padded_taps,),
-                self.length // 2,
-                dtype=np.int64,
-            )
-            padded[..., :taps] = leaf_counts
-            leaf_counts = padded
-        plan = TreePlan(TffAdder, padded_taps)
-        return plan.reduce_counts(leaf_counts)

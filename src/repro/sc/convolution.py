@@ -18,10 +18,9 @@ The layer is *filter-parallel*: the engine's
 :meth:`~repro.sc.dotproduct.StochasticDotProductEngine.prepare_weights`
 builds one weight-stream bank with a leading filter axis (``(filters, 2,
 taps, words)``) and one lane-per-``(filter, sign)`` adder-tree plan, so a
-single vectorized reduction replaces the historical loop of per-filter
-``dot_prepared`` calls -- with bit-identical counter values for every adder
-and generator configuration, because adder nodes are instantiated in the
-same filter-major order the loop used.
+single vectorized reduction covers every kernel -- with the counter values
+of evaluating the kernels one at a time, for every adder and generator
+configuration, because adder nodes are instantiated in filter-major order.
 
 Execution is *tile-streamed*: ``tile_patches`` (or the
 ``REPRO_TILE_PATCHES`` environment variable) bounds how many image patches

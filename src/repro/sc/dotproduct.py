@@ -15,46 +15,52 @@ Each dot product is an AND-multiplier per tap followed by a balanced tree of
 scaled adders; two counters convert the results to binary and a binary
 comparator implements the sign activation.
 
-This module provides both the raw bit-level kernel
-(:func:`stochastic_dot_product`) that operates on pre-generated bit arrays,
-and :class:`StochasticDotProductEngine`, which owns the number-generation
-configuration (the knob that distinguishes "this work" from the "old SC"
-baseline in Table 3).
+This module holds two layers:
+
+* the byte-per-bit reference kernels -- :func:`stochastic_dot_product` and
+  its bipolar twin :func:`bipolar_stochastic_dot_product` -- which reduce
+  pre-generated one-byte-per-bit arrays through the element adders
+  (:meth:`AdderTree.reduce <repro.sc.elements.adders.AdderTree.reduce>`).
+  They define the bit-level semantics once and are the oracle the
+  differential test suites compare the engines against;
+* :class:`StochasticDotProductEngine`, which owns the number-generation
+  configuration (the knob that distinguishes "this work" from the "old SC"
+  baseline in Table 3) and evaluates on packed streams -- 64 clock cycles
+  per uint64 word (:mod:`repro.bitstream.packed`).  Its only evaluator is a
+  :class:`PreparedWeights` filter bank; :meth:`~StochasticDotProductEngine.dot`
+  and :meth:`~StochasticDotProductEngine.dot_filters` are thin wrappers that
+  build one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
 from ..bitstream import stream_length
-from ..bitstream.backend import BACKENDS, resolve_backend, validate_backend
 from ..bitstream.packed import packed_popcount
 from ..faults.spec import FaultSpec
 from ..rng import (
     ComparatorSNG,
     LFSRSource,
     VanDerCorputSource,
-    ramp_compare_batch,
     ramp_compare_packed,
 )
 from .elements.adders import AdderTree, MuxAdder, OrAdder, TffAdder, TreePlan
 from .elements.converters import count_ones, sign_from_counts
+from .elements.multipliers import xnor_multiply
 from .elements.util import as_bits
 from .mode import MODES, resolve_mode, validate_mode
 
 __all__ = [
-    "BACKENDS",
     "MODES",
-    "resolve_backend",
     "resolve_mode",
-    "validate_backend",
     "validate_mode",
     "split_weights",
     "stochastic_dot_product",
-    "stochastic_dot_product_packed",
+    "bipolar_stochastic_dot_product",
     "DotProductResult",
     "PreparedWeights",
     "StochasticDotProductEngine",
@@ -62,10 +68,9 @@ __all__ = [
     "old_sc_engine",
 ]
 
-# Backend selection lives in the shared representation layer
-# (repro.bitstream.backend) and mode selection in repro.sc.mode; both are
-# re-exported here because the engines are their primary consumers and
-# existing callers import them from this module.
+# Mode selection lives in repro.sc.mode; it is re-exported here because the
+# engines are its primary consumers and existing callers import it from this
+# module.
 
 
 def split_weights(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -113,23 +118,29 @@ def stochastic_dot_product(
     return count_ones(summed)
 
 
-def stochastic_dot_product_packed(
-    x_words: np.ndarray,
-    w_words: np.ndarray,
-    n_bits: int,
+def bipolar_stochastic_dot_product(
+    x_bits: np.ndarray,
+    w_bits: np.ndarray,
     adder_factory: Callable[[], object] = TffAdder,
 ) -> np.ndarray:
-    """Packed-word counterpart of :func:`stochastic_dot_product`.
+    """Bit-level bipolar dot product: XNOR products reduced by an adder tree.
 
-    ``x_words`` has shape ``(..., k, W)`` and ``w_words`` broadcasts to it,
-    where ``W = ceil(n_bits / 64)`` uint64 words per stream (see
-    :mod:`repro.bitstream.packed`).  Produces bit-identical ones-counts to the
-    unpacked kernel while simulating 64 clock cycles per word operation.
+    The bipolar twin of :func:`stochastic_dot_product` and the reference for
+    :class:`~repro.sc.bipolar.BipolarDotProductEngine`.  The tap axis is
+    padded to a power of two with alternating ``1010...`` streams, which
+    encode bipolar zero (an all-zeros pad would encode -1 and bias the sum).
+    Returns the ones-count of the tree output, shape ``(...,)``.
     """
-    products = np.asarray(x_words) & np.asarray(w_words)
-    tree = AdderTree(adder_factory)
-    summed = tree.reduce_packed(products, n_bits)
-    return packed_popcount(summed)
+    x_arr, _ = as_bits(x_bits)
+    w_arr, _ = as_bits(w_bits)
+    products = np.asarray(xnor_multiply(x_arr, w_arr))
+    taps, length = products.shape[-2:]
+    padded = 1 << AdderTree().depth(taps)
+    if padded != taps:
+        pad = np.zeros(products.shape[:-2] + (padded - taps, length), dtype=np.uint8)
+        pad[..., ::2] = 1
+        products = np.concatenate([products, pad], axis=-2)
+    return count_ones(AdderTree(adder_factory).reduce(products))
 
 
 @dataclass
@@ -162,20 +173,21 @@ class PreparedWeights:
 
     Built once per kernel set by
     :meth:`StochasticDotProductEngine.prepare_weights` and applied to any
-    number of input tiles via :meth:`counts`.  Weight streams carry a leading
-    *filter* axis and a positive/negative axis -- ``(filters, 2, taps, W)``
-    packed words (or ``(..., N)`` bits) -- so one vectorized tree reduction
-    covers every ``(filter, sign)`` pair at once, and the positive and
-    negative dot products of the paper's split-weight trick are fused into a
-    single pass over shared input streams.
+    number of input tiles via :meth:`counts` -- the engine's only evaluator.
+    Weight streams carry a leading *filter* axis and a positive/negative axis
+    -- ``(filters, 2, taps, W)`` packed words -- so one vectorized tree
+    reduction covers every ``(filter, sign)`` pair at once, and the positive
+    and negative dot products of the paper's split-weight trick are fused
+    into a single pass over shared input streams.
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
-    tree, then its negative tree, then filter 1, ...), exactly the order the
-    per-filter :meth:`~StochasticDotProductEngine.dot_prepared` loop used, so
-    stateful adder factories (per-node MUX select seeds) keep producing
-    bit-identical counts -- including across successive calls on one engine.
-    Because the plan caches its select streams, evaluating inputs tile by
-    tile is bit-identical to one untiled pass.
+    tree, then its negative tree, then filter 1, ...), exactly the node order
+    of evaluating the filters one at a time with
+    :func:`stochastic_dot_product`, so stateful adder factories (per-node MUX
+    select seeds) produce the same counts as a sequence of one-filter banks
+    -- including across successive calls on one engine.  Because the plan
+    caches its select streams, evaluating inputs tile by tile is
+    bit-identical to one untiled pass.
     """
 
     def __init__(self, engine: "StochasticDotProductEngine", weights: np.ndarray) -> None:
@@ -189,15 +201,11 @@ class PreparedWeights:
         self.engine = engine
         self.filters, self.taps = weights.shape
         self.n_bits = engine.length
-        if engine.backend == "packed":
-            w_pos, w_neg = engine.weight_words(weights)
-        else:
-            w_pos, w_neg = engine.weight_streams(weights)
-        #: Weight streams with the filter axis leading: ``(filters, 2, taps, .)``
+        w_pos, w_neg = engine.weight_words(weights)
+        #: Weight streams with the filter axis leading: ``(filters, 2, taps, W)``
         #: where index 0 of the second axis is the positive tree's streams.
         self.weight_streams = np.stack([w_pos, w_neg], axis=1)
-        # One tree lane per (filter, sign) pair, laid out filter-major like
-        # the sequential dot_prepared calls the bank replaces.
+        # One tree lane per (filter, sign) pair, laid out filter-major.
         self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
             self.taps, lanes=2 * self.filters
         )
@@ -214,18 +222,14 @@ class PreparedWeights:
     def _masked_weight_bank(self) -> np.ndarray:
         """Weight streams pre-ANDed with their lane's leaf ownership masks.
 
-        Shape ``(2 * filters, taps, W-or-N)`` (lane-major like the plan).
-        Because the masks of one lane are disjoint across leaves, the lane's
-        root stream is ``OR over taps of (input & masked_weight)`` and its
-        count one popcount -- the MUX count-mode kernel.
+        Shape ``(2 * filters, taps, W)`` (lane-major like the plan).  Because
+        the masks of one lane are disjoint across leaves, the lane's root
+        stream is ``OR over taps of (input & masked_weight)`` and its count
+        one popcount -- the MUX count-mode kernel.
         """
         if self._masked_weights is None:
-            masks = self.plan.leaf_masks(
-                self.n_bits, packed=self.engine.backend == "packed"
-            )
-            flat = self.weight_streams.reshape(
-                2 * self.filters, self.taps, self.weight_streams.shape[-1]
-            )
+            masks = self.plan.leaf_masks(self.n_bits, packed=True)
+            flat = self.weight_streams.reshape(2 * self.filters, self.taps, -1)
             self._masked_weights = flat & masks
         return self._masked_weights
 
@@ -234,9 +238,8 @@ class PreparedWeights:
 
         ``prepared`` is the output of
         :meth:`StochasticDotProductEngine.prepare_inputs`, shape
-        ``(..., taps, W-or-N)``; returns ``(positive, negative)`` int64 count
-        arrays of shape ``(..., filters)``, bit-identical to per-filter
-        :meth:`~StochasticDotProductEngine.dot_prepared` calls.
+        ``(..., taps, W)``; returns ``(positive, negative)`` int64 count
+        arrays of shape ``(..., filters)``.
 
         The engine's :attr:`~StochasticDotProductEngine.mode` selects the
         evaluation: in count mode (the default whenever exact) TFF trees
@@ -251,7 +254,6 @@ class PreparedWeights:
                 f"prepared inputs must have {self.taps} taps on axis -2, "
                 f"got shape {x.shape}"
             )
-        packed = self.engine.backend == "packed"
         use_counts = self.engine._use_count_mode(self.plan)
         if use_counts and not self.plan.supports_count_reduction:
             # All-MUX count mode: accumulate the select-masked products
@@ -262,41 +264,44 @@ class PreparedWeights:
             )
             for t in range(self.taps):
                 acc |= x[..., t, :][..., np.newaxis, :] & masked_w[:, t, :]
-            flat_counts = (
-                packed_popcount(acc) if packed else acc.sum(axis=-1, dtype=np.int64)
-            )
-            stacked = flat_counts.reshape(
-                flat_counts.shape[:-1] + (self.filters, 2)
-            )
-            return stacked[..., 0], stacked[..., 1]
-        products = x[..., np.newaxis, np.newaxis, :, :] & self.weight_streams
-        lanes = products.reshape(
-            products.shape[:-4] + (2 * self.filters, self.taps, products.shape[-1])
-        )
-        if use_counts:
-            # All-TFF trees admit the exact count-domain shortcut: popcount
-            # the tap products once, then reduce integer counts level by
-            # level (floor/ceil halving) -- provably bit-identical to the
-            # stream-level tree and an order of magnitude less work.
-            leaf = packed_popcount(lanes) if packed else count_ones(lanes)
-            flat_counts = self.plan.reduce_counts(leaf)
-        elif packed:
-            flat_counts = packed_popcount(self.plan.reduce_packed(lanes, self.n_bits))
+            flat_counts = packed_popcount(acc)
         else:
-            flat_counts = count_ones(self.plan.reduce_bits(lanes))
+            # Tap products, lane-major: ``(..., 2 * filters, taps, W)``.
+            lanes = x[..., np.newaxis, :, :] & self.weight_streams.reshape(
+                2 * self.filters, self.taps, -1
+            )
+            if use_counts:
+                # All-TFF trees admit the exact count-domain shortcut:
+                # popcount the tap products once, then reduce integer counts
+                # level by level (floor/ceil halving) -- provably
+                # bit-identical to the stream-level tree.
+                flat_counts = self.plan.reduce_counts(packed_popcount(lanes))
+            else:
+                flat_counts = packed_popcount(
+                    self.plan.reduce_packed(lanes, self.n_bits)
+                )
         stacked = flat_counts.reshape(flat_counts.shape[:-1] + (self.filters, 2))
         return stacked[..., 0], stacked[..., 1]
 
     def __repr__(self) -> str:
         return (
             f"PreparedWeights(filters={self.filters}, taps={self.taps}, "
-            f"n_bits={self.n_bits}, backend={self.engine.backend!r})"
+            f"n_bits={self.n_bits})"
         )
 
 
 @dataclass
 class StochasticDotProductEngine:
     """A configurable stochastic dot-product engine.
+
+    Streams are simulated as packed words -- 64 clock cycles per uint64
+    (:mod:`repro.bitstream.packed`) -- and every evaluation runs through a
+    :class:`PreparedWeights` bank: :meth:`prepare_inputs` converts values to
+    input streams, :meth:`apply_faults` corrupts them, and
+    :meth:`prepare_weights` builds the bank whose
+    :meth:`~PreparedWeights.counts` reduces them.  :meth:`dot` and
+    :meth:`dot_filters` wrap those three steps.  The byte-per-bit reference
+    :func:`stochastic_dot_product` produces the same counter values.
 
     Parameters
     ----------
@@ -312,13 +317,6 @@ class StochasticDotProductEngine:
         ``"lowdisc"`` (this work) or ``"lfsr"`` (old designs).
     seed:
         Seed for LFSR-based and MUX-select sources.
-    backend:
-        ``"packed"`` simulates with 64-bits-per-word kernels; ``"unpacked"``
-        keeps the one-byte-per-bit arrays.  Both backends are bit-order exact
-        -- they produce identical counter values for every configuration --
-        so the choice only affects speed and memory.  ``None`` (the default)
-        resolves to the ``REPRO_BACKEND`` environment variable, falling back
-        to ``"packed"`` (see :func:`resolve_backend`).
     mode:
         ``"counts"`` evaluates the adder tree in the count domain -- integer
         halving for TFF trees, cached select masks for MUX trees -- and
@@ -340,15 +338,17 @@ class StochasticDotProductEngine:
         whenever stream faults are active and an explicit ``mode="counts"``
         raises.  ``sng_stuck_cells`` additionally defects the LFSR of
         LFSR-based input SNGs.  Injection is seed-deterministic and
-        bit-identical across backends, tilings, and repeated calls.
+        bit-identical across tilings and repeated calls.
     """
+
+    #: Stream representation, recorded in run manifests: packed uint64 words.
+    backend: ClassVar[str] = "packed"
 
     precision: int = 8
     adder: str = "tff"
     input_generator: str = "ramp"
     weight_generator: str = "lowdisc"
     seed: int = 1
-    backend: Optional[str] = None
     mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
     _mux_seed_counter: int = field(default=0, repr=False)
@@ -362,7 +362,6 @@ class StochasticDotProductEngine:
             raise ValueError(f"unknown input generator {self.input_generator!r}")
         if self.weight_generator not in ("lowdisc", "lfsr"):
             raise ValueError(f"unknown weight generator {self.weight_generator!r}")
-        self.backend = resolve_backend(self.backend)
         self.mode = resolve_mode(self.mode)
         if self.mode == "counts" and self.adder == "or":
             raise ValueError(
@@ -394,16 +393,14 @@ class StochasticDotProductEngine:
         (tile drivers pass their tile start so any ``tile_patches`` value
         yields bit-identical faulted streams).  A no-op when no stream fault
         channel is active.  :meth:`dot` and :meth:`dot_filters` call this
-        internally at offset 0; callers feeding :meth:`dot_prepared` /
-        :meth:`dot_filters_prepared` directly apply it themselves so the
+        internally at offset 0; callers feeding
+        :meth:`PreparedWeights.counts` directly apply it themselves so the
         offset (and the once-per-tile injection point) stays under their
         control.
         """
         if not self._stream_faults_active:
             return prepared
-        return self.faults.plan().apply(
-            prepared, self.length, offset=offset, packed=self.backend == "packed"
-        )
+        return self.faults.plan().apply(prepared, self.length, offset=offset)
 
     def _use_count_mode(self, plan: TreePlan) -> bool:
         """Whether ``plan`` should reduce in the count domain under :attr:`mode`."""
@@ -429,15 +426,13 @@ class StochasticDotProductEngine:
         """Bit-stream length ``2**precision``."""
         return stream_length(self.precision)
 
-    def input_streams(self, values: np.ndarray) -> np.ndarray:
-        """Convert unipolar input values (shape ``(...,)``) to bit arrays ``(..., N)``."""
-        values = np.asarray(values, dtype=np.float64)
-        if self.input_generator == "ramp":
-            return ramp_compare_batch(values, self.length)
-        return self._input_sng().generate_bits(values, self.length)
+    def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
+        """Convert unipolar input values ``(...,)`` to packed streams ``(..., W)``.
 
-    def input_words(self, values: np.ndarray) -> np.ndarray:
-        """Packed variant of :meth:`input_streams`: shape ``(..., ceil(N/64))`` uint64."""
+        ``W = ceil(N / 64)`` uint64 words per stream.  Generation is
+        stateless, so the result can be fed to any number of banks and
+        tiles (after :meth:`apply_faults`).
+        """
         values = np.asarray(values, dtype=np.float64)
         if self.input_generator == "ramp":
             return ramp_compare_packed(values, self.length)
@@ -458,92 +453,12 @@ class StochasticDotProductEngine:
             LFSRSource(self.precision, seed=(self.seed * 3 + 1) % 255 or 1)
         )
 
-    def weight_streams(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Generate positive and negative weight bit arrays (shape ``w.shape + (N,)``)."""
-        w_pos, w_neg = split_weights(weights)
-        sng = self._weight_sng()
-        return sng.generate_bits(w_pos, self.length), sng.generate_bits(
-            w_neg, self.length
-        )
-
     def weight_words(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Packed variant of :meth:`weight_streams` (uint64 words per stream)."""
+        """Positive and negative weight streams, packed: ``w.shape + (W,)`` each."""
         w_pos, w_neg = split_weights(weights)
         sng = self._weight_sng()
         return sng.generate_packed(w_pos, self.length), sng.generate_packed(
             w_neg, self.length
-        )
-
-    def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
-        """Generate input streams in the active backend's representation.
-
-        The returned array is meant to be passed to :meth:`dot_prepared`
-        (possibly many times, e.g. once per convolution kernel); its layout --
-        uint8 bits or uint64 words on the last axis -- depends on
-        :attr:`backend`, so treat it as opaque.
-        """
-        if self.backend == "packed":
-            return self.input_words(values)
-        return self.input_streams(values)
-
-    def dot_prepared(
-        self, prepared: np.ndarray, weights: np.ndarray
-    ) -> DotProductResult:
-        """Dot product of :meth:`prepare_inputs` output with fresh weight streams."""
-        if self.backend == "packed":
-            w_pos, w_neg = self.weight_words(weights)
-            return self.dot_from_packed(prepared, w_pos, w_neg)
-        w_pos, w_neg = self.weight_streams(weights)
-        return self.dot_from_streams(prepared, w_pos, w_neg)
-
-    def prepare_weights(self, weights: np.ndarray) -> PreparedWeights:
-        """Generate the filter bank for a whole ``(filters, taps)`` kernel set.
-
-        The returned :class:`PreparedWeights` evaluates every filter's
-        positive and negative dot products in one vectorized pass and is
-        reusable across input tiles; combined with :meth:`prepare_inputs` it
-        replaces a loop of per-filter :meth:`dot_prepared` calls with
-        bit-identical counts.
-        """
-        return PreparedWeights(self, weights)
-
-    def dot_filters_prepared(
-        self, prepared: np.ndarray, weights: np.ndarray | PreparedWeights
-    ) -> DotProductResult:
-        """All-filter dot products of prepared inputs: counts shaped ``(..., filters)``.
-
-        ``weights`` is either a raw ``(filters, taps)`` kernel array or an
-        existing :class:`PreparedWeights` bank (pass the bank when evaluating
-        several input tiles so weight streams and adder nodes are built only
-        once).
-        """
-        bank = (
-            weights
-            if isinstance(weights, PreparedWeights)
-            else self.prepare_weights(weights)
-        )
-        if bank.engine is not self:
-            raise ValueError("prepared weights belong to a different engine")
-        pos, neg = bank.counts(prepared)
-        return DotProductResult(
-            positive_count=pos,
-            negative_count=neg,
-            length=self.length,
-            tree_scale=bank.tree_scale,
-        )
-
-    def dot_filters(self, x: np.ndarray, weights: np.ndarray) -> DotProductResult:
-        """Filter-parallel :meth:`dot`: ``x`` is ``(..., taps)``, weights
-        ``(filters, taps)``; result counts have shape ``(..., filters)``."""
-        x = np.asarray(x, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or x.shape[-1] != weights.shape[-1]:
-            raise ValueError(
-                f"tap count mismatch: inputs have {x.shape[-1]}, "
-                f"weights have shape {weights.shape}"
-            )
-        return self.dot_filters_prepared(
-            self.apply_faults(self.prepare_inputs(x)), weights
         )
 
     def _adder_factory(self) -> Callable[[], object]:
@@ -555,11 +470,11 @@ class StochasticDotProductEngine:
         def make_mux() -> MuxAdder:
             # Give every tree node its own select source so node outputs stay
             # mutually uncorrelated, mirroring independent hardware LFSRs.
-            # The counter deliberately advances across dot()/dot_prepared()
-            # calls: sequential kernel evaluations on one engine see
-            # *continuing* select streams, modelling free-running hardware
-            # sources (the bipolar engine, whose ablation needs repeatable
-            # single evaluations, resets its counter per call instead).
+            # The counter deliberately advances across banks: sequential
+            # evaluations on one engine see *continuing* select streams,
+            # modelling free-running hardware sources (the bipolar engine,
+            # whose ablation needs repeatable single evaluations, restarts
+            # its seeds per bank instead).
             self._mux_seed_counter += 1
             return MuxAdder(seed=self.seed * 1000 + self._mux_seed_counter)
 
@@ -568,103 +483,60 @@ class StochasticDotProductEngine:
     # ------------------------------------------------------------------ #
     # computation
     # ------------------------------------------------------------------ #
-    def dot(self, x: np.ndarray, weights: np.ndarray) -> DotProductResult:
-        """Compute ``x . w`` for inputs ``x`` in ``[0, 1]`` and weights in ``[-1, 1]``.
+    def prepare_weights(self, weights: np.ndarray) -> PreparedWeights:
+        """Generate the filter bank for a whole ``(filters, taps)`` kernel set.
 
-        ``x`` has shape ``(..., k)`` and ``weights`` shape ``(k,)``; the result
-        arrays have shape ``(...,)``.
+        The returned :class:`PreparedWeights` evaluates every filter's
+        positive and negative dot products in one vectorized pass and is
+        reusable across input tiles.
         """
+        return PreparedWeights(self, weights)
+
+    def dot_filters(self, x: np.ndarray, weights: np.ndarray) -> DotProductResult:
+        """Filter-parallel :meth:`dot`: ``x`` is ``(..., taps)``, weights
+        ``(filters, taps)``; result counts have shape ``(..., filters)``."""
         x = np.asarray(x, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
-        if x.shape[-1] != weights.shape[-1]:
+        if weights.ndim != 2 or x.shape[-1] != weights.shape[-1]:
             raise ValueError(
                 f"tap count mismatch: inputs have {x.shape[-1]}, "
-                f"weights have {weights.shape[-1]}"
+                f"weights have shape {weights.shape}"
             )
-        return self.dot_prepared(self.apply_faults(self.prepare_inputs(x)), weights)
-
-    def _plan_counts(self, products: np.ndarray, plan: TreePlan) -> np.ndarray:
-        """Root ones-counts of ``(..., k, W-or-N)`` leaf products under :attr:`mode`."""
-        packed = self.backend == "packed"
-        if self._use_count_mode(plan):
-            if plan.supports_count_reduction:
-                leaf = packed_popcount(products) if packed else count_ones(products)
-                return plan.reduce_counts(leaf)
-            if packed:
-                return plan.masked_counts_packed(products, self.length)
-            return plan.masked_counts_bits(products)
-        if packed:
-            return packed_popcount(plan.reduce_packed(products, self.length))
-        return count_ones(plan.reduce_bits(products))
-
-    def dot_from_streams(
-        self,
-        x_bits: np.ndarray,
-        w_pos_bits: np.ndarray,
-        w_neg_bits: np.ndarray,
-    ) -> DotProductResult:
-        """Compute the dot product from pre-generated bit arrays.
-
-        This is the path used by the convolution driver, which generates the
-        input streams once per image and reuses them for all 32 kernels.
-        Honours :attr:`mode`: the count-domain path never builds the tree's
-        stream tensors, with counter values bit-identical to the stream path.
-        """
-        x_arr, _ = as_bits(x_bits)
-        wp_arr, _ = as_bits(w_pos_bits)
-        wn_arr, _ = as_bits(w_neg_bits)
-        taps = x_arr.shape[-2]
-        # Both plans are instantiated through one shared factory before any
-        # reduction runs -- the exact node enumeration (positive tree first)
-        # the historical back-to-back AdderTree.reduce() calls produced, so
-        # stateful factories (per-node MUX select seeds) stay bit-identical.
-        factory = self._adder_factory()
-        tree = AdderTree(factory)
-        plan_pos = tree.plan(taps)
-        plan_neg = tree.plan(taps)
-        pos = self._plan_counts((x_arr & wp_arr).astype(np.uint8), plan_pos)
-        neg = self._plan_counts((x_arr & wn_arr).astype(np.uint8), plan_neg)
-        return self._dot_result(pos, neg, taps)
-
-    def dot_from_packed(
-        self,
-        x_words: np.ndarray,
-        w_pos_words: np.ndarray,
-        w_neg_words: np.ndarray,
-    ) -> DotProductResult:
-        """Packed-word counterpart of :meth:`dot_from_streams`.
-
-        All arguments are uint64 word arrays (``(..., k, W)`` inputs, weight
-        arrays broadcastable to them) as produced by :meth:`input_words` and
-        :meth:`weight_words`; the counter values are bit-identical to the
-        unpacked path (and, per :attr:`mode`, across count/stream modes).
-        """
-        x_arr = np.asarray(x_words)
-        taps = x_arr.shape[-2]
-        factory = self._adder_factory()
-        tree = AdderTree(factory)
-        plan_pos = tree.plan(taps)
-        plan_neg = tree.plan(taps)
-        pos = self._plan_counts(x_arr & np.asarray(w_pos_words), plan_pos)
-        neg = self._plan_counts(x_arr & np.asarray(w_neg_words), plan_neg)
-        return self._dot_result(pos, neg, taps)
-
-    def _dot_result(
-        self, pos: np.ndarray, neg: np.ndarray, taps: int
-    ) -> DotProductResult:
-        """Assemble the result both backends share (single tree_scale rule)."""
+        bank = self.prepare_weights(weights)
+        pos, neg = bank.counts(self.apply_faults(self.prepare_inputs(x)))
         return DotProductResult(
             positive_count=pos,
             negative_count=neg,
             length=self.length,
-            tree_scale=1 << AdderTree().depth(taps),
+            tree_scale=bank.tree_scale,
+        )
+
+    def dot(self, x: np.ndarray, weights: np.ndarray) -> DotProductResult:
+        """Compute ``x . w`` for inputs ``x`` in ``[0, 1]`` and weights in ``[-1, 1]``.
+
+        ``x`` has shape ``(..., k)`` and ``weights`` shape ``(k,)``; the result
+        arrays have shape ``(...,)``.  Evaluated as a one-filter bank, so the
+        counts equal ``dot_filters(x, weights[None])`` filter 0.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 1 or x.shape[-1] != weights.shape[0]:
+            raise ValueError(
+                f"tap count mismatch: inputs have {x.shape[-1]}, "
+                f"weights have shape {weights.shape}"
+            )
+        result = self.dot_filters(x, weights[np.newaxis])
+        return DotProductResult(
+            positive_count=result.positive_count[..., 0],
+            negative_count=result.negative_count[..., 0],
+            length=result.length,
+            tree_scale=result.tree_scale,
         )
 
 
 def new_sc_engine(
     precision: int,
     seed: int = 1,
-    backend: Optional[str] = None,
     mode: Optional[str] = None,
     faults: Optional[FaultSpec] = None,
 ) -> StochasticDotProductEngine:
@@ -675,7 +547,6 @@ def new_sc_engine(
         input_generator="ramp",
         weight_generator="lowdisc",
         seed=seed,
-        backend=backend,
         mode=mode,
         faults=faults,
     )
@@ -684,7 +555,6 @@ def new_sc_engine(
 def old_sc_engine(
     precision: int,
     seed: int = 1,
-    backend: Optional[str] = None,
     mode: Optional[str] = None,
     faults: Optional[FaultSpec] = None,
 ) -> StochasticDotProductEngine:
@@ -699,7 +569,6 @@ def old_sc_engine(
         input_generator="lfsr",
         weight_generator="lfsr",
         seed=seed,
-        backend=backend,
         mode=mode,
         faults=faults,
     )

@@ -56,7 +56,7 @@ see :mod:`repro.sc.mode`):
   pushing the cached select streams down the tree yields one disjoint
   *ownership mask* per leaf (:meth:`TreePlan.leaf_masks`) and the root count
   is a single masked popcount over the leaf streams
-  (:meth:`TreePlan.masked_counts_bits` / :meth:`TreePlan.masked_counts_packed`).
+  (:meth:`TreePlan.masked_counts_packed`).
 
 Both shortcuts are bit-identical to reducing the streams; OR trees are
 position-dependent in a way neither shortcut captures and always reduce
@@ -468,16 +468,16 @@ class TreePlan:
                 f"expected (..., {self.lanes} lanes, {self.count}) leaf "
                 f"counts, got shape {arr.shape}"
             )
-        level = arr.astype(np.int64, copy=False)
+        # Ones-counts below 2**30 cannot overflow int32 when two are summed,
+        # and the narrower type halves the memory traffic of every level.
+        small = arr.size == 0 or int(arr.max()) < 1 << 30
+        dtype = np.int32 if small else np.int64
         # Zero-count leaves padded up to the full 2**depth once are exactly
         # the per-level zero-stream pads of the stream reduction: real nodes
         # stay left-aligned at every level and zero nodes stay zero under
         # both rounding directions.
-        full = 1 << self.depth
-        if self.count != full:
-            padded = np.zeros(level.shape[:-1] + (full,), dtype=np.int64)
-            padded[..., : self.count] = level
-            level = padded
+        level = np.zeros(arr.shape[:-1] + (1 << self.depth,), dtype=dtype)
+        level[..., : self.count] = arr
         for group in self._groups:
             total = level[..., 0::2] + level[..., 1::2]
             if group[1]:
@@ -485,7 +485,7 @@ class TreePlan:
                 total += 1
             total >>= 1
             level = total
-        out = level[..., 0]
+        out = level[..., 0].astype(np.int64)
         return out[..., 0] if self.lanes == 1 else out
 
     @property
@@ -550,33 +550,18 @@ class TreePlan:
         self._mask_cache[key] = masks
         return masks
 
-    def _masked_root(self, leaves: np.ndarray, length: int, packed: bool) -> np.ndarray:
-        """OR of ``leaf & mask`` over the leaf axis: the root stream itself."""
-        arr = self._check_input(leaves, "W" if packed else "N")
-        masks = self.leaf_masks(length, packed)
-        return np.bitwise_or.reduce(arr & masks, axis=-2)
+    def masked_counts_packed(self, words: np.ndarray, n_bits: int) -> np.ndarray:
+        """Root ones-counts of an all-MUX tree from packed leaf streams.
 
-    def masked_counts_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Root ones-counts of an all-MUX tree from unpacked leaf streams.
-
-        ``bits`` has shape ``(..., lanes, k, N)`` (lane axis only when
+        ``words`` has shape ``(..., lanes, k, W)`` (lane axis only when
         ``lanes > 1``); returns int64 counts ``(..., lanes)`` (scalar lane
         axis dropped), guaranteed bit-identical to popcounting
-        :meth:`reduce_bits` output -- no tree stream is ever built.
+        :meth:`reduce_packed` output -- no tree stream is ever built: the
+        root stream is the OR of ``leaf & mask`` over the leaf axis.
         """
-        arr = np.asarray(bits)
-        if arr.dtype != np.uint8:
-            arr = arr.astype(np.uint8)
-        counts = self._masked_root(arr, arr.shape[-1], packed=False).sum(
-            axis=-1, dtype=np.int64
-        )
-        return counts[..., 0] if self.lanes == 1 else counts
-
-    def masked_counts_packed(self, words: np.ndarray, n_bits: int) -> np.ndarray:
-        """Packed-word counterpart of :meth:`masked_counts_bits`."""
-        counts = packed_popcount(
-            self._masked_root(np.asarray(words), n_bits, packed=True)
-        )
+        arr = self._check_input(np.asarray(words), "W")
+        root = np.bitwise_or.reduce(arr & self.leaf_masks(n_bits, packed=True), axis=-2)
+        counts = packed_popcount(root)
         return counts[..., 0] if self.lanes == 1 else counts
 
     def reduce_bits(self, bits: np.ndarray) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 The dot-product engines can evaluate their adder trees two ways:
 
-* ``"streams"`` -- materialize every tree node's bit-stream (through the
-  active backend's representation) and popcount the root.  This is the
-  reference path: it works for every adder type and is what the hardware
-  literally does.
+* ``"streams"`` -- materialize every tree node's packed bit-stream and
+  popcount the root.  This is the reference path: it works for every adder
+  type and is what the hardware literally does.
 * ``"counts"`` -- never build an adder-tree stream tensor at all.  For
   all-TFF trees each node's output ones-count is exactly
   ``floor/ceil((ones_x + ones_y) / 2)``, so the root count follows from the
@@ -20,10 +19,9 @@ The dot-product engines can evaluate their adder trees two ways:
   trees are value-approximate in a position-dependent way and always run as
   streams).
 
-Like the backend choice (:mod:`repro.bitstream.backend`), the mode is
-resolved through a single rule shared by the engines, the experiment configs
-and the CLI: an explicitly passed value beats the ``REPRO_MODE`` environment
-variable, which beats the ``"auto"`` default.
+The mode is resolved through a single rule shared by the engines, the
+experiment configs and the CLI: an explicitly passed value beats the
+``REPRO_MODE`` environment variable, which beats the ``"auto"`` default.
 """
 
 from __future__ import annotations

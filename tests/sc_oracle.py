@@ -1,0 +1,113 @@
+"""Byte-per-bit references for the packed stochastic engines.
+
+The engines simulate packed 64-bit words only; the bit-level semantics are
+defined once, by the element adders and the reference kernels
+:func:`~repro.sc.dotproduct.stochastic_dot_product` /
+:func:`~repro.sc.dotproduct.bipolar_stochastic_dot_product` on one-byte-per-bit
+arrays.  The helpers here generate an engine's streams as bytes
+(``generate_bits`` / ``ramp_compare_batch``) and reduce them through those
+kernels with the engine's own adder factory, so MUX select seeds are consumed
+in the engine's order.  The differential suites compare every engine path
+against them.
+"""
+
+import numpy as np
+
+from repro.bitstream import bipolar_to_unipolar, unpack_bits
+from repro.rng import ramp_compare_batch
+from repro.sc.dotproduct import (
+    bipolar_stochastic_dot_product,
+    split_weights,
+    stochastic_dot_product,
+)
+
+
+def faulted_bits(engine, bits):
+    """Byte-level fault injection: ``((w | stuck1) & ~stuck0) ^ flips``.
+
+    The masks are the engine's own packed masks (streams numbered from 0 in
+    C order), unpacked to bytes, so the result is what the engine's
+    :meth:`apply_faults` must produce.
+    """
+    if not engine._stream_faults_active:
+        return bits
+    n = engine.length
+    lead, taps = bits.shape[:-2], bits.shape[-2]
+    n_streams = int(np.prod(lead)) if lead else 1
+    s0, s1, fl = (
+        unpack_bits(m, n)
+        for m in engine.faults.plan().masks(n_streams, taps, n, 0)
+    )
+    flat = bits.reshape(n_streams, taps, n)
+    return (((flat | s1) & (1 - s0)) ^ fl).reshape(bits.shape)
+
+
+def input_bits(engine, values):
+    """The unipolar engine's (faulted) input streams as bytes, ``(..., N)``."""
+    values = np.asarray(values, dtype=np.float64)
+    if engine.input_generator == "ramp":
+        bits = ramp_compare_batch(values, engine.length)
+    else:
+        bits = engine._input_sng().generate_bits(values, engine.length)
+    return faulted_bits(engine, bits)
+
+
+def weight_bits(engine, weights):
+    """The unipolar engine's positive and negative weight streams as bytes."""
+    w_pos, w_neg = split_weights(weights)
+    sng = engine._weight_sng()
+    return sng.generate_bits(w_pos, engine.length), sng.generate_bits(w_neg, engine.length)
+
+
+def dot_filters(engine, x, kernels):
+    """Per-filter reference of ``engine.dot_filters(x, kernels)``.
+
+    Each kernel's positive then negative tree is reduced by
+    :func:`stochastic_dot_product` through one shared adder factory -- the
+    filter-major node order of the engine's bank.  Returns ``(pos, neg)``
+    count arrays of shape ``(..., filters)``.
+    """
+    kernels = np.asarray(kernels, dtype=np.float64)
+    x_bits = input_bits(engine, x)
+    wp, wn = weight_bits(engine, kernels)
+    factory = engine._adder_factory()
+    pos, neg = [], []
+    for f in range(kernels.shape[0]):
+        pos.append(stochastic_dot_product(x_bits, wp[f], factory))
+        neg.append(stochastic_dot_product(x_bits, wn[f], factory))
+    return np.stack(pos, axis=-1), np.stack(neg, axis=-1)
+
+
+def dot(engine, x, weights):
+    """Reference of ``engine.dot(x, weights)``: ``(pos, neg)`` counts ``(...,)``."""
+    pos, neg = dot_filters(engine, x, np.asarray(weights)[np.newaxis])
+    return pos[..., 0], neg[..., 0]
+
+
+def bipolar_dot_filters(engine, x, kernels):
+    """Per-kernel reference of a bipolar bank: counts ``(..., filters)``.
+
+    Every kernel gets a fresh adder factory -- the bipolar engine restarts
+    its MUX select seeds for each evaluation.
+    """
+    n = engine.length
+    x_bits = faulted_bits(
+        engine,
+        engine._input_sng().generate_bits(engine._input_probabilities(x), n),
+    )
+    w_bits = engine._weight_sng().generate_bits(
+        bipolar_to_unipolar(np.asarray(kernels, dtype=np.float64)), n
+    )
+    return np.stack(
+        [
+            bipolar_stochastic_dot_product(x_bits, w, engine._adder_factory())
+            for w in w_bits
+        ],
+        axis=-1,
+    )
+
+
+def bipolar_dot(engine, x, weights):
+    """Reference of ``engine.dot(x, weights).count`` for the bipolar engine."""
+    return bipolar_dot_filters(engine, x, np.asarray(weights)[np.newaxis])[..., 0]
+

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bitstream import unpack_bits
 from repro.sc import BipolarDotProductEngine, new_sc_engine
 from repro.sc.bipolar import BipolarDotProductResult
+
+import sc_oracle
 
 
 class TestConstruction:
@@ -14,15 +17,6 @@ class TestConstruction:
             BipolarDotProductEngine(precision=1)
         with pytest.raises(ValueError):
             BipolarDotProductEngine(adder="or")
-        with pytest.raises(ValueError):
-            BipolarDotProductEngine(backend="simd")
-
-    def test_backend_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert BipolarDotProductEngine().backend == "packed"
-        assert BipolarDotProductEngine(backend="unpacked").backend == "unpacked"
-        monkeypatch.setenv("REPRO_BACKEND", "unpacked")
-        assert BipolarDotProductEngine().backend == "unpacked"
 
     def test_length(self):
         assert BipolarDotProductEngine(precision=6).length == 64
@@ -35,7 +29,7 @@ class TestConstruction:
     def test_weight_range_check(self):
         engine = BipolarDotProductEngine(precision=4)
         with pytest.raises(ValueError):
-            engine.weight_streams(np.array([1.5]))
+            engine.prepare_weights(np.array([[1.5]]))
 
 
 class TestAccuracy:
@@ -128,6 +122,8 @@ class TestDeterminism:
 
 
 class TestBackendEquivalence:
+    """The packed engine against the byte-per-bit bipolar reference."""
+
     @pytest.mark.parametrize("adder", ["tff", "mux"])
     # Odd/prime tap counts exercise the bipolar-zero padding; precisions 3
     # and 5 give stream lengths (8, 32) that are not multiples of 64, where
@@ -138,42 +134,75 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(precision * 100 + taps)
         x = rng.random((4, taps))
         w = rng.uniform(-1, 1, taps)
-        packed = BipolarDotProductEngine(
-            precision=precision, adder=adder, seed=7, backend="packed"
-        ).dot(x, w)
-        unpacked = BipolarDotProductEngine(
-            precision=precision, adder=adder, seed=7, backend="unpacked"
-        ).dot(x, w)
-        np.testing.assert_array_equal(packed.count, unpacked.count)
-        np.testing.assert_array_equal(packed.sign, unpacked.sign)
-        assert packed.tree_scale == unpacked.tree_scale
-        assert packed.length == unpacked.length
+        engine = BipolarDotProductEngine(precision=precision, adder=adder, seed=7)
+        packed = engine.dot(x, w)
+        expected = sc_oracle.bipolar_dot(engine, x, w)
+        np.testing.assert_array_equal(packed.count, expected)
+        np.testing.assert_array_equal(packed.sign, np.where(2 * expected >= packed.length, 1, -1))
+        assert packed.tree_scale == 1 << int(np.ceil(np.log2(taps)))
+        assert packed.length == 1 << precision
 
     def test_stream_generation_round_trips(self):
-        from repro.bitstream import unpack_bits
-
         engine = BipolarDotProductEngine(precision=5)
         values = np.linspace(-1.0, 1.0, 7)
         np.testing.assert_array_equal(
-            unpack_bits(engine.input_words(values), engine.length),
-            engine.input_streams(values),
+            unpack_bits(engine.prepare_inputs(values), engine.length),
+            engine._input_sng().generate_bits((values + 1) / 2, engine.length),
         )
         np.testing.assert_array_equal(
             unpack_bits(engine.weight_words(values), engine.length),
-            engine.weight_streams(values),
+            engine._weight_sng().generate_bits((values + 1) / 2, engine.length),
         )
 
     def test_prepared_inputs_reusable_across_kernels(self):
         rng = np.random.default_rng(9)
         x = rng.random((3, 9))
         kernels = rng.uniform(-1, 1, (4, 9))
-        for backend in ("packed", "unpacked"):
-            engine = BipolarDotProductEngine(precision=5, backend=backend)
+        for adder in ("tff", "mux"):
+            engine = BipolarDotProductEngine(precision=5, adder=adder)
             prepared = engine.prepare_inputs(x)
             for kernel in kernels:
-                direct = engine.dot(x, kernel)
-                reused = engine.dot_prepared(prepared, kernel)
-                np.testing.assert_array_equal(direct.count, reused.count)
+                direct = engine.dot(x, kernel).count
+                bank = engine.prepare_weights(kernel[np.newaxis])
+                np.testing.assert_array_equal(bank.counts(prepared)[..., 0], direct)
+
+
+class TestWeightBank:
+    @pytest.mark.parametrize("adder", ["tff", "mux"])
+    @pytest.mark.parametrize("taps", [1, 2, 5, 9, 25])
+    @pytest.mark.parametrize("mode", ["auto", "streams"])
+    @pytest.mark.parametrize("precision", [3, 5, 8])
+    def test_bank_equals_per_kernel_evaluation_with_reset_seeds(
+        self, adder, taps, mode, precision
+    ):
+        # The bipolar engine restarts its MUX select seeds for every
+        # evaluation, so a bank over all kernels must equal evaluating each
+        # kernel on its own -- with the engine and with the byte reference.
+        rng = np.random.default_rng(taps * 10 + precision)
+        x = rng.uniform(-1, 1, (3, taps))
+        kernels = rng.uniform(-1, 1, (4, taps))
+        engine = BipolarDotProductEngine(precision=precision, adder=adder, seed=5, mode=mode)
+        bank = engine.prepare_weights(kernels)
+        counts = bank.counts(engine.prepare_inputs(x))
+        assert counts.shape == (3, 4)
+        per_kernel = np.stack([engine.dot(x, k).count for k in kernels], axis=-1)
+        np.testing.assert_array_equal(counts, per_kernel)
+        np.testing.assert_array_equal(
+            counts, sc_oracle.bipolar_dot_filters(engine, x, kernels)
+        )
+        # Reusing the bank (cached select streams) gives the same counts.
+        np.testing.assert_array_equal(bank.counts(engine.prepare_inputs(x)), counts)
+
+    def test_bank_validation(self):
+        engine = BipolarDotProductEngine(precision=4)
+        with pytest.raises(ValueError):
+            engine.prepare_weights(np.zeros(5))  # not 2-D
+        with pytest.raises(ValueError):
+            engine.prepare_weights(np.zeros((0, 5)))  # zero filters
+        bank = engine.prepare_weights(np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            bank.counts(engine.prepare_inputs(np.zeros((3, 4))))  # tap mismatch
+        assert "BipolarWeightBank" in repr(bank)
 
 
 class TestPaperClaim:

@@ -162,11 +162,11 @@ class TestFaultsCommand:
         args = build_parser().parse_args(
             ["faults", "--rates", "0,1e-3", "--precision", "6",
              "--images", "3", "--filters", "4", "--trials", "1",
-             "--backend", "unpacked", "--no-artifact"]
+             "--tile-patches", "37", "--no-artifact"]
         )
         assert args.rates == (0.0, 1e-3)
         assert args.precision == 6 and args.images == 3
-        assert args.backend == "unpacked" and args.no_artifact
+        assert args.tile_patches == 37 and args.no_artifact
 
     def test_parser_rejects_bad_rates(self):
         with pytest.raises(SystemExit):

