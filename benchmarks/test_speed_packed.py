@@ -149,16 +149,19 @@ def test_filter_parallel_conv_speedup():
     Table 3 scale on the filter axis: 32 kernels at N=256, evaluated over one
     16x16 image's worth of patches.  The per-filter loop is the seed path the
     vectorized bank replaced (one single-kernel bank per filter, weight
-    streams regenerated each time); the filter-parallel path reduces every
-    ``(filter, sign)`` tree lane in one vectorized pass per level and must be
-    bit-identical while clearing the acceptance floor of 5x.
+    streams regenerated each time); the filter-parallel path evaluates every
+    ``(filter, sign)`` tree lane at once and must be bit-identical while
+    clearing the acceptance floor of 5x.
 
-    The loop side is pinned to ``mode="streams"``: it stands in for the
-    historical per-filter stream path, and under the ``"auto"`` default a
-    single-kernel bank collapses its TFF tree to integer counts too, which
-    would erase the contrast this row has tracked since the filter-parallel
-    change.  The bank side keeps its default (the count reduction for
-    all-TFF trees).
+    Both sides get the same comparator levels from ``prepare_inputs``.  The
+    loop side is pinned to ``mode="streams"``: it stands in for the
+    historical per-filter stream path (each bank expands the levels into
+    input streams and reduces them level by level), and under the
+    ``"auto"`` default a single-kernel bank would gather TFF leaf counts
+    from its leaf tables too, which would erase the contrast this row has
+    tracked since the filter-parallel change.  The bank side keeps its
+    default: the leaf-table gather plus the count-domain halving of all-TFF
+    trees.
     """
     rng = np.random.default_rng(2)
     images = rng.random((1, 16, 16))
@@ -168,18 +171,18 @@ def test_filter_parallel_conv_speedup():
     loop_engine = new_sc_engine(8, seed=1, mode="streams")
     bank_engine = new_sc_engine(8, seed=1)
     patches = extract_patches(images, (5, 5), padding=2).reshape(-1, taps)
-    x_streams = loop_engine.prepare_inputs(patches)
+    x_levels = loop_engine.prepare_inputs(patches)
 
     def per_filter_loop():
         pos = np.empty((patches.shape[0], filters), dtype=np.int64)
         neg = np.empty_like(pos)
         for f in range(filters):
             bank = loop_engine.prepare_weights(flat_kernels[f : f + 1])
-            pos[:, f : f + 1], neg[:, f : f + 1] = bank.counts(x_streams)
+            pos[:, f : f + 1], neg[:, f : f + 1] = bank.counts(x_levels)
         return pos, neg
 
     def filter_parallel():
-        return bank_engine.prepare_weights(flat_kernels).counts(x_streams)
+        return bank_engine.prepare_weights(flat_kernels).counts(x_levels)
 
     loop_s, (loop_pos, loop_neg) = best_of(per_filter_loop)
     parallel_s, (par_pos, par_neg) = best_of(filter_parallel)
@@ -218,11 +221,13 @@ def test_mux_count_conv_speedup():
 
     Table 3 scale on the filter axis: 32 MUX-adder kernels at N=256 over one
     16x16 image's worth of patches, evaluated through the same prepared
-    filter-parallel bank the convolution layer uses per tile.  The
-    ``mode="counts"`` path folds the cached select streams into per-leaf
-    ownership masks (one masked AND/OR accumulate plus a popcount) instead of
-    reducing stream tensors level by level through ``packed_mux`` -- it must
-    be bit-identical while clearing the acceptance floor of 3x.
+    filter-parallel bank the convolution layer uses per tile, from the same
+    comparator levels.  The ``mode="counts"`` path gathers each tap's leaf
+    count from leaf tables built once per bank from the weight streams
+    ANDed with the per-leaf select-ownership masks, and sums them over taps;
+    the stream path expands the levels into input streams and reduces them
+    level by level through ``packed_mux``.  Counts must be bit-identical
+    while clearing the acceptance floor of 3x.
     """
     rng = np.random.default_rng(3)
     images = rng.random((1, 16, 16))
@@ -236,9 +241,9 @@ def test_mux_count_conv_speedup():
         engine = StochasticDotProductEngine(
             precision=8, adder="mux", seed=1, mode=mode
         )
-        x_streams = engine.prepare_inputs(patches)
+        x_levels = engine.prepare_inputs(patches)
         bank = engine.prepare_weights(flat_kernels)
-        timings[mode], results[mode] = best_of(lambda: bank.counts(x_streams))
+        timings[mode], results[mode] = best_of(lambda: bank.counts(x_levels))
 
     # Correctness first: count mode must be bit-identical to the stream path.
     np.testing.assert_array_equal(results["counts"][0], results["streams"][0])

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.bitstream import Bitstream, autocorrelation, stochastic_cross_correlation
-from repro.bitstream.packed import PackedBitstream
+from repro.bitstream.packed import PackedBitstream, packed_popcount
 from repro.eval import format_table1, format_table2, run_table1, run_table2
 from repro.faults import FaultSpec, flip_binary_words, inject_stream
 from repro.netlist import (
@@ -189,15 +189,24 @@ def main() -> None:
     print(f"32 kernels x 256 windows at N=256: per-filter loop {loop_s * 1e3:6.1f} ms, "
           f"filter-parallel {bank_s * 1e3:6.1f} ms ({loop_s / bank_s:.0f}x)")
 
-    section("Count-domain mode: adder trees without adder-tree streams")
-    # mode="counts" (the default via "auto") never materializes a tree node's
-    # bit-stream: all-TFF trees reduce integer counts with floor/ceil((cx+cy)/2)
-    # per level, and all-MUX trees fold their cached select streams into one
-    # disjoint ownership mask per leaf, so the root count is a single masked
-    # popcount.  Both shortcuts are exact -- identical counters, not close ones
-    # -- so the mode (engine arg, REPRO_MODE, or --mode on the CLI) trades
-    # speed and memory only.  OR trees are position-dependent and always run
-    # as streams ("counts" raises for them).
+    section("Count-domain mode: comparator levels and leaf tables, no streams")
+    # Every input stream is a comparator output against one shared source, so
+    # prepare_inputs() returns one integer level per input, c = #{n: s[n] < v}
+    # (the stream's ones are the first c cycles in source-sorted order).  In
+    # mode="counts" (the default via "auto") popcount(x & w) is then one
+    # lookup into a per-lane table of cumulative weight bits: all-TFF trees
+    # halve the looked-up leaf counts with floor/ceil((cx+cy)/2) per level, and
+    # all-MUX trees build their tables from weight bits ANDed with disjoint
+    # per-leaf select-ownership masks and sum them.  No stream is ever built.
+    # Both shortcuts are exact -- identical counters, not close ones -- so the
+    # mode (engine arg, REPRO_MODE, or --mode on the CLI) trades speed and
+    # memory only.  OR trees are position-dependent and always run as streams
+    # ("counts" raises for them); input_words() expands levels into streams.
+    levels = conv_engine.prepare_inputs(windows[:1, :4])
+    words = conv_engine.input_words(levels)
+    assert np.array_equal(packed_popcount(words), levels)
+    print(f"levels {levels[0].tolist()} ({levels.dtype}) expand to streams with "
+          f"exactly those ones-counts")
     for adder in ("mux", "tff"):
         stream_eng = StochasticDotProductEngine(precision=8, adder=adder, mode="streams")
         count_eng = StochasticDotProductEngine(precision=8, adder=adder, mode="counts")
@@ -216,9 +225,9 @@ def main() -> None:
     section("Tile-streamed execution: full-scale bit-exact runs in bounded memory")
     # StochasticConv2D(tile_patches=...) / REPRO_TILE_PATCHES caps how many
     # patches are in flight; counts are accumulated tile by tile and stay
-    # bit-identical for ANY tile size (stream generation is stateless, the
-    # weight bank and its select streams are reused).  This is what lets
-    # REPRO_BITEXACT=1 Table 3 runs cover the whole MNIST test set.
+    # bit-identical for ANY tile size (level conversion is stateless, the
+    # weight bank -- select streams, leaf tables -- is reused).  This is what
+    # lets REPRO_BITEXACT=1 Table 3 runs cover the whole MNIST test set.
     image = rng.random((1, 16, 16))
     full_layer = StochasticConv2D(
         conv_kernels.reshape(32, 5, 5), engine=StochasticDotProductEngine(

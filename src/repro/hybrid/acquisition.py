@@ -68,6 +68,8 @@ class SensorFrontEnd:
     def acquire(self, images: np.ndarray) -> np.ndarray:
         """Apply sensor noise and clip to the valid pixel range ``[0, 1]``."""
         images = np.asarray(images, dtype=np.float64)
+        if not np.all(np.isfinite(images)):
+            raise ValueError("pixel values must be finite")
         if images.min() < -1e-9 or images.max() > 1.0 + 1e-9:
             raise ValueError("pixel values must lie in [0, 1]")
         if self.noise_sigma == 0.0:

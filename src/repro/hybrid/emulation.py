@@ -37,9 +37,10 @@ through one tile loop over their filter banks
 (:meth:`~repro.sc.dotproduct.StochasticDotProductEngine.prepare_weights`),
 honouring the engine's evaluation ``mode`` (:mod:`repro.sc.mode`): under
 the default ``"auto"`` the residual samples come from the exact count-domain
-shortcut (TFF and MUX trees) with no adder-tree stream tensors, so
-calibration speed scales with the count path while the measured residuals
-stay bit-identical to ``mode="streams"``.
+shortcut (TFF and MUX trees; for the unipolar engine a leaf-table gather on
+comparator levels, with no stream at all), so calibration speed scales with
+the count path while the measured residuals stay bit-identical to
+``mode="streams"``.
 
 Validity range: the emulator is calibrated and validated for stream lengths
 of 8 bits and above (precision >= 3).  At 2-bit precision (stream length 4)
@@ -141,9 +142,9 @@ class CalibratedSCEmulator:
             raise ValueError("tap count mismatch between inputs and weights")
 
         # Bit-exact reference evaluation: one filter bank covers every
-        # kernel per tile.  Input streams are generated per tile (bounded
-        # memory at any sample count); stream generation is stateless and the
-        # bank (weight streams, adder nodes) is shared across tiles, so tiling
+        # kernel per tile.  Inputs are prepared per tile (bounded memory at
+        # any sample count); preparation is stateless and the bank (weight
+        # streams, adder nodes, leaf tables) is shared across tiles, so tiling
         # never changes a count.  Fault masks (if any) are keyed on the global
         # sample index, so the residuals match the engine's faulted behaviour
         # at any tiling.
@@ -258,7 +259,7 @@ class CalibratedSCEmulator:
             taps, self.engine.precision + 1, adder=self.engine.adder
         )
         n = self.engine.length
-        x_bits = unpack_bits(self.engine.prepare_inputs(windows), n)  # (traces, taps, N)
+        x_bits = unpack_bits(self.engine.input_words(self.engine.prepare_inputs(windows)), n)
         wp_words, wn_words = self.engine.weight_words(weights)
         wp_bits, wn_bits = unpack_bits(wp_words, n), unpack_bits(wn_words, n)
 

@@ -18,10 +18,9 @@ from .lowdiscrepancy import (
 from .ramp import (
     RampSource,
     ramp_compare_batch,
-    ramp_compare_packed,
     ramp_compare_stream,
 )
-from .sng import TABLE1_SCHEMES, ComparatorSNG, RampCompareSNG, sng_pair
+from .sng import TABLE1_SCHEMES, ComparatorSNG, RampCompareSNG, level_dtype, sng_pair
 from .sources import ConstantSource, CounterSource, NumberSource, PseudoRandomSource
 
 __all__ = [
@@ -43,9 +42,9 @@ __all__ = [
     "RampSource",
     "ramp_compare_stream",
     "ramp_compare_batch",
-    "ramp_compare_packed",
     "ComparatorSNG",
     "RampCompareSNG",
+    "level_dtype",
     "sng_pair",
     "TABLE1_SCHEMES",
 ]

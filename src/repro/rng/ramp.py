@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bitstream.packed import pack_comparator_output
 from .sources import NumberSource
 
 __all__ = [
     "RampSource",
     "ramp_compare_stream",
     "ramp_compare_batch",
-    "ramp_compare_packed",
 ]
 
 
@@ -85,41 +83,18 @@ def ramp_compare_stream(
     return (ramp < v).astype(np.uint8)
 
 
-def _clipped_values_and_ramp(values, length: int, descending: bool):
-    """The shared comparator operands: clipped samples and the ramp sequence.
-
-    Single definition keeps the packed and unpacked converters bit-identical
-    by construction.
-    """
-    values = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-    ramp = RampSource(_bits_for_length(length), descending=descending).sequence(length)
-    return values, ramp
-
-
 def ramp_compare_batch(
     values: np.ndarray, length: int, descending: bool = False
 ) -> np.ndarray:
     """Vectorized :func:`ramp_compare_stream` over an array of samples.
 
-    Returns an array of shape ``values.shape + (length,)`` with dtype uint8.
-    This is the fast path used by the hybrid first layer, where every pixel of
-    a 28x28 image is converted in parallel.
+    Returns an array of shape ``values.shape + (length,)`` with dtype uint8:
+    every pixel of an image converted in parallel, as by the simulated sensor
+    front end.
     """
-    values, ramp = _clipped_values_and_ramp(values, length, descending)
+    values = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+    ramp = RampSource(_bits_for_length(length), descending=descending).sequence(length)
     return (ramp[np.newaxis, ...] < values[..., np.newaxis]).astype(np.uint8)
-
-
-def ramp_compare_packed(
-    values: np.ndarray, length: int, descending: bool = False
-) -> np.ndarray:
-    """:func:`ramp_compare_batch` emitting packed uint64 words directly.
-
-    Returns words of shape ``values.shape + (ceil(length / 64),)`` holding the
-    same bits as the unpacked variant; the comparator output is packed in
-    chunks so the transient byte array stays small for large pixel batches.
-    """
-    values, ramp = _clipped_values_and_ramp(values, length, descending)
-    return pack_comparator_output(ramp, values)
 
 
 def _bits_for_length(length: int) -> int:

@@ -7,7 +7,10 @@ drive the SNGs and how those sources relate to each other -- that is exactly
 what Table 1 of the paper quantifies.  This module provides:
 
 * :class:`ComparatorSNG` -- the generic comparator-based SNG over any
-  :class:`~repro.rng.sources.NumberSource`;
+  :class:`~repro.rng.sources.NumberSource`, including its *comparator
+  levels*: a bank of SNGs sharing one source emits streams fully set by one
+  integer per value (:meth:`ComparatorSNG.levels`), expanded into streams
+  only on demand (:meth:`ComparatorSNG.expand_levels`);
 * :class:`RampCompareSNG` -- the analog-to-stochastic converter variant used
   for the sensor input;
 * :func:`sng_pair` -- a factory for the four input-pair generation schemes
@@ -30,9 +33,18 @@ from .sources import NumberSource, PseudoRandomSource
 __all__ = [
     "ComparatorSNG",
     "RampCompareSNG",
+    "level_dtype",
     "sng_pair",
     "TABLE1_SCHEMES",
 ]
+
+
+def level_dtype(length: int) -> np.dtype:
+    """Integer dtype holding every comparator level ``0..length``.
+
+    int16 up to ``length = 2**14`` (precision 14), int32 beyond.
+    """
+    return np.dtype(np.int16 if length <= 1 << 14 else np.int32)
 
 
 class ComparatorSNG:
@@ -79,6 +91,41 @@ class ComparatorSNG:
         """
         p = to_probability(np.asarray(values, dtype=np.float64), self.encoding)
         return pack_comparator_output(self.source.sequence(length), p)
+
+    # ------------------------------------------------------------------ #
+    # comparator levels
+    # ------------------------------------------------------------------ #
+    # Every stream of one SNG bank is compared against the same source
+    # sequence ``s``, so a stream is fully set by its *level*
+    # ``c = #{n : s[n] < p}``: its ones sit exactly at the first ``c``
+    # positions of the stable argsort of ``s``.  A threshold always takes a
+    # group of tied source values whole, so ties (the LFSR's repeated value,
+    # sources collapsed by stuck register cells) need no special case.
+
+    def sort_order(self, length: int) -> np.ndarray:
+        """Stable argsort of the source sequence: level ``c`` sets bits
+        ``sort_order(length)[:c]``."""
+        return np.argsort(self.source.sequence(length), kind="stable")
+
+    def levels(self, values: np.ndarray, length: int) -> np.ndarray:
+        """Comparator levels ``#{n : s[n] < p}``, shape ``values.shape``.
+
+        Dtype :func:`level_dtype` of ``length``; each level equals the
+        ones-count of the stream :meth:`generate_packed` would produce.
+        """
+        p = to_probability(np.asarray(values, dtype=np.float64), self.encoding)
+        ordered = np.sort(self.source.sequence(length))
+        return np.searchsorted(ordered, p, side="left").astype(level_dtype(length))
+
+    def expand_levels(self, levels: np.ndarray, length: int) -> np.ndarray:
+        """Packed streams of comparator :meth:`levels`: ``levels.shape + (W,)``.
+
+        Bit ``n`` is set iff the rank of cycle ``n`` in :meth:`sort_order`
+        is below the level -- exactly the :meth:`generate_packed` bits.
+        """
+        rank = np.empty(length, dtype=np.float64)
+        rank[self.sort_order(length)] = np.arange(length)
+        return pack_comparator_output(rank, levels)
 
     def __repr__(self) -> str:
         return f"ComparatorSNG(source={self.source!r}, encoding={self.encoding!r})"

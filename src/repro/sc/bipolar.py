@@ -259,6 +259,8 @@ class BipolarDotProductEngine:
 
     def _input_probabilities(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("bipolar inputs must be finite")
         if np.any(np.abs(values) > 1.0 + 1e-9):
             # Raise exactly like the weight side: silently clipping here
             # used to mask calibration errors upstream (values far outside

@@ -24,23 +24,28 @@ configuration, because adder nodes are instantiated in filter-major order.
 
 Execution is *tile-streamed*: ``tile_patches`` (or the
 ``REPRO_TILE_PATCHES`` environment variable) bounds how many image patches
-are in flight at once.  Input bit-streams are generated per tile and counts
-accumulated incrementally, so peak memory is ``O(tile_patches * filters *
-taps * words)`` regardless of batch size -- this is what lets
-``REPRO_BITEXACT=1`` runs cover the full MNIST test set.  Stream generation
-is stateless and the weight bank (select streams included) is built once and
-reused, so any tiling -- including tile sizes that do not divide the patch
-count -- produces counts bit-identical to one untiled pass.
+are in flight at once.  Each tile's pixels are converted to comparator
+levels (:meth:`~repro.sc.dotproduct.StochasticDotProductEngine.prepare_inputs`)
+and counts accumulated incrementally, so the fault-free count path peaks at
+``O(tile_patches * filters * taps)`` gathered leaf counts regardless of
+batch size; input streams are generated per tile only on the stream path
+(stream faults, ``mode="streams"``, OR trees), which peaks at
+``O(tile_patches * filters * taps * words)``.  This is what lets
+``REPRO_BITEXACT=1`` runs cover the full MNIST test set.  Level conversion
+is stateless and the weight bank (select streams and leaf tables included)
+is built once and reused, so any tiling -- including tile sizes that do not
+divide the patch count -- produces counts bit-identical to one untiled
+pass.
 
 Evaluation mode
 ---------------
 The layer inherits the engine's evaluation mode (:mod:`repro.sc.mode`):
 under ``mode="counts"`` (the ``"auto"`` default for TFF and MUX adder
-trees) the per-tile reduction never materializes adder-tree stream tensors
--- TFF trees reduce integer counts per level and MUX trees apply cached
-select-ownership masks -- while ``mode="streams"`` forces the reference
-stream reduction.  Both produce bit-identical counters, so the mode is
-purely a speed/memory knob for Table 3-scale runs.
+trees) each tile is a gather from the bank's leaf tables -- halved per
+level for TFF trees, summed over select-masked taps for MUX trees -- and no
+stream is built, while ``mode="streams"`` forces the reference stream
+reduction.  Both produce bit-identical counters, so the mode is purely a
+speed/memory knob for Table 3-scale runs.
 """
 
 from __future__ import annotations
@@ -184,6 +189,8 @@ class StochasticConv2D:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3:
             raise ValueError(f"expected (batch, H, W) images, got {images.shape}")
+        if not np.all(np.isfinite(images)):
+            raise ValueError("pixel values must be finite")
         # Guard the range check behind ``size``: an empty batch has no pixels
         # to validate and ``min()``/``max()`` would raise on it.  Geometry is
         # still validated (via ``output_shape``) so only ``batch == 0`` with a
@@ -196,7 +203,7 @@ class StochasticConv2D:
         patches = extract_patches(images, (kh, kw), self.stride, self.padding)
         batch, n_patches, taps = patches.shape
 
-        # One weight-stream bank for all kernels (leading filter axis, fused
+        # One weight bank for all kernels (leading filter axis, fused
         # positive/negative trees), built once and shared by every tile --
         # exactly as the weight-side converters are shared in hardware.
         bank = self.engine.prepare_weights(self.kernels.reshape(self.filters, taps))
@@ -211,14 +218,14 @@ class StochasticConv2D:
         neg = np.empty_like(pos)
         for start in range(0, total, tile):
             stop = min(start + tile, total)
-            # Input bit-streams are generated per tile (stateless conversion,
-            # shared by all kernels) so peak memory stays bounded by the tile.
-            # Fault masks are keyed on the *global* patch index (offset =
-            # tile start), so any tile_patches value corrupts identically.
-            x_streams = self.engine.apply_faults(
+            # Inputs are prepared per tile (stateless conversion, shared by
+            # all kernels) so peak memory stays bounded by the tile.  Fault
+            # masks are keyed on the *global* patch index (offset = tile
+            # start), so any tile_patches value corrupts identically.
+            x_prepared = self.engine.apply_faults(
                 self.engine.prepare_inputs(flat[start:stop]), offset=start
             )
-            pos[start:stop], neg[start:stop] = bank.counts(x_streams)
+            pos[start:stop], neg[start:stop] = bank.counts(x_prepared)
         pos = pos.reshape(batch, n_patches, self.filters)
         neg = neg.reshape(batch, n_patches, self.filters)
 

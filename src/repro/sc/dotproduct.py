@@ -25,11 +25,28 @@ This module holds two layers:
   differential test suites compare the engines against;
 * :class:`StochasticDotProductEngine`, which owns the number-generation
   configuration (the knob that distinguishes "this work" from the "old SC"
-  baseline in Table 3) and evaluates on packed streams -- 64 clock cycles
-  per uint64 word (:mod:`repro.bitstream.packed`).  Its only evaluator is a
-  :class:`PreparedWeights` filter bank; :meth:`~StochasticDotProductEngine.dot`
-  and :meth:`~StochasticDotProductEngine.dot_filters` are thin wrappers that
+  baseline in Table 3).  Its only evaluator is a :class:`PreparedWeights`
+  filter bank; :meth:`~StochasticDotProductEngine.dot` and
+  :meth:`~StochasticDotProductEngine.dot_filters` are thin wrappers that
   build one.
+
+Comparator levels
+-----------------
+Every input stream is a comparator output against one number source that all
+inputs share -- the ramp of the ramp-compare front end for "this work", an
+LFSR for "old SC" -- so a stream is fully set by its *level*
+``c = #{n : s[n] < v}``: its ones sit at the first ``c`` positions of the
+source's stable argsort.  The engine therefore prepares inputs as levels
+(:meth:`~StochasticDotProductEngine.prepare_inputs`, shape ``(..., taps)``,
+int16 up to precision 14 and int32 beyond), and ``popcount(x & w)`` is one
+lookup into the cumulative sum of ``w``'s bits in source-sorted order.  In
+count mode (:mod:`repro.sc.mode`) a bank evaluates levels against such
+per-lane *leaf tables* (:meth:`PreparedWeights.leaf_tables`,
+``2 * filters * taps * (N + 1)`` integers: 0.8 MB at 32 filters, 25 taps and
+N = 256).  Packed streams -- 64 clock cycles per uint64 word
+(:mod:`repro.bitstream.packed`) -- are built from levels only where a path
+needs them (:meth:`~StochasticDotProductEngine.input_words`): under stream
+faults, in stream mode and for OR trees.
 """
 
 from __future__ import annotations
@@ -40,13 +57,14 @@ from typing import Callable, ClassVar, Optional, Tuple
 import numpy as np
 
 from ..bitstream import stream_length
-from ..bitstream.packed import packed_popcount
+from ..bitstream.packed import packed_popcount, unpack_bits
 from ..faults.spec import FaultSpec
 from ..rng import (
     ComparatorSNG,
     LFSRSource,
+    RampCompareSNG,
     VanDerCorputSource,
-    ramp_compare_packed,
+    level_dtype,
 )
 from .elements.adders import AdderTree, MuxAdder, OrAdder, TffAdder, TreePlan
 from .elements.converters import count_ones, sign_from_counts
@@ -178,7 +196,11 @@ class PreparedWeights:
     -- ``(filters, 2, taps, W)`` packed words -- so one vectorized tree
     reduction covers every ``(filter, sign)`` pair at once, and the positive
     and negative dot products of the paper's split-weight trick are fused
-    into a single pass over shared input streams.
+    into a single pass over shared inputs.
+
+    In count mode the bank evaluates comparator levels against per-lane
+    *leaf tables* (:meth:`leaf_tables`), built on the first count-mode call
+    -- 0.8 MB at Table 3 scale, 13 MB at N = 4096.
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
     tree, then its negative tree, then filter 1, ...), exactly the node order
@@ -209,77 +231,101 @@ class PreparedWeights:
         self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
             self.taps, lanes=2 * self.filters
         )
-        # MUX count mode folds the leaf ownership masks into the weight
-        # streams once (lazily), so per-tile evaluation is a masked AND/OR
-        # accumulate plus one popcount -- no adder-tree stream tensor.
-        self._masked_weights: Optional[np.ndarray] = None
+        self._tables: Optional[np.ndarray] = None
 
     @property
     def tree_scale(self) -> int:
         """Counter scale ``2**depth`` of each per-filter adder tree."""
         return self.plan.tree_scale
 
-    def _masked_weight_bank(self) -> np.ndarray:
-        """Weight streams pre-ANDed with their lane's leaf ownership masks.
+    def leaf_tables(self) -> np.ndarray:
+        """Count-mode leaf tables, shape ``(taps, N + 1, 2 * filters)``.
 
-        Shape ``(2 * filters, taps, W)`` (lane-major like the plan).  Because
-        the masks of one lane are disjoint across leaves, the lane's root
-        stream is ``OR over taps of (input & masked_weight)`` and its count
-        one popcount -- the MUX count-mode kernel.
+        Entry ``[t, c, lane]`` is ``popcount(x & w)`` for the lane's tap-``t``
+        weight stream ``w`` and the input stream ``x`` of comparator level
+        ``c``: the cumulative sum of ``w``'s bits in the input source's
+        sorted order (:meth:`~repro.rng.sng.ComparatorSNG.sort_order`).  For
+        all-MUX trees the weight bits are first ANDed with the lane's leaf
+        ownership masks (:meth:`TreePlan.leaf_masks`), which are disjoint
+        across taps, so a lane's root count is the sum of its taps' entries.
+        Dtype :func:`~repro.rng.sng.level_dtype`; built once and cached.
         """
-        if self._masked_weights is None:
-            masks = self.plan.leaf_masks(self.n_bits, packed=True)
-            flat = self.weight_streams.reshape(2 * self.filters, self.taps, -1)
-            self._masked_weights = flat & masks
-        return self._masked_weights
+        if self._tables is None:
+            n = self.n_bits
+            words = self.weight_streams.reshape(2 * self.filters, self.taps, -1)
+            if not self.plan.supports_count_reduction:
+                words = words & self.plan.leaf_masks(n, packed=True)
+            order = self.engine._input_sng().sort_order(n)
+            bits = unpack_bits(words, n)[..., order].transpose(1, 2, 0)
+            tables = np.zeros((self.taps, n + 1, 2 * self.filters), dtype=level_dtype(n))
+            np.cumsum(bits, axis=1, dtype=tables.dtype, out=tables[:, 1:])
+            self._tables = tables
+        return self._tables
+
+    def _table_counts(self, levels: np.ndarray) -> np.ndarray:
+        """Lane-major root counts ``(..., 2 * filters)`` from comparator levels."""
+        n = self.n_bits
+        if levels.size and (levels.min() < 0 or levels.max() > n):
+            raise ValueError(f"comparator levels must lie in [0, {n}]")
+        tables = self.leaf_tables()
+        rows = levels + np.arange(self.taps) * (n + 1)
+        # Tap axis first: ``(taps, ..., lanes)``, one table row per gather.
+        leaf = np.take(tables.reshape(-1, 2 * self.filters), np.moveaxis(rows, -1, 0), axis=0)
+        if self.plan.supports_count_reduction:
+            return self.plan.reduce_counts(np.moveaxis(leaf, 0, -1))
+        # A lane's masks are disjoint, so its root count (at most N) fits the
+        # table dtype.
+        return leaf.sum(axis=0, dtype=tables.dtype).astype(np.int64)
 
     def counts(self, prepared: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Positive and negative tree counts for prepared input streams.
+        """Positive and negative tree counts for prepared inputs.
 
-        ``prepared`` is the output of
-        :meth:`StochasticDotProductEngine.prepare_inputs`, shape
-        ``(..., taps, W)``; returns ``(positive, negative)`` int64 count
-        arrays of shape ``(..., filters)``.
+        ``prepared`` is either the comparator levels of
+        :meth:`StochasticDotProductEngine.prepare_inputs` -- integers of
+        shape ``(..., taps)`` -- or packed input streams of shape
+        ``(..., taps, W)`` uint64, as
+        :meth:`~StochasticDotProductEngine.apply_faults` returns under
+        stream faults.  Returns ``(positive, negative)`` int64 count arrays
+        of shape ``(..., filters)``.
 
-        The engine's :attr:`~StochasticDotProductEngine.mode` selects the
-        evaluation: in count mode (the default whenever exact) TFF trees
-        reduce integer leaf counts and MUX trees apply the cached select
-        masks -- neither materializes an adder-tree stream tensor -- while
-        stream mode runs the reference level-by-level reduction.  Every path
+        Levels in count mode (the engine's :attr:`~StochasticDotProductEngine.mode`,
+        the default whenever exact) are one gather from the
+        :meth:`leaf_tables`: TFF trees halve the gathered leaf counts
+        (:meth:`TreePlan.reduce_counts`) and MUX trees sum them over taps.
+        Everything else -- stream mode, OR trees, packed streams -- runs
+        the reference level-by-level reduction (:meth:`TreePlan.reduce_packed`),
+        expanding levels into streams first
+        (:meth:`~StochasticDotProductEngine.input_words`).  Every path
         produces identical counts.
         """
         x = np.asarray(prepared)
+        if x.dtype != np.uint64:
+            if not np.issubdtype(x.dtype, np.integer):
+                raise TypeError(
+                    "prepared inputs must be integer comparator levels or "
+                    f"uint64 stream words, got dtype {x.dtype}"
+                )
+            if x.ndim < 1 or x.shape[-1] != self.taps:
+                raise ValueError(
+                    f"comparator levels must have {self.taps} taps on axis -1, "
+                    f"got shape {x.shape}"
+                )
+            if self.engine._use_count_mode(self.plan):
+                return self._split(self._table_counts(x))
+            x = self.engine.input_words(x)
         if x.ndim < 2 or x.shape[-2] != self.taps:
             raise ValueError(
-                f"prepared inputs must have {self.taps} taps on axis -2, "
+                f"prepared streams must have {self.taps} taps on axis -2, "
                 f"got shape {x.shape}"
             )
-        use_counts = self.engine._use_count_mode(self.plan)
-        if use_counts and not self.plan.supports_count_reduction:
-            # All-MUX count mode: accumulate the select-masked products
-            # tap by tap (bounded temporaries) and popcount once per lane.
-            masked_w = self._masked_weight_bank()
-            acc = np.zeros(
-                x.shape[:-2] + (2 * self.filters, x.shape[-1]), dtype=x.dtype
-            )
-            for t in range(self.taps):
-                acc |= x[..., t, :][..., np.newaxis, :] & masked_w[:, t, :]
-            flat_counts = packed_popcount(acc)
-        else:
-            # Tap products, lane-major: ``(..., 2 * filters, taps, W)``.
-            lanes = x[..., np.newaxis, :, :] & self.weight_streams.reshape(
-                2 * self.filters, self.taps, -1
-            )
-            if use_counts:
-                # All-TFF trees admit the exact count-domain shortcut:
-                # popcount the tap products once, then reduce integer counts
-                # level by level (floor/ceil halving) -- provably
-                # bit-identical to the stream-level tree.
-                flat_counts = self.plan.reduce_counts(packed_popcount(lanes))
-            else:
-                flat_counts = packed_popcount(
-                    self.plan.reduce_packed(lanes, self.n_bits)
-                )
+        # Tap products, lane-major: ``(..., 2 * filters, taps, W)``.
+        lanes = x[..., np.newaxis, :, :] & self.weight_streams.reshape(
+            2 * self.filters, self.taps, -1
+        )
+        return self._split(packed_popcount(self.plan.reduce_packed(lanes, self.n_bits)))
+
+    def _split(self, flat_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Lane-major ``(..., 2 * filters)`` counts to ``(positive, negative)``."""
         stacked = flat_counts.reshape(flat_counts.shape[:-1] + (self.filters, 2))
         return stacked[..., 0], stacked[..., 1]
 
@@ -294,13 +340,14 @@ class PreparedWeights:
 class StochasticDotProductEngine:
     """A configurable stochastic dot-product engine.
 
-    Streams are simulated as packed words -- 64 clock cycles per uint64
-    (:mod:`repro.bitstream.packed`) -- and every evaluation runs through a
-    :class:`PreparedWeights` bank: :meth:`prepare_inputs` converts values to
-    input streams, :meth:`apply_faults` corrupts them, and
+    Every evaluation runs through a :class:`PreparedWeights` bank:
+    :meth:`prepare_inputs` converts values to comparator levels,
+    :meth:`apply_faults` expands and corrupts them under stream faults, and
     :meth:`prepare_weights` builds the bank whose
-    :meth:`~PreparedWeights.counts` reduces them.  :meth:`dot` and
-    :meth:`dot_filters` wrap those three steps.  The byte-per-bit reference
+    :meth:`~PreparedWeights.counts` evaluates them.  :meth:`dot` and
+    :meth:`dot_filters` wrap those three steps.  Streams are simulated as
+    packed words -- 64 clock cycles per uint64
+    (:mod:`repro.bitstream.packed`); the byte-per-bit reference
     :func:`stochastic_dot_product` produces the same counter values.
 
     Parameters
@@ -318,10 +365,11 @@ class StochasticDotProductEngine:
     seed:
         Seed for LFSR-based and MUX-select sources.
     mode:
-        ``"counts"`` evaluates the adder tree in the count domain -- integer
-        halving for TFF trees, cached select masks for MUX trees -- and
-        never materializes a tree stream tensor; ``"streams"`` forces the
-        reference stream reduction; ``"auto"`` (the resolution default)
+        ``"counts"`` evaluates the adder tree in the count domain -- leaf
+        counts gathered from the bank's leaf tables, halved per level for
+        TFF trees and summed over select-masked taps for MUX trees -- and
+        never builds a stream; ``"streams"`` forces the reference stream
+        reduction; ``"auto"`` (the resolution default)
         picks counts whenever the configuration admits the exact shortcut
         (TFF and MUX trees do, OR trees do not).  Every mode produces
         bit-identical counter values; the choice only affects speed and
@@ -332,13 +380,16 @@ class StochasticDotProductEngine:
         environment.  Stream-level faults (flips, stuck-at, bursts) are
         injected into the *input* streams -- by :meth:`dot` /
         :meth:`dot_filters` directly, or by tile drivers calling
-        :meth:`apply_faults` with their tile offset -- and force the
-        stream-domain evaluation: the count-domain shortcuts assume
+        :meth:`apply_faults` with their tile offset, which expands the
+        levels into streams first -- and force the stream-domain
+        evaluation: the count-domain shortcuts assume
         uncorrupted tree inputs, so ``mode="auto"`` resolves to streams
         whenever stream faults are active and an explicit ``mode="counts"``
         raises.  ``sng_stuck_cells`` additionally defects the LFSR of
-        LFSR-based input SNGs.  Injection is seed-deterministic and
-        bit-identical across tilings and repeated calls.
+        LFSR-based input SNGs; its tied source values keep the level
+        representation exact (count mode stays available).  Injection is
+        seed-deterministic and bit-identical across tilings and repeated
+        calls.
     """
 
     #: Stream representation, recorded in run manifests: packed uint64 words.
@@ -389,9 +440,11 @@ class StochasticDotProductEngine:
     def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:
         """Inject the engine's stream faults into :meth:`prepare_inputs` output.
 
-        ``offset`` is the global index of the first stream in ``prepared``
-        (tile drivers pass their tile start so any ``tile_patches`` value
-        yields bit-identical faulted streams).  A no-op when no stream fault
+        Expands the comparator levels into packed streams
+        (:meth:`input_words`) and corrupts them; ``offset`` is the global
+        index of the first stream in ``prepared`` (tile drivers pass their
+        tile start so any ``tile_patches`` value yields bit-identical
+        faulted streams).  Returns the levels unchanged when no stream fault
         channel is active.  :meth:`dot` and :meth:`dot_filters` call this
         internally at offset 0; callers feeding
         :meth:`PreparedWeights.counts` directly apply it themselves so the
@@ -400,7 +453,9 @@ class StochasticDotProductEngine:
         """
         if not self._stream_faults_active:
             return prepared
-        return self.faults.plan().apply(prepared, self.length, offset=offset)
+        return self.faults.plan().apply(
+            self.input_words(prepared), self.length, offset=offset
+        )
 
     def _use_count_mode(self, plan: TreePlan) -> bool:
         """Whether ``plan`` should reduce in the count domain under :attr:`mode`."""
@@ -419,7 +474,7 @@ class StochasticDotProductEngine:
         return supported
 
     # ------------------------------------------------------------------ #
-    # stream generation
+    # input levels and streams
     # ------------------------------------------------------------------ #
     @property
     def length(self) -> int:
@@ -427,18 +482,34 @@ class StochasticDotProductEngine:
         return stream_length(self.precision)
 
     def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
-        """Convert unipolar input values ``(...,)`` to packed streams ``(..., W)``.
+        """Convert unipolar input values ``(...,)`` to comparator levels ``(...,)``.
 
-        ``W = ceil(N / 64)`` uint64 words per stream.  Generation is
-        stateless, so the result can be fed to any number of banks and
-        tiles (after :meth:`apply_faults`).
+        The input SNG's levels ``c = #{n : s[n] < v}``
+        (:meth:`~repro.rng.sng.ComparatorSNG.levels`; see "Comparator
+        levels" in the module docstring).  Values are clipped to ``[0, 1]``;
+        NaN or infinite values raise ``ValueError``.  Conversion is
+        stateless, so the result can be fed to any number of banks and tiles
+        (after :meth:`apply_faults`); :meth:`input_words` expands it into
+        the packed streams.
         """
         values = np.asarray(values, dtype=np.float64)
-        if self.input_generator == "ramp":
-            return ramp_compare_packed(values, self.length)
-        return self._input_sng().generate_packed(values, self.length)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("input values must be finite")
+        return self._input_sng().levels(values, self.length)
+
+    def input_words(self, levels: np.ndarray) -> np.ndarray:
+        """Packed input streams ``levels.shape + (W,)`` of comparator levels.
+
+        ``W = ceil(N / 64)`` uint64 words per stream, holding exactly the
+        bits the input SNG's comparator emits for the values behind
+        ``levels``.  Needed only by the stream paths: stream faults, stream
+        mode and OR trees.
+        """
+        return self._input_sng().expand_levels(levels, self.length)
 
     def _input_sng(self) -> ComparatorSNG:
+        if self.input_generator == "ramp":
+            return RampCompareSNG(self.precision)
         if self.input_generator == "lfsr":
             stuck = self.faults.sng_stuck_cells if self.faults is not None else ()
             return ComparatorSNG(

@@ -50,17 +50,22 @@ see :mod:`repro.sc.mode`):
 
 * **all-TFF trees** -- every node's output ones-count is exactly
   ``floor/ceil((ones_x + ones_y) / 2)``, so :meth:`TreePlan.reduce_counts`
-  halves integer leaf counts level by level;
+  halves integer leaf counts level by level (in int16 while the counts stay
+  below ``2**14``);
 * **all-MUX trees** -- at each clock cycle the select bits along the tree
   pick exactly one leaf whose bit the root forwards (or a zero pad), so
   pushing the cached select streams down the tree yields one disjoint
   *ownership mask* per leaf (:meth:`TreePlan.leaf_masks`) and the root count
-  is a single masked popcount over the leaf streams
-  (:meth:`TreePlan.masked_counts_packed`).
+  is the sum of the masked leaf counts.
 
-Both shortcuts are bit-identical to reducing the streams; OR trees are
-position-dependent in a way neither shortcut captures and always reduce
-streams.
+Neither needs the leaf streams themselves, only their ones-counts.  The
+unipolar engine (:class:`~repro.sc.dotproduct.PreparedWeights`) takes them
+from leaf tables indexed by the inputs' comparator levels -- for MUX trees
+built from mask-ANDed weight streams -- so its count mode builds no stream
+at all; the bipolar engine popcounts its XNOR products
+(:meth:`TreePlan.masked_counts_packed` for MUX trees).  Both shortcuts are
+bit-identical to reducing the streams; OR trees are position-dependent in a
+way neither shortcut captures and always reduce streams.
 """
 
 from __future__ import annotations
@@ -468,24 +473,28 @@ class TreePlan:
                 f"expected (..., {self.lanes} lanes, {self.count}) leaf "
                 f"counts, got shape {arr.shape}"
             )
-        # Ones-counts below 2**30 cannot overflow int32 when two are summed,
-        # and the narrower type halves the memory traffic of every level.
-        small = arr.size == 0 or int(arr.max()) < 1 << 30
-        dtype = np.int32 if small else np.int64
-        # Zero-count leaves padded up to the full 2**depth once are exactly
-        # the per-level zero-stream pads of the stream reduction: real nodes
-        # stay left-aligned at every level and zero nodes stay zero under
-        # both rounding directions.
-        level = np.zeros(arr.shape[:-1] + (1 << self.depth,), dtype=dtype)
-        level[..., : self.count] = arr
+        # Two summed ones-counts (plus the rounding one) must fit the halving
+        # dtype: below 2**14 they fit int16, below 2**30 int32; the narrower
+        # type cuts the memory traffic of every level.
+        peak = int(arr.max()) if arr.size else 0
+        dtype = np.int16 if peak < 1 << 14 else np.int32 if peak < 1 << 30 else np.int64
+        # The leaf axis leads, so every level adds whole contiguous
+        # ``(..., lanes)`` slabs.  An odd level's last node pairs with a
+        # zero-count pad -- exactly the zero-stream pad of the stream
+        # reduction -- and halves its lone input under either rounding.
+        level = np.moveaxis(arr, -1, 0)
         for group in self._groups:
-            total = level[..., 0::2] + level[..., 1::2]
+            pairs, odd = divmod(level.shape[0], 2)
+            total = np.empty((pairs + odd,) + level.shape[1:], dtype=dtype)
+            np.add(level[0 : 2 * pairs : 2], level[1 : 2 * pairs : 2], out=total[:pairs])
+            if odd:
+                total[pairs] = level[-1]
             if group[1]:
                 # initial_state selects the rounding: floor for 0, ceil for 1.
                 total += 1
             total >>= 1
             level = total
-        out = level[..., 0].astype(np.int64)
+        out = level[0].astype(np.int64)
         return out[..., 0] if self.lanes == 1 else out
 
     @property

@@ -11,9 +11,12 @@ The dot-product engines can evaluate their adder trees two ways:
   leaf-product counts by integer halving per level.  For all-MUX trees the
   cached per-node select streams determine, for every clock cycle, which
   *leaf* the root forwards; folding those select decisions into per-leaf
-  ownership masks makes the root count one masked popcount over the leaf
-  products.  Both shortcuts are provably bit-identical to the stream path --
-  the mode changes speed and memory only, never a counter value.
+  ownership masks makes the root count the sum of the masked leaf-product
+  counts.  The unipolar engine reads those leaf counts from tables indexed
+  by its inputs' comparator levels, so it builds no input stream either
+  (:mod:`repro.sc.dotproduct`).  Both shortcuts are provably bit-identical
+  to the stream path -- the mode changes speed and memory only, never a
+  counter value.
 * ``"auto"`` (default) -- use ``"counts"`` whenever the configured adder
   tree admits an exact count-domain evaluation (TFF and MUX trees do; OR
   trees are value-approximate in a position-dependent way and always run as

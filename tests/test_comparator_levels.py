@@ -1,0 +1,177 @@
+"""Comparator levels: the unipolar engine's prepared inputs.
+
+Every input SNG of the unipolar engine compares its value against one shared
+source sequence ``s`` (the ramp, van der Corput or an LFSR), so the engine
+prepares an input as its level ``c = #{n : s[n] < v}`` and expands it into
+streams only where a stream path needs them.  These tests pin that the
+levels reproduce the comparator's streams bit for bit -- source ties
+included (the LFSR's repeated value, sources collapsed by stuck register
+cells) -- and that the count-mode leaf tables built on them give the stream
+path's counters at both level dtypes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bitstream.packed import pack_bits, packed_popcount
+from repro.faults import FaultSpec
+from repro.rng import ComparatorSNG, LFSRSource, level_dtype
+from repro.sc import StochasticDotProductEngine
+
+import sc_oracle
+
+#: Input generators under test; ``lfsr_stuck`` is an LFSR with stuck cells.
+GENERATORS = ["ramp", "lowdisc", "lfsr", "lfsr_stuck"]
+
+
+def make_engine(generator, precision, seed=1, stuck_cells=None):
+    faults = None
+    if generator == "lfsr_stuck":
+        if stuck_cells is None:
+            stuck_cells = ((0, 1), (precision - 1, 0))
+        faults = FaultSpec(sng_stuck_cells=stuck_cells)
+    return StochasticDotProductEngine(
+        precision=precision,
+        input_generator=generator.split("_")[0],
+        seed=seed,
+        faults=faults,
+    )
+
+
+def assert_levels_match_comparator(engine, values):
+    levels = engine.prepare_inputs(values)
+    assert levels.shape == values.shape
+    assert levels.dtype == level_dtype(engine.length)
+    words = engine.input_words(levels)
+    np.testing.assert_array_equal(words, pack_bits(sc_oracle.input_bits(engine, values)))
+    np.testing.assert_array_equal(packed_popcount(words), levels)
+
+
+def source_points(engine):
+    """Every source value, its float neighbours and the range edges."""
+    source = engine._input_sng().source.sequence(engine.length)
+    return np.concatenate(
+        [
+            source,
+            np.nextafter(source, -np.inf),
+            np.nextafter(source, np.inf),
+            [0.0, 1.0, -0.0, -0.25, 1.5, np.nextafter(1.0, 2.0)],
+        ]
+    )
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("precision", range(2, 11))
+def test_every_source_point_and_neighbour(generator, precision):
+    engine = make_engine(generator, precision)
+    assert_levels_match_comparator(engine, source_points(engine))
+
+
+@st.composite
+def engines(draw):
+    generator = draw(st.sampled_from(GENERATORS))
+    precision = draw(st.integers(min_value=2, max_value=10))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, precision - 1), st.integers(0, 1)),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda cell: cell[0],
+        )
+    )
+    seed = draw(st.integers(min_value=1, max_value=1000))
+    return make_engine(generator, precision, seed=seed, stuck_cells=tuple(cells))
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine=engines(), data=st.data())
+def test_levels_reproduce_comparator_streams(engine, data):
+    source = engine._input_sng().source.sequence(engine.length)
+    points = np.asarray(data.draw(st.lists(st.sampled_from(source.tolist()), max_size=6)))
+    direction = data.draw(st.sampled_from([-np.inf, np.inf]))
+    values = np.concatenate(
+        [
+            data.draw(st.lists(st.floats(0.0, 1.0), max_size=6)),
+            points,
+            np.nextafter(points, direction),
+            data.draw(
+                st.lists(
+                    st.one_of(st.floats(-4.0, -1e-12), st.floats(1.0 + 1e-12, 4.0)),
+                    max_size=3,
+                )
+            ),
+        ]
+    )
+    assert_levels_match_comparator(engine, values.reshape(1, -1))
+
+
+def test_stuck_cells_create_source_ties():
+    # The premise of the lfsr_stuck generator: its source repeats values.
+    engine = make_engine("lfsr_stuck", 8)
+    source = engine._input_sng().source.sequence(engine.length)
+    assert np.unique(source).size < source.size // 4
+
+
+def test_sort_order_is_stable_under_ties():
+    sng = ComparatorSNG(LFSRSource(6, seed=3, stuck_cells=((1, 1), (4, 0))))
+    source = sng.source.sequence(64)
+    order = sng.sort_order(64)
+    np.testing.assert_array_equal(source[order], np.sort(source))
+    for value in np.unique(source):
+        tied = order[source[order] == value]
+        np.testing.assert_array_equal(tied, np.sort(tied))
+
+
+def test_level_dtype_switches_above_precision_14():
+    assert level_dtype(1 << 14) == np.int16
+    assert level_dtype(1 << 15) == np.int32
+
+
+@pytest.mark.parametrize("adder", ["tff", "mux"])
+def test_int32_levels_and_tables_match_streams(adder):
+    # Precision 15: int32 levels and tables, leaf counts beyond the int16
+    # halving range of TreePlan.reduce_counts.
+    rng = np.random.default_rng(15)
+    x = np.concatenate([rng.random((3, 3)), np.ones((1, 3))])
+    kernels = np.array([[1.0, -0.75, 0.5]])
+    engines = {
+        mode: StochasticDotProductEngine(precision=15, adder=adder, seed=2, mode=mode)
+        for mode in ("counts", "streams")
+    }
+    assert engines["counts"].prepare_inputs(x).dtype == np.int32
+    counted = engines["counts"].dot_filters(x, kernels)
+    streamed = engines["streams"].dot_filters(x, kernels)
+    np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
+    np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+    assert counted.positive_count.max() >= 1 << 13
+
+
+def test_counts_validates_prepared_inputs():
+    engine = StochasticDotProductEngine(precision=4)
+    bank = engine.prepare_weights(np.full((2, 3), 0.5))
+    with pytest.raises(ValueError, match=r"\[0, 16\]"):
+        bank.counts(np.array([[0, 17, 3]], dtype=np.int16))
+    with pytest.raises(ValueError, match=r"\[0, 16\]"):
+        bank.counts(np.array([[0, -1, 3]], dtype=np.int16))
+    with pytest.raises(TypeError, match="levels"):
+        bank.counts(np.full((1, 3), 0.5))
+    # Levels and their expanded streams evaluate to the same counters.
+    levels = engine.prepare_inputs(np.array([[0.1, 0.6, 0.9]]))
+    by_levels = bank.counts(levels)
+    by_streams = bank.counts(engine.input_words(levels))
+    np.testing.assert_array_equal(by_levels[0], by_streams[0])
+    np.testing.assert_array_equal(by_levels[1], by_streams[1])
+
+
+def test_leaf_tables_are_built_once_per_bank():
+    engine = StochasticDotProductEngine(precision=5, adder="mux", input_generator="lfsr")
+    bank = engine.prepare_weights(np.random.default_rng(0).uniform(-1, 1, (3, 7)))
+    tables = bank.leaf_tables()
+    assert tables.shape == (7, 33, 6)
+    assert tables.dtype == np.int16
+    assert bank.leaf_tables() is tables
+    # Level 0 selects no cycle; the top level is the masked weight count.
+    assert not tables[:, 0].any()
+    masked = bank.weight_streams.reshape(6, 7, -1) & bank.plan.leaf_masks(32, packed=True)
+    np.testing.assert_array_equal(tables[:, -1], packed_popcount(masked).T)

@@ -32,7 +32,8 @@ from repro.sc import (
 )
 from repro.sc.elements.adders import TreePlan
 from repro.bitstream.packed import pack_bits
-from repro.utils.windows import patches_to_map
+from repro.faults import FaultSpec
+from repro.utils.windows import extract_patches, patches_to_map
 
 import sc_oracle
 
@@ -120,11 +121,26 @@ def test_engine_rejects_unknown_mode():
 # unipolar split-weight engine: counts == streams, bit for bit
 # --------------------------------------------------------------------- #
 
+#: Stuck LFSR cells collapse the input source to a few tied values, so
+#: many comparator levels share one threshold group.
+STUCK_CELLS = FaultSpec(sng_stuck_cells=((0, 1), (3, 0)))
+
+#: ``lfsr_stuck`` is the LFSR input generator with :data:`STUCK_CELLS`.
 UNIPOLAR_GENERATORS = [
     ("ramp", "lowdisc"),
     ("lfsr", "lfsr"),
     ("lowdisc", "lowdisc"),
+    ("lfsr_stuck", "lfsr"),
 ]
+
+
+def unipolar_engine(input_gen, **kwargs):
+    """An engine for one :data:`UNIPOLAR_GENERATORS` input generator."""
+    return StochasticDotProductEngine(
+        input_generator=input_gen.split("_")[0],
+        faults=STUCK_CELLS if input_gen == "lfsr_stuck" else None,
+        **kwargs,
+    )
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
@@ -137,9 +153,9 @@ def test_unipolar_counts_bit_identical(adder, reference, input_gen, weight_gen, 
     w = rng.uniform(-1.0, 1.0, taps)
 
     def make(mode):
-        return StochasticDotProductEngine(
-            precision=6, adder=adder, input_generator=input_gen,
-            weight_generator=weight_gen, seed=11, mode=mode,
+        return unipolar_engine(
+            input_gen, precision=6, adder=adder, weight_generator=weight_gen,
+            seed=11, mode=mode,
         )
 
     counted = make("counts").dot(x, w)
@@ -222,6 +238,39 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
         results["counts"].negative_count, results["streams"].negative_count
     )
     np.testing.assert_array_equal(results["counts"].sign, results["streams"].sign)
+
+
+@pytest.mark.parametrize("adder", ["tff", "mux"])
+def test_stuck_sng_cells_conv_tiled_bit_identical(adder):
+    """On a tied input source, the tiled count-mode conv matches the untiled
+    stream conv and the byte oracle -- both counters, over three successive
+    forwards on one engine (MUX selects keep running across calls)."""
+    rng = np.random.default_rng(32)
+    kernels = rng.uniform(-1.0, 1.0, (3, 3, 3))
+
+    def make(mode):
+        return unipolar_engine(
+            "lfsr_stuck", precision=6, adder=adder, weight_generator="lfsr",
+            seed=5, mode=mode,
+        )
+
+    source = make("counts")._input_sng().source.sequence(64)
+    assert np.unique(source).size < source.size
+    # 2 x 7 x 7 images give 98 patches; tiles of 9 do not divide them.
+    counted = StochasticConv2D(kernels, engine=make("counts"), padding=1, tile_patches=9)
+    streamed = StochasticConv2D(kernels, engine=make("streams"), padding=1)
+    oracle_engine = make("streams")
+    for _ in range(3):
+        images = rng.random((2, 7, 7))
+        pos, neg = (
+            patches_to_map(c, (7, 7))
+            for c in sc_oracle.dot_filters(
+                oracle_engine, extract_patches(images, (3, 3), 1, 1), kernels.reshape(3, 9)
+            )
+        )
+        for result in (counted.forward(images), streamed.forward(images)):
+            np.testing.assert_array_equal(result.positive_count, pos)
+            np.testing.assert_array_equal(result.negative_count, neg)
 
 
 # --------------------------------------------------------------------- #
@@ -385,6 +434,25 @@ def test_conv_still_rejects_out_of_range_pixels():
     layer = StochasticConv2D(kernels, engine=new_sc_engine(4), padding=1)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         layer.forward(np.full((1, 8, 8), 1.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        images = np.full((1, 8, 8), 0.5)
+        images[0, 3, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            layer.forward(images)
+
+
+def test_unipolar_engine_rejects_non_finite_inputs():
+    for factory in (new_sc_engine, old_sc_engine):
+        engine = factory(8)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                engine.dot(np.array([bad, 0.5]), np.array([0.5, 0.5]))
+            with pytest.raises(ValueError, match="finite"):
+                engine.prepare_inputs(np.array([[0.5, bad]]))
+        # Out-of-range finite values still clip, as the comparator does.
+        np.testing.assert_array_equal(
+            engine.prepare_inputs(np.array([-0.5, 1.5])), [0, engine.length]
+        )
 
 
 def test_conv_counts_stay_integer_dtype():
@@ -441,6 +509,9 @@ def test_bipolar_rejects_out_of_range_inputs():
         engine.dot(np.array([[0.0, 0.5, 1.5, -0.5]]), w)
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         engine.dot(np.array([[0.0, 0.5, -1.5, -0.5]]), w)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            engine.dot(np.array([[0.0, 0.5, bad, -0.5]]), w)
     # Exact boundary values stay legal.
     result = engine.dot(np.array([[1.0, -1.0, 0.0, 1.0]]), w)
     assert result.count.shape == (1,)

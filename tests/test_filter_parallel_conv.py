@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultSpec
 from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork
 from repro.nn import build_lenet5_small, quantize_and_freeze
 from repro.sc import StochasticConv2D, resolve_tile_patches
@@ -43,6 +44,14 @@ def per_filter_reference(reference, engine, x, kernels):
 
 def make_engine(adder, precision=5, mode=None):
     return StochasticDotProductEngine(precision=precision, adder=adder, seed=3, mode=mode)
+
+
+def stuck_cell_engine(adder, mode=None):
+    """An LFSR-input engine whose stuck SNG cells leave a tied source."""
+    return StochasticDotProductEngine(
+        precision=5, adder=adder, input_generator="lfsr", seed=3, mode=mode,
+        faults=FaultSpec(sng_stuck_cells=((1, 0), (2, 1))),
+    )
 
 
 class TestFilterBankEquivalence:
@@ -82,6 +91,25 @@ class TestFilterBankEquivalence:
             np.testing.assert_array_equal(single.negative_count, bank.negative_count[..., 0])
             assert single.tree_scale == bank.tree_scale
             assert dot_engine._mux_seed_counter == bank_engine._mux_seed_counter
+
+    @pytest.mark.parametrize("adder", ["tff", "mux"])
+    @pytest.mark.parametrize("reference", ["packed", "unpacked"])
+    def test_stuck_sng_cells_bank_matches_per_filter_loop(self, adder, reference):
+        # A tied input source, three successive calls, and a tiled bank
+        # whose tile size does not divide the input count.
+        rng = np.random.default_rng(21)
+        kernels = rng.uniform(-1, 1, (5, 11))
+        reference_engine = stuck_cell_engine(adder, mode="streams")
+        bank_engine = stuck_cell_engine(adder)
+        for _ in range(3):
+            x = rng.random((10, 11))
+            pos_ref, neg_ref = per_filter_reference(reference, reference_engine, x, kernels)
+            bank = bank_engine.prepare_weights(kernels)
+            for start in range(0, 10, 4):
+                p, n = bank.counts(bank_engine.prepare_inputs(x[start : start + 4]))
+                np.testing.assert_array_equal(p, pos_ref[start : start + 4])
+                np.testing.assert_array_equal(n, neg_ref[start : start + 4])
+            assert bank_engine._mux_seed_counter == reference_engine._mux_seed_counter
 
     @pytest.mark.parametrize("reference", ["packed", "unpacked"])
     def test_bank_reuse_across_tiles_matches_untiled(self, reference):

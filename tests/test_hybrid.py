@@ -17,6 +17,11 @@ class TestSensorFrontEnd:
             SensorFrontEnd(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             SensorFrontEnd().acquire(np.array([[1.5]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SensorFrontEnd().acquire(np.array([[0.5, bad]]))
+            with pytest.raises(ValueError, match="finite"):
+                SensorFrontEnd(noise_sigma=0.1).acquire(np.array([[bad]]))
 
     def test_stream_length(self):
         assert SensorFrontEnd(precision=6).stream_length == 64

@@ -246,8 +246,9 @@ class TestDotProductEquivalence:
         for factory, precision in ((new_sc_engine, 6), (old_sc_engine, 5)):
             engine = factory(precision, seed=3)
             values = np.linspace(0.0, 1.0, 7).reshape(7, 1).repeat(2, axis=1)
+            # Prepared inputs are comparator levels; input_words expands them.
             np.testing.assert_array_equal(
-                unpack_bits(engine.prepare_inputs(values), engine.length),
+                unpack_bits(engine.input_words(engine.prepare_inputs(values)), engine.length),
                 sc_oracle.input_bits(engine, values),
             )
             w = np.linspace(-1.0, 1.0, 9)
