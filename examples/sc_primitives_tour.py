@@ -48,6 +48,8 @@ from repro.sc import (
     stochastic_dot_product,
     stochastic_to_binary,
 )
+from repro.sc.dotproduct import TILE_BYTES, tile_patches
+from repro.utils.windows import extract_patches, patches_to_map
 
 
 def section(title: str) -> None:
@@ -199,9 +201,10 @@ def main() -> None:
     # all-MUX trees build their tables from weight bits ANDed with disjoint
     # per-leaf select-ownership masks and sum them.  No stream is ever built.
     # Both shortcuts are exact -- identical counters, not close ones -- so the
-    # mode (engine arg, REPRO_MODE, or --mode on the CLI) trades speed and
-    # memory only.  OR trees are position-dependent and always run as streams
-    # ("counts" raises for them); input_words() expands levels into streams.
+    # engine's mode argument trades speed and memory only, and the default
+    # ("auto") always takes the count path where it exists.  OR trees are
+    # position-dependent and always run as streams ("counts" raises for
+    # them); input_words() expands levels into streams.
     levels = conv_engine.prepare_inputs(windows[:1, :4])
     words = conv_engine.input_words(levels)
     assert np.array_equal(packed_popcount(words), levels)
@@ -223,25 +226,27 @@ def main() -> None:
               f"({stream_s / count_s:.1f}x), identical counters")
 
     section("Tile-streamed execution: full-scale bit-exact runs in bounded memory")
-    # StochasticConv2D(tile_patches=...) / REPRO_TILE_PATCHES caps how many
-    # patches are in flight; counts are accumulated tile by tile and stay
-    # bit-identical for ANY tile size (level conversion is stateless, the
-    # weight bank -- select streams, leaf tables -- is reused).  This is what
-    # lets REPRO_BITEXACT=1 Table 3 runs cover the whole MNIST test set.
-    image = rng.random((1, 16, 16))
-    full_layer = StochasticConv2D(
-        conv_kernels.reshape(32, 5, 5), engine=StochasticDotProductEngine(
-            precision=8), padding=2)
-    tiled_layer = StochasticConv2D(
-        conv_kernels.reshape(32, 5, 5), engine=StochasticDotProductEngine(
-            precision=8), padding=2, tile_patches=60)
-    full = full_layer.forward(image)
-    tiled = tiled_layer.forward(image)
-    assert np.array_equal(full.positive_count, tiled.positive_count)
-    assert np.array_equal(full.sign, tiled.sign)
-    print(f"16x16 image, 32 kernels: untiled vs tile_patches=60 (doesn't divide "
-          f"256 patches) -> identical counters on all "
-          f"{full.positive_count.size} outputs")
+    # A filter bank's evaluate() cuts any batch into patch tiles by itself: a
+    # fixed byte budget over the per-patch size of the largest temporary on
+    # the path it runs -- here the gathered leaf counts.  Counts are
+    # accumulated tile by tile and stay bit-identical to one untiled pass
+    # (level conversion is stateless, the weight bank -- select streams,
+    # leaf tables -- is reused), so memory is bounded at any batch size.
+    # This is what lets REPRO_BITEXACT=1 Table 3 runs cover the whole MNIST
+    # test set.
+    images = rng.random((4, 28, 28))
+    tile_engine = StochasticDotProductEngine(precision=8)
+    tile = tile_patches(tile_engine, 32, 25)
+    tiled = StochasticConv2D(
+        conv_kernels.reshape(32, 5, 5), engine=tile_engine, padding=2).forward(images)
+    patches = extract_patches(images, (5, 5), 1, 2)
+    direct_pos, _ = tile_engine.prepare_weights(conv_kernels).counts(
+        tile_engine.prepare_inputs(patches))
+    assert np.array_equal(tiled.positive_count, patches_to_map(direct_pos, (28, 28)))
+    print(f"4 x 28x28 images, 32 kernels: {patches.shape[0] * patches.shape[1]} "
+          f"patches in automatic tiles of {tile} ({TILE_BYTES >> 20} MiB of leaf "
+          f"counts; doesn't divide them) -> identical counters to one direct "
+          f"counts call on all {tiled.positive_count.size} outputs")
 
     section("Batched multi-trace simulation: one run, a whole trace set")
     traces = 16
@@ -325,28 +330,28 @@ def main() -> None:
           f"{healthy.waveforms['stream'].mean():.3f}, stream stuck-at-0 -> "
           f"{stuck.waveforms['stream'].mean():.3f} (backends agree)")
 
-    # And the engine-level spec threads through a convolution tile: stream
-    # faults force the stream-domain evaluation and corrupt every tile at
-    # its global patch offset, so tiling never changes the faulted counts.
+    # And the engine-level spec threads through the convolution's tiles:
+    # stream faults force the stream-domain evaluation, whose lane products
+    # shrink the automatic tile, and corrupt every tile at its global patch
+    # offset, so tiling never changes the faulted counts.
     rng2 = np.random.default_rng(5)
-    tile_image = rng2.random((1, 12, 12))
-    tile_kernels = rng2.uniform(-1, 1, (4, 3, 3))
+    tile_image = rng2.random((1, 28, 28))
+    tile_kernels = rng2.uniform(-1, 1, (16, 3, 3))
     conv_spec = FaultSpec(flip_rate=0.01, seed=7)
     clean_conv = StochasticConv2D(
         tile_kernels, engine=StochasticDotProductEngine(precision=8),
         padding=1).forward(tile_image)
-    runs = [
-        StochasticConv2D(
-            tile_kernels,
-            engine=StochasticDotProductEngine(precision=8, faults=conv_spec),
-            padding=1, tile_patches=tile,
-        ).forward(tile_image)
-        for tile in (None, 37)
-    ]
-    assert np.array_equal(runs[0].positive_count, runs[1].positive_count)
-    agreement = (runs[0].sign == clean_conv.sign).mean()
-    print(f"conv tile under 1% stream flips: sign agreement {agreement:.3f} "
-          f"vs clean, untiled == tile_patches=37 bit-identically")
+    fault_engine = StochasticDotProductEngine(precision=8, faults=conv_spec)
+    faulted_conv = StochasticConv2D(
+        tile_kernels, engine=fault_engine, padding=1).forward(tile_image)
+    fault_patches = extract_patches(tile_image, (3, 3), 1, 1)
+    direct_pos, _ = fault_engine.prepare_weights(tile_kernels.reshape(16, 9)).counts(
+        fault_engine.apply_faults(fault_engine.prepare_inputs(fault_patches)))
+    assert np.array_equal(faulted_conv.positive_count, patches_to_map(direct_pos, (28, 28)))
+    agreement = (faulted_conv.sign == clean_conv.sign).mean()
+    print(f"conv under 1% stream flips: sign agreement {agreement:.3f} vs clean; "
+          f"784 patches in automatic tiles of {tile_patches(fault_engine, 16, 9)} "
+          f"== one direct counts call, bit-identically")
 
 
 if __name__ == "__main__":

@@ -22,16 +22,11 @@ the fanout histogram and critical-path statistics.
 
 The accuracy experiment honours the same environment variables as the
 benchmark suite (REPRO_TRAIN_SIZE, REPRO_TEST_SIZE, REPRO_BITEXACT,
-REPRO_EVAL_IMAGES, REPRO_MODE, REPRO_TILE_PATCHES).  For full-test-set
-bit-exact runs (``REPRO_BITEXACT=1`` without ``REPRO_EVAL_IMAGES``), pass
-``accuracy --tile-patches P`` (or set ``REPRO_TILE_PATCHES``) to stream the
-stochastic convolution in bounded-memory patch tiles.  Stochastic streams
-are always simulated as packed 64-bit words.  ``table1``, ``table2`` and
-``accuracy`` accept ``--mode {auto,counts,streams}`` (or ``REPRO_MODE``) to
-choose the adder-tree evaluation mode: ``counts`` runs the exact count-domain shortcut
-(no adder-tree stream tensors), ``streams`` forces the reference stream
-reduction, and ``auto`` -- the default -- picks counts whenever exact.
-Every mode is bit-identical; the knob trades speed and memory only.
+REPRO_EVAL_IMAGES).  Bit-exact runs stream the stochastic convolution in
+byte-budgeted patch tiles by default, so full-test-set runs
+(``REPRO_BITEXACT=1`` without ``REPRO_EVAL_IMAGES``) stay in bounded memory,
+and the engines take the exact count-domain shortcut whenever it applies.
+Stochastic streams are always simulated as packed 64-bit words.
 ``activity`` runs the PrimeTime-style switching-annotated power
 estimate: it simulates the Table 3 stochastic dot-product netlist against a
 random bit-stream trace and rolls the per-net toggle counts into power;
@@ -58,8 +53,6 @@ import argparse
 from typing import Optional, Sequence
 
 from .bitstream import BACKENDS
-from .sc import MODES, resolve_mode
-
 from .eval import (
     AccuracyConfig,
     format_headline_claims,
@@ -95,27 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_mode(subparser: argparse.ArgumentParser) -> None:
-        # No hard-coded default: an omitted flag defers to REPRO_MODE (then
-        # "auto"), while an explicit flag beats the environment.
-        subparser.add_argument(
-            "--mode", choices=MODES, default=None,
-            help="adder-tree evaluation mode: counts (exact count-domain "
-                 "shortcut), streams (reference stream reduction) or auto "
-                 "(counts whenever exact); bit-identical results either way "
-                 "(default: $REPRO_MODE or auto)",
-        )
-
     table1 = sub.add_parser("table1", help="stochastic multiplier MSE (Table 1)")
     table1.add_argument(
         "--precisions", type=_parse_precisions, default=(8, 4),
         help="comma-separated precisions, e.g. 8,4",
     )
-    add_mode(table1)
 
     table2 = sub.add_parser("table2", help="stochastic adder MSE (Table 2)")
     table2.add_argument("--precisions", type=_parse_precisions, default=(8, 4))
-    add_mode(table2)
 
     hardware = sub.add_parser("hardware", help="power / energy / area (Table 3 bottom)")
     hardware.add_argument("--precisions", type=_parse_precisions, default=(8, 7, 6, 5, 4, 3, 2))
@@ -140,14 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     accuracy.add_argument("--quick", action="store_true", help="small smoke-test configuration")
     accuracy.add_argument("--no-retrain-row", action="store_true",
                           help="also report the no-retraining ablation row")
-    accuracy.add_argument(
-        "--tile-patches", type=int, default=None, metavar="P",
-        help="simulate at most P image patches at once in the bit-exact "
-             "stochastic path (bounded memory at full-test-set scale; "
-             "bit-identical for any tile size; default: $REPRO_TILE_PATCHES "
-             "or untiled)",
-    )
-    add_mode(accuracy)
 
     activity = sub.add_parser(
         "activity",
@@ -222,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults_cmd.add_argument("--seed", type=int, default=0,
                             help="master seed (dataset, kernels, fault seeds)")
     faults_cmd.add_argument(
-        "--tile-patches", type=int, default=None, metavar="P",
-        help="simulate at most P image patches at once (bit-identical for "
-             "any tile size; default: $REPRO_TILE_PATCHES or untiled)",
-    )
-    faults_cmd.add_argument(
         "--output", default="BENCH_faults.json", metavar="PATH",
         help="JSON artifact the curve is merged into (default BENCH_faults.json)",
     )
@@ -251,14 +218,6 @@ def _parse_rates(text: str) -> tuple:
         return parse_rates(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _resolve_mode(arg: Optional[str]) -> str:
-    """CLI wrapper for :func:`repro.sc.resolve_mode`: fail with a clean message."""
-    try:
-        return resolve_mode(arg)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}") from exc
 
 
 def _run_activity(args: argparse.Namespace) -> None:
@@ -364,7 +323,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         write_artifact,
     )
 
-    kwargs = dict(seed=args.seed, tile_patches=args.tile_patches)
+    kwargs = dict(seed=args.seed)
     if args.quick:
         kwargs.update(
             rates=(0.0, 1e-3, 1e-2),
@@ -401,11 +360,7 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 
 def _accuracy_config(args: argparse.Namespace) -> AccuracyConfig:
-    kwargs = dict(
-        include_no_retrain=args.no_retrain_row,
-        mode=_resolve_mode(args.mode),
-        tile_patches=args.tile_patches,
-    )
+    kwargs = dict(include_no_retrain=args.no_retrain_row)
     if args.quick:
         kwargs.update(
             precisions=(8, 4, 2),
@@ -425,9 +380,8 @@ def _accuracy_config(args: argparse.Namespace) -> AccuracyConfig:
     try:
         return AccuracyConfig(**kwargs)
     except ValueError as exc:
-        # e.g. a bad --tile-patches value or an unusable REPRO_TILE_PATCHES /
-        # REPRO_EVAL_IMAGES environment setting: fail with the same clean
-        # message style as other flag errors, not a traceback.
+        # e.g. an unusable REPRO_EVAL_IMAGES environment setting: fail with
+        # the same clean message style as other flag errors, not a traceback.
         raise SystemExit(f"repro: error: {exc}") from exc
 
 
@@ -436,11 +390,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "table1":
-        mode = _resolve_mode(args.mode)
-        print(format_table1(run_table1(precisions=args.precisions, mode=mode)))
+        print(format_table1(run_table1(precisions=args.precisions)))
     elif args.command == "table2":
-        mode = _resolve_mode(args.mode)
-        print(format_table2(run_table2(precisions=args.precisions, mode=mode)))
+        print(format_table2(run_table2(precisions=args.precisions)))
     elif args.command == "hardware":
         if args.activity_traces < 0:
             raise SystemExit("repro: error: --activity-traces must be non-negative")

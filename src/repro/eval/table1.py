@@ -16,7 +16,6 @@ import numpy as np
 from ..bitstream import stream_length
 from ..bitstream.packed import packed_popcount
 from ..rng.sng import TABLE1_SCHEMES, sng_pair
-from ..sc.dotproduct import resolve_mode
 
 __all__ = ["Table1Result", "multiplier_mse", "run_table1"]
 
@@ -42,20 +41,13 @@ def multiplier_mse(
     scheme: str,
     precision: int,
     seed: int = 1,
-    mode: str | None = None,
 ) -> float:
     """Exhaustive MSE of the AND multiplier under one number-generation scheme.
 
     Every representable value pair ``(k/N, m/N)`` for ``k, m`` in ``0..N`` is
     multiplied with streams of length ``N = 2**precision`` and compared with
     the exact product.  The AND/popcount sweep runs on packed 64-bit words.
-
-    ``mode`` is accepted (and validated, see :mod:`repro.sc.mode`) for
-    interface symmetry with the other table evaluators, but the multiplier
-    sweep involves no adder tree: its estimate is already one popcount of the
-    AND product, so ``"counts"`` and ``"streams"`` run the identical code.
     """
-    resolve_mode(mode)
     n = stream_length(precision)
     values = np.arange(n + 1, dtype=np.float64) / n
     sng_x, sng_y = sng_pair(scheme, precision, seed=seed)
@@ -71,14 +63,13 @@ def run_table1(
     precisions: Sequence[int] = (8, 4),
     schemes: Sequence[str] | None = None,
     seed: int = 1,
-    mode: str | None = None,
 ) -> Table1Result:
     """Reproduce Table 1 for the requested precisions and schemes."""
     schemes = list(schemes) if schemes is not None else list(TABLE1_SCHEMES)
     mse: Dict[str, Dict[int, float]] = {}
     for scheme in schemes:
         mse[scheme] = {
-            precision: multiplier_mse(scheme, precision, seed=seed, mode=mode)
+            precision: multiplier_mse(scheme, precision, seed=seed)
             for precision in precisions
         }
     return Table1Result(mse=mse, precisions=tuple(precisions))

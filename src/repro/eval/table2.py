@@ -152,14 +152,13 @@ def run_table2(
     precisions: Sequence[int] = (8, 4),
     configs: Sequence[str] | None = None,
     seed: int = 1,
-    mode: str | None = None,
 ) -> Table2Result:
     """Reproduce Table 2 for the requested precisions and adder configurations."""
     configs = list(configs) if configs is not None else list(ADDER_CONFIGS)
     mse: Dict[str, Dict[int, float]] = {}
     for config in configs:
         mse[config] = {
-            precision: adder_mse(config, precision, seed=seed, mode=mode)
+            precision: adder_mse(config, precision, seed=seed)
             for precision in precisions
         }
     return Table2Result(mse=mse, precisions=tuple(precisions))

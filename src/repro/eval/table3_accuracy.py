@@ -14,17 +14,18 @@ For every precision the harness produces three rows, mirroring the paper:
 The experiment is CPU-budget-aware: dataset sizes, training epochs and the
 number of bit-exact evaluation images are configurable (environment variables
 ``REPRO_TRAIN_SIZE``, ``REPRO_TEST_SIZE``, ``REPRO_EVAL_IMAGES``,
-``REPRO_BITEXACT``, ``REPRO_TILE_PATCHES``, ``REPRO_MODE``), and the
-stochastic rows default to the calibrated fast emulator validated against
-bit-exact simulation (see :mod:`repro.hybrid.emulation`).  With
-``REPRO_BITEXACT=1`` the filter-parallel, tile-streamed
-convolution path (see :mod:`repro.sc.convolution`) lets the stochastic rows
-cover the full test set in bounded memory: set ``REPRO_TILE_PATCHES`` (or
-``tile_patches``) to cap how many image patches are in flight at once.
+``REPRO_BITEXACT``), and the stochastic rows default to the calibrated fast
+emulator validated against bit-exact simulation (see
+:mod:`repro.hybrid.emulation`).  With ``REPRO_BITEXACT=1`` the
+filter-parallel, tile-streamed convolution path (see
+:mod:`repro.sc.convolution`) lets the stochastic rows cover the full test
+set in bounded memory: its filter bank picks a byte-budgeted patch tile by
+itself.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -34,7 +35,7 @@ import numpy as np
 from ..datasets import load_dataset
 from ..hybrid import HybridStochasticBinaryNetwork
 from ..nn import Adam, Sequential, build_lenet5_small, quantize_and_freeze, retrain
-from ..sc import new_sc_engine, old_sc_engine, resolve_mode, resolve_tile_patches
+from ..sc import new_sc_engine, old_sc_engine
 
 __all__ = ["AccuracyConfig", "Table3AccuracyResult", "run_table3_accuracy"]
 
@@ -57,24 +58,12 @@ class AccuracyConfig:
     #: "emulate" mode: the calibrated emulator is validated for stream lengths
     #: of 8 and above, and bit-exact simulation is cheap for short streams.
     bitexact_below_bits: int = 4
-    #: Number of test images evaluated by the stochastic rows (None = all).
+    #: Number of test images evaluated by the stochastic rows: a positive
+    #: integer, or None for all of them (``REPRO_EVAL_IMAGES`` when unset;
+    #: 100 under bit-exact evaluation).
     sc_eval_images: Optional[int] = None
-    #: Patch-tile bound for the bit-exact stochastic path (and emulator
-    #: calibration): at most this many image patches are simulated at once,
-    #: keeping full-test-set ``REPRO_BITEXACT=1`` runs within bounded memory.
-    #: ``None`` defers to ``REPRO_TILE_PATCHES`` (then untiled); any tile
-    #: size is bit-identical to an untiled pass.
-    tile_patches: Optional[int] = None
     #: Soft-threshold level for the stochastic sign activation (fraction of range).
     soft_threshold: float = 0.02
-    #: Adder-tree evaluation mode for the stochastic engines: "counts" (exact
-    #: count-domain shortcut, no adder-tree stream tensors), "streams" (the
-    #: reference stream reduction) or "auto" (counts whenever exact -- TFF and
-    #: MUX trees; see :mod:`repro.sc.mode`).  Bit-identical counters either
-    #: way, so reported rates do not depend on it.  None resolves to the
-    #: REPRO_MODE environment variable, falling back to "auto"; an explicitly
-    #: passed value always wins over the environment.
-    mode: Optional[str] = None
     #: Retrain the binary remainder against a first layer that emulates the
     #: stochastic engine's resolution (input quantization + counter LSBs) for
     #: the stochastic rows, per the paper's "compensate for precision losses
@@ -90,14 +79,23 @@ class AccuracyConfig:
             raise ValueError("sc_mode must be 'emulate' or 'bitexact'")
         if os.environ.get("REPRO_BITEXACT") == "1":
             self.sc_mode = "bitexact"
-        self.mode = resolve_mode(self.mode)
-        self.tile_patches = resolve_tile_patches(self.tile_patches)
         if self.sc_eval_images is None:
             env = os.environ.get("REPRO_EVAL_IMAGES")
             if env is not None:
+                if not env.strip().isdecimal() or int(env) < 1:
+                    raise ValueError(
+                        f"REPRO_EVAL_IMAGES must be a positive integer, got {env!r}"
+                    )
                 self.sc_eval_images = int(env)
             elif self.sc_mode == "bitexact":
                 self.sc_eval_images = 100
+        value = self.sc_eval_images
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1
+        ):
+            raise ValueError(
+                f"sc_eval_images must be a positive integer or None, got {value!r}"
+            )
 
 
 @dataclass
@@ -203,10 +201,9 @@ def run_table3_accuracy(config: Optional[AccuracyConfig] = None) -> Table3Accura
         ):
             hybrid = HybridStochasticBinaryNetwork(
                 sc_model,
-                engine=engine_factory(precision, seed=config.seed + 1, mode=config.mode),
+                engine=engine_factory(precision, seed=config.seed + 1),
                 soft_threshold=config.soft_threshold,
                 seed=config.seed,
-                tile_patches=config.tile_patches,
             )
             rates[design][precision] = hybrid.misclassification_rate(
                 data.x_test,

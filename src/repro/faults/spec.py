@@ -23,8 +23,8 @@ corrupt bit-identically.
 Mask randomness is counter-hashed per global stream index (see
 :mod:`repro.faults.masks`): the caller passes the ``offset`` of its current
 tile into :meth:`FaultPlan.apply`, which is how tiled and untiled
-convolution passes, any ``tile_patches`` value, and repeated ``dot()`` calls
-all see identical faults.
+evaluation passes, every tile a filter bank picks, and repeated ``dot()``
+calls all see identical faults.
 
 :class:`NetlistFaults` carries stuck-at-cell-output faults for the gate
 level simulator (:func:`repro.netlist.simulator.simulate`), validated

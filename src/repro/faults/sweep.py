@@ -45,7 +45,6 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -91,8 +90,6 @@ class FaultSweepConfig:
     seed: int = 0
     #: Independent fault seeds averaged per rate.
     trials: int = 2
-    #: Patch-tile bound forwarded to the stochastic convolution.
-    tile_patches: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.rates:
@@ -187,10 +184,7 @@ def run_fault_sweep(config: FaultSweepConfig = FaultSweepConfig()) -> FaultSweep
     padding = config.kernel // 2
 
     engine = new_sc_engine(precision=config.precision)
-    conv = StochasticConv2D(
-        kernels, engine=engine, padding=padding, tile_patches=config.tile_patches
-    )
-    clean = conv.forward(images)
+    clean = StochasticConv2D(kernels, engine=engine, padding=padding).forward(images)
 
     taps = config.kernel * config.kernel
     patches = extract_patches(
@@ -211,7 +205,6 @@ def run_fault_sweep(config: FaultSweepConfig = FaultSweepConfig()) -> FaultSweep
                 kernels,
                 engine=dataclasses.replace(engine, faults=spec),
                 padding=padding,
-                tile_patches=config.tile_patches,
             ).forward(images)
             sc_agree.append(float(np.mean(faulted.sign == clean.sign)))
             sc_rmse.append(

@@ -33,9 +33,9 @@ positive-minus-negative counter difference) or the rejected
 :class:`~repro.sc.bipolar.BipolarDotProductEngine` (calibrating the single
 counter's offset from the mid-scale decision point ``N/2``), so the Section
 IV-B ablation can also run at full-test-set scale.  Both engines calibrate
-through one tile loop over their filter banks
-(:meth:`~repro.sc.dotproduct.StochasticDotProductEngine.prepare_weights`),
-honouring the engine's evaluation ``mode`` (:mod:`repro.sc.mode`): under
+through one call to their filter bank's tiled ``evaluate``
+(:meth:`~repro.sc.dotproduct.PreparedWeights.evaluate`), honouring the
+engine's evaluation ``mode`` (:mod:`repro.sc.mode`): under
 the default ``"auto"`` the residual samples come from the exact count-domain
 shortcut (TFF and MUX trees; for the unipolar engine a leaf-table gather on
 comparator levels, with no stream at all), so calibration speed scales with
@@ -61,10 +61,9 @@ from ..bitstream import quantize_bipolar, quantize_unipolar, unpack_bits
 from ..netlist import build_sc_dot_product, simulate_batch
 from ..netlist.simulator import BatchSimulationResult
 from ..sc.bipolar import BipolarDotProductEngine
-from ..sc.convolution import resolve_tile_patches
 from ..sc.dotproduct import StochasticDotProductEngine, split_weights
 from ..sc.elements.adders import AdderTree
-from ..utils.windows import extract_patches, patches_to_map
+from ..utils.windows import conv_output_size, extract_patches, patches_to_map
 
 __all__ = ["EmulationModel", "CalibratedSCEmulator"]
 
@@ -99,18 +98,15 @@ class CalibratedSCEmulator:
         split-weight unipolar engine or the bipolar alternative.
     seed:
         Seed of the generator used to resample emulation residuals.
-    tile_patches:
-        Upper bound on how many calibration windows are simulated bit-exactly
-        at once (the same tiling contract as
-        :class:`~repro.sc.convolution.StochasticConv2D`); ``None`` defers to
-        ``REPRO_TILE_PATCHES``, falling back to a single untiled pass.  Any
-        tile size produces bit-identical residuals.
+
+    Calibration windows are evaluated bit-exactly by the engine's filter
+    bank, which tiles them in bounded memory (the tiling contract of
+    :mod:`repro.sc.convolution`); tiling never changes a residual.
     """
 
     engine: Union[StochasticDotProductEngine, BipolarDotProductEngine]
     seed: int = 0
     model: Optional[EmulationModel] = field(default=None)
-    tile_patches: Optional[int] = None
 
     @property
     def _bipolar(self) -> bool:
@@ -142,31 +138,15 @@ class CalibratedSCEmulator:
             raise ValueError("tap count mismatch between inputs and weights")
 
         # Bit-exact reference evaluation: one filter bank covers every
-        # kernel per tile.  Inputs are prepared per tile (bounded memory at
-        # any sample count); preparation is stateless and the bank (weight
-        # streams, adder nodes, leaf tables) is shared across tiles, so tiling
-        # never changes a count.  Fault masks (if any) are keyed on the global
-        # sample index, so the residuals match the engine's faulted behaviour
-        # at any tiling.
-        samples = sample_inputs.shape[0]
-        tile = resolve_tile_patches(self.tile_patches)
-        tile = tile if tile is not None else max(samples, 1)
-        exact_diff = np.empty((samples, sample_weights.shape[0]), dtype=np.float64)
+        # kernel.  Fault masks (if any) are keyed on the global sample index,
+        # so the residuals match the engine's faulted behaviour.
         bank = self.engine.prepare_weights(sample_weights)
-        for start in range(0, samples, tile):
-            stop = min(start + tile, samples)
-            counts = bank.counts(
-                self.engine.apply_faults(
-                    self.engine.prepare_inputs(sample_inputs[start:stop]),
-                    offset=start,
-                )
-            )
-            if self._bipolar:
-                # Single counter: the sign activation compares it to N/2.
-                exact_diff[start:stop] = counts - self.engine.length // 2
-            else:
-                pos, neg = counts
-                exact_diff[start:stop] = pos - neg
+        if self._bipolar:
+            # Single counter: the sign activation compares it to N/2.
+            exact_diff = bank.evaluate(sample_inputs) - self.engine.length // 2
+        else:
+            pos, neg = bank.evaluate(sample_inputs)
+            exact_diff = pos - neg
         ideal_diff = self._ideal_difference(sample_inputs, sample_weights)
         # Kernel-major raveling matches the historical per-kernel ordering.
         stacked = (exact_diff - ideal_diff).T.ravel()
@@ -329,16 +309,21 @@ class CalibratedSCEmulator:
         kernels: np.ndarray,
         padding: int = 0,
         soft_threshold: float = 0.0,
+        stride: int = 1,
     ) -> np.ndarray:
-        """Emulated first-layer output maps, shape ``(batch, filters, H, W)``."""
+        """Emulated first-layer output maps, shape ``(batch, filters, out_h, out_w)``.
+
+        ``padding`` and ``stride`` are the convolution geometry, as in
+        :class:`~repro.sc.convolution.StochasticConv2D`.
+        """
         images = np.asarray(images, dtype=np.float64)
         kernels = np.asarray(kernels, dtype=np.float64)
         if kernels.ndim != 3:
             raise ValueError("kernels must have shape (filters, kh, kw)")
         kh, kw = kernels.shape[1:]
-        patches = extract_patches(images, (kh, kw), padding=padding)
+        patches = extract_patches(images, (kh, kw), stride, padding)
         flat_kernels = kernels.reshape(kernels.shape[0], -1)
         sign = self.forward_patches(patches, flat_kernels, soft_threshold=soft_threshold)
-        out_h = images.shape[1] + 2 * padding - kh + 1
-        out_w = images.shape[2] + 2 * padding - kw + 1
+        out_h = conv_output_size(images.shape[1], kh, stride, padding)
+        out_w = conv_output_size(images.shape[2], kw, stride, padding)
         return patches_to_map(sign, (out_h, out_w))

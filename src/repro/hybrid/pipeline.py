@@ -25,6 +25,7 @@ byte-per-bit reference kernels in :mod:`repro.sc.dotproduct`.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,8 +35,10 @@ from ..faults.spec import FaultSpec
 from ..nn.activations import Sign
 from ..nn.layers import Conv2D, StochasticResolutionConv2D
 from ..nn.network import Sequential
-from ..sc.convolution import StochasticConv2D, resolve_tile_patches
+from ..sc import dotproduct
+from ..sc.convolution import StochasticConv2D
 from ..sc.dotproduct import StochasticDotProductEngine, new_sc_engine
+from ..utils.windows import extract_patches
 from .acquisition import SensorFrontEnd
 from .emulation import CalibratedSCEmulator
 
@@ -71,12 +74,6 @@ class HybridStochasticBinaryNetwork:
         (fraction of the counter range).
     calibration_samples:
         Number of input windows used to calibrate the fast emulator.
-    tile_patches:
-        Upper bound on the number of image patches simulated at once in the
-        bit-exact first-layer path (and during emulator calibration);
-        ``None`` defers to the ``REPRO_TILE_PATCHES`` environment variable.
-        Tiling bounds peak memory at full-test-set scale and never changes a
-        counter value.
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment of the stochastic first layer.  Stream-level faults are
@@ -95,7 +92,6 @@ class HybridStochasticBinaryNetwork:
         soft_threshold: float = 0.0,
         calibration_samples: int = 512,
         seed: int = 0,
-        tile_patches: Optional[int] = None,
         faults: Optional[FaultSpec] = None,
     ) -> None:
         self.model = model
@@ -122,7 +118,6 @@ class HybridStochasticBinaryNetwork:
         self.soft_threshold = float(soft_threshold)
         self.calibration_samples = int(calibration_samples)
         self.seed = int(seed)
-        self.tile_patches = resolve_tile_patches(tile_patches)
         self._info = self._extract_first_layer(model)
         self._emulator: Optional[CalibratedSCEmulator] = None
 
@@ -165,6 +160,17 @@ class HybridStochasticBinaryNetwork:
         """Bit precision of the stochastic first layer."""
         return self.engine.precision
 
+    @property
+    def tile_patches(self) -> int:
+        """Image patches per tile of the bit-exact first layer.
+
+        The engine's tile rule (:func:`repro.sc.dotproduct.tile_patches`)
+        for the first layer's kernel shape.  Computed without building a
+        filter bank, so reading it consumes no MUX select seed.
+        """
+        filters, kh, kw = self._info.kernels.shape
+        return dotproduct.tile_patches(self.engine, filters, kh * kw)
+
     # ------------------------------------------------------------------ #
     # first-layer evaluation modes
     # ------------------------------------------------------------------ #
@@ -182,7 +188,6 @@ class HybridStochasticBinaryNetwork:
             padding=self._info.padding,
             stride=self._info.stride,
             soft_threshold=self.soft_threshold,
-            tile_patches=self.tile_patches,
         )
         return layer.forward(acquired).sign.astype(np.float64)
 
@@ -195,23 +200,21 @@ class HybridStochasticBinaryNetwork:
             self._info.kernels,
             padding=self._info.padding,
             soft_threshold=self.soft_threshold,
+            stride=self._info.stride,
         )
 
     def _get_emulator(self, images: np.ndarray) -> CalibratedSCEmulator:
         if self._emulator is None:
-            emulator = CalibratedSCEmulator(
-                self.engine, seed=self.seed, tile_patches=self.tile_patches
-            )
+            emulator = CalibratedSCEmulator(self.engine, seed=self.seed)
             rng = np.random.default_rng(self.seed)
             kh, kw = self._info.kernels.shape[1:]
             taps = kh * kw
-            from ..utils.windows import extract_patches
-
             sample_images = np.asarray(images, dtype=np.float64)
             patches = extract_patches(
                 sample_images[: min(8, sample_images.shape[0])],
                 (kh, kw),
-                padding=self._info.padding,
+                self._info.stride,
+                self._info.padding,
             ).reshape(-1, taps)
             count = min(self.calibration_samples, patches.shape[0])
             chosen = patches[rng.choice(patches.shape[0], size=count, replace=False)]
@@ -262,10 +265,16 @@ class HybridStochasticBinaryNetwork:
         limit: Optional[int] = None,
         batch_size: int = 64,
     ) -> float:
-        """The paper's metric: fraction of test images classified incorrectly."""
+        """The paper's metric: fraction of test images classified incorrectly.
+
+        ``limit`` scores only the first ``limit`` images; it must be a
+        positive integer, and ``None`` scores every image.
+        """
         images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(labels)
         if limit is not None:
+            if isinstance(limit, bool) or not isinstance(limit, numbers.Integral) or limit < 1:
+                raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
             images = images[:limit]
             labels = labels[:limit]
         predictions = self.predict_classes(images, mode=mode, batch_size=batch_size)

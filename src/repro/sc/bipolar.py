@@ -50,11 +50,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..bitstream import bipolar_to_unipolar
-from ..bitstream.packed import packed_alternating, packed_popcount, packed_xnor
+from ..bitstream.packed import packed_alternating, packed_popcount, packed_xnor, words_for
 from ..faults.spec import FaultSpec
 from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource
 from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
-from .dotproduct import resolve_mode, stream_length
+from .dotproduct import FilterBank, resolve_mode, stream_length
 
 __all__ = ["BipolarDotProductResult", "BipolarWeightBank", "BipolarDotProductEngine"]
 
@@ -91,7 +91,7 @@ class BipolarDotProductResult:
         return np.where(count2 >= self.length, 1, -1).astype(np.int8)
 
 
-class BipolarWeightBank:
+class BipolarWeightBank(FilterBank):
     """A bipolar filter bank: ``(filters, taps)`` kernel streams plus one tree plan.
 
     Built by :meth:`BipolarDotProductEngine.prepare_weights`.  The engine
@@ -99,7 +99,8 @@ class BipolarWeightBank:
     same select streams: the bank holds one single-lane plan over the
     power-of-two padded tap count, broadcast over the filter axis -- the
     same counts as evaluating each kernel on its own.  The plan caches its
-    select streams, so tiled evaluation is bit-identical to one untiled pass.
+    select streams, so the tiled :meth:`evaluate` is bit-identical to one
+    untiled pass.
     """
 
     def __init__(self, engine: "BipolarDotProductEngine", weights: np.ndarray) -> None:
@@ -123,8 +124,16 @@ class BipolarWeightBank:
         """Counter scale ``2**depth`` of the adder tree."""
         return self.plan.tree_scale
 
+    def evaluate(self, values: np.ndarray) -> np.ndarray:
+        """Tree-output counts ``(..., filters)`` for input values ``(..., taps)``.
+
+        Values are bipolar, in ``[-1, 1]``; evaluated in bounded-memory tiles
+        like :meth:`repro.sc.dotproduct.PreparedWeights.evaluate`.
+        """
+        return self._tiled(values)[0]
+
     def counts(self, prepared: np.ndarray) -> np.ndarray:
-        """Tree-output counts ``(..., filters)`` for ``prepare_inputs`` output."""
+        """Tree-output counts ``(..., filters)`` for one tile of ``prepare_inputs`` output."""
         x = np.asarray(prepared)
         if x.ndim < 2 or x.shape[-2] != self.taps:
             raise ValueError(
@@ -172,14 +181,13 @@ class BipolarDotProductEngine:
     mode:
         ``"counts"`` reduces the adder tree in the count domain (exact for
         both supported adders -- see the module docstring), ``"streams"``
-        forces the reference stream reduction, ``"auto"`` picks counts.
-        Bit-identical counter values either way.  ``None`` (the default)
-        resolves to the ``REPRO_MODE`` environment variable, falling back to
-        ``"auto"`` (see :func:`repro.sc.dotproduct.resolve_mode`).
+        forces the reference stream reduction, ``"auto"`` (the default;
+        ``None`` resolves to it) picks counts.  Bit-identical counter values
+        either way.
     faults:
         Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
-        injected into the input streams (by :meth:`dot` at offset 0, or by
-        tile drivers via :meth:`apply_faults`) and force the stream-domain
+        injected into the input streams (by :meth:`BipolarWeightBank.evaluate`
+        via :meth:`apply_faults`, at each tile's row offset) and force the stream-domain
         evaluation -- ``mode="auto"`` resolves to streams while faults are
         active, and an explicit ``mode="counts"`` raises, exactly like the
         unipolar engine.
@@ -226,9 +234,9 @@ class BipolarDotProductEngine:
         """Inject the engine's stream faults into :meth:`prepare_inputs` output.
 
         Mirrors :meth:`StochasticDotProductEngine.apply_faults`: ``offset``
-        is the global index of the first stream in ``prepared`` (tile
-        drivers pass their tile start), and the injection is a no-op when no
-        stream fault channel is active.
+        is the global index of the first stream in ``prepared``
+        (:meth:`BipolarWeightBank.evaluate` passes its tile start), and the
+        injection is a no-op when no stream fault channel is active.
         """
         if not self._stream_faults_active:
             return prepared
@@ -238,6 +246,14 @@ class BipolarDotProductEngine:
     def length(self) -> int:
         """Bit-stream length ``2**precision``."""
         return stream_length(self.precision)
+
+    def patch_bytes(self, filters: int, taps: int) -> int:
+        """Bytes per input row of a ``(filters, taps)`` bank's XNOR products.
+
+        The products span the power-of-two padded tap axis, on either path;
+        :func:`repro.sc.dotproduct.tile_patches` divides the tile budget by it.
+        """
+        return filters * (1 << AdderTree().depth(taps)) * words_for(self.length) * 8
 
     def _adder_factory(self) -> Callable[[], object]:
         if self.adder == "tff":
@@ -310,7 +326,7 @@ class BipolarDotProductEngine:
                 f"weights have shape {weights.shape}"
             )
         bank = self.prepare_weights(weights[np.newaxis])
-        count = bank.counts(self.apply_faults(self.prepare_inputs(x)))[..., 0]
+        count = bank.evaluate(x)[..., 0]
         return BipolarDotProductResult(
             count=count, length=self.length, tree_scale=bank.tree_scale
         )

@@ -22,35 +22,33 @@ single vectorized reduction covers every kernel -- with the counter values
 of evaluating the kernels one at a time, for every adder and generator
 configuration, because adder nodes are instantiated in filter-major order.
 
-Execution is *tile-streamed*: ``tile_patches`` (or the
-``REPRO_TILE_PATCHES`` environment variable) bounds how many image patches
-are in flight at once.  Each tile's pixels are converted to comparator
-levels (:meth:`~repro.sc.dotproduct.StochasticDotProductEngine.prepare_inputs`)
-and counts accumulated incrementally, so the fault-free count path peaks at
-``O(tile_patches * filters * taps)`` gathered leaf counts regardless of
-batch size; input streams are generated per tile only on the stream path
-(stream faults, ``mode="streams"``, OR trees), which peaks at
-``O(tile_patches * filters * taps * words)``.  This is what lets
-``REPRO_BITEXACT=1`` runs cover the full MNIST test set.  Level conversion
-is stateless and the weight bank (select streams and leaf tables included)
-is built once and reused, so any tiling -- including tile sizes that do not
-divide the patch count -- produces counts bit-identical to one untiled
-pass.
+Execution is *tile-streamed* by the bank itself
+(:meth:`~repro.sc.dotproduct.PreparedWeights.evaluate`): the image patches
+of the whole batch are cut into tiles of
+:func:`~repro.sc.dotproduct.tile_patches` rows -- a fixed byte budget over
+the per-patch size of the largest temporary on the path the bank runs --
+and each tile's pixels are converted to comparator levels, fault-injected
+at the tile's global patch offset and counted.  Peak memory is therefore
+bounded at any batch size: gathered leaf counts on the fault-free count
+path, lane products on the stream path (stream faults, ``mode="streams"``,
+OR trees).  This is what lets ``REPRO_BITEXACT=1`` runs cover the full
+MNIST test set.  Level conversion is stateless and the weight bank (select
+streams and leaf tables included) is built once per forward pass and
+reused, so any tiling -- including tiles that do not divide the patch
+count -- produces counts bit-identical to one untiled pass.
 
 Evaluation mode
 ---------------
 The layer inherits the engine's evaluation mode (:mod:`repro.sc.mode`):
-under ``mode="counts"`` (the ``"auto"`` default for TFF and MUX adder
-trees) each tile is a gather from the bank's leaf tables -- halved per
-level for TFF trees, summed over select-masked taps for MUX trees -- and no
-stream is built, while ``mode="streams"`` forces the reference stream
-reduction.  Both produce bit-identical counters, so the mode is purely a
-speed/memory knob for Table 3-scale runs.
+under the ``"auto"`` default, TFF and MUX adder trees take the count path
+-- each tile is a gather from the bank's leaf tables, halved per level for
+TFF trees and summed over select-masked taps for MUX trees, and no stream
+is built -- while ``mode="streams"`` forces the reference stream
+reduction.  Both produce bit-identical counters.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,30 +60,7 @@ from .dotproduct import StochasticDotProductEngine, new_sc_engine
 __all__ = [
     "StochasticConvResult",
     "StochasticConv2D",
-    "resolve_tile_patches",
 ]
-
-
-def resolve_tile_patches(tile_patches: Optional[int] = None) -> Optional[int]:
-    """Resolve the patch-tile size: explicit value, else ``REPRO_TILE_PATCHES``.
-
-    Returns ``None`` (process all patches in one pass) when neither is set.
-    An explicit argument always wins over the environment.
-    """
-    if tile_patches is None:
-        env = os.environ.get("REPRO_TILE_PATCHES")
-        if env is None or env == "":
-            return None
-        try:
-            tile_patches = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_TILE_PATCHES must be a positive integer, got {env!r}"
-            ) from None
-    tile_patches = int(tile_patches)
-    if tile_patches < 1:
-        raise ValueError(f"tile_patches must be positive, got {tile_patches}")
-    return tile_patches
 
 
 @dataclass
@@ -123,11 +98,6 @@ class StochasticConv2D:
         ``soft_threshold * N`` are forced to zero before the sign activation.
         This is the error-mitigation trick of Kim et al. adopted in
         Section V-B for near-zero values.
-    tile_patches:
-        Upper bound on the number of image patches simulated at once (the
-        tiling contract in the module docstring); ``None`` defers to the
-        ``REPRO_TILE_PATCHES`` environment variable, falling back to a
-        single untiled pass.  Any tile size yields bit-identical counts.
     """
 
     def __init__(
@@ -137,7 +107,6 @@ class StochasticConv2D:
         padding: int = 0,
         stride: int = 1,
         soft_threshold: float = 0.0,
-        tile_patches: Optional[int] = None,
     ) -> None:
         kernels = np.asarray(kernels, dtype=np.float64)
         if kernels.ndim != 3:
@@ -158,7 +127,6 @@ class StochasticConv2D:
         self.padding = int(padding)
         self.stride = int(stride)
         self.soft_threshold = float(soft_threshold)
-        self.tile_patches = resolve_tile_patches(tile_patches)
 
     @property
     def filters(self) -> int:
@@ -193,41 +161,20 @@ class StochasticConv2D:
             raise ValueError("pixel values must be finite")
         # Guard the range check behind ``size``: an empty batch has no pixels
         # to validate and ``min()``/``max()`` would raise on it.  Geometry is
-        # still validated (via ``output_shape``) so only ``batch == 0`` with a
-        # legal spatial shape reaches the empty fast path below.
+        # still validated (via ``output_shape``), and the bank returns empty
+        # counts for zero patches.
         if images.size and (images.min() < -1e-9 or images.max() > 1.0 + 1e-9):
             raise ValueError("pixel values must lie in [0, 1]")
 
         kh, kw = self.kernel_size
         out_h, out_w = self.output_shape(images.shape[1:])
         patches = extract_patches(images, (kh, kw), self.stride, self.padding)
-        batch, n_patches, taps = patches.shape
 
         # One weight bank for all kernels (leading filter axis, fused
-        # positive/negative trees), built once and shared by every tile --
-        # exactly as the weight-side converters are shared in hardware.
-        bank = self.engine.prepare_weights(self.kernels.reshape(self.filters, taps))
-
-        flat = patches.reshape(batch * n_patches, taps)
-        total = flat.shape[0]
-        # ``max(total, 1)`` keeps the tile step positive for an empty batch,
-        # where the loop body never runs and the empty count arrays pass
-        # straight through to correctly-shaped ``(0, F, out_h, out_w)`` maps.
-        tile = self.tile_patches if self.tile_patches is not None else max(total, 1)
-        pos = np.empty((total, self.filters), dtype=np.int64)
-        neg = np.empty_like(pos)
-        for start in range(0, total, tile):
-            stop = min(start + tile, total)
-            # Inputs are prepared per tile (stateless conversion, shared by
-            # all kernels) so peak memory stays bounded by the tile.  Fault
-            # masks are keyed on the *global* patch index (offset = tile
-            # start), so any tile_patches value corrupts identically.
-            x_prepared = self.engine.apply_faults(
-                self.engine.prepare_inputs(flat[start:stop]), offset=start
-            )
-            pos[start:stop], neg[start:stop] = bank.counts(x_prepared)
-        pos = pos.reshape(batch, n_patches, self.filters)
-        neg = neg.reshape(batch, n_patches, self.filters)
+        # positive/negative trees), shared by every patch tile -- exactly as
+        # the weight-side converters are shared in hardware.
+        bank = self.engine.prepare_weights(self.kernels.reshape(self.filters, kh * kw))
+        pos, neg = bank.evaluate(patches)
 
         length = self.engine.length
         tree_scale = bank.tree_scale
@@ -251,6 +198,5 @@ class StochasticConv2D:
     def __repr__(self) -> str:
         return (
             f"StochasticConv2D(filters={self.filters}, kernel={self.kernel_size}, "
-            f"padding={self.padding}, stride={self.stride}, "
-            f"tile_patches={self.tile_patches}, engine={self.engine!r})"
+            f"padding={self.padding}, stride={self.stride}, engine={self.engine!r})"
         )

@@ -30,6 +30,19 @@ This module holds two layers:
   :meth:`~StochasticDotProductEngine.dot_filters` are thin wrappers that
   build one.
 
+Tiles
+-----
+A bank evaluates input values of any batch size in bounded memory
+(:meth:`PreparedWeights.evaluate`): leading axes are flattened in C order into
+rows, and each tile of rows is converted, fault-injected at its global row
+offset and counted on its own.  The tile comes from one rule,
+:func:`tile_patches`: the byte budget :data:`TILE_BYTES` over the per-row
+size of the largest temporary on the path the bank runs
+(:meth:`StochasticDotProductEngine.patch_bytes`).  The bank's weight
+streams, select streams and leaf tables are built once and reused, and
+fault masks are keyed on global row indices, so any tile gives the counts
+of one untiled pass.
+
 Comparator levels
 -----------------
 Every input stream is a comparator output against one number source that all
@@ -57,7 +70,7 @@ from typing import Callable, ClassVar, Optional, Tuple
 import numpy as np
 
 from ..bitstream import stream_length
-from ..bitstream.packed import packed_popcount, unpack_bits
+from ..bitstream.packed import packed_popcount, unpack_bits, words_for
 from ..faults.spec import FaultSpec
 from ..rng import (
     ComparatorSNG,
@@ -80,6 +93,9 @@ __all__ = [
     "stochastic_dot_product",
     "bipolar_stochastic_dot_product",
     "DotProductResult",
+    "TILE_BYTES",
+    "tile_patches",
+    "FilterBank",
     "PreparedWeights",
     "StochasticDotProductEngine",
     "new_sc_engine",
@@ -186,12 +202,66 @@ class DotProductResult:
         return diff / self.length * self.tree_scale
 
 
-class PreparedWeights:
+#: Byte budget of the largest temporary one evaluation tile allocates.
+TILE_BYTES = 4 << 20
+
+
+def tile_patches(engine, filters: int, taps: int) -> int:
+    """The tile rule: rows per evaluation tile of an engine's ``(filters, taps)`` bank.
+
+    :data:`TILE_BYTES` over the per-row bytes of the largest temporary on
+    the path the bank will run (the engine's ``patch_bytes``), and at least
+    one.  Computed from the shape alone, so no bank (and no MUX adder) is
+    built to ask.
+    """
+    return max(1, TILE_BYTES // engine.patch_bytes(filters, taps))
+
+
+class FilterBank:
+    """One kernel set's weight streams plus its adder-tree plan.
+
+    The shared tiled evaluation of :class:`PreparedWeights` and
+    :class:`~repro.sc.bipolar.BipolarWeightBank`: subclasses set
+    ``engine``, ``filters`` and ``taps``, and define :meth:`counts` on
+    prepared inputs.
+    """
+
+    #: Counters per filter, stacked on the leading axis of :meth:`_tiled`.
+    counters = 1
+
+    def _tiled(self, values: np.ndarray) -> np.ndarray:
+        """Counts ``(counters, ..., filters)`` for values ``(..., taps)``, tile by tile.
+
+        Leading axes are flattened in C order into rows; each tile
+        ``[start, stop)`` of rows runs ``prepare_inputs``, then
+        ``apply_faults(offset=start)``, then :meth:`counts` -- the global
+        row indices an untiled pass would use, so tiling never changes a
+        count.  Zero rows give empty counts.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim < 1 or values.shape[-1] != self.taps:
+            raise ValueError(
+                f"tap count mismatch: inputs have shape {values.shape}, "
+                f"the bank has {self.taps} taps"
+            )
+        rows = values.reshape(-1, self.taps)
+        tile = tile_patches(self.engine, self.filters, self.taps)
+        out = np.empty((self.counters, rows.shape[0], self.filters), dtype=np.int64)
+        for start in range(0, rows.shape[0], tile):
+            prepared = self.engine.apply_faults(
+                self.engine.prepare_inputs(rows[start : start + tile]), offset=start
+            )
+            out[:, start : start + tile] = self.counts(prepared)
+        return out.reshape((self.counters,) + values.shape[:-1] + (self.filters,))
+
+
+class PreparedWeights(FilterBank):
     """A filter bank: all-kernel weight streams plus a shared adder-tree plan.
 
     Built once per kernel set by
-    :meth:`StochasticDotProductEngine.prepare_weights` and applied to any
-    number of input tiles via :meth:`counts` -- the engine's only evaluator.
+    :meth:`StochasticDotProductEngine.prepare_weights`; :meth:`evaluate`
+    runs it on input values in bounded-memory tiles, and :meth:`counts` --
+    the engine's only evaluator -- counts one tile of prepared inputs.
     Weight streams carry a leading *filter* axis and a positive/negative axis
     -- ``(filters, 2, taps, W)`` packed words -- so one vectorized tree
     reduction covers every ``(filter, sign)`` pair at once, and the positive
@@ -211,6 +281,8 @@ class PreparedWeights:
     caches its select streams, evaluating inputs tile by tile is
     bit-identical to one untiled pass.
     """
+
+    counters = 2
 
     def __init__(self, engine: "StochasticDotProductEngine", weights: np.ndarray) -> None:
         weights = np.asarray(weights, dtype=np.float64)
@@ -277,8 +349,18 @@ class PreparedWeights:
         # table dtype.
         return leaf.sum(axis=0, dtype=tables.dtype).astype(np.int64)
 
+    def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Positive and negative counts ``(..., filters)`` for input values ``(..., taps)``.
+
+        Values are unipolar, in ``[0, 1]``.  Runs :meth:`counts` on tiles of
+        :func:`tile_patches` rows (:meth:`FilterBank._tiled`), so memory
+        stays bounded at any batch size.
+        """
+        pos, neg = self._tiled(values)
+        return pos, neg
+
     def counts(self, prepared: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Positive and negative tree counts for prepared inputs.
+        """Positive and negative tree counts for one tile of prepared inputs.
 
         ``prepared`` is either the comparator levels of
         :meth:`StochasticDotProductEngine.prepare_inputs` -- integers of
@@ -310,7 +392,7 @@ class PreparedWeights:
                     f"comparator levels must have {self.taps} taps on axis -1, "
                     f"got shape {x.shape}"
                 )
-            if self.engine._use_count_mode(self.plan):
+            if self.engine._use_count_mode:
                 return self._split(self._table_counts(x))
             x = self.engine.input_words(x)
         if x.ndim < 2 or x.shape[-2] != self.taps:
@@ -341,11 +423,11 @@ class StochasticDotProductEngine:
     """A configurable stochastic dot-product engine.
 
     Every evaluation runs through a :class:`PreparedWeights` bank:
-    :meth:`prepare_inputs` converts values to comparator levels,
-    :meth:`apply_faults` expands and corrupts them under stream faults, and
-    :meth:`prepare_weights` builds the bank whose
-    :meth:`~PreparedWeights.counts` evaluates them.  :meth:`dot` and
-    :meth:`dot_filters` wrap those three steps.  Streams are simulated as
+    :meth:`prepare_weights` builds it, and its
+    :meth:`~PreparedWeights.evaluate` runs :meth:`prepare_inputs` (values to
+    comparator levels), :meth:`apply_faults` (expansion and corruption under
+    stream faults) and :meth:`~PreparedWeights.counts` tile by tile.
+    :meth:`dot` and :meth:`dot_filters` wrap one bank.  Streams are simulated as
     packed words -- 64 clock cycles per uint64
     (:mod:`repro.bitstream.packed`); the byte-per-bit reference
     :func:`stochastic_dot_product` produces the same counter values.
@@ -369,19 +451,18 @@ class StochasticDotProductEngine:
         counts gathered from the bank's leaf tables, halved per level for
         TFF trees and summed over select-masked taps for MUX trees -- and
         never builds a stream; ``"streams"`` forces the reference stream
-        reduction; ``"auto"`` (the resolution default)
+        reduction; ``"auto"`` (the default; ``None`` resolves to it)
         picks counts whenever the configuration admits the exact shortcut
         (TFF and MUX trees do, OR trees do not).  Every mode produces
         bit-identical counter values; the choice only affects speed and
-        memory.  ``None`` resolves to the ``REPRO_MODE`` environment
-        variable, falling back to ``"auto"`` (see :func:`resolve_mode`).
+        memory.
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment.  Stream-level faults (flips, stuck-at, bursts) are
-        injected into the *input* streams -- by :meth:`dot` /
-        :meth:`dot_filters` directly, or by tile drivers calling
-        :meth:`apply_faults` with their tile offset, which expands the
-        levels into streams first -- and force the stream-domain
+        injected into the *input* streams -- by
+        :meth:`PreparedWeights.evaluate` calling :meth:`apply_faults` with
+        each tile's row offset, which expands the levels into streams
+        first -- and force the stream-domain
         evaluation: the count-domain shortcuts assume
         uncorrupted tree inputs, so ``mode="auto"`` resolves to streams
         whenever stream faults are active and an explicit ``mode="counts"``
@@ -442,14 +523,12 @@ class StochasticDotProductEngine:
 
         Expands the comparator levels into packed streams
         (:meth:`input_words`) and corrupts them; ``offset`` is the global
-        index of the first stream in ``prepared`` (tile drivers pass their
-        tile start so any ``tile_patches`` value yields bit-identical
-        faulted streams).  Returns the levels unchanged when no stream fault
-        channel is active.  :meth:`dot` and :meth:`dot_filters` call this
-        internally at offset 0; callers feeding
-        :meth:`PreparedWeights.counts` directly apply it themselves so the
-        offset (and the once-per-tile injection point) stays under their
-        control.
+        index of the first stream in ``prepared``
+        (:meth:`PreparedWeights.evaluate` passes its tile start, so every
+        tile yields the faulted streams of one untiled pass).  Returns the
+        levels unchanged when no stream fault channel is active.  Callers
+        feeding :meth:`PreparedWeights.counts` directly apply it
+        themselves.
         """
         if not self._stream_faults_active:
             return prepared
@@ -457,21 +536,29 @@ class StochasticDotProductEngine:
             self.input_words(prepared), self.length, offset=offset
         )
 
-    def _use_count_mode(self, plan: TreePlan) -> bool:
-        """Whether ``plan`` should reduce in the count domain under :attr:`mode`."""
-        if self.mode == "streams":
-            return False
-        if self._stream_faults_active:
-            # Faulted streams invalidate the count-domain algebra (auto =>
-            # streams); explicit counts was already rejected at init.
-            return False
-        supported = plan.supports_count_reduction or plan.supports_masked_reduction
-        if not supported and self.mode == "counts":
-            raise ValueError(
-                "mode='counts' is exact only for all-TFF or all-MUX adder "
-                "trees; this plan mixes or lacks such levels"
-            )
-        return supported
+    @property
+    def _use_count_mode(self) -> bool:
+        """Whether banks gather leaf counts instead of reducing streams.
+
+        The engine builds only homogeneous TFF, MUX or OR trees; TFF and MUX
+        trees have exact count-domain shortcuts and OR trees none.  Only an
+        explicit ``"streams"`` -- or active stream faults, which invalidate
+        the count-domain algebra -- forces streams otherwise (``"counts"``
+        with either was already rejected at init).
+        """
+        return self.mode != "streams" and not self._stream_faults_active and self.adder != "or"
+
+    def patch_bytes(self, filters: int, taps: int) -> int:
+        """Bytes per input row of the largest temporary a ``(filters, taps)`` bank allocates.
+
+        On the count path the gathered leaf counts, ``taps * 2 * filters``
+        table entries; on the stream path the lane products,
+        ``2 * filters * taps`` packed streams.  :func:`tile_patches` divides
+        the tile budget by it.
+        """
+        if self._use_count_mode:
+            return taps * 2 * filters * level_dtype(self.length).itemsize
+        return 2 * filters * taps * words_for(self.length) * 8
 
     # ------------------------------------------------------------------ #
     # input levels and streams
@@ -566,15 +653,8 @@ class StochasticDotProductEngine:
     def dot_filters(self, x: np.ndarray, weights: np.ndarray) -> DotProductResult:
         """Filter-parallel :meth:`dot`: ``x`` is ``(..., taps)``, weights
         ``(filters, taps)``; result counts have shape ``(..., filters)``."""
-        x = np.asarray(x, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or x.shape[-1] != weights.shape[-1]:
-            raise ValueError(
-                f"tap count mismatch: inputs have {x.shape[-1]}, "
-                f"weights have shape {weights.shape}"
-            )
         bank = self.prepare_weights(weights)
-        pos, neg = bank.counts(self.apply_faults(self.prepare_inputs(x)))
+        pos, neg = bank.evaluate(x)
         return DotProductResult(
             positive_count=pos,
             negative_count=neg,

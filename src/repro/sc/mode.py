@@ -22,14 +22,13 @@ The dot-product engines can evaluate their adder trees two ways:
   trees are value-approximate in a position-dependent way and always run as
   streams).
 
-The mode is resolved through a single rule shared by the engines, the
-experiment configs and the CLI: an explicitly passed value beats the
-``REPRO_MODE`` environment variable, which beats the ``"auto"`` default.
+The mode is an engine parameter only: ``None`` resolves to ``"auto"``, the
+fastest exact path, and no experiment config, CLI flag or environment
+variable chooses it, because it never changes a counter.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 __all__ = ["MODES", "validate_mode", "resolve_mode"]
@@ -49,14 +48,8 @@ def validate_mode(mode: str) -> str:
 
 
 def resolve_mode(mode: Optional[str] = None) -> str:
-    """Resolve and validate an evaluation-mode choice.
+    """Resolve and validate an evaluation-mode choice: ``None`` means ``"auto"``.
 
-    Precedence: an explicitly passed value beats the ``REPRO_MODE``
-    environment variable, which beats the ``"auto"`` default.  Only ``None``
-    defers to the environment -- an explicit empty string is rejected like
-    any other invalid name -- while an empty/unset environment variable
-    falls back to the default.
+    An explicit empty string is rejected like any other invalid name.
     """
-    if mode is None:
-        mode = os.environ.get("REPRO_MODE") or "auto"
-    return validate_mode(mode)
+    return validate_mode("auto" if mode is None else mode)

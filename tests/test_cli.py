@@ -50,20 +50,6 @@ class TestParser:
         assert args.activity_traces == 16
         assert build_parser().parse_args(["hardware"]).activity_traces == 0
 
-    def test_accuracy_tile_patches_flag(self):
-        from repro.cli import _accuracy_config
-
-        args = build_parser().parse_args(
-            ["accuracy", "--quick", "--tile-patches", "96"]
-        )
-        assert args.tile_patches == 96
-        assert _accuracy_config(args).tile_patches == 96
-        args = build_parser().parse_args(["accuracy", "--quick"])
-        assert args.tile_patches is None
-        bad = build_parser().parse_args(["accuracy", "--tile-patches", "0"])
-        with pytest.raises(SystemExit):
-            _accuracy_config(bad)
-
 
 class TestCommands:
     def test_table1_command(self, capsys):
@@ -148,6 +134,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "energy efficiency at 4-bit" in out
 
+    def test_accuracy_bad_eval_images_clean_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EVAL_IMAGES", "abc")
+        with pytest.raises(SystemExit, match="repro: error: REPRO_EVAL_IMAGES"):
+            main(["accuracy", "--quick"])
+
     def test_accuracy_quick_command(self, capsys, monkeypatch):
         # Keep the quick run genuinely small for CI purposes.
         monkeypatch.setenv("REPRO_EVAL_IMAGES", "40")
@@ -162,11 +153,11 @@ class TestFaultsCommand:
         args = build_parser().parse_args(
             ["faults", "--rates", "0,1e-3", "--precision", "6",
              "--images", "3", "--filters", "4", "--trials", "1",
-             "--tile-patches", "37", "--no-artifact"]
+             "--no-artifact"]
         )
         assert args.rates == (0.0, 1e-3)
         assert args.precision == 6 and args.images == 3
-        assert args.tile_patches == 37 and args.no_artifact
+        assert args.no_artifact
 
     def test_parser_rejects_bad_rates(self):
         with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ XNOR engine (including its odd-tap alternating-stream padding).  Each
 differential test runs against two references: ``"packed"`` -- the engine's
 own packed stream reduction (``mode="streams"``) -- and ``"unpacked"`` --
 the byte-per-bit reference kernels (``sc_oracle``).
-These tests pin that contract, the mode-resolution precedence rules, the
+These tests pin that contract, the mode-resolution rules, the
 ``TreePlan`` mask machinery behind the MUX shortcut, and the stream-path
 edge-case fixes that rode along (empty batches, dtype-preserving count maps,
 the sign-tie contract, bipolar input-range validation).
@@ -36,6 +36,7 @@ from repro.faults import FaultSpec
 from repro.utils.windows import extract_patches, patches_to_map
 
 import sc_oracle
+from tiles import SINGLE_TILE, forced_tile
 
 #: The two references every count-mode result is compared against.
 REFERENCES = ["packed", "unpacked"]
@@ -77,27 +78,15 @@ def test_validate_mode_accepts_known_rejects_unknown():
         validate_mode("")
 
 
-def test_resolve_mode_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_MODE", raising=False)
+def test_resolve_mode_precedence():
+    # None means the default; an explicit value is validated and kept.
     assert resolve_mode(None) == "auto"
-    monkeypatch.setenv("REPRO_MODE", "streams")
-    assert resolve_mode(None) == "streams"
-    # An explicit argument beats the environment.
     assert resolve_mode("counts") == "counts"
-    # An empty environment value falls back to the default.
-    monkeypatch.setenv("REPRO_MODE", "")
-    assert resolve_mode(None) == "auto"
-    monkeypatch.setenv("REPRO_MODE", "bogus")
-    with pytest.raises(ValueError, match="unknown mode"):
-        resolve_mode(None)
-
-
-def test_engine_honours_repro_mode_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MODE", "streams")
-    assert StochasticDotProductEngine(precision=4).mode == "streams"
-    assert BipolarDotProductEngine(precision=4).mode == "streams"
-    monkeypatch.delenv("REPRO_MODE", raising=False)
     assert StochasticDotProductEngine(precision=4).mode == "auto"
+    assert BipolarDotProductEngine(precision=4).mode == "auto"
+    for bad in ("", "bogus"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            resolve_mode(bad)
 
 
 def test_counts_mode_with_or_tree_raises():
@@ -215,22 +204,22 @@ def test_mux_select_periodicity_across_repeated_calls():
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-@pytest.mark.parametrize("tile_patches", [None, 1, 7, 64])
-def test_conv_counts_mode_tiling_bit_identical(adder, tile_patches):
+@pytest.mark.parametrize("tile", [None, 1, 7, 64])
+def test_conv_counts_mode_tiling_bit_identical(adder, tile):
     rng = np.random.default_rng(1)
     images = rng.random((2, 8, 8))
     kernels = rng.uniform(-1.0, 1.0, (4, 3, 3))
     results = {}
-    for mode in ("counts", "streams"):
+    for mode, mode_tile in (("counts", tile), ("streams", SINGLE_TILE)):
         layer = StochasticConv2D(
             kernels,
             engine=StochasticDotProductEngine(
                 precision=5, adder=adder, seed=4, mode=mode
             ),
             padding=1,
-            tile_patches=tile_patches,
         )
-        results[mode] = layer.forward(images)
+        with forced_tile(mode_tile):
+            results[mode] = layer.forward(images)
     np.testing.assert_array_equal(
         results["counts"].positive_count, results["streams"].positive_count
     )
@@ -257,7 +246,7 @@ def test_stuck_sng_cells_conv_tiled_bit_identical(adder):
     source = make("counts")._input_sng().source.sequence(64)
     assert np.unique(source).size < source.size
     # 2 x 7 x 7 images give 98 patches; tiles of 9 do not divide them.
-    counted = StochasticConv2D(kernels, engine=make("counts"), padding=1, tile_patches=9)
+    counted = StochasticConv2D(kernels, engine=make("counts"), padding=1)
     streamed = StochasticConv2D(kernels, engine=make("streams"), padding=1)
     oracle_engine = make("streams")
     for _ in range(3):
@@ -268,7 +257,11 @@ def test_stuck_sng_cells_conv_tiled_bit_identical(adder):
                 oracle_engine, extract_patches(images, (3, 3), 1, 1), kernels.reshape(3, 9)
             )
         )
-        for result in (counted.forward(images), streamed.forward(images)):
+        with forced_tile(9):
+            tiled = counted.forward(images)
+        with forced_tile(SINGLE_TILE):
+            untiled = streamed.forward(images)
+        for result in (tiled, untiled):
             np.testing.assert_array_equal(result.positive_count, pos)
             np.testing.assert_array_equal(result.negative_count, neg)
 
@@ -408,16 +401,12 @@ def test_tff_plan_reports_count_reduction_mux_reports_masked():
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("tile_patches", [None, 16])
-def test_conv_empty_batch_returns_empty_result(tile_patches):
+@pytest.mark.parametrize("tile", [None, 16])
+def test_conv_empty_batch_returns_empty_result(tile):
     kernels = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 3, 3))
-    layer = StochasticConv2D(
-        kernels,
-        engine=new_sc_engine(5, seed=1),
-        padding=1,
-        tile_patches=tile_patches,
-    )
-    result = layer.forward(np.zeros((0, 8, 8)))
+    layer = StochasticConv2D(kernels, engine=new_sc_engine(5, seed=1), padding=1)
+    with forced_tile(tile):
+        result = layer.forward(np.zeros((0, 8, 8)))
     assert result.sign.shape == (0, 4, 8, 8)
     assert result.positive_count.shape == (0, 4, 8, 8)
     assert result.negative_count.shape == (0, 4, 8, 8)
@@ -518,7 +507,7 @@ def test_bipolar_rejects_out_of_range_inputs():
 
 
 # --------------------------------------------------------------------- #
-# table evaluators honour the mode
+# the Table 2 sweep honours the mode
 # --------------------------------------------------------------------- #
 
 
@@ -529,25 +518,3 @@ def test_table2_counts_mode_bit_identical():
         assert adder_mse(config, 4, mode="counts") == adder_mse(
             config, 4, mode="streams"
         )
-
-
-def test_table1_accepts_mode():
-    from repro.eval.table1 import multiplier_mse
-
-    assert multiplier_mse("low_discrepancy", 4, mode="counts") == multiplier_mse(
-        "low_discrepancy", 4, mode="streams"
-    )
-    with pytest.raises(ValueError, match="unknown mode"):
-        multiplier_mse("low_discrepancy", 4, mode="bogus")
-
-
-def test_accuracy_config_resolves_mode(monkeypatch):
-    from repro.eval.table3_accuracy import AccuracyConfig
-
-    monkeypatch.delenv("REPRO_MODE", raising=False)
-    assert AccuracyConfig().mode == "auto"
-    assert AccuracyConfig(mode="streams").mode == "streams"
-    monkeypatch.setenv("REPRO_MODE", "counts")
-    assert AccuracyConfig().mode == "counts"
-    with pytest.raises(ValueError, match="unknown mode"):
-        AccuracyConfig(mode="bogus")

@@ -162,6 +162,20 @@ class TestTable3Accuracy:
         monkeypatch.setenv("REPRO_EVAL_IMAGES", "42")
         assert AccuracyConfig().sc_eval_images == 42
 
+    @pytest.mark.parametrize("value", ["-5", "0", "abc", ""])
+    def test_eval_images_env_must_be_positive(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_EVAL_IMAGES", value)
+        with pytest.raises(ValueError, match="REPRO_EVAL_IMAGES"):
+            AccuracyConfig()
+
+    @pytest.mark.parametrize("value", [-3, 0, 2.5, True])
+    def test_eval_images_must_be_positive(self, monkeypatch, value):
+        monkeypatch.delenv("REPRO_EVAL_IMAGES", raising=False)
+        monkeypatch.delenv("REPRO_BITEXACT", raising=False)
+        with pytest.raises(ValueError, match="sc_eval_images"):
+            AccuracyConfig(sc_eval_images=value)
+        assert AccuracyConfig().sc_eval_images is None
+
 
 class TestTable3Hardware:
     @pytest.fixture(scope="class")

@@ -40,6 +40,7 @@ from repro.sc.dotproduct import new_sc_engine, old_sc_engine
 from repro.utils.windows import extract_patches, patches_to_map
 
 import sc_oracle
+from tiles import SINGLE_TILE, forced_tile
 
 
 def _unpack(words, n_bits):
@@ -257,14 +258,13 @@ class TestEngineFaults:
     def test_auto_mode_resolves_to_streams(self):
         engine = new_sc_engine(precision=6, faults=FaultSpec(flip_rate=0.01))
         assert engine._stream_faults_active
-        plan = engine.prepare_weights(self.w.reshape(1, -1)).plan
-        assert not engine._use_count_mode(plan)
-        assert new_sc_engine(precision=6)._use_count_mode(plan)
+        assert not engine._use_count_mode
+        assert new_sc_engine(precision=6)._use_count_mode
         # Non-stream fault channels keep the count-domain shortcut legal.
         cells_only = new_sc_engine(precision=6,
                                    faults=FaultSpec(sng_stuck_cells=((1, 1),)))
         assert not cells_only._stream_faults_active
-        assert cells_only._use_count_mode(plan)
+        assert cells_only._use_count_mode
 
     def test_faults_type_checked(self):
         with pytest.raises(TypeError):
@@ -308,11 +308,11 @@ class TestConvolutionFaults:
                 kernels.reshape(3, 9),
             )
         )
-        for tile in (None, 7, 13):
+        for tile in (None, 7, 13, SINGLE_TILE):
             engine = new_sc_engine(precision=6, faults=spec)
-            layer = StochasticConv2D(kernels, engine=engine, padding=1,
-                                     tile_patches=tile)
-            result = layer.forward(images)
+            layer = StochasticConv2D(kernels, engine=engine, padding=1)
+            with forced_tile(tile):
+                result = layer.forward(images)
             assert np.array_equal(result.positive_count, pos)
             assert np.array_equal(result.negative_count, neg)
 

@@ -5,7 +5,9 @@ inputs.  Every test here asserts that the vectorized paths -- the
 :class:`~repro.sc.dotproduct.PreparedWeights` filter bank, the count-domain
 TFF shortcut, and tile-streamed :class:`~repro.sc.convolution.StochasticConv2D`
 execution -- are *bit-identical* to that loop, for every adder type,
-including tile sizes that do not divide the patch count.  The loop runs
+including tile sizes that do not divide the patch count.  Tiles are forced
+through the banks' tile rule (``tiles.forced_tile``) and compared against a
+forced single tile.  The loop runs
 against two references: ``"packed"`` -- a sequence of one-filter banks under
 ``mode="streams"`` -- and ``"unpacked"`` -- the byte-per-bit reference
 kernels (``sc_oracle``).
@@ -19,12 +21,13 @@ from hypothesis import strategies as st
 from repro.faults import FaultSpec
 from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork
 from repro.nn import build_lenet5_small, quantize_and_freeze
-from repro.sc import StochasticConv2D, resolve_tile_patches
+from repro.sc import StochasticConv2D
 from repro.sc.dotproduct import PreparedWeights, StochasticDotProductEngine
 from repro.sc.elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
 from repro.utils.windows import extract_patches, patches_to_map
 
 import sc_oracle
+from tiles import SINGLE_TILE, forced_tile
 
 
 def per_filter_reference(reference, engine, x, kernels):
@@ -215,13 +218,15 @@ class TestTiledConvolution:
         rng = np.random.default_rng(5)
         images = rng.random((2, 6, 6))
         kernels = rng.uniform(-1, 1, (3, 3, 3))
-        tiled = StochasticConv2D(
-            kernels, engine=make_engine("tff"), padding=1, tile_patches=tile
-        ).forward(images)
-        if reference == "packed":
-            untiled = StochasticConv2D(
+        with forced_tile(tile):
+            tiled = StochasticConv2D(
                 kernels, engine=make_engine("tff"), padding=1
             ).forward(images)
+        if reference == "packed":
+            with forced_tile(SINGLE_TILE):
+                untiled = StochasticConv2D(
+                    kernels, engine=make_engine("tff"), padding=1
+                ).forward(images)
             np.testing.assert_array_equal(tiled.sign, untiled.sign)
             np.testing.assert_array_equal(tiled.value, untiled.value)
             pos, neg = untiled.positive_count, untiled.negative_count
@@ -247,35 +252,20 @@ class TestTiledConvolution:
         rng = np.random.default_rng(seed)
         images = rng.random((1, 5, 5))
         kernels = rng.uniform(-1, 1, (2, 3, 3))
-        untiled = StochasticConv2D(
-            kernels, engine=make_engine(adder, precision=4), padding=1
-        ).forward(images)
-        tiled = StochasticConv2D(
-            kernels,
-            engine=make_engine(adder, precision=4),
-            padding=1,
-            tile_patches=tile,
-        ).forward(images)
+        with forced_tile(SINGLE_TILE):
+            untiled = StochasticConv2D(
+                kernels, engine=make_engine(adder, precision=4), padding=1
+            ).forward(images)
+        with forced_tile(tile):
+            tiled = StochasticConv2D(
+                kernels, engine=make_engine(adder, precision=4), padding=1
+            ).forward(images)
         np.testing.assert_array_equal(tiled.positive_count, untiled.positive_count)
         np.testing.assert_array_equal(tiled.negative_count, untiled.negative_count)
 
     def test_zero_filter_kernels_rejected(self):
         with pytest.raises(ValueError, match="at least one filter"):
             StochasticConv2D(np.zeros((0, 3, 3)))
-
-    def test_tile_patches_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TILE_PATCHES", "7")
-        assert resolve_tile_patches(None) == 7
-        assert resolve_tile_patches(3) == 3  # explicit wins
-        layer = StochasticConv2D(np.zeros((1, 3, 3)))
-        assert layer.tile_patches == 7
-        monkeypatch.setenv("REPRO_TILE_PATCHES", "junk")
-        with pytest.raises(ValueError):
-            resolve_tile_patches(None)
-        monkeypatch.delenv("REPRO_TILE_PATCHES")
-        assert resolve_tile_patches(None) is None
-        with pytest.raises(ValueError):
-            resolve_tile_patches(0)
 
 
 class TestHybridAndEmulatorTiling:
@@ -307,10 +297,10 @@ class TestHybridAndEmulatorTiling:
         rng = np.random.default_rng(7)
         windows = rng.random((10, 9))
         kernels = rng.uniform(-1, 1, (2, 9))
-        untiled = CalibratedSCEmulator(make_engine("tff")).calibrate(windows, kernels)
-        tiled = CalibratedSCEmulator(make_engine("tff"), tile_patches=3).calibrate(
-            windows, kernels
-        )
+        with forced_tile(SINGLE_TILE):
+            untiled = CalibratedSCEmulator(make_engine("tff")).calibrate(windows, kernels)
+        with forced_tile(3):
+            tiled = CalibratedSCEmulator(make_engine("tff")).calibrate(windows, kernels)
         np.testing.assert_array_equal(tiled.residuals, untiled.residuals)
         assert tiled.bias == untiled.bias
         assert tiled.sigma == untiled.sigma
@@ -324,10 +314,9 @@ class TestHybridAndEmulatorTiling:
             frozen, engine=make_engine("tff", precision=4)
         )
         tiled = HybridStochasticBinaryNetwork(
-            frozen,
-            engine=make_engine("tff", precision=4),
-            tile_patches=13,
+            frozen, engine=make_engine("tff", precision=4)
         )
-        np.testing.assert_array_equal(
-            tiled.first_layer_bitexact(images), untiled.first_layer_bitexact(images)
-        )
+        with forced_tile(SINGLE_TILE):
+            expected = untiled.first_layer_bitexact(images)
+        with forced_tile(13):
+            np.testing.assert_array_equal(tiled.first_layer_bitexact(images), expected)

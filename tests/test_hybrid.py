@@ -6,6 +6,9 @@ import pytest
 from repro.datasets import SyntheticDigits
 from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork, SensorFrontEnd
 from repro.nn import Adam, build_lenet5_small, quantize_and_freeze, retrain
+from repro.nn.activations import Sign
+from repro.nn.layers import Conv2D
+from repro.nn.network import Sequential
 from repro.sc import new_sc_engine, old_sc_engine
 
 
@@ -264,6 +267,26 @@ class TestHybridNetwork:
             data.x_test, data.y_test, mode="bitexact", limit=8
         )
         assert 0.0 <= rate <= 1.0
+
+    def test_strided_first_layer_shapes_agree_across_modes(self):
+        first = Conv2D(1, 2, 3, stride=2, padding=1, activation=Sign())
+        hybrid = HybridStochasticBinaryNetwork(Sequential([first]), engine=new_sc_engine(4))
+        images = np.random.default_rng(0).random((2, 8, 8))
+        for evaluate in (
+            hybrid.first_layer_binary,
+            hybrid.first_layer_bitexact,
+            hybrid.first_layer_emulated,
+        ):
+            assert evaluate(images).shape == (2, 2, 4, 4)
+
+    @pytest.mark.parametrize("limit", [-2, 0, 1.5, True])
+    def test_limit_must_be_a_positive_integer(self, limit):
+        model = quantize_and_freeze(build_lenet5_small(filters1=2, image_size=8), precision=4)
+        hybrid = HybridStochasticBinaryNetwork(model, engine=new_sc_engine(4))
+        images, labels = np.zeros((3, 8, 8)), np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="limit"):
+            hybrid.misclassification_rate(images, labels, mode="binary", limit=limit)
+        assert hybrid.misclassification_rate(images, labels, mode="binary", limit=2) >= 0.0
 
     def test_unknown_mode_rejected(self, trained_hybrid_setup):
         data, frozen = trained_hybrid_setup
