@@ -12,19 +12,24 @@ it back up (see :mod:`repro.eval.table3_accuracy`).
 
 from __future__ import annotations
 
-import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.eval import AccuracyConfig, run_table3_accuracy
+from repro.utils import env_positive_int
+
+# The speed rows time the library against the test suite's reference oracles.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def _benchmark_accuracy_config() -> AccuracyConfig:
     """The scaled-down configuration used by the benchmark suite."""
     return AccuracyConfig(
         precisions=(8, 6, 4, 3, 2),
-        train_size=int(os.environ.get("REPRO_TRAIN_SIZE", 1500)),
-        test_size=int(os.environ.get("REPRO_TEST_SIZE", 400)),
+        train_size=env_positive_int("REPRO_TRAIN_SIZE", 1500),
+        test_size=env_positive_int("REPRO_TEST_SIZE", 400),
         baseline_epochs=4,
         retrain_epochs=3,
         sc_mode="emulate",

@@ -1,13 +1,15 @@
 """Benchmark: packed netlist simulator and bipolar engine vs. their references.
 
 Times the paths the packed-word kernels accelerate -- the
-activity-capturing netlist simulation behind the Table 3 power numbers, the
-Section IV-B bipolar dot-product engine, the LFSR/SNG netlists that used to
-force the per-cycle fallback (now resolved word-parallel through narrow
-feedback cores with periodic wrapping), and batched multi-trace simulation
--- asserts each meets its speedup floor, and writes a ``BENCH_netlist.json``
-artifact so the speedup trajectory can be tracked across commits, alongside
-``BENCH_packed.json``.
+activity-capturing netlist simulation behind the Table 3 power numbers and
+the LFSR/SNG netlists (resolved word-parallel through narrow feedback cores
+with periodic wrapping), each against the per-cycle oracle in
+``tests/netlist_oracle.py``; batched multi-trace simulation against one
+packed run per trace; and the Section IV-B bipolar dot-product engine
+against its byte-per-bit reference -- asserts each meets its speedup floor,
+and writes a ``BENCH_netlist.json`` artifact so the speedup trajectory can
+be tracked across commits, alongside ``BENCH_packed.json``.  The
+``unpacked_seconds`` keys hold the reference timings.
 
 Timings use best-of-``REPEATS`` wall-clock so a single scheduler hiccup on a
 loaded CI machine cannot fail the regression assertion.
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+import netlist_oracle
 from repro.bitstream import bipolar_to_unipolar
 from repro.netlist import build_sc_dot_product, build_sng, simulate, simulate_batch
 from repro.rng import MAXIMAL_TAPS, ComparatorSNG, SobolSource, VanDerCorputSource
@@ -50,12 +53,8 @@ def test_packed_netlist_toggle_count_speedup():
         for net in netlist.primary_inputs
     }
 
-    unpacked_s, unpacked = best_of(
-        lambda: simulate(netlist, stimulus, backend="unpacked")
-    )
-    packed_s, packed = best_of(
-        lambda: simulate(netlist, stimulus, backend="packed")
-    )
+    unpacked_s, unpacked = best_of(lambda: netlist_oracle.simulate(netlist, stimulus))
+    packed_s, packed = best_of(lambda: simulate(netlist, stimulus))
 
     # Correctness first: the speedup claim is only meaningful bit-identically.
     assert packed.toggles == unpacked.toggles
@@ -88,10 +87,10 @@ def test_packed_netlist_toggle_count_speedup():
 
 
 def test_packed_sng_speedup_at_4096():
-    # The SNG netlist (8-bit LFSR + comparator) used to force the packed
-    # backend onto the cycle-loop fallback; the feedback-core resolution
-    # must now deliver an order-of-magnitude speedup at Table 3 stream
-    # lengths (the acceptance floor of this change is 10x at 4096 cycles).
+    # The SNG netlist (8-bit LFSR + comparator): its register feedback has no
+    # closed form, so the feedback-core resolution must still deliver an
+    # order-of-magnitude speedup at Table 3 stream lengths (floor: 10x at
+    # 4096 cycles).
     bits, cycles = 8, 4096
     netlist = build_sng(bits, MAXIMAL_TAPS[bits])
     rng = np.random.default_rng(2)
@@ -100,12 +99,8 @@ def test_packed_sng_speedup_at_4096():
         for net in netlist.primary_inputs
     }
 
-    unpacked_s, unpacked = best_of(
-        lambda: simulate(netlist, stimulus, backend="unpacked")
-    )
-    packed_s, packed = best_of(
-        lambda: simulate(netlist, stimulus, backend="packed")
-    )
+    unpacked_s, unpacked = best_of(lambda: netlist_oracle.simulate(netlist, stimulus))
+    packed_s, packed = best_of(lambda: simulate(netlist, stimulus))
 
     assert packed.toggles == unpacked.toggles
     for net in unpacked.waveforms:
@@ -138,7 +133,7 @@ def test_packed_sng_speedup_at_4096():
 
 def test_batched_multi_trace_speedup():
     # One batched word-parallel run over a whole trace set vs. the same
-    # traces simulated one by one on the (already fast) packed backend.
+    # traces simulated one by one with the (already fast) packed simulate().
     taps, counter_bits, cycles, traces = 25, 9, 1024, 32
     netlist = build_sc_dot_product(taps, counter_bits, adder="tff")
     rng = np.random.default_rng(3)
@@ -149,18 +144,12 @@ def test_batched_multi_trace_speedup():
 
     def sequential():
         return [
-            simulate(
-                netlist,
-                {net: wave[k] for net, wave in stimulus.items()},
-                backend="packed",
-            )
+            simulate(netlist, {net: wave[k] for net, wave in stimulus.items()})
             for k in range(traces)
         ]
 
     sequential_s, singles = best_of(sequential)
-    batched_s, batched = best_of(
-        lambda: simulate_batch(netlist, stimulus, backend="packed")
-    )
+    batched_s, batched = best_of(lambda: simulate_batch(netlist, stimulus))
 
     for k in (0, traces // 2, traces - 1):
         assert batched.trace(k).toggles == singles[k].toggles

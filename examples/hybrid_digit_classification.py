@@ -19,7 +19,6 @@ sizes; set REPRO_TRAIN_SIZE / REPRO_TEST_SIZE for larger runs.
 Run with:  python examples/hybrid_digit_classification.py [precision]
 """
 
-import os
 import sys
 import time
 
@@ -29,12 +28,13 @@ from repro.datasets import load_dataset
 from repro.hybrid import HybridStochasticBinaryNetwork
 from repro.nn import Adam, build_lenet5_small, quantize_and_freeze, retrain
 from repro.sc import new_sc_engine, old_sc_engine
+from repro.utils import env_positive_int
 
 
 def main() -> None:
     precision = int(sys.argv[1]) if len(sys.argv) > 1 else 6
-    train_size = int(os.environ.get("REPRO_TRAIN_SIZE", 2000))
-    test_size = int(os.environ.get("REPRO_TEST_SIZE", 500))
+    train_size = env_positive_int("REPRO_TRAIN_SIZE", 2000)
+    test_size = env_positive_int("REPRO_TEST_SIZE", 500)
 
     print(f"Loading dataset ({train_size} train / {test_size} test images) ...")
     data = load_dataset(train_size=train_size, test_size=test_size, seed=0)

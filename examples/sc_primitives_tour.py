@@ -137,33 +137,25 @@ def main() -> None:
     section("Packed netlist simulation: whole waveforms, 64 cycles per word")
     cycles = 512
     stimulus = {net: rng.integers(0, 2, cycles) for net in engine.primary_inputs}
-    timings = {}
-    for backend in ("unpacked", "packed"):
-        start = time.perf_counter()
-        activity = simulate(engine, stimulus, backend=backend)
-        timings[backend] = time.perf_counter() - start
-        print(f"{backend:>8s} simulation of the engine netlist "
-              f"({len(engine.instances)} cells x {cycles} cycles): "
-              f"{timings[backend] * 1e3:6.1f} ms, "
-              f"{activity.total_toggles()} toggles")
-    print(f"identical toggle counts, packed "
-          f"{timings['unpacked'] / timings['packed']:.0f}x faster "
-          "(same word kernels now also drive the bipolar XNOR engine)")
+    start = time.perf_counter()
+    activity = simulate(engine, stimulus)
+    elapsed = time.perf_counter() - start
+    print(f"packed simulation of the engine netlist "
+          f"({len(engine.instances)} cells x {cycles} cycles): "
+          f"{elapsed * 1e3:6.1f} ms, {activity.total_toggles()} toggles")
+    print("each cell runs once on whole uint64 waveform words "
+          "(the same word kernels drive the bipolar XNOR engine)")
 
     section("Feedback cores: LFSR netlists stay word-parallel")
     sng = build_sng(8, MAXIMAL_TAPS[8])
     cycles = 2048
     stimulus = {net: rng.integers(0, 2, cycles) for net in sng.primary_inputs}
-    timings = {}
-    for backend in ("unpacked", "packed"):
-        start = time.perf_counter()
-        activity = simulate(sng, stimulus, backend=backend)
-        timings[backend] = time.perf_counter() - start
+    start = time.perf_counter()
+    activity = simulate(sng, stimulus)
+    elapsed = time.perf_counter() - start
     print(f"SNG netlist (8-bit LFSR + comparator, {len(sng.instances)} cells, "
           f"{cycles} cycles):")
-    print(f"  cycle loop {timings['unpacked'] * 1e3:6.1f} ms, "
-          f"packed {timings['packed'] * 1e3:6.1f} ms "
-          f"({timings['unpacked'] / timings['packed']:.0f}x)")
+    print(f"  packed {elapsed * 1e3:6.1f} ms, {activity.total_toggles()} toggles")
     print("  the LFSR loop is iterated only over its 255-state period and the")
     print("  waveform wrapped out to the full run; the comparator stays packed")
 
@@ -315,20 +307,15 @@ def main() -> None:
           f"swing {worst} LSBs across 40 seeds")
 
     # Stuck-at faults drop straight into the gate-level view: force the SNG
-    # comparator's output net and the stream density collapses, on both
-    # simulation backends identically.
+    # comparator's output net and the stream density collapses.
     sng = build_sng(4, MAXIMAL_TAPS[4])
     value_bits = {f"value{i}": np.full(16, (11 >> i) & 1, dtype=np.uint8)
                   for i in range(4)}
     healthy = simulate(sng, value_bits)
     stuck = simulate(sng, value_bits, faults={"stream": 0})
-    stuck_unpacked = simulate(sng, value_bits, backend="unpacked",
-                              faults={"stream": 0})
-    assert np.array_equal(stuck.waveforms["stream"],
-                          stuck_unpacked.waveforms["stream"])
     print(f"SNG netlist converting 11/16: healthy density "
           f"{healthy.waveforms['stream'].mean():.3f}, stream stuck-at-0 -> "
-          f"{stuck.waveforms['stream'].mean():.3f} (backends agree)")
+          f"{stuck.waveforms['stream'].mean():.3f}")
 
     # And the engine-level spec threads through the convolution's tiles:
     # stream faults force the stream-domain evaluation, whose lane products

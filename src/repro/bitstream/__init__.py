@@ -6,7 +6,6 @@ Two interchangeable stream representations are provided: the byte-per-bit
 losslessly via ``Bitstream.pack()`` / ``PackedBitstream.unpack()``.
 """
 
-from .backend import BACKENDS, validate_backend
 from .bitstream import Bitstream
 from .correlation import (
     autocorrelation,
@@ -51,8 +50,6 @@ from .encoding import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "validate_backend",
     "Bitstream",
     "PackedBitstream",
     "WORD_BITS",

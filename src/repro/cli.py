@@ -30,10 +30,8 @@ Stochastic streams are always simulated as packed 64-bit words.
 ``activity`` runs the PrimeTime-style switching-annotated power
 estimate: it simulates the Table 3 stochastic dot-product netlist against a
 random bit-stream trace and rolls the per-net toggle counts into power;
-``--traces K`` stacks K stimulus sets on a leading axis and covers them all
-with one batched word-parallel simulation, and ``--backend
-{packed,unpacked}`` picks the netlist simulator's word-parallel path or its
-per-cycle reference loop (bit-identical results).
+``--traces K`` stacks K stimulus sets (default 1) on a leading axis and
+covers them all with one batched word-parallel simulation.
 ``hardware --activity-traces N`` replaces the assumed activity factor of the
 stochastic power model by one measured the same way.
 
@@ -52,7 +50,6 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from .bitstream import BACKENDS
 from .eval import (
     AccuracyConfig,
     format_headline_claims,
@@ -138,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of stimulus trace sets, simulated in one batched "
              "word-parallel run (default 1)",
     )
-    activity.add_argument(
-        "--backend", choices=BACKENDS, default="packed",
-        help="netlist simulator backend: packed word kernels or the unpacked "
-             "per-cycle reference loop (bit-identical; default: packed)",
-    )
 
     lint_cmd = sub.add_parser(
         "lint",
@@ -225,7 +217,7 @@ def _run_activity(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .hw.technology import DEFAULT_TECH
-    from .netlist import build_sc_dot_product, estimate_power, simulate, simulate_batch
+    from .netlist import build_sc_dot_product, estimate_power, simulate_batch
 
     if args.precision < 2:
         raise SystemExit("repro: error: precision must be at least 2")
@@ -236,29 +228,19 @@ def _run_activity(args: argparse.Namespace) -> None:
     cycles = 1 << args.precision
     netlist = build_sc_dot_product(args.taps, args.precision + 1, adder=args.adder)
     rng = np.random.default_rng(args.seed)
-    if args.traces == 1:
-        stimulus = {
-            net: rng.integers(0, 2, cycles, dtype=np.int64).astype(np.uint8)
-            for net in netlist.primary_inputs
-        }
-        result = simulate(netlist, stimulus, backend=args.backend, strict=True)
-        trace_note = ""
-    else:
-        stimulus = {
-            net: rng.integers(
-                0, 2, (args.traces, cycles), dtype=np.int64
-            ).astype(np.uint8)
-            for net in netlist.primary_inputs
-        }
-        result = simulate_batch(
-            netlist, stimulus, backend=args.backend, strict=True
-        )
-        trace_note = f" x {args.traces} traces (batched)"
+    # A (1, cycles) draw holds the same bits as a (cycles,) draw, so one
+    # batched run covers every --traces value.
+    stimulus = {
+        net: rng.integers(0, 2, (args.traces, cycles), dtype=np.int64).astype(np.uint8)
+        for net in netlist.primary_inputs
+    }
+    result = simulate_batch(netlist, stimulus, strict=True)
+    trace_note = f" x {args.traces} traces (batched)" if args.traces > 1 else ""
     report = estimate_power(
         netlist, DEFAULT_TECH.sc_clock_mhz, simulation=result
     )
     print(f"netlist: {netlist.name} ({len(netlist.instances)} cells), "
-          f"{cycles} cycles{trace_note}, backend={args.backend}")
+          f"{cycles} cycles{trace_note}")
     print(f"total toggles:      {result.total_toggles()}")
     print(f"average activity:   {result.average_activity():.4f} toggles/cycle/net")
     if args.traces > 1:
@@ -380,8 +362,8 @@ def _accuracy_config(args: argparse.Namespace) -> AccuracyConfig:
     try:
         return AccuracyConfig(**kwargs)
     except ValueError as exc:
-        # e.g. an unusable REPRO_EVAL_IMAGES environment setting: fail with
-        # the same clean message style as other flag errors, not a traceback.
+        # e.g. an unusable REPRO_* environment setting: fail with the same
+        # clean message style as other flag errors, before any training.
         raise SystemExit(f"repro: error: {exc}") from exc
 
 

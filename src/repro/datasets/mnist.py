@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..utils.env import env_positive_int
 from .synthetic import SyntheticDigits
 
 __all__ = ["read_idx", "load_mnist", "load_dataset", "DEFAULT_MNIST_DIR"]
@@ -100,9 +101,9 @@ def load_dataset(
     8000 / 2000.
     """
     if train_size is None:
-        train_size = int(os.environ.get("REPRO_TRAIN_SIZE", 8000))
+        train_size = env_positive_int("REPRO_TRAIN_SIZE", 8000)
     if test_size is None:
-        test_size = int(os.environ.get("REPRO_TEST_SIZE", 2000))
+        test_size = env_positive_int("REPRO_TEST_SIZE", 2000)
     if train_size < 1 or test_size < 1:
         raise ValueError("train_size and test_size must be positive")
 

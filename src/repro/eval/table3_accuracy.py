@@ -36,6 +36,7 @@ from ..datasets import load_dataset
 from ..hybrid import HybridStochasticBinaryNetwork
 from ..nn import Adam, Sequential, build_lenet5_small, quantize_and_freeze, retrain
 from ..sc import new_sc_engine, old_sc_engine
+from ..utils.env import env_positive_int
 
 __all__ = ["AccuracyConfig", "Table3AccuracyResult", "run_table3_accuracy"]
 
@@ -77,18 +78,23 @@ class AccuracyConfig:
     def __post_init__(self) -> None:
         if self.sc_mode not in ("emulate", "bitexact"):
             raise ValueError("sc_mode must be 'emulate' or 'bitexact'")
-        if os.environ.get("REPRO_BITEXACT") == "1":
+        bitexact = os.environ.get("REPRO_BITEXACT", "")
+        if bitexact not in ("", "0", "1"):
+            raise ValueError(
+                f"REPRO_BITEXACT must be unset, empty, 0 or 1, got {bitexact!r}"
+            )
+        if bitexact == "1":
             self.sc_mode = "bitexact"
+        # load_dataset reads the size variables when a size is unset: check
+        # them here, so a bad value fails before any training.
+        if self.train_size is None:
+            env_positive_int("REPRO_TRAIN_SIZE")
+        if self.test_size is None:
+            env_positive_int("REPRO_TEST_SIZE")
         if self.sc_eval_images is None:
-            env = os.environ.get("REPRO_EVAL_IMAGES")
-            if env is not None:
-                if not env.strip().isdecimal() or int(env) < 1:
-                    raise ValueError(
-                        f"REPRO_EVAL_IMAGES must be a positive integer, got {env!r}"
-                    )
-                self.sc_eval_images = int(env)
-            elif self.sc_mode == "bitexact":
-                self.sc_eval_images = 100
+            self.sc_eval_images = env_positive_int(
+                "REPRO_EVAL_IMAGES", 100 if self.sc_mode == "bitexact" else None
+            )
         value = self.sc_eval_images
         if value is not None and (
             isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1

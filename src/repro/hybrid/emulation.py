@@ -194,7 +194,6 @@ class CalibratedSCEmulator:
         self,
         windows: np.ndarray,
         weights: np.ndarray,
-        backend: str = "packed",
     ) -> BatchSimulationResult:
         """Gate-level switching activity of the engine on a real trace set.
 
@@ -215,8 +214,6 @@ class CalibratedSCEmulator:
             Unipolar input windows of shape ``(traces, taps)``.
         weights:
             One signed kernel of shape ``(taps,)`` (shared by every trace).
-        backend:
-            Netlist simulator backend (:func:`repro.netlist.simulate_batch`).
         """
         if self._bipolar:
             raise ValueError(
@@ -256,7 +253,7 @@ class CalibratedSCEmulator:
                 stimulus[net] = rng.integers(
                     0, 2, self.engine.length, dtype=np.int64
                 ).astype(np.uint8)
-        return simulate_batch(netlist, stimulus, backend=backend, strict=True)
+        return simulate_batch(netlist, stimulus, strict=True)
 
     # ------------------------------------------------------------------ #
     # fast forward pass

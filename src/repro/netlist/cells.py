@@ -59,10 +59,14 @@ class Cell:
     logic:
         For combinational cells: a function mapping input bit tuple to the
         output bit tuple.  For sequential cells: a function mapping
-        ``(state, inputs)`` to ``(new_state, outputs)``.
+        ``(state, inputs)`` to ``(new_state, outputs)``.  The scalar
+        definition of the cell: the simulator steps feedback cores whose
+        inputs every trace shares through it, and the per-cycle test oracle
+        evaluates every cell through it.
     word_logic:
-        The word-parallel counterpart used by the packed simulator backend.
-        For combinational cells: ``word_logic(inputs, ones)`` maps a tuple of
+        The word-parallel counterpart the simulator evaluates the cell with
+        (required: the simulator has no per-cycle fallback).  For
+        combinational cells: ``word_logic(inputs, ones)`` maps a tuple of
         packed uint64 waveform arrays (the whole simulation, 64 cycles per
         word) to the output waveform tuple; ``ones`` is the all-ones waveform
         (tail-masked) so inverting gates can complement without leaking bits
@@ -77,8 +81,7 @@ class Cell:
         broadcast over any leading axes: batched multi-trace simulation
         (:func:`repro.netlist.simulator.simulate_batch`) passes waveform
         arrays of shape ``(traces, words)`` mixed with shared ``(words,)``
-        arrays through the very same functions.  ``None`` means the cell has
-        no packed fast path and forces the cycle-loop backend.
+        arrays through the very same functions.
     word_step:
         Sequential cells only: the word-parallel *single-cycle* transition
         ``word_step(state, inputs) -> (new_state, outputs)``, where ``state``
@@ -86,8 +89,11 @@ class Cell:
         lane.  This is the kernel the batched simulator uses to iterate a
         register feedback core over all stimulus traces at once (the trace
         axis packed 64-per-word); it must mirror ``logic`` exactly,
-        positionwise.  ``None`` makes batched feedback-core resolution fall
-        back to one per-trace iteration per stimulus set.
+        positionwise.  Required for every sequential cell.
+
+    Every :data:`CELL_LIBRARY` cell carries the word kernels its kind needs,
+    and cells reach a netlist only through that library
+    (:meth:`~repro.netlist.netlist.Netlist.add_cell`).
     """
 
     name: str
@@ -143,7 +149,7 @@ def _tff_logic(state: int, inputs: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...
 
 
 # --------------------------------------------------------------------------- #
-# word-parallel logic (packed simulator backend)
+# word-parallel logic (the simulator's kernels)
 # --------------------------------------------------------------------------- #
 def _wcomb(fn):
     """Wrap a word function ``fn(*inputs, ones)`` into the tuple interface."""

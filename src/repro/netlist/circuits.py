@@ -205,6 +205,8 @@ def build_lfsr(bits: int, taps: Sequence[int]) -> Netlist:
     """
     if bits < 2:
         raise ValueError("LFSR needs at least 2 bits")
+    if any(t < 1 or t > bits for t in taps):
+        raise ValueError(f"tap positions must lie in [1, {bits}], got {taps}")
     net = Netlist(f"lfsr_{bits}")
     state = [f"state{i}" for i in range(bits)]
     feedback = state[0]  # Galois: the shifted-out LSB

@@ -23,8 +23,8 @@ without simulating:
   sequential state in the cycle simulator) and user-named nets that sit in
   the namespace :meth:`~repro.netlist.netlist.Netlist.new_net` generates;
 * **state** -- sequential cells whose ``initial_state`` is outside ``{0,1}``
-  (unreachable in the two-level signal convention, and a silent
-  packed/unpacked divergence in the simulator);
+  (unreachable in the two-level signal convention; the simulator's
+  closed-form registers reject it while feedback cores read it modulo 2);
 * **structure** -- a fanout histogram and per-primary-output logic depth /
   critical path length for every lint run (:class:`NetlistStats`).
 
@@ -547,7 +547,8 @@ def _check_combinational_cycles(ctx: _Analysis) -> Iterator[LintFinding]:
     "bad-initial-state",
     "error",
     "sequential initial_state must be 0 or 1 (anything else is unreachable "
-    "in the two-level convention and diverges between simulator backends)",
+    "in the two-level convention, and the simulator's closed-form registers "
+    "reject it while feedback cores read it modulo 2)",
 )
 def _check_initial_state(ctx: _Analysis) -> Iterator[LintFinding]:
     for inst in ctx.seq:

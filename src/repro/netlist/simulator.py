@@ -13,26 +13,21 @@ The simulation model is the standard zero-delay cycle model:
   sequential cells present their stored state on their outputs;
 * at the end of the cycle, sequential cells capture their next state.
 
-Backend selection
------------------
-Two execution backends produce that model's results (selected by
-``backend="packed"|"unpacked"``, validated by
-:func:`repro.bitstream.backend.validate_backend`):
-
-* ``"unpacked"`` -- the reference interpreter: combinational cells are
-  evaluated in topological order, one Python call per cell per cycle;
-* ``"packed"`` -- the word-parallel fast path: every net's full waveform is
-  stored 64 cycles per ``uint64`` word and each combinational cell is
-  evaluated once on whole word arrays (its :attr:`~repro.netlist.cells.Cell`
-  ``word_logic``).  Sequential cells are resolved in closed form -- a DFF is
-  a one-cycle packed delay, a TFF a word-parallel prefix-parity scan -- in
-  topological order of the *register* dependency graph.  Toggle counts come
-  from the ``popcount(w ^ (w >> 1))`` word kernel
-  (:func:`repro.bitstream.packed.packed_transition_count`).
+Word-parallel model
+-------------------
+Every net's full waveform is stored 64 cycles per ``uint64`` word and each
+combinational cell is evaluated once on whole word arrays (its
+:attr:`~repro.netlist.cells.Cell` ``word_logic``).  Sequential cells are
+resolved in closed form -- a DFF is a one-cycle packed delay, a TFF a
+word-parallel prefix-parity scan -- in topological order of the *register*
+dependency graph.  Toggle counts come from the ``popcount(w ^ (w >> 1))``
+word kernel (:func:`repro.bitstream.packed.packed_transition_count`).  The
+per-cycle cell loop that defines the model lives in the test suite
+(``tests/netlist_oracle.py``), which compares every packed run against it.
 
 Netlists whose registers form a combinational feedback cycle (e.g. an LFSR,
 or the accumulator loop of a binary MAC) have no per-register closed form.
-The packed backend resolves them without abandoning word parallelism: the
+The simulator resolves them without abandoning word parallelism: the
 stalled instances are grouped into strongly connected components of the
 register dependency graph, and only that narrow feedback *core* is iterated
 cycle by cycle over its state vector.  Autonomous cores (all external inputs
@@ -41,17 +36,15 @@ state and wrap the periodic waveform out to the full run length
 (:func:`repro.bitstream.packed.extend_periodic`), so an ``n``-bit LFSR costs
 ``min(cycles, period)`` scalar steps regardless of the simulation length.
 The packed core waveforms then feed the ordinary word-parallel evaluation of
-everything downstream (comparators, trees, counters), so results stay
-bit-identical to ``"unpacked"`` on every netlist.  The only remaining
-cycle-loop fallback is a cell without a ``word_logic`` implementation, which
-no library cell triggers.
+everything downstream (comparators, trees, counters).
 
 Batched multi-trace simulation
 ------------------------------
 :func:`simulate_batch` evaluates one netlist against ``K`` stimulus sets in
-a single packed run: per-net stimulus arrays carry the traces on a leading
-axis (shape ``(K, cycles)``; 1-D arrays are shared by every trace, e.g.
-weight streams), every word kernel broadcasts over that axis, and the result
+a single packed run, and :func:`simulate` is its one-trace view.  Per-net
+stimulus arrays carry the traces on a leading axis (shape ``(K, cycles)``;
+1-D arrays are shared by every trace, e.g. weight streams), every word
+kernel broadcasts over that axis, and the result
 (:class:`BatchSimulationResult`) holds ``(K, cycles)`` waveforms and
 ``(K,)`` toggle vectors per net.  Batched results plug directly into
 :func:`repro.netlist.power.estimate_power`, which then uses the mean
@@ -61,8 +54,7 @@ resolved once and broadcast; cores fed by per-trace waveforms are iterated
 cycle by cycle with the *trace axis* packed 64-per-word (combinational core
 cells through their positionwise ``word_logic``, register transitions
 through ``Cell.word_step``), so even non-autonomous feedback circuits cost
-one Python pass over the cycles for the whole batch.  Cells without a
-``word_step`` fall back to one per-trace core iteration per stimulus set.
+one Python pass over the cycles for the whole batch.
 
 Strict elaboration
 ------------------
@@ -70,21 +62,21 @@ Both entry points accept ``strict=True`` to run the error-severity rules of
 the static analyzer (:mod:`repro.netlist.lint`) before execution.  Plain
 ``validate()`` only proves that instance inputs have drivers; strict mode
 additionally rejects undriven primary outputs, duplicate instance names
-(which would silently share one sequential-state entry in the cycle loop),
+(which would silently share one state entry in a feedback core),
 combinational cycles (reported as their actual SCC member list), and
-out-of-range ``initial_state`` values (which diverge between the packed and
-unpacked backends).  Use it when simulating netlists from new or generated
-builders; the cost is one linear graph pass.
+out-of-range ``initial_state`` values (which closed-form registers reject
+but feedback cores read modulo 2).  Use it when simulating netlists from new
+or generated builders; the cost is one linear graph pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
-from ..bitstream.backend import validate_backend
 from ..bitstream.packed import (
     extend_periodic,
     mask_tail,
@@ -204,7 +196,7 @@ class BatchSimulationResult:
 
 
 # --------------------------------------------------------------------------- #
-# shared stimulus / record validation
+# stimulus / record validation
 # --------------------------------------------------------------------------- #
 def _strict_elaborate(netlist: Netlist) -> None:
     """Run error-level static analysis before execution (``strict=True``)."""
@@ -267,97 +259,59 @@ def simulate(
     stimulus: Mapping[str, Sequence[int] | np.ndarray],
     cycles: Optional[int] = None,
     record: Optional[Sequence[str]] = None,
-    backend: str = "packed",
     strict: bool = False,
     faults: Optional[NetlistFaults | Mapping[str, int]] = None,
 ) -> SimulationResult:
     """Simulate a netlist against input waveforms.
+
+    The one-trace view of :func:`simulate_batch`: the same word-parallel run
+    with a batch of one, returned as a :class:`SimulationResult`.
 
     Parameters
     ----------
     netlist:
         The circuit to simulate.
     stimulus:
-        Mapping from primary-input net name to its per-cycle bit values.
-        Every primary input must be covered.
+        Mapping from primary-input net name to its per-cycle bit values
+        (one-dimensional; any nonzero value is logic 1, NaN and inf are
+        rejected).  Every primary input must be covered.
     cycles:
-        Number of cycles; defaults to the length of the shortest stimulus.
+        Number of cycles, a non-negative integer; defaults to the length of
+        the shortest stimulus.
     record:
         Net names whose waveforms should be returned.  Defaults to the primary
         outputs.  Every name must exist in the netlist (``ValueError``
         otherwise).  Toggle counts are always collected for *all* nets.
-    backend:
-        ``"packed"`` evaluates each cell on whole 64-cycles-per-word uint64
-        waveform words, resolving register feedback cores (LFSRs, accumulator
-        loops) by narrow per-cycle state iteration with periodic wrapping;
-        ``"unpacked"`` runs the per-cycle cell loop -- the reference, and
-        the fallback for cells without a word kernel.  Both produce
-        bit-identical results on every netlist.
     strict:
         Strict elaboration mode: run the error-severity rules of
         :mod:`repro.netlist.lint` before execution and raise
         :class:`~repro.netlist.lint.LintError` on any hit.  This catches
         structural corruption :meth:`~repro.netlist.netlist.Netlist.validate`
         cannot see -- duplicate instance names silently sharing sequential
-        state, out-of-range initial states diverging between backends,
-        undriven primary outputs -- instead of producing wrong waveforms.
+        state, out-of-range initial states, undriven primary outputs --
+        instead of producing wrong waveforms.
     faults:
         Optional :class:`~repro.faults.NetlistFaults` (or a plain
         ``{net: 0-or-1}`` mapping) of stuck-at faults: each listed net is
         forced to its constant at the driver for the whole run, so all
         fan-out, register captures, recorded waveforms and toggle counts see
         the defect.  Unknown net names raise ``ValueError`` (the same
-        lint-style validation as ``record``).  Both backends force
-        identically.
+        lint-style validation as ``record``).
 
     Returns
     -------
     SimulationResult
     """
-    validate_backend(backend)
-    if strict:
-        _strict_elaborate(netlist)
-    netlist.validate()
-
-    missing = [net for net in netlist.primary_inputs if net not in stimulus]
-    if missing:
-        raise ValueError(f"missing stimulus for primary inputs: {missing}")
-
-    # Normalize to strict 0/1 up front (any nonzero value counts as logic 1)
-    # so both backends see identical bits.
-    waves = {
-        net: (np.asarray(stimulus[net]) != 0).astype(np.uint8)
-        for net in netlist.primary_inputs
-    }
-    for net, wave in waves.items():
-        if wave.ndim != 1:
+    for net in netlist.primary_inputs:
+        if net in stimulus and np.ndim(stimulus[net]) != 1:
             raise ValueError(
                 f"stimulus for {net!r} must be one-dimensional, got shape "
-                f"{wave.shape}; use simulate_batch() for stacked trace sets"
+                f"{np.shape(stimulus[net])}; use simulate_batch() for stacked "
+                "trace sets"
             )
-    if cycles is None:
-        if not waves:
-            raise ValueError("cycle count required for a netlist with no inputs")
-        cycles = min(len(w) for w in waves.values())
-    for net, wave in waves.items():
-        if len(wave) < cycles:
-            raise ValueError(
-                f"stimulus for {net!r} has {len(wave)} cycles, need {cycles}"
-            )
-
-    nets = _driven_nets(netlist)
-    record = _validate_record(netlist, record, nets)
-    forced = _validate_faults(netlist, faults, nets)
-
-    if backend == "packed":
-        result = _simulate_packed(
-            netlist, waves, int(cycles), record, nets, forced=forced
-        )
-        if result is not None:
-            return result
-    return _simulate_cycle_loop(
-        netlist, waves, int(cycles), record, nets, forced=forced
-    )
+    return simulate_batch(
+        netlist, stimulus, cycles, record, batch=1, strict=strict, faults=faults
+    ).trace(0)
 
 
 def simulate_batch(
@@ -365,16 +319,14 @@ def simulate_batch(
     stimulus: Mapping[str, Sequence[Sequence[int]] | np.ndarray],
     cycles: Optional[int] = None,
     record: Optional[Sequence[str]] = None,
-    backend: str = "packed",
     batch: Optional[int] = None,
     strict: bool = False,
     faults: Optional[NetlistFaults | Mapping[str, int]] = None,
 ) -> BatchSimulationResult:
     """Simulate a netlist against a whole batch of stimulus traces at once.
 
-    Semantically identical to calling :func:`simulate` once per trace and
-    stacking the results (that is literally what ``backend="unpacked"``
-    does); the packed backend evaluates all traces in one word-parallel run,
+    Semantically identical to simulating each trace on its own and stacking
+    the results, but all traces are evaluated in one word-parallel run,
     which is how a full MNIST trace set is covered by a single simulation.
 
     Parameters
@@ -385,14 +337,14 @@ def simulate_batch(
         Mapping from primary-input net name to per-cycle bit values.  2-D
         arrays of shape ``(batch, cycles)`` carry one waveform per trace;
         1-D arrays of shape ``(cycles,)`` are shared by every trace (e.g.
-        weight or select streams that do not change between images).
+        weight or select streams that do not change between images).  Any
+        nonzero value is logic 1; NaN and inf are rejected.
     cycles:
-        Number of cycles per trace; defaults to the shortest stimulus.
+        Number of cycles per trace, a non-negative integer; defaults to the
+        shortest stimulus.
     record:
         Net names whose waveforms should be returned (defaults to the
         primary outputs); toggle counts cover all nets, per trace.
-    backend:
-        Same convention as :func:`simulate`.
     batch:
         Explicit batch size; only needed when no stimulus entry is 2-D
         (e.g. an input-less netlist or all-shared stimulus).
@@ -408,7 +360,6 @@ def simulate_batch(
     -------
     BatchSimulationResult
     """
-    validate_backend(backend)
     if strict:
         _strict_elaborate(netlist)
     netlist.validate()
@@ -420,7 +371,12 @@ def simulate_batch(
     waves: Dict[str, np.ndarray] = {}
     inferred: Optional[int] = None
     for net in netlist.primary_inputs:
-        arr = (np.asarray(stimulus[net]) != 0).astype(np.uint8)
+        raw = np.asarray(stimulus[net])
+        # `nan != 0` holds, so a non-finite value would silently become 1.
+        if raw.dtype.kind in "fc" and not np.isfinite(raw).all():
+            raise ValueError(f"stimulus for {net!r} contains NaN or inf")
+        # Normalize to strict 0/1 (any nonzero value counts as logic 1).
+        arr = (raw != 0).astype(np.uint8)
         if arr.ndim == 2:
             if inferred is None:
                 inferred = arr.shape[0]
@@ -461,6 +417,15 @@ def simulate_batch(
         if not waves:
             raise ValueError("cycle count required for a netlist with no inputs")
         cycles = min(w.shape[-1] for w in waves.values())
+    else:
+        try:
+            cycles = operator.index(cycles)  # NumPy integers pass; 2.7 does not
+        except TypeError:
+            raise ValueError(
+                f"cycles must be a non-negative integer, got {cycles!r}"
+            ) from None
+        if cycles < 0:
+            raise ValueError(f"cycles must be a non-negative integer, got {cycles}")
     for net, wave in waves.items():
         if wave.shape[-1] < cycles:
             raise ValueError(
@@ -470,99 +435,11 @@ def simulate_batch(
     nets = _driven_nets(netlist)
     record = _validate_record(netlist, record, nets)
     forced = _validate_faults(netlist, faults, nets)
-    cycles = int(cycles)
-
-    if backend == "packed":
-        result = _simulate_packed(
-            netlist, waves, cycles, record, nets, batch=batch, forced=forced
-        )
-        if result is not None:
-            return result
-
-    # Reference semantics: one independent cycle-loop run per trace.
-    per_trace = [
-        _simulate_cycle_loop(
-            netlist,
-            {net: (w if w.ndim == 1 else w[k]) for net, w in waves.items()},
-            cycles,
-            record,
-            nets,
-            forced=forced,
-        )
-        for k in range(batch)
-    ]
-    return BatchSimulationResult(
-        cycles=cycles,
-        batch=batch,
-        waveforms={
-            net: np.stack([r.waveforms[net] for r in per_trace]) for net in record
-        },
-        toggles={
-            net: np.array([r.toggles[net] for r in per_trace], dtype=np.int64)
-            for net in nets
-        },
-    )
+    return _simulate_packed(netlist, waves, cycles, record, nets, batch, forced)
 
 
 # --------------------------------------------------------------------------- #
-# reference backend: the per-cycle cell loop
-# --------------------------------------------------------------------------- #
-def _simulate_cycle_loop(
-    netlist: Netlist,
-    waves: Dict[str, np.ndarray],
-    cycles: int,
-    record: List[str],
-    nets: List[str],
-    forced: Optional[Dict[str, int]] = None,
-) -> SimulationResult:
-    order = netlist.topological_order()
-    sequential = netlist.sequential_instances()
-    forced = forced or {}
-
-    values: Dict[str, int] = {"0": 0, "1": 1}
-    state: Dict[str, int] = {inst.name: inst.initial_state for inst in sequential}
-    previous: Dict[str, int] = {}
-    toggles: Dict[str, int] = {net: 0 for net in nets}
-    recorded = {net: np.zeros(cycles, dtype=np.uint8) for net in record}
-
-    for t in range(cycles):
-        # Stuck-at forcing happens at every driver write: a faulted net is
-        # pinned to its constant before any reader (topologically later
-        # cells, register captures, waveform recording) can observe it.
-        for net in netlist.primary_inputs:
-            values[net] = forced[net] if net in forced else int(waves[net][t])
-        # Sequential outputs present their stored state for this cycle
-        # (inputs are irrelevant for the Q value, so zeros are passed).
-        for inst in sequential:
-            _, outs = inst.cell.logic(state[inst.name], tuple(0 for _ in inst.inputs))
-            for net, bit in zip(inst.outputs, outs):
-                values[net] = forced[net] if net in forced else int(bit)
-
-        for inst in order:
-            in_bits = tuple(values[n] for n in inst.inputs)
-            out_bits = inst.cell.logic(in_bits)
-            for net, bit in zip(inst.outputs, out_bits):
-                values[net] = forced[net] if net in forced else int(bit)
-
-        # Capture next state using the settled input values.
-        for inst in sequential:
-            in_bits = tuple(values[n] for n in inst.inputs)
-            new_state, _ = inst.cell.logic(state[inst.name], in_bits)
-            state[inst.name] = int(new_state)
-
-        for net in recorded:
-            recorded[net][t] = values[net]
-        for net in nets:
-            value = values[net]
-            if t > 0 and previous[net] != value:
-                toggles[net] += 1
-            previous[net] = value
-
-    return SimulationResult(cycles=cycles, waveforms=recorded, toggles=toggles)
-
-
-# --------------------------------------------------------------------------- #
-# packed backend: whole-waveform word kernels
+# whole-waveform word kernels
 # --------------------------------------------------------------------------- #
 def _simulate_packed(
     netlist: Netlist,
@@ -570,10 +447,10 @@ def _simulate_packed(
     cycles: int,
     record: List[str],
     nets: List[str],
-    batch: Optional[int] = None,
-    forced: Optional[Dict[str, int]] = None,
-):
-    """Word-parallel simulation of one trace (``batch=None``) or a batch.
+    batch: int,
+    forced: Dict[str, int],
+) -> BatchSimulationResult:
+    """Word-parallel simulation of a batch of traces.
 
     Combinational cells are evaluated once on packed full-run waveforms;
     sequential cells are resolved in closed form (their ``word_logic``) as
@@ -582,20 +459,13 @@ def _simulate_packed(
     (LFSR-style feedback); the stalled strongly connected components are
     then resolved by :func:`_resolve_register_cores` -- a narrow per-cycle
     iteration of just the feedback core -- and the worklist resumes.
-    Returns ``None`` only when a cell lacks a ``word_logic`` implementation
-    (never the case for the built-in library), in which case the caller
-    falls back to the cycle loop.
     """
-    if any(inst.cell.word_logic is None for inst in netlist.instances):
-        return None
-
     width = words_for(cycles)
     ones = mask_tail(np.full(width, np.uint64(0xFFFFFFFFFFFFFFFF)), cycles)
-    forced = forced or {}
     # Stuck-at forcing in the word domain: a faulted net's full-run waveform
     # is the all-ones (tail-masked) or all-zeros word array, substituted at
     # every driver write so downstream word kernels only ever see the
-    # constant -- bit-identical to the cycle loop's per-write forcing.
+    # constant.
     forced_words: Dict[str, np.ndarray] = {
         net: (ones if value else np.zeros(width, dtype=np.uint64))
         for net, value in forced.items()
@@ -648,13 +518,6 @@ def _simulate_packed(
             pending_comb = [i for i in pending_comb if id(i) not in resolved]
             pending_seq = [i for i in pending_seq if id(i) not in resolved]
 
-    if batch is None:
-        recorded = {net: unpack_bits(values[net], cycles) for net in record}
-        toggles = {
-            net: int(packed_transition_count(values[net], cycles)) for net in nets
-        }
-        return SimulationResult(cycles=cycles, waveforms=recorded, toggles=toggles)
-
     # Nets driven only by shared (1-D) stimulus keep 1-D waveforms that are
     # identical for every trace: compute their waveform / toggle count once
     # and broadcast the *result*, instead of running the kernels over batch
@@ -663,8 +526,7 @@ def _simulate_packed(
     for net in record:
         words = values[net]
         if words.ndim == 1:
-            # tile, not broadcast_to: callers get independent writable rows,
-            # exactly like the unpacked backend returns.
+            # tile, not broadcast_to: callers get independent writable rows.
             recorded[net] = np.tile(unpack_bits(words, cycles), (batch, 1))
         else:
             recorded[net] = unpack_bits(words, cycles)
@@ -687,19 +549,13 @@ def _simulate_packed(
 # --------------------------------------------------------------------------- #
 # register feedback cores: narrow per-cycle resolution inside the packed run
 # --------------------------------------------------------------------------- #
-# Tarjan's algorithm moved to repro.netlist.graph so the static analyzer can
-# report combinational cycles with the same machinery; the alias keeps the
-# simulator's historical private name importable.
-_strongly_connected = strongly_connected_instances
-
-
 def _resolve_register_cores(
     stuck: List[Instance],
     comb_order: List[Instance],
     values: Dict[str, np.ndarray],
     cycles: int,
-    batch: Optional[int],
-    forced: Optional[Dict[str, int]] = None,
+    batch: int,
+    forced: Dict[str, int],
 ) -> Set[int]:
     """Resolve every *ready* feedback core among the stuck instances.
 
@@ -725,7 +581,7 @@ def _resolve_register_cores(
                     self_loops.add(id(inst))
 
     resolved: Set[int] = set()
-    for component in _strongly_connected(stuck, succs):
+    for component in strongly_connected_instances(stuck, succs):
         member_ids = {id(inst) for inst in component}
         ready = all(
             produced.get(net) is None or id(produced[net]) in member_ids
@@ -752,11 +608,10 @@ def _resolve_core(
     comb_order: List[Instance],
     values: Dict[str, np.ndarray],
     cycles: int,
-    batch: Optional[int],
-    forced: Optional[Dict[str, int]] = None,
+    batch: int,
+    forced: Dict[str, int],
 ) -> None:
     """Per-cycle resolution of one feedback core; packs waveforms into ``values``."""
-    forced = forced or {}
     core_ids = {id(inst) for inst in core}
     core_seq = [inst for inst in core if inst.cell.sequential]
     core_comb = [inst for inst in comb_order if id(inst) in core_ids]
@@ -773,7 +628,7 @@ def _resolve_core(
 
     core_forced = {net: forced[net] for net in out_nets if net in forced}
 
-    if batch is None or shared:
+    if shared:
         ext_bits = {net: unpack_bits(values[net], cycles) for net in external}
         rec = _iterate_core(
             core_seq,
@@ -790,36 +645,14 @@ def _resolve_core(
     # Per-trace external waveforms: iterate the core cycle by cycle with the
     # *trace* axis packed 64-per-word, so one pass over the cycles covers the
     # whole batch (the word-parallel evaluation of everything outside the
-    # core is unaffected).  Requires every core cell to have a positionwise
-    # word kernel (comb ``word_logic`` / sequential ``word_step``), which all
-    # library cells do; anything else falls back to one run per trace.
+    # core is unaffected).  Every library cell has the positionwise word
+    # kernels this needs (comb ``word_logic`` / sequential ``word_step``).
     ext_full = {net: unpack_bits(values[net], cycles) for net in external}
-    if all(inst.cell.word_step is not None for inst in core_seq):
-        values.update(
-            _iterate_core_tracewords(
-                core_seq, core_comb, out_nets, ext_full, cycles, batch, core_forced
-            )
+    values.update(
+        _iterate_core_tracewords(
+            core_seq, core_comb, out_nets, ext_full, cycles, batch, core_forced
         )
-        return
-
-    stacked = {net: np.empty((batch, cycles), dtype=np.uint8) for net in out_nets}
-    for k in range(batch):
-        ext_bits = {
-            net: (wave if wave.ndim == 1 else wave[k])
-            for net, wave in ext_full.items()
-        }
-        rec = _iterate_core(
-            core_seq,
-            core_comb,
-            out_nets,
-            ext_bits,
-            cycles,
-            detect_period=False,
-            forced=core_forced,
-        )
-        for net, wave in rec.items():
-            stacked[net][k] = wave
-    values.update({net: pack_bits(wave) for net, wave in stacked.items()})
+    )
 
 
 def _iterate_core(

@@ -2,6 +2,8 @@
 
 import pytest
 
+import netlist_oracle
+import repro.netlist
 from repro.cli import build_parser, main
 
 
@@ -33,13 +35,13 @@ class TestParser:
 
     def test_activity_flags(self):
         args = build_parser().parse_args(
-            ["activity", "--precision", "5", "--taps", "9", "--backend", "unpacked"]
+            ["activity", "--precision", "5", "--taps", "9"]
         )
         assert args.precision == 5 and args.taps == 9
-        assert args.backend == "unpacked"
         assert args.traces == 1
+        # The simulator is packed-only: there is no backend to pick.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["activity", "--backend", "simd"])
+            build_parser().parse_args(["activity", "--backend", "packed"])
 
     def test_activity_traces_flag(self):
         args = build_parser().parse_args(["activity", "--traces", "8"])
@@ -74,42 +76,31 @@ class TestCommands:
         assert main(["hardware", "--precisions", "8", "--raw"]) == 0
         assert "raw model" in capsys.readouterr().out
 
-    def test_activity_command_backends_agree(self, capsys):
-        # The switching-activity simulation must report identical toggle
-        # totals on both simulator backends.
-        outputs = {}
-        for backend in ("packed", "unpacked"):
-            assert main(
-                ["activity", "--precision", "4", "--taps", "4", "--backend", backend]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "total toggles" in out
-            assert f"backend={backend}" in out
-            outputs[backend] = [
-                line
-                for line in out.splitlines()
-                if ":" in line and "backend=" not in line
-            ]
-        assert outputs["packed"] == outputs["unpacked"]
+    @staticmethod
+    def activity_output_matches_oracle(argv, capsys, monkeypatch):
+        """Run ``repro activity`` as is, then with the simulator replaced by
+        the per-cycle oracle in-process; the printed reports must be equal."""
+        assert main(argv) == 0
+        packed = capsys.readouterr().out
+        monkeypatch.setattr(repro.netlist, "simulate_batch", netlist_oracle.simulate_batch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == packed
+        return packed
 
-    def test_activity_batched_command_backends_agree(self, capsys):
-        # Batched multi-trace simulation: identical aggregate toggles on
-        # both backends (the unpacked one literally runs per-trace loops).
-        outputs = {}
-        for backend in ("packed", "unpacked"):
-            assert main(
-                ["activity", "--precision", "4", "--taps", "4",
-                 "--traces", "3", "--backend", backend]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "x 3 traces (batched)" in out
-            assert "activity spread" in out
-            outputs[backend] = [
-                line
-                for line in out.splitlines()
-                if ":" in line and "backend=" not in line
-            ]
-        assert outputs["packed"] == outputs["unpacked"]
+    def test_activity_command_matches_oracle(self, capsys, monkeypatch):
+        out = self.activity_output_matches_oracle(
+            ["activity", "--precision", "4", "--taps", "4"], capsys, monkeypatch
+        )
+        assert "total toggles" in out
+        assert "traces" not in out and "activity spread" not in out
+
+    def test_activity_batched_command_matches_oracle(self, capsys, monkeypatch):
+        out = self.activity_output_matches_oracle(
+            ["activity", "--precision", "4", "--taps", "4", "--traces", "3"],
+            capsys, monkeypatch,
+        )
+        assert "x 3 traces (batched)" in out
+        assert "activity spread" in out
 
     def test_hardware_measured_activity_command(self, capsys):
         assert main(
@@ -138,6 +129,20 @@ class TestCommands:
         monkeypatch.setenv("REPRO_EVAL_IMAGES", "abc")
         with pytest.raises(SystemExit, match="repro: error: REPRO_EVAL_IMAGES"):
             main(["accuracy", "--quick"])
+
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("REPRO_BITEXACT", "true", ["accuracy", "--quick"]),
+            ("REPRO_TRAIN_SIZE", "abc", ["accuracy", "--precisions", "8"]),
+            ("REPRO_TEST_SIZE", "-4", ["accuracy", "--precisions", "8"]),
+        ],
+    )
+    def test_accuracy_bad_env_clean_error(self, monkeypatch, name, value, argv):
+        # Rejected when the config is built, before any dataset or training.
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit, match=f"repro: error: {name}"):
+            main(argv)
 
     def test_accuracy_quick_command(self, capsys, monkeypatch):
         # Keep the quick run genuinely small for CI purposes.

@@ -161,6 +161,15 @@ class TestLoadDataset:
         with pytest.raises(ValueError):
             load_dataset(train_size=0, test_size=5, prefer_mnist=False)
 
+    @pytest.mark.parametrize("name", ["REPRO_TRAIN_SIZE", "REPRO_TEST_SIZE"])
+    @pytest.mark.parametrize("value", ["abc", "-4", "0", "", "2.5"])
+    def test_env_sizes_must_be_positive_integers(self, monkeypatch, name, value):
+        # A bad size variable fails with an error naming it, not with a bare
+        # int() traceback or a size check that names neither variable.
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            load_dataset(prefer_mnist=False)
+
     def test_prefers_mnist_when_available(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(20, 28, 28)).astype(np.uint8)

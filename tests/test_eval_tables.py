@@ -158,6 +158,31 @@ class TestTable3Accuracy:
         assert config.sc_mode == "bitexact"
         assert config.sc_eval_images == 100
 
+    @pytest.mark.parametrize("value", ["", "0"])
+    def test_bitexact_env_off_values(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BITEXACT", value)
+        monkeypatch.delenv("REPRO_EVAL_IMAGES", raising=False)
+        config = AccuracyConfig()
+        assert config.sc_mode == "emulate"
+        assert config.sc_eval_images is None
+
+    @pytest.mark.parametrize("value", ["true", "yes", "2", " 1"])
+    def test_bitexact_env_rejects_other_values(self, monkeypatch, value):
+        # "true" used to select the emulated rows without a word.
+        monkeypatch.setenv("REPRO_BITEXACT", value)
+        with pytest.raises(ValueError, match="REPRO_BITEXACT"):
+            AccuracyConfig()
+
+    @pytest.mark.parametrize("name", ["REPRO_TRAIN_SIZE", "REPRO_TEST_SIZE"])
+    @pytest.mark.parametrize("value", ["abc", "-4"])
+    def test_size_env_checked_when_used(self, monkeypatch, name, value):
+        # The config checks the size variables load_dataset will read, so a
+        # bad value fails before any training -- and only when it is read.
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            AccuracyConfig()
+        AccuracyConfig(train_size=10, test_size=10)
+
     def test_eval_images_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVAL_IMAGES", "42")
         assert AccuracyConfig().sc_eval_images == 42

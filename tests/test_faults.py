@@ -5,7 +5,7 @@ Covers the mask generator's statistics and coordinate determinism, the
 faulted engines and convolutions with the byte-per-bit reference and across
 tilings, the mode interaction
 (stream faults force stream-domain evaluation), stream injection helpers,
-netlist stuck-at faults on both simulation backends, stuck SNG register
+netlist stuck-at faults against the per-cycle oracle, stuck SNG register
 cells, the matched binary-word flip baseline, and the degradation sweep.
 """
 
@@ -39,6 +39,7 @@ from repro.sc.convolution import StochasticConv2D
 from repro.sc.dotproduct import new_sc_engine, old_sc_engine
 from repro.utils.windows import extract_patches, patches_to_map
 
+import netlist_oracle
 import sc_oracle
 from tiles import SINGLE_TILE, forced_tile
 
@@ -336,10 +337,12 @@ class TestNetlistFaults:
             "a": np.ones(32, dtype=np.uint8),
             "b": np.zeros(32, dtype=np.uint8),
         }
-        for backend in ("packed", "unpacked"):
-            result = simulate(net, stim, backend=backend, faults={"c": 1})
-            assert result.waveforms["c"].all()
-        clean = simulate(net, stim, backend="packed")
+        result = simulate(net, stim, faults={"c": 1})
+        assert result.waveforms["c"].all()
+        reference = netlist_oracle.simulate(net, stim, faults={"c": 1})
+        assert np.array_equal(result.waveforms["c"], reference.waveforms["c"])
+        assert result.toggles == reference.toggles
+        clean = simulate(net, stim)
         assert not clean.waveforms["c"].any()
 
     def test_unknown_net_rejected(self):
@@ -348,7 +351,7 @@ class TestNetlistFaults:
         with pytest.raises(ValueError, match="do not exist"):
             simulate(net, stim, faults={"nonexistent": 1})
 
-    def test_backends_identical_on_real_circuit(self):
+    def test_matches_oracle_on_real_circuit(self):
         net = build_sc_dot_product(9, 5)
         rng = np.random.default_rng(3)
         stim = {
@@ -357,12 +360,12 @@ class TestNetlistFaults:
         }
         victim = net.instances[len(net.instances) // 3].outputs[0]
         faults = NetlistFaults({victim: 0})
-        packed = simulate(net, stim, backend="packed", faults=faults)
-        unpacked = simulate(net, stim, backend="unpacked", faults=faults)
+        packed = simulate(net, stim, faults=faults)
+        reference = netlist_oracle.simulate(net, stim, faults=faults)
         for out in net.primary_outputs:
-            assert np.array_equal(packed.waveforms[out], unpacked.waveforms[out])
-        assert packed.total_toggles() == unpacked.total_toggles()
-        clean = simulate(net, stim, backend="packed")
+            assert np.array_equal(packed.waveforms[out], reference.waveforms[out])
+        assert packed.toggles == reference.toggles
+        clean = simulate(net, stim)
         assert any(
             not np.array_equal(packed.waveforms[out], clean.waveforms[out])
             for out in net.primary_outputs
@@ -375,9 +378,12 @@ class TestNetlistFaults:
             name: rng.integers(0, 2, (3, 40), dtype=np.int64).astype(np.uint8)
             for name in net.primary_inputs
         }
-        for backend in ("packed", "unpacked"):
-            result = simulate_batch(net, stim, backend=backend, faults={"c": 1})
-            assert result.waveforms["c"].all()
+        result = simulate_batch(net, stim, faults={"c": 1})
+        assert result.waveforms["c"].all()
+        reference = netlist_oracle.simulate_batch(net, stim, faults={"c": 1})
+        assert np.array_equal(result.waveforms["c"], reference.waveforms["c"])
+        for name in reference.toggles:
+            assert np.array_equal(result.toggles[name], reference.toggles[name])
         empty = {name: np.zeros((0, 16), dtype=np.uint8)
                  for name in net.primary_inputs}
         with pytest.raises(ValueError, match="at least one trace"):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import netlist_oracle
 from repro.datasets import SyntheticDigits
 from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork, SensorFrontEnd
+from repro.hybrid import emulation
 from repro.nn import Adam, build_lenet5_small, quantize_and_freeze, retrain
 from repro.nn.activations import Sign
 from repro.nn.layers import Conv2D
@@ -160,20 +162,26 @@ class TestCalibratedEmulator:
 class TestMeasureActivity:
     """Trace-driven switching activity via batched netlist simulation."""
 
-    def test_batched_result_matches_backends(self):
+    def test_batched_result_matches_oracle(self, monkeypatch):
         engine = new_sc_engine(precision=4)
         emulator = CalibratedSCEmulator(engine, seed=2)
         rng = np.random.default_rng(2)
         windows = rng.random((3, 4))
         weights = rng.uniform(-1.0, 1.0, 4)
-        packed = emulator.measure_activity(windows, weights, backend="packed")
-        unpacked = emulator.measure_activity(windows, weights, backend="unpacked")
-        assert packed.batch == 3
+        packed = emulator.measure_activity(windows, weights)
+        monkeypatch.setattr(emulation, "simulate_batch", netlist_oracle.simulate_batch)
+        reference = emulator.measure_activity(windows, weights)
+        assert packed.batch == reference.batch == 3
         assert packed.cycles == engine.length
-        assert packed.total_toggles() == unpacked.total_toggles()
+        assert packed.total_toggles() == reference.total_toggles()
+        assert set(packed.toggles) == set(reference.toggles)
         for net in packed.toggles:
             np.testing.assert_array_equal(
-                packed.toggles[net], unpacked.toggles[net], err_msg=net
+                packed.toggles[net], reference.toggles[net], err_msg=net
+            )
+        for net in reference.waveforms:
+            np.testing.assert_array_equal(
+                packed.waveforms[net], reference.waveforms[net], err_msg=net
             )
         assert 0.0 < packed.average_activity() < 1.0
 

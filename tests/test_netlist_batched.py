@@ -2,16 +2,18 @@
 
 The defining property of :func:`repro.netlist.simulator.simulate_batch` is
 that a batch of ``K`` stimulus sets is *bit-identical* to ``K`` independent
-:func:`~repro.netlist.simulator.simulate` runs.  Hypothesis drives that
-equivalence over randomly generated circuits (including register feedback
-loops), cycle counts that are deliberately not multiples of 64, record
-subsets, and mixtures of per-trace and shared (1-D) stimulus.
+runs of the per-cycle oracle (``tests/netlist_oracle.py``), and so is
+:func:`~repro.netlist.simulator.simulate` on each trace.  Hypothesis drives
+that equivalence over randomly generated circuits (including register
+feedback loops), cycle counts that are deliberately not multiples of 64,
+record subsets, and mixtures of per-trace and shared (1-D) stimulus.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netlist_oracle
 from repro.netlist import (
     Netlist,
     cell,
@@ -36,7 +38,7 @@ def random_netlists(draw):
     Register input nets are declared first and driven *after* the rest of
     the circuit exists, so a register's data input can (and often does)
     depend on its own output -- exactly the LFSR-style feedback cores the
-    packed backend resolves per cycle.
+    simulator resolves per cycle.
     """
     n_inputs = draw(st.integers(min_value=1, max_value=3))
     n_regs = draw(st.integers(min_value=0, max_value=3))
@@ -92,26 +94,26 @@ def per_trace_stimulus(stimulus, k):
 def assert_batch_equals_independent_runs(
     netlist, stimulus, batch, cycles=None, record=None
 ):
-    """The core invariant, checked for both backends of simulate_batch."""
-    for backend in ("packed", "unpacked"):
-        batched = simulate_batch(
-            netlist, stimulus, cycles=cycles, record=record,
-            backend=backend, batch=batch,
+    """The core invariant: every trace of the batch, and ``simulate`` on that
+    trace alone, equal an independent oracle run."""
+    batched = simulate_batch(
+        netlist, stimulus, cycles=cycles, record=record, batch=batch,
+    )
+    assert batched.batch == batch
+    for k in range(batch):
+        trace_stimulus = per_trace_stimulus(stimulus, k)
+        reference = netlist_oracle.simulate(
+            netlist, trace_stimulus, cycles=cycles, record=record,
         )
-        assert batched.batch == batch
-        for k in range(batch):
-            single = simulate(
-                netlist, per_trace_stimulus(stimulus, k), cycles=cycles,
-                record=record, backend="unpacked",
-            )
-            trace = batched.trace(k)
-            assert trace.cycles == single.cycles
-            assert trace.toggles == single.toggles, (backend, k)
-            assert set(trace.waveforms) == set(single.waveforms)
-            for net in single.waveforms:
+        single = simulate(netlist, trace_stimulus, cycles=cycles, record=record)
+        for label, result in (("batch", batched.trace(k)), ("simulate", single)):
+            assert result.cycles == reference.cycles
+            assert result.toggles == reference.toggles, (label, k)
+            assert set(result.waveforms) == set(reference.waveforms)
+            for net in reference.waveforms:
                 np.testing.assert_array_equal(
-                    trace.waveforms[net], single.waveforms[net],
-                    err_msg=f"{backend}/{k}/{net}",
+                    result.waveforms[net], reference.waveforms[net],
+                    err_msg=f"{label}/{k}/{net}",
                 )
     return batched
 
@@ -194,9 +196,8 @@ class TestBatchApi:
 
     def test_zero_trace_stimulus_rejected(self):
         netlist = self.build_simple()
-        for backend in ("packed", "unpacked"):
-            with pytest.raises(ValueError, match="at least one trace"):
-                simulate_batch(netlist, {"a": np.zeros((0, 8))}, backend=backend)
+        with pytest.raises(ValueError, match="at least one trace"):
+            simulate_batch(netlist, {"a": np.zeros((0, 8))})
 
     def test_explicit_batch_with_shared_stimulus(self):
         netlist = self.build_simple()
@@ -242,9 +243,9 @@ class TestBatchAggregation:
     def test_aggregates_match_per_trace_results(self):
         netlist = build_sc_dot_product(3, 4, adder="tff")
         stimulus = batched_stimulus(netlist, 4, 100, seed=5)
-        batched = simulate_batch(netlist, stimulus, backend="packed")
+        batched = simulate_batch(netlist, stimulus)
         singles = [
-            simulate(netlist, per_trace_stimulus(stimulus, k), backend="unpacked")
+            netlist_oracle.simulate(netlist, per_trace_stimulus(stimulus, k))
             for k in range(4)
         ]
         assert batched.total_toggles() == sum(s.total_toggles() for s in singles)
@@ -263,14 +264,14 @@ class TestBatchAggregation:
     def test_estimate_power_accepts_batched_result(self):
         netlist = build_sc_dot_product(3, 4, adder="tff")
         stimulus = batched_stimulus(netlist, 3, 100, seed=11)
-        batched = simulate_batch(netlist, stimulus, backend="packed")
+        batched = simulate_batch(netlist, stimulus)
         report = estimate_power(netlist, 500.0, simulation=batched)
         assert report.activity == pytest.approx(batched.average_activity())
         per_trace = [
             estimate_power(
                 netlist, 500.0,
-                simulation=simulate(
-                    netlist, per_trace_stimulus(stimulus, k), backend="unpacked"
+                simulation=netlist_oracle.simulate(
+                    netlist, per_trace_stimulus(stimulus, k)
                 ),
             ).dynamic_mw
             for k in range(3)
@@ -296,8 +297,8 @@ def _feedback_counter_netlist():
 
 
 class TestTracePackedFeedbackCores:
-    """The PR-4 fast path: per-trace feedback cores iterated with the trace
-    axis packed into words, bit-identical to independent per-trace runs."""
+    """Per-trace feedback cores iterated with the trace axis packed into
+    words, bit-identical to independent per-trace oracle runs."""
 
     def test_trace_packed_core_path_is_used_and_exact(self, monkeypatch):
         import repro.netlist.simulator as simulator_module
@@ -327,29 +328,10 @@ class TestTracePackedFeedbackCores:
         # Batches above 64 traces exercise multi-word trace packing.
         netlist = _feedback_counter_netlist()
         stimulus = batched_stimulus(netlist, batch, cycles, seed)
-        batched = simulate_batch(netlist, stimulus, backend="packed")
+        batched = simulate_batch(netlist, stimulus)
         for k in range(0, batch, max(1, batch // 7)):
-            single = simulate(
-                netlist, per_trace_stimulus(stimulus, k), backend="unpacked"
-            )
+            single = netlist_oracle.simulate(netlist, per_trace_stimulus(stimulus, k))
             assert batched.trace(k).toggles == single.toggles
-
-    def test_word_step_fallback_matches(self):
-        import dataclasses
-
-        netlist = _feedback_counter_netlist()
-        stripped = _feedback_counter_netlist()
-        for inst in stripped.instances:
-            if inst.cell.sequential:
-                inst.cell = dataclasses.replace(inst.cell, word_step=None)
-        stimulus = batched_stimulus(netlist, 3, 100, seed=9)
-        fast = simulate_batch(netlist, stimulus, backend="packed")
-        slow = simulate_batch(stripped, stimulus, backend="packed")
-        assert set(fast.toggles) == set(slow.toggles)
-        for net in fast.toggles:
-            np.testing.assert_array_equal(fast.toggles[net], slow.toggles[net])
-        for net in fast.waveforms:
-            np.testing.assert_array_equal(fast.waveforms[net], slow.waveforms[net])
 
     def test_shared_stimulus_core_still_resolved_once(self):
         # All-shared stimulus: the core is identical for every trace, which
@@ -360,7 +342,7 @@ class TestTracePackedFeedbackCores:
             "enable": rng.integers(0, 2, 100).astype(np.uint8),
             "x": rng.integers(0, 2, 100).astype(np.uint8),
         }
-        batched = simulate_batch(netlist, stimulus, backend="packed", batch=3)
-        single = simulate(netlist, stimulus, backend="unpacked")
+        batched = simulate_batch(netlist, stimulus, batch=3)
+        single = netlist_oracle.simulate(netlist, stimulus)
         for k in range(3):
             assert batched.trace(k).toggles == single.toggles

@@ -125,6 +125,18 @@ class TestStochasticElementNetlists:
         expected = [int(s) for s in software.states(cycles)]
         assert hardware_states == expected
 
+    @pytest.mark.parametrize("taps", [(9,), (0,), (4, 5)])
+    def test_lfsr_rejects_out_of_range_taps(self, taps):
+        # The builder promises cycle-equivalence with the software LFSR, so
+        # it rejects exactly the taps LFSR rejects (a tap outside [1, bits]
+        # would otherwise be silently ignored); build_sng inherits the check.
+        with pytest.raises(ValueError, match=r"tap positions must lie in \[1, 4\]"):
+            LFSR(4, taps=taps)
+        with pytest.raises(ValueError, match=r"tap positions must lie in \[1, 4\]"):
+            build_lfsr(4, taps)
+        with pytest.raises(ValueError, match=r"tap positions must lie in \[1, 4\]"):
+            build_sng(4, taps)
+
     def test_sng_stream_density_tracks_value(self):
         bits = 4
         net = build_sng(bits, MAXIMAL_TAPS[bits])

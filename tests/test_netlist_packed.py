@@ -1,20 +1,18 @@
-"""Differential suite: packed netlist simulation vs. the per-cycle cell loop.
+"""Differential suite: packed netlist simulation vs. the per-cycle oracle.
 
-The packed backend's claim is *bit-identical* ``SimulationResult`` contents
--- toggles, waveforms and activity -- so every assertion here is exact
-equality.  Every circuit builder in :mod:`repro.netlist.circuits` is
-exercised, not just the Table 3 engine: the stochastic datapath, the binary
-baselines, and the register-feedback netlists (LFSR, SNG, MAC accumulator
-loop) that the packed backend now resolves word-parallel via narrow feedback
-cores instead of falling back to the cycle loop.  The no-fallback claim is
-asserted directly by instrumenting the cycle-loop entry point.
+The simulator's claim is *bit-identical* ``SimulationResult`` contents --
+toggles, waveforms and activity -- against the per-cycle cell loop in
+``tests/netlist_oracle.py``, so every assertion here is exact equality.
+Every circuit builder in :mod:`repro.netlist.circuits` is exercised, not
+just the Table 3 engine: the stochastic datapath, the binary baselines, and
+the register-feedback netlists (LFSR, SNG, MAC accumulator loop) that the
+simulator resolves word-parallel via narrow feedback cores.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
 
+import netlist_oracle
 from repro.netlist import (
     CELL_LIBRARY,
     Netlist,
@@ -31,8 +29,8 @@ from repro.netlist import (
     build_sng,
     build_tff_adder,
     simulate,
+    simulate_batch,
 )
-from repro.netlist import simulator as simulator_module
 from repro.rng import MAXIMAL_TAPS
 
 #: Cycle counts exercising one partial word, exact words and multi-word
@@ -66,42 +64,36 @@ def random_stimulus(netlist, cycles, seed=0):
     }
 
 
-@contextlib.contextmanager
-def forbid_cycle_loop():
-    """Fail the test if the packed backend falls back to the cycle loop."""
-
-    def tripwire(*args, **kwargs):
-        raise AssertionError("packed backend took the cycle-loop fallback")
-
-    original = simulator_module._simulate_cycle_loop
-    simulator_module._simulate_cycle_loop = tripwire
-    try:
-        yield
-    finally:
-        simulator_module._simulate_cycle_loop = original
-
-
-def assert_backends_identical(netlist, stimulus, cycles=None, record=None):
-    unpacked = simulate(netlist, stimulus, cycles=cycles, record=record,
-                        backend="unpacked")
-    with forbid_cycle_loop():
-        packed = simulate(netlist, stimulus, cycles=cycles, record=record,
-                          backend="packed")
-    assert packed.cycles == unpacked.cycles
-    assert packed.toggles == unpacked.toggles
-    assert set(packed.waveforms) == set(unpacked.waveforms)
-    for net in unpacked.waveforms:
+def assert_matches_oracle(netlist, stimulus, cycles=None, record=None):
+    reference = netlist_oracle.simulate(
+        netlist, stimulus, cycles=cycles, record=record
+    )
+    packed = simulate(netlist, stimulus, cycles=cycles, record=record)
+    assert packed.cycles == reference.cycles
+    assert packed.toggles == reference.toggles
+    assert set(packed.waveforms) == set(reference.waveforms)
+    for net in reference.waveforms:
         np.testing.assert_array_equal(
-            packed.waveforms[net], unpacked.waveforms[net], err_msg=net
+            packed.waveforms[net], reference.waveforms[net], err_msg=net
         )
         assert packed.waveforms[net].dtype == np.uint8
-    assert packed.total_toggles() == unpacked.total_toggles()
-    assert packed.average_activity() == unpacked.average_activity()
+    assert packed.total_toggles() == reference.total_toggles()
+    assert packed.average_activity() == reference.average_activity()
     return packed
 
 
 class TestCellWordLogic:
     """Every combinational cell's word_logic against its scalar logic."""
+
+    def test_library_has_every_word_kernel(self):
+        # The simulator has no per-cycle fallback: it needs word_logic on
+        # every cell and word_step on every sequential one.  Cells reach a
+        # netlist only through CELL_LIBRARY, so this pins the invariant.
+        for name, ctype in CELL_LIBRARY.items():
+            assert ctype.logic is not None, name
+            assert ctype.word_logic is not None, name
+            if ctype.sequential:
+                assert ctype.word_step is not None, name
 
     @pytest.mark.parametrize(
         "name", [n for n, c in CELL_LIBRARY.items() if not c.sequential]
@@ -114,7 +106,7 @@ class TestCellWordLogic:
         outputs = net.add_cell(name, inputs)
         for out in outputs:
             net.add_output(out)
-        assert_backends_identical(net, random_stimulus(net, cycles, seed=cycles))
+        assert_matches_oracle(net, random_stimulus(net, cycles, seed=cycles))
 
     @pytest.mark.parametrize("name", ["DFF", "TFF"])
     @pytest.mark.parametrize("initial_state", [0, 1])
@@ -123,24 +115,24 @@ class TestCellWordLogic:
         d = net.add_input("d")
         (q,) = net.add_cell(name, [d], outputs=["q"], initial_state=initial_state)
         net.add_output(q)
-        assert_backends_identical(net, random_stimulus(net, 100))
+        assert_matches_oracle(net, random_stimulus(net, 100))
 
 
 class TestTable3Circuits:
     @pytest.mark.parametrize("cycles", CYCLE_COUNTS)
     def test_tff_adder(self, cycles):
         net = build_tff_adder()
-        assert_backends_identical(net, random_stimulus(net, cycles, seed=cycles))
+        assert_matches_oracle(net, random_stimulus(net, cycles, seed=cycles))
 
     @pytest.mark.parametrize("adder", ["tff", "mux"])
     @pytest.mark.parametrize("leaves", [3, 4, 5, 8])
     def test_adder_trees(self, adder, leaves):
         net = build_adder_tree(leaves, adder=adder)
-        assert_backends_identical(net, random_stimulus(net, 100, seed=leaves))
+        assert_matches_oracle(net, random_stimulus(net, 100, seed=leaves))
 
     def test_counter(self):
         net = build_counter(5)
-        assert_backends_identical(
+        assert_matches_oracle(
             net,
             random_stimulus(net, 130),
             record=[f"count{i}" for i in range(5)],
@@ -151,7 +143,7 @@ class TestTable3Circuits:
         # The Table 3 activity circuit: multipliers, two trees, two counters
         # and the sign comparator, over a non-word-aligned cycle count.
         net = build_sc_dot_product(9, 6, adder=adder)
-        assert_backends_identical(net, random_stimulus(net, 100, seed=3))
+        assert_matches_oracle(net, random_stimulus(net, 100, seed=3))
 
     def test_binary_baseline(self):
         for net, cycles in (
@@ -159,16 +151,15 @@ class TestTable3Circuits:
             (build_array_multiplier(4), 20),
             (build_binary_mac(4, 10), 40),
         ):
-            assert_backends_identical(net, random_stimulus(net, cycles))
+            assert_matches_oracle(net, random_stimulus(net, cycles))
 
 
 class TestEveryBuilder:
     """Differential equivalence over the full builder catalogue.
 
     Waveforms are recorded for *every* driven net (not just the primary
-    outputs), so the comparison covers internal nodes, and the packed run is
-    instrumented to prove it never takes the cycle-loop fallback -- the
-    feedback-core resolution must handle the LFSR/SNG/MAC register loops.
+    outputs), so the comparison covers internal nodes, including the
+    LFSR/SNG/MAC register loops the feedback-core resolution handles.
     """
 
     @pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
@@ -176,27 +167,27 @@ class TestEveryBuilder:
     def test_builder_bit_identical(self, name, cycles):
         netlist = ALL_BUILDERS[name]()
         stimulus = random_stimulus(netlist, cycles, seed=hash(name) % 1000)
-        assert_backends_identical(
+        assert_matches_oracle(
             netlist, stimulus, cycles=cycles, record=netlist.nets
         )
 
 
 class TestRegisterFeedbackResolution:
     """Cyclic register graphs (LFSR-style feedback) are resolved inside the
-    packed run by narrow per-cycle core iteration -- never by falling back
-    to the full cycle loop -- with bit-identical results."""
+    packed run by narrow per-cycle core iteration, bit-identical to the
+    oracle."""
 
     def test_lfsr(self):
         bits = 4
         net = build_lfsr(bits, MAXIMAL_TAPS[bits])
-        assert_backends_identical(
+        assert_matches_oracle(
             net, {}, cycles=20, record=[f"state{i}" for i in range(bits)]
         )
 
     def test_sng(self):
         bits = 4
         net = build_sng(bits, MAXIMAL_TAPS[bits])
-        assert_backends_identical(net, random_stimulus(net, 15))
+        assert_matches_oracle(net, random_stimulus(net, 15))
 
     def test_register_self_loop(self):
         # A TFF toggling on its own inverted output: the smallest possible
@@ -205,7 +196,7 @@ class TestRegisterFeedbackResolution:
         (q,) = net.add_cell("TFF", ["nq"], outputs=["q"], initial_state=0)
         net.add_cell("INV", ["q"], outputs=["nq"])
         net.add_output(q)
-        assert_backends_identical(net, {}, cycles=37, record=["q", "nq"])
+        assert_matches_oracle(net, {}, cycles=37, record=["q", "nq"])
 
     def test_two_independent_cores(self):
         # Two disjoint feedback cores plus shared downstream logic: each SCC
@@ -220,7 +211,7 @@ class TestRegisterFeedbackResolution:
             net.add_cell("INV", [q], outputs=[f"{tag}_d"])
         (mix,) = net.add_cell("XOR2", ["a_q", "b_q"], outputs=["mix"])
         net.add_output(mix)
-        assert_backends_identical(net, {}, cycles=50, record=["a_q", "b_q", "mix"])
+        assert_matches_oracle(net, {}, cycles=50, record=["a_q", "b_q", "mix"])
 
     def test_core_with_external_time_varying_input(self):
         # The MAC-style case: a register loop fed by a changing primary
@@ -230,12 +221,12 @@ class TestRegisterFeedbackResolution:
         (q,) = net.add_cell("DFF", ["d"], outputs=["q"])
         net.add_cell("XOR2", [x, q], outputs=["d"])
         net.add_output(q)
-        assert_backends_identical(net, random_stimulus(net, 129), record=["q", "d"])
+        assert_matches_oracle(net, random_stimulus(net, 129), record=["q", "d"])
 
 
 class TestPeriodWrapRegression:
     """Runs longer than the register-core period must wrap the precomputed
-    state sequence identically on both backends -- including runs that end
+    state sequence exactly as the oracle steps it -- including runs that end
     exactly on a period boundary or one cycle past it."""
 
     @pytest.mark.parametrize("bits", [3, 4])
@@ -244,7 +235,7 @@ class TestPeriodWrapRegression:
         net = build_lfsr(bits, MAXIMAL_TAPS[bits])
         record = [f"state{i}" for i in range(bits)]
         for cycles in (period - 1, period, period + 1, 4 * period + 3):
-            packed = assert_backends_identical(net, {}, cycles=cycles, record=record)
+            packed = assert_matches_oracle(net, {}, cycles=cycles, record=record)
             assert packed.cycles == cycles
 
     def test_lfsr_waveform_wraps_exactly(self):
@@ -252,9 +243,8 @@ class TestPeriodWrapRegression:
         period = (1 << bits) - 1
         net = build_lfsr(bits, MAXIMAL_TAPS[bits])
         record = [f"state{i}" for i in range(bits)]
-        long = simulate(net, {}, cycles=3 * period + 5, record=record,
-                        backend="packed")
-        short = simulate(net, {}, cycles=period, record=record, backend="packed")
+        long = simulate(net, {}, cycles=3 * period + 5, record=record)
+        short = simulate(net, {}, cycles=period, record=record)
         for net_name in record:
             reference = short.waveform(net_name)
             wave = long.waveform(net_name)
@@ -267,7 +257,7 @@ class TestPeriodWrapRegression:
         period = (1 << bits) - 1
         net = build_sng(bits, MAXIMAL_TAPS[bits])
         cycles = 5 * period + 2
-        assert_backends_identical(net, random_stimulus(net, cycles, seed=9))
+        assert_matches_oracle(net, random_stimulus(net, cycles, seed=9))
 
     def test_core_with_transient_before_period(self):
         # A register core whose state sequence has a non-trivial transient:
@@ -277,7 +267,7 @@ class TestPeriodWrapRegression:
         (q,) = net.add_cell("DFF", ["d"], outputs=["q"], initial_state=0)
         net.add_cell("OR2", [q, "1"], outputs=["d"])
         net.add_output(q)
-        packed = assert_backends_identical(net, {}, cycles=70, record=["q"])
+        packed = assert_matches_oracle(net, {}, cycles=70, record=["q"])
         np.testing.assert_array_equal(
             packed.waveform("q"), [0] + [1] * 69
         )
@@ -291,32 +281,24 @@ class TestRecordValidation:
         net.add_output(y)
         return net
 
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_unknown_record_net_rejected(self, backend):
+    def test_unknown_record_net_rejected(self):
         # A typo in `record` must fail loudly instead of silently returning
         # an all-zero waveform.
         net = self.build_simple()
         with pytest.raises(ValueError, match="ghost"):
-            simulate(net, {"a": [0, 1]}, record=["y", "ghost"], backend=backend)
+            simulate(net, {"a": [0, 1]}, record=["y", "ghost"])
 
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_constant_nets_recordable(self, backend):
+    def test_constant_nets_recordable(self):
         net = self.build_simple()
-        result = simulate(net, {"a": [0, 1, 0]}, record=["1", "0"], backend=backend)
+        result = assert_matches_oracle(net, {"a": [0, 1, 0]}, record=["1", "0"])
         np.testing.assert_array_equal(result.waveform("1"), [1, 1, 1])
         np.testing.assert_array_equal(result.waveform("0"), [0, 0, 0])
 
-    def test_unknown_backend_rejected(self):
+    def test_nonbinary_stimulus_normalized(self):
+        # Any nonzero stimulus value counts as logic 1, exactly as in the
+        # oracle (raw ints must never reach the scalar cell logic).
         net = self.build_simple()
-        with pytest.raises(ValueError, match="backend"):
-            simulate(net, {"a": [0, 1]}, backend="simd")
-
-    @pytest.mark.parametrize("backend", ["packed", "unpacked"])
-    def test_nonbinary_stimulus_normalized(self, backend):
-        # Any nonzero stimulus value counts as logic 1, identically on both
-        # backends (raw ints must never reach the scalar cell logic).
-        net = self.build_simple()
-        result = simulate(net, {"a": [0, 2, 0, 3]}, backend=backend)
+        result = assert_matches_oracle(net, {"a": [0, 2, 0, 3]})
         np.testing.assert_array_equal(result.waveform("y"), [1, 0, 1, 0])
         assert result.toggles["y"] == 3
 
@@ -327,6 +309,41 @@ class TestRecordValidation:
         a = net.add_input("a")
         (y,) = net.add_cell("BUF", [a], outputs=["y"])
         net.add_output(y)
-        for backend in ("packed", "unpacked"):
-            result = simulate(net, {"a": [1, 1, 1, 1]}, backend=backend)
-            assert result.toggles == {"a": 0, "y": 0}
+        result = assert_matches_oracle(net, {"a": [1, 1, 1, 1]})
+        assert result.toggles == {"a": 0, "y": 0}
+
+    # Bad stimulus and cycle counts are rejected where they enter, with an
+    # error naming the culprit, through both entry points.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stimulus_rejected(self, bad):
+        # `nan != 0` holds, so a NaN used to become logic 1 silently.
+        net = self.build_simple()
+        wave = np.array([0.0, bad, 0.0, 1.0])
+        with pytest.raises(ValueError, match="'a'.*NaN or inf"):
+            simulate(net, {"a": wave})
+        with pytest.raises(ValueError, match="'a'.*NaN or inf"):
+            simulate_batch(net, {"a": np.stack([wave, np.zeros(4)])})
+        with pytest.raises(ValueError, match="'a'.*NaN or inf"):
+            simulate_batch(net, {"a": wave}, batch=2)
+
+    @pytest.mark.parametrize("cycles", [2.7, -3, "4", 2.0])
+    def test_bad_cycles_rejected(self, cycles):
+        # 2.7 used to run 2 cycles; -3 failed inside a word kernel without
+        # naming `cycles`.
+        net = self.build_simple()
+        with pytest.raises(ValueError, match="cycles must be a non-negative integer"):
+            simulate(net, {"a": [0, 1, 0, 1]}, cycles=cycles)
+        with pytest.raises(ValueError, match="cycles must be a non-negative integer"):
+            simulate_batch(net, {"a": np.zeros((2, 4))}, cycles=cycles)
+
+    def test_numpy_and_zero_cycles_accepted(self):
+        net = self.build_simple()
+        result = simulate(net, {"a": [0, 1, 0, 1]}, cycles=np.int64(3))
+        assert result.cycles == 3 and isinstance(result.cycles, int)
+        np.testing.assert_array_equal(result.waveform("y"), [1, 0, 1])
+        empty = simulate(net, {"a": [0, 1, 0, 1]}, cycles=0)
+        assert empty.cycles == 0 and empty.waveform("y").shape == (0,)
+        assert empty.toggles == {"a": 0, "y": 0}
+        batched = simulate_batch(net, {"a": np.zeros((2, 4))}, cycles=np.uint8(0))
+        assert batched.waveform("y").shape == (2, 0)
+        np.testing.assert_array_equal(batched.toggles["y"], [0, 0])
