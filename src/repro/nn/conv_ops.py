@@ -1,9 +1,13 @@
 """im2col / col2im primitives for multi-channel convolutions.
 
-The numpy convolution layers lower convolution onto matrix multiplication:
-``im2col`` unfolds the input into patch rows, the kernel bank becomes a
-``(filters, C*kh*kw)`` matrix, and the convolution is a single ``matmul``.
-``col2im`` is the adjoint operation needed for the input gradient in
+The numpy convolution layers lower convolution onto matrix multiplication.
+``im2col`` unfolds the input into channel-major columns of shape
+``(B, C*kh*kw, out_h*out_w)``: row ``(c, i, j)`` holds tap ``(i, j)`` of
+channel ``c`` at every output position, and column ``p`` is the window of
+output position ``p``.  With the kernel bank as a ``(filters, C*kh*kw)``
+matrix ``W``, the convolution is ``W @ cols``, one BLAS product per image
+whose ``(B, filters, out_h*out_w)`` result is already NCHW.  ``col2im`` is
+the adjoint operation, applied to ``W.T @ grad`` for the input gradient in
 backpropagation.
 
 Data layout everywhere is ``(batch, channels, height, width)``.
@@ -36,7 +40,7 @@ def conv_output_hw(
 def im2col(
     x: np.ndarray, kernel: Tuple[int, int], stride: int = 1, padding: int = 0
 ) -> np.ndarray:
-    """Unfold ``(B, C, H, W)`` inputs into ``(B, out_h*out_w, C*kh*kw)`` patch rows."""
+    """Unfold ``(B, C, H, W)`` inputs into ``(B, C*kh*kw, out_h*out_w)`` columns."""
     if x.ndim != 4:
         raise ValueError(f"expected (B, C, H, W) input, got shape {x.shape}")
     batch, channels, height, width = x.shape
@@ -51,15 +55,12 @@ def im2col(
     s0, s1, s2, s3 = x.strides
     view = np.lib.stride_tricks.as_strided(
         x,
-        shape=(batch, channels, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        shape=(batch, channels, kh, kw, out_h, out_w),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    # (B, out_h, out_w, C, kh, kw) -> (B, P, C*kh*kw)
-    patches = view.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch, out_h * out_w, channels * kh * kw
-    )
-    return np.ascontiguousarray(patches)
+    # The view is already in column order, so the reshape is the only copy.
+    return view.reshape(batch, channels * kh * kw, out_h * out_w)
 
 
 def col2im(
@@ -69,7 +70,7 @@ def col2im(
     stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter patch rows back onto the input grid.
+    """Adjoint of :func:`im2col`: scatter columns back onto the input grid.
 
     Overlapping patch contributions are summed, which is exactly the input
     gradient of a convolution.
@@ -77,16 +78,16 @@ def col2im(
     batch, channels, height, width = input_shape
     kh, kw = kernel
     out_h, out_w = conv_output_hw(height, width, kernel, stride, padding)
-    if cols.shape != (batch, out_h * out_w, channels * kh * kw):
+    if cols.shape != (batch, channels * kh * kw, out_h * out_w):
         raise ValueError(
             f"cols shape {cols.shape} does not match expected "
-            f"{(batch, out_h * out_w, channels * kh * kw)}"
+            f"{(batch, channels * kh * kw, out_h * out_w)}"
         )
 
     padded = np.zeros(
         (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
     )
-    reshaped = cols.reshape(batch, out_h, out_w, channels, kh, kw)
+    taps = cols.reshape(batch, channels, kh, kw, out_h, out_w)
     for i in range(kh):
         for j in range(kw):
             padded[
@@ -94,7 +95,7 @@ def col2im(
                 :,
                 i : i + stride * out_h : stride,
                 j : j + stride * out_w : stride,
-            ] += reshaped[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            ] += taps[:, :, i, j]
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded

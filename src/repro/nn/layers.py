@@ -9,8 +9,13 @@ Data layout is ``(batch, channels, height, width)`` for images and
 ``(batch, features)`` for dense layers.  Every layer implements
 
 * ``forward(x, training)`` -- compute outputs, caching what backward needs;
-* ``backward(grad_output)`` -- return the gradient w.r.t. the input and store
-  parameter gradients in ``grads``;
+* ``backward(grad_output)`` -- return the gradient w.r.t. the input of the
+  last ``forward`` and store parameter gradients in ``grads``.  Layers with
+  parameters (:class:`Dense`, :class:`Conv2D` and its frozen subclasses) also
+  take ``input_grad``: with ``input_grad=False`` they store the parameter
+  gradients and return ``None``.  :meth:`~repro.nn.network.Sequential.fit`
+  back-propagates only down to the first trainable layer with parameters and
+  calls it that way, since nothing below it uses an input gradient;
 * ``params`` / ``grads`` -- parallel lists consumed by the optimizers.
 """
 
@@ -95,11 +100,11 @@ class Dense(Layer):
         self._pre_activation = x @ self.weights + self.bias
         return self.activation.forward(self._pre_activation)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         grad_pre = self.activation.backward(self._pre_activation, grad_output)
         self.grads[0][...] = self._x.T @ grad_pre
         self.grads[1][...] = grad_pre.sum(axis=0)
-        return grad_pre @ self.weights.T
+        return grad_pre @ self.weights.T if input_grad else None
 
     def __repr__(self) -> str:
         return (
@@ -154,28 +159,27 @@ class Conv2D(Layer):
             raise ValueError(
                 f"Conv2D expects (batch, {self.in_channels}, H, W) input, got {x.shape}"
             )
-        batch = x.shape[0]
         out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
-        cols = im2col(x, self.kernel_size, self.stride, self.padding)
-        weight_matrix = self.weights.reshape(self.filters, -1)
-        out = cols @ weight_matrix.T + self.bias  # (B, P, F)
-        self._cols = cols
+        self._cols = im2col(x, self.kernel_size, self.stride, self.padding)
         self._input_shape = x.shape
-        pre = out.transpose(0, 2, 1).reshape(batch, self.filters, out_h, out_w)
-        self._pre_activation = pre
-        return self.activation.forward(pre)
+        pre = self.weights.reshape(self.filters, -1) @ self._cols  # (B, F, P)
+        pre += self.bias[:, np.newaxis]
+        self._pre_activation = pre.reshape(x.shape[0], self.filters, out_h, out_w)
+        return self.activation.forward(self._pre_activation)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         grad_pre = self.activation.backward(self._pre_activation, grad_output)
-        batch, filters, out_h, out_w = grad_pre.shape
-        grad_mat = grad_pre.reshape(batch, filters, out_h * out_w).transpose(0, 2, 1)
-        weight_matrix = self.weights.reshape(self.filters, -1)
+        return self._backward_linear(grad_pre, input_grad)
 
-        grad_weights = np.einsum("bpf,bpk->fk", grad_mat, self._cols)
+    def _backward_linear(self, grad_pre: np.ndarray, input_grad: bool) -> Optional[np.ndarray]:
+        """Gradients of the linear part ``W @ cols + b`` given ``d loss / d pre``."""
+        grad = grad_pre.reshape(grad_pre.shape[0], self.filters, -1)  # (B, F, P)
+        grad_weights = np.matmul(grad, self._cols.transpose(0, 2, 1)).sum(axis=0)
         self.grads[0][...] = grad_weights.reshape(self.weights.shape)
         self.grads[1][...] = grad_pre.sum(axis=(0, 2, 3))
-
-        grad_cols = grad_mat @ weight_matrix  # (B, P, C*kh*kw)
+        if not input_grad:
+            return None
+        grad_cols = self.weights.reshape(self.filters, -1).T @ grad  # (B, C*kh*kw, P)
         return col2im(
             grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding
         )
@@ -198,9 +202,6 @@ class FrozenConv2D(Conv2D):
 
     trainable = False
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-
     @classmethod
     def from_conv(cls, conv: Conv2D, weights: np.ndarray, bias: Optional[np.ndarray] = None,
                   activation=None) -> "FrozenConv2D":
@@ -221,12 +222,6 @@ class FrozenConv2D(Conv2D):
         frozen.weights[...] = weights
         frozen.bias[...] = bias if bias is not None else 0.0
         return frozen
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        # Parameter gradients are still computed cheaply enough, but the
-        # optimizer skips non-trainable layers; pass the input gradient on so
-        # any (hypothetical) earlier layers could still train.
-        return super().backward(grad_output)
 
 
 class StochasticResolutionConv2D(FrozenConv2D):
@@ -325,48 +320,38 @@ class StochasticResolutionConv2D(FrozenConv2D):
         n = 1 << self.precision
         # Ramp-compare conversion quantizes the pixels (floor to the grid).
         quantized = np.floor(np.clip(x, 0.0, 1.0) * n) / n
-        batch = x.shape[0]
         out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
-        cols = im2col(quantized, self.kernel_size, self.stride, self.padding)
-
-        flat = self.weights.reshape(self.filters, -1)
-        w_pos = np.clip(flat, 0.0, None)
-        w_neg = np.clip(-flat, 0.0, None)
-        pos = cols @ w_pos.T  # (B, P, F) in dot-product units
-        neg = cols @ w_neg.T
-
-        # Counter resolution: one LSB corresponds to tree_scale / N.
-        lsb = self.tree_scale / n
-        pos_counts = np.round(pos / lsb)
-        neg_counts = np.round(neg / lsb)
-        diff = pos_counts - neg_counts
-
-        sign = np.sign(diff)
-        if self.soft_threshold > 0.0:
-            sign = np.where(np.abs(diff) < self.soft_threshold * n, 0.0, sign)
-
-        # Cache the real-valued difference for the straight-through backward.
-        self._cols = cols
+        self._cols = im2col(quantized, self.kernel_size, self.stride, self.padding)
         self._input_shape = x.shape
-        self._pre_activation = (
-            (pos - neg).transpose(0, 2, 1).reshape(batch, self.filters, out_h, out_w)
-        )
-        return sign.transpose(0, 2, 1).reshape(batch, self.filters, out_h, out_w)
+        pos, neg = self._split_dot_products()  # (B, F, P) in dot-product units
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        # Straight-through estimator on the real-valued dot-product difference.
-        grad_pre = grad_output * (np.abs(self._pre_activation) <= self.tree_scale)
-        batch, filters, out_h, out_w = grad_pre.shape
-        grad_mat = grad_pre.reshape(batch, filters, out_h * out_w).transpose(0, 2, 1)
-        weight_matrix = self.weights.reshape(self.filters, -1)
-        self.grads[0][...] = np.einsum("bpf,bpk->fk", grad_mat, self._cols).reshape(
-            self.weights.shape
-        )
-        self.grads[1][...] = grad_pre.sum(axis=(0, 2, 3))
-        grad_cols = grad_mat @ weight_matrix
-        return col2im(
-            grad_cols, self._input_shape, self.kernel_size, self.stride, self.padding
-        )
+        # Counter resolution: one LSB corresponds to tree_scale / N, a power
+        # of two, so the in-place division is exact.
+        lsb = self.tree_scale / n
+        for counts in (pos, neg):
+            counts /= lsb
+            np.round(counts, out=counts)
+        diff = np.subtract(pos, neg, out=pos)
+        keep = np.abs(diff, out=neg) >= self.soft_threshold * n
+        np.sign(diff, out=diff)
+        # Soft threshold: a difference below soft_threshold * N reads as zero.
+        # (-1.0 * False is -0.0; adding 0.0 makes every zero +0.0.)
+        diff *= keep
+        diff += 0.0
+        return diff.reshape(x.shape[0], self.filters, out_h, out_w)
+
+    def _split_dot_products(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Positive- and negative-weight dot products over the cached columns."""
+        flat = self.weights.reshape(self.filters, -1)
+        return np.clip(flat, 0.0, None) @ self._cols, np.clip(-flat, 0.0, None) @ self._cols
+
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        # Straight-through estimator on the real-valued dot-product difference,
+        # recomputed from the cached columns (forward keeps only the counts).
+        pos, neg = self._split_dot_products()
+        pre = (pos - neg).reshape(grad_output.shape)
+        grad_pre = grad_output * (np.abs(pre) <= self.tree_scale)
+        return self._backward_linear(grad_pre, input_grad)
 
     def __repr__(self) -> str:
         return (
@@ -377,7 +362,14 @@ class StochasticResolutionConv2D(FrozenConv2D):
 
 
 class MaxPool2D(Layer):
-    """Max pooling over non-overlapping windows."""
+    """Max pooling over non-overlapping windows.
+
+    Forward takes a running maximum over the ``p * p`` strided views
+    ``x[:, :, i::p, j::p]`` in window order ``k = i * p + j`` and records the
+    first index that attains it (``np.argmax`` semantics) in the smallest
+    unsigned dtype; backward routes each output gradient to that index.  A NaN
+    in a window makes its output NaN, as ``np.max`` does.
+    """
 
     trainable = False
 
@@ -386,39 +378,39 @@ class MaxPool2D(Layer):
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         self.pool_size = int(pool_size)
-        self._mask: Optional[np.ndarray] = None
+        self._argmax: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, ...]] = None
+
+    def _views(self, x: np.ndarray):
+        """The ``p * p`` strided window views of ``x`` in window order."""
+        p = self.pool_size
+        return [x[:, :, i::p, j::p] for i in range(p) for j in range(p)]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"MaxPool2D expects (B, C, H, W) input, got {x.shape}")
-        batch, channels, height, width = x.shape
+        height, width = x.shape[2:]
         p = self.pool_size
         if height % p or width % p:
             raise ValueError(
                 f"input size {height}x{width} not divisible by pool size {p}"
             )
         self._input_shape = x.shape
-        reshaped = x.reshape(batch, channels, height // p, p, width // p, p)
-        windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
-            batch, channels, height // p, width // p, p * p
-        )
-        out = windows.max(axis=-1)
-        # Mask of the (first) argmax within each window for routing gradients.
-        argmax = windows.argmax(axis=-1)
-        mask = np.zeros_like(windows)
-        np.put_along_axis(mask, argmax[..., np.newaxis], 1.0, axis=-1)
-        self._mask = mask
+        first, *rest = self._views(x)
+        out = first.copy()
+        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(p * p - 1))
+        for k, view in enumerate(rest, start=1):
+            # Strict '>' keeps the first maximum; np.maximum propagates NaN.
+            np.copyto(argmax, k, where=view > out)
+            np.maximum(out, view, out=out)
+        self._argmax = argmax
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = self._input_shape
-        p = self.pool_size
-        distributed = self._mask * grad_output[..., np.newaxis]
-        grad = distributed.reshape(
-            batch, channels, height // p, width // p, p, p
-        ).transpose(0, 1, 2, 4, 3, 5)
-        return grad.reshape(batch, channels, height, width)
+        grad = np.empty(self._input_shape, dtype=grad_output.dtype)
+        for k, view in enumerate(self._views(grad)):
+            np.multiply(self._argmax == k, grad_output, out=view)
+        return grad
 
     def __repr__(self) -> str:
         return f"MaxPool2D(pool_size={self.pool_size})"

@@ -3,12 +3,14 @@
 :class:`Sequential` plays the role of the Keras ``Sequential`` model used by
 the paper: it chains layers, runs mini-batch training with any loss /
 optimizer pair, evaluates classification accuracy, and supports the
-freeze-and-retrain workflow of Section V-B (layer ``trainable`` flags are
-honoured by the optimizer step).
+freeze-and-retrain workflow of Section V-B: ``fit`` back-propagates only
+down to the first trainable layer with parameters, and the optimizer updates
+only trainable layers.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -19,6 +21,19 @@ from .losses import Loss, SoftmaxCrossEntropy
 from .optimizers import Adam, Optimizer
 
 __all__ = ["TrainingHistory", "Sequential"]
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "a positive" if minimum > 0 else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+
+
+def _check_samples(x: np.ndarray) -> None:
+    """Reject an input without samples."""
+    if x.shape[0] < 1:
+        raise ValueError(f"x must hold at least one sample, got shape {x.shape}")
 
 
 @dataclass
@@ -71,6 +86,8 @@ class Sequential:
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Forward pass in inference mode, batched to bound memory."""
+        _check_count("batch_size", batch_size, 1)
+        _check_samples(x)
         outputs = []
         for start in range(0, x.shape[0], batch_size):
             outputs.append(self.forward(x[start : start + batch_size], training=False))
@@ -135,8 +152,15 @@ class Sequential:
         """Mini-batch gradient descent training.
 
         Parameters mirror the Keras ``fit`` API; ``y`` may be integer class
-        labels (for classification losses) or dense targets.
+        labels (for classification losses) or dense targets.  Each batch is
+        back-propagated only down to the first trainable layer with
+        parameters, which computes its parameter gradients but no input
+        gradient: the layers below it (a frozen first layer, its pooling)
+        have nothing to learn.
         """
+        _check_count("batch_size", batch_size, 1)
+        _check_count("epochs", epochs, 0)
+        _check_samples(x)
         loss = loss if loss is not None else SoftmaxCrossEntropy()
         optimizer = optimizer if optimizer is not None else Adam()
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -144,6 +168,10 @@ class Sequential:
         n = x.shape[0]
         if n != y.shape[0]:
             raise ValueError(f"x has {n} samples but y has {y.shape[0]}")
+        first = next(
+            (i for i, layer in enumerate(self.layers) if layer.trainable and layer.params),
+            None,
+        )
 
         for epoch in range(epochs):
             indices = rng.permutation(n) if shuffle else np.arange(n)
@@ -155,7 +183,10 @@ class Sequential:
                 xb, yb = x[batch_idx], y[batch_idx]
                 logits = self.forward(xb, training=True)
                 batch_loss, grad = loss.forward(logits, yb)
-                self.backward(grad)
+                if first is not None:
+                    for layer in reversed(self.layers[first + 1 :]):
+                        grad = layer.backward(grad)
+                    self.layers[first].backward(grad, input_grad=False)
                 params, grads = self.trainable_parameters()
                 optimizer.step(params, grads)
 
@@ -195,6 +226,8 @@ class Sequential:
         batch_size: int = 256,
     ) -> tuple:
         """Return ``(loss, accuracy)`` over a labelled dataset."""
+        _check_count("batch_size", batch_size, 1)
+        _check_samples(x)
         loss = loss if loss is not None else SoftmaxCrossEntropy()
         total_loss = 0.0
         correct = 0

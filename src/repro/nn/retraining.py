@@ -13,7 +13,9 @@ first layer introduces:
 Step 2/3 are implemented here.  The frozen layer is the exact binary-domain
 model of what the stochastic engine computes (up to SC noise, which the
 hybrid pipeline adds at inference time), so a single retraining pass serves
-both the "Binary" and the two stochastic rows of Table 3.
+both the "Binary" and the two stochastic rows of Table 3.  Retraining runs
+the frozen layer forward only: :meth:`~repro.nn.network.Sequential.fit`
+back-propagates down to the first trainable layer and stops there.
 """
 
 from __future__ import annotations
@@ -125,8 +127,10 @@ def retrain(
 ) -> TrainingHistory:
     """Retrain the trainable (non-frozen) layers of ``model``.
 
-    A thin wrapper over :meth:`Sequential.fit`; the frozen first layer is
-    skipped automatically because the optimizer only sees trainable layers.
+    A thin wrapper over :meth:`Sequential.fit`, which back-propagates only
+    down to the first trainable layer: the frozen first layer and the
+    pooling after it run forward only, and the optimizer updates only
+    trainable layers.
     """
     optimizer = optimizer if optimizer is not None else Adam(learning_rate=1e-3)
     return model.fit(

@@ -1,12 +1,15 @@
-"""Sliding-window (im2col) utilities shared by the binary and stochastic layers.
+"""Sliding-window (im2col) utilities of the stochastic layers.
 
-Both the numpy convolution layers of :mod:`repro.nn` and the stochastic
-convolution engine of :mod:`repro.sc` operate on the same flattened window
-view of the input image: every output position becomes one row of
-``kernel_height * kernel_width * channels`` input samples.  Keeping this
-transformation in one place guarantees that the binary baseline and the
-stochastic design see *exactly* the same pixels for every output, which is a
-precondition for a fair accuracy comparison.
+The stochastic side -- :mod:`repro.sc`, :mod:`repro.hybrid` and the fault
+sweep -- cuts single-channel images into patch rows with
+:func:`extract_patches`: every output position becomes one row of
+``kernel_height * kernel_width`` input samples.  The numpy convolution
+layers of :mod:`repro.nn` unfold their inputs with
+:func:`repro.nn.conv_ops.im2col` instead, into channel-major columns; for
+one channel, column ``p`` of those holds exactly the samples of patch row
+``p`` here (``tests/test_windows.py`` pins this).  So the binary baseline
+and the stochastic design see *exactly* the same pixels for every output,
+which is a precondition for a fair accuracy comparison.
 """
 
 from __future__ import annotations

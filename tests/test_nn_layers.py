@@ -43,10 +43,11 @@ class TestConvOps:
             conv_output_hw(3, 3, (5, 5), 1, 0)
 
     def test_im2col_shape_and_content(self):
+        # Channel-major columns: (B, C*kh*kw, out_h*out_w), column p = patch p.
         x = np.arange(2 * 1 * 4 * 4, dtype=float).reshape(2, 1, 4, 4)
         cols = im2col(x, (3, 3), stride=1, padding=0)
-        assert cols.shape == (2, 4, 9)
-        np.testing.assert_allclose(cols[0, 0], x[0, 0, :3, :3].ravel())
+        assert cols.shape == (2, 9, 4)
+        np.testing.assert_allclose(cols[0, :, 0], x[0, 0, :3, :3].ravel())
 
     def test_im2col_rejects_bad_rank(self):
         with pytest.raises(ValueError):
@@ -65,8 +66,11 @@ class TestConvOps:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_col2im_shape_check(self):
+        # A 4x4 input, 3x3 kernel, padding 1 has 16 patches of 9 taps: columns
+        # are (1, 9, 16); the patch-row layout (1, 16, 9) is rejected.
+        assert col2im(np.zeros((1, 9, 16)), (1, 1, 4, 4), (3, 3), 1, 1).shape == (1, 1, 4, 4)
         with pytest.raises(ValueError):
-            col2im(np.zeros((1, 4, 9)), (1, 1, 4, 4), (3, 3), 1, 1)
+            col2im(np.zeros((1, 16, 9)), (1, 1, 4, 4), (3, 3), 1, 1)
 
 
 class TestDense:

@@ -123,6 +123,58 @@ class TestSequential:
         with pytest.raises(ValueError):
             model.fit(np.zeros((4, 2)), np.zeros(3, dtype=np.int64))
 
+    def test_fit_rejects_negative_batch_size(self):
+        x, y = make_blobs(4)
+        with pytest.raises(ValueError, match="batch_size must be a positive integer"):
+            Sequential([Dense(2, 2)]).fit(x, y, batch_size=-1)
+
+    def test_fit_rejects_zero_batch_size(self):
+        x, y = make_blobs(4)
+        with pytest.raises(ValueError, match="batch_size must be a positive integer"):
+            Sequential([Dense(2, 2)]).fit(x, y, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [2.5, True, "8"])
+    def test_fit_rejects_non_integer_batch_size(self, batch_size):
+        x, y = make_blobs(4)
+        with pytest.raises(ValueError, match="batch_size must be a positive integer"):
+            Sequential([Dense(2, 2)]).fit(x, y, batch_size=batch_size)
+
+    def test_fit_rejects_negative_epochs(self):
+        x, y = make_blobs(4)
+        with pytest.raises(ValueError, match="epochs must be a non-negative integer"):
+            Sequential([Dense(2, 2)]).fit(x, y, epochs=-1)
+
+    def test_fit_zero_epochs_trains_nothing(self):
+        x, y = make_blobs(4)
+        model = Sequential([Dense(2, 2)])
+        before = model.get_weights()
+        history = model.fit(x, y, epochs=0)
+        assert history.loss == []
+        for old, new in zip(before, model.get_weights()):
+            np.testing.assert_array_equal(old, new)
+
+    def test_fit_rejects_zero_samples(self):
+        model = Sequential([Dense(2, 2)])
+        with pytest.raises(ValueError, match="x must hold at least one sample"):
+            model.fit(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    def test_predict_rejects_zero_batch_size(self):
+        with pytest.raises(ValueError, match="batch_size must be a positive integer"):
+            Sequential([Dense(2, 2)]).predict(np.zeros((4, 2)), batch_size=0)
+
+    def test_evaluate_rejects_zero_samples(self):
+        model = Sequential([Dense(2, 2)])
+        with pytest.raises(ValueError, match="x must hold at least one sample"):
+            model.evaluate(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    def test_retrain_and_misclassification_rate_inherit_checks(self):
+        x, y = make_blobs(4)
+        model = Sequential([Dense(2, 2)])
+        with pytest.raises(ValueError, match="batch_size"):
+            retrain(model, x, y, batch_size=0)
+        with pytest.raises(ValueError, match="x must hold at least one sample"):
+            model.misclassification_rate(x[:0], y[:0])
+
     def test_dropout_only_active_in_training(self):
         model = Sequential([Dense(2, 8), Dropout(0.9, rng=np.random.default_rng(0)), Dense(8, 2)])
         x = np.ones((4, 2))

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.nn import im2col
 from repro.utils import conv_output_size, extract_patches, pad_images, patches_to_map
 
 
@@ -89,6 +90,24 @@ class TestExtractPatches:
         patches = extract_patches(images, (kernel, kernel), stride=stride)
         out = conv_output_size(size, kernel, stride, 0)
         assert patches.shape == (1, out * out, kernel * kernel)
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_binary_layers_see_the_same_pixels(self, size, kernel, stride, padding, seed):
+        # The repro.nn conv layers unfold with im2col into channel-major
+        # columns; for one channel, column p is exactly patch row p.
+        assume(max(kernel) <= size + 2 * padding)
+        images = np.random.default_rng(seed).random((2, size, size))
+        columns = im2col(images[:, np.newaxis], kernel, stride, padding)
+        np.testing.assert_array_equal(
+            columns.transpose(0, 2, 1), extract_patches(images, kernel, stride, padding)
+        )
 
 
 class TestPatchesToMap:
