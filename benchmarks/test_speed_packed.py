@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bitstream import pack_bits, packed_popcount
+from repro.faults import FaultSpec
 from repro.rng import ComparatorSNG, VanDerCorputSource, ramp_compare_batch
 from repro.sc import (
     AdderTree,
@@ -268,6 +269,60 @@ def test_mux_count_conv_speedup():
             "stream_length": 256,
             "streams_seconds": timings["streams"],
             "counts_seconds": timings["counts"],
+            "speedup": speedup,
+        }
+    )
+
+
+def test_faulted_tff_conv_speedup():
+    """Faulted TFF conv: halved leaf popcounts vs. the stream reduction.
+
+    32 TFF kernels (5x5) at N=256 over the 784 patches of one 28x28 image
+    under 1e-3 stream flips -- the perfbench ``faults`` first layer.  Both
+    banks run ``evaluate`` end to end, so level conversion, stream expansion
+    and fault injection are common to both sides.  The default path
+    popcounts the faulted lane products and halves them per level; the
+    ``mode="streams"`` path reduces the lane products level by level
+    through prefix-parity scans.  Counts must be bit-identical while
+    clearing a 3x floor.
+    """
+    rng = np.random.default_rng(5)
+    image = rng.random((1, 28, 28))
+    kernels = rng.uniform(-1.0, 1.0, (32, 5, 5))
+    filters, taps = kernels.shape[0], 25
+    patches = extract_patches(image, (5, 5), padding=2).reshape(-1, taps)
+    spec = FaultSpec(flip_rate=1e-3, seed=1)
+
+    results, timings = {}, {}
+    for mode in ("streams", None):
+        bank = new_sc_engine(8, seed=1, mode=mode, faults=spec).prepare_weights(
+            kernels.reshape(filters, taps)
+        )
+        timings[mode], results[mode] = best_of(lambda: bank.evaluate(patches))
+
+    np.testing.assert_array_equal(results[None][0], results["streams"][0])
+    np.testing.assert_array_equal(results[None][1], results["streams"][1])
+
+    speedup = timings["streams"] / timings[None]
+    print(
+        f"\nfaulted tff conv, {filters} kernels, {patches.shape[0]} patches, "
+        f"N=256, flips 1e-3: streams {timings['streams'] * 1e3:.1f} ms, "
+        f"popcounts {timings[None] * 1e3:.1f} ms ({speedup:.1f}x)"
+    )
+    assert speedup >= 3.0, (
+        f"faulted TFF popcount path only {speedup:.1f}x faster than the "
+        f"stream path (floor is 3x at {filters} filters)"
+    )
+
+    _write_artifact(
+        faulted_tff_conv={
+            "filters": filters,
+            "taps": taps,
+            "patches": int(patches.shape[0]),
+            "stream_length": 256,
+            "flip_rate": spec.flip_rate,
+            "streams_seconds": timings["streams"],
+            "popcounts_seconds": timings[None],
             "speedup": speedup,
         }
     )

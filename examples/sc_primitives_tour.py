@@ -318,9 +318,10 @@ def main() -> None:
           f"{stuck.waveforms['stream'].mean():.3f}")
 
     # And the engine-level spec threads through the convolution's tiles:
-    # stream faults force the stream-domain evaluation, whose lane products
-    # shrink the automatic tile, and corrupt every tile at its global patch
-    # offset, so tiling never changes the faulted counts.
+    # stream faults make the bank build and AND faulted input streams, whose
+    # lane products shrink the automatic tile (a TFF tree then halves their
+    # popcounts), and corrupt every tile at its global patch offset, so
+    # tiling never changes the faulted counts.
     rng2 = np.random.default_rng(5)
     tile_image = rng2.random((1, 28, 28))
     tile_kernels = rng2.uniform(-1, 1, (16, 3, 3))

@@ -21,10 +21,14 @@ claim measurable:
 * :mod:`~repro.faults.sweep` -- the accuracy-vs-fault-rate degradation
   experiment behind the ``repro faults`` CLI and ``BENCH_faults.json``.
 
-Engines accept a spec via their ``faults`` field; stream-level faults force
-the stream-domain evaluation (``mode="auto"`` resolves to streams, explicit
-``mode="counts"`` raises) because the count-domain shortcuts assume
-uncorrupted adder-tree inputs.
+Engines accept a spec via their ``faults`` field.  Stream-level faults are
+injected into the input streams, before the AND with the weights, so a
+faulted leaf is no comparator output and no leaf table holds its count:
+under ``mode="auto"`` TFF adder trees halve the popcounts of the faulted
+leaf products (a TFF node's output count depends only on its input counts,
+whatever their bits), MUX and OR trees reduce the streams, and an explicit
+``mode="counts"``, which builds no stream, raises (see
+:attr:`~repro.sc.dotproduct.StochasticDotProductEngine.evaluation_path`).
 """
 
 from .binary import flip_binary_words

@@ -45,6 +45,11 @@ from .emulation import CalibratedSCEmulator
 __all__ = ["HybridStochasticBinaryNetwork"]
 
 
+def _is_positive_int(value) -> bool:
+    """Whether ``value`` is an integer of at least 1 (NumPy integers count, bools do not)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
 @dataclass
 class _FirstLayerInfo:
     kernels: np.ndarray  # (filters, kh, kw)
@@ -77,7 +82,8 @@ class HybridStochasticBinaryNetwork:
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment of the stochastic first layer.  Stream-level faults are
-        threaded into the engine (forcing its stream-domain evaluation, see
+        threaded into the engine (which then evaluates from faulted streams:
+        leaf popcounts for TFF trees, stream reduction for MUX trees, see
         :mod:`repro.faults`), and a non-zero ``sensor_noise_sigma`` is
         applied by the sensor front end during acquisition.  Overrides any
         fault spec already carried by ``engine``.  The binary layers are
@@ -249,8 +255,16 @@ class HybridStochasticBinaryNetwork:
     def predict_classes(
         self, images: np.ndarray, mode: str = "emulate", batch_size: int = 64
     ) -> np.ndarray:
-        """Predicted class per image."""
+        """Predicted class per image, ``batch_size`` images per forward pass.
+
+        ``batch_size`` must be a positive integer and ``images`` must hold
+        at least one image; both are checked before any forward pass.
+        """
+        if not _is_positive_int(batch_size):
+            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
         images = np.asarray(images, dtype=np.float64)
+        if images.ndim < 1 or images.shape[0] < 1:
+            raise ValueError(f"images must hold at least one image, got shape {images.shape}")
         predictions = []
         for start in range(0, images.shape[0], batch_size):
             logits = self.forward(images[start : start + batch_size], mode=mode)
@@ -273,7 +287,7 @@ class HybridStochasticBinaryNetwork:
         images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(labels)
         if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, numbers.Integral) or limit < 1:
+            if not _is_positive_int(limit):
                 raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
             images = images[:limit]
             labels = labels[:limit]

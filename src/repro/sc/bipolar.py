@@ -187,10 +187,10 @@ class BipolarDotProductEngine:
     faults:
         Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
         injected into the input streams (by :meth:`BipolarWeightBank.evaluate`
-        via :meth:`apply_faults`, at each tile's row offset) and force the stream-domain
-        evaluation -- ``mode="auto"`` resolves to streams while faults are
-        active, and an explicit ``mode="counts"`` raises, exactly like the
-        unipolar engine.
+        via :meth:`apply_faults`, at each tile's row offset).  Faulted banks
+        are not yet on the count path (ROADMAP direction 4): ``mode="auto"``
+        reduces streams while faults are active, and an explicit
+        ``mode="counts"`` raises.
     """
 
     precision: int = 8
@@ -212,9 +212,9 @@ class BipolarDotProductEngine:
         if self.mode == "counts" and self._stream_faults_active:
             raise ValueError(
                 "mode='counts' is invalid under stream-level fault injection: "
-                "the count-domain shortcuts assume uncorrupted tree inputs -- "
-                "use mode='streams' (or 'auto', which resolves to streams "
-                "while faults are active)"
+                "faulted bipolar banks are not yet on the count path "
+                "(ROADMAP direction 4) -- use mode='streams' (or 'auto', which "
+                "reduces streams while faults are active)"
             )
 
     @property
@@ -226,8 +226,8 @@ class BipolarDotProductEngine:
     def _use_count_mode(self) -> bool:
         # Both supported adders (TFF, MUX) have exact count-domain
         # evaluations, so only an explicit "streams" -- or active stream
-        # faults, which invalidate the count-domain algebra -- forces
-        # stream tensors.
+        # faults, whose banks are not yet on the count path (ROADMAP
+        # direction 4) -- forces stream tensors.
         return self.mode != "streams" and not self._stream_faults_active
 
     def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:

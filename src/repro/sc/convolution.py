@@ -29,9 +29,9 @@ of the whole batch are cut into tiles of
 the per-patch size of the largest temporary on the path the bank runs --
 and each tile's pixels are converted to comparator levels, fault-injected
 at the tile's global patch offset and counted.  Peak memory is therefore
-bounded at any batch size: gathered leaf counts on the fault-free count
-path, lane products on the stream path (stream faults, ``mode="streams"``,
-OR trees).  This is what lets ``REPRO_BITEXACT=1`` runs cover the full
+bounded at any batch size: gathered leaf counts on the leaf-table path,
+lane products wherever input streams are built (stream faults,
+``mode="streams"``, OR trees).  This is what lets ``REPRO_BITEXACT=1`` runs cover the full
 MNIST test set.  Level conversion is stateless and the weight bank (select
 streams and leaf tables included) is built once per forward pass and
 reused, so any tiling -- including tiles that do not divide the patch

@@ -370,15 +370,19 @@ class PreparedWeights(FilterBank):
         stream faults.  Returns ``(positive, negative)`` int64 count arrays
         of shape ``(..., filters)``.
 
-        Levels in count mode (the engine's :attr:`~StochasticDotProductEngine.mode`,
-        the default whenever exact) are one gather from the
+        The engine's :attr:`~StochasticDotProductEngine.evaluation_path`
+        names the path.  On ``"tables"`` levels are one gather from the
         :meth:`leaf_tables`: TFF trees halve the gathered leaf counts
         (:meth:`TreePlan.reduce_counts`) and MUX trees sum them over taps.
-        Everything else -- stream mode, OR trees, packed streams -- runs
-        the reference level-by-level reduction (:meth:`TreePlan.reduce_packed`),
-        expanding levels into streams first
-        (:meth:`~StochasticDotProductEngine.input_words`).  Every path
-        produces identical counts.
+        Otherwise levels are expanded into streams first
+        (:meth:`~StochasticDotProductEngine.input_words`) and ANDed with the
+        weight streams into lane products.  A TFF tree outside stream mode
+        then halves the popcounts of those products -- its root count
+        depends only on its leaf counts, whatever the leaf bits, so faulted
+        streams need no tree reduction -- and everything else (stream mode,
+        OR trees, MUX trees on streams) runs the reference level-by-level
+        reduction (:meth:`TreePlan.reduce_packed`).  Every path produces
+        identical counts.
         """
         x = np.asarray(prepared)
         if x.dtype != np.uint64:
@@ -404,6 +408,8 @@ class PreparedWeights(FilterBank):
         lanes = x[..., np.newaxis, :, :] & self.weight_streams.reshape(
             2 * self.filters, self.taps, -1
         )
+        if self.engine.mode != "streams" and self.plan.supports_count_reduction:
+            return self._split(self.plan.reduce_counts(packed_popcount(lanes)))
         return self._split(packed_popcount(self.plan.reduce_packed(lanes, self.n_bits)))
 
     def _split(self, flat_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -452,23 +458,23 @@ class StochasticDotProductEngine:
         TFF trees and summed over select-masked taps for MUX trees -- and
         never builds a stream; ``"streams"`` forces the reference stream
         reduction; ``"auto"`` (the default; ``None`` resolves to it)
-        picks counts whenever the configuration admits the exact shortcut
-        (TFF and MUX trees do, OR trees do not).  Every mode produces
-        bit-identical counter values; the choice only affects speed and
-        memory.
+        picks the fastest exact path (:attr:`evaluation_path`).  Every mode
+        produces bit-identical counter values; the choice only affects
+        speed and memory.
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment.  Stream-level faults (flips, stuck-at, bursts) are
         injected into the *input* streams -- by
         :meth:`PreparedWeights.evaluate` calling :meth:`apply_faults` with
         each tile's row offset, which expands the levels into streams
-        first -- and force the stream-domain
-        evaluation: the count-domain shortcuts assume
-        uncorrupted tree inputs, so ``mode="auto"`` resolves to streams
-        whenever stream faults are active and an explicit ``mode="counts"``
-        raises.  ``sng_stuck_cells`` additionally defects the LFSR of
-        LFSR-based input SNGs; its tied source values keep the level
-        representation exact (count mode stays available).  Injection is
+        first.  A faulted stream is no comparator output, so no leaf table
+        holds its counts: under ``mode="auto"`` TFF trees halve the
+        popcounts of the faulted leaf products (exact for any leaf bits)
+        and MUX trees reduce the streams, while an explicit
+        ``mode="counts"``, which builds no stream, raises.
+        ``sng_stuck_cells`` additionally defects the LFSR of LFSR-based
+        input SNGs; its tied source values keep the level representation
+        exact (the leaf tables stay available).  Injection is
         seed-deterministic and bit-identical across tilings and repeated
         calls.
     """
@@ -508,9 +514,9 @@ class StochasticDotProductEngine:
         if self.mode == "counts" and self._stream_faults_active:
             raise ValueError(
                 "mode='counts' is invalid under stream-level fault injection: "
-                "the count-domain shortcuts assume uncorrupted tree inputs -- "
-                "use mode='streams' (or 'auto', which resolves to streams "
-                "while faults are active)"
+                "counts mode builds no stream, while faults are injected into "
+                "the input streams -- use mode='auto' (TFF trees then halve "
+                "the popcounts of the faulted leaf products) or mode='streams'"
             )
 
     @property
@@ -537,22 +543,43 @@ class StochasticDotProductEngine:
         )
 
     @property
-    def _use_count_mode(self) -> bool:
-        """Whether banks gather leaf counts instead of reducing streams.
+    def evaluation_path(self) -> Tuple[str, str]:
+        """``(path, reason)``: the adder-tree evaluation this engine's banks run.
 
-        The engine builds only homogeneous TFF, MUX or OR trees; TFF and MUX
-        trees have exact count-domain shortcuts and OR trees none.  Only an
-        explicit ``"streams"`` -- or active stream faults, which invalidate
-        the count-domain algebra -- forces streams otherwise (``"counts"``
-        with either was already rejected at init).
+        Decided from the configuration alone -- the engine builds only
+        homogeneous TFF, MUX or OR trees -- and read by :meth:`patch_bytes`
+        and :meth:`PreparedWeights.counts`.  ``path`` is one of
+
+        * ``"tables"`` -- comparator levels gathered from the bank's leaf
+          tables (:meth:`PreparedWeights.leaf_tables`); no stream is built;
+        * ``"popcounts"`` -- TFF trees under stream faults: the faulted
+          lane products are popcounted and halved per level
+          (:meth:`TreePlan.reduce_counts`), exact whatever the leaf bits
+          (:attr:`TreePlan.supports_count_reduction`);
+        * ``"streams"`` -- the reference stream reduction
+          (:meth:`TreePlan.reduce_packed`): ``mode="streams"``, OR trees, and
+          MUX trees under stream faults.
         """
-        return self.mode != "streams" and not self._stream_faults_active and self.adder != "or"
+        if self.mode == "streams":
+            return "streams", "mode='streams' forces the reference stream reduction"
+        if self.adder == "or":
+            return "streams", "OR trees have no exact count-domain shortcut"
+        if self._stream_faults_active and self.adder == "mux":
+            return "streams", "stream faults rule out leaf tables; MUX trees reduce the streams"
+        if self._stream_faults_active:
+            return "popcounts", "stream faults rule out leaf tables; TFF trees halve leaf popcounts"
+        return "tables", f"no stream faults: {self.adder.upper()} leaf counts from leaf tables"
+
+    @property
+    def _use_count_mode(self) -> bool:
+        """Whether banks gather leaf counts from leaf tables (:attr:`evaluation_path`)."""
+        return self.evaluation_path[0] == "tables"
 
     def patch_bytes(self, filters: int, taps: int) -> int:
         """Bytes per input row of the largest temporary a ``(filters, taps)`` bank allocates.
 
-        On the count path the gathered leaf counts, ``taps * 2 * filters``
-        table entries; on the stream path the lane products,
+        On the table path the gathered leaf counts, ``taps * 2 * filters``
+        table entries; on the popcount and stream paths the lane products,
         ``2 * filters * taps`` packed streams.  :func:`tile_patches` divides
         the tile budget by it.
         """

@@ -62,7 +62,9 @@ Neither needs the leaf streams themselves, only their ones-counts.  The
 unipolar engine (:class:`~repro.sc.dotproduct.PreparedWeights`) takes them
 from leaf tables indexed by the inputs' comparator levels -- for MUX trees
 built from mask-ANDed weight streams -- so its count mode builds no stream
-at all; the bipolar engine popcounts its XNOR products
+at all.  The TFF identity holds for any leaf bits, so a TFF tree whose leaf
+streams were corrupted by stream faults needs only their popcounts too.  The
+bipolar engine popcounts its XNOR products
 (:meth:`TreePlan.masked_counts_packed` for MUX trees).  Both shortcuts are
 bit-identical to reducing the streams; OR trees are position-dependent in a
 way neither shortcut captures and always reduce streams.
@@ -77,7 +79,6 @@ import numpy as np
 from ...bitstream.packed import (
     mask_tail,
     pack_bits,
-    packed_mux,
     packed_mux_add,
     packed_or_add,
     packed_popcount,
@@ -392,6 +393,19 @@ class TreePlan:
         """Shared level loop; ``arr`` is ``(..., lanes, k, W-or-N)``."""
         level = arr
         for li, nodes in enumerate(self.levels):
+            group = self._groups[li]
+            if packed and group is not None and group[0] == "mux":
+                # y where the select bit is 1, else x: x ^ ((x ^ y) & s), in
+                # place on one new array.  A lone last node's zero partner
+                # leaves x & ~s, so odd levels need no zero-pad copy.
+                x = level[..., 0::2, :]
+                y = level[..., 1::2, :]
+                out = x.copy()
+                out[..., : y.shape[-2], :] ^= y
+                out &= self._selects(li, length, packed).reshape(self.lanes, x.shape[-2], -1)
+                out ^= x
+                level = out
+                continue
             if level.shape[-2] % 2:
                 pad = np.zeros(
                     level.shape[:-2] + (1, level.shape[-1]), dtype=level.dtype
@@ -403,7 +417,6 @@ class TreePlan:
             flat_shape = x.shape[:-3] + (self.lanes * m, x.shape[-1])
             xf = x.reshape(flat_shape)
             yf = y.reshape(flat_shape)
-            group = self._groups[li]
             if group is not None and group[0] == "tff":
                 if packed:
                     out = packed_tff_add(xf, yf, length, initial_state=group[1])
@@ -414,11 +427,9 @@ class TreePlan:
             elif group is not None and group[0] == "or":
                 out = xf | yf
             elif group is not None and group[0] == "mux":
+                # Byte-per-bit only; packed MUX levels are computed above.
                 sel = self._selects(li, length, packed)
-                if packed:
-                    out = packed_mux(sel, xf, yf)
-                else:
-                    out = np.where(sel == 1, yf, xf).astype(np.uint8)
+                out = np.where(sel == 1, yf, xf).astype(np.uint8)
             else:
                 columns = []
                 for j, adder in enumerate(nodes):

@@ -1,0 +1,153 @@
+"""The engines' evaluation paths, and faulted count-domain TFF trees.
+
+A TFF node emits ``floor((ones_x + ones_y) / 2)`` ones whatever the
+positions of its input bits, so a TFF tree whose leaf streams were corrupted
+by stream faults is still reduced exactly by halving the leaf popcounts.
+These tests pin :attr:`StochasticDotProductEngine.evaluation_path` against
+the tree evaluation that actually ran (spies on ``PreparedWeights.leaf_tables``,
+``TreePlan.reduce_counts`` and ``TreePlan.reduce_packed``), the faulted
+popcount path against the stream reduction and the byte-per-bit oracle, and
+the paths that still reduce streams under faults.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.faults import FaultSpec
+from repro.sc import MODES, StochasticDotProductEngine, new_sc_engine, old_sc_engine
+from repro.sc.dotproduct import PreparedWeights
+from repro.sc.elements.adders import TreePlan
+
+import sc_oracle
+from tiles import forced_tile
+
+FLIPS = FaultSpec(flip_rate=0.02, seed=3)
+STUCK_CELLS = ((0, 1),)
+
+#: The stream-fault channels, one at a time and all four together.
+CHANNELS = {
+    "flips": dict(flip_rate=0.03),
+    "stuck_zero": dict(stuck_zero_rate=0.05),
+    "stuck_one": dict(stuck_one_rate=0.05),
+    "bursts": dict(burst_rate=0.01, burst_length=3),
+    "all": dict(
+        flip_rate=0.03, stuck_zero_rate=0.05, stuck_one_rate=0.05,
+        burst_rate=0.01, burst_length=3,
+    ),
+}
+
+
+@contextlib.contextmanager
+def spied():
+    """Names of the tree-evaluation methods that ran inside the block."""
+    seen = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, name in (
+            (PreparedWeights, "leaf_tables"),
+            (TreePlan, "reduce_counts"),
+            (TreePlan, "reduce_packed"),
+        ):
+            def spy(self, *args, _original=getattr(cls, name), _name=name, **kwargs):
+                seen.add(_name)
+                return _original(self, *args, **kwargs)
+
+            mp.setattr(cls, name, spy)
+        yield seen
+
+
+def _inputs(seed, rows, taps, filters):
+    rng = np.random.default_rng(seed)
+    return rng.random((rows, taps)), rng.uniform(-1.0, 1.0, (filters, taps))
+
+
+@pytest.mark.parametrize("cells", [(), STUCK_CELLS])
+@pytest.mark.parametrize("stream_faults", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("adder", ["tff", "mux", "or"])
+def test_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_faults, cells):
+    spec = FaultSpec(flip_rate=0.02 if stream_faults else 0.0, sng_stuck_cells=cells, seed=3)
+
+    def engine():
+        return StochasticDotProductEngine(
+            precision=5, adder=adder, input_generator="lfsr", seed=2, mode=mode, faults=spec
+        )
+
+    if mode == "counts" and (adder == "or" or stream_faults):
+        with pytest.raises(ValueError):
+            engine()
+        return
+    path, reason = engine().evaluation_path
+    assert reason
+    if mode == "streams" or adder == "or" or (stream_faults and adder == "mux"):
+        assert path == "streams"
+    else:
+        assert path == ("popcounts" if stream_faults else "tables")
+    assert engine()._use_count_mode == (path == "tables")
+    values, kernels = _inputs(4, 5, 9, 3)
+    with spied() as seen:
+        engine().dot_filters(values, kernels)
+    ran = {
+        "streams": {"reduce_packed"},
+        "popcounts": {"reduce_counts"},
+        "tables": {"leaf_tables", "reduce_counts"} if adder == "tff" else {"leaf_tables"},
+    }
+    assert seen == ran[path]
+
+
+@pytest.mark.parametrize(
+    "engine, ran",
+    [
+        (new_sc_engine(6, faults=FLIPS), {"reduce_counts"}),
+        (old_sc_engine(6, faults=FLIPS), {"reduce_packed"}),
+        (new_sc_engine(6, faults=FLIPS, mode="streams"), {"reduce_packed"}),
+    ],
+    ids=["this_work", "old_sc", "this_work_streams"],
+)
+def test_faulted_tff_bank_reduces_no_stream(engine, ran):
+    values, kernels = _inputs(1, 12, 25, 4)
+    bank = engine.prepare_weights(kernels)
+    with spied() as seen:
+        bank.evaluate(values)
+    assert seen == ran
+
+
+def test_counts_mode_under_stream_faults_points_at_auto():
+    with pytest.raises(ValueError, match="auto"):
+        new_sc_engine(6, mode="counts", faults=FLIPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channel=st.sampled_from(sorted(CHANNELS)),
+    stuck_cells=st.booleans(),
+    precision=st.integers(2, 10),
+    input_generator=st.sampled_from(["ramp", "lfsr", "lowdisc"]),
+    taps=st.integers(1, 40),
+    filters=st.integers(1, 8),
+    rows=st.integers(1, 6),
+    tile=st.sampled_from([None, 1, 2, 5]),
+    seed=st.integers(1, 1 << 16),
+)
+def test_faulted_tff_counts_match_streams_and_oracle(
+    channel, stuck_cells, precision, input_generator, taps, filters, rows, tile, seed
+):
+    cells = ((seed % precision, seed & 1),) if stuck_cells else ()
+    spec = FaultSpec(seed=seed, sng_stuck_cells=cells, **CHANNELS[channel])
+    values, kernels = _inputs(seed, rows, taps, filters)
+
+    def engine(mode=None):
+        return StochasticDotProductEngine(
+            precision=precision, input_generator=input_generator, seed=seed,
+            mode=mode, faults=spec,
+        )
+
+    with forced_tile(tile):
+        got = engine().prepare_weights(kernels).evaluate(values)
+    streams = engine("streams").prepare_weights(kernels).evaluate(values)
+    oracle = sc_oracle.dot_filters(engine(), values, kernels)
+    for counts, reference, expected in zip(got, streams, oracle):
+        np.testing.assert_array_equal(counts, reference)
+        np.testing.assert_array_equal(counts, expected)

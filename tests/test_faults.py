@@ -3,8 +3,8 @@
 Covers the mask generator's statistics and coordinate determinism, the
 ``((w | stuck1) & ~stuck0) ^ flips`` composition contract, bit-identity of
 faulted engines and convolutions with the byte-per-bit reference and across
-tilings, the mode interaction
-(stream faults force stream-domain evaluation), stream injection helpers,
+tilings, the mode interaction (stream faults rule out the leaf tables and
+``mode="counts"``), stream injection helpers,
 netlist stuck-at faults against the per-cycle oracle, stuck SNG register
 cells, the matched binary-word flip baseline, and the degradation sweep.
 """

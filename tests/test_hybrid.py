@@ -296,6 +296,32 @@ class TestHybridNetwork:
             hybrid.misclassification_rate(images, labels, mode="binary", limit=limit)
         assert hybrid.misclassification_rate(images, labels, mode="binary", limit=2) >= 0.0
 
+    @staticmethod
+    def _untrained_hybrid(monkeypatch):
+        """A 28x28 hybrid whose ``forward`` fails the test if it runs."""
+        model = quantize_and_freeze(build_lenet5_small(filters1=2), precision=4)
+        hybrid = HybridStochasticBinaryNetwork(model, engine=new_sc_engine(4))
+        monkeypatch.setattr(hybrid, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        return hybrid
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
+    def test_batch_size_must_be_a_positive_integer(self, batch_size, monkeypatch):
+        hybrid = self._untrained_hybrid(monkeypatch)
+        images, labels = np.zeros((3, 28, 28)), np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="batch_size"):
+            hybrid.predict_classes(images, mode="emulate", batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            hybrid.misclassification_rate(images, labels, mode="binary", batch_size=batch_size)
+        monkeypatch.undo()
+        predictions = hybrid.predict_classes(images, mode="binary", batch_size=np.int64(2))
+        assert predictions.shape == (3,)
+
+    @pytest.mark.parametrize("mode", ["binary", "bitexact", "emulate"])
+    def test_empty_batch_rejected_before_any_forward_pass(self, mode, monkeypatch):
+        hybrid = self._untrained_hybrid(monkeypatch)
+        with pytest.raises(ValueError, match="images must hold at least one image"):
+            hybrid.predict_classes(np.zeros((0, 28, 28)), mode=mode)
+
     def test_unknown_mode_rejected(self, trained_hybrid_setup):
         data, frozen = trained_hybrid_setup
         hybrid = HybridStochasticBinaryNetwork(frozen, engine=new_sc_engine(6))

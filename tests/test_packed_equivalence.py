@@ -184,11 +184,12 @@ class TestAdderTreeEquivalence:
         got = unpack_bits(tree.reduce_packed(pack_bits(streams), length), length)
         np.testing.assert_array_equal(got, expected)
 
-    def test_mux_tree_with_stateful_factory(self):
+    @pytest.mark.parametrize("taps", [1, 2, 3, 5, 8, 13])
+    def test_mux_tree_with_stateful_factory(self, taps):
         # Per-node select seeds must be consumed in the same order by both
         # representations, including the zero-padded node of odd levels.
         rng = np.random.default_rng(9)
-        length, taps = 192, 5
+        length = 200
 
         def make_factories():
             counter = [0]
@@ -199,7 +200,7 @@ class TestAdderTreeEquivalence:
 
             return factory
 
-        streams = random_bits(rng, (taps, length))
+        streams = random_bits(rng, (3, taps, length))
         expected = AdderTree(make_factories()).reduce(streams)
         got = AdderTree(make_factories()).reduce_packed(pack_bits(streams), length)
         np.testing.assert_array_equal(unpack_bits(got, length), expected)
