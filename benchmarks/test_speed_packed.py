@@ -329,14 +329,15 @@ def test_faulted_tff_conv_speedup():
 
 
 def test_bipolar_count_dot_speedup():
-    """Bipolar TFF engine: count-domain halving vs. the stream reduction.
+    """Bipolar TFF engine: leaf-table counts vs. the stream reduction.
 
     128 windows x 25 taps at N=4096 (the long-stream regime where tree
-    tensors hurt most).  The count path popcounts the packed XNOR products
-    once and halves integer counts per level -- with the exact ``N/2``
-    alternating-pad count for the odd tap axis -- so it must be bit-identical
-    to the stream reduction while clearing a 1.3x end-to-end floor (stream
-    generation itself, common to both modes, dominates the remainder).
+    tensors hurt most).  The count path gathers XNOR leaf counts from the
+    bank's leaf tables at the inputs' comparator levels -- each alternating
+    pad leaf counting ``N/2`` -- and halves them per level, building no
+    stream, so it must be bit-identical to the stream reduction while
+    clearing a 1.3x end-to-end floor (each ``dot`` call also builds its bank:
+    the weight streams and the leaf tables).
     """
     rng = np.random.default_rng(4)
     x = rng.uniform(-1.0, 1.0, (128, 25))

@@ -37,7 +37,7 @@ through one call to their filter bank's tiled ``evaluate``
 (:meth:`~repro.sc.dotproduct.PreparedWeights.evaluate`), honouring the
 engine's evaluation ``mode`` (:mod:`repro.sc.mode`): under
 the default ``"auto"`` the residual samples come from the exact count-domain
-shortcut (TFF and MUX trees; for the unipolar engine a leaf-table gather on
+shortcut (TFF and MUX trees, on either engine a leaf-table gather on
 comparator levels, with no stream at all), so calibration speed scales with
 the count path while the measured residuals stay bit-identical to
 ``mode="streams"``.

@@ -50,6 +50,17 @@ def _is_positive_int(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
+def _as_images(images) -> np.ndarray:
+    """``images`` as a float64 ``(batch, H, W)`` array of finite pixels, else ``ValueError``."""
+    images = np.asarray(images, dtype=np.float64)
+    # min and max propagate NaN and infinities without a per-pixel temporary.
+    finite = images.size == 0 or np.isfinite(images.min()) and np.isfinite(images.max())
+    if images.ndim != 3 or not finite:
+        what = f"shape {images.shape}" if images.ndim != 3 else "non-finite pixels"
+        raise ValueError(f"images must be a finite (batch, H, W) array, got {what}")
+    return images
+
+
 @dataclass
 class _FirstLayerInfo:
     kernels: np.ndarray  # (filters, kh, kw)
@@ -147,8 +158,8 @@ class HybridStochasticBinaryNetwork:
                 "stochastic resolution (apply quantize_and_freeze first)"
             )
         weights = first.weights[:, 0, :, :].copy()
-        if np.any(np.abs(weights) > 1.0 + 1e-9):
-            raise ValueError("first-layer weights must be conditioned into [-1, 1]")
+        if not np.all(np.abs(weights) <= 1.0 + 1e-9):
+            raise ValueError("first-layer weights must be finite and conditioned into [-1, 1]")
         return _FirstLayerInfo(
             kernels=weights,
             padding=first.padding,
@@ -237,17 +248,17 @@ class HybridStochasticBinaryNetwork:
         """Run the full hybrid network and return the output logits.
 
         ``mode`` selects the first-layer evaluation: ``"binary"``,
-        ``"bitexact"`` or ``"emulate"``.
+        ``"bitexact"`` or ``"emulate"``.  ``images`` must be a finite
+        ``(batch, H, W)`` array; both are checked before any first-layer work.
         """
-        if mode == "binary":
-            first = self.first_layer_binary(images)
-        elif mode == "bitexact":
-            first = self.first_layer_bitexact(images)
-        elif mode == "emulate":
-            first = self.first_layer_emulated(images)
-        else:
+        first_layer = {
+            "binary": self.first_layer_binary,
+            "bitexact": self.first_layer_bitexact,
+            "emulate": self.first_layer_emulated,
+        }.get(mode)
+        if first_layer is None:
             raise ValueError(f"unknown mode {mode!r}")
-        out = first
+        out = first_layer(_as_images(images))
         for layer in self.model.layers[1:]:
             out = layer.forward(out, training=False)
         return out
@@ -257,13 +268,14 @@ class HybridStochasticBinaryNetwork:
     ) -> np.ndarray:
         """Predicted class per image, ``batch_size`` images per forward pass.
 
-        ``batch_size`` must be a positive integer and ``images`` must hold
-        at least one image; both are checked before any forward pass.
+        ``batch_size`` must be a positive integer and ``images`` a finite
+        ``(batch, H, W)`` array of at least one image; both are checked
+        before any forward pass.
         """
         if not _is_positive_int(batch_size):
             raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim < 1 or images.shape[0] < 1:
+        images = _as_images(images)
+        if images.shape[0] < 1:
             raise ValueError(f"images must hold at least one image, got shape {images.shape}")
         predictions = []
         for start in range(0, images.shape[0], batch_size):

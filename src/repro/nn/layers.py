@@ -306,8 +306,8 @@ class StochasticResolutionConv2D(FrozenConv2D):
                 f"replacement weights shape {weights.shape} does not match "
                 f"{layer.weights.shape}"
             )
-        if np.any(np.abs(weights) > 1.0 + 1e-9):
-            raise ValueError("weights must be conditioned into [-1, 1]")
+        if not np.all(np.abs(weights) <= 1.0 + 1e-9):
+            raise ValueError("weights must be finite and conditioned into [-1, 1]")
         layer.weights[...] = weights
         layer.bias[...] = 0.0
         return layer

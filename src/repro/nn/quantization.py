@@ -58,9 +58,9 @@ def scale_kernels(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def quantize_weights(weights: np.ndarray, precision: int) -> np.ndarray:
     """Round weights (already in ``[-1, 1]``) to the ``precision``-bit bipolar grid."""
     weights = np.asarray(weights, dtype=np.float64)
-    if np.any(np.abs(weights) > 1.0 + 1e-9):
+    if not np.all(np.abs(weights) <= 1.0 + 1e-9):
         raise ValueError(
-            "weights must lie in [-1, 1] before quantization; apply scale_kernels first"
+            "weights must be finite and in [-1, 1] before quantization; apply scale_kernels first"
         )
     return quantize_bipolar(weights, precision)
 

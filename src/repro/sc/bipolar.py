@@ -14,19 +14,20 @@ a scaled adder tree entirely in the bipolar domain.  The ablation benchmark
 ``benchmarks/test_ablation_bipolar.py`` compares the two designs' accuracy
 near the decision point.
 
-Like the unipolar engine, the bipolar engine simulates packed streams (64
-stream bits per uint64 word, word-level XNOR / adder-tree kernels) and
-evaluates through a filter bank (:class:`BipolarWeightBank`, built by
-:meth:`BipolarDotProductEngine.prepare_weights`); its byte-per-bit reference
-is :func:`repro.sc.dotproduct.bipolar_stochastic_dot_product`, which produces
-the same counter values.  The tap axis is padded to a power of two with
-alternating ``1010...`` streams, which encode bipolar zero.  The engine
-honours the ``mode`` (:mod:`repro.sc.mode`): in count mode (the default,
-exact for both its adder types) the XNOR products are popcounted once and
-the tree is reduced in the count domain -- integer ``floor((cx + cy) / 2)``
-halving for TFF trees (each pad stream counts exactly ``N / 2``), cached
-select masks for MUX trees -- never materializing an adder-tree stream
-tensor, bit-identically to stream mode.
+Both designs drive their input SNGs from one shared number source, so the
+bipolar engine evaluates like the unipolar one: inputs become comparator
+levels, and its filter bank (:class:`BipolarWeightBank`, a
+:class:`~repro.sc.dotproduct.FilterBank`) gathers XNOR leaf counts from leaf
+tables, building packed streams only under stream faults and in stream mode.
+With ``C_a[c] = popcount(x & a)`` for the input ``x`` of level ``c``, a leaf's
+count inside its ownership mask ``m`` (all ones for TFF trees) is
+
+    popcount((x XNOR w) & m) = |m| - |w & m| + 2 * C_{w&m}[c] - C_m[c].
+
+The tap axis is padded to a power of two with bipolar-zero ``1010...``
+streams (pad leaves: the zero input XNOR ``~1010...``).  The byte-per-bit
+reference :func:`repro.sc.dotproduct.bipolar_stochastic_dot_product` gives
+the same counter values.
 
 Sign-tie contract
 -----------------
@@ -50,11 +51,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..bitstream import bipolar_to_unipolar
-from ..bitstream.packed import packed_alternating, packed_popcount, packed_xnor, words_for
+from ..bitstream.packed import (
+    packed_alternating,
+    packed_not,
+    packed_popcount,
+    packed_xnor,
+    unpack_bits,
+    words_for,
+)
 from ..faults.spec import FaultSpec
-from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource
+from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource, level_dtype
 from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
-from .dotproduct import FilterBank, resolve_mode, stream_length
+from .dotproduct import FilterBank, StochasticDotProductEngine, resolve_mode
 
 __all__ = ["BipolarDotProductResult", "BipolarWeightBank", "BipolarDotProductEngine"]
 
@@ -98,9 +106,9 @@ class BipolarWeightBank(FilterBank):
     restarts its MUX select seeds for every bank, so every kernel sees the
     same select streams: the bank holds one single-lane plan over the
     power-of-two padded tap count, broadcast over the filter axis -- the
-    same counts as evaluating each kernel on its own.  The plan caches its
-    select streams, so the tiled :meth:`evaluate` is bit-identical to one
-    untiled pass.
+    same counts as evaluating each kernel on its own, with one leaf-table
+    lane per filter.  The plan caches its select streams, so the tiled
+    :meth:`evaluate` is bit-identical to one untiled pass.
     """
 
     def __init__(self, engine: "BipolarDotProductEngine", weights: np.ndarray) -> None:
@@ -113,16 +121,42 @@ class BipolarWeightBank(FilterBank):
             raise ValueError("need at least one filter kernel")
         self.engine = engine
         self.filters, self.taps = weights.shape
-        #: Kernel streams, ``(filters, taps, W)`` packed words.
-        self.weight_streams = engine.weight_words(weights)
+        self.n_bits = engine.length
         self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
             1 << AdderTree().depth(self.taps)
         )
+        pad = np.broadcast_to(
+            packed_not(packed_alternating(self.n_bits), self.n_bits),
+            (self.filters, self.plan.count - self.taps, words_for(self.n_bits)),
+        )
+        #: Kernel streams per leaf, ``(filters, leaves, W)`` packed words.  Pad
+        #: leaves hold ``~1010...`` and see the all-zero input stream (level 0):
+        #: their XNOR product is the bipolar-zero stream ``1010...``.
+        self.weight_streams = np.concatenate([engine.weight_words(weights), pad], axis=1)
 
     @property
     def tree_scale(self) -> int:
         """Counter scale ``2**depth`` of the adder tree."""
         return self.plan.tree_scale
+
+    def _build_tables(self) -> np.ndarray:
+        """XNOR leaf counts ``popcount((x XNOR w) & m)`` (module docstring)."""
+        n = self.n_bits
+        if self.plan.supports_count_reduction:
+            masks = packed_not(np.zeros_like(self.weight_streams[:1]), n)
+        else:
+            masks = self.plan.leaf_masks(n, packed=True)
+        wm = self.weight_streams & masks
+        # 2 * C_{w&m} - C_m is one running sum of steps in {-1, 0, 1}, so it
+        # never leaves [-N, N].
+        tables = self._running_counts(2 * unpack_bits(wm, n).astype(np.int8) - unpack_bits(masks, n))
+        tables += (packed_popcount(masks) - packed_popcount(wm)).T[:, np.newaxis]
+        return tables
+
+    def _leaf_streams(self, x: np.ndarray) -> np.ndarray:
+        """XNOR products ``(..., filters, leaves, W)`` of input streams ``(..., taps, W)``."""
+        x = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, self.plan.count - self.taps), (0, 0)])
+        return packed_xnor(x[..., np.newaxis, :, :], self.weight_streams, self.n_bits)
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Tree-output counts ``(..., filters)`` for input values ``(..., taps)``.
@@ -133,34 +167,9 @@ class BipolarWeightBank(FilterBank):
         return self._tiled(values)[0]
 
     def counts(self, prepared: np.ndarray) -> np.ndarray:
-        """Tree-output counts ``(..., filters)`` for one tile of ``prepare_inputs`` output."""
-        x = np.asarray(prepared)
-        if x.ndim < 2 or x.shape[-2] != self.taps:
-            raise ValueError(
-                f"prepared inputs must have {self.taps} taps on axis -2, "
-                f"got shape {x.shape}"
-            )
-        n_bits = self.engine.length
-        products = packed_xnor(x[..., np.newaxis, :, :], self.weight_streams, n_bits)
-        # Pad the tap axis with bipolar-zero (density 0.5) streams: an
-        # all-zeros pad would encode -1 and bias the sum.
-        pad = self.plan.count - self.taps
-        if pad:
-            products = np.concatenate(
-                [
-                    products,
-                    np.broadcast_to(
-                        packed_alternating(n_bits),
-                        products.shape[:-2] + (pad, products.shape[-1]),
-                    ),
-                ],
-                axis=-2,
-            )
-        if not self.engine._use_count_mode:
-            return packed_popcount(self.plan.reduce_packed(products, n_bits))
-        if self.plan.supports_count_reduction:
-            return self.plan.reduce_counts(packed_popcount(products))
-        return self.plan.masked_counts_packed(products, n_bits)
+        """Tree-output counts ``(..., filters)`` for one tile of prepared inputs
+        (:meth:`~repro.sc.dotproduct.FilterBank._root_counts`)."""
+        return self._root_counts(prepared)
 
     def __repr__(self) -> str:
         return f"BipolarWeightBank(filters={self.filters}, taps={self.taps})"
@@ -179,18 +188,18 @@ class BipolarDotProductEngine:
     seed:
         Seed for LFSR/MUX-select sources.
     mode:
-        ``"counts"`` reduces the adder tree in the count domain (exact for
-        both supported adders -- see the module docstring), ``"streams"``
-        forces the reference stream reduction, ``"auto"`` (the default;
-        ``None`` resolves to it) picks counts.  Bit-identical counter values
-        either way.
+        As for :class:`~repro.sc.dotproduct.StochasticDotProductEngine`:
+        ``"counts"`` gathers leaf counts from the bank's leaf tables,
+        ``"streams"`` forces the reference stream reduction, ``"auto"`` (the
+        default; ``None`` resolves to it) picks the fastest exact path
+        (:attr:`evaluation_path`).  Bit-identical counter values either way.
     faults:
         Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
         injected into the input streams (by :meth:`BipolarWeightBank.evaluate`
-        via :meth:`apply_faults`, at each tile's row offset).  Faulted banks
-        are not yet on the count path (ROADMAP direction 4): ``mode="auto"``
-        reduces streams while faults are active, and an explicit
-        ``mode="counts"`` raises.
+        via :meth:`apply_faults`, at each tile's row offset).  Under
+        ``mode="auto"`` TFF trees then halve the popcounts of the faulted
+        XNOR products and MUX trees reduce the streams, while an explicit
+        ``mode="counts"``, which builds no stream, raises.
     """
 
     precision: int = 8
@@ -198,6 +207,15 @@ class BipolarDotProductEngine:
     seed: int = 1
     mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
+
+    # One evaluation rule for both encodings: the stream length, the path
+    # choice, level expansion and fault injection of the unipolar engine.
+    length = StochasticDotProductEngine.length
+    _stream_faults_active = StochasticDotProductEngine._stream_faults_active
+    evaluation_path = StochasticDotProductEngine.evaluation_path
+    _use_count_mode = StochasticDotProductEngine._use_count_mode
+    input_words = StochasticDotProductEngine.input_words
+    apply_faults = StochasticDotProductEngine.apply_faults
 
     def __post_init__(self) -> None:
         if self.precision < 2:
@@ -212,48 +230,19 @@ class BipolarDotProductEngine:
         if self.mode == "counts" and self._stream_faults_active:
             raise ValueError(
                 "mode='counts' is invalid under stream-level fault injection: "
-                "faulted bipolar banks are not yet on the count path "
-                "(ROADMAP direction 4) -- use mode='streams' (or 'auto', which "
-                "reduces streams while faults are active)"
+                "counts mode builds no stream, while faults are injected into "
+                "the input streams -- use mode='auto' (TFF trees then halve "
+                "the popcounts of the faulted XNOR products) or mode='streams'"
             )
 
-    @property
-    def _stream_faults_active(self) -> bool:
-        """Whether the engine must inject fault masks into input streams."""
-        return self.faults is not None and self.faults.corrupts_streams
-
-    @property
-    def _use_count_mode(self) -> bool:
-        # Both supported adders (TFF, MUX) have exact count-domain
-        # evaluations, so only an explicit "streams" -- or active stream
-        # faults, whose banks are not yet on the count path (ROADMAP
-        # direction 4) -- forces stream tensors.
-        return self.mode != "streams" and not self._stream_faults_active
-
-    def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:
-        """Inject the engine's stream faults into :meth:`prepare_inputs` output.
-
-        Mirrors :meth:`StochasticDotProductEngine.apply_faults`: ``offset``
-        is the global index of the first stream in ``prepared``
-        (:meth:`BipolarWeightBank.evaluate` passes its tile start), and the
-        injection is a no-op when no stream fault channel is active.
-        """
-        if not self._stream_faults_active:
-            return prepared
-        return self.faults.plan().apply(prepared, self.length, offset=offset)
-
-    @property
-    def length(self) -> int:
-        """Bit-stream length ``2**precision``."""
-        return stream_length(self.precision)
-
     def patch_bytes(self, filters: int, taps: int) -> int:
-        """Bytes per input row of a ``(filters, taps)`` bank's XNOR products.
-
-        The products span the power-of-two padded tap axis, on either path;
-        :func:`repro.sc.dotproduct.tile_patches` divides the tile budget by it.
-        """
-        return filters * (1 << AdderTree().depth(taps)) * words_for(self.length) * 8
+        """Bytes per input row of a ``(filters, taps)`` bank's largest temporary over the
+        padded leaves: on the table path the gathered leaf counts or, for few filters,
+        the int64 table-row index; else the XNOR products (``tile_patches``)."""
+        leaves = 1 << AdderTree().depth(taps)
+        if self._use_count_mode:
+            return leaves * max(filters * level_dtype(self.length).itemsize, 8)
+        return leaves * filters * words_for(self.length) * 8
 
     def _adder_factory(self) -> Callable[[], object]:
         if self.adder == "tff":
@@ -265,7 +254,7 @@ class BipolarDotProductEngine:
         return lambda: MuxAdder(seed=next(seeds))
 
     # ------------------------------------------------------------------ #
-    # stream generation
+    # input levels and streams
     # ------------------------------------------------------------------ #
     def _input_sng(self) -> ComparatorSNG:
         return ComparatorSNG(VanDerCorputSource(self.precision))
@@ -286,16 +275,20 @@ class BipolarDotProductEngine:
 
     def _weight_probabilities(self, weights: np.ndarray) -> np.ndarray:
         weights = np.asarray(weights, dtype=np.float64)
-        if np.any(np.abs(weights) > 1.0 + 1e-9):
-            raise ValueError("weights must lie in [-1, 1]")
+        if not np.all(np.abs(weights) <= 1.0 + 1e-9):
+            raise ValueError("weights must be finite and lie in [-1, 1]")
         return bipolar_to_unipolar(weights)
 
     def prepare_inputs(self, values: np.ndarray) -> np.ndarray:
-        """Encode inputs (in ``[-1, 1]``; image pixels use ``[0, 1]``) as packed
-        bipolar streams, shape ``(..., ceil(N/64))`` uint64 words."""
-        return self._input_sng().generate_packed(
-            self._input_probabilities(values), self.length
-        )
+        """Convert bipolar input values ``(...,)`` to comparator levels ``(...,)``.
+
+        Values lie in ``[-1, 1]`` (image pixels use ``[0, 1]``); the levels
+        are those of the van der Corput input SNG at the ones-probabilities
+        ``(v + 1) / 2`` (see "Comparator levels" in
+        :mod:`repro.sc.dotproduct`).  :meth:`input_words` expands them into
+        the packed streams.
+        """
+        return self._input_sng().levels(self._input_probabilities(values), self.length)
 
     def weight_words(self, weights: np.ndarray) -> np.ndarray:
         """Encode signed weights as packed bipolar streams (one per tap)."""

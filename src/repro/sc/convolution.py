@@ -118,8 +118,8 @@ class StochasticConv2D:
                 "kernels must contain at least one filter "
                 f"(got shape {kernels.shape})"
             )
-        if np.any(np.abs(kernels) > 1.0 + 1e-9):
-            raise ValueError("kernel weights must lie in [-1, 1]")
+        if not np.all(np.abs(kernels) <= 1.0 + 1e-9):
+            raise ValueError("kernel weights must be finite and lie in [-1, 1]")
         if soft_threshold < 0:
             raise ValueError("soft_threshold must be non-negative")
         self.kernels = kernels

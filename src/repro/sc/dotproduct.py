@@ -54,9 +54,10 @@ source's stable argsort.  The engine therefore prepares inputs as levels
 int16 up to precision 14 and int32 beyond), and ``popcount(x & w)`` is one
 lookup into the cumulative sum of ``w``'s bits in source-sorted order.  In
 count mode (:mod:`repro.sc.mode`) a bank evaluates levels against such
-per-lane *leaf tables* (:meth:`PreparedWeights.leaf_tables`,
+per-lane *leaf tables* (:meth:`FilterBank.leaf_tables`, here
 ``2 * filters * taps * (N + 1)`` integers: 0.8 MB at 32 filters, 25 taps and
-N = 256).  Packed streams -- 64 clock cycles per uint64 word
+N = 256), as the bipolar engine's banks do with XNOR leaf counts
+(:mod:`repro.sc.bipolar`).  Packed streams -- 64 clock cycles per uint64 word
 (:mod:`repro.bitstream.packed`) -- are built from levels only where a path
 needs them (:meth:`~StochasticDotProductEngine.input_words`): under stream
 faults, in stream mode and for OR trees.
@@ -115,8 +116,8 @@ def split_weights(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     :func:`repro.nn.quantization.scale_kernel`).
     """
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(np.abs(w) > 1.0 + 1e-9):
-        raise ValueError("weights must lie in [-1, 1]; apply weight scaling first")
+    if not np.all(np.abs(w) <= 1.0 + 1e-9):
+        raise ValueError("weights must be finite and lie in [-1, 1]; apply weight scaling first")
     w_pos = np.clip(w, 0.0, 1.0)
     w_neg = np.clip(-w, 0.0, 1.0)
     return w_pos, w_neg
@@ -218,16 +219,18 @@ def tile_patches(engine, filters: int, taps: int) -> int:
 
 
 class FilterBank:
-    """One kernel set's weight streams plus its adder-tree plan.
+    """One kernel set's weight streams, adder-tree plan and leaf tables.
 
-    The shared tiled evaluation of :class:`PreparedWeights` and
-    :class:`~repro.sc.bipolar.BipolarWeightBank`: subclasses set
-    ``engine``, ``filters`` and ``taps``, and define :meth:`counts` on
-    prepared inputs.
+    The shared evaluation of :class:`PreparedWeights` and
+    :class:`~repro.sc.bipolar.BipolarWeightBank`: subclasses set ``engine``,
+    ``filters``, ``taps``, ``n_bits`` and ``plan``, and define their leaf
+    products as tables (:meth:`_build_tables`) and as streams
+    (:meth:`_leaf_streams`).
     """
 
     #: Counters per filter, stacked on the leading axis of :meth:`_tiled`.
     counters = 1
+    _tables: Optional[np.ndarray] = None
 
     def _tiled(self, values: np.ndarray) -> np.ndarray:
         """Counts ``(counters, ..., filters)`` for values ``(..., taps)``, tile by tile.
@@ -253,6 +256,84 @@ class FilterBank:
             )
             out[:, start : start + tile] = self.counts(prepared)
         return out.reshape((self.counters,) + values.shape[:-1] + (self.filters,))
+
+    def leaf_tables(self) -> np.ndarray:
+        """Count-mode leaf tables ``(leaves, N + 1, lanes)`` of the level dtype, built
+        once: entry ``[t, c, lane]`` is the ones-count of lane ``lane``'s leaf ``t`` for
+        the input of comparator level ``c`` -- for all-MUX trees inside the leaf's disjoint
+        ownership mask (:meth:`TreePlan.leaf_masks`), so a lane's root count sums them."""
+        if self._tables is None:
+            self._tables = self._build_tables()
+        return self._tables
+
+    def _running_counts(self, steps: np.ndarray) -> np.ndarray:
+        """Running sums ``(leaves, N + 1, lanes)`` of per-cycle steps ``(lanes, leaves, N)``
+        over the cycles an input of comparator level ``c`` sets, the first ``c`` of the
+        input source's sorted order: for the bits of a stream ``w``, ``popcount(x & w)``."""
+        n = self.n_bits
+        order = self.engine._input_sng().sort_order(n)
+        tables = np.zeros((steps.shape[1], n + 1, steps.shape[0]), dtype=level_dtype(n))
+        np.cumsum(steps[..., order].transpose(1, 2, 0), axis=1, dtype=tables.dtype, out=tables[:, 1:])
+        return tables
+
+    def _root_counts(self, prepared: np.ndarray) -> np.ndarray:
+        """Lane-major root counts ``(..., lanes)`` for one tile of prepared inputs:
+        comparator levels ``(..., taps)`` from ``prepare_inputs``, or packed
+        streams ``(..., taps, W)`` from ``apply_faults`` under stream faults.
+
+        On the ``"tables"`` path levels are one gather from the
+        :meth:`leaf_tables`: TFF trees halve the gathered leaf counts
+        (:meth:`TreePlan.reduce_counts`), MUX trees sum them.  Otherwise
+        levels are expanded into streams (``input_words``) and combined into
+        leaf products (:meth:`_leaf_streams`).  A TFF tree outside stream mode
+        halves their popcounts -- its root count depends only on its leaf
+        counts, whatever the leaf bits -- and everything else runs the
+        reference reduction (:meth:`TreePlan.reduce_packed`).  Every path
+        produces identical counts.
+        """
+        x = np.asarray(prepared)
+        if x.dtype != np.uint64:
+            if not np.issubdtype(x.dtype, np.integer):
+                raise TypeError(
+                    "prepared inputs must be integer comparator levels or "
+                    f"uint64 stream words, got dtype {x.dtype}"
+                )
+            if x.ndim < 1 or x.shape[-1] != self.taps:
+                raise ValueError(
+                    f"comparator levels must have {self.taps} taps on axis -1, "
+                    f"got shape {x.shape}"
+                )
+            if self.engine._use_count_mode:
+                return self._table_counts(x)
+            x = self.engine.input_words(x)
+        if x.ndim < 2 or x.shape[-2] != self.taps:
+            raise ValueError(
+                f"prepared streams must have {self.taps} taps on axis -2, "
+                f"got shape {x.shape}"
+            )
+        leaves = self._leaf_streams(x)
+        if self.engine.mode != "streams" and self.plan.supports_count_reduction:
+            return self.plan.reduce_counts(packed_popcount(leaves))
+        return packed_popcount(self.plan.reduce_packed(leaves, self.n_bits))
+
+    def _table_counts(self, levels: np.ndarray) -> np.ndarray:
+        """Lane-major root counts ``(..., lanes)`` from comparator levels."""
+        n = self.n_bits
+        if levels.size and (levels.min() < 0 or levels.max() > n):
+            raise ValueError(f"comparator levels must lie in [0, {n}]")
+        tables = self.leaf_tables()
+        leaves, _, lanes = tables.shape
+        if leaves > self.taps:
+            # Pad leaves see the all-zero input stream: level 0.
+            levels = np.pad(levels, [(0, 0)] * (levels.ndim - 1) + [(0, leaves - self.taps)])
+        rows = levels + np.arange(leaves) * (n + 1)
+        # Leaf axis first: ``(leaves, ..., lanes)``, one table row per gather.
+        leaf = np.take(tables.reshape(-1, lanes), np.moveaxis(rows, -1, 0), axis=0)
+        if self.plan.supports_count_reduction:
+            return self.plan.reduce_counts(np.moveaxis(leaf, 0, -1))
+        # A lane's masks are disjoint, so its root count (at most N) fits the
+        # table dtype.
+        return leaf.sum(axis=0, dtype=tables.dtype).astype(np.int64)
 
 
 class PreparedWeights(FilterBank):
@@ -303,51 +384,25 @@ class PreparedWeights(FilterBank):
         self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
             self.taps, lanes=2 * self.filters
         )
-        self._tables: Optional[np.ndarray] = None
 
     @property
     def tree_scale(self) -> int:
         """Counter scale ``2**depth`` of each per-filter adder tree."""
         return self.plan.tree_scale
 
-    def leaf_tables(self) -> np.ndarray:
-        """Count-mode leaf tables, shape ``(taps, N + 1, 2 * filters)``.
+    def _build_tables(self) -> np.ndarray:
+        """AND leaf counts ``popcount(x & w)``, of mask-ANDed weights for MUX trees."""
+        words = self.weight_streams.reshape(2 * self.filters, self.taps, -1)
+        if not self.plan.supports_count_reduction:
+            words = words & self.plan.leaf_masks(self.n_bits, packed=True)
+        return self._running_counts(unpack_bits(words, self.n_bits))
 
-        Entry ``[t, c, lane]`` is ``popcount(x & w)`` for the lane's tap-``t``
-        weight stream ``w`` and the input stream ``x`` of comparator level
-        ``c``: the cumulative sum of ``w``'s bits in the input source's
-        sorted order (:meth:`~repro.rng.sng.ComparatorSNG.sort_order`).  For
-        all-MUX trees the weight bits are first ANDed with the lane's leaf
-        ownership masks (:meth:`TreePlan.leaf_masks`), which are disjoint
-        across taps, so a lane's root count is the sum of its taps' entries.
-        Dtype :func:`~repro.rng.sng.level_dtype`; built once and cached.
-        """
-        if self._tables is None:
-            n = self.n_bits
-            words = self.weight_streams.reshape(2 * self.filters, self.taps, -1)
-            if not self.plan.supports_count_reduction:
-                words = words & self.plan.leaf_masks(n, packed=True)
-            order = self.engine._input_sng().sort_order(n)
-            bits = unpack_bits(words, n)[..., order].transpose(1, 2, 0)
-            tables = np.zeros((self.taps, n + 1, 2 * self.filters), dtype=level_dtype(n))
-            np.cumsum(bits, axis=1, dtype=tables.dtype, out=tables[:, 1:])
-            self._tables = tables
-        return self._tables
-
-    def _table_counts(self, levels: np.ndarray) -> np.ndarray:
-        """Lane-major root counts ``(..., 2 * filters)`` from comparator levels."""
-        n = self.n_bits
-        if levels.size and (levels.min() < 0 or levels.max() > n):
-            raise ValueError(f"comparator levels must lie in [0, {n}]")
-        tables = self.leaf_tables()
-        rows = levels + np.arange(self.taps) * (n + 1)
-        # Tap axis first: ``(taps, ..., lanes)``, one table row per gather.
-        leaf = np.take(tables.reshape(-1, 2 * self.filters), np.moveaxis(rows, -1, 0), axis=0)
-        if self.plan.supports_count_reduction:
-            return self.plan.reduce_counts(np.moveaxis(leaf, 0, -1))
-        # A lane's masks are disjoint, so its root count (at most N) fits the
-        # table dtype.
-        return leaf.sum(axis=0, dtype=tables.dtype).astype(np.int64)
+    def _leaf_streams(self, x: np.ndarray) -> np.ndarray:
+        """Tap products of input streams ``(..., taps, W)``, lane-major:
+        ``(..., 2 * filters, taps, W)``."""
+        return x[..., np.newaxis, :, :] & self.weight_streams.reshape(
+            2 * self.filters, self.taps, -1
+        )
 
     def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Positive and negative counts ``(..., filters)`` for input values ``(..., taps)``.
@@ -360,57 +415,10 @@ class PreparedWeights(FilterBank):
         return pos, neg
 
     def counts(self, prepared: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Positive and negative tree counts for one tile of prepared inputs.
-
-        ``prepared`` is either the comparator levels of
-        :meth:`StochasticDotProductEngine.prepare_inputs` -- integers of
-        shape ``(..., taps)`` -- or packed input streams of shape
-        ``(..., taps, W)`` uint64, as
-        :meth:`~StochasticDotProductEngine.apply_faults` returns under
-        stream faults.  Returns ``(positive, negative)`` int64 count arrays
-        of shape ``(..., filters)``.
-
-        The engine's :attr:`~StochasticDotProductEngine.evaluation_path`
-        names the path.  On ``"tables"`` levels are one gather from the
-        :meth:`leaf_tables`: TFF trees halve the gathered leaf counts
-        (:meth:`TreePlan.reduce_counts`) and MUX trees sum them over taps.
-        Otherwise levels are expanded into streams first
-        (:meth:`~StochasticDotProductEngine.input_words`) and ANDed with the
-        weight streams into lane products.  A TFF tree outside stream mode
-        then halves the popcounts of those products -- its root count
-        depends only on its leaf counts, whatever the leaf bits, so faulted
-        streams need no tree reduction -- and everything else (stream mode,
-        OR trees, MUX trees on streams) runs the reference level-by-level
-        reduction (:meth:`TreePlan.reduce_packed`).  Every path produces
-        identical counts.
-        """
-        x = np.asarray(prepared)
-        if x.dtype != np.uint64:
-            if not np.issubdtype(x.dtype, np.integer):
-                raise TypeError(
-                    "prepared inputs must be integer comparator levels or "
-                    f"uint64 stream words, got dtype {x.dtype}"
-                )
-            if x.ndim < 1 or x.shape[-1] != self.taps:
-                raise ValueError(
-                    f"comparator levels must have {self.taps} taps on axis -1, "
-                    f"got shape {x.shape}"
-                )
-            if self.engine._use_count_mode:
-                return self._split(self._table_counts(x))
-            x = self.engine.input_words(x)
-        if x.ndim < 2 or x.shape[-2] != self.taps:
-            raise ValueError(
-                f"prepared streams must have {self.taps} taps on axis -2, "
-                f"got shape {x.shape}"
-            )
-        # Tap products, lane-major: ``(..., 2 * filters, taps, W)``.
-        lanes = x[..., np.newaxis, :, :] & self.weight_streams.reshape(
-            2 * self.filters, self.taps, -1
-        )
-        if self.engine.mode != "streams" and self.plan.supports_count_reduction:
-            return self._split(self.plan.reduce_counts(packed_popcount(lanes)))
-        return self._split(packed_popcount(self.plan.reduce_packed(lanes, self.n_bits)))
+        """Positive and negative tree counts, int64 ``(..., filters)`` each, for one
+        tile of prepared inputs (levels or faulted streams, see
+        :meth:`FilterBank._root_counts`)."""
+        return self._split(self._root_counts(prepared))
 
     def _split(self, flat_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Lane-major ``(..., 2 * filters)`` counts to ``(positive, negative)``."""
@@ -548,12 +556,13 @@ class StochasticDotProductEngine:
 
         Decided from the configuration alone -- the engine builds only
         homogeneous TFF, MUX or OR trees -- and read by :meth:`patch_bytes`
-        and :meth:`PreparedWeights.counts`.  ``path`` is one of
+        and :meth:`FilterBank._root_counts`; the bipolar engine shares the
+        rule.  ``path`` is one of
 
         * ``"tables"`` -- comparator levels gathered from the bank's leaf
-          tables (:meth:`PreparedWeights.leaf_tables`); no stream is built;
+          tables (:meth:`FilterBank.leaf_tables`); no stream is built;
         * ``"popcounts"`` -- TFF trees under stream faults: the faulted
-          lane products are popcounted and halved per level
+          leaf products are popcounted and halved per level
           (:meth:`TreePlan.reduce_counts`), exact whatever the leaf bits
           (:attr:`TreePlan.supports_count_reduction`);
         * ``"streams"`` -- the reference stream reduction
@@ -579,12 +588,13 @@ class StochasticDotProductEngine:
         """Bytes per input row of the largest temporary a ``(filters, taps)`` bank allocates.
 
         On the table path the gathered leaf counts, ``taps * 2 * filters``
-        table entries; on the popcount and stream paths the lane products,
+        table entries, or for a single filter the int64 table-row index,
+        ``taps`` entries; on the popcount and stream paths the lane products,
         ``2 * filters * taps`` packed streams.  :func:`tile_patches` divides
         the tile budget by it.
         """
         if self._use_count_mode:
-            return taps * 2 * filters * level_dtype(self.length).itemsize
+            return taps * max(2 * filters * level_dtype(self.length).itemsize, 8)
         return 2 * filters * taps * words_for(self.length) * 8
 
     # ------------------------------------------------------------------ #

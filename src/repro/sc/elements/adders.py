@@ -58,16 +58,16 @@ see :mod:`repro.sc.mode`):
   *ownership mask* per leaf (:meth:`TreePlan.leaf_masks`) and the root count
   is the sum of the masked leaf counts.
 
-Neither needs the leaf streams themselves, only their ones-counts.  The
-unipolar engine (:class:`~repro.sc.dotproduct.PreparedWeights`) takes them
-from leaf tables indexed by the inputs' comparator levels -- for MUX trees
-built from mask-ANDed weight streams -- so its count mode builds no stream
+Neither needs the leaf streams themselves, only their (masked) ones-counts.
+Both engines' filter banks (:class:`~repro.sc.dotproduct.FilterBank`) take
+them from leaf tables indexed by the inputs' comparator levels -- AND
+products for the unipolar engine, XNOR products for the bipolar one, for MUX
+trees restricted to the leaf masks -- so their count mode builds no stream
 at all.  The TFF identity holds for any leaf bits, so a TFF tree whose leaf
-streams were corrupted by stream faults needs only their popcounts too.  The
-bipolar engine popcounts its XNOR products
-(:meth:`TreePlan.masked_counts_packed` for MUX trees).  Both shortcuts are
-bit-identical to reducing the streams; OR trees are position-dependent in a
-way neither shortcut captures and always reduce streams.
+streams were corrupted by stream faults needs only their popcounts too.  Both
+shortcuts are bit-identical to reducing the streams; OR trees are
+position-dependent in a way neither shortcut captures and always reduce
+streams.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from ...bitstream.packed import (
     pack_bits,
     packed_mux_add,
     packed_or_add,
-    packed_popcount,
     packed_tff_add,
     words_for,
 )
@@ -455,7 +454,8 @@ class TreePlan:
         collapses to ``floor((cx + cy) / 2)``.  So a tree whose every level
         is plain TFF nodes admits :meth:`reduce_counts`, the count-domain
         shortcut behind the filter-parallel convolution's speedup.  MUX and
-        OR levels are position-dependent and must reduce actual streams.
+        OR levels are position-dependent: all-MUX trees have their own exact
+        shortcut (:meth:`leaf_masks`), OR trees none.
         """
         return all(group is not None and group[0] == "tff" for group in self._groups)
 
@@ -486,7 +486,8 @@ class TreePlan:
             )
         # Two summed ones-counts (plus the rounding one) must fit the halving
         # dtype: below 2**14 they fit int16, below 2**30 int32; the narrower
-        # type cuts the memory traffic of every level.
+        # type cuts the memory traffic of every level.  Narrower leaves are
+        # widened first: an int16 leaf table holds 2**14.
         peak = int(arr.max()) if arr.size else 0
         dtype = np.int16 if peak < 1 << 14 else np.int32 if peak < 1 << 30 else np.int64
         # The leaf axis leads, so every level adds whole contiguous
@@ -494,6 +495,8 @@ class TreePlan:
         # zero-count pad -- exactly the zero-stream pad of the stream
         # reduction -- and halves its lone input under either rounding.
         level = np.moveaxis(arr, -1, 0)
+        if level.dtype.itemsize < np.dtype(dtype).itemsize:
+            level = level.astype(dtype)
         for group in self._groups:
             pairs, odd = divmod(level.shape[0], 2)
             total = np.empty((pairs + odd,) + level.shape[1:], dtype=dtype)
@@ -508,34 +511,19 @@ class TreePlan:
         out = level[0].astype(np.int64)
         return out[..., 0] if self.lanes == 1 else out
 
-    @property
-    def supports_masked_reduction(self) -> bool:
-        """True when the root count follows from select-masked leaf streams.
-
-        A plain :class:`MuxAdder` node forwards exactly one of its two input
-        bits per cycle, chosen by its (cached, data-independent) select
-        stream.  Composing those choices from the root down assigns every
-        clock cycle to exactly one leaf -- or to a zero pad column, which
-        contributes nothing -- so the root stream is the OR of
-        ``leaf & mask`` over the disjoint per-leaf ownership masks of
-        :meth:`leaf_masks`, and its ones-count is one masked popcount.  Only
-        trees whose every level is plain MUX nodes qualify; TFF levels have
-        their own exact shortcut (:attr:`supports_count_reduction`) and OR
-        levels have none.
-        """
-        return all(group is not None and group[0] == "mux" for group in self._groups)
-
     def leaf_masks(self, length: int, packed: bool) -> np.ndarray:
         """Per-leaf ownership masks of an all-MUX tree: ``(lanes, count, .)``.
 
         Bit ``t`` of mask ``(lane, i)`` is 1 iff the select bits of lane
         ``lane``'s tree route leaf ``i``'s bit to the root at cycle ``t``.
-        Masks of one lane are mutually disjoint; cycles routed to a zero pad
-        column belong to no mask.  Cached per ``(length, packed)`` like the
-        select streams themselves, so tiled evaluation reuses one
-        derivation.
+        Each plain :class:`MuxAdder` node forwards one input bit per cycle,
+        chosen by its cached select stream, so a lane's masks are disjoint
+        (cycles routed to a zero pad belong to none) and its root ones-count
+        is the sum over leaves of ``popcount(leaf & mask)``.  Only all-MUX
+        trees have masks.  Cached per ``(length, packed)`` like the select
+        streams, so tiled evaluation reuses one derivation.
         """
-        if not self.supports_masked_reduction:
+        if not all(group is not None and group[0] == "mux" for group in self._groups):
             raise ValueError(
                 "leaf ownership masks exist only for plain MuxAdder trees"
             )
@@ -569,20 +557,6 @@ class TreePlan:
             masks = children[:, : self._level_input_widths[li]]
         self._mask_cache[key] = masks
         return masks
-
-    def masked_counts_packed(self, words: np.ndarray, n_bits: int) -> np.ndarray:
-        """Root ones-counts of an all-MUX tree from packed leaf streams.
-
-        ``words`` has shape ``(..., lanes, k, W)`` (lane axis only when
-        ``lanes > 1``); returns int64 counts ``(..., lanes)`` (scalar lane
-        axis dropped), guaranteed bit-identical to popcounting
-        :meth:`reduce_packed` output -- no tree stream is ever built: the
-        root stream is the OR of ``leaf & mask`` over the leaf axis.
-        """
-        arr = self._check_input(np.asarray(words), "W")
-        root = np.bitwise_or.reduce(arr & self.leaf_masks(n_bits, packed=True), axis=-2)
-        counts = packed_popcount(root)
-        return counts[..., 0] if self.lanes == 1 else counts
 
     def reduce_bits(self, bits: np.ndarray) -> np.ndarray:
         """Reduce unpacked bit arrays ``(..., lanes, k, N)`` (lane axis only

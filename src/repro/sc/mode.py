@@ -12,8 +12,8 @@ The dot-product engines can evaluate their adder trees two ways:
   cached per-node select streams determine, for every clock cycle, which
   *leaf* the root forwards; folding those select decisions into per-leaf
   ownership masks makes the root count the sum of the masked leaf-product
-  counts.  The unipolar engine reads those leaf counts from tables indexed
-  by its inputs' comparator levels, so it builds no input stream either
+  counts.  Both engines read those leaf counts from tables indexed by
+  their inputs' comparator levels, so they build no input stream either
   (:mod:`repro.sc.dotproduct`).  Both shortcuts are provably bit-identical
   to the stream path -- the mode changes speed and memory only, never a
   counter value.

@@ -30,6 +30,10 @@ class TestConstruction:
         engine = BipolarDotProductEngine(precision=4)
         with pytest.raises(ValueError):
             engine.prepare_weights(np.array([[1.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            engine.prepare_weights(np.array([[np.nan, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            engine.dot(np.full(2, 0.5), np.array([np.nan, 0.5]))
 
 
 class TestAccuracy:
@@ -146,7 +150,7 @@ class TestBackendEquivalence:
         engine = BipolarDotProductEngine(precision=5)
         values = np.linspace(-1.0, 1.0, 7)
         np.testing.assert_array_equal(
-            unpack_bits(engine.prepare_inputs(values), engine.length),
+            unpack_bits(engine.input_words(engine.prepare_inputs(values)), engine.length),
             engine._input_sng().generate_bits((values + 1) / 2, engine.length),
         )
         np.testing.assert_array_equal(
@@ -192,6 +196,26 @@ class TestWeightBank:
         )
         # Reusing the bank (cached select streams) gives the same counts.
         np.testing.assert_array_equal(bank.counts(engine.prepare_inputs(x)), counts)
+
+    @pytest.mark.parametrize("adder", ["tff", "mux"])
+    @pytest.mark.parametrize("precision, level_dtype", [(14, np.int16), (15, np.int32)])
+    def test_wide_precisions_match_streams(self, adder, precision, level_dtype):
+        # Precision 14: full-scale inputs and weights drive 2 * C_{w&m} to
+        # 2N = 32768, past int16, while the levels stay int16.  Precision 15:
+        # int32 levels and tables.
+        x = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, -1.0, 0.3]])
+        kernels = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [0.5, -0.25, 1.0]])
+        engines = {
+            mode: BipolarDotProductEngine(precision=precision, adder=adder, seed=2, mode=mode)
+            for mode in ("auto", "streams")
+        }
+        assert engines["auto"].prepare_inputs(x).dtype == level_dtype
+        bank = engines["auto"].prepare_weights(kernels)
+        counts = bank.evaluate(x)
+        assert bank.leaf_tables().dtype == level_dtype
+        np.testing.assert_array_equal(counts, engines["streams"].prepare_weights(kernels).evaluate(x))
+        # x = w = +-1: every XNOR product is all ones.
+        assert counts[0, 0] == counts[1, 1] > (1 << precision) * 3 // 4
 
     def test_bank_validation(self):
         engine = BipolarDotProductEngine(precision=4)

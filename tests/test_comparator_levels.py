@@ -147,6 +147,24 @@ def test_int32_levels_and_tables_match_streams(adder):
     assert counted.positive_count.max() >= 1 << 13
 
 
+@pytest.mark.parametrize("adder", ["tff", "mux"])
+def test_full_scale_leaf_counts_at_precision_14(adder):
+    # int16 levels and tables hold the full-scale leaf count 2**14; a TFF
+    # level adds two of them, which only the halving dtype (int32) holds.
+    x = np.array([[1.0, 1.0, 1.0], [1.0, 0.5, 0.0]])
+    kernels = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 0.5]])
+    engines = {
+        mode: StochasticDotProductEngine(precision=14, adder=adder, seed=2, mode=mode)
+        for mode in ("counts", "streams")
+    }
+    assert engines["counts"].prepare_inputs(x).dtype == np.int16
+    counted = engines["counts"].dot_filters(x, kernels)
+    streamed = engines["streams"].dot_filters(x, kernels)
+    np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
+    np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+    assert counted.positive_count.min() >= 0
+
+
 def test_counts_validates_prepared_inputs():
     engine = StochasticDotProductEngine(precision=4)
     bank = engine.prepare_weights(np.full((2, 3), 0.5))

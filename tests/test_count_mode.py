@@ -31,7 +31,7 @@ from repro.sc import (
     validate_mode,
 )
 from repro.sc.elements.adders import TreePlan
-from repro.bitstream.packed import pack_bits
+from repro.bitstream.packed import pack_bits, packed_popcount
 from repro.faults import FaultSpec
 from repro.utils.windows import extract_patches, patches_to_map
 
@@ -376,8 +376,10 @@ def test_leaf_masks_are_disjoint_and_exact(count, lanes):
     # Packed masks agree with the unpacked ones bit for bit.
     packed_masks = plan.leaf_masks(length, packed=True)
     np.testing.assert_array_equal(pack_bits(masks), packed_masks)
-    packed_counts = plan.masked_counts_packed(pack_bits(bits), length)
-    np.testing.assert_array_equal(packed_counts, expected)
+    # The root stream is the OR of the masked leaves.
+    root = np.bitwise_or.reduce(pack_bits(bits) & packed_masks, axis=-2)
+    packed_counts = packed_popcount(root)
+    np.testing.assert_array_equal(packed_counts[0] if lanes == 1 else packed_counts, expected)
 
 
 def test_leaf_masks_cached_per_length():
@@ -390,10 +392,11 @@ def test_leaf_masks_cached_per_length():
 def test_tff_plan_reports_count_reduction_mux_reports_masked():
     tff_plan = TreePlan(TffAdder, 8)
     assert tff_plan.supports_count_reduction
-    assert not tff_plan.supports_masked_reduction
+    with pytest.raises(ValueError, match="MuxAdder"):
+        tff_plan.leaf_masks(64, packed=True)
     mux_plan = TreePlan(lambda: MuxAdder(toggle_select=True), 8)
     assert not mux_plan.supports_count_reduction
-    assert mux_plan.supports_masked_reduction
+    assert mux_plan.leaf_masks(64, packed=True).shape == (1, 8, 1)
 
 
 # --------------------------------------------------------------------- #

@@ -25,6 +25,11 @@ class TestSplitWeights:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             split_weights(np.array([1.5]))
+        # NaN compares False against any bound: it must still fail the check.
+        with pytest.raises(ValueError, match="finite"):
+            split_weights(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            new_sc_engine(6).dot(np.full(2, 0.5), np.array([np.nan, 0.5]))
 
     @given(
         st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=30)

@@ -3,11 +3,12 @@
 A TFF node emits ``floor((ones_x + ones_y) / 2)`` ones whatever the
 positions of its input bits, so a TFF tree whose leaf streams were corrupted
 by stream faults is still reduced exactly by halving the leaf popcounts.
-These tests pin :attr:`StochasticDotProductEngine.evaluation_path` against
-the tree evaluation that actually ran (spies on ``PreparedWeights.leaf_tables``,
-``TreePlan.reduce_counts`` and ``TreePlan.reduce_packed``), the faulted
-popcount path against the stream reduction and the byte-per-bit oracle, and
-the paths that still reduce streams under faults.
+These tests pin the ``evaluation_path`` of both engines against the tree
+evaluation that actually ran (spies on ``FilterBank.leaf_tables``, the
+engines' ``input_words``, ``TreePlan.reduce_counts`` and
+``TreePlan.reduce_packed``), the faulted popcount path and the bipolar leaf
+tables against the stream reduction and the byte-per-bit oracle, and the
+paths that still reduce streams under faults.
 """
 
 import contextlib
@@ -17,8 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultSpec
-from repro.sc import MODES, StochasticDotProductEngine, new_sc_engine, old_sc_engine
-from repro.sc.dotproduct import PreparedWeights
+from repro.sc import (
+    MODES,
+    BipolarDotProductEngine,
+    StochasticDotProductEngine,
+    new_sc_engine,
+    old_sc_engine,
+)
+from repro.sc.dotproduct import FilterBank
 from repro.sc.elements.adders import TreePlan
 
 import sc_oracle
@@ -42,11 +49,13 @@ CHANNELS = {
 
 @contextlib.contextmanager
 def spied():
-    """Names of the tree-evaluation methods that ran inside the block."""
+    """Names of the tree-evaluation and stream-expansion methods that ran inside the block."""
     seen = set()
     with pytest.MonkeyPatch.context() as mp:
         for cls, name in (
-            (PreparedWeights, "leaf_tables"),
+            (FilterBank, "leaf_tables"),
+            (StochasticDotProductEngine, "input_words"),
+            (BipolarDotProductEngine, "input_words"),
             (TreePlan, "reduce_counts"),
             (TreePlan, "reduce_packed"),
         ):
@@ -61,6 +70,21 @@ def spied():
 def _inputs(seed, rows, taps, filters):
     rng = np.random.default_rng(seed)
     return rng.random((rows, taps)), rng.uniform(-1.0, 1.0, (filters, taps))
+
+
+def _expected_path(adder, mode, stream_faults):
+    if mode == "streams" or adder == "or" or (stream_faults and adder == "mux"):
+        return "streams"
+    return "popcounts" if stream_faults else "tables"
+
+
+def _ran(adder, path):
+    """The spied methods each path runs; the table path expands no stream."""
+    return {
+        "streams": {"input_words", "reduce_packed"},
+        "popcounts": {"input_words", "reduce_counts"},
+        "tables": {"leaf_tables", "reduce_counts"} if adder == "tff" else {"leaf_tables"},
+    }[path]
 
 
 @pytest.mark.parametrize("cells", [(), STUCK_CELLS])
@@ -81,30 +105,50 @@ def test_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_
         return
     path, reason = engine().evaluation_path
     assert reason
-    if mode == "streams" or adder == "or" or (stream_faults and adder == "mux"):
-        assert path == "streams"
-    else:
-        assert path == ("popcounts" if stream_faults else "tables")
+    assert path == _expected_path(adder, mode, stream_faults)
     assert engine()._use_count_mode == (path == "tables")
     values, kernels = _inputs(4, 5, 9, 3)
     with spied() as seen:
         engine().dot_filters(values, kernels)
-    ran = {
-        "streams": {"reduce_packed"},
-        "popcounts": {"reduce_counts"},
-        "tables": {"leaf_tables", "reduce_counts"} if adder == "tff" else {"leaf_tables"},
-    }
-    assert seen == ran[path]
+    assert seen == _ran(adder, path)
+
+
+@pytest.mark.parametrize("stream_faults", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("adder", ["tff", "mux"])
+def test_bipolar_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_faults):
+    def engine():
+        return BipolarDotProductEngine(
+            precision=5, adder=adder, seed=2, mode=mode, faults=FLIPS if stream_faults else None
+        )
+
+    if mode == "counts" and stream_faults:
+        with pytest.raises(ValueError, match="auto"):
+            engine()
+        return
+    path, reason = engine().evaluation_path
+    assert reason
+    assert path == _expected_path(adder, mode, stream_faults)
+    assert engine()._use_count_mode == (path == "tables")
+    values, kernels = _inputs(4, 5, 9, 3)
+    with spied() as seen:
+        engine().prepare_weights(kernels).evaluate(values)
+    assert seen == _ran(adder, path)
 
 
 @pytest.mark.parametrize(
     "engine, ran",
     [
-        (new_sc_engine(6, faults=FLIPS), {"reduce_counts"}),
-        (old_sc_engine(6, faults=FLIPS), {"reduce_packed"}),
-        (new_sc_engine(6, faults=FLIPS, mode="streams"), {"reduce_packed"}),
+        (new_sc_engine(6, faults=FLIPS), {"input_words", "reduce_counts"}),
+        (old_sc_engine(6, faults=FLIPS), {"input_words", "reduce_packed"}),
+        (new_sc_engine(6, faults=FLIPS, mode="streams"), {"input_words", "reduce_packed"}),
+        (BipolarDotProductEngine(precision=6, faults=FLIPS), {"input_words", "reduce_counts"}),
+        (
+            BipolarDotProductEngine(precision=6, adder="mux", faults=FLIPS),
+            {"input_words", "reduce_packed"},
+        ),
     ],
-    ids=["this_work", "old_sc", "this_work_streams"],
+    ids=["this_work", "old_sc", "this_work_streams", "bipolar_tff", "bipolar_mux"],
 )
 def test_faulted_tff_bank_reduces_no_stream(engine, ran):
     values, kernels = _inputs(1, 12, 25, 4)
@@ -151,3 +195,33 @@ def test_faulted_tff_counts_match_streams_and_oracle(
     for counts, reference, expected in zip(got, streams, oracle):
         np.testing.assert_array_equal(counts, reference)
         np.testing.assert_array_equal(counts, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channel=st.sampled_from([None] + sorted(CHANNELS)),
+    adder=st.sampled_from(["tff", "mux"]),
+    precision=st.integers(2, 10),
+    taps=st.integers(1, 40),
+    filters=st.integers(1, 8),
+    rows=st.integers(1, 6),
+    tile=st.sampled_from([None, 1, 2, 5]),
+    seed=st.integers(1, 1 << 16),
+)
+def test_bipolar_counts_match_streams_and_oracle(
+    channel, adder, precision, taps, filters, rows, tile, seed
+):
+    spec = None if channel is None else FaultSpec(seed=seed, **CHANNELS[channel])
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, (rows, taps))
+    kernels = rng.uniform(-1.0, 1.0, (filters, taps))
+
+    def engine(mode=None):
+        return BipolarDotProductEngine(
+            precision=precision, adder=adder, seed=seed, mode=mode, faults=spec
+        )
+
+    with forced_tile(tile):
+        got = engine().prepare_weights(kernels).evaluate(values)
+    np.testing.assert_array_equal(got, engine("streams").prepare_weights(kernels).evaluate(values))
+    np.testing.assert_array_equal(got, sc_oracle.bipolar_dot_filters(engine(), values, kernels))

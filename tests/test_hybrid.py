@@ -228,6 +228,14 @@ class TestHybridNetwork:
         with pytest.raises(ValueError):
             HybridStochasticBinaryNetwork(model)
 
+    @pytest.mark.parametrize("bad", [2.0, np.nan])
+    def test_first_layer_weights_must_be_conditioned(self, bad):
+        first = Conv2D(1, 2, 3, padding=1, activation=Sign())
+        first.weights[...] = 0.5
+        first.weights[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match=r"finite and conditioned into \[-1, 1\]"):
+            HybridStochasticBinaryNetwork(Sequential([first]), engine=new_sc_engine(4))
+
     def test_precision_mismatch_rejected(self, trained_hybrid_setup):
         _, frozen = trained_hybrid_setup
         with pytest.raises(ValueError):
@@ -321,6 +329,27 @@ class TestHybridNetwork:
         hybrid = self._untrained_hybrid(monkeypatch)
         with pytest.raises(ValueError, match="images must hold at least one image"):
             hybrid.predict_classes(np.zeros((0, 28, 28)), mode=mode)
+
+    @pytest.mark.parametrize("images", ["2d", "4d", "nan"])
+    @pytest.mark.parametrize("mode", ["binary", "bitexact", "emulate"])
+    def test_bad_images_rejected_before_any_first_layer_work(self, mode, images, monkeypatch):
+        images = {
+            "2d": np.zeros((28, 28)),
+            "4d": np.zeros((1, 1, 28, 28)),
+            "nan": np.where(np.arange(2 * 28 * 28).reshape(2, 28, 28) == 900, np.nan, 0.5),
+        }[images]
+        model = quantize_and_freeze(build_lenet5_small(filters1=2), precision=4)
+        hybrid = HybridStochasticBinaryNetwork(model, engine=new_sc_engine(4))
+        for name in ("first_layer_binary", "first_layer_bitexact", "first_layer_emulated"):
+            monkeypatch.setattr(hybrid, name, lambda *a, **k: pytest.fail("first layer ran"))
+        labels = np.zeros(len(images), dtype=np.int64)
+        for run in (
+            lambda: hybrid.forward(images, mode=mode),
+            lambda: hybrid.predict_classes(images, mode=mode),
+            lambda: hybrid.misclassification_rate(images, labels, mode=mode),
+        ):
+            with pytest.raises(ValueError, match=r"must be a finite \(batch, H, W\) array"):
+                run()
 
     def test_unknown_mode_rejected(self, trained_hybrid_setup):
         data, frozen = trained_hybrid_setup

@@ -230,6 +230,8 @@ class TestQuantizationHelpers:
         np.testing.assert_allclose(q, [0.25, -0.25])
         with pytest.raises(ValueError):
             quantize_weights(np.array([1.5]), 3)
+        with pytest.raises(ValueError, match="finite"):
+            quantize_weights(np.array([0.25, np.nan]), 3)
 
     def test_prepare_first_layer_weights(self):
         rng = np.random.default_rng(0)

@@ -32,6 +32,8 @@ class TestConstruction:
             StochasticConv2D(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             StochasticConv2D(np.full((1, 3, 3), 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            StochasticConv2D(np.full((1, 3, 3), np.nan))
         with pytest.raises(ValueError):
             StochasticConv2D(np.zeros((1, 3, 3)), soft_threshold=-1)
 

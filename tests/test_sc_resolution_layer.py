@@ -41,6 +41,8 @@ class TestConstruction:
             StochasticResolutionConv2D.from_conv(base, np.zeros((4, 1, 5, 5)), precision=6)
         with pytest.raises(ValueError):
             StochasticResolutionConv2D.from_conv(base, weights * 10, precision=6)
+        with pytest.raises(ValueError, match="finite"):
+            StochasticResolutionConv2D.from_conv(base, weights * np.nan, precision=6)
 
     def test_repr(self):
         layer = StochasticResolutionConv2D(1, 2, 3, precision=5)

@@ -36,6 +36,9 @@ class TestRule:
         # 25 taps x 64 lanes x int16 = 3.2 KB per row.
         assert tile_patches(new_sc_engine(8), 32, 25) == TILE_BYTES // 3200 == 1310
         assert tile_patches(old_sc_engine(8), 32, 25) == 1310
+        # One filter: the int64 table-row index, 25 x 8 bytes per row,
+        # outweighs its 2 lanes x int16 gathered counts.
+        assert tile_patches(new_sc_engine(8), 1, 25) == TILE_BYTES // 200
 
     def test_stream_path_budgets_the_lane_products(self):
         # 64 lanes x 25 taps x 4 words x 8 bytes = 51.2 KB per row.
@@ -47,8 +50,17 @@ class TestRule:
             assert tile_patches(engine, 32, 25) == TILE_BYTES // 51200 == 81
 
     def test_bipolar_budgets_the_padded_xnor_products(self):
-        # 1 filter x 32 padded taps x 64 words x 8 bytes.
-        assert tile_patches(BipolarDotProductEngine(precision=12), 1, 25) == 256
+        # Table path: 32 padded leaves x the int64 table-row index, which
+        # outweighs one filter's int16 gathered counts; 8 filters' counts
+        # (16 bytes per leaf) outweigh the index.
+        assert tile_patches(BipolarDotProductEngine(precision=12), 1, 25) == TILE_BYTES // 256
+        assert tile_patches(BipolarDotProductEngine(precision=12), 8, 25) == TILE_BYTES // 512
+        # Stream paths: 1 filter x 32 padded taps x 64 words x 8 bytes.
+        for engine in (
+            BipolarDotProductEngine(precision=12, mode="streams"),
+            BipolarDotProductEngine(precision=12, faults=FLIPS),
+        ):
+            assert tile_patches(engine, 1, 25) == 256
 
     def test_tile_is_at_least_one_row(self):
         assert tile_patches(new_sc_engine(14, mode="streams"), 256, 1024) == 1
@@ -60,6 +72,9 @@ class TestRule:
         assert not new_sc_engine(8, mode="streams")._use_count_mode
         assert not new_sc_engine(8, faults=FLIPS)._use_count_mode
         assert not StochasticDotProductEngine(precision=8, adder="or")._use_count_mode
+        for adder in ("tff", "mux"):
+            assert BipolarDotProductEngine(precision=8, adder=adder)._use_count_mode
+            assert not BipolarDotProductEngine(precision=8, adder=adder, faults=FLIPS)._use_count_mode
 
 
 class TestEvaluate:
