@@ -223,12 +223,12 @@ def test_mux_count_conv_speedup():
     Table 3 scale on the filter axis: 32 MUX-adder kernels at N=256 over one
     16x16 image's worth of patches, evaluated through the same prepared
     filter-parallel bank the convolution layer uses per tile, from the same
-    comparator levels.  The ``mode="counts"`` path gathers each tap's leaf
-    count from leaf tables built once per bank from the weight streams
-    ANDed with the per-leaf select-ownership masks, and sums them over taps;
-    the stream path expands the levels into input streams and reduces them
-    level by level through ``packed_mux``.  Counts must be bit-identical
-    while clearing the acceptance floor of 3x.
+    comparator levels.  The default engine gathers each tap's leaf count
+    from leaf tables built once per bank from the weight streams ANDed with
+    the per-leaf select-ownership masks, and sums them over taps; the
+    ``mode="streams"`` path expands the levels into input streams and
+    reduces them level by level through ``packed_mux``.  Counts must be
+    bit-identical while clearing the acceptance floor of 3x.
     """
     rng = np.random.default_rng(3)
     images = rng.random((1, 16, 16))
@@ -238,7 +238,7 @@ def test_mux_count_conv_speedup():
     patches = extract_patches(images, (5, 5), padding=2).reshape(-1, taps)
 
     results, timings = {}, {}
-    for mode in ("streams", "counts"):
+    for mode in ("streams", None):
         engine = StochasticDotProductEngine(
             precision=8, adder="mux", seed=1, mode=mode
         )
@@ -246,15 +246,15 @@ def test_mux_count_conv_speedup():
         bank = engine.prepare_weights(flat_kernels)
         timings[mode], results[mode] = best_of(lambda: bank.counts(x_levels))
 
-    # Correctness first: count mode must be bit-identical to the stream path.
-    np.testing.assert_array_equal(results["counts"][0], results["streams"][0])
-    np.testing.assert_array_equal(results["counts"][1], results["streams"][1])
+    # Correctness first: the default path must be bit-identical to the streams.
+    np.testing.assert_array_equal(results[None][0], results["streams"][0])
+    np.testing.assert_array_equal(results[None][1], results["streams"][1])
 
-    speedup = timings["streams"] / timings["counts"]
+    speedup = timings["streams"] / timings[None]
     print(
         f"\nmux count conv, {filters} kernels, {patches.shape[0]} patches, "
         f"N=256: streams {timings['streams'] * 1e3:.1f} ms, "
-        f"counts {timings['counts'] * 1e3:.1f} ms ({speedup:.1f}x)"
+        f"counts {timings[None] * 1e3:.1f} ms ({speedup:.1f}x)"
     )
     assert speedup >= 3.0, (
         f"MUX count-domain convolution only {speedup:.1f}x faster than the "
@@ -268,7 +268,7 @@ def test_mux_count_conv_speedup():
             "patches": int(patches.shape[0]),
             "stream_length": 256,
             "streams_seconds": timings["streams"],
-            "counts_seconds": timings["counts"],
+            "counts_seconds": timings[None],
             "speedup": speedup,
         }
     )
@@ -332,7 +332,7 @@ def test_bipolar_count_dot_speedup():
     """Bipolar TFF engine: leaf-table counts vs. the stream reduction.
 
     128 windows x 25 taps at N=4096 (the long-stream regime where tree
-    tensors hurt most).  The count path gathers XNOR leaf counts from the
+    tensors hurt most).  The default engine gathers XNOR leaf counts from the
     bank's leaf tables at the inputs' comparator levels -- each alternating
     pad leaf counting ``N/2`` -- and halves them per level, building no
     stream, so it must be bit-identical to the stream reduction while
@@ -344,19 +344,19 @@ def test_bipolar_count_dot_speedup():
     w = rng.uniform(-1.0, 1.0, 25)
 
     results, timings = {}, {}
-    for mode in ("streams", "counts"):
+    for mode in ("streams", None):
         engine = BipolarDotProductEngine(
             precision=12, adder="tff", seed=1, mode=mode
         )
         timings[mode], results[mode] = best_of(lambda: engine.dot(x, w))
 
-    np.testing.assert_array_equal(results["counts"].count, results["streams"].count)
+    np.testing.assert_array_equal(results[None].count, results["streams"].count)
 
-    speedup = timings["streams"] / timings["counts"]
+    speedup = timings["streams"] / timings[None]
     print(
         f"\nbipolar count dot, 128 windows, 25 taps, N=4096: "
         f"streams {timings['streams'] * 1e3:.1f} ms, "
-        f"counts {timings['counts'] * 1e3:.1f} ms ({speedup:.1f}x)"
+        f"counts {timings[None] * 1e3:.1f} ms ({speedup:.1f}x)"
     )
     assert speedup >= 1.3, (
         f"bipolar count-domain dot only {speedup:.1f}x faster than the "
@@ -369,7 +369,7 @@ def test_bipolar_count_dot_speedup():
             "taps": 25,
             "stream_length": 4096,
             "streams_seconds": timings["streams"],
-            "counts_seconds": timings["counts"],
+            "counts_seconds": timings[None],
             "speedup": speedup,
         }
     )

@@ -183,20 +183,19 @@ def main() -> None:
     print(f"32 kernels x 256 windows at N=256: per-filter loop {loop_s * 1e3:6.1f} ms, "
           f"filter-parallel {bank_s * 1e3:6.1f} ms ({loop_s / bank_s:.0f}x)")
 
-    section("Count-domain mode: comparator levels and leaf tables, no streams")
+    section("Count-domain default: comparator levels and leaf tables, no streams")
     # Every input stream is a comparator output against one shared source, so
     # prepare_inputs() returns one integer level per input, c = #{n: s[n] < v}
-    # (the stream's ones are the first c cycles in source-sorted order).  In
-    # mode="counts" (the default via "auto") popcount(x & w) is then one
-    # lookup into a per-lane table of cumulative weight bits: all-TFF trees
-    # halve the looked-up leaf counts with floor/ceil((cx+cy)/2) per level, and
-    # all-MUX trees build their tables from weight bits ANDed with disjoint
-    # per-leaf select-ownership masks and sum them.  No stream is ever built.
-    # Both shortcuts are exact -- identical counters, not close ones -- so the
-    # engine's mode argument trades speed and memory only, and the default
-    # ("auto") always takes the count path where it exists.  OR trees are
-    # position-dependent and always run as streams ("counts" raises for
-    # them); input_words() expands levels into streams.
+    # (the stream's ones are the first c cycles in source-sorted order).  On
+    # the default engine's "tables" path popcount(x & w) is then one lookup
+    # into a per-lane table of cumulative weight bits: all-TFF trees halve the
+    # looked-up leaf counts with floor/ceil((cx+cy)/2) per level, and all-MUX
+    # trees build their tables from weight bits ANDed with disjoint per-leaf
+    # select-ownership masks and sum them.  No stream is ever built.  Both
+    # shortcuts are exact -- identical counters, not close ones -- so
+    # mode="streams", the reference stream reduction, trades speed and memory
+    # only.  evaluation_path names the path an engine's banks run, and why;
+    # input_words() expands levels into streams.
     levels = conv_engine.prepare_inputs(windows[:1, :4])
     words = conv_engine.input_words(levels)
     assert np.array_equal(packed_popcount(words), levels)
@@ -204,7 +203,9 @@ def main() -> None:
           f"exactly those ones-counts")
     for adder in ("mux", "tff"):
         stream_eng = StochasticDotProductEngine(precision=8, adder=adder, mode="streams")
-        count_eng = StochasticDotProductEngine(precision=8, adder=adder, mode="counts")
+        count_eng = StochasticDotProductEngine(precision=8, adder=adder)
+        path, reason = count_eng.evaluation_path
+        print(f"{adder:>4s} tree, default engine: evaluation_path {path!r} ({reason})")
         start = time.perf_counter()
         via_streams = stream_eng.dot_filters(windows, conv_kernels)
         stream_s = time.perf_counter() - start

@@ -24,7 +24,6 @@ from .packed import (
     packed_mux,
     packed_mux_add,
     packed_not,
-    packed_or_add,
     packed_popcount,
     packed_tff_add,
     packed_toggle_states,
@@ -66,7 +65,6 @@ __all__ = [
     "packed_delay",
     "packed_transition_count",
     "packed_tff_add",
-    "packed_or_add",
     "packed_mux_add",
     "packed_toggle_states",
     "UNIPOLAR",

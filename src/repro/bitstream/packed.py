@@ -63,7 +63,6 @@ __all__ = [
     "packed_transition_count",
     "packed_toggle_states",
     "packed_tff_add",
-    "packed_or_add",
     "packed_mux_add",
     "packed_apply_faults",
     "PackedBitstream",
@@ -348,11 +347,6 @@ def packed_tff_add(
     disagree = xw ^ _as_words(y)
     state = packed_toggle_states(disagree, n_bits, initial_state)
     return (state & disagree) | (xw & ~disagree)
-
-
-def packed_or_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Packed OR-gate approximate adder."""
-    return _as_words(x) | _as_words(y)
 
 
 def packed_mux_add(x: np.ndarray, y: np.ndarray, select: np.ndarray) -> np.ndarray:

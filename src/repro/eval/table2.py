@@ -99,10 +99,10 @@ def adder_mse(
     The sweep runs the packed TFF/MUX word kernels, which are bit-identical
     to the byte-level element adders.
 
-    Under ``mode="counts"`` (the ``"auto"`` default, see
-    :mod:`repro.sc.mode`) the sweep never materializes the ``(N+1, N+1)``
-    grid of sum streams: a single TFF adder's output count is exactly
-    ``floor((ones_x + ones_y) / 2)`` and a single MUX adder's is exactly
+    Under the default ``mode="auto"`` (see :mod:`repro.sc.mode`) the sweep
+    never materializes the ``(N+1, N+1)`` grid of sum streams: a single TFF
+    adder's output count is exactly ``floor((ones_x + ones_y) / 2)`` and a
+    single MUX adder's is exactly
     ``popcount(x & ~sel) + popcount(y & sel)``, so the full grid of counts is
     one outer sum of two length-``N+1`` count vectors -- bit-identical
     estimates, O(N) instead of O(N^2) stream memory.  ``mode="streams"``

@@ -24,10 +24,9 @@ claim measurable:
 Engines accept a spec via their ``faults`` field.  Stream-level faults are
 injected into the input streams, before the AND with the weights, so a
 faulted leaf is no comparator output and no leaf table holds its count:
-under ``mode="auto"`` TFF adder trees halve the popcounts of the faulted
-leaf products (a TFF node's output count depends only on its input counts,
-whatever their bits), MUX and OR trees reduce the streams, and an explicit
-``mode="counts"``, which builds no stream, raises (see
+TFF adder trees halve the popcounts of the faulted leaf products (a TFF
+node's output count depends only on its input counts, whatever their bits)
+and MUX trees reduce the streams (see
 :attr:`~repro.sc.dotproduct.StochasticDotProductEngine.evaluation_path`).
 """
 

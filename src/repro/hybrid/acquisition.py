@@ -6,13 +6,14 @@ a shared ramp, and the comparator output *is* the stochastic bit-stream --
 no ADC, no SNG, no random number generator on the input path.
 
 There is no physical sensor in this reproduction, so the front end is
-simulated: pixels arrive as digital values in ``[0, 1]``,
-optional sensor noise models photon/readout noise, and the ramp-compare
-converter produces bit-streams with exactly the structure the analog circuit
-would emit (exact ones-counts, maximal auto-correlation).  Conversion energy
-is tracked as metadata but -- following the paper, which cites ~100 pJ per
-conversion versus 100s of nJ per frame of compute -- excluded from the
-energy-per-frame results.
+simulated: pixels arrive as digital values in ``[0, 1]`` and optional sensor
+noise models photon/readout noise.  The ramp compare itself is the
+first-layer engine's input SNG (:class:`~repro.rng.sng.RampCompareSNG`),
+which emits bit-streams with exactly the structure the analog circuit would
+(exact ones-counts, maximal auto-correlation).  Conversion energy is tracked
+as metadata but -- following the paper, which cites ~100 pJ per conversion
+versus 100s of nJ per frame of compute -- excluded from the energy-per-frame
+results.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bitstream import stream_length
-from ..rng import ramp_compare_batch
 
 __all__ = ["SensorFrontEnd"]
 
@@ -38,8 +38,6 @@ class SensorFrontEnd:
     noise_sigma:
         Standard deviation of additive Gaussian sensor noise applied to the
         normalized pixel values before conversion (0 disables noise).
-    descending_ramp:
-        Use a falling ramp (ones placed at the end of the stream).
     seed:
         Seed for the sensor-noise generator.
     conversion_energy_pj:
@@ -50,7 +48,6 @@ class SensorFrontEnd:
 
     precision: int = 8
     noise_sigma: float = 0.0
-    descending_ramp: bool = False
     seed: int = 0
     conversion_energy_pj: float = 100.0
 
@@ -77,16 +74,6 @@ class SensorFrontEnd:
         rng = np.random.default_rng(self.seed)
         noisy = images + rng.normal(0.0, self.noise_sigma, size=images.shape)
         return np.clip(noisy, 0.0, 1.0)
-
-    def convert(self, images: np.ndarray) -> np.ndarray:
-        """Convert acquired pixels to stochastic bit-streams.
-
-        Returns an array of shape ``images.shape + (2**precision,)``.
-        """
-        acquired = self.acquire(images)
-        return ramp_compare_batch(
-            acquired, self.stream_length, descending=self.descending_ramp
-        )
 
     def conversion_energy_nj(self, pixel_count: int) -> float:
         """Total conversion energy for ``pixel_count`` pixels, in nJ (metadata only)."""

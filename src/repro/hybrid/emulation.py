@@ -27,20 +27,16 @@ module docstring is the documentation of that substitution; the
 ``REPRO_BITEXACT=1`` environment variable switches the Table 3 harness
 (:mod:`repro.eval.table3_accuracy`) to full bit-exact evaluation.
 
-The emulator accepts either first-layer engine: the paper's split-weight
-:class:`~repro.sc.dotproduct.StochasticDotProductEngine` (calibrating the
-positive-minus-negative counter difference) or the rejected
-:class:`~repro.sc.bipolar.BipolarDotProductEngine` (calibrating the single
-counter's offset from the mid-scale decision point ``N/2``), so the Section
-IV-B ablation can also run at full-test-set scale.  Both engines calibrate
-through one call to their filter bank's tiled ``evaluate``
-(:meth:`~repro.sc.dotproduct.PreparedWeights.evaluate`), honouring the
-engine's evaluation ``mode`` (:mod:`repro.sc.mode`): under
+The emulator models the paper's split-weight
+:class:`~repro.sc.dotproduct.StochasticDotProductEngine`, the first layer of
+both Table 3 designs; any other engine raises ``TypeError`` at
+construction.  It calibrates through one call to the engine's filter bank's
+tiled ``evaluate`` (:meth:`~repro.sc.dotproduct.PreparedWeights.evaluate`),
+honouring the engine's evaluation ``mode`` (:mod:`repro.sc.mode`): under
 the default ``"auto"`` the residual samples come from the exact count-domain
-shortcut (TFF and MUX trees, on either engine a leaf-table gather on
-comparator levels, with no stream at all), so calibration speed scales with
-the count path while the measured residuals stay bit-identical to
-``mode="streams"``.
+shortcut (for TFF and MUX trees a leaf-table gather on comparator levels,
+with no stream at all), so calibration speed scales with the count path
+while the measured residuals stay bit-identical to ``mode="streams"``.
 
 Validity range: the emulator is calibrated and validated for stream lengths
 of 8 bits and above (precision >= 3).  At 2-bit precision (stream length 4)
@@ -53,14 +49,13 @@ stream length).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from ..bitstream import quantize_bipolar, quantize_unipolar, unpack_bits
+from ..bitstream import quantize_unipolar, unpack_bits
 from ..netlist import build_sc_dot_product, simulate_batch
 from ..netlist.simulator import BatchSimulationResult
-from ..sc.bipolar import BipolarDotProductEngine
 from ..sc.dotproduct import StochasticDotProductEngine, split_weights
 from ..sc.elements.adders import AdderTree
 from ..utils.windows import conv_output_size, extract_patches, patches_to_map
@@ -94,8 +89,8 @@ class CalibratedSCEmulator:
     ----------
     engine:
         The engine configuration being emulated (its precision, adder type and
-        number generators determine the calibrated error model).  Either the
-        split-weight unipolar engine or the bipolar alternative.
+        number generators determine the calibrated error model); a
+        :class:`StochasticDotProductEngine`, else ``TypeError``.
     seed:
         Seed of the generator used to resample emulation residuals.
 
@@ -104,13 +99,16 @@ class CalibratedSCEmulator:
     :mod:`repro.sc.convolution`); tiling never changes a residual.
     """
 
-    engine: Union[StochasticDotProductEngine, BipolarDotProductEngine]
+    engine: StochasticDotProductEngine
     seed: int = 0
     model: Optional[EmulationModel] = field(default=None)
 
-    @property
-    def _bipolar(self) -> bool:
-        return isinstance(self.engine, BipolarDotProductEngine)
+    def __post_init__(self) -> None:
+        if not isinstance(self.engine, StochasticDotProductEngine):
+            raise TypeError(
+                "CalibratedSCEmulator models the split-weight "
+                f"StochasticDotProductEngine, got {type(self.engine).__name__}"
+            )
 
     # ------------------------------------------------------------------ #
     # calibration
@@ -140,13 +138,8 @@ class CalibratedSCEmulator:
         # Bit-exact reference evaluation: one filter bank covers every
         # kernel.  Fault masks (if any) are keyed on the global sample index,
         # so the residuals match the engine's faulted behaviour.
-        bank = self.engine.prepare_weights(sample_weights)
-        if self._bipolar:
-            # Single counter: the sign activation compares it to N/2.
-            exact_diff = bank.evaluate(sample_inputs) - self.engine.length // 2
-        else:
-            pos, neg = bank.evaluate(sample_inputs)
-            exact_diff = pos - neg
+        pos, neg = self.engine.prepare_weights(sample_weights).evaluate(sample_inputs)
+        exact_diff = pos - neg
         ideal_diff = self._ideal_difference(sample_inputs, sample_weights)
         # Kernel-major raveling matches the historical per-kernel ordering.
         stacked = (exact_diff - ideal_diff).T.ravel()
@@ -162,11 +155,8 @@ class CalibratedSCEmulator:
         """Counter-differences an error-free engine would produce (in LSBs).
 
         ``kernels`` has shape ``(kernels, taps)``; the result has shape
-        ``(samples, kernels)``.  For the split-weight engine this is the
-        positive-minus-negative counter difference; for the bipolar engine it
-        is the single counter's offset from the mid-scale ``N/2``
-        (``count - N/2``), which is the quantity its sign activation compares
-        against zero.
+        ``(samples, kernels)``: the positive-minus-negative counter
+        difference.
         """
         n = self.engine.length
         taps = inputs.shape[-1]
@@ -175,16 +165,9 @@ class CalibratedSCEmulator:
         # per-column summation order keeps every float bit-identical to the
         # historical per-kernel calibration loop, so calibrated models (and
         # the noise they resample) are reproducible across versions.
-        if self._bipolar:
-            quantized = quantize_bipolar(inputs, self.engine.precision)
-            w_q = quantize_bipolar(kernels, self.engine.precision)
-            columns = [(quantized @ w) / tree_scale * (n / 2) for w in w_q]
-        else:
-            quantized = quantize_unipolar(inputs, self.engine.precision)
-            w_pos, w_neg = split_weights(kernels)
-            columns = [
-                (quantized @ w) / tree_scale * n for w in (w_pos - w_neg)
-            ]
+        quantized = quantize_unipolar(inputs, self.engine.precision)
+        w_pos, w_neg = split_weights(kernels)
+        columns = [(quantized @ w) / tree_scale * n for w in (w_pos - w_neg)]
         return np.stack(columns, axis=-1)
 
     # ------------------------------------------------------------------ #
@@ -215,15 +198,6 @@ class CalibratedSCEmulator:
         weights:
             One signed kernel of shape ``(taps,)`` (shared by every trace).
         """
-        if self._bipolar:
-            raise ValueError(
-                "measure_activity models the split-weight engine netlist; "
-                "the bipolar engine has no gate-level builder"
-            )
-        if self.engine.adder not in ("tff", "mux"):
-            raise ValueError(
-                f"no netlist builder for adder {self.engine.adder!r}"
-            )
         windows = np.asarray(windows, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         if windows.ndim != 2:
@@ -275,29 +249,18 @@ class CalibratedSCEmulator:
         taps = patches.shape[-1]
         tree_scale = 1 << AdderTree().depth(taps)
 
-        if self._bipolar:
-            quantized = quantize_bipolar(patches, self.engine.precision)
-            w_q = quantize_bipolar(kernels, self.engine.precision)
-            ideal_diff = quantized @ w_q.T / tree_scale * (n / 2)
-            diff_range = n / 2
-        else:
-            quantized = quantize_unipolar(patches, self.engine.precision)
-            w_pos, w_neg = split_weights(kernels)
-            ideal_diff = quantized @ (w_pos - w_neg).T / tree_scale * n
-            diff_range = n
+        quantized = quantize_unipolar(patches, self.engine.precision)
+        w_pos, w_neg = split_weights(kernels)
+        ideal_diff = quantized @ (w_pos - w_neg).T / tree_scale * n
 
         rng = np.random.default_rng(self.seed)
         noise = rng.choice(self.model.residuals, size=ideal_diff.shape)
         diff = np.round(ideal_diff + noise)
-        diff = np.clip(diff, -diff_range, diff_range)
+        diff = np.clip(diff, -n, n)
 
-        if self._bipolar:
-            # The bipolar sign activation emits +-1 only; ties resolve to +1.
-            sign = np.where(diff >= 0, 1.0, -1.0)
-        else:
-            sign = np.sign(diff)
+        sign = np.sign(diff)
         if soft_threshold > 0.0:
-            sign = np.where(np.abs(diff) < soft_threshold * diff_range, 0.0, sign)
+            sign = np.where(np.abs(diff) < soft_threshold * n, 0.0, sign)
         return sign
 
     def forward(

@@ -51,13 +51,19 @@ def _is_positive_int(value) -> bool:
 
 
 def _as_images(images) -> np.ndarray:
-    """``images`` as a float64 ``(batch, H, W)`` array of finite pixels, else ``ValueError``."""
+    """``images`` as a float64 ``(batch, H, W)`` array of finite pixels in ``[0, 1]``,
+    else ``ValueError``."""
     images = np.asarray(images, dtype=np.float64)
-    # min and max propagate NaN and infinities without a per-pixel temporary.
-    finite = images.size == 0 or np.isfinite(images.min()) and np.isfinite(images.max())
-    if images.ndim != 3 or not finite:
-        what = f"shape {images.shape}" if images.ndim != 3 else "non-finite pixels"
-        raise ValueError(f"images must be a finite (batch, H, W) array, got {what}")
+    if images.ndim != 3:
+        raise ValueError(f"images must be a finite (batch, H, W) array, got shape {images.shape}")
+    if images.size:
+        # min and max propagate NaN and infinities without a per-pixel temporary.
+        low, high = images.min(), images.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("images must be a finite (batch, H, W) array, got non-finite pixels")
+        # The tolerance of SensorFrontEnd.acquire, so every mode accepts the same pixels.
+        if low < -1e-9 or high > 1.0 + 1e-9:
+            raise ValueError("pixel values must lie in [0, 1]")
     return images
 
 
@@ -248,8 +254,9 @@ class HybridStochasticBinaryNetwork:
         """Run the full hybrid network and return the output logits.
 
         ``mode`` selects the first-layer evaluation: ``"binary"``,
-        ``"bitexact"`` or ``"emulate"``.  ``images`` must be a finite
-        ``(batch, H, W)`` array; both are checked before any first-layer work.
+        ``"bitexact"`` or ``"emulate"``.  ``images`` must be a
+        ``(batch, H, W)`` array of finite pixels in ``[0, 1]``; both are
+        checked before any first-layer work.
         """
         first_layer = {
             "binary": self.first_layer_binary,
@@ -268,9 +275,9 @@ class HybridStochasticBinaryNetwork:
     ) -> np.ndarray:
         """Predicted class per image, ``batch_size`` images per forward pass.
 
-        ``batch_size`` must be a positive integer and ``images`` a finite
-        ``(batch, H, W)`` array of at least one image; both are checked
-        before any forward pass.
+        ``batch_size`` must be a positive integer and ``images`` a
+        ``(batch, H, W)`` array of at least one image, with finite pixels in
+        ``[0, 1]``; both are checked before any forward pass.
         """
         if not _is_positive_int(batch_size):
             raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")

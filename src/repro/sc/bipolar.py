@@ -189,17 +189,16 @@ class BipolarDotProductEngine:
         Seed for LFSR/MUX-select sources.
     mode:
         As for :class:`~repro.sc.dotproduct.StochasticDotProductEngine`:
-        ``"counts"`` gathers leaf counts from the bank's leaf tables,
-        ``"streams"`` forces the reference stream reduction, ``"auto"`` (the
-        default; ``None`` resolves to it) picks the fastest exact path
-        (:attr:`evaluation_path`).  Bit-identical counter values either way.
+        ``"auto"`` (the default; ``None`` resolves to it) takes the fastest
+        exact path (:attr:`evaluation_path`), without stream faults a gather
+        from the bank's leaf tables; ``"streams"`` forces the reference
+        stream reduction.  Bit-identical counter values either way.
     faults:
         Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
         injected into the input streams (by :meth:`BipolarWeightBank.evaluate`
-        via :meth:`apply_faults`, at each tile's row offset).  Under
-        ``mode="auto"`` TFF trees then halve the popcounts of the faulted
-        XNOR products and MUX trees reduce the streams, while an explicit
-        ``mode="counts"``, which builds no stream, raises.
+        via :meth:`apply_faults`, at each tile's row offset).  TFF trees then
+        halve the popcounts of the faulted XNOR products and MUX trees reduce
+        the streams.
     """
 
     precision: int = 8
@@ -221,18 +220,11 @@ class BipolarDotProductEngine:
         if self.precision < 2:
             raise ValueError("precision must be at least 2 bits")
         if self.adder not in ("tff", "mux"):
-            raise ValueError(f"unknown adder {self.adder!r}")
+            raise ValueError(f"unknown adder {self.adder!r}; expected one of ('tff', 'mux')")
         self.mode = resolve_mode(self.mode)
         if self.faults is not None and not isinstance(self.faults, FaultSpec):
             raise TypeError(
                 f"faults must be a FaultSpec or None, got {type(self.faults).__name__}"
-            )
-        if self.mode == "counts" and self._stream_faults_active:
-            raise ValueError(
-                "mode='counts' is invalid under stream-level fault injection: "
-                "counts mode builds no stream, while faults are injected into "
-                "the input streams -- use mode='auto' (TFF trees then halve "
-                "the popcounts of the faulted XNOR products) or mode='streams'"
             )
 
     def patch_bytes(self, filters: int, taps: int) -> int:

@@ -30,9 +30,9 @@ the per-patch size of the largest temporary on the path the bank runs --
 and each tile's pixels are converted to comparator levels, fault-injected
 at the tile's global patch offset and counted.  Peak memory is therefore
 bounded at any batch size: gathered leaf counts on the leaf-table path,
-lane products wherever input streams are built (stream faults,
-``mode="streams"``, OR trees).  This is what lets ``REPRO_BITEXACT=1`` runs cover the full
-MNIST test set.  Level conversion is stateless and the weight bank (select
+lane products wherever input streams are built (stream faults and
+``mode="streams"``).  This is what lets ``REPRO_BITEXACT=1`` runs cover the
+full MNIST test set.  Level conversion is stateless and the weight bank (select
 streams and leaf tables included) is built once per forward pass and
 reused, so any tiling -- including tiles that do not divide the patch
 count -- produces counts bit-identical to one untiled pass.
@@ -40,11 +40,11 @@ count -- produces counts bit-identical to one untiled pass.
 Evaluation mode
 ---------------
 The layer inherits the engine's evaluation mode (:mod:`repro.sc.mode`):
-under the ``"auto"`` default, TFF and MUX adder trees take the count path
--- each tile is a gather from the bank's leaf tables, halved per level for
-TFF trees and summed over select-masked taps for MUX trees, and no stream
-is built -- while ``mode="streams"`` forces the reference stream
-reduction.  Both produce bit-identical counters.
+under the ``"auto"`` default and without stream faults, each tile is a
+gather from the bank's leaf tables, halved per level for TFF trees and
+summed over select-masked taps for MUX trees, and no stream is built --
+while ``mode="streams"`` forces the reference stream reduction.  Both
+produce bit-identical counters.
 """
 
 from __future__ import annotations

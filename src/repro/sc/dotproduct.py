@@ -52,15 +52,15 @@ LFSR for "old SC" -- so a stream is fully set by its *level*
 source's stable argsort.  The engine therefore prepares inputs as levels
 (:meth:`~StochasticDotProductEngine.prepare_inputs`, shape ``(..., taps)``,
 int16 up to precision 14 and int32 beyond), and ``popcount(x & w)`` is one
-lookup into the cumulative sum of ``w``'s bits in source-sorted order.  In
-count mode (:mod:`repro.sc.mode`) a bank evaluates levels against such
-per-lane *leaf tables* (:meth:`FilterBank.leaf_tables`, here
+lookup into the cumulative sum of ``w``'s bits in source-sorted order.
+Without stream faults (:mod:`repro.sc.mode`) a bank evaluates levels against
+such per-lane *leaf tables* (:meth:`FilterBank.leaf_tables`, here
 ``2 * filters * taps * (N + 1)`` integers: 0.8 MB at 32 filters, 25 taps and
 N = 256), as the bipolar engine's banks do with XNOR leaf counts
 (:mod:`repro.sc.bipolar`).  Packed streams -- 64 clock cycles per uint64 word
 (:mod:`repro.bitstream.packed`) -- are built from levels only where a path
 needs them (:meth:`~StochasticDotProductEngine.input_words`): under stream
-faults, in stream mode and for OR trees.
+faults and in stream mode.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from ..rng import (
     VanDerCorputSource,
     level_dtype,
 )
-from .elements.adders import AdderTree, MuxAdder, OrAdder, TffAdder, TreePlan
+from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
 from .elements.converters import count_ones, sign_from_counts
 from .elements.multipliers import xnor_multiply
 from .elements.util import as_bits
@@ -258,10 +258,10 @@ class FilterBank:
         return out.reshape((self.counters,) + values.shape[:-1] + (self.filters,))
 
     def leaf_tables(self) -> np.ndarray:
-        """Count-mode leaf tables ``(leaves, N + 1, lanes)`` of the level dtype, built
-        once: entry ``[t, c, lane]`` is the ones-count of lane ``lane``'s leaf ``t`` for
-        the input of comparator level ``c`` -- for all-MUX trees inside the leaf's disjoint
-        ownership mask (:meth:`TreePlan.leaf_masks`), so a lane's root count sums them."""
+        """Leaf tables ``(leaves, N + 1, lanes)`` of the level dtype, built once: entry
+        ``[t, c, lane]`` is the ones-count of lane ``lane``'s leaf ``t`` for the input of
+        comparator level ``c`` -- for all-MUX trees inside the leaf's disjoint ownership
+        mask (:meth:`TreePlan.leaf_masks`), so a lane's root count sums them."""
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables
@@ -349,8 +349,8 @@ class PreparedWeights(FilterBank):
     and negative dot products of the paper's split-weight trick are fused
     into a single pass over shared inputs.
 
-    In count mode the bank evaluates comparator levels against per-lane
-    *leaf tables* (:meth:`leaf_tables`), built on the first count-mode call
+    On the ``"tables"`` path the bank evaluates comparator levels against
+    per-lane *leaf tables* (:meth:`leaf_tables`), built on the first call
     -- 0.8 MB at Table 3 scale, 13 MB at N = 4096.
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
@@ -451,24 +451,22 @@ class StochasticDotProductEngine:
     precision:
         Binary precision in bits; the bit-stream length is ``2**precision``.
     adder:
-        ``"tff"`` (this work), ``"mux"`` (conventional) or ``"or"``.
+        ``"tff"`` (this work) or ``"mux"`` (old SC).
     input_generator:
         ``"ramp"`` -- ramp-compare analog-to-stochastic conversion (this work),
-        ``"lfsr"`` -- conventional comparator SNG with an LFSR,
-        ``"lowdisc"`` -- comparator SNG with a van der Corput source.
+        or ``"lfsr"`` -- conventional comparator SNG with an LFSR (old SC).
     weight_generator:
         ``"lowdisc"`` (this work) or ``"lfsr"`` (old designs).
     seed:
         Seed for LFSR-based and MUX-select sources.
     mode:
-        ``"counts"`` evaluates the adder tree in the count domain -- leaf
+        ``"auto"`` (the default; ``None`` resolves to it) takes the fastest
+        exact path (:attr:`evaluation_path`): without stream faults, leaf
         counts gathered from the bank's leaf tables, halved per level for
-        TFF trees and summed over select-masked taps for MUX trees -- and
-        never builds a stream; ``"streams"`` forces the reference stream
-        reduction; ``"auto"`` (the default; ``None`` resolves to it)
-        picks the fastest exact path (:attr:`evaluation_path`).  Every mode
-        produces bit-identical counter values; the choice only affects
-        speed and memory.
+        TFF trees and summed over select-masked taps for MUX trees, with no
+        stream built.  ``"streams"`` forces the reference stream reduction.
+        Both modes produce bit-identical counter values; the choice only
+        affects speed and memory.
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment.  Stream-level faults (flips, stuck-at, bursts) are
@@ -476,10 +474,9 @@ class StochasticDotProductEngine:
         :meth:`PreparedWeights.evaluate` calling :meth:`apply_faults` with
         each tile's row offset, which expands the levels into streams
         first.  A faulted stream is no comparator output, so no leaf table
-        holds its counts: under ``mode="auto"`` TFF trees halve the
-        popcounts of the faulted leaf products (exact for any leaf bits)
-        and MUX trees reduce the streams, while an explicit
-        ``mode="counts"``, which builds no stream, raises.
+        holds its counts: TFF trees then halve the popcounts of the
+        faulted leaf products (exact for any leaf bits) and MUX trees
+        reduce the streams.
         ``sng_stuck_cells`` additionally defects the LFSR of LFSR-based
         input SNGs; its tied source values keep the level representation
         exact (the leaf tables stay available).  Injection is
@@ -502,29 +499,19 @@ class StochasticDotProductEngine:
     def __post_init__(self) -> None:
         if self.precision < 2:
             raise ValueError("precision must be at least 2 bits")
-        if self.adder not in ("tff", "mux", "or"):
-            raise ValueError(f"unknown adder {self.adder!r}")
-        if self.input_generator not in ("ramp", "lfsr", "lowdisc"):
-            raise ValueError(f"unknown input generator {self.input_generator!r}")
+        if self.adder not in ("tff", "mux"):
+            raise ValueError(f"unknown adder {self.adder!r}; expected one of ('tff', 'mux')")
+        if self.input_generator not in ("ramp", "lfsr"):
+            raise ValueError(
+                f"unknown input generator {self.input_generator!r}; "
+                "expected one of ('ramp', 'lfsr')"
+            )
         if self.weight_generator not in ("lowdisc", "lfsr"):
             raise ValueError(f"unknown weight generator {self.weight_generator!r}")
         self.mode = resolve_mode(self.mode)
-        if self.mode == "counts" and self.adder == "or":
-            raise ValueError(
-                "mode='counts' is exact only for TFF and MUX adder trees; "
-                "the OR adder's output is position-dependent -- use "
-                "mode='streams' (or 'auto')"
-            )
         if self.faults is not None and not isinstance(self.faults, FaultSpec):
             raise TypeError(
                 f"faults must be a FaultSpec or None, got {type(self.faults).__name__}"
-            )
-        if self.mode == "counts" and self._stream_faults_active:
-            raise ValueError(
-                "mode='counts' is invalid under stream-level fault injection: "
-                "counts mode builds no stream, while faults are injected into "
-                "the input streams -- use mode='auto' (TFF trees then halve "
-                "the popcounts of the faulted leaf products) or mode='streams'"
             )
 
     @property
@@ -555,7 +542,7 @@ class StochasticDotProductEngine:
         """``(path, reason)``: the adder-tree evaluation this engine's banks run.
 
         Decided from the configuration alone -- the engine builds only
-        homogeneous TFF, MUX or OR trees -- and read by :meth:`patch_bytes`
+        homogeneous TFF or MUX trees -- and read by :meth:`patch_bytes`
         and :meth:`FilterBank._root_counts`; the bipolar engine shares the
         rule.  ``path`` is one of
 
@@ -566,13 +553,11 @@ class StochasticDotProductEngine:
           (:meth:`TreePlan.reduce_counts`), exact whatever the leaf bits
           (:attr:`TreePlan.supports_count_reduction`);
         * ``"streams"`` -- the reference stream reduction
-          (:meth:`TreePlan.reduce_packed`): ``mode="streams"``, OR trees, and
-          MUX trees under stream faults.
+          (:meth:`TreePlan.reduce_packed`): ``mode="streams"`` and MUX trees
+          under stream faults.
         """
         if self.mode == "streams":
             return "streams", "mode='streams' forces the reference stream reduction"
-        if self.adder == "or":
-            return "streams", "OR trees have no exact count-domain shortcut"
         if self._stream_faults_active and self.adder == "mux":
             return "streams", "stream faults rule out leaf tables; MUX trees reduce the streams"
         if self._stream_faults_active:
@@ -626,20 +611,16 @@ class StochasticDotProductEngine:
 
         ``W = ceil(N / 64)`` uint64 words per stream, holding exactly the
         bits the input SNG's comparator emits for the values behind
-        ``levels``.  Needed only by the stream paths: stream faults, stream
-        mode and OR trees.
+        ``levels``.  Needed only by the stream paths: stream faults and
+        stream mode.
         """
         return self._input_sng().expand_levels(levels, self.length)
 
     def _input_sng(self) -> ComparatorSNG:
         if self.input_generator == "ramp":
             return RampCompareSNG(self.precision)
-        if self.input_generator == "lfsr":
-            stuck = self.faults.sng_stuck_cells if self.faults is not None else ()
-            return ComparatorSNG(
-                LFSRSource(self.precision, seed=self.seed, stuck_cells=stuck)
-            )
-        return ComparatorSNG(VanDerCorputSource(self.precision))
+        stuck = self.faults.sng_stuck_cells if self.faults is not None else ()
+        return ComparatorSNG(LFSRSource(self.precision, seed=self.seed, stuck_cells=stuck))
 
     def _weight_sng(self) -> ComparatorSNG:
         if self.weight_generator == "lowdisc":
@@ -659,8 +640,6 @@ class StochasticDotProductEngine:
     def _adder_factory(self) -> Callable[[], object]:
         if self.adder == "tff":
             return TffAdder
-        if self.adder == "or":
-            return OrAdder
 
         def make_mux() -> MuxAdder:
             # Give every tree node its own select source so node outputs stay

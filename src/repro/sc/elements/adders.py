@@ -23,15 +23,17 @@ structure used by the stochastic dot-product engine.
 
 Array-level reduction
 ---------------------
-Tree reduction is evaluated *level by level on whole arrays*, not node by
-node: every level pairs the stream axis (``(..., k, N)`` bits or ``(..., k,
-W)`` packed words) and applies one vectorized kernel to all nodes of the
-level at once -- a single prefix-parity scan for TFF nodes, a single masked
-select for MUX nodes (per-node select streams stacked on the node axis), a
-single OR for OR nodes.  Adder *objects* are still instantiated through the
-factory in the historical order (level by level, left to right), so stateful
-factories -- e.g. per-node MUX select seeds -- see exactly the node
-enumeration of the old per-node loop and every count stays bit-identical.
+Tree reduction is evaluated *level by level on whole arrays*: every level
+pairs the stream axis (``(..., k, N)`` bits or ``(..., k, W)`` packed words)
+and applies one vectorized kernel to all nodes of the level at once -- a
+single prefix-parity scan for TFF nodes, a single masked select for MUX
+nodes (per-node select streams stacked on the node axis), a single OR for OR
+nodes.  Every level must hold nodes of one plain adder kind: :class:`TffAdder`
+nodes sharing one initial state, :class:`MuxAdder` nodes or :class:`OrAdder`
+nodes.  A plan raises ``ValueError`` for a level that mixes kinds or holds a
+subclass.  Adder *objects* are instantiated through the factory level by
+level, left to right, so stateful factories -- e.g. per-node MUX select
+seeds -- see one fixed node enumeration.
 
 :class:`TreePlan` extends this to *lanes*: several identical trees (for the
 stochastic convolution, one tree per ``(filter, positive/negative)`` pair)
@@ -45,8 +47,8 @@ untiled pass.
 Count-domain shortcuts
 ----------------------
 Two tree families admit an *exact* count-domain evaluation that never
-materializes a node's output stream (the engines' ``mode="counts"`` path,
-see :mod:`repro.sc.mode`):
+materializes a node's output stream (the engines' default path, see
+:mod:`repro.sc.mode`):
 
 * **all-TFF trees** -- every node's output ones-count is exactly
   ``floor/ceil((ones_x + ones_y) / 2)``, so :meth:`TreePlan.reduce_counts`
@@ -62,12 +64,12 @@ Neither needs the leaf streams themselves, only their (masked) ones-counts.
 Both engines' filter banks (:class:`~repro.sc.dotproduct.FilterBank`) take
 them from leaf tables indexed by the inputs' comparator levels -- AND
 products for the unipolar engine, XNOR products for the bipolar one, for MUX
-trees restricted to the leaf masks -- so their count mode builds no stream
-at all.  The TFF identity holds for any leaf bits, so a TFF tree whose leaf
-streams were corrupted by stream faults needs only their popcounts too.  Both
-shortcuts are bit-identical to reducing the streams; OR trees are
-position-dependent in a way neither shortcut captures and always reduce
-streams.
+trees restricted to the leaf masks -- so without stream faults they build
+no stream at all.  The TFF identity holds for any leaf bits, so a TFF tree
+whose leaf streams were corrupted by stream faults needs only their
+popcounts too.  Both shortcuts are bit-identical to reducing the streams.
+The engines build only TFF and MUX trees; OR trees, position-dependent in a
+way neither shortcut captures, reduce only as streams.
 """
 
 from __future__ import annotations
@@ -76,14 +78,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ...bitstream.packed import (
-    mask_tail,
-    pack_bits,
-    packed_mux_add,
-    packed_or_add,
-    packed_tff_add,
-    words_for,
-)
+from ...bitstream.packed import mask_tail, pack_bits, packed_tff_add, words_for
 from ...rng.sources import NumberSource, PseudoRandomSource
 from .flipflops import toggle_states
 from .util import StreamLike, as_bits, check_same_length, wrap_like
@@ -159,17 +154,6 @@ class StochasticAdder:
     def __call__(self, x: StreamLike, y: StreamLike) -> StreamLike:
         raise NotImplementedError
 
-    def packed(self, x: np.ndarray, y: np.ndarray, n_bits: int) -> np.ndarray:
-        """Word-level addition of packed streams, bit-identical to ``__call__``.
-
-        ``x`` and ``y`` are uint64 word arrays (words on the last axis) of
-        ``n_bits``-bit streams, as produced by
-        :func:`repro.bitstream.pack_bits`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no packed fast path"
-        )
-
     def expected(self, px: float, py: float) -> float:
         """Ideal scaled-sum output value for unipolar inputs."""
         return 0.5 * (float(px) + float(py))
@@ -196,9 +180,6 @@ class TffAdder(StochasticAdder):
     def __call__(self, x: StreamLike, y: StreamLike) -> StreamLike:
         return tff_add(x, y, initial_state=self.initial_state)
 
-    def packed(self, x: np.ndarray, y: np.ndarray, n_bits: int) -> np.ndarray:
-        return packed_tff_add(x, y, n_bits, initial_state=self.initial_state)
-
     def __repr__(self) -> str:
         return f"TffAdder(initial_state={self.initial_state})"
 
@@ -210,9 +191,6 @@ class OrAdder(StochasticAdder):
 
     def __call__(self, x: StreamLike, y: StreamLike) -> StreamLike:
         return or_add(x, y)
-
-    def packed(self, x: np.ndarray, y: np.ndarray, n_bits: int) -> np.ndarray:
-        return packed_or_add(x, y)
 
     def expected(self, px: float, py: float) -> float:
         """The OR adder targets the *unscaled* sum, saturating at 1."""
@@ -267,10 +245,6 @@ class MuxAdder(StochasticAdder):
         length = check_same_length(xb, yb)
         return mux_add(x, y, self.select_bits(length))
 
-    def packed(self, x: np.ndarray, y: np.ndarray, n_bits: int) -> np.ndarray:
-        select = pack_bits(self.select_bits(n_bits))
-        return packed_mux_add(x, y, select)
-
     def __repr__(self) -> str:
         if self.toggle_select:
             return "MuxAdder(toggle_select=True)"
@@ -278,14 +252,13 @@ class MuxAdder(StochasticAdder):
 
 
 def _level_group(adders: List[StochasticAdder]):
-    """Classify one level's node group for single-kernel vectorized application.
+    """Classify one level's nodes for single-kernel vectorized application.
 
     Returns ``("tff", initial_state)`` when every node is a plain
     :class:`TffAdder` sharing one initial state, ``("or", None)`` for plain
-    :class:`OrAdder` nodes, ``("mux", None)`` for plain :class:`MuxAdder`
-    nodes (per-node select streams are stacked on the node axis), and
-    ``None`` for anything else -- mixed levels or subclasses fall back to the
-    per-node loop, which preserves arbitrary adder semantics.
+    :class:`OrAdder` nodes and ``("mux", None)`` for plain :class:`MuxAdder`
+    nodes (per-node select streams are stacked on the node axis); raises
+    ``ValueError`` for anything else.
     """
     first = adders[0]
     if type(first) is TffAdder and all(
@@ -297,7 +270,11 @@ def _level_group(adders: List[StochasticAdder]):
         return ("or", None)
     if all(type(a) is MuxAdder for a in adders):
         return ("mux", None)
-    return None
+    kinds = sorted({repr(a) if type(a) is TffAdder else type(a).__name__ for a in adders})
+    raise ValueError(
+        "every adder-tree level must hold one plain adder kind: TffAdder nodes "
+        f"sharing one initial_state, MuxAdder nodes or OrAdder nodes; got {', '.join(kinds)}"
+    )
 
 
 def _mux_select_matrix(adders: List[StochasticAdder], length: int) -> np.ndarray:
@@ -316,7 +293,9 @@ class TreePlan:
     input arrays.  Because per-node select streams are generated once and
     cached, applying one plan to successive input tiles is bit-identical to
     reducing the concatenated tiles in a single pass -- the contract the
-    tile-streamed stochastic convolution relies on.
+    tile-streamed stochastic convolution relies on.  Every level must hold
+    one plain adder kind (see the module docstring), else construction
+    raises ``ValueError``.
     """
 
     def __init__(self, adder_factory, count: int, lanes: int = 1) -> None:
@@ -391,9 +370,8 @@ class TreePlan:
     def _reduce(self, arr: np.ndarray, length: int, packed: bool) -> np.ndarray:
         """Shared level loop; ``arr`` is ``(..., lanes, k, W-or-N)``."""
         level = arr
-        for li, nodes in enumerate(self.levels):
-            group = self._groups[li]
-            if packed and group is not None and group[0] == "mux":
+        for li, group in enumerate(self._groups):
+            if packed and group[0] == "mux":
                 # y where the select bit is 1, else x: x ^ ((x ^ y) & s), in
                 # place on one new array.  A lone last node's zero partner
                 # leaves x & ~s, so odd levels need no zero-pad copy.
@@ -416,27 +394,19 @@ class TreePlan:
             flat_shape = x.shape[:-3] + (self.lanes * m, x.shape[-1])
             xf = x.reshape(flat_shape)
             yf = y.reshape(flat_shape)
-            if group is not None and group[0] == "tff":
+            if group[0] == "tff":
                 if packed:
                     out = packed_tff_add(xf, yf, length, initial_state=group[1])
                 else:
                     disagree = (xf ^ yf).astype(np.uint8)
                     state = toggle_states(disagree, group[1])
                     out = np.where(disagree == 1, state, xf).astype(np.uint8)
-            elif group is not None and group[0] == "or":
+            elif group[0] == "or":
                 out = xf | yf
-            elif group is not None and group[0] == "mux":
+            else:
                 # Byte-per-bit only; packed MUX levels are computed above.
                 sel = self._selects(li, length, packed)
                 out = np.where(sel == 1, yf, xf).astype(np.uint8)
-            else:
-                columns = []
-                for j, adder in enumerate(nodes):
-                    if packed:
-                        columns.append(adder.packed(xf[..., j, :], yf[..., j, :], length))
-                    else:
-                        columns.append(as_bits(adder(xf[..., j, :], yf[..., j, :]))[0])
-                out = np.stack(columns, axis=-2)
             level = out.reshape(x.shape[:-3] + (self.lanes, m, x.shape[-1]))
         out = level[..., 0, :]
         return out[..., 0, :] if self.lanes == 1 else out
@@ -457,7 +427,7 @@ class TreePlan:
         OR levels are position-dependent: all-MUX trees have their own exact
         shortcut (:meth:`leaf_masks`), OR trees none.
         """
-        return all(group is not None and group[0] == "tff" for group in self._groups)
+        return all(group[0] == "tff" for group in self._groups)
 
     def reduce_counts(self, leaf_counts: np.ndarray) -> np.ndarray:
         """Exact count-domain tree reduction for all-TFF plans.
@@ -523,7 +493,7 @@ class TreePlan:
         trees have masks.  Cached per ``(length, packed)`` like the select
         streams, so tiled evaluation reuses one derivation.
         """
-        if not all(group is not None and group[0] == "mux" for group in self._groups):
+        if not all(group[0] == "mux" for group in self._groups):
             raise ValueError(
                 "leaf ownership masks exist only for plain MuxAdder trees"
             )
@@ -589,17 +559,16 @@ class AdderTree:
     adders.  Missing leaves (when ``k`` is not a power of two) are filled with
     all-zero streams, exactly like the padded hardware tree.
 
-    Reduction is applied level by level with one vectorized kernel per level
-    (see the module docstring); node adders are still instantiated through
-    ``adder_factory`` in the historical per-node order, so results are
-    bit-identical to the old per-node loop for every adder type.
+    Reduction is applied level by level with one vectorized kernel per level,
+    so every level must hold one plain adder kind (see the module docstring);
+    node adders are instantiated through ``adder_factory`` level by level,
+    left to right.
 
     Parameters
     ----------
     adder_factory:
         Callable returning a fresh two-input adder for each tree node
-        (a fresh node per position keeps MUX select sources independent and
-        lets TFF initial states alternate if desired).
+        (a fresh node per position keeps MUX select sources independent).
     """
 
     def __init__(self, adder_factory=TffAdder) -> None:

@@ -1,30 +1,25 @@
-"""Engine evaluation-mode selection: count-domain vs. stream-domain reduction.
+"""Engine evaluation-mode selection: the fastest exact path, or the reference.
 
 The dot-product engines can evaluate their adder trees two ways:
 
+* ``"auto"`` (default) -- the fastest exact path the configuration has
+  (:attr:`~repro.sc.dotproduct.StochasticDotProductEngine.evaluation_path`).
+  Without stream faults both engines gather leaf counts from tables indexed
+  by their inputs' comparator levels and build no stream at all: all-TFF
+  trees halve the leaf counts per level, since each node's output
+  ones-count is exactly ``floor/ceil((ones_x + ones_y) / 2)``, and all-MUX
+  trees sum leaf counts restricted to per-leaf ownership masks folded from
+  the cached select streams.  Under stream faults TFF trees halve the
+  popcounts of the faulted leaf products and MUX trees reduce the streams.
 * ``"streams"`` -- materialize every tree node's packed bit-stream and
-  popcount the root.  This is the reference path: it works for every adder
-  type and is what the hardware literally does.
-* ``"counts"`` -- never build an adder-tree stream tensor at all.  For
-  all-TFF trees each node's output ones-count is exactly
-  ``floor/ceil((ones_x + ones_y) / 2)``, so the root count follows from the
-  leaf-product counts by integer halving per level.  For all-MUX trees the
-  cached per-node select streams determine, for every clock cycle, which
-  *leaf* the root forwards; folding those select decisions into per-leaf
-  ownership masks makes the root count the sum of the masked leaf-product
-  counts.  Both engines read those leaf counts from tables indexed by
-  their inputs' comparator levels, so they build no input stream either
-  (:mod:`repro.sc.dotproduct`).  Both shortcuts are provably bit-identical
-  to the stream path -- the mode changes speed and memory only, never a
-  counter value.
-* ``"auto"`` (default) -- use ``"counts"`` whenever the configured adder
-  tree admits an exact count-domain evaluation (TFF and MUX trees do; OR
-  trees are value-approximate in a position-dependent way and always run as
-  streams).
+  popcount the root.  This is the reference path, what the hardware
+  literally does, and what the differential suites compare ``"auto"``
+  against.
 
-The mode is an engine parameter only: ``None`` resolves to ``"auto"``, the
-fastest exact path, and no experiment config, CLI flag or environment
-variable chooses it, because it never changes a counter.
+Both modes produce bit-identical counter values; the mode changes speed and
+memory only.  It is an engine parameter only: ``None`` resolves to
+``"auto"``, and no experiment config, CLI flag or environment variable
+chooses it, because it never changes a counter.
 """
 
 from __future__ import annotations
@@ -33,11 +28,9 @@ from typing import Optional
 
 __all__ = ["MODES", "validate_mode", "resolve_mode"]
 
-#: Supported engine evaluation modes.  ``"counts"`` forbids stream-tensor
-#: adder trees (raising if the configuration has no exact count shortcut),
-#: ``"streams"`` forces the reference stream reduction, ``"auto"`` picks
-#: counts whenever exact.
-MODES = ("auto", "counts", "streams")
+#: Supported engine evaluation modes: ``"auto"`` takes the fastest exact
+#: path, ``"streams"`` forces the reference stream reduction.
+MODES = ("auto", "streams")
 
 
 def validate_mode(mode: str) -> str:

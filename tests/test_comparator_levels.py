@@ -1,13 +1,14 @@
 """Comparator levels: the unipolar engine's prepared inputs.
 
 Every input SNG of the unipolar engine compares its value against one shared
-source sequence ``s`` (the ramp, van der Corput or an LFSR), so the engine
+source sequence ``s`` (the ramp or an LFSR), so the engine
 prepares an input as its level ``c = #{n : s[n] < v}`` and expands it into
 streams only where a stream path needs them.  These tests pin that the
 levels reproduce the comparator's streams bit for bit -- source ties
 included (the LFSR's repeated value, sources collapsed by stuck register
-cells) -- and that the count-mode leaf tables built on them give the stream
-path's counters at both level dtypes.
+cells) -- and that the leaf tables built on them give the stream path's
+counters at both level dtypes.  The bipolar engine's van der Corput input
+SNG is held to the same comparator contract at every source point.
 """
 
 import numpy as np
@@ -17,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 from repro.bitstream.packed import pack_bits, packed_popcount
 from repro.faults import FaultSpec
 from repro.rng import ComparatorSNG, LFSRSource, level_dtype
-from repro.sc import StochasticDotProductEngine
+from repro.sc import BipolarDotProductEngine, StochasticDotProductEngine
 
 import sc_oracle
 
 #: Input generators under test; ``lfsr_stuck`` is an LFSR with stuck cells.
-GENERATORS = ["ramp", "lowdisc", "lfsr", "lfsr_stuck"]
+GENERATORS = ["ramp", "lfsr", "lfsr_stuck"]
 
 
 def make_engine(generator, precision, seed=1, stuck_cells=None):
@@ -66,6 +67,25 @@ def source_points(engine):
 def test_every_source_point_and_neighbour(generator, precision):
     engine = make_engine(generator, precision)
     assert_levels_match_comparator(engine, source_points(engine))
+
+
+@pytest.mark.parametrize("precision", range(2, 11))
+def test_van_der_corput_levels_at_every_source_point_and_neighbour(precision):
+    # The bipolar engine's input SNG compares the ones-probabilities
+    # (v + 1) / 2 against the van der Corput sequence.
+    engine = BipolarDotProductEngine(precision=precision)
+    sng = engine._input_sng()
+    points = source_points(engine)
+    levels = sng.levels(points, engine.length)
+    assert levels.dtype == level_dtype(engine.length)
+    words = engine.input_words(levels)
+    np.testing.assert_array_equal(words, pack_bits(sng.generate_bits(points, engine.length)))
+    np.testing.assert_array_equal(packed_popcount(words), levels)
+    # The source points are dyadic, so 2 s - 1 maps back onto them exactly.
+    source = sng.source.sequence(engine.length)
+    np.testing.assert_array_equal(
+        engine.prepare_inputs(2.0 * source - 1.0), levels[: source.size]
+    )
 
 
 @st.composite
@@ -137,10 +157,10 @@ def test_int32_levels_and_tables_match_streams(adder):
     kernels = np.array([[1.0, -0.75, 0.5]])
     engines = {
         mode: StochasticDotProductEngine(precision=15, adder=adder, seed=2, mode=mode)
-        for mode in ("counts", "streams")
+        for mode in (None, "streams")
     }
-    assert engines["counts"].prepare_inputs(x).dtype == np.int32
-    counted = engines["counts"].dot_filters(x, kernels)
+    assert engines[None].prepare_inputs(x).dtype == np.int32
+    counted = engines[None].dot_filters(x, kernels)
     streamed = engines["streams"].dot_filters(x, kernels)
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
@@ -155,10 +175,10 @@ def test_full_scale_leaf_counts_at_precision_14(adder):
     kernels = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 0.5]])
     engines = {
         mode: StochasticDotProductEngine(precision=14, adder=adder, seed=2, mode=mode)
-        for mode in ("counts", "streams")
+        for mode in (None, "streams")
     }
-    assert engines["counts"].prepare_inputs(x).dtype == np.int16
-    counted = engines["counts"].dot_filters(x, kernels)
+    assert engines[None].prepare_inputs(x).dtype == np.int16
+    counted = engines[None].dot_filters(x, kernels)
     streamed = engines["streams"].dot_filters(x, kernels)
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)

@@ -1,16 +1,18 @@
-"""Differential + property tests for the count-domain engine mode.
+"""Differential + property tests for the engines' count-domain default path.
 
-``mode="counts"`` must be *bit-identical* to the reference stream reduction
-for every configuration that supports it: unipolar split-weight engines with
-TFF or MUX adder trees (any generator, tap count, tiling) and the bipolar
-XNOR engine (including its odd-tap alternating-stream padding).  Each
+The default engine (``mode="auto"``: leaf-table gathers, no stream built)
+must be *bit-identical* to the reference stream reduction for every
+configuration: unipolar split-weight engines with TFF or MUX adder trees
+(either input generator, any tap count, any tiling) and the bipolar XNOR
+engine (including its odd-tap alternating-stream padding).  Each
 differential test runs against two references: ``"packed"`` -- the engine's
 own packed stream reduction (``mode="streams"``) -- and ``"unpacked"`` --
 the byte-per-bit reference kernels (``sc_oracle``).
-These tests pin that contract, the mode-resolution rules, the
-``TreePlan`` mask machinery behind the MUX shortcut, and the stream-path
-edge-case fixes that rode along (empty batches, dtype-preserving count maps,
-the sign-tie contract, bipolar input-range validation).
+These tests pin that contract, the engines' configuration vocabulary and
+mode-resolution rules, the ``TreePlan`` mask machinery behind the MUX
+shortcut, and the stream-path edge-case fixes that rode along (empty
+batches, dtype-preserving count maps, the sign-tie contract, bipolar
+input-range validation).
 """
 
 import numpy as np
@@ -32,13 +34,15 @@ from repro.sc import (
 )
 from repro.sc.elements.adders import TreePlan
 from repro.bitstream.packed import pack_bits, packed_popcount
+from repro.eval.table2 import ADDER_CONFIGS, adder_mse
 from repro.faults import FaultSpec
+from repro.hybrid import CalibratedSCEmulator
 from repro.utils.windows import extract_patches, patches_to_map
 
 import sc_oracle
 from tiles import SINGLE_TILE, forced_tile
 
-#: The two references every count-mode result is compared against.
+#: The two references every count-domain result is compared against.
 REFERENCES = ["packed", "unpacked"]
 
 
@@ -81,7 +85,7 @@ def test_validate_mode_accepts_known_rejects_unknown():
 def test_resolve_mode_precedence():
     # None means the default; an explicit value is validated and kept.
     assert resolve_mode(None) == "auto"
-    assert resolve_mode("counts") == "counts"
+    assert resolve_mode("streams") == "streams"
     assert StochasticDotProductEngine(precision=4).mode == "auto"
     assert BipolarDotProductEngine(precision=4).mode == "auto"
     for bad in ("", "bogus"):
@@ -89,14 +93,32 @@ def test_resolve_mode_precedence():
             resolve_mode(bad)
 
 
-def test_counts_mode_with_or_tree_raises():
-    with pytest.raises(ValueError, match="counts"):
-        StochasticDotProductEngine(precision=4, adder="or", mode="counts")
-    # "auto" quietly falls back to streams for OR trees.
-    engine = StochasticDotProductEngine(precision=4, adder="or", mode="auto")
-    rng = np.random.default_rng(0)
-    result = engine.dot(rng.random((3, 5)), rng.uniform(-1, 1, 5))
-    assert result.positive_count.shape == (3,)
+def test_engines_accept_only_the_configurations_the_paper_runs():
+    # Each rejection names what is accepted.
+    with pytest.raises(ValueError, match=r"unknown adder 'or'; expected one of \('tff', 'mux'\)"):
+        StochasticDotProductEngine(adder="or")
+    with pytest.raises(
+        ValueError, match=r"unknown input generator 'lowdisc'; expected one of \('ramp', 'lfsr'\)"
+    ):
+        StochasticDotProductEngine(input_generator="lowdisc")
+    counts = r"unknown mode 'counts'; expected one of \('auto', 'streams'\)"
+    for make in (
+        lambda: StochasticDotProductEngine(mode="counts"),
+        lambda: BipolarDotProductEngine(mode="counts"),
+        lambda: new_sc_engine(4, mode="counts"),
+        lambda: old_sc_engine(4, mode="counts"),
+        lambda: adder_mse("new_tff", 4, mode="counts"),
+    ):
+        with pytest.raises(ValueError, match=counts):
+            make()
+    # One level of TFF and MUX nodes: the factory alternates between them.
+    factories = iter([TffAdder, MuxAdder] * 2)
+    with pytest.raises(
+        ValueError, match="TffAdder nodes sharing one initial_state, MuxAdder nodes or OrAdder nodes"
+    ):
+        TreePlan(lambda: next(factories)(), 4)
+    with pytest.raises(TypeError, match="StochasticDotProductEngine"):
+        CalibratedSCEmulator(BipolarDotProductEngine())
 
 
 def test_engine_rejects_unknown_mode():
@@ -114,11 +136,13 @@ def test_engine_rejects_unknown_mode():
 #: many comparator levels share one threshold group.
 STUCK_CELLS = FaultSpec(sng_stuck_cells=((0, 1), (3, 0)))
 
-#: ``lfsr_stuck`` is the LFSR input generator with :data:`STUCK_CELLS`.
+#: Every input x weight generator pair the engine accepts; ``lfsr_stuck``
+#: is the LFSR input generator with :data:`STUCK_CELLS`.
 UNIPOLAR_GENERATORS = [
     ("ramp", "lowdisc"),
     ("lfsr", "lfsr"),
-    ("lowdisc", "lowdisc"),
+    ("ramp", "lfsr"),
+    ("lfsr", "lowdisc"),
     ("lfsr_stuck", "lfsr"),
 ]
 
@@ -147,7 +171,7 @@ def test_unipolar_counts_bit_identical(adder, reference, input_gen, weight_gen, 
             seed=11, mode=mode,
         )
 
-    counted = make("counts").dot(x, w)
+    counted = make(None).dot(x, w)
     pos, neg = unipolar_reference(reference, make, x, w)
     np.testing.assert_array_equal(counted.positive_count, pos)
     np.testing.assert_array_equal(counted.negative_count, neg)
@@ -163,7 +187,7 @@ def test_unipolar_filter_parallel_counts_bit_identical(adder, reference):
     def make(mode):
         return StochasticDotProductEngine(precision=6, adder=adder, seed=5, mode=mode)
 
-    counted = make("counts").dot_filters(x, kernels)
+    counted = make(None).dot_filters(x, kernels)
     pos, neg = unipolar_reference(reference, make, x, kernels)
     np.testing.assert_array_equal(counted.positive_count, pos)
     np.testing.assert_array_equal(counted.negative_count, neg)
@@ -174,7 +198,7 @@ def test_paper_engines_accept_mode(factory):
     rng = np.random.default_rng(2)
     x = rng.random((4, 9))
     w = rng.uniform(-1.0, 1.0, 9)
-    counted = factory(6, seed=1, mode="counts").dot(x, w)
+    counted = factory(6, seed=1).dot(x, w)
     streamed = factory(6, seed=1, mode="streams").dot(x, w)
     np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
@@ -194,10 +218,10 @@ def test_mux_select_periodicity_across_repeated_calls():
         mode: StochasticDotProductEngine(
             precision=5, adder="mux", seed=21, mode=mode
         )
-        for mode in ("counts", "streams")
+        for mode in (None, "streams")
     }
     for x in (x1, x2, x1):
-        counted = engines["counts"].dot(x, w)
+        counted = engines[None].dot(x, w)
         streamed = engines["streams"].dot(x, w)
         np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
         np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
@@ -210,7 +234,7 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile):
     images = rng.random((2, 8, 8))
     kernels = rng.uniform(-1.0, 1.0, (4, 3, 3))
     results = {}
-    for mode, mode_tile in (("counts", tile), ("streams", SINGLE_TILE)):
+    for mode, mode_tile in ((None, tile), ("streams", SINGLE_TILE)):
         layer = StochasticConv2D(
             kernels,
             engine=StochasticDotProductEngine(
@@ -221,17 +245,17 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile):
         with forced_tile(mode_tile):
             results[mode] = layer.forward(images)
     np.testing.assert_array_equal(
-        results["counts"].positive_count, results["streams"].positive_count
+        results[None].positive_count, results["streams"].positive_count
     )
     np.testing.assert_array_equal(
-        results["counts"].negative_count, results["streams"].negative_count
+        results[None].negative_count, results["streams"].negative_count
     )
-    np.testing.assert_array_equal(results["counts"].sign, results["streams"].sign)
+    np.testing.assert_array_equal(results[None].sign, results["streams"].sign)
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
 def test_stuck_sng_cells_conv_tiled_bit_identical(adder):
-    """On a tied input source, the tiled count-mode conv matches the untiled
+    """On a tied input source, the tiled count-domain conv matches the untiled
     stream conv and the byte oracle -- both counters, over three successive
     forwards on one engine (MUX selects keep running across calls)."""
     rng = np.random.default_rng(32)
@@ -243,10 +267,10 @@ def test_stuck_sng_cells_conv_tiled_bit_identical(adder):
             seed=5, mode=mode,
         )
 
-    source = make("counts")._input_sng().source.sequence(64)
+    source = make(None)._input_sng().source.sequence(64)
     assert np.unique(source).size < source.size
     # 2 x 7 x 7 images give 98 patches; tiles of 9 do not divide them.
-    counted = StochasticConv2D(kernels, engine=make("counts"), padding=1)
+    counted = StochasticConv2D(kernels, engine=make(None), padding=1)
     streamed = StochasticConv2D(kernels, engine=make("streams"), padding=1)
     oracle_engine = make("streams")
     for _ in range(3):
@@ -283,7 +307,7 @@ def test_bipolar_counts_bit_identical(adder, reference, taps):
     def make(mode):
         return BipolarDotProductEngine(precision=6, adder=adder, seed=9, mode=mode)
 
-    counted = make("counts").dot(x, w)
+    counted = make(None).dot(x, w)
     expected = bipolar_reference(reference, make, x, w)
     np.testing.assert_array_equal(counted.count, expected)
     streamed = BipolarDotProductResult(expected, counted.length, counted.tree_scale)
@@ -292,13 +316,14 @@ def test_bipolar_counts_bit_identical(adder, reference, taps):
     assert counted.tree_scale == make("streams").dot(x, w).tree_scale
 
 
-def test_bipolar_auto_mode_matches_explicit_counts():
+def test_bipolar_auto_mode_is_the_default_table_path():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, (4, 7))
     w = rng.uniform(-1.0, 1.0, 7)
-    auto = BipolarDotProductEngine(precision=6, seed=2, mode="auto").dot(x, w)
-    counts = BipolarDotProductEngine(precision=6, seed=2, mode="counts").dot(x, w)
-    np.testing.assert_array_equal(auto.count, counts.count)
+    auto = BipolarDotProductEngine(precision=6, seed=2, mode="auto")
+    default = BipolarDotProductEngine(precision=6, seed=2)
+    assert auto.evaluation_path[0] == default.evaluation_path[0] == "tables"
+    np.testing.assert_array_equal(auto.dot(x, w).count, default.dot(x, w).count)
 
 
 # --------------------------------------------------------------------- #
@@ -324,7 +349,7 @@ def test_unipolar_counts_property(taps, precision, adder, reference, seed):
             precision=precision, adder=adder, seed=seed, mode=mode
         )
 
-    counted = make("counts").dot(x, w)
+    counted = make(None).dot(x, w)
     pos, neg = unipolar_reference(reference, make, x, w)
     np.testing.assert_array_equal(counted.positive_count, pos)
     np.testing.assert_array_equal(counted.negative_count, neg)
@@ -346,7 +371,7 @@ def test_bipolar_counts_property(taps, precision, adder, reference, seed):
     def make(mode):
         return BipolarDotProductEngine(precision=precision, adder=adder, seed=seed, mode=mode)
 
-    counted = make("counts").dot(x, w)
+    counted = make(None).dot(x, w)
     np.testing.assert_array_equal(counted.count, bipolar_reference(reference, make, x, w))
 
 
@@ -515,9 +540,5 @@ def test_bipolar_rejects_out_of_range_inputs():
 
 
 def test_table2_counts_mode_bit_identical():
-    from repro.eval.table2 import ADDER_CONFIGS, adder_mse
-
     for config in ADDER_CONFIGS:
-        assert adder_mse(config, 4, mode="counts") == adder_mse(
-            config, 4, mode="streams"
-        )
+        assert adder_mse(config, 4) == adder_mse(config, 4, mode="streams")

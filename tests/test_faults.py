@@ -3,10 +3,10 @@
 Covers the mask generator's statistics and coordinate determinism, the
 ``((w | stuck1) & ~stuck0) ^ flips`` composition contract, bit-identity of
 faulted engines and convolutions with the byte-per-bit reference and across
-tilings, the mode interaction (stream faults rule out the leaf tables and
-``mode="counts"``), stream injection helpers,
-netlist stuck-at faults against the per-cycle oracle, stuck SNG register
-cells, the matched binary-word flip baseline, and the degradation sweep.
+tilings, the mode interaction (stream faults rule out the leaf tables),
+stream injection helpers, netlist stuck-at faults against the per-cycle
+oracle, stuck SNG register cells, the matched binary-word flip baseline, and
+the degradation sweep.
 """
 
 import dataclasses
@@ -251,11 +251,6 @@ class TestEngineFaults:
             and np.array_equal(clean.negative_count, faulted.negative_count)
         )
 
-    def test_counts_mode_with_stream_faults_raises(self):
-        with pytest.raises(ValueError, match="count"):
-            new_sc_engine(precision=6, mode="counts",
-                          faults=FaultSpec(flip_rate=0.01))
-
     def test_auto_mode_resolves_to_streams(self):
         engine = new_sc_engine(precision=6, faults=FaultSpec(flip_rate=0.01))
         assert engine._stream_faults_active
@@ -280,8 +275,6 @@ class TestEngineFaults:
         assert np.array_equal(faulted, sc_oracle.bipolar_dot(engine, values, weights))
         clean = BipolarDotProductEngine(precision=6).dot(values, weights)
         assert not np.array_equal(clean.count, faulted)
-        with pytest.raises(ValueError, match="count"):
-            BipolarDotProductEngine(precision=6, mode="counts", faults=spec)
 
     def test_sng_stuck_cells_thread_into_generator(self):
         values = self.rng.random((6, 9))

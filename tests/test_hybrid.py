@@ -44,14 +44,6 @@ class TestSensorFrontEnd:
         assert noisy1.min() >= 0.0 and noisy1.max() <= 1.0
         assert not np.allclose(noisy1, images)
 
-    def test_convert_shape_and_counts(self):
-        fe = SensorFrontEnd(precision=4)
-        images = np.array([[[0.0, 0.5], [1.0, 0.25]]])
-        streams = fe.convert(images)
-        assert streams.shape == (1, 2, 2, 16)
-        assert streams[0, 0, 0].sum() == 0
-        assert streams[0, 1, 0].sum() == 16
-
     def test_conversion_energy_metadata(self):
         fe = SensorFrontEnd(conversion_energy_pj=100.0)
         assert fe.conversion_energy_nj(784) == pytest.approx(78.4)
@@ -128,36 +120,6 @@ class TestCalibratedEmulator:
         with pytest.raises(ValueError):
             emulator.forward(np.zeros((1, 8, 8)), kernels)  # kernels not 3-D
 
-    def test_bipolar_engine_calibrates(self, setup):
-        # The Section IV-B ablation engine is emulable too: the calibrated
-        # quantity is the single counter's offset from the N/2 decision point.
-        from repro.sc import BipolarDotProductEngine
-
-        inputs, kernels = setup
-        engine = BipolarDotProductEngine(precision=6)
-        emulator = CalibratedSCEmulator(engine, seed=1)
-        model = emulator.calibrate(inputs[:64], kernels)
-        assert model.samples == 64 * 4
-        # Residuals are measured against the decision point the sign
-        # activation uses, so the calibrated model must track it closely
-        # enough for sign emulation (bipolar error is larger than split).
-        assert abs(model.bias) < 8.0
-
-        sign = emulator.forward_patches(inputs[np.newaxis, :32], kernels)
-        assert sign.shape == (1, 32, 4)
-        assert np.all(np.isin(sign, (-1.0, 1.0)))
-
-        # Emulated signs agree with the bit-exact bipolar engine on
-        # confidently-signed dot products.
-        exact = np.stack(
-            [engine.dot(inputs[:32], kernel).sign for kernel in kernels], axis=-1
-        )
-        values = np.stack(
-            [engine.dot(inputs[:32], kernel).value for kernel in kernels], axis=-1
-        )
-        confident = np.abs(values) > 0.5
-        assert np.mean(exact[confident] == sign[0][confident]) > 0.8
-
 
 class TestMeasureActivity:
     """Trace-driven switching activity via batched netlist simulation."""
@@ -195,12 +157,7 @@ class TestMeasureActivity:
         )
         assert result.batch == 2
 
-    def test_rejects_bipolar_and_bad_shapes(self):
-        from repro.sc import BipolarDotProductEngine
-
-        bipolar = CalibratedSCEmulator(BipolarDotProductEngine(precision=4))
-        with pytest.raises(ValueError, match="bipolar"):
-            bipolar.measure_activity(np.zeros((2, 4)), np.zeros(4))
+    def test_rejects_bad_shapes(self):
         emulator = CalibratedSCEmulator(new_sc_engine(precision=4))
         with pytest.raises(ValueError, match="traces"):
             emulator.measure_activity(np.zeros(4), np.zeros(4))
@@ -330,13 +287,17 @@ class TestHybridNetwork:
         with pytest.raises(ValueError, match="images must hold at least one image"):
             hybrid.predict_classes(np.zeros((0, 28, 28)), mode=mode)
 
-    @pytest.mark.parametrize("images", ["2d", "4d", "nan"])
+    @pytest.mark.parametrize("images", ["2d", "4d", "nan", "out_of_range"])
     @pytest.mark.parametrize("mode", ["binary", "bitexact", "emulate"])
     def test_bad_images_rejected_before_any_first_layer_work(self, mode, images, monkeypatch):
-        images = {
-            "2d": np.zeros((28, 28)),
-            "4d": np.zeros((1, 1, 28, 28)),
-            "nan": np.where(np.arange(2 * 28 * 28).reshape(2, 28, 28) == 900, np.nan, 0.5),
+        shape = r"must be a finite \(batch, H, W\) array"
+        images, message = {
+            "2d": (np.zeros((28, 28)), shape),
+            "4d": (np.zeros((1, 1, 28, 28)), shape),
+            "nan": (np.where(np.arange(2 * 28 * 28).reshape(2, 28, 28) == 900, np.nan, 0.5), shape),
+            # The binary first layer reads no sensor front end: every mode
+            # must still reject what SensorFrontEnd.acquire rejects.
+            "out_of_range": (np.full((2, 28, 28), 1.5), r"pixel values must lie in \[0, 1\]"),
         }[images]
         model = quantize_and_freeze(build_lenet5_small(filters1=2), precision=4)
         hybrid = HybridStochasticBinaryNetwork(model, engine=new_sc_engine(4))
@@ -348,7 +309,7 @@ class TestHybridNetwork:
             lambda: hybrid.predict_classes(images, mode=mode),
             lambda: hybrid.misclassification_rate(images, labels, mode=mode),
         ):
-            with pytest.raises(ValueError, match=r"must be a finite \(batch, H, W\) array"):
+            with pytest.raises(ValueError, match=message):
                 run()
 
     def test_unknown_mode_rejected(self, trained_hybrid_setup):

@@ -223,10 +223,10 @@ class TestDotProductEquivalence:
         [
             dict(adder="tff", input_generator="ramp", weight_generator="lowdisc"),
             dict(adder="mux", input_generator="lfsr", weight_generator="lfsr"),
-            dict(adder="or", input_generator="lowdisc", weight_generator="lowdisc"),
             dict(adder="mux", input_generator="ramp", weight_generator="lfsr"),
+            dict(adder="tff", input_generator="lfsr", weight_generator="lfsr"),
         ],
-        ids=["this_work", "old_sc", "or_lowdisc", "mux_ramp"],
+        ids=["this_work", "old_sc", "mux_ramp", "tff_lfsr"],
     )
     @pytest.mark.parametrize("precision", [4, 6, 8])
     def test_engine_backends_bit_identical(self, kwargs, precision):
@@ -316,5 +316,5 @@ class TestEvaluatorEquivalence:
             estimates = np.asarray(sums).sum(-1) / n
             exact = 0.5 * (values[:, np.newaxis] + values[np.newaxis])
             expected = float(np.mean((estimates - exact) ** 2))
-            for mode in ("counts", "streams"):
+            for mode in (None, "streams"):
                 assert adder_mse(config, 4, mode=mode) == expected

@@ -42,11 +42,7 @@ class TestRule:
 
     def test_stream_path_budgets_the_lane_products(self):
         # 64 lanes x 25 taps x 4 words x 8 bytes = 51.2 KB per row.
-        for engine in (
-            new_sc_engine(8, faults=FLIPS),
-            new_sc_engine(8, mode="streams"),
-            StochasticDotProductEngine(precision=8, adder="or"),
-        ):
+        for engine in (new_sc_engine(8, faults=FLIPS), new_sc_engine(8, mode="streams")):
             assert tile_patches(engine, 32, 25) == TILE_BYTES // 51200 == 81
 
     def test_bipolar_budgets_the_padded_xnor_products(self):
@@ -71,20 +67,23 @@ class TestRule:
         assert new_sc_engine(8, faults=FaultSpec(sng_stuck_cells=((1, 1),)))._use_count_mode
         assert not new_sc_engine(8, mode="streams")._use_count_mode
         assert not new_sc_engine(8, faults=FLIPS)._use_count_mode
-        assert not StochasticDotProductEngine(precision=8, adder="or")._use_count_mode
         for adder in ("tff", "mux"):
             assert BipolarDotProductEngine(precision=8, adder=adder)._use_count_mode
             assert not BipolarDotProductEngine(precision=8, adder=adder, faults=FLIPS)._use_count_mode
 
 
 class TestEvaluate:
+    # Faults or mode="streams" put the bank on a stream path.
+    @pytest.mark.parametrize("mode", [None, "streams"])
     @pytest.mark.parametrize("faults", [None, FLIPS])
-    @pytest.mark.parametrize("adder", ["tff", "mux", "or"])
-    def test_tiles_match_one_direct_counts_call(self, adder, faults):
+    @pytest.mark.parametrize("adder", ["tff", "mux"])
+    def test_tiles_match_one_direct_counts_call(self, adder, faults, mode):
         rng = np.random.default_rng(2)
         values = rng.random((3, 7, 9))
         kernels = rng.uniform(-1.0, 1.0, (4, 9))
-        engine = StochasticDotProductEngine(precision=5, adder=adder, seed=2, faults=faults)
+        engine = StochasticDotProductEngine(
+            precision=5, adder=adder, seed=2, mode=mode, faults=faults
+        )
         bank = engine.prepare_weights(kernels)
         # Leading axes flatten in C order; faults are keyed on row indices.
         expected = bank.counts(engine.apply_faults(engine.prepare_inputs(values)))
@@ -95,12 +94,15 @@ class TestEvaluate:
             np.testing.assert_array_equal(pos, expected[0])
             np.testing.assert_array_equal(neg, expected[1])
 
+    @pytest.mark.parametrize("mode", [None, "streams"])
     @pytest.mark.parametrize("faults", [None, FLIPS])
     @pytest.mark.parametrize("adder", ["tff", "mux"])
-    def test_bipolar_tiles_match_one_direct_counts_call(self, adder, faults):
+    def test_bipolar_tiles_match_one_direct_counts_call(self, adder, faults, mode):
         rng = np.random.default_rng(3)
         values = rng.uniform(-1.0, 1.0, (2, 11, 5))
-        engine = BipolarDotProductEngine(precision=6, adder=adder, seed=2, faults=faults)
+        engine = BipolarDotProductEngine(
+            precision=6, adder=adder, seed=2, mode=mode, faults=faults
+        )
         bank = engine.prepare_weights(rng.uniform(-1.0, 1.0, (3, 5)))
         expected = bank.counts(engine.apply_faults(engine.prepare_inputs(values)))
         for tile in (1, 3, 37, None):
