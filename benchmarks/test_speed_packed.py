@@ -19,7 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.bitstream import pack_bits, packed_popcount
+from repro.datasets import SyntheticDigits
 from repro.faults import FaultSpec
+from repro.hybrid import HybridStochasticBinaryNetwork
+from repro.nn import build_lenet5_small, quantize_and_freeze
 from repro.rng import ComparatorSNG, VanDerCorputSource, ramp_compare_batch
 from repro.sc import (
     AdderTree,
@@ -28,6 +31,7 @@ from repro.sc import (
     StochasticDotProductEngine,
     TffAdder,
     new_sc_engine,
+    old_sc_engine,
     split_weights,
 )
 from repro.sc.dotproduct import stochastic_dot_product
@@ -373,6 +377,45 @@ def test_bipolar_count_dot_speedup():
             "speedup": speedup,
         }
     )
+
+
+def test_hybrid_bitexact_vs_emulate():
+    """Bit-exact vs. emulated first layer, per image through the whole network.
+
+    ``predict_classes`` on 4 synthetic digits at precision 8, for both
+    designs, on a seeded LeNet-small conditioned like the Table 3 harness
+    (stochastic-resolution first layer, soft threshold 0.02).  Each network
+    is warm: its filter bank, leaf tables and emulator calibration were
+    built by an untimed call per mode.  The row reports bit-exact time over
+    emulate time per design; CI bounds it.
+    """
+    images = SyntheticDigits.generate(train_size=1, test_size=4, seed=4).x_test
+    model = quantize_and_freeze(
+        build_lenet5_small(seed=4), precision=8, sc_resolution=True, soft_threshold=0.02
+    )
+    row = {"images": int(images.shape[0]), "precision": 8}
+    for design, factory in (("this_work", new_sc_engine), ("old_sc", old_sc_engine)):
+        net = HybridStochasticBinaryNetwork(
+            model, engine=factory(8, seed=5), soft_threshold=0.02, seed=4
+        )
+        per_image = {}
+        for mode in ("emulate", "bitexact"):
+            warm = net.predict_classes(images, mode=mode)
+            seconds, classes = best_of(lambda: net.predict_classes(images, mode=mode))
+            np.testing.assert_array_equal(classes, warm)
+            per_image[mode] = seconds / images.shape[0]
+        ratio = per_image["bitexact"] / per_image["emulate"]
+        print(
+            f"\nhybrid {design}, batch {images.shape[0]}, N=256: emulate "
+            f"{per_image['emulate'] * 1e3:.2f} ms/image, bit-exact "
+            f"{per_image['bitexact'] * 1e3:.2f} ms/image ({ratio:.2f}x)"
+        )
+        row[design] = {
+            "emulate_seconds_per_image": per_image["emulate"],
+            "bitexact_seconds_per_image": per_image["bitexact"],
+            "ratio": ratio,
+        }
+    _write_artifact(hybrid_bitexact_vs_emulate=row)
 
 
 def _write_artifact(**sections):

@@ -17,6 +17,14 @@ The class supports three evaluation modes for the first layer:
 * ``"emulate"``   -- the calibrated fast emulator
                      (:mod:`repro.hybrid.emulation`).
 
+The bit-exact first layer is built once, with the network: one
+:class:`~repro.sc.convolution.StochasticConv2D` whose filter bank (weight
+streams, MUX select streams, and leaf tables from the first bit-exact call
+on) serves every later call, as the hardware loads its weight converters and
+select sources once.  A bank is a pure function of (engine, kernels), so
+bit-exact outputs do not depend on how images are batched, on their order or
+on earlier calls.  Each call converts the acquired images to comparator
+levels once per pixel and takes only the sign activation from the counters.
 Bit-level simulation stores 64 stream bits per machine word (see
 :mod:`repro.bitstream.packed`); its counters equal those of the
 byte-per-bit reference kernels in :mod:`repro.sc.dotproduct`.
@@ -51,11 +59,13 @@ def _is_positive_int(value) -> bool:
 
 
 def _as_images(images) -> np.ndarray:
-    """``images`` as a float64 ``(batch, H, W)`` array of finite pixels in ``[0, 1]``,
-    else ``ValueError``."""
+    """``images`` as a float64 ``(batch, H, W)`` array of at least one image, with
+    finite pixels in ``[0, 1]``, else ``ValueError``."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 3:
         raise ValueError(f"images must be a finite (batch, H, W) array, got shape {images.shape}")
+    if images.shape[0] < 1:
+        raise ValueError(f"images must hold at least one image, got shape {images.shape}")
     if images.size:
         # min and max propagate NaN and infinities without a per-pixel temporary.
         low, high = images.min(), images.max()
@@ -142,6 +152,14 @@ class HybridStochasticBinaryNetwork:
         self.calibration_samples = int(calibration_samples)
         self.seed = int(seed)
         self._info = self._extract_first_layer(model)
+        #: The bit-exact first layer: one filter bank for the network's lifetime.
+        self._stochastic_layer = StochasticConv2D(
+            self._info.kernels,
+            engine=self.engine,
+            padding=self._info.padding,
+            stride=self._info.stride,
+            soft_threshold=self.soft_threshold,
+        )
         self._emulator: Optional[CalibratedSCEmulator] = None
 
     # ------------------------------------------------------------------ #
@@ -188,8 +206,8 @@ class HybridStochasticBinaryNetwork:
         """Image patches per tile of the bit-exact first layer.
 
         The engine's tile rule (:func:`repro.sc.dotproduct.tile_patches`)
-        for the first layer's kernel shape.  Computed without building a
-        filter bank, so reading it consumes no MUX select seed.
+        for the first layer's kernel shape: the rows of the level-patch
+        tiles the network's one filter bank evaluates.
         """
         filters, kh, kw = self._info.kernels.shape
         return dotproduct.tile_patches(self.engine, filters, kh * kw)
@@ -203,16 +221,13 @@ class HybridStochasticBinaryNetwork:
         return self.model.layers[0].forward(x)
 
     def first_layer_bitexact(self, images: np.ndarray) -> np.ndarray:
-        """Evaluate the first layer with full bit-level stochastic simulation."""
+        """Evaluate the first layer with full bit-level stochastic simulation.
+
+        Runs the network's one :class:`StochasticConv2D` and reads only its
+        sign activations.
+        """
         acquired = self.front_end.acquire(np.asarray(images, dtype=np.float64))
-        layer = StochasticConv2D(
-            self._info.kernels,
-            engine=self.engine,
-            padding=self._info.padding,
-            stride=self._info.stride,
-            soft_threshold=self.soft_threshold,
-        )
-        return layer.forward(acquired).sign.astype(np.float64)
+        return self._stochastic_layer.forward(acquired).sign.astype(np.float64)
 
     def first_layer_emulated(self, images: np.ndarray) -> np.ndarray:
         """Evaluate the first layer with the calibrated fast emulator."""
@@ -255,8 +270,8 @@ class HybridStochasticBinaryNetwork:
 
         ``mode`` selects the first-layer evaluation: ``"binary"``,
         ``"bitexact"`` or ``"emulate"``.  ``images`` must be a
-        ``(batch, H, W)`` array of finite pixels in ``[0, 1]``; both are
-        checked before any first-layer work.
+        ``(batch, H, W)`` array of at least one image, with finite pixels in
+        ``[0, 1]``; both are checked before any first-layer work.
         """
         first_layer = {
             "binary": self.first_layer_binary,
@@ -282,8 +297,6 @@ class HybridStochasticBinaryNetwork:
         if not _is_positive_int(batch_size):
             raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
         images = _as_images(images)
-        if images.shape[0] < 1:
-            raise ValueError(f"images must hold at least one image, got shape {images.shape}")
         predictions = []
         for start in range(0, images.shape[0], batch_size):
             logits = self.forward(images[start : start + batch_size], mode=mode)

@@ -44,9 +44,8 @@ zero code.  Both behaviours are pinned by regression tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from ..bitstream.packed import (
 )
 from ..faults.spec import FaultSpec
 from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource, level_dtype
-from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
+from .elements.adders import AdderTree, TreePlan
 from .dotproduct import FilterBank, StochasticDotProductEngine, resolve_mode
 
 __all__ = ["BipolarDotProductResult", "BipolarWeightBank", "BipolarDotProductEngine"]
@@ -164,7 +163,7 @@ class BipolarWeightBank(FilterBank):
         Values are bipolar, in ``[-1, 1]``; evaluated in bounded-memory tiles
         like :meth:`repro.sc.dotproduct.PreparedWeights.evaluate`.
         """
-        return self._tiled(values)[0]
+        return self._tiled(np.asarray(values, dtype=np.float64), self.engine.prepare_inputs)[0]
 
     def counts(self, prepared: np.ndarray) -> np.ndarray:
         """Tree-output counts ``(..., filters)`` for one tile of prepared inputs
@@ -215,6 +214,10 @@ class BipolarDotProductEngine:
     _use_count_mode = StochasticDotProductEngine._use_count_mode
     input_words = StochasticDotProductEngine.input_words
     apply_faults = StochasticDotProductEngine.apply_faults
+    # Every bank restarts its MUX select seeds (node i gets 777*seed + 1 + i),
+    # so repeated evaluations on one engine are deterministic.
+    _select_seed_scale: ClassVar[int] = 777
+    _adder_factory = StochasticDotProductEngine._adder_factory
 
     def __post_init__(self) -> None:
         if self.precision < 2:
@@ -235,15 +238,6 @@ class BipolarDotProductEngine:
         if self._use_count_mode:
             return leaves * max(filters * level_dtype(self.length).itemsize, 8)
         return leaves * filters * words_for(self.length) * 8
-
-    def _adder_factory(self) -> Callable[[], object]:
-        if self.adder == "tff":
-            return TffAdder
-        # A fresh seed sequence per factory: every bank instantiates the same
-        # select sources (node i always gets seed 777*seed + i + 1), so
-        # repeated evaluations on one engine are deterministic.
-        seeds = itertools.count(self.seed * 777 + 1)
-        return lambda: MuxAdder(seed=next(seeds))
 
     # ------------------------------------------------------------------ #
     # input levels and streams

@@ -14,28 +14,45 @@ freely inside a network.
 
 Filter axis and tiling contract
 -------------------------------
-The layer is *filter-parallel*: the engine's
+The layer is *filter-parallel*: at construction the engine's
 :meth:`~repro.sc.dotproduct.StochasticDotProductEngine.prepare_weights`
 builds one weight-stream bank with a leading filter axis (``(filters, 2,
 taps, words)``) and one lane-per-``(filter, sign)`` adder-tree plan, so a
 single vectorized reduction covers every kernel -- with the counter values
 of evaluating the kernels one at a time, for every adder and generator
 configuration, because adder nodes are instantiated in filter-major order.
+The layer keeps that one bank for its lifetime, as the hardware loads its
+weight converters and select sources once: a bank is a pure function of
+(engine, kernels) -- MUX select seeds restart with each bank (see "MUX
+select seeds" in :mod:`repro.sc.dotproduct`) -- and its leaf tables are
+built on the first evaluation and reused by every later one.
+
+Each forward pass converts the image batch to a *comparator-level map*
+with one ``prepare_inputs`` call, as the sensor front end converts each
+pixel once (Section IV-A, Fig. 3); patches are then cut from the level map,
+not from the pixels.  A level depends only on its pixel and zero padding is
+level 0 for every input source, so the patches hold exactly the levels of
+converting every tap of every patch.
 
 Execution is *tile-streamed* by the bank itself
-(:meth:`~repro.sc.dotproduct.PreparedWeights.evaluate`): the image patches
-of the whole batch are cut into tiles of
+(:meth:`~repro.sc.dotproduct.PreparedWeights.evaluate_levels`): the level
+patches of the whole batch are cut into tiles of
 :func:`~repro.sc.dotproduct.tile_patches` rows -- a fixed byte budget over
 the per-patch size of the largest temporary on the path the bank runs --
-and each tile's pixels are converted to comparator levels, fault-injected
-at the tile's global patch offset and counted.  Peak memory is therefore
-bounded at any batch size: gathered leaf counts on the leaf-table path,
-lane products wherever input streams are built (stream faults and
-``mode="streams"``).  This is what lets ``REPRO_BITEXACT=1`` runs cover the
-full MNIST test set.  Level conversion is stateless and the weight bank (select
-streams and leaf tables included) is built once per forward pass and
-reused, so any tiling -- including tiles that do not divide the patch
-count -- produces counts bit-identical to one untiled pass.
+and each tile is fault-injected at its global patch offset and counted.
+Peak memory is therefore bounded at any batch size: gathered leaf counts on
+the leaf-table path, lane products wherever input streams are built (stream
+faults and ``mode="streams"``).  This is what lets ``REPRO_BITEXACT=1`` runs
+cover the full MNIST test set.  Any tiling -- including tiles that do not
+divide the patch count -- produces counts bit-identical to one untiled
+pass.
+
+Results
+-------
+:class:`StochasticConvResult` holds the two counter maps only; the sign
+activation and the reconstructed value are derived from them on access, so
+a caller that reads only the sign (the hybrid network's bit-exact first
+layer) computes nothing else.
 
 Evaluation mode
 ---------------
@@ -55,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from ..utils.windows import conv_output_size, extract_patches, patches_to_map
-from .dotproduct import StochasticDotProductEngine, new_sc_engine
+from .dotproduct import DotProductResult, StochasticDotProductEngine, new_sc_engine
 
 __all__ = [
     "StochasticConvResult",
@@ -64,18 +81,41 @@ __all__ = [
 
 
 @dataclass
-class StochasticConvResult:
-    """All outputs of one stochastic convolution pass."""
+class StochasticConvResult(DotProductResult):
+    """All outputs of one stochastic convolution pass: the two counter maps.
 
-    #: Sign activations, shape ``(batch, filters, out_h, out_w)``, values -1/0/+1.
-    sign: np.ndarray
-    #: Reconstructed dot-product values (same shape) -- used for analysis and
-    #: for validating the fast emulation mode; a real sensor node would not
-    #: compute these.
-    value: np.ndarray
-    #: Positive- and negative-path counter outputs (same shape).
-    positive_count: np.ndarray
-    negative_count: np.ndarray
+    ``positive_count`` and ``negative_count`` are int64 maps of shape
+    ``(batch, filters, out_h, out_w)``.  :attr:`sign` and :attr:`value` are
+    derived from them on access, as for
+    :class:`~repro.sc.dotproduct.DotProductResult`, and are 0 where the soft
+    threshold zeroes an output.
+    """
+
+    #: The layer's soft threshold, a fraction of the counter range.
+    soft_threshold: float = 0.0
+
+    def _below_threshold(self) -> Optional[np.ndarray]:
+        """Where the soft threshold zeroes an output, or ``None`` without one."""
+        if self.soft_threshold > 0.0:
+            diff = self.positive_count - self.negative_count
+            return np.abs(diff) < self.soft_threshold * self.length
+        return None
+
+    @property
+    def sign(self) -> np.ndarray:
+        """Sign activations (same shape), int8 values -1/0/+1."""
+        sign = super().sign
+        below = self._below_threshold()
+        return sign if below is None else np.where(below, 0, sign).astype(np.int8)
+
+    @property
+    def value(self) -> np.ndarray:
+        """Reconstructed dot-product values (same shape) -- used for analysis
+        and for validating the fast emulation mode; a real sensor node would
+        not compute these."""
+        value = super().value
+        below = self._below_threshold()
+        return value if below is None else np.where(below, 0.0, value)
 
 
 class StochasticConv2D:
@@ -127,6 +167,11 @@ class StochasticConv2D:
         self.padding = int(padding)
         self.stride = int(stride)
         self.soft_threshold = float(soft_threshold)
+        #: One weight bank for all kernels (leading filter axis, fused
+        #: positive/negative trees), shared by every tile of every forward
+        #: pass -- exactly as the weight-side converters are shared in
+        #: hardware.
+        self.bank = self.engine.prepare_weights(kernels.reshape(self.filters, -1))
 
     @property
     def filters(self) -> int:
@@ -166,33 +211,20 @@ class StochasticConv2D:
         if images.size and (images.min() < -1e-9 or images.max() > 1.0 + 1e-9):
             raise ValueError("pixel values must lie in [0, 1]")
 
-        kh, kw = self.kernel_size
-        out_h, out_w = self.output_shape(images.shape[1:])
-        patches = extract_patches(images, (kh, kw), self.stride, self.padding)
-
-        # One weight bank for all kernels (leading filter axis, fused
-        # positive/negative trees), shared by every patch tile -- exactly as
-        # the weight-side converters are shared in hardware.
-        bank = self.engine.prepare_weights(self.kernels.reshape(self.filters, kh * kw))
-        pos, neg = bank.evaluate(patches)
-
-        length = self.engine.length
-        tree_scale = bank.tree_scale
-        value = (pos - neg).astype(np.float64) / length * tree_scale
-        sign = np.sign(pos - neg).astype(np.int8)
-        if self.soft_threshold > 0.0:
-            below = np.abs(pos - neg) < self.soft_threshold * length
-            sign = np.where(below, 0, sign).astype(np.int8)
-            value = np.where(below, 0.0, value)
-
+        out_shape = self.output_shape(images.shape[1:])
+        # One comparator level per pixel; patches are cut from the level map.
+        levels = self.engine.prepare_inputs(images)
+        patches = extract_patches(levels, self.kernel_size, self.stride, self.padding)
+        pos, neg = self.bank.evaluate_levels(patches)
         # ``patches_to_map`` is a pure reshape/transpose, so counts stay int64
         # end to end -- no float64 round trip that would silently corrupt
         # counter values beyond 2**53.
         return StochasticConvResult(
-            sign=patches_to_map(sign, (out_h, out_w)),
-            value=patches_to_map(value, (out_h, out_w)),
-            positive_count=patches_to_map(pos, (out_h, out_w)),
-            negative_count=patches_to_map(neg, (out_h, out_w)),
+            positive_count=patches_to_map(pos, out_shape),
+            negative_count=patches_to_map(neg, out_shape),
+            length=self.engine.length,
+            tree_scale=self.bank.tree_scale,
+            soft_threshold=self.soft_threshold,
         )
 
     def __repr__(self) -> str:

@@ -32,16 +32,27 @@ This module holds two layers:
 
 Tiles
 -----
-A bank evaluates input values of any batch size in bounded memory
-(:meth:`PreparedWeights.evaluate`): leading axes are flattened in C order into
-rows, and each tile of rows is converted, fault-injected at its global row
-offset and counted on its own.  The tile comes from one rule,
+A bank evaluates inputs of any batch size in bounded memory: leading axes are
+flattened in C order into rows, and each tile of rows is fault-injected at
+its global row offset and counted on its own -- converted to comparator
+levels tile by tile from input values (:meth:`PreparedWeights.evaluate`), or
+taken as levels converted beforehand (:meth:`PreparedWeights.evaluate_levels`,
+the convolution layer's level-map path).  The tile comes from one rule,
 :func:`tile_patches`: the byte budget :data:`TILE_BYTES` over the per-row
 size of the largest temporary on the path the bank runs
 (:meth:`StochasticDotProductEngine.patch_bytes`).  The bank's weight
 streams, select streams and leaf tables are built once and reused, and
 fault masks are keyed on global row indices, so any tile gives the counts
 of one untiled pass.
+
+MUX select seeds
+----------------
+Each bank instantiates its own MUX adders from a fresh seed sequence
+(:meth:`StochasticDotProductEngine._adder_factory`): node ``i`` of the bank's
+tree plan -- lane-major, each lane's tree level by level -- gets select seed
+``seed * 1000 + 1 + i``.  So a bank is a pure function of (engine, kernels):
+every bank built from one kernel set counts alike, whatever was evaluated on
+the engine before, which models select LFSRs that restart with every frame.
 
 Comparator levels
 -----------------
@@ -65,7 +76,8 @@ faults and in stream mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
@@ -232,30 +244,27 @@ class FilterBank:
     counters = 1
     _tables: Optional[np.ndarray] = None
 
-    def _tiled(self, values: np.ndarray) -> np.ndarray:
-        """Counts ``(counters, ..., filters)`` for values ``(..., taps)``, tile by tile.
+    def _tiled(self, inputs: np.ndarray, prepare: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Counts ``(counters, ..., filters)`` for inputs ``(..., taps)``, tile by tile.
 
         Leading axes are flattened in C order into rows; each tile
-        ``[start, stop)`` of rows runs ``prepare_inputs``, then
-        ``apply_faults(offset=start)``, then :meth:`counts` -- the global
-        row indices an untiled pass would use, so tiling never changes a
-        count.  Zero rows give empty counts.
+        ``[start, stop)`` of rows runs ``prepare`` (values to comparator
+        levels, or nothing for levels), then ``apply_faults(offset=start)``,
+        then :meth:`counts` -- the global row indices an untiled pass would
+        use, so tiling never changes a count.  Zero rows give empty counts.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim < 1 or values.shape[-1] != self.taps:
+        if inputs.ndim < 1 or inputs.shape[-1] != self.taps:
             raise ValueError(
-                f"tap count mismatch: inputs have shape {values.shape}, "
+                f"tap count mismatch: inputs have shape {inputs.shape}, "
                 f"the bank has {self.taps} taps"
             )
-        rows = values.reshape(-1, self.taps)
+        rows = inputs.reshape(-1, self.taps)
         tile = tile_patches(self.engine, self.filters, self.taps)
         out = np.empty((self.counters, rows.shape[0], self.filters), dtype=np.int64)
         for start in range(0, rows.shape[0], tile):
-            prepared = self.engine.apply_faults(
-                self.engine.prepare_inputs(rows[start : start + tile]), offset=start
-            )
+            prepared = self.engine.apply_faults(prepare(rows[start : start + tile]), offset=start)
             out[:, start : start + tile] = self.counts(prepared)
-        return out.reshape((self.counters,) + values.shape[:-1] + (self.filters,))
+        return out.reshape((self.counters,) + inputs.shape[:-1] + (self.filters,))
 
     def leaf_tables(self) -> np.ndarray:
         """Leaf tables ``(leaves, N + 1, lanes)`` of the level dtype, built once: entry
@@ -341,8 +350,9 @@ class PreparedWeights(FilterBank):
 
     Built once per kernel set by
     :meth:`StochasticDotProductEngine.prepare_weights`; :meth:`evaluate`
-    runs it on input values in bounded-memory tiles, and :meth:`counts` --
-    the engine's only evaluator -- counts one tile of prepared inputs.
+    runs it on input values and :meth:`evaluate_levels` on comparator levels
+    in bounded-memory tiles, and :meth:`counts` -- the engine's only
+    evaluator -- counts one tile of prepared inputs.
     Weight streams carry a leading *filter* axis and a positive/negative axis
     -- ``(filters, 2, taps, W)`` packed words -- so one vectorized tree
     reduction covers every ``(filter, sign)`` pair at once, and the positive
@@ -354,12 +364,13 @@ class PreparedWeights(FilterBank):
     -- 0.8 MB at Table 3 scale, 13 MB at N = 4096.
 
     The tree plan's adders are instantiated filter-major (filter 0's positive
-    tree, then its negative tree, then filter 1, ...), exactly the node order
-    of evaluating the filters one at a time with
-    :func:`stochastic_dot_product`, so stateful adder factories (per-node MUX
-    select seeds) produce the same counts as a sequence of one-filter banks
-    -- including across successive calls on one engine.  Because the plan
-    caches its select streams, evaluating inputs tile by tile is
+    tree, then its negative tree, then filter 1, ...) from one fresh adder
+    factory, exactly the node order of reducing the filters one at a time
+    with :func:`stochastic_dot_product` through that factory.  MUX select
+    seeds are keyed on (engine seed, lane, node) and restart with each bank
+    (see "MUX select seeds" in the module docstring), so a second bank of
+    the same kernels on one engine counts exactly like the first.  Because
+    the plan caches its select streams, evaluating inputs tile by tile is
     bit-identical to one untiled pass.
     """
 
@@ -408,10 +419,25 @@ class PreparedWeights(FilterBank):
         """Positive and negative counts ``(..., filters)`` for input values ``(..., taps)``.
 
         Values are unipolar, in ``[0, 1]``.  Runs :meth:`counts` on tiles of
-        :func:`tile_patches` rows (:meth:`FilterBank._tiled`), so memory
-        stays bounded at any batch size.
+        :func:`tile_patches` rows (:meth:`FilterBank._tiled`), each converted
+        by ``prepare_inputs`` on its own, so memory stays bounded at any
+        batch size.
         """
-        pos, neg = self._tiled(values)
+        pos, neg = self._tiled(np.asarray(values, dtype=np.float64), self.engine.prepare_inputs)
+        return pos, neg
+
+    def evaluate_levels(self, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`evaluate` on comparator levels ``(..., taps)`` from ``prepare_inputs``.
+
+        The same tiles, fault offsets and counts as :meth:`evaluate` on the
+        values behind ``levels``: a level depends only on its value, so
+        converting before cutting rows (a whole image at once, say) changes
+        no count.
+        """
+        levels = np.asarray(levels)
+        if not np.issubdtype(levels.dtype, np.integer):
+            raise TypeError(f"comparator levels must be integers, got dtype {levels.dtype}")
+        pos, neg = self._tiled(levels, lambda rows: rows)
         return pos, neg
 
     def counts(self, prepared: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -440,7 +466,9 @@ class StochasticDotProductEngine:
     :meth:`prepare_weights` builds it, and its
     :meth:`~PreparedWeights.evaluate` runs :meth:`prepare_inputs` (values to
     comparator levels), :meth:`apply_faults` (expansion and corruption under
-    stream faults) and :meth:`~PreparedWeights.counts` tile by tile.
+    stream faults) and :meth:`~PreparedWeights.counts` tile by tile
+    (:meth:`~PreparedWeights.evaluate_levels` takes levels converted
+    beforehand).
     :meth:`dot` and :meth:`dot_filters` wrap one bank.  Streams are simulated as
     packed words -- 64 clock cycles per uint64
     (:mod:`repro.bitstream.packed`); the byte-per-bit reference
@@ -458,7 +486,9 @@ class StochasticDotProductEngine:
     weight_generator:
         ``"lowdisc"`` (this work) or ``"lfsr"`` (old designs).
     seed:
-        Seed for LFSR-based and MUX-select sources.
+        Seed for LFSR-based and MUX-select sources.  Select seeds are keyed
+        on (seed, lane, node) and restart with each bank (see "MUX select
+        seeds" in the module docstring).
     mode:
         ``"auto"`` (the default; ``None`` resolves to it) takes the fastest
         exact path (:attr:`evaluation_path`): without stream faults, leaf
@@ -470,11 +500,10 @@ class StochasticDotProductEngine:
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment.  Stream-level faults (flips, stuck-at, bursts) are
-        injected into the *input* streams -- by
-        :meth:`PreparedWeights.evaluate` calling :meth:`apply_faults` with
-        each tile's row offset, which expands the levels into streams
-        first.  A faulted stream is no comparator output, so no leaf table
-        holds its counts: TFF trees then halve the popcounts of the
+        injected into the *input* streams -- by the bank's tiled
+        evaluation calling :meth:`apply_faults` with each tile's row
+        offset, which expands the levels into streams first.  A faulted
+        stream is no comparator output, so no leaf table holds its counts: TFF trees then halve the popcounts of the
         faulted leaf products (exact for any leaf bits) and MUX trees
         reduce the streams.
         ``sng_stuck_cells`` additionally defects the LFSR of LFSR-based
@@ -486,6 +515,8 @@ class StochasticDotProductEngine:
 
     #: Stream representation, recorded in run manifests: packed uint64 words.
     backend: ClassVar[str] = "packed"
+    #: A bank's MUX select seeds start at ``seed * _select_seed_scale + 1``.
+    _select_seed_scale: ClassVar[int] = 1000
 
     precision: int = 8
     adder: str = "tff"
@@ -494,7 +525,6 @@ class StochasticDotProductEngine:
     seed: int = 1
     mode: Optional[str] = None
     faults: Optional[FaultSpec] = None
-    _mux_seed_counter: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.precision < 2:
@@ -525,8 +555,8 @@ class StochasticDotProductEngine:
         Expands the comparator levels into packed streams
         (:meth:`input_words`) and corrupts them; ``offset`` is the global
         index of the first stream in ``prepared``
-        (:meth:`PreparedWeights.evaluate` passes its tile start, so every
-        tile yields the faulted streams of one untiled pass).  Returns the
+        (the bank's tiled evaluation passes its tile start, so every tile
+        yields the faulted streams of one untiled pass).  Returns the
         levels unchanged when no stream fault channel is active.  Callers
         feeding :meth:`PreparedWeights.counts` directly apply it
         themselves.
@@ -638,21 +668,18 @@ class StochasticDotProductEngine:
         )
 
     def _adder_factory(self) -> Callable[[], object]:
+        """A fresh adder factory for one bank (both engines).
+
+        MUX trees give every node its own select source, so node outputs
+        stay mutually uncorrelated like independent hardware LFSRs.  Each
+        factory restarts the seed sequence, so node ``i`` of every bank's
+        plan (lane-major, level by level) gets seed
+        ``seed * _select_seed_scale + 1 + i``.
+        """
         if self.adder == "tff":
             return TffAdder
-
-        def make_mux() -> MuxAdder:
-            # Give every tree node its own select source so node outputs stay
-            # mutually uncorrelated, mirroring independent hardware LFSRs.
-            # The counter deliberately advances across banks: sequential
-            # evaluations on one engine see *continuing* select streams,
-            # modelling free-running hardware sources (the bipolar engine,
-            # whose ablation needs repeatable single evaluations, restarts
-            # its seeds per bank instead).
-            self._mux_seed_counter += 1
-            return MuxAdder(seed=self.seed * 1000 + self._mux_seed_counter)
-
-        return make_mux
+        seeds = itertools.count(self.seed * self._select_seed_scale + 1)
+        return lambda: MuxAdder(seed=next(seeds))
 
     # ------------------------------------------------------------------ #
     # computation

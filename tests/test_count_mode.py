@@ -204,12 +204,12 @@ def test_paper_engines_accept_mode(factory):
     np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
 
 
-def test_mux_select_periodicity_across_repeated_calls():
-    """Free-running MUX selects keep advancing across dot() calls in both modes.
+def test_repeated_mux_calls_on_one_engine_return_identical_counts():
+    """Repeated dot() calls on one MUX engine return identical counts, in both modes.
 
-    The engine deliberately lets every node's select source continue across
-    sequential evaluations; the count path must consume *exactly* the same
-    select windows as the stream path or the second call diverges.
+    Every bank restarts its nodes' select seeds, so a call's counts depend
+    only on its inputs and weights: the count path and the stream path agree
+    on every call, and a repeated input gives the counts it gave before.
     """
     rng = np.random.default_rng(8)
     x1, x2 = rng.random((4, 10)), rng.random((4, 10))
@@ -220,11 +220,15 @@ def test_mux_select_periodicity_across_repeated_calls():
         )
         for mode in (None, "streams")
     }
+    first = {}
     for x in (x1, x2, x1):
         counted = engines[None].dot(x, w)
         streamed = engines["streams"].dot(x, w)
         np.testing.assert_array_equal(counted.positive_count, streamed.positive_count)
         np.testing.assert_array_equal(counted.negative_count, streamed.negative_count)
+        pos, neg = first.setdefault(id(x), (counted.positive_count, counted.negative_count))
+        np.testing.assert_array_equal(counted.positive_count, pos)
+        np.testing.assert_array_equal(counted.negative_count, neg)
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
@@ -257,7 +261,7 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile):
 def test_stuck_sng_cells_conv_tiled_bit_identical(adder):
     """On a tied input source, the tiled count-domain conv matches the untiled
     stream conv and the byte oracle -- both counters, over three successive
-    forwards on one engine (MUX selects keep running across calls)."""
+    forwards of one layer (its one bank serves every call)."""
     rng = np.random.default_rng(32)
     kernels = rng.uniform(-1.0, 1.0, (3, 3, 3))
 

@@ -9,8 +9,11 @@ including tile sizes that do not divide the patch count.  Tiles are forced
 through the banks' tile rule (``tiles.forced_tile``) and compared against a
 forced single tile.  The loop runs
 against two references: ``"packed"`` -- a sequence of one-filter banks under
-``mode="streams"`` -- and ``"unpacked"`` -- the byte-per-bit reference
-kernels (``sc_oracle``).
+``mode="streams"`` (for MUX trees one ``mode="streams"`` bank over all
+kernels, because every bank restarts its select seeds) -- and ``"unpacked"``
+-- the byte-per-bit reference kernels (``sc_oracle``).  A bank is a pure
+function of (engine, kernels): a second bank on the same engine returns the
+first bank's counts.
 """
 
 import numpy as np
@@ -33,14 +36,17 @@ from tiles import SINGLE_TILE, forced_tile
 def per_filter_reference(reference, engine, x, kernels):
     """The seed path: one kernel at a time, counts stacked last.
 
-    ``"packed"`` evaluates a one-filter bank per kernel (pass a
-    ``mode="streams"`` engine for the stream reduction); ``"unpacked"`` runs
-    the byte-per-bit reference kernels.  Both consume the engine's MUX
-    select seeds filter-major, like one bank over all kernels.
+    ``"unpacked"`` runs the byte-per-bit reference kernels through one adder
+    factory, which consumes MUX select seeds filter-major like one bank over
+    all kernels.  ``"packed"`` evaluates a one-filter bank per kernel (pass a
+    ``mode="streams"`` engine for the stream reduction); every bank restarts
+    its select seeds, so MUX trees take one bank over all kernels instead.
     """
     if reference == "unpacked":
         return sc_oracle.dot_filters(engine, x, kernels)
     prepared = engine.prepare_inputs(x)
+    if engine.adder == "mux":
+        return engine.prepare_weights(kernels).counts(prepared)
     pos, neg = zip(*(engine.prepare_weights(k[np.newaxis]).counts(prepared) for k in kernels))
     return np.concatenate(pos, axis=-1), np.concatenate(neg, axis=-1)
 
@@ -70,19 +76,16 @@ class TestFilterBankEquivalence:
         result = bank_engine.dot_filters(x, kernels)
         np.testing.assert_array_equal(result.positive_count, pos_ref)
         np.testing.assert_array_equal(result.negative_count, neg_ref)
-        # Stateful factories must have advanced identically, so the *next*
-        # evaluation on each engine stays in lockstep too (free-running MUX
-        # select sources).
-        assert bank_engine._mux_seed_counter == reference_engine._mux_seed_counter
-        pos2, neg2 = per_filter_reference(reference, reference_engine, x, kernels)
+        # A second bank on the same engine returns the first bank's counts
+        # (MUX select seeds restart with every bank).
         again = bank_engine.dot_filters(x, kernels)
-        np.testing.assert_array_equal(again.positive_count, pos2)
-        np.testing.assert_array_equal(again.negative_count, neg2)
+        np.testing.assert_array_equal(again.positive_count, pos_ref)
+        np.testing.assert_array_equal(again.negative_count, neg_ref)
 
     @pytest.mark.parametrize("adder", ["tff", "mux"])
     def test_dot_is_a_one_filter_bank(self, adder):
         # dot(x, w) must equal dot_filters(x, w[None]) filter 0 on every call,
-        # with the MUX seed counters in lockstep across successive calls.
+        # and a second bank on the same engine returns the first one's counts.
         rng = np.random.default_rng(12)
         dot_engine, bank_engine = make_engine(adder), make_engine(adder)
         for _ in range(3):
@@ -93,26 +96,34 @@ class TestFilterBankEquivalence:
             np.testing.assert_array_equal(single.positive_count, bank.positive_count[..., 0])
             np.testing.assert_array_equal(single.negative_count, bank.negative_count[..., 0])
             assert single.tree_scale == bank.tree_scale
-            assert dot_engine._mux_seed_counter == bank_engine._mux_seed_counter
+            again = dot_engine.dot(x, w)
+            np.testing.assert_array_equal(again.positive_count, single.positive_count)
+            np.testing.assert_array_equal(again.negative_count, single.negative_count)
 
     @pytest.mark.parametrize("adder", ["tff", "mux"])
     @pytest.mark.parametrize("reference", ["packed", "unpacked"])
     def test_stuck_sng_cells_bank_matches_per_filter_loop(self, adder, reference):
         # A tied input source, three successive calls, and a tiled bank
-        # whose tile size does not divide the input count.
+        # whose tile size does not divide the input count.  Each call builds
+        # a second bank on the same engine, which returns the first bank's
+        # counts.
         rng = np.random.default_rng(21)
         kernels = rng.uniform(-1, 1, (5, 11))
         reference_engine = stuck_cell_engine(adder, mode="streams")
         bank_engine = stuck_cell_engine(adder)
+        first_bank = bank_engine.prepare_weights(kernels)
         for _ in range(3):
             x = rng.random((10, 11))
             pos_ref, neg_ref = per_filter_reference(reference, reference_engine, x, kernels)
             bank = bank_engine.prepare_weights(kernels)
             for start in range(0, 10, 4):
-                p, n = bank.counts(bank_engine.prepare_inputs(x[start : start + 4]))
+                levels = bank_engine.prepare_inputs(x[start : start + 4])
+                p, n = bank.counts(levels)
                 np.testing.assert_array_equal(p, pos_ref[start : start + 4])
                 np.testing.assert_array_equal(n, neg_ref[start : start + 4])
-            assert bank_engine._mux_seed_counter == reference_engine._mux_seed_counter
+                first_p, first_n = first_bank.counts(levels)
+                np.testing.assert_array_equal(first_p, p)
+                np.testing.assert_array_equal(first_n, n)
 
     @pytest.mark.parametrize("reference", ["packed", "unpacked"])
     def test_bank_reuse_across_tiles_matches_untiled(self, reference):
@@ -282,11 +293,13 @@ class TestHybridAndEmulatorTiling:
             tree_scale = 1 << AdderTree().depth(9)
             n = reference_engine.length
             quantized = quantize_unipolar(windows, reference_engine.precision)
-            for kernel in kernels:
-                pos, neg = sc_oracle.dot(reference_engine, windows, kernel)
+            # One oracle pass over all kernels: the calibration bank's
+            # filter-major MUX select seeds.
+            pos, neg = sc_oracle.dot_filters(reference_engine, windows, kernels)
+            for f, kernel in enumerate(kernels):
                 w_pos, w_neg = split_weights(kernel)
                 ideal = (quantized @ (w_pos - w_neg)) / tree_scale * n
-                residuals.append(pos - neg - ideal)
+                residuals.append(pos[:, f] - neg[:, f] - ideal)
             expected = np.concatenate([r.ravel() for r in residuals])
 
             emulator = CalibratedSCEmulator(make_engine(adder))

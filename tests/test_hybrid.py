@@ -287,6 +287,17 @@ class TestHybridNetwork:
         with pytest.raises(ValueError, match="images must hold at least one image"):
             hybrid.predict_classes(np.zeros((0, 28, 28)), mode=mode)
 
+    def test_forward_rejects_an_empty_batch_and_stays_usable(self):
+        # An empty batch must fail before any first-layer work: emulate mode
+        # would otherwise calibrate on zero windows and cache a NaN model.
+        model = quantize_and_freeze(build_lenet5_small(filters1=2), precision=4)
+        hybrid = HybridStochasticBinaryNetwork(model, engine=new_sc_engine(4))
+        for mode in ("binary", "bitexact", "emulate"):
+            with pytest.raises(ValueError, match="images must hold at least one image"):
+                hybrid.forward(np.zeros((0, 28, 28)), mode=mode)
+        logits = hybrid.forward(np.full((2, 28, 28), 0.5), mode="emulate")
+        assert logits.shape == (2, 10) and np.all(np.isfinite(logits))
+
     @pytest.mark.parametrize("images", ["2d", "4d", "nan", "out_of_range"])
     @pytest.mark.parametrize("mode", ["binary", "bitexact", "emulate"])
     def test_bad_images_rejected_before_any_first_layer_work(self, mode, images, monkeypatch):
