@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 import netlist_oracle
+import sc_oracle
 from repro.bitstream import bipolar_to_unipolar
 from repro.netlist import build_sc_dot_product, build_sng, simulate, simulate_batch
 from repro.rng import MAXIMAL_TAPS, ComparatorSNG, SobolSource, VanDerCorputSource
 from repro.sc import BipolarDotProductEngine, BipolarDotProductResult, TffAdder
-from repro.sc.dotproduct import bipolar_stochastic_dot_product
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_netlist.json"
 REPEATS = 3
@@ -186,7 +186,7 @@ def test_packed_bipolar_dot_product_speedup_at_4096():
 
     Pinned to ``mode="streams"``: this row compares the packed adder-tree
     stream reduction with the byte-per-bit reference kernel
-    (:func:`~repro.sc.dotproduct.bipolar_stochastic_dot_product`), both
+    (``sc_oracle.bipolar_stochastic_dot_product``), both
     including stream generation; the count-domain mode (which skips that
     reduction entirely) has its own ``bipolar_count_dot`` row in
     BENCH_packed.json.
@@ -206,7 +206,7 @@ def test_packed_bipolar_dot_product_speedup_at_4096():
         w_bits = ComparatorSNG(SobolSource(precision, dimension=1)).generate_bits(
             bipolar_to_unipolar(w), length
         )
-        return bipolar_stochastic_dot_product(x_bits, w_bits, TffAdder)
+        return sc_oracle.bipolar_stochastic_dot_product(x_bits, w_bits, TffAdder)
 
     reference_s, reference_counts = best_of(reference)
     packed_s, packed = best_of(lambda: engine.dot(x, w))

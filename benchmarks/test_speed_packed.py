@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+import sc_oracle
 from repro.bitstream import pack_bits, packed_popcount
 from repro.datasets import SyntheticDigits
 from repro.faults import FaultSpec
@@ -25,7 +26,6 @@ from repro.hybrid import HybridStochasticBinaryNetwork
 from repro.nn import build_lenet5_small, quantize_and_freeze
 from repro.rng import ComparatorSNG, VanDerCorputSource, ramp_compare_batch
 from repro.sc import (
-    AdderTree,
     BipolarDotProductEngine,
     StochasticConv2D,
     StochasticDotProductEngine,
@@ -63,7 +63,7 @@ def test_packed_dot_product_speedup_at_4096():
     )
     packed_s, packed_counts = best_of(
         lambda: packed_popcount(
-            AdderTree(TffAdder).reduce_packed(x_words & w_words, length)
+            sc_oracle.reduce_packed(TffAdder, x_words & w_words, length)
         )
     )
 
@@ -231,7 +231,7 @@ def test_mux_count_conv_speedup():
     from leaf tables built once per bank from the weight streams ANDed with
     the per-leaf select-ownership masks, and sums them over taps; the
     ``mode="streams"`` path expands the levels into input streams and
-    reduces them level by level through ``packed_mux``.  Counts must be
+    reduces them level by level through word-level MUX selects.  Counts must be
     bit-identical while clearing the acceptance floor of 3x.
     """
     rng = np.random.default_rng(3)

@@ -56,7 +56,7 @@ def test_training_step_speedup():
         ),
     )
 
-    for mine, expected in zip(fast.get_weights(), oracle.get_weights()):
+    for mine, expected in zip(nn_oracle.parameters(fast), nn_oracle.parameters(oracle)):
         np.testing.assert_allclose(mine, expected, rtol=RTOL, atol=ATOL)
 
     speedup = oracle_s / fast_s

@@ -27,11 +27,10 @@ The package is organized bottom-up, mirroring the paper's stack:
 from . import bitstream, datasets, eval, hw, hybrid, netlist, nn, rng, sc, utils
 from .bitstream import Bitstream
 from .hybrid import HybridStochasticBinaryNetwork, SensorFrontEnd
-from .nn import Sequential, build_lenet5, build_lenet5_small, quantize_and_freeze, retrain
+from .nn import Sequential, build_lenet5_small, quantize_and_freeze, retrain
 from .rng import ComparatorSNG, LFSRSource, RampCompareSNG, VanDerCorputSource
 from .sc import (
     MuxAdder,
-    OrAdder,
     StochasticConv2D,
     StochasticDotProductEngine,
     TffAdder,
@@ -49,7 +48,6 @@ __all__ = [
     "VanDerCorputSource",
     "TffAdder",
     "MuxAdder",
-    "OrAdder",
     "StochasticDotProductEngine",
     "StochasticConv2D",
     "new_sc_engine",
@@ -57,7 +55,6 @@ __all__ = [
     "SensorFrontEnd",
     "HybridStochasticBinaryNetwork",
     "Sequential",
-    "build_lenet5",
     "build_lenet5_small",
     "quantize_and_freeze",
     "retrain",

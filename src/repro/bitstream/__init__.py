@@ -1,34 +1,27 @@
 """Bit-stream representations and value encodings for stochastic computing.
 
-Two interchangeable stream representations are provided: the byte-per-bit
-:class:`Bitstream` reference and the 64-bits-per-word
-:class:`~repro.bitstream.packed.PackedBitstream` fast backend, convertible
-losslessly via ``Bitstream.pack()`` / ``PackedBitstream.unpack()``.
+The engines and the netlist simulator keep streams as plain ``uint64``
+arrays, 64 clock cycles per word, and run the word kernels of
+:mod:`repro.bitstream.packed` on them.  :class:`Bitstream` is the
+byte-per-bit object form used by the element functions, the Table 1/2
+sweeps and the examples; ``pack_bits(stream.bits)`` /
+``unpack_bits(words, n)`` convert losslessly.
 """
 
 from .bitstream import Bitstream
-from .correlation import (
-    autocorrelation,
-    overlap_count,
-    pearson_correlation,
-    stochastic_cross_correlation,
-)
+from .correlation import autocorrelation, stochastic_cross_correlation
 from .packed import (
     WORD_BITS,
-    PackedBitstream,
     mask_tail,
     pack_bits,
     pack_comparator_output,
     packed_alternating,
     packed_delay,
-    packed_mux,
-    packed_mux_add,
     packed_not,
     packed_popcount,
     packed_tff_add,
     packed_toggle_states,
     packed_transition_count,
-    packed_xnor,
     unpack_bits,
     words_for,
 )
@@ -39,8 +32,6 @@ from .encoding import (
     clip_bipolar,
     clip_unipolar,
     from_probability,
-    precision_bits,
-    quantization_grid,
     quantize_bipolar,
     quantize_unipolar,
     stream_length,
@@ -50,7 +41,6 @@ from .encoding import (
 
 __all__ = [
     "Bitstream",
-    "PackedBitstream",
     "WORD_BITS",
     "words_for",
     "pack_bits",
@@ -59,29 +49,22 @@ __all__ = [
     "mask_tail",
     "packed_popcount",
     "packed_not",
-    "packed_xnor",
-    "packed_mux",
     "packed_alternating",
     "packed_delay",
     "packed_transition_count",
     "packed_tff_add",
-    "packed_mux_add",
     "packed_toggle_states",
     "UNIPOLAR",
     "BIPOLAR",
     "stream_length",
-    "precision_bits",
     "clip_unipolar",
     "clip_bipolar",
     "unipolar_to_bipolar",
     "bipolar_to_unipolar",
     "quantize_unipolar",
     "quantize_bipolar",
-    "quantization_grid",
     "to_probability",
     "from_probability",
     "stochastic_cross_correlation",
-    "pearson_correlation",
     "autocorrelation",
-    "overlap_count",
 ]

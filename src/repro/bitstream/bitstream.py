@@ -1,32 +1,26 @@
-"""The :class:`Bitstream` container used by every stochastic-computing element.
+"""The :class:`Bitstream` container: one stochastic bit-stream, one byte per bit.
 
 A stochastic number (SN) is a finite sequence of bits whose ones-density
 encodes a value (see :mod:`repro.bitstream.encoding`).  This module wraps a
-numpy boolean array with the bookkeeping the rest of the library needs:
+numpy ``uint8`` array of 0/1 with the bookkeeping the element functions and
+the examples need:
 
 * the encoding (unipolar / bipolar) used to interpret the ones-density;
-* convenience constructors (constant streams, streams from probabilities and
-  explicit ``"0101"`` strings as printed in the paper's figures);
-* estimation of the encoded value and of the exact rational ``ones / length``;
-* elementwise logical operations, which are the physical gates of SC.
+* constructors from explicit bits (``"0101"`` strings as printed in the
+  paper's figures, arrays), from Bernoulli draws and from exact counts;
+* estimation of the encoded value.
 
-Streams are immutable from the point of view of the arithmetic elements: all
-operations return new :class:`Bitstream` instances.  Internally bits are kept
-as ``uint8`` (0/1) so that vectorized batch simulation can reuse the same
-kernels on large arrays.
-
-For long streams the one-byte-per-bit layout is the simulation bottleneck;
-:meth:`Bitstream.pack` converts losslessly to the 64-bits-per-word
-:class:`~repro.bitstream.packed.PackedBitstream` representation, whose
-word-level gate kernels are roughly an order of magnitude faster and ~8x
-smaller in memory (see :mod:`repro.bitstream.packed`).
+Streams are immutable: every helper returns a new :class:`Bitstream`.  The
+engines and the netlist simulator never build these objects -- they run
+word kernels on plain ``uint64`` arrays (:mod:`repro.bitstream.packed`);
+:func:`~repro.bitstream.packed.pack_bits` converts a stream's ``bits``
+losslessly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -90,21 +84,6 @@ class Bitstream:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_string(cls, text: str, encoding: str = UNIPOLAR) -> "Bitstream":
-        """Build a stream from a ``"0110 0011"`` string as printed in the paper."""
-        return cls(text, encoding=encoding)
-
-    @classmethod
-    def all_zeros(cls, length: int, encoding: str = UNIPOLAR) -> "Bitstream":
-        """An all-zero stream (unipolar value 0, bipolar value -1)."""
-        return cls(np.zeros(length, dtype=np.uint8), encoding=encoding)
-
-    @classmethod
-    def all_ones(cls, length: int, encoding: str = UNIPOLAR) -> "Bitstream":
-        """An all-one stream (unipolar value 1, bipolar value +1)."""
-        return cls(np.ones(length, dtype=np.uint8), encoding=encoding)
-
-    @classmethod
     def from_random(
         cls,
         value: float,
@@ -149,11 +128,6 @@ class Bitstream:
         return int(self.bits.shape[0])
 
     @property
-    def length(self) -> int:
-        """Number of bits (clock cycles) in the stream."""
-        return len(self)
-
-    @property
     def ones(self) -> int:
         """Number of ``1`` bits in the stream."""
         return int(self.bits.sum())
@@ -166,68 +140,9 @@ class Bitstream:
         return self.ones / len(self)
 
     @property
-    def exact_value(self) -> Fraction:
-        """The encoded value as an exact rational number."""
-        p = Fraction(self.ones, len(self))
-        if self.encoding == UNIPOLAR:
-            return p
-        return 2 * p - 1
-
-    @property
     def value(self) -> float:
         """The encoded value as a float (unipolar ``p`` or bipolar ``2p - 1``)."""
         return float(from_probability(self.probability, self.encoding))
-
-    def as_encoding(self, encoding: str) -> "Bitstream":
-        """Return the same bits re-interpreted under another encoding."""
-        return Bitstream(self.bits, encoding=encoding)
-
-    def pack(self):
-        """Convert to the packed 64-bits-per-word representation (lossless).
-
-        Returns a :class:`~repro.bitstream.packed.PackedBitstream` with the
-        same bits, length and encoding; ``stream.pack().unpack() == stream``.
-        """
-        from .packed import PackedBitstream, pack_bits
-
-        return PackedBitstream(pack_bits(self.bits), len(self), self.encoding)
-
-    # ------------------------------------------------------------------ #
-    # elementwise logic (the physical gates of stochastic computing)
-    # ------------------------------------------------------------------ #
-    def _binary_op(self, other: "Bitstream", op) -> "Bitstream":
-        if not isinstance(other, Bitstream):
-            raise TypeError(f"expected Bitstream, got {type(other).__name__}")
-        if len(other) != len(self):
-            raise ValueError(
-                f"length mismatch: {len(self)} vs {len(other)} bits"
-            )
-        return Bitstream(op(self.bits, other.bits).astype(np.uint8), self.encoding)
-
-    def __and__(self, other: "Bitstream") -> "Bitstream":
-        return self._binary_op(other, np.bitwise_and)
-
-    def __or__(self, other: "Bitstream") -> "Bitstream":
-        return self._binary_op(other, np.bitwise_or)
-
-    def __xor__(self, other: "Bitstream") -> "Bitstream":
-        return self._binary_op(other, np.bitwise_xor)
-
-    def __invert__(self) -> "Bitstream":
-        return Bitstream((1 - self.bits).astype(np.uint8), self.encoding)
-
-    # ------------------------------------------------------------------ #
-    # manipulation helpers
-    # ------------------------------------------------------------------ #
-    def repeat(self, times: int) -> "Bitstream":
-        """Concatenate ``times`` copies of the stream (longer observation)."""
-        if times < 1:
-            raise ValueError("times must be >= 1")
-        return Bitstream(np.tile(self.bits, times), self.encoding)
-
-    def rotate(self, shift: int) -> "Bitstream":
-        """Circularly rotate the stream by ``shift`` positions."""
-        return Bitstream(np.roll(self.bits, shift), self.encoding)
 
     def permute(self, rng: np.random.Generator | int | None = None) -> "Bitstream":
         """Randomly permute bit positions (value preserved, correlation broken)."""
@@ -241,9 +156,6 @@ class Bitstream:
         if group <= 0:
             return text
         return " ".join(text[i : i + group] for i in range(0, len(text), group))
-
-    def __iter__(self) -> Iterable[int]:
-        return iter(int(b) for b in self.bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bitstream):

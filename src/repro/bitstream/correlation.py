@@ -9,28 +9,20 @@ about those assumptions:
 * :func:`stochastic_cross_correlation` -- the SCC metric of Alaghi & Hayes,
   which is 0 for independent streams, +1 for maximally overlapping streams
   and -1 for maximally anti-overlapping streams.
-* :func:`pearson_correlation` -- the ordinary Pearson coefficient between the
-  bit sequences.
 * :func:`autocorrelation` -- lag-k autocorrelation of one stream, used to
   demonstrate that ramp-compare converted streams are heavily auto-correlated
   yet still usable by the TFF adder.
-* :func:`overlap_count` -- raw counts of the four joint bit outcomes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
 from .bitstream import Bitstream
 
-__all__ = [
-    "overlap_count",
-    "stochastic_cross_correlation",
-    "pearson_correlation",
-    "autocorrelation",
-]
+__all__ = ["stochastic_cross_correlation", "autocorrelation"]
 
 StreamLike = Union[Bitstream, np.ndarray]
 
@@ -42,23 +34,6 @@ def _as_bits(stream: StreamLike) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional bit array")
     return arr
-
-
-def overlap_count(x: StreamLike, y: StreamLike) -> Dict[str, int]:
-    """Return the counts of the four joint outcomes of two equal-length streams.
-
-    Keys are ``"11"``, ``"10"``, ``"01"`` and ``"00"`` where the first digit
-    refers to ``x`` and the second to ``y``.
-    """
-    a = _as_bits(x)
-    b = _as_bits(y)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    both = int(np.sum((a == 1) & (b == 1)))
-    only_x = int(np.sum((a == 1) & (b == 0)))
-    only_y = int(np.sum((a == 0) & (b == 1)))
-    neither = int(np.sum((a == 0) & (b == 0)))
-    return {"11": both, "10": only_x, "01": only_y, "00": neither}
 
 
 def stochastic_cross_correlation(x: StreamLike, y: StreamLike) -> float:
@@ -92,22 +67,6 @@ def stochastic_cross_correlation(x: StreamLike, y: StreamLike) -> float:
     if denom <= 0:
         return 0.0
     return float(delta / denom)
-
-
-def pearson_correlation(x: StreamLike, y: StreamLike) -> float:
-    """Pearson correlation coefficient between two bit sequences.
-
-    Returns 0 when either stream is constant (zero variance).
-    """
-    a = _as_bits(x)
-    b = _as_bits(y)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    std_a = a.std()
-    std_b = b.std()
-    if std_a == 0.0 or std_b == 0.0:
-        return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (std_a * std_b))
 
 
 def autocorrelation(x: StreamLike, lag: int = 1) -> float:

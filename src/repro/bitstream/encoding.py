@@ -22,20 +22,20 @@ from typing import Union
 
 import numpy as np
 
+from ..utils.checks import check_count
+
 ArrayLike = Union[float, int, np.ndarray]
 
 __all__ = [
     "UNIPOLAR",
     "BIPOLAR",
     "stream_length",
-    "precision_bits",
     "clip_unipolar",
     "clip_bipolar",
     "unipolar_to_bipolar",
     "bipolar_to_unipolar",
     "quantize_unipolar",
     "quantize_bipolar",
-    "quantization_grid",
     "to_probability",
     "from_probability",
 ]
@@ -66,19 +66,7 @@ def stream_length(precision_bits: int) -> int:
     >>> stream_length(4)
     16
     """
-    if precision_bits < 1:
-        raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
-    return 1 << int(precision_bits)
-
-
-def precision_bits(length: int) -> int:
-    """Return the equivalent binary precision of a stream of ``length`` bits.
-
-    The inverse of :func:`stream_length`; ``length`` must be a power of two.
-    """
-    if length < 2 or (length & (length - 1)) != 0:
-        raise ValueError(f"length must be a power of two >= 2, got {length}")
-    return int(length).bit_length() - 1
+    return 1 << int(check_count("precision_bits", precision_bits))
 
 
 def clip_unipolar(value: ArrayLike) -> np.ndarray:
@@ -124,19 +112,6 @@ def from_probability(p: ArrayLike, encoding: str = UNIPOLAR) -> np.ndarray:
     if encoding == UNIPOLAR:
         return p
     return unipolar_to_bipolar(p)
-
-
-def quantization_grid(precision: int, encoding: str = UNIPOLAR) -> np.ndarray:
-    """Return every representable value at ``precision`` bits.
-
-    For unipolar streams of length ``N = 2**precision`` the representable
-    values are ``k / N`` for ``k`` in ``0..N`` -- note this includes both end
-    points, matching the exhaustive sweeps used for Tables 1 and 2.
-    """
-    _check_encoding(encoding)
-    n = stream_length(precision)
-    grid = np.arange(n + 1, dtype=np.float64) / n
-    return from_probability(grid, encoding)
 
 
 def quantize_unipolar(value: ArrayLike, precision: int) -> np.ndarray:

@@ -17,17 +17,21 @@ of the stream lives in word ``i // 64`` at bit position ``i % 64`` (LSB
 first), which is exactly what ``np.packbits(..., bitorder="little")`` produces
 when the byte array is viewed as little-endian ``uint64``.  Unused positions
 in the final ("tail") word are always zero -- every kernel below preserves
-that invariant, and :class:`PackedBitstream` validates it on construction.
+that invariant, and kernels that can set bits past the stream length (NOT,
+the alternating pad, fault injection) end with :func:`mask_tail`.
 
 Contents
 --------
 * :func:`pack_bits` / :func:`unpack_bits` -- lossless converters between
   uint8 bit arrays (last axis = time) and uint64 word arrays;
-* word kernels for the physical gates of SC: AND/OR/XOR/NOT, the MUX adder,
-  the TFF adder (a word-parallel prefix-parity scan), and popcount;
-* :class:`PackedBitstream` -- a drop-in packed counterpart of
-  :class:`~repro.bitstream.bitstream.Bitstream` with ``pack()``/``unpack()``
-  round-tripping.
+* :func:`pack_comparator_output` -- comparator outputs packed straight into
+  words, the shared core of the SNGs;
+* word kernels for the SC datapath: NOT, the one-cycle delay, the TFF state
+  scan and TFF adder (a word-parallel prefix-parity scan), transition counts,
+  fault injection and popcount.
+
+The engines keep their streams as plain ``uint64`` arrays; the byte-per-bit
+:class:`~repro.bitstream.bitstream.Bitstream` is the object form.
 
 All batched kernels follow the same convention as the unpacked ones: streams
 live on the *last* axis, which here holds words instead of bits, and an
@@ -37,13 +41,8 @@ explicit ``n_bits`` carries the true stream length.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
-
-from .encoding import BIPOLAR, UNIPOLAR, from_probability
 
 __all__ = [
     "WORD_BITS",
@@ -52,20 +51,15 @@ __all__ = [
     "pack_comparator_output",
     "unpack_bits",
     "mask_tail",
-    "tail_is_clear",
     "extend_periodic",
     "packed_popcount",
     "packed_not",
-    "packed_xnor",
-    "packed_mux",
     "packed_alternating",
     "packed_delay",
     "packed_transition_count",
     "packed_toggle_states",
     "packed_tff_add",
-    "packed_mux_add",
     "packed_apply_faults",
-    "PackedBitstream",
 ]
 
 #: Number of stream bits stored per machine word.
@@ -169,25 +163,6 @@ def mask_tail(words: np.ndarray, n_bits: int) -> np.ndarray:
     return arr
 
 
-def tail_is_clear(words: np.ndarray, n_bits: int) -> bool:
-    """Audit the tail-word invariant: no bit past ``n_bits`` may be set.
-
-    Every kernel in this module is required to return words whose unused tail
-    positions are zero -- otherwise a later :func:`packed_popcount` would
-    count garbage bits.  Kernels that can *set* bits past the stream length
-    (NOT, XNOR, the alternating pad, and the fault-injection masks of
-    :func:`packed_apply_faults`) must therefore end with :func:`mask_tail`;
-    this predicate is the test hook that enforces the contract (see the
-    hypothesis invariant suite).
-    """
-    arr = _as_words(words)
-    rem = int(n_bits) % WORD_BITS
-    if rem == 0 or arr.shape[-1] == 0:
-        return True
-    tail = arr[..., -1] >> np.uint64(rem)
-    return not bool(np.any(tail))
-
-
 def extend_periodic(
     bits: np.ndarray, n_bits: int, transient: int, period: int
 ) -> np.ndarray:
@@ -255,17 +230,6 @@ def packed_popcount(words: np.ndarray) -> np.ndarray:
 def packed_not(words: np.ndarray, n_bits: int) -> np.ndarray:
     """Bitwise NOT of packed stream(s), with the tail word re-masked."""
     return mask_tail(~_as_words(words), n_bits)
-
-
-def packed_xnor(x: np.ndarray, y: np.ndarray, n_bits: int) -> np.ndarray:
-    """Bitwise XNOR of packed streams (the bipolar multiplier), tail re-masked."""
-    return mask_tail(~(_as_words(x) ^ _as_words(y)), n_bits)
-
-
-def packed_mux(select: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Word-level 2:1 multiplexer: ``y`` where ``select`` is 1, else ``x``."""
-    s = _as_words(select)
-    return (_as_words(y) & s) | (_as_words(x) & ~s)
 
 
 def packed_alternating(n_bits: int) -> np.ndarray:
@@ -349,11 +313,6 @@ def packed_tff_add(
     return (state & disagree) | (xw & ~disagree)
 
 
-def packed_mux_add(x: np.ndarray, y: np.ndarray, select: np.ndarray) -> np.ndarray:
-    """Packed multiplexer-based scaled adder, bit-identical to :func:`mux_add`."""
-    return packed_mux(select, x, y)
-
-
 def packed_apply_faults(
     words: np.ndarray,
     stuck0: np.ndarray,
@@ -381,245 +340,3 @@ def packed_apply_faults(
     out = (_as_words(words) | _as_words(stuck1)) & ~_as_words(stuck0)
     out = out ^ _as_words(flips)
     return mask_tail(out, n_bits)
-
-
-@dataclass(frozen=True)
-class PackedBitstream:
-    """A finite stochastic bit-stream stored 64 bits per ``uint64`` word.
-
-    The packed counterpart of :class:`~repro.bitstream.bitstream.Bitstream`:
-    same value semantics (``ones / length`` density under a unipolar or
-    bipolar interpretation), ~8x smaller storage and word-parallel logic
-    operators.  Use :meth:`Bitstream.pack` / :meth:`unpack` to convert
-    losslessly between the two representations.
-
-    Parameters
-    ----------
-    words:
-        1-D uint64 array of ``ceil(n_bits / 64)`` words, LSB-first bit order,
-        with all tail positions zero.
-    n_bits:
-        The stream length in bits (clock cycles).
-    encoding:
-        ``"unipolar"`` (default) or ``"bipolar"``.
-    """
-
-    words: np.ndarray
-    n_bits: int
-    encoding: str = UNIPOLAR
-
-    def __init__(
-        self, words: np.ndarray, n_bits: int, encoding: str = UNIPOLAR
-    ) -> None:
-        if encoding not in (UNIPOLAR, BIPOLAR):
-            raise ValueError(f"unknown encoding {encoding!r}")
-        arr = np.asarray(words)
-        if arr.dtype != np.uint64:
-            raise TypeError(f"words must be uint64, got {arr.dtype}")
-        if arr.ndim != 1:
-            raise ValueError(f"words must be one-dimensional, got shape {arr.shape}")
-        n_bits = int(n_bits)
-        if arr.shape[0] != words_for(n_bits):
-            raise ValueError(
-                f"expected {words_for(n_bits)} words for {n_bits} bits, "
-                f"got {arr.shape[0]}"
-            )
-        rem = n_bits % WORD_BITS
-        if rem and arr.shape[0] and int(arr[-1] >> np.uint64(rem)) != 0:
-            raise ValueError(
-                "stray bits beyond the stream length in the tail word; "
-                "use pack_bits()/mask_tail() to build well-formed words"
-            )
-        # Copy like the unpacked Bitstream does: the frozen value object must
-        # not alias caller-owned storage, or external writes would bypass the
-        # tail invariant just checked and change the hash under a dict key.
-        object.__setattr__(self, "words", arr.copy())
-        object.__setattr__(self, "n_bits", n_bits)
-        object.__setattr__(self, "encoding", encoding)
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_bits(
-        cls, bits, encoding: str | None = None
-    ) -> "PackedBitstream":
-        """Build from any container :class:`Bitstream` accepts (string, 0/1 array...).
-
-        When ``bits`` is already a :class:`Bitstream` its encoding is kept
-        unless ``encoding`` is given explicitly; raw containers default to
-        unipolar, as everywhere else.
-        """
-        from .bitstream import Bitstream
-
-        if isinstance(bits, Bitstream):
-            stream = bits
-            if encoding is None:
-                encoding = stream.encoding
-        else:
-            if encoding is None:
-                encoding = UNIPOLAR
-            stream = Bitstream(bits, encoding)
-        return cls(pack_bits(stream.bits), len(stream), encoding=encoding)
-
-    @classmethod
-    def all_zeros(cls, length: int, encoding: str = UNIPOLAR) -> "PackedBitstream":
-        """An all-zero stream (unipolar value 0, bipolar value -1)."""
-        return cls(np.zeros(words_for(length), dtype=np.uint64), length, encoding)
-
-    @classmethod
-    def all_ones(cls, length: int, encoding: str = UNIPOLAR) -> "PackedBitstream":
-        """An all-one stream (unipolar value 1, bipolar value +1)."""
-        words = np.full(words_for(length), _ALL_ONES, dtype=np.uint64)
-        return cls(mask_tail(words, length), length, encoding)
-
-    @classmethod
-    def from_exact(
-        cls, value: float, length: int, encoding: str = UNIPOLAR
-    ) -> "PackedBitstream":
-        """Packed version of :meth:`Bitstream.from_exact` (same rounding)."""
-        from .bitstream import Bitstream
-
-        return Bitstream.from_exact(value, length, encoding).pack()
-
-    @classmethod
-    def from_random(
-        cls,
-        value: float,
-        length: int,
-        rng: np.random.Generator | int | None = None,
-        encoding: str = UNIPOLAR,
-    ) -> "PackedBitstream":
-        """Packed version of :meth:`Bitstream.from_random` (same bit sequence)."""
-        from .bitstream import Bitstream
-
-        return Bitstream.from_random(value, length, rng=rng, encoding=encoding).pack()
-
-    def unpack(self):
-        """The lossless unpacked :class:`Bitstream` with the same bits."""
-        from .bitstream import Bitstream
-
-        return Bitstream(unpack_bits(self.words, self.n_bits), self.encoding)
-
-    # ------------------------------------------------------------------ #
-    # interpretation
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self.n_bits
-
-    @property
-    def length(self) -> int:
-        """Number of bits (clock cycles) in the stream."""
-        return self.n_bits
-
-    @property
-    def ones(self) -> int:
-        """Number of ``1`` bits in the stream (word-level popcount)."""
-        return int(packed_popcount(self.words))
-
-    @property
-    def probability(self) -> float:
-        """Empirical ones-density ``ones / length``."""
-        if self.n_bits == 0:
-            raise ValueError("empty bit-stream has no probability")
-        return self.ones / self.n_bits
-
-    @property
-    def exact_value(self) -> Fraction:
-        """The encoded value as an exact rational number."""
-        p = Fraction(self.ones, self.n_bits)
-        if self.encoding == UNIPOLAR:
-            return p
-        return 2 * p - 1
-
-    @property
-    def value(self) -> float:
-        """The encoded value as a float (unipolar ``p`` or bipolar ``2p - 1``)."""
-        return float(from_probability(self.probability, self.encoding))
-
-    def as_encoding(self, encoding: str) -> "PackedBitstream":
-        """Return the same bits re-interpreted under another encoding."""
-        return PackedBitstream(self.words, self.n_bits, encoding=encoding)
-
-    # ------------------------------------------------------------------ #
-    # elementwise logic (word-parallel gates)
-    # ------------------------------------------------------------------ #
-    def _binary_op(self, other: "PackedBitstream", op) -> "PackedBitstream":
-        if not isinstance(other, PackedBitstream):
-            raise TypeError(
-                f"expected PackedBitstream, got {type(other).__name__}"
-            )
-        if other.n_bits != self.n_bits:
-            raise ValueError(
-                f"length mismatch: {self.n_bits} vs {other.n_bits} bits"
-            )
-        return PackedBitstream(op(self.words, other.words), self.n_bits, self.encoding)
-
-    def __and__(self, other: "PackedBitstream") -> "PackedBitstream":
-        return self._binary_op(other, np.bitwise_and)
-
-    def __or__(self, other: "PackedBitstream") -> "PackedBitstream":
-        return self._binary_op(other, np.bitwise_or)
-
-    def __xor__(self, other: "PackedBitstream") -> "PackedBitstream":
-        return self._binary_op(other, np.bitwise_xor)
-
-    def __invert__(self) -> "PackedBitstream":
-        return PackedBitstream(
-            packed_not(self.words, self.n_bits), self.n_bits, self.encoding
-        )
-
-    # ------------------------------------------------------------------ #
-    # manipulation helpers (value-preserving, as in the unpacked class)
-    # ------------------------------------------------------------------ #
-    def repeat(self, times: int) -> "PackedBitstream":
-        """Concatenate ``times`` copies of the stream (longer observation)."""
-        if times < 1:
-            raise ValueError("times must be >= 1")
-        if self.n_bits % WORD_BITS == 0:
-            return PackedBitstream(
-                np.tile(self.words, times), self.n_bits * times, self.encoding
-            )
-        # A tail that is not word-aligned shifts on every copy; go through the
-        # unpacked representation (these helpers are not on the hot path).
-        return self.unpack().repeat(times).pack()
-
-    def rotate(self, shift: int) -> "PackedBitstream":
-        """Circularly rotate the stream by ``shift`` positions."""
-        return self.unpack().rotate(shift).pack()
-
-    def permute(
-        self, rng: np.random.Generator | int | None = None
-    ) -> "PackedBitstream":
-        """Randomly permute bit positions (value preserved, correlation broken)."""
-        return self.unpack().permute(rng=rng).pack()
-
-    def to_string(self, group: int = 4) -> str:
-        """Render as a grouped ``"0110 0011"`` string like the paper's figures."""
-        return self.unpack().to_string(group=group)
-
-    def __iter__(self) -> Iterable[int]:
-        return iter(self.unpack())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedBitstream):
-            return NotImplemented
-        return (
-            self.encoding == other.encoding
-            and self.n_bits == other.n_bits
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self) -> int:  # frozen dataclass with ndarray needs a manual hash
-        return hash((self.encoding, self.n_bits, self.words.tobytes()))
-
-    def __repr__(self) -> str:
-        if self.n_bits <= 32:
-            preview = self.to_string()
-        else:
-            preview = self.to_string()[:40] + "..."
-        value = f"{self.value:.6g}" if self.n_bits else "nan"
-        return (
-            f"PackedBitstream({preview!r}, encoding={self.encoding!r}, "
-            f"value={value}, length={self.n_bits})"
-        )

@@ -42,7 +42,8 @@ sign-map degradation against a matched binary fixed-point baseline whose
 accumulator words are upset at the same per-bit per-cycle rate.  The curve
 prints as a table and merges into a JSON artifact (``--output``, default
 ``BENCH_faults.json``) unless ``--no-artifact`` is given.  ``--quick``
-selects the small smoke geometry used by CI.
+selects the small smoke geometry used by CI; on ``faults`` and ``accuracy``
+it fills only the flags the user did not pass.
 """
 
 from __future__ import annotations
@@ -109,12 +110,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     accuracy = sub.add_parser("accuracy", help="misclassification rates (Table 3 top)")
-    accuracy.add_argument("--precisions", type=_parse_precisions, default=(8, 6, 4, 3, 2))
-    accuracy.add_argument("--train-size", type=int, default=None)
-    accuracy.add_argument("--test-size", type=int, default=None)
-    accuracy.add_argument("--epochs", type=int, default=4, help="baseline training epochs")
-    accuracy.add_argument("--retrain-epochs", type=int, default=3)
-    accuracy.add_argument("--quick", action="store_true", help="small smoke-test configuration")
+    accuracy.add_argument("--precisions", type=_parse_precisions, default=None,
+                          help="default 8,6,4,3,2 (8,4,2 with --quick)")
+    accuracy.add_argument("--train-size", type=int, default=None,
+                          help="default REPRO_TRAIN_SIZE or the dataset's (400 with --quick)")
+    accuracy.add_argument("--test-size", type=int, default=None,
+                          help="default REPRO_TEST_SIZE or the dataset's (120 with --quick)")
+    accuracy.add_argument("--epochs", type=int, default=None,
+                          help="baseline training epochs (default 4, 2 with --quick)")
+    accuracy.add_argument("--retrain-epochs", type=int, default=None,
+                          help="default 3 (1 with --quick)")
+    accuracy.add_argument("--quick", action="store_true",
+                          help="small smoke-test configuration for the flags not passed")
     accuracy.add_argument("--no-retrain-row", action="store_true",
                           help="also report the no-retraining ablation row")
 
@@ -175,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream precision: 2**precision-bit streams and a matched "
              "binary datapath (default 8)",
     )
-    faults_cmd.add_argument("--images", type=int, default=6,
+    faults_cmd.add_argument("--images", type=int, default=None,
                             help="synthetic digit images convolved (default 6)")
-    faults_cmd.add_argument("--filters", type=int, default=8,
+    faults_cmd.add_argument("--filters", type=int, default=None,
                             help="convolution kernels (default 8)")
     faults_cmd.add_argument("--kernel", type=int, default=5,
                             help="square kernel side (default 5)")
-    faults_cmd.add_argument("--trials", type=int, default=2,
-                            help="independent fault seeds averaged per rate")
+    faults_cmd.add_argument("--trials", type=int, default=None,
+                            help="independent fault seeds averaged per rate (default 2)")
     faults_cmd.add_argument("--seed", type=int, default=0,
                             help="master seed (dataset, kernels, fault seeds)")
     faults_cmd.add_argument(
@@ -195,12 +202,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_cmd.add_argument(
         "--quick", action="store_true",
-        help="small smoke-test geometry (3 rates, 2 images, 4 filters, 1 trial)",
+        help="small smoke-test geometry for the flags not passed "
+             "(3 rates, 2 images, 4 filters, 1 trial)",
     )
 
     claims = sub.add_parser("claims", help="headline-claim summary (hardware only)")
     claims.add_argument("--raw", action="store_true")
     return parser
+
+
+#: What a full ``accuracy`` run (False) and ``--quick`` (True) use for each
+#: flag the user did not pass; ``None`` sizes defer to REPRO_*_SIZE.
+_ACCURACY_PRESETS = {
+    False: dict(precisions=(8, 6, 4, 3, 2), train_size=None, test_size=None,
+                baseline_epochs=4, retrain_epochs=3),
+    True: dict(precisions=(8, 4, 2), train_size=400, test_size=120,
+               baseline_epochs=2, retrain_epochs=1),
+}
+
+
+def _fill(passed: dict, preset: dict) -> dict:
+    """``passed`` with every flag the user did not pass (``None``) taken from ``preset``."""
+    return {key: preset[key] if value is None else value for key, value in passed.items()}
 
 
 def _parse_rates(text: str) -> tuple:
@@ -293,46 +316,32 @@ def _run_lint(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fault_sweep_config(args: argparse.Namespace):
+    from .faults.sweep import DEFAULT_RATES, FaultSweepConfig
+
+    presets = {
+        False: dict(rates=DEFAULT_RATES, images=6, filters=8, trials=2),
+        True: dict(rates=(0.0, 1e-3, 1e-2), images=2, filters=4, trials=1),
+    }
+    passed = dict(rates=args.rates, images=args.images, filters=args.filters, trials=args.trials)
+    try:
+        return FaultSweepConfig(
+            seed=args.seed,
+            precision=args.precision,
+            kernel=args.kernel,
+            **_fill(passed, presets[args.quick]),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro: error: {exc}") from exc
+
+
 def _run_faults(args: argparse.Namespace) -> int:
     """Run the fault-injection degradation sweep; return the exit code."""
     from pathlib import Path
 
-    from .faults.sweep import (
-        DEFAULT_RATES,
-        FaultSweepConfig,
-        format_fault_sweep,
-        run_fault_sweep,
-        write_artifact,
-    )
+    from .faults.sweep import format_fault_sweep, run_fault_sweep, write_artifact
 
-    kwargs = dict(seed=args.seed)
-    if args.quick:
-        kwargs.update(
-            rates=(0.0, 1e-3, 1e-2),
-            images=2,
-            filters=4,
-            kernel=args.kernel,
-            precision=args.precision,
-            trials=1,
-        )
-        # Explicit --rates still wins over the quick preset.
-        if args.rates is not None:
-            kwargs["rates"] = args.rates
-    else:
-        kwargs.update(
-            rates=args.rates if args.rates is not None else DEFAULT_RATES,
-            precision=args.precision,
-            images=args.images,
-            filters=args.filters,
-            kernel=args.kernel,
-            trials=args.trials,
-        )
-    try:
-        config = FaultSweepConfig(**kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}") from exc
-
-    result = run_fault_sweep(config)
+    result = run_fault_sweep(_fault_sweep_config(args))
     print(format_fault_sweep(result))
     if not args.no_artifact:
         path = Path(args.output)
@@ -342,25 +351,18 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 
 def _accuracy_config(args: argparse.Namespace) -> AccuracyConfig:
-    kwargs = dict(include_no_retrain=args.no_retrain_row)
-    if args.quick:
-        kwargs.update(
-            precisions=(8, 4, 2),
-            train_size=400,
-            test_size=120,
-            baseline_epochs=2,
-            retrain_epochs=1,
-        )
-    else:
-        kwargs.update(
-            precisions=args.precisions,
-            train_size=args.train_size,
-            test_size=args.test_size,
-            baseline_epochs=args.epochs,
-            retrain_epochs=args.retrain_epochs,
-        )
+    passed = dict(
+        precisions=args.precisions,
+        train_size=args.train_size,
+        test_size=args.test_size,
+        baseline_epochs=args.epochs,
+        retrain_epochs=args.retrain_epochs,
+    )
     try:
-        return AccuracyConfig(**kwargs)
+        return AccuracyConfig(
+            include_no_retrain=args.no_retrain_row,
+            **_fill(passed, _ACCURACY_PRESETS[args.quick]),
+        )
     except ValueError as exc:
         # e.g. an unusable REPRO_* environment setting: fail with the same
         # clean message style as other flag errors, before any training.

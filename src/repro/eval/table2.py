@@ -25,7 +25,6 @@ import numpy as np
 from ..bitstream import stream_length
 from ..bitstream.packed import (
     pack_bits,
-    packed_mux_add,
     packed_popcount,
     packed_tff_add,
 )
@@ -142,7 +141,7 @@ def adder_mse(
             sums_words = packed_tff_add(x_all, y_all, n)
         else:
             select = pack_bits(_select_bits(config, precision, n, seed))
-            sums_words = packed_mux_add(x_all, y_all, select)
+            sums_words = (y_all & select) | (x_all & ~select)
         estimates = packed_popcount(sums_words) / n
     exact = 0.5 * (values[:, np.newaxis] + values[np.newaxis, :])
     return float(np.mean((estimates - exact) ** 2))

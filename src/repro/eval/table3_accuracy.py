@@ -25,7 +25,6 @@ itself.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -36,6 +35,7 @@ from ..datasets import load_dataset
 from ..hybrid import HybridStochasticBinaryNetwork
 from ..nn import Adam, Sequential, build_lenet5_small, quantize_and_freeze, retrain
 from ..sc import new_sc_engine, old_sc_engine
+from ..utils.checks import check_count
 from ..utils.env import env_positive_int
 
 __all__ = ["AccuracyConfig", "Table3AccuracyResult", "run_table3_accuracy"]
@@ -85,6 +85,11 @@ class AccuracyConfig:
             )
         if bitexact == "1":
             self.sc_mode = "bitexact"
+        check_count("train_size", self.train_size, optional=True)
+        check_count("test_size", self.test_size, optional=True)
+        check_count("baseline_epochs", self.baseline_epochs, 0)
+        check_count("retrain_epochs", self.retrain_epochs, 0)
+        check_count("batch_size", self.batch_size)
         # load_dataset reads the size variables when a size is unset: check
         # them here, so a bad value fails before any training.
         if self.train_size is None:
@@ -95,13 +100,7 @@ class AccuracyConfig:
             self.sc_eval_images = env_positive_int(
                 "REPRO_EVAL_IMAGES", 100 if self.sc_mode == "bitexact" else None
             )
-        value = self.sc_eval_images
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1
-        ):
-            raise ValueError(
-                f"sc_eval_images must be a positive integer or None, got {value!r}"
-            )
+        check_count("sc_eval_images", self.sc_eval_images, optional=True)
 
 
 @dataclass

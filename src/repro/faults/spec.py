@@ -15,10 +15,10 @@ i.e. permanent stuck-at defects first (stuck-at-0 dominates where both
 masks hit one position), transient flips -- soft errors and bursts -- last,
 modelling upsets observed downstream of the stuck wires.  Injection is
 implemented once, on packed 64-bit words
-(:func:`repro.bitstream.packed.packed_apply_faults`); byte-per-bit streams
-(:func:`inject_stream` on a :class:`~repro.bitstream.Bitstream`) are packed,
-corrupted with the *same* masks and unpacked, so both representations
-corrupt bit-identically.
+(:func:`repro.bitstream.packed.packed_apply_faults`); a byte-per-bit
+:class:`~repro.bitstream.Bitstream` (:func:`inject_stream`) is packed,
+corrupted with the *same* masks and unpacked, so it corrupts exactly like
+the engines' packed streams.
 
 Mask randomness is counter-hashed per global stream index (see
 :mod:`repro.faults.masks`): the caller passes the ``offset`` of its current
@@ -39,12 +39,7 @@ from typing import Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..bitstream.bitstream import Bitstream
-from ..bitstream.packed import (
-    PackedBitstream,
-    pack_bits,
-    packed_apply_faults,
-    unpack_bits,
-)
+from ..bitstream.packed import pack_bits, packed_apply_faults, unpack_bits
 from .masks import bernoulli_words, burst_words
 
 __all__ = ["FaultSpec", "FaultPlan", "NetlistFaults", "inject_stream"]
@@ -211,35 +206,21 @@ class FaultPlan:
         return out.reshape(arr.shape)
 
 
-def inject_stream(
-    stream: Union[Bitstream, PackedBitstream],
-    spec: FaultSpec,
-    index: int = 0,
-) -> Union[Bitstream, PackedBitstream]:
-    """Inject ``spec``'s stream faults into a single bit-stream object.
+def inject_stream(stream: Bitstream, spec: FaultSpec, index: int = 0) -> Bitstream:
+    """Inject ``spec``'s stream faults into a single :class:`Bitstream`.
 
     ``index`` is the stream's global identity (its position in whatever
     batch it conceptually belongs to); the same ``(spec, index)`` pair
-    always produces the same faulted bits, whichever representation is
-    passed.  Empty streams are returned unchanged (no-op, not an error).
-    Returns the same type as the input, preserving the encoding.
+    always produces the same faulted bits, the ones the engines' packed
+    streams get at that index.  Empty streams are returned unchanged (no-op,
+    not an error).  The encoding is preserved.
     """
-    plan = spec.plan()
-    if isinstance(stream, PackedBitstream):
-        if stream.n_bits == 0 or not spec.corrupts_streams:
-            return stream
-        words = plan.apply(stream.words[np.newaxis, :], stream.n_bits, offset=index)[0]
-        return PackedBitstream(words, stream.n_bits, encoding=stream.encoding)
-    if isinstance(stream, Bitstream):
-        if len(stream) == 0 or not spec.corrupts_streams:
-            return stream
-        words = plan.apply(
-            pack_bits(stream.bits)[np.newaxis, :], len(stream), offset=index
-        )[0]
-        return Bitstream(unpack_bits(words, len(stream)), encoding=stream.encoding)
-    raise TypeError(
-        f"expected Bitstream or PackedBitstream, got {type(stream).__name__}"
-    )
+    if not isinstance(stream, Bitstream):
+        raise TypeError(f"expected Bitstream, got {type(stream).__name__}")
+    if len(stream) == 0 or not spec.corrupts_streams:
+        return stream
+    words = spec.plan().apply(pack_bits(stream.bits)[np.newaxis, :], len(stream), offset=index)[0]
+    return Bitstream(unpack_bits(words, len(stream)), encoding=stream.encoding)
 
 
 @dataclass(frozen=True)

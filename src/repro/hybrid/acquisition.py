@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bitstream import stream_length
+from ..utils.checks import check_count
 
 __all__ = ["SensorFrontEnd"]
 
@@ -52,8 +53,7 @@ class SensorFrontEnd:
     conversion_energy_pj: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.precision < 2:
-            raise ValueError("precision must be at least 2 bits")
+        check_count("precision", self.precision, 2)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
 

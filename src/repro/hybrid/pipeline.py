@@ -27,13 +27,12 @@ on earlier calls.  Each call converts the acquired images to comparator
 levels once per pixel and takes only the sign activation from the counters.
 Bit-level simulation stores 64 stream bits per machine word (see
 :mod:`repro.bitstream.packed`); its counters equal those of the
-byte-per-bit reference kernels in :mod:`repro.sc.dotproduct`.
+byte-per-bit reference kernel in :mod:`repro.sc.dotproduct`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,16 +45,12 @@ from ..nn.network import Sequential
 from ..sc import dotproduct
 from ..sc.convolution import StochasticConv2D
 from ..sc.dotproduct import StochasticDotProductEngine, new_sc_engine
+from ..utils.checks import check_count
 from ..utils.windows import extract_patches
 from .acquisition import SensorFrontEnd
 from .emulation import CalibratedSCEmulator
 
 __all__ = ["HybridStochasticBinaryNetwork"]
-
-
-def _is_positive_int(value) -> bool:
-    """Whether ``value`` is an integer of at least 1 (NumPy integers count, bools do not)."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
 def _as_images(images) -> np.ndarray:
@@ -294,8 +289,7 @@ class HybridStochasticBinaryNetwork:
         ``(batch, H, W)`` array of at least one image, with finite pixels in
         ``[0, 1]``; both are checked before any forward pass.
         """
-        if not _is_positive_int(batch_size):
-            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+        check_count("batch_size", batch_size)
         images = _as_images(images)
         predictions = []
         for start in range(0, images.shape[0], batch_size):
@@ -318,9 +312,8 @@ class HybridStochasticBinaryNetwork:
         """
         images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(labels)
+        check_count("limit", limit, optional=True)
         if limit is not None:
-            if not _is_positive_int(limit):
-                raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
             images = images[:limit]
             labels = labels[:limit]
         predictions = self.predict_classes(images, mode=mode, batch_size=batch_size)

@@ -60,9 +60,9 @@ class Cell:
         For combinational cells: a function mapping input bit tuple to the
         output bit tuple.  For sequential cells: a function mapping
         ``(state, inputs)`` to ``(new_state, outputs)``.  The scalar
-        definition of the cell: the simulator steps feedback cores whose
-        inputs every trace shares through it, and the per-cycle test oracle
-        evaluates every cell through it.
+        definition of the cell: the simulator steps register feedback cores
+        through it, and the per-cycle test oracle evaluates every cell
+        through it.
     word_logic:
         The word-parallel counterpart the simulator evaluates the cell with
         (required: the simulator has no per-cycle fallback).  For
@@ -71,10 +71,9 @@ class Cell:
         word) to the output waveform tuple; ``ones`` is the all-ones waveform
         (tail-masked) so inverting gates can complement without leaking bits
         past the stream length.  Combinational ``word_logic`` must be
-        *positionwise* (pure bitwise logic, no shifts across positions) --
-        zero-delay combinational cells have no time dependence, and the
-        batched simulator reuses the same functions with the *trace* axis
-        packed into the word positions.  For sequential cells:
+        *positionwise* (pure bitwise logic, no shifts across positions):
+        zero-delay combinational cells have no time dependence.  For
+        sequential cells:
         ``word_logic(inputs, n_bits, initial_state)`` returns the full Q
         waveform(s) in closed form (DFF: one-cycle delay, TFF: prefix-parity
         scan).  Implementations must keep words on the *last* axis and
@@ -82,14 +81,6 @@ class Cell:
         (:func:`repro.netlist.simulator.simulate_batch`) passes waveform
         arrays of shape ``(traces, words)`` mixed with shared ``(words,)``
         arrays through the very same functions.
-    word_step:
-        Sequential cells only: the word-parallel *single-cycle* transition
-        ``word_step(state, inputs) -> (new_state, outputs)``, where ``state``
-        and each input are uint64 word arrays holding one bit per packed
-        lane.  This is the kernel the batched simulator uses to iterate a
-        register feedback core over all stimulus traces at once (the trace
-        axis packed 64-per-word); it must mirror ``logic`` exactly,
-        positionwise.  Required for every sequential cell.
 
     Every :data:`CELL_LIBRARY` cell carries the word kernels its kind needs,
     and cells reach a netlist only through that library
@@ -105,7 +96,6 @@ class Cell:
     sequential: bool = False
     logic: Callable = field(default=None, repr=False, compare=False)
     word_logic: Callable = field(default=None, repr=False, compare=False)
-    word_step: Callable = field(default=None, repr=False, compare=False)
 
     @property
     def gate_equivalents(self) -> float:
@@ -184,16 +174,6 @@ def _w_dff(inputs, n_bits, initial_state):
 def _w_tff(inputs, n_bits, initial_state):
     (t,) = inputs
     return (packed_toggle_states(t, n_bits, initial_state),)
-
-
-def _s_dff(state, inputs):
-    (d,) = inputs
-    return d, (state,)
-
-
-def _s_tff(state, inputs):
-    (t,) = inputs
-    return state ^ t, (state,)
 
 
 #: The cell library.  Areas and energies are scaled from the NAND2 reference
@@ -280,11 +260,11 @@ CELL_LIBRARY: Dict[str, Cell] = {
     ),
     "DFF": Cell(
         "DFF", ("D",), ("Q",), 5.04, 4.0, 4.5, sequential=True,
-        logic=_dff_logic, word_logic=_w_dff, word_step=_s_dff,
+        logic=_dff_logic, word_logic=_w_dff,
     ),
     "TFF": Cell(
         "TFF", ("T",), ("Q",), 5.76, 4.5, 5.0, sequential=True,
-        logic=_tff_logic, word_logic=_w_tff, word_step=_s_tff,
+        logic=_tff_logic, word_logic=_w_tff,
     ),
 }
 

@@ -160,8 +160,7 @@ def build_counter(bits: int, enable_input: str = "enable") -> Netlist:
     Functionally a synchronous counter built from toggle flip-flops with an
     AND carry chain: stage ``i`` toggles when the enable input and all lower
     stages are 1.  An asynchronous ripple counter has the same cell count
-    minus the carry chain; the hardware model accounts for that difference
-    via :class:`repro.sc.elements.converters.AsynchronousCounter` metadata.
+    minus the carry chain.
     Outputs are ``count0`` (LSB) .. ``count{bits-1}``.
     """
     if bits < 1:

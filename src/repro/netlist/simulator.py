@@ -51,10 +51,7 @@ kernel broadcasts over that axis, and the result
 activity across traces -- this is how one packed run covers an entire MNIST
 trace set in the Table 3 activity path.  Shared-input feedback cores are
 resolved once and broadcast; cores fed by per-trace waveforms are iterated
-cycle by cycle with the *trace axis* packed 64-per-word (combinational core
-cells through their positionwise ``word_logic``, register transitions
-through ``Cell.word_step``), so even non-autonomous feedback circuits cost
-one Python pass over the cycles for the whole batch.
+cycle by cycle once per trace.
 
 Strict elaboration
 ------------------
@@ -642,17 +639,22 @@ def _resolve_core(
         values.update({net: pack_bits(wave) for net, wave in rec.items()})
         return
 
-    # Per-trace external waveforms: iterate the core cycle by cycle with the
-    # *trace* axis packed 64-per-word, so one pass over the cycles covers the
-    # whole batch (the word-parallel evaluation of everything outside the
-    # core is unaffected).  Every library cell has the positionwise word
-    # kernels this needs (comb ``word_logic`` / sequential ``word_step``).
+    # Per-trace external waveforms: iterate the core once per trace (the
+    # word-parallel evaluation of everything outside the core is unaffected).
     ext_full = {net: unpack_bits(values[net], cycles) for net in external}
-    values.update(
-        _iterate_core_tracewords(
-            core_seq, core_comb, out_nets, ext_full, cycles, batch, core_forced
+    recs = [
+        _iterate_core(
+            core_seq,
+            core_comb,
+            out_nets,
+            {net: wave if wave.ndim == 1 else wave[k] for net, wave in ext_full.items()},
+            cycles,
+            detect_period=False,
+            forced=core_forced,
         )
-    )
+        for k in range(batch)
+    ]
+    values.update({net: pack_bits(np.stack([rec[net] for rec in recs])) for net in out_nets})
 
 
 def _iterate_core(
@@ -719,78 +721,3 @@ def _iterate_core(
             for net, wave in rec.items()
         }
     return rec
-
-
-def _iterate_core_tracewords(
-    core_seq: List[Instance],
-    core_comb: List[Instance],
-    out_nets: Iterable[str],
-    ext_full: Dict[str, np.ndarray],
-    cycles: int,
-    batch: int,
-    forced: Optional[Dict[str, int]] = None,
-) -> Dict[str, np.ndarray]:
-    """Batched per-cycle core iteration with the trace axis packed into words.
-
-    Semantically identical to running :func:`_iterate_core` once per trace:
-    at every cycle each net carries one bit *per trace*, stored 64 traces per
-    uint64 word.  Combinational core cells are evaluated through their
-    (positionwise) ``word_logic`` and register transitions through
-    ``word_step``, so the Python per-cycle loop runs once for the whole
-    batch instead of once per trace.  Returns the packed ``(batch, words)``
-    full-run waveform for every core output net, ready to merge into the
-    packed simulation's ``values``.
-    """
-    out_nets = list(out_nets)
-    forced = forced or {}
-    width = words_for(batch)
-    ones = mask_tail(np.full(width, np.uint64(0xFFFFFFFFFFFFFFFF)), batch)
-    zeros = np.zeros(width, dtype=np.uint64)
-    # Stuck-at nets in the trace-word domain: the same constant for every
-    # trace (all-ones trace-words are tail-masked like every other net).
-    forced_words = {net: (ones if value else zeros) for net, value in forced.items()}
-
-    # Per-cycle trace-words of the external inputs: transpose each (batch,
-    # cycles) waveform to cycle-major and pack the trace axis once up front.
-    ext_columns = {}
-    for net, wave in ext_full.items():
-        if wave.ndim == 1:
-            wave = np.broadcast_to(wave, (batch, cycles))
-        ext_columns[net] = pack_bits(np.ascontiguousarray(wave.T))  # (cycles, width)
-
-    state = {
-        inst.name: (ones.copy() if inst.initial_state else zeros.copy())
-        for inst in core_seq
-    }
-    rec = {net: np.empty((cycles, width), dtype=np.uint64) for net in out_nets}
-    vals: Dict[str, np.ndarray] = {"0": zeros, "1": ones}
-
-    for t in range(cycles):
-        for net, columns in ext_columns.items():
-            vals[net] = columns[t]
-        # Present stored state on the register outputs (inputs irrelevant
-        # for Q, zeros passed), mirroring the scalar cycle loop.
-        for inst in core_seq:
-            _, outs = inst.cell.word_step(
-                state[inst.name], tuple(zeros for _ in inst.inputs)
-            )
-            for net, word in zip(inst.outputs, outs):
-                vals[net] = forced_words.get(net, word)
-        for inst in core_comb:
-            outs = inst.cell.word_logic(tuple(vals[n] for n in inst.inputs), ones)
-            for net, word in zip(inst.outputs, outs):
-                vals[net] = forced_words.get(net, word)
-        for inst in core_seq:
-            new_state, _ = inst.cell.word_step(
-                state[inst.name], tuple(vals[n] for n in inst.inputs)
-            )
-            state[inst.name] = new_state
-        for net in out_nets:
-            rec[net][t] = vals[net]
-
-    # (cycles, trace-words) -> per-trace bit matrix -> packed time waveforms.
-    packed = {}
-    for net, words in rec.items():
-        bits = unpack_bits(words, batch).T  # (batch, cycles)
-        packed[net] = pack_bits(np.ascontiguousarray(bits))
-    return packed

@@ -1,10 +1,9 @@
 """A from-scratch numpy neural-network library (the TensorFlow/Keras substitute)."""
 
-from .activations import Activation, Identity, ReLU, Sigmoid, Sign, Tanh, get_activation, softmax
+from .activations import Activation, Identity, ReLU, Sign, get_activation, softmax
 from .conv_ops import col2im, conv_output_hw, im2col
-from .initializers import glorot_uniform, he_uniform, zeros
+from .initializers import glorot_uniform, zeros
 from .layers import (
-    ActivationLayer,
     Conv2D,
     Dense,
     Dropout,
@@ -14,10 +13,10 @@ from .layers import (
     MaxPool2D,
     StochasticResolutionConv2D,
 )
-from .lenet import FIRST_LAYER_FILTERS, FIRST_LAYER_KERNEL, build_lenet5, build_lenet5_small
-from .losses import Loss, MeanSquaredError, SoftmaxCrossEntropy, one_hot
+from .lenet import FIRST_LAYER_FILTERS, FIRST_LAYER_KERNEL, build_lenet5_small
+from .losses import Loss, SoftmaxCrossEntropy, one_hot
 from .network import Sequential, TrainingHistory
-from .optimizers import Adam, Optimizer, SGD
+from .optimizers import Adam, Optimizer
 from .quantization import (
     prepare_first_layer_weights,
     quantize_weights,
@@ -30,8 +29,6 @@ __all__ = [
     "Activation",
     "ReLU",
     "Sign",
-    "Tanh",
-    "Sigmoid",
     "Identity",
     "softmax",
     "get_activation",
@@ -39,7 +36,6 @@ __all__ = [
     "col2im",
     "conv_output_hw",
     "glorot_uniform",
-    "he_uniform",
     "zeros",
     "Layer",
     "Dense",
@@ -49,17 +45,13 @@ __all__ = [
     "MaxPool2D",
     "Flatten",
     "Dropout",
-    "ActivationLayer",
     "Loss",
     "SoftmaxCrossEntropy",
-    "MeanSquaredError",
     "one_hot",
     "Optimizer",
-    "SGD",
     "Adam",
     "Sequential",
     "TrainingHistory",
-    "build_lenet5",
     "build_lenet5_small",
     "FIRST_LAYER_FILTERS",
     "FIRST_LAYER_KERNEL",

@@ -17,8 +17,6 @@ __all__ = [
     "Activation",
     "ReLU",
     "Sign",
-    "Tanh",
-    "Sigmoid",
     "Identity",
     "softmax",
     "get_activation",
@@ -92,31 +90,6 @@ class Sign(Activation):
         return f"Sign(threshold={self.threshold})"
 
 
-class Tanh(Activation):
-    """Hyperbolic tangent."""
-
-    name = "tanh"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def backward(self, x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - np.tanh(x) ** 2)
-
-
-class Sigmoid(Activation):
-    """Logistic sigmoid."""
-
-    name = "sigmoid"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
-
-    def backward(self, x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
-        s = self.forward(x)
-        return grad_output * s * (1.0 - s)
-
-
 class Identity(Activation):
     """No-op activation (linear layer output)."""
 
@@ -132,8 +105,6 @@ class Identity(Activation):
 _BY_NAME = {
     "relu": ReLU,
     "sign": Sign,
-    "tanh": Tanh,
-    "sigmoid": Sigmoid,
     "linear": Identity,
     "identity": Identity,
 }

@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_uniform", "zeros"]
+__all__ = ["glorot_uniform", "zeros"]
 
 
 def glorot_uniform(
@@ -14,14 +14,6 @@ def glorot_uniform(
 ) -> np.ndarray:
     """Glorot/Xavier uniform initialization (the Keras default for dense/conv)."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def he_uniform(
-    shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator
-) -> np.ndarray:
-    """He uniform initialization, appropriate for ReLU layers."""
-    limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 

@@ -1,9 +1,10 @@
 """Trainable layers of the numpy neural-network substrate.
 
 The layer zoo covers exactly what the paper's LeNet-5 variant needs --
-convolution, max-pooling, dense, flatten, dropout and elementwise activation
--- plus a :class:`FrozenConv2D` used to model the quantized / stochastic
-first layer whose weights must *not* move during retraining (Section V-B).
+convolution, max-pooling, dense, flatten and dropout, with activations
+built into the layers -- plus a :class:`FrozenConv2D` used to model the
+quantized / stochastic first layer whose weights must *not* move during
+retraining (Section V-B).
 
 Data layout is ``(batch, channels, height, width)`` for images and
 ``(batch, features)`` for dense layers.  Every layer implements
@@ -25,6 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..utils.checks import check_count
 from .activations import Activation, get_activation
 from .conv_ops import col2im, conv_output_hw, im2col
 from .initializers import glorot_uniform, zeros
@@ -38,7 +40,6 @@ __all__ = [
     "MaxPool2D",
     "Flatten",
     "Dropout",
-    "ActivationLayer",
 ]
 
 
@@ -57,11 +58,6 @@ class Layer:
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @property
-    def parameter_count(self) -> int:
-        """Total number of scalar parameters in the layer."""
-        return int(sum(p.size for p in self.params))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -133,8 +129,8 @@ class Conv2D(Layer):
         self.in_channels = int(in_channels)
         self.filters = int(filters)
         self.kernel_size = (int(kernel_size[0]), int(kernel_size[1]))
-        self.stride = int(stride)
-        self.padding = int(padding)
+        self.stride = int(check_count("stride", stride))
+        self.padding = int(check_count("padding", padding, 0))
         self.activation: Activation = get_activation(activation)
 
         kh, kw = self.kernel_size
@@ -461,24 +457,3 @@ class Dropout(Layer):
 
     def __repr__(self) -> str:
         return f"Dropout(rate={self.rate})"
-
-
-class ActivationLayer(Layer):
-    """Standalone elementwise activation layer."""
-
-    trainable = False
-
-    def __init__(self, activation) -> None:
-        super().__init__()
-        self.activation = get_activation(activation)
-        self._x: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
-        return self.activation.forward(x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return self.activation.backward(self._x, grad_output)
-
-    def __repr__(self) -> str:
-        return f"ActivationLayer({self.activation.name})"

@@ -1,23 +1,17 @@
-"""LeNet-5 topology builders.
+"""The LeNet-5 topology builder.
 
 The paper evaluates on "a variant [of LeNet-5] provided by the Keras library"
 whose first layer has 32 convolution kernels applied to the full 28x28 image
-(Fig. 3 shows 784 parallel dot-product engines, i.e. "same" padding).  Two
-builders are provided:
+(Fig. 3 shows 784 parallel dot-product engines, i.e. "same" padding).
+:func:`build_lenet5_small` keeps that *first layer geometry* (32 kernels,
+5x5, same padding) with a lighter binary remainder.  Because the paper's
+experiments only ever modify the first layer, it exercises the identical
+hybrid code path at a fraction of the CPU-only training cost; the Table 3
+accuracy experiment and its benchmarks use it (see ``benchmarks/conftest.py``
+for their scaled-down configuration).
 
-* :func:`build_lenet5` -- the full variant: two convolutional layers with
-  max-pooling, a hidden dense layer with dropout, and a 10-way output.
-* :func:`build_lenet5_small` -- a single-conv variant with the *same first
-  layer geometry* (32 kernels, 5x5, same padding) but a lighter binary
-  remainder.  Because the paper's experiments only ever modify the first
-  layer, this variant exercises the identical hybrid code path at a fraction
-  of the CPU-only training cost; it is the default for the Table 3 accuracy
-  benchmarks (see ``benchmarks/conftest.py`` for their scaled-down
-  configuration).
-
-Both builders accept ``first_activation`` so the ReLU of the baseline model
-can be swapped for the sign activation used by the quantized / stochastic
-first layer.
+``first_activation`` lets the ReLU of the baseline model be swapped for the
+sign activation used by the quantized / stochastic first layer.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ import numpy as np
 from .layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D
 from .network import Sequential
 
-__all__ = ["FIRST_LAYER_FILTERS", "FIRST_LAYER_KERNEL", "build_lenet5", "build_lenet5_small"]
+__all__ = ["FIRST_LAYER_FILTERS", "FIRST_LAYER_KERNEL", "build_lenet5_small"]
 
 
 #: Number of first-layer kernels in the paper's Fig. 3 topology.
@@ -35,31 +29,6 @@ FIRST_LAYER_FILTERS = 32
 
 #: First-layer kernel size (5x5 with "same" padding -> 784 output positions).
 FIRST_LAYER_KERNEL = 5
-
-
-def build_lenet5(
-    first_activation: str = "relu",
-    dropout_rate: float = 0.5,
-    hidden_units: int = 256,
-    filters1: int = FIRST_LAYER_FILTERS,
-    filters2: int = 64,
-    seed: int = 0,
-) -> Sequential:
-    """The full LeNet-5 variant (two conv layers), image input ``(B, 1, 28, 28)``."""
-    rng = np.random.default_rng(seed)
-    model = Sequential(name="lenet5")
-    model.add(
-        Conv2D(1, filters1, FIRST_LAYER_KERNEL, padding=FIRST_LAYER_KERNEL // 2,
-               activation=first_activation, rng=rng)
-    )
-    model.add(MaxPool2D(2))
-    model.add(Conv2D(filters1, filters2, 5, padding=2, activation="relu", rng=rng))
-    model.add(MaxPool2D(2))
-    model.add(Flatten())
-    model.add(Dense(filters2 * 7 * 7, hidden_units, activation="relu", rng=rng))
-    model.add(Dropout(dropout_rate, rng=rng))
-    model.add(Dense(hidden_units, 10, activation=None, rng=rng))
-    return model
 
 
 def build_lenet5_small(

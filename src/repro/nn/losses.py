@@ -1,8 +1,7 @@
-"""Loss functions.
+"""The loss function.
 
 The paper trains with the standard cross-entropy classification loss
-(Section II-B); mean squared error is included for completeness and for the
-regression-style unit tests of the training loop.
+(Section II-B).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .activations import softmax
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError", "one_hot"]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "one_hot"]
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -61,17 +60,3 @@ class SoftmaxCrossEntropy(Loss):
         loss = -np.sum(targets * np.log(probs + eps)) / batch
         grad = (probs - targets) / batch
         return float(loss), grad
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error over all elements."""
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
-            )
-        diff = predictions - targets
-        loss = float(np.mean(diff**2))
-        grad = 2.0 * diff / diff.size
-        return loss, grad

@@ -10,24 +10,17 @@ only trainable layers.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..utils.checks import check_count
 from .layers import Layer
 from .losses import Loss, SoftmaxCrossEntropy
 from .optimizers import Adam, Optimizer
 
 __all__ = ["TrainingHistory", "Sequential"]
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject ``value`` unless it is an integer of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        kind = "a positive" if minimum > 0 else "a non-negative"
-        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
 
 
 def _check_samples(x: np.ndarray) -> None:
@@ -68,7 +61,7 @@ class Sequential:
         return self
 
     # ------------------------------------------------------------------ #
-    # forward / backward
+    # forward
     # ------------------------------------------------------------------ #
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Run the network forward and return the final layer output (logits)."""
@@ -76,26 +69,6 @@ class Sequential:
         for layer in self.layers:
             out = layer.forward(out, training=training)
         return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate a gradient through every layer (reverse order)."""
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Forward pass in inference mode, batched to bound memory."""
-        _check_count("batch_size", batch_size, 1)
-        _check_samples(x)
-        outputs = []
-        for start in range(0, x.shape[0], batch_size):
-            outputs.append(self.forward(x[start : start + batch_size], training=False))
-        return np.concatenate(outputs, axis=0)
-
-    def predict_classes(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Return the argmax class of each sample."""
-        return np.argmax(self.predict(x, batch_size=batch_size), axis=1)
 
     # ------------------------------------------------------------------ #
     # parameters
@@ -109,29 +82,6 @@ class Sequential:
                 params.extend(layer.params)
                 grads.extend(layer.grads)
         return params, grads
-
-    @property
-    def parameter_count(self) -> int:
-        """Total number of scalar parameters (trainable and frozen)."""
-        return int(sum(layer.parameter_count for layer in self.layers))
-
-    def get_weights(self) -> List[np.ndarray]:
-        """Copies of every parameter array, in layer order."""
-        return [p.copy() for layer in self.layers for p in layer.params]
-
-    def set_weights(self, weights: Sequence[np.ndarray]) -> None:
-        """Load parameter arrays previously produced by :meth:`get_weights`."""
-        flat = [p for layer in self.layers for p in layer.params]
-        if len(flat) != len(weights):
-            raise ValueError(
-                f"expected {len(flat)} weight arrays, got {len(weights)}"
-            )
-        for param, new in zip(flat, weights):
-            if param.shape != new.shape:
-                raise ValueError(
-                    f"weight shape mismatch: {param.shape} vs {new.shape}"
-                )
-            param[...] = new
 
     # ------------------------------------------------------------------ #
     # training / evaluation
@@ -158,8 +108,8 @@ class Sequential:
         gradient: the layers below it (a frozen first layer, its pooling)
         have nothing to learn.
         """
-        _check_count("batch_size", batch_size, 1)
-        _check_count("epochs", epochs, 0)
+        check_count("batch_size", batch_size, 1)
+        check_count("epochs", epochs, 0)
         _check_samples(x)
         loss = loss if loss is not None else SoftmaxCrossEntropy()
         optimizer = optimizer if optimizer is not None else Adam()
@@ -226,7 +176,7 @@ class Sequential:
         batch_size: int = 256,
     ) -> tuple:
         """Return ``(loss, accuracy)`` over a labelled dataset."""
-        _check_count("batch_size", batch_size, 1)
+        check_count("batch_size", batch_size, 1)
         _check_samples(x)
         loss = loss if loss is not None else SoftmaxCrossEntropy()
         total_loss = 0.0
@@ -246,15 +196,6 @@ class Sequential:
         """The paper's headline accuracy metric: 1 - classification accuracy."""
         _, accuracy = self.evaluate(x, y)
         return 1.0 - accuracy
-
-    def summary(self) -> str:
-        """Human-readable layer-by-layer summary."""
-        lines = [f"Sequential model {self.name!r}"]
-        for i, layer in enumerate(self.layers):
-            flag = "" if layer.trainable else " [frozen]"
-            lines.append(f"  {i:2d}: {layer!r} params={layer.parameter_count}{flag}")
-        lines.append(f"  total parameters: {self.parameter_count}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"Sequential(name={self.name!r}, layers={len(self.layers)})"

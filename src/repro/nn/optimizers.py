@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers."""
+"""The gradient-descent optimizer (Adam, as the paper's Keras training uses)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -17,35 +17,6 @@ class Optimizer:
 
     def reset(self) -> None:
         """Clear any accumulated state (momentum, moments)."""
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        for param, grad in zip(params, grads):
-            if self.momentum > 0.0:
-                key = id(param)
-                velocity = self._velocity.get(key)
-                if velocity is None:
-                    velocity = np.zeros_like(param)
-                velocity = self.momentum * velocity - self.learning_rate * grad
-                self._velocity[key] = velocity
-                param += velocity
-            else:
-                param -= self.learning_rate * grad
-
-    def reset(self) -> None:
-        self._velocity.clear()
 
 
 class Adam(Optimizer):

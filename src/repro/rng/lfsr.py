@@ -19,7 +19,7 @@ wide margin.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "ALTERNATE_TAPS",
     "LFSR",
     "LFSRSource",
-    "ShiftedLFSRSource",
     "RotatedLFSRSource",
 ]
 
@@ -155,28 +154,9 @@ class LFSR:
         """Apply the stuck-cell forcing masks to a register state."""
         return (state | self._stuck_or) & self._stuck_and
 
-    @property
-    def state(self) -> int:
-        """Current register contents as an integer in ``[1, 2**bits - 1]``."""
-        return self._state
-
-    @property
-    def period(self) -> int:
-        """Sequence period for a maximal-length configuration (``2**bits - 1``)."""
-        return (1 << self.bits) - 1
-
     def reset(self) -> None:
         """Restore the register to its seed value (stuck cells still forced)."""
         self._state = self._force(self._seed)
-
-    def step(self) -> int:
-        """Advance one clock cycle and return the new state."""
-        lsb = self._state & 1
-        self._state >>= 1
-        if lsb:
-            self._state ^= self._feedback_mask
-        self._state = self._force(self._state)
-        return self._state
 
     def states(self, length: int) -> np.ndarray:
         """Return the next ``length`` states (starting from the current one)."""
@@ -194,18 +174,6 @@ class LFSR:
             state = (state | stuck_or) & stuck_and
         self._state = state
         return out
-
-    def bit_sequence(self, length: int) -> np.ndarray:
-        """Return the output-bit sequence (MSB of each state) of ``length`` steps."""
-        states = self.states(length)
-        return ((states >> (self.bits - 1)) & 1).astype(np.uint8)
-
-    def cycle(self) -> List[int]:
-        """Return the full state cycle starting from the seed (resets the LFSR)."""
-        self.reset()
-        seen = self.states(self.period)
-        self.reset()
-        return [int(s) for s in seen]
 
 
 class LFSRSource(NumberSource):
@@ -247,39 +215,6 @@ class LFSRSource(NumberSource):
 
     def __repr__(self) -> str:
         return f"LFSRSource(bits={self.resolution_bits}, seed={self._lfsr._seed})"
-
-
-class ShiftedLFSRSource(NumberSource):
-    """A delayed copy of an existing LFSR sequence.
-
-    Table 1's cheapest scheme drives both SNGs from *one* LFSR, using the
-    register value for one input and a circularly shifted (delayed) version of
-    the same sequence for the other.  Sharing the register keeps hardware cost
-    to a minimum but leaves the two streams strongly correlated, which is why
-    that scheme has the worst multiplier MSE.
-    """
-
-    def __init__(self, base: LFSRSource, shift: int = 1):
-        if shift < 0:
-            raise ValueError("shift must be non-negative")
-        self._base = base
-        self._shift = int(shift)
-        self.resolution_bits = base.resolution_bits
-
-    def sequence(self, length: int) -> np.ndarray:
-        period = self._base.lfsr.period
-        # Generate enough of the base sequence to apply the delay inside one
-        # full period, then roll it: a delayed maximal-length sequence is the
-        # same cycle starting at a different state.
-        span = max(length, period)
-        seq = self._base.sequence(span + self._shift)
-        return seq[self._shift : self._shift + length]
-
-    def reset(self) -> None:
-        self._base.reset()
-
-    def __repr__(self) -> str:
-        return f"ShiftedLFSRSource(shift={self._shift}, base={self._base!r})"
 
 
 class RotatedLFSRSource(NumberSource):

@@ -16,8 +16,6 @@ Two classical constructions are provided:
   direction numbers; dimension 0 coincides with van der Corput.  Different
   dimensions provide the mutually uncorrelated sources needed when several
   independent streams must be generated at once (e.g. 25 kernel weights).
-* :class:`HaltonSource` -- van der Corput in an arbitrary (prime) base, used
-  in ablations.
 """
 
 from __future__ import annotations
@@ -26,13 +24,7 @@ import numpy as np
 
 from .sources import NumberSource
 
-__all__ = [
-    "bit_reverse",
-    "van_der_corput",
-    "VanDerCorputSource",
-    "SobolSource",
-    "HaltonSource",
-]
+__all__ = ["bit_reverse", "VanDerCorputSource", "SobolSource"]
 
 
 def bit_reverse(values: np.ndarray, bits: int) -> np.ndarray:
@@ -42,20 +34,6 @@ def bit_reverse(values: np.ndarray, bits: int) -> np.ndarray:
     for i in range(bits):
         out |= ((values >> i) & 1) << (bits - 1 - i)
     return out
-
-
-def van_der_corput(length: int, bits: int) -> np.ndarray:
-    """First ``length`` points of the base-2 van der Corput sequence.
-
-    Point ``k`` is the bit-reversal of ``k`` (mod ``2**bits``) divided by
-    ``2**bits``, giving values in ``[0, 1)`` that fill the unit interval as
-    evenly as possible.
-    """
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    n = 1 << bits
-    k = np.arange(length, dtype=np.int64) % n
-    return bit_reverse(k, bits).astype(np.float64) / n
 
 
 class VanDerCorputSource(NumberSource):
@@ -154,29 +132,3 @@ class SobolSource(NumberSource):
 
     def __repr__(self) -> str:
         return f"SobolSource(bits={self.resolution_bits}, dimension={self.dimension})"
-
-
-class HaltonSource(NumberSource):
-    """Van der Corput sequence in an arbitrary base (Halton's construction)."""
-
-    def __init__(self, bits: int, base: int = 2) -> None:
-        if base < 2:
-            raise ValueError("base must be >= 2")
-        self.resolution_bits = int(bits)
-        self.base = int(base)
-
-    def sequence(self, length: int) -> np.ndarray:
-        out = np.empty(length, dtype=np.float64)
-        for i in range(length):
-            f = 1.0
-            r = 0.0
-            k = i
-            while k > 0:
-                f /= self.base
-                r += f * (k % self.base)
-                k //= self.base
-            out[i] = r
-        return out
-
-    def __repr__(self) -> str:
-        return f"HaltonSource(bits={self.resolution_bits}, base={self.base})"

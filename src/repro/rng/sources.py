@@ -7,9 +7,9 @@ below the target probability.  The quality of the resulting bit-stream --
 and therefore the accuracy of the whole stochastic circuit -- is determined
 almost entirely by the number source (Table 1 of the paper).
 
-This module defines the :class:`NumberSource` interface plus the simplest
-implementations; the LFSR, low-discrepancy and ramp sources used in the
-paper's comparison live in sibling modules.
+This module defines the :class:`NumberSource` interface and the idealized
+random source of Table 2; the LFSR, low-discrepancy and ramp sources used in
+the paper's comparison live in sibling modules.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "NumberSource",
-    "PseudoRandomSource",
-    "CounterSource",
-    "ConstantSource",
-]
+__all__ = ["NumberSource", "PseudoRandomSource"]
 
 
 class NumberSource(abc.ABC):
@@ -72,42 +67,3 @@ class PseudoRandomSource(NumberSource):
 
     def __repr__(self) -> str:
         return f"PseudoRandomSource(seed={self._seed})"
-
-
-class CounterSource(NumberSource):
-    """A simple up-counter source producing ``k / 2**bits`` for ``k = 0, 1, ...``.
-
-    Counter-driven SNGs produce perfectly uniform but strongly auto-correlated
-    streams (all the ones bunched together once compared against a constant),
-    the same structural property as the ramp-compare converter.  It is used as
-    a cheap deterministic weight generator in several ablations.
-    """
-
-    def __init__(self, bits: int, phase: int = 0) -> None:
-        if bits < 1:
-            raise ValueError("bits must be >= 1")
-        self.resolution_bits = int(bits)
-        self._phase = int(phase) % (1 << bits)
-
-    def sequence(self, length: int) -> np.ndarray:
-        n = 1 << self.resolution_bits
-        k = (np.arange(length, dtype=np.int64) + self._phase) % n
-        return k.astype(np.float64) / n
-
-    def __repr__(self) -> str:
-        return f"CounterSource(bits={self.resolution_bits}, phase={self._phase})"
-
-
-class ConstantSource(NumberSource):
-    """A source that always emits the same value; useful for testing SNG logic."""
-
-    def __init__(self, value: float) -> None:
-        if not 0.0 <= value < 1.0:
-            raise ValueError(f"value must lie in [0, 1), got {value}")
-        self._value = float(value)
-
-    def sequence(self, length: int) -> np.ndarray:
-        return np.full(length, self._value, dtype=np.float64)
-
-    def __repr__(self) -> str:
-        return f"ConstantSource(value={self._value})"

@@ -7,7 +7,6 @@ from .dotproduct import (
     DotProductResult,
     PreparedWeights,
     StochasticDotProductEngine,
-    bipolar_stochastic_dot_product,
     new_sc_engine,
     old_sc_engine,
     resolve_mode,
@@ -17,55 +16,32 @@ from .dotproduct import (
 )
 from .elements import (
     AdderTree,
-    AndMultiplier,
-    AsynchronousCounter,
-    BinaryCounter,
     MuxAdder,
-    OrAdder,
     StochasticAdder,
-    SynchronousCounter,
     TffAdder,
-    ToggleFlipFlop,
-    XnorMultiplier,
     and_multiply,
     count_ones,
     mux_add,
-    or_add,
     sign_from_counts,
     stochastic_to_binary,
     tff_add,
-    tff_halver,
-    tff_output,
     toggle_states,
-    xnor_multiply,
 )
 
 __all__ = [
-    "AndMultiplier",
-    "XnorMultiplier",
     "and_multiply",
-    "xnor_multiply",
     "StochasticAdder",
     "TffAdder",
     "MuxAdder",
-    "OrAdder",
     "AdderTree",
     "tff_add",
     "mux_add",
-    "or_add",
-    "ToggleFlipFlop",
     "toggle_states",
-    "tff_output",
-    "tff_halver",
-    "BinaryCounter",
-    "AsynchronousCounter",
-    "SynchronousCounter",
     "count_ones",
     "stochastic_to_binary",
     "sign_from_counts",
     "split_weights",
     "stochastic_dot_product",
-    "bipolar_stochastic_dot_product",
     "MODES",
     "resolve_mode",
     "validate_mode",

@@ -26,8 +26,8 @@ count inside its ownership mask ``m`` (all ones for TFF trees) is
 
 The tap axis is padded to a power of two with bipolar-zero ``1010...``
 streams (pad leaves: the zero input XNOR ``~1010...``).  The byte-per-bit
-reference :func:`repro.sc.dotproduct.bipolar_stochastic_dot_product` gives
-the same counter values.
+reference kernel of the differential tests (``tests/sc_oracle.py``) gives the
+same counter values.
 
 Sign-tie contract
 -----------------
@@ -54,12 +54,12 @@ from ..bitstream.packed import (
     packed_alternating,
     packed_not,
     packed_popcount,
-    packed_xnor,
     unpack_bits,
     words_for,
 )
 from ..faults.spec import FaultSpec
 from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource, level_dtype
+from ..utils.checks import check_count
 from .elements.adders import AdderTree, TreePlan
 from .dotproduct import FilterBank, StochasticDotProductEngine, resolve_mode
 
@@ -155,7 +155,7 @@ class BipolarWeightBank(FilterBank):
     def _leaf_streams(self, x: np.ndarray) -> np.ndarray:
         """XNOR products ``(..., filters, leaves, W)`` of input streams ``(..., taps, W)``."""
         x = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, self.plan.count - self.taps), (0, 0)])
-        return packed_xnor(x[..., np.newaxis, :, :], self.weight_streams, self.n_bits)
+        return packed_not(x[..., np.newaxis, :, :] ^ self.weight_streams, self.n_bits)
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Tree-output counts ``(..., filters)`` for input values ``(..., taps)``.
@@ -220,8 +220,7 @@ class BipolarDotProductEngine:
     _adder_factory = StochasticDotProductEngine._adder_factory
 
     def __post_init__(self) -> None:
-        if self.precision < 2:
-            raise ValueError("precision must be at least 2 bits")
+        check_count("precision", self.precision, 2)
         if self.adder not in ("tff", "mux"):
             raise ValueError(f"unknown adder {self.adder!r}; expected one of ('tff', 'mux')")
         self.mode = resolve_mode(self.mode)

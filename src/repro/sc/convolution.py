@@ -71,6 +71,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..utils.checks import check_count
 from ..utils.windows import conv_output_size, extract_patches, patches_to_map
 from .dotproduct import DotProductResult, StochasticDotProductEngine, new_sc_engine
 
@@ -164,8 +165,8 @@ class StochasticConv2D:
             raise ValueError("soft_threshold must be non-negative")
         self.kernels = kernels
         self.engine = engine if engine is not None else new_sc_engine(precision=8)
-        self.padding = int(padding)
-        self.stride = int(stride)
+        self.padding = int(check_count("padding", padding, 0))
+        self.stride = int(check_count("stride", stride))
         self.soft_threshold = float(soft_threshold)
         #: One weight bank for all kernels (leading filter axis, fused
         #: positive/negative trees), shared by every tile of every forward

@@ -17,12 +17,12 @@ comparator implements the sign activation.
 
 This module holds two layers:
 
-* the byte-per-bit reference kernels -- :func:`stochastic_dot_product` and
-  its bipolar twin :func:`bipolar_stochastic_dot_product` -- which reduce
-  pre-generated one-byte-per-bit arrays through the element adders
+* the byte-per-bit reference kernel :func:`stochastic_dot_product`, which
+  reduces pre-generated one-byte-per-bit arrays through the element adders
   (:meth:`AdderTree.reduce <repro.sc.elements.adders.AdderTree.reduce>`).
-  They define the bit-level semantics once and are the oracle the
-  differential test suites compare the engines against;
+  It defines the bit-level semantics once and is the oracle the
+  differential test suites compare the engines against (its bipolar twin
+  lives with them, in ``tests/sc_oracle.py``);
 * :class:`StochasticDotProductEngine`, which owns the number-generation
   configuration (the knob that distinguishes "this work" from the "old SC"
   baseline in Table 3).  Its only evaluator is a :class:`PreparedWeights`
@@ -92,9 +92,9 @@ from ..rng import (
     VanDerCorputSource,
     level_dtype,
 )
+from ..utils.checks import check_count
 from .elements.adders import AdderTree, MuxAdder, TffAdder, TreePlan
 from .elements.converters import count_ones, sign_from_counts
-from .elements.multipliers import xnor_multiply
 from .elements.util import as_bits
 from .mode import MODES, resolve_mode, validate_mode
 
@@ -104,7 +104,6 @@ __all__ = [
     "validate_mode",
     "split_weights",
     "stochastic_dot_product",
-    "bipolar_stochastic_dot_product",
     "DotProductResult",
     "TILE_BYTES",
     "tile_patches",
@@ -125,7 +124,7 @@ def split_weights(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w_pos, w_neg)`` with ``weights = w_pos - w_neg`` and both parts
     in ``[0, 1]`` (weights are expected to be pre-scaled into ``[-1, 1]``; see
-    :func:`repro.nn.quantization.scale_kernel`).
+    :func:`repro.nn.quantization.scale_kernels`).
     """
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.abs(w) <= 1.0 + 1e-9):
@@ -163,31 +162,6 @@ def stochastic_dot_product(
     tree = AdderTree(adder_factory)
     summed = tree.reduce(products)
     return count_ones(summed)
-
-
-def bipolar_stochastic_dot_product(
-    x_bits: np.ndarray,
-    w_bits: np.ndarray,
-    adder_factory: Callable[[], object] = TffAdder,
-) -> np.ndarray:
-    """Bit-level bipolar dot product: XNOR products reduced by an adder tree.
-
-    The bipolar twin of :func:`stochastic_dot_product` and the reference for
-    :class:`~repro.sc.bipolar.BipolarDotProductEngine`.  The tap axis is
-    padded to a power of two with alternating ``1010...`` streams, which
-    encode bipolar zero (an all-zeros pad would encode -1 and bias the sum).
-    Returns the ones-count of the tree output, shape ``(...,)``.
-    """
-    x_arr, _ = as_bits(x_bits)
-    w_arr, _ = as_bits(w_bits)
-    products = np.asarray(xnor_multiply(x_arr, w_arr))
-    taps, length = products.shape[-2:]
-    padded = 1 << AdderTree().depth(taps)
-    if padded != taps:
-        pad = np.zeros(products.shape[:-2] + (padded - taps, length), dtype=np.uint8)
-        pad[..., ::2] = 1
-        products = np.concatenate([products, pad], axis=-2)
-    return count_ones(AdderTree(adder_factory).reduce(products))
 
 
 @dataclass
@@ -527,8 +501,7 @@ class StochasticDotProductEngine:
     faults: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
-        if self.precision < 2:
-            raise ValueError("precision must be at least 2 bits")
+        check_count("precision", self.precision, 2)
         if self.adder not in ("tff", "mux"):
             raise ValueError(f"unknown adder {self.adder!r}; expected one of ('tff', 'mux')")
         if self.input_generator not in ("ramp", "lfsr"):

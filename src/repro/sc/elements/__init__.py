@@ -1,48 +1,20 @@
-"""Stochastic arithmetic elements: multipliers, adders, flip-flops, converters."""
+"""Stochastic arithmetic elements: the multiplier, adders, the TFF, converters."""
 
-from .adders import (
-    AdderTree,
-    TreePlan,
-    MuxAdder,
-    OrAdder,
-    StochasticAdder,
-    TffAdder,
-    mux_add,
-    or_add,
-    tff_add,
-)
-from .converters import (
-    AsynchronousCounter,
-    BinaryCounter,
-    SynchronousCounter,
-    count_ones,
-    sign_from_counts,
-    stochastic_to_binary,
-)
-from .flipflops import ToggleFlipFlop, tff_halver, tff_output, toggle_states
-from .multipliers import AndMultiplier, XnorMultiplier, and_multiply, xnor_multiply
+from .adders import AdderTree, MuxAdder, StochasticAdder, TffAdder, TreePlan, mux_add, tff_add
+from .converters import count_ones, sign_from_counts, stochastic_to_binary
+from .flipflops import toggle_states
+from .multipliers import and_multiply
 
 __all__ = [
-    "AndMultiplier",
-    "XnorMultiplier",
     "and_multiply",
-    "xnor_multiply",
     "StochasticAdder",
     "TffAdder",
     "MuxAdder",
-    "OrAdder",
     "AdderTree",
     "TreePlan",
     "tff_add",
     "mux_add",
-    "or_add",
-    "ToggleFlipFlop",
     "toggle_states",
-    "tff_output",
-    "tff_halver",
-    "BinaryCounter",
-    "AsynchronousCounter",
-    "SynchronousCounter",
     "count_ones",
     "stochastic_to_binary",
     "sign_from_counts",

@@ -1,5 +1,5 @@
-"""Stochastic adders: the conventional MUX adder, the OR adder and the paper's
-new TFF-based adder.
+"""Stochastic adders: the conventional MUX adder and the paper's new TFF-based
+adder.
 
 All stochastic adders compute the *scaled* sum ``(p_x + p_y) / 2`` so the
 result stays inside the unit interval.  They differ in where their error
@@ -9,8 +9,6 @@ comes from:
   multiplexer whose select input is a 0.5-valued stream; it therefore needs an
   extra number source and exhibits sampling error even for exactly
   representable results.
-* :class:`OrAdder` approximates ``p_x + p_y`` by a single OR gate, which is
-  only accurate when both inputs are near zero.
 * :class:`TffAdder` (Fig. 2b, the paper's contribution) stores the
   "carry" information of disagreeing input bits in a toggle flip-flop and
   releases it on the next disagreement.  Its output ones-count is *exactly*
@@ -18,7 +16,7 @@ comes from:
   flip-flop's initial state -- no extra random source, no sensitivity to
   input correlation or auto-correlation.
 
-:class:`AdderTree` builds balanced trees of any of these two-input adders, the
+:class:`AdderTree` builds balanced trees of either two-input adder, the
 structure used by the stochastic dot-product engine.
 
 Array-level reduction
@@ -27,13 +25,13 @@ Tree reduction is evaluated *level by level on whole arrays*: every level
 pairs the stream axis (``(..., k, N)`` bits or ``(..., k, W)`` packed words)
 and applies one vectorized kernel to all nodes of the level at once -- a
 single prefix-parity scan for TFF nodes, a single masked select for MUX
-nodes (per-node select streams stacked on the node axis), a single OR for OR
-nodes.  Every level must hold nodes of one plain adder kind: :class:`TffAdder`
-nodes sharing one initial state, :class:`MuxAdder` nodes or :class:`OrAdder`
-nodes.  A plan raises ``ValueError`` for a level that mixes kinds or holds a
-subclass.  Adder *objects* are instantiated through the factory level by
-level, left to right, so stateful factories -- e.g. per-node MUX select
-seeds -- see one fixed node enumeration.
+nodes (per-node select streams stacked on the node axis).  Every level must
+hold nodes of one plain adder kind: :class:`TffAdder` nodes sharing one
+initial state, or :class:`MuxAdder` nodes.  A plan raises ``ValueError`` for
+a level that mixes kinds or holds a subclass.  Adder *objects* are
+instantiated through the factory level by level, left to right, so stateful
+factories -- e.g. per-node MUX select seeds -- see one fixed node
+enumeration.
 
 :class:`TreePlan` extends this to *lanes*: several identical trees (for the
 stochastic convolution, one tree per ``(filter, positive/negative)`` pair)
@@ -68,8 +66,6 @@ trees restricted to the leaf masks -- so without stream faults they build
 no stream at all.  The TFF identity holds for any leaf bits, so a TFF tree
 whose leaf streams were corrupted by stream faults needs only their
 popcounts too.  Both shortcuts are bit-identical to reducing the streams.
-The engines build only TFF and MUX trees; OR trees, position-dependent in a
-way neither shortcut captures, reduce only as streams.
 """
 
 from __future__ import annotations
@@ -88,13 +84,11 @@ _ALL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 __all__ = [
     "StochasticAdder",
     "MuxAdder",
-    "OrAdder",
     "TffAdder",
     "AdderTree",
     "TreePlan",
     "tff_add",
     "mux_add",
-    "or_add",
 ]
 
 
@@ -134,29 +128,11 @@ def mux_add(
     return wrap_like(out, x)
 
 
-def or_add(x: StreamLike, y: StreamLike) -> StreamLike:
-    """The OR-gate approximate adder: accurate only for inputs near zero."""
-    xb, _ = as_bits(x)
-    yb, _ = as_bits(y)
-    check_same_length(xb, yb)
-    return wrap_like((xb | yb).astype(np.uint8), x)
-
-
 class StochasticAdder:
-    """Common interface of all two-input scaled stochastic adders."""
-
-    #: True if the adder needs an auxiliary 0.5-valued select stream.
-    needs_select = False
-
-    #: Approximate complexity in two-input gate equivalents (hardware model).
-    gate_count = 1
+    """Common interface of the two-input scaled stochastic adders."""
 
     def __call__(self, x: StreamLike, y: StreamLike) -> StreamLike:
         raise NotImplementedError
-
-    def expected(self, px: float, py: float) -> float:
-        """Ideal scaled-sum output value for unipolar inputs."""
-        return 0.5 * (float(px) + float(py))
 
 
 class TffAdder(StochasticAdder):
@@ -169,9 +145,6 @@ class TffAdder(StochasticAdder):
         scaled sum is not representable at the stream length (Fig. 2c).
     """
 
-    # MUX2 + TFF + XOR for the disagree detection: ~4 gate equivalents.
-    gate_count = 4
-
     def __init__(self, initial_state: int = 0) -> None:
         if initial_state not in (0, 1):
             raise ValueError("initial_state must be 0 or 1")
@@ -182,22 +155,6 @@ class TffAdder(StochasticAdder):
 
     def __repr__(self) -> str:
         return f"TffAdder(initial_state={self.initial_state})"
-
-
-class OrAdder(StochasticAdder):
-    """OR-gate approximate adder (no scaling, saturating)."""
-
-    gate_count = 1
-
-    def __call__(self, x: StreamLike, y: StreamLike) -> StreamLike:
-        return or_add(x, y)
-
-    def expected(self, px: float, py: float) -> float:
-        """The OR adder targets the *unscaled* sum, saturating at 1."""
-        return min(1.0, float(px) + float(py))
-
-    def __repr__(self) -> str:
-        return "OrAdder()"
 
 
 class MuxAdder(StochasticAdder):
@@ -215,11 +172,6 @@ class MuxAdder(StochasticAdder):
     seed:
         Seed of the default pseudo-random select source.
     """
-
-    needs_select = True
-    # MUX2 plus the select generator's comparator share; the dominant cost is
-    # the extra number source, accounted separately by the hardware model.
-    gate_count = 3
 
     def __init__(
         self,
@@ -255,10 +207,9 @@ def _level_group(adders: List[StochasticAdder]):
     """Classify one level's nodes for single-kernel vectorized application.
 
     Returns ``("tff", initial_state)`` when every node is a plain
-    :class:`TffAdder` sharing one initial state, ``("or", None)`` for plain
-    :class:`OrAdder` nodes and ``("mux", None)`` for plain :class:`MuxAdder`
-    nodes (per-node select streams are stacked on the node axis); raises
-    ``ValueError`` for anything else.
+    :class:`TffAdder` sharing one initial state and ``("mux", None)`` for
+    plain :class:`MuxAdder` nodes (per-node select streams are stacked on the
+    node axis); raises ``ValueError`` for anything else.
     """
     first = adders[0]
     if type(first) is TffAdder and all(
@@ -266,14 +217,12 @@ def _level_group(adders: List[StochasticAdder]):
         for a in adders
     ):
         return ("tff", first.initial_state)
-    if all(type(a) is OrAdder for a in adders):
-        return ("or", None)
     if all(type(a) is MuxAdder for a in adders):
         return ("mux", None)
     kinds = sorted({repr(a) if type(a) is TffAdder else type(a).__name__ for a in adders})
     raise ValueError(
         "every adder-tree level must hold one plain adder kind: TffAdder nodes "
-        f"sharing one initial_state, MuxAdder nodes or OrAdder nodes; got {', '.join(kinds)}"
+        f"sharing one initial_state or MuxAdder nodes; got {', '.join(kinds)}"
     )
 
 
@@ -401,8 +350,6 @@ class TreePlan:
                     disagree = (xf ^ yf).astype(np.uint8)
                     state = toggle_states(disagree, group[1])
                     out = np.where(disagree == 1, state, xf).astype(np.uint8)
-            elif group[0] == "or":
-                out = xf | yf
             else:
                 # Byte-per-bit only; packed MUX levels are computed above.
                 sel = self._selects(li, length, packed)
@@ -423,9 +370,9 @@ class TreePlan:
         ``ceil``) ones -- and ``both + floor((cx + cy - 2 * both) / 2)``
         collapses to ``floor((cx + cy) / 2)``.  So a tree whose every level
         is plain TFF nodes admits :meth:`reduce_counts`, the count-domain
-        shortcut behind the filter-parallel convolution's speedup.  MUX and
-        OR levels are position-dependent: all-MUX trees have their own exact
-        shortcut (:meth:`leaf_masks`), OR trees none.
+        shortcut behind the filter-parallel convolution's speedup.  MUX
+        levels are position-dependent: all-MUX trees have their own exact
+        shortcut (:meth:`leaf_masks`).
         """
         return all(group[0] == "tff" for group in self._groups)
 
@@ -616,24 +563,6 @@ class AdderTree:
             template = streams[0]
         result = TreePlan(self.adder_factory, stacked.shape[-2]).reduce_bits(stacked)
         return wrap_like(result, template)
-
-    def reduce_packed(self, words: np.ndarray, n_bits: int) -> np.ndarray:
-        """Word-level :meth:`reduce` over packed streams stacked on axis -2.
-
-        ``words`` has shape ``(..., k, W)`` with ``W = ceil(n_bits / 64)``
-        uint64 words per stream.  Nodes are instantiated in exactly the same
-        order as in :meth:`reduce` (level by level, left to right, zero-padded
-        odd levels), so stateful factories -- e.g. per-node MUX select seeds --
-        produce bit-identical trees in both representations.
-        """
-        arr = np.asarray(words)
-        if arr.ndim < 2 or arr.shape[-2] == 0:
-            raise ValueError("stacked input must have shape (..., k, W) with k >= 1")
-        return TreePlan(self.adder_factory, arr.shape[-2]).reduce_packed(arr, n_bits)
-
-    def expected(self, values: Sequence[float]) -> float:
-        """Ideal output of the tree for unipolar input values."""
-        return float(np.sum(values)) * self.scale_factor(len(values))
 
     def __repr__(self) -> str:
         return f"AdderTree(adder_factory={self.adder_factory!r})"

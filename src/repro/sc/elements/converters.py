@@ -1,19 +1,11 @@
-"""Stochastic-to-binary converters (counters) and the sign-activation comparator.
+"""Stochastic-to-binary conversion (counting ones) and the sign comparator.
 
 Leaving the stochastic domain is done by counting ones (Fig. 1d of the
 paper): after ``N`` cycles the counter holds the integer numerator of the
-stream's value.  The paper distinguishes two hardware flavours:
-
-* **synchronous counters** -- conventional counters whose whole register must
-  settle between clock edges; their long carry chain limits the clock rate of
-  the stochastic core feeding them.
-* **asynchronous (ripple) counters** -- each stage is clocked by the previous
-  stage's output, so a new input pulse can be accepted before earlier pulses
-  have rippled through; this lets the stochastic core run at full speed.
-
-Functionally both produce the same count; the distinction matters only to the
-hardware timing/energy model, so both classes expose identical behavioural
-interfaces plus the metadata the :mod:`repro.hw` model consumes.
+stream's value.  The paper uses asynchronous (ripple) counters, which let
+the stochastic core run at full speed; functionally every counter produces
+the same count, so only the count is modelled here (the counter's cost is
+part of the gate-level netlists, :func:`repro.netlist.build_sc_dot_product`).
 """
 
 from __future__ import annotations
@@ -22,14 +14,7 @@ import numpy as np
 
 from .util import StreamLike, as_bits
 
-__all__ = [
-    "count_ones",
-    "stochastic_to_binary",
-    "BinaryCounter",
-    "AsynchronousCounter",
-    "SynchronousCounter",
-    "sign_from_counts",
-]
+__all__ = ["count_ones", "stochastic_to_binary", "sign_from_counts"]
 
 
 def count_ones(stream: StreamLike) -> np.ndarray:
@@ -52,85 +37,6 @@ def stochastic_to_binary(stream: StreamLike, encoding: str = "unipolar") -> np.n
     if encoding == "bipolar":
         return 2.0 * p - 1.0
     raise ValueError(f"unknown encoding {encoding!r}")
-
-
-class BinaryCounter:
-    """Behavioural model of an up-counter used as stochastic-to-binary converter.
-
-    Parameters
-    ----------
-    bits:
-        Register width; the count saturates at ``2**bits - 1`` (a real counter
-        would wrap, but in the paper's datapath the stream length never
-        exceeds the counter range, so saturation only guards misuse).
-    """
-
-    #: Identifier used by the hardware model ("sync" or "async").
-    style = "generic"
-
-    def __init__(self, bits: int) -> None:
-        if bits < 1:
-            raise ValueError("counter needs at least 1 bit")
-        self.bits = int(bits)
-        self.max_count = (1 << self.bits) - 1
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Current register value."""
-        return self._count
-
-    def reset(self) -> None:
-        """Clear the counter."""
-        self._count = 0
-
-    def step(self, bit: int) -> int:
-        """Apply one stream bit and return the updated count."""
-        if bit:
-            self._count = min(self._count + 1, self.max_count)
-        return self._count
-
-    def run(self, stream: StreamLike) -> int:
-        """Count the ones of a single stream (resets first)."""
-        bits, _ = as_bits(stream)
-        if bits.ndim != 1:
-            raise ValueError(
-                "BinaryCounter.run expects a single stream; "
-                "use count_ones() for batched conversion"
-            )
-        self.reset()
-        total = int(bits.sum())
-        self._count = min(total, self.max_count)
-        return self._count
-
-
-class AsynchronousCounter(BinaryCounter):
-    """Ripple counter: stages clock each other, so the SC core can run fast.
-
-    The behavioural count is identical to :class:`BinaryCounter`; the class
-    carries the timing metadata used by :mod:`repro.hw` (the maximum input
-    rate is set by a single flip-flop delay rather than the full carry chain).
-    """
-
-    style = "async"
-
-    #: Critical path seen by the stochastic core, in flip-flop delays.
-    input_stage_delay_ff = 1
-
-
-class SynchronousCounter(BinaryCounter):
-    """Synchronous counter: the whole register must settle every cycle.
-
-    Its carry chain of ``bits`` stages throttles the stochastic core clock,
-    which is why the paper chooses asynchronous counters (Section II-A).
-    """
-
-    style = "sync"
-
-    @property
-    def input_stage_delay_ff(self) -> int:
-        """Critical path in flip-flop-delay equivalents (grows with width)."""
-        return self.bits
 
 
 def sign_from_counts(

@@ -1,4 +1,4 @@
-"""Sequential building blocks: the toggle flip-flop and the TFF halver.
+"""The toggle flip-flop's state sequence.
 
 The toggle flip-flop (TFF) is the key hardware ingredient of the paper's new
 adder (Section III).  A TFF flips its stored bit whenever its input is 1;
@@ -10,17 +10,15 @@ crucially, the output stream it produces
   extra random number source is needed and auto-correlated inputs (such as
   ramp-converted sensor data) are handled exactly.
 
-:func:`tff_halver` implements the circuit of Fig. 2a, which computes
-``p_C = p_A / 2`` by ANDing the input with the TFF output.
+:func:`toggle_states` is the byte-per-bit TFF the adders build on; its
+packed counterpart is :func:`repro.bitstream.packed.packed_toggle_states`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .util import StreamLike, as_bits, wrap_like
-
-__all__ = ["toggle_states", "tff_output", "tff_halver", "ToggleFlipFlop"]
+__all__ = ["toggle_states"]
 
 
 def toggle_states(trigger: np.ndarray, initial_state: int = 0) -> np.ndarray:
@@ -38,71 +36,3 @@ def toggle_states(trigger: np.ndarray, initial_state: int = 0) -> np.ndarray:
     cumulative = np.cumsum(trigger, axis=-1, dtype=np.int64)
     before = cumulative - trigger
     return ((before & 1) ^ initial_state).astype(np.uint8)
-
-
-def tff_output(trigger: StreamLike, initial_state: int = 0) -> StreamLike:
-    """The bit-stream produced at the Q output of a TFF fed by ``trigger``."""
-    bits, _ = as_bits(trigger)
-    return wrap_like(toggle_states(bits, initial_state), trigger)
-
-
-def tff_halver(x: StreamLike, initial_state: int = 1) -> StreamLike:
-    """The Fig. 2a circuit: ``p_out = p_x / 2`` with no extra random source.
-
-    Every *other* 1 of the input is passed to the output; with
-    ``initial_state=1`` the first input 1 is passed (output ones-count is
-    ``ceil(ones / 2)``), with 0 it is suppressed (``floor(ones / 2)``).
-    """
-    bits, _ = as_bits(x)
-    # The TFF is triggered by the input itself; the AND gate passes the input
-    # bit only when the flip-flop currently stores a 1.
-    state = toggle_states(bits, initial_state)
-    return wrap_like((bits & state).astype(np.uint8), x)
-
-
-class ToggleFlipFlop:
-    """A stateful TFF for cycle-by-cycle use (gate-level simulation, examples).
-
-    The vectorized helpers above are preferred for bulk simulation; this class
-    exists for step-wise circuit walk-throughs and for the netlist substrate.
-    """
-
-    def __init__(self, initial_state: int = 0) -> None:
-        if initial_state not in (0, 1):
-            raise ValueError("initial_state must be 0 or 1")
-        self._initial_state = int(initial_state)
-        self._state = int(initial_state)
-
-    @property
-    def state(self) -> int:
-        """The currently stored bit."""
-        return self._state
-
-    def reset(self) -> None:
-        """Restore the initial state."""
-        self._state = self._initial_state
-
-    def step(self, trigger: int) -> int:
-        """Observe the current state, then toggle if ``trigger`` is 1.
-
-        Returns the state *before* the toggle, matching the semantics the
-        adder relies on (the multiplexer reads Q during the same cycle the
-        toggle pulse is applied).
-        """
-        current = self._state
-        if trigger:
-            self._state ^= 1
-        return current
-
-    def run(self, trigger: StreamLike) -> np.ndarray:
-        """Apply a whole trigger stream and return the observed states."""
-        bits, _ = as_bits(trigger)
-        if bits.ndim != 1:
-            raise ValueError(
-                "ToggleFlipFlop.run expects a single one-dimensional stream; "
-                "use toggle_states() for batched simulation"
-            )
-        out = np.empty_like(bits)
-        for i, bit in enumerate(bits):
-            out[i] = self.step(int(bit))
-        return out

@@ -1,12 +1,12 @@
-"""Stochastic multipliers.
+"""The stochastic multiplier.
 
-Multiplication is the celebrated cheap operation of stochastic computing:
+Multiplication is the celebrated cheap operation of stochastic computing: in
+the **unipolar** encoding a single AND gate multiplies two independent
+streams, because ``P(x AND y) = P(x) * P(y)`` (Fig. 1a of the paper).  (In
+the bipolar encoding an XNOR gate plays that role; the bipolar engine,
+:mod:`repro.sc.bipolar`, applies it to packed words.)
 
-* in the **unipolar** encoding a single AND gate multiplies two independent
-  streams, because ``P(x AND y) = P(x) * P(y)`` (Fig. 1a of the paper);
-* in the **bipolar** encoding the same role is played by an XNOR gate.
-
-Both elements are exact *in expectation*; the error of a finite-length
+The element is exact *in expectation*; the error of a finite-length
 multiplication is entirely determined by how the input streams were
 generated, which is what Table 1 measures and what
 :func:`repro.eval.table1.run_table1` reproduces.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .util import StreamLike, as_bits, check_same_length, wrap_like
 
-__all__ = ["AndMultiplier", "XnorMultiplier", "and_multiply", "xnor_multiply"]
+__all__ = ["and_multiply"]
 
 
 def and_multiply(x: StreamLike, y: StreamLike) -> StreamLike:
@@ -27,49 +27,3 @@ def and_multiply(x: StreamLike, y: StreamLike) -> StreamLike:
     yb, _ = as_bits(y)
     check_same_length(xb, yb)
     return wrap_like((xb & yb).astype(np.uint8), x)
-
-
-def xnor_multiply(x: StreamLike, y: StreamLike) -> StreamLike:
-    """Bipolar stochastic multiplication: bitwise XNOR of the two streams."""
-    xb, _ = as_bits(x)
-    yb, _ = as_bits(y)
-    check_same_length(xb, yb)
-    return wrap_like((1 - (xb ^ yb)).astype(np.uint8), x)
-
-
-class AndMultiplier:
-    """The single-AND-gate unipolar multiplier (Fig. 1a).
-
-    The class form exists so multipliers and adders share a uniform
-    ``element(x, y)`` interface in sweeps and in the gate-level circuit
-    generators; it has no state.
-    """
-
-    #: Number of two-input gate equivalents, used by the hardware cost model.
-    gate_count = 1
-
-    def __call__(self, x: StreamLike, y: StreamLike) -> StreamLike:
-        return and_multiply(x, y)
-
-    def expected(self, px: float, py: float) -> float:
-        """The ideal (infinite-length) output value for unipolar inputs."""
-        return float(px) * float(py)
-
-    def __repr__(self) -> str:
-        return "AndMultiplier()"
-
-
-class XnorMultiplier:
-    """The single-XNOR-gate bipolar multiplier."""
-
-    gate_count = 1
-
-    def __call__(self, x: StreamLike, y: StreamLike) -> StreamLike:
-        return xnor_multiply(x, y)
-
-    def expected(self, x: float, y: float) -> float:
-        """The ideal output value for bipolar inputs."""
-        return float(x) * float(y)
-
-    def __repr__(self) -> str:
-        return "XnorMultiplier()"

@@ -23,6 +23,8 @@ __all__ = ["conv_output_size", "pad_images", "extract_patches", "patches_to_map"
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution along one dimension."""
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride!r}")
     out = (size + 2 * padding - kernel) // stride + 1
     if out < 1:
         raise ValueError(

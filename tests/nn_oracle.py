@@ -234,9 +234,14 @@ def as_oracle(model):
     return clone
 
 
+def parameters(model):
+    """Every parameter array of ``model``, in layer order (views, not copies)."""
+    return [p for layer in model.layers for p in layer.params]
+
+
 def fit(model, x, y, epochs=1, batch_size=64, loss=None, optimizer=None, shuffle=True,
         rng=None):
-    """``Sequential.fit``'s loop with the full ``model.backward`` before every step.
+    """``Sequential.fit``'s loop with a full backward pass before every step.
 
     Same batches, loss and optimizer calls as the library's ``fit``; returns
     the per-epoch mean losses.
@@ -254,7 +259,8 @@ def fit(model, x, y, epochs=1, batch_size=64, loss=None, optimizer=None, shuffle
             xb, yb = x[batch_idx], y[batch_idx]
             logits = model.forward(xb, training=True)
             batch_loss, grad = loss.forward(logits, yb)
-            model.backward(grad)
+            for layer in reversed(model.layers):
+                grad = layer.backward(grad)
             params, grads = model.trainable_parameters()
             optimizer.step(params, grads)
             epoch_loss += batch_loss * len(batch_idx)

@@ -1,25 +1,67 @@
 """Byte-per-bit references for the packed stochastic engines.
 
 The engines simulate packed 64-bit words only; the bit-level semantics are
-defined once, by the element adders and the reference kernels
-:func:`~repro.sc.dotproduct.stochastic_dot_product` /
-:func:`~repro.sc.dotproduct.bipolar_stochastic_dot_product` on one-byte-per-bit
-arrays.  The helpers here generate an engine's streams as bytes
-(``generate_bits`` / ``ramp_compare_batch``) and reduce them through those
-kernels with the engine's own adder factory, so MUX select seeds are consumed
-in the engine's order.  The differential suites compare every engine path
-against them.
+defined once, by the element adders and the reference kernels: the library's
+:func:`~repro.sc.dotproduct.stochastic_dot_product` and, here, its bipolar
+twin :func:`bipolar_stochastic_dot_product` on one-byte-per-bit arrays.  The
+helpers here generate an engine's streams as bytes (``generate_bits`` /
+``ramp_compare_batch``) and reduce them through those kernels with the
+engine's own adder factory, so MUX select seeds are consumed in the engine's
+order.  The differential suites compare every engine path against them.
+:func:`reduce_packed` is the one-tree word-level reduction the packed
+differential tests and speed rows compare against.
 """
 
 import numpy as np
 
 from repro.bitstream import bipolar_to_unipolar, unpack_bits
 from repro.rng import ramp_compare_batch
-from repro.sc.dotproduct import (
-    bipolar_stochastic_dot_product,
-    split_weights,
-    stochastic_dot_product,
-)
+from repro.sc.dotproduct import split_weights, stochastic_dot_product
+from repro.sc.elements import AdderTree, TffAdder, TreePlan, count_ones
+
+
+def xnor_multiply(x, y):
+    """Bipolar stochastic multiplication: bitwise XNOR of byte-per-bit streams."""
+    x = np.asarray(x, dtype=np.uint8)
+    y = np.asarray(y, dtype=np.uint8)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"stream length mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    return (1 - (x ^ y)).astype(np.uint8)
+
+
+def bipolar_stochastic_dot_product(x_bits, w_bits, adder_factory=TffAdder):
+    """Bit-level bipolar dot product: XNOR products reduced by an adder tree.
+
+    The reference for :class:`~repro.sc.bipolar.BipolarDotProductEngine`.
+    The tap axis is padded to a power of two with alternating ``1010...``
+    streams, which encode bipolar zero (an all-zeros pad would encode -1 and
+    bias the sum).  Returns the ones-count of the tree output, shape
+    ``(...,)``.
+    """
+    products = xnor_multiply(x_bits, w_bits)
+    taps, length = products.shape[-2:]
+    padded = 1 << AdderTree().depth(taps)
+    if padded != taps:
+        pad = np.zeros(products.shape[:-2] + (padded - taps, length), dtype=np.uint8)
+        pad[..., ::2] = 1
+        products = np.concatenate([products, pad], axis=-2)
+    return count_ones(AdderTree(adder_factory).reduce(products))
+
+
+def reduce_packed(adder_factory, words, n_bits):
+    """Word-level ``AdderTree(adder_factory).reduce`` over packed streams.
+
+    ``words`` has shape ``(..., k, W)`` with ``W = ceil(n_bits / 64)`` uint64
+    words per stream.  Nodes are instantiated in the order of
+    :meth:`~repro.sc.elements.adders.AdderTree.reduce` (level by level, left
+    to right, zero-padded odd levels), so stateful factories -- e.g.
+    per-node MUX select seeds -- produce bit-identical trees in both
+    representations.
+    """
+    arr = np.asarray(words)
+    if arr.ndim < 2 or arr.shape[-2] == 0:
+        raise ValueError("stacked input must have shape (..., k, W) with k >= 1")
+    return TreePlan(adder_factory, arr.shape[-2]).reduce_packed(arr, n_bits)
 
 
 def faulted_bits(engine, bits):

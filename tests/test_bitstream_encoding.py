@@ -20,19 +20,6 @@ class TestStreamLength:
         with pytest.raises(ValueError):
             enc.stream_length(0)
 
-    @pytest.mark.parametrize("bits", range(1, 16))
-    def test_precision_roundtrip(self, bits):
-        assert enc.precision_bits(enc.stream_length(bits)) == bits
-
-    def test_precision_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            enc.precision_bits(12)
-
-    def test_precision_rejects_one(self):
-        with pytest.raises(ValueError):
-            enc.precision_bits(1)
-
-
 class TestPolarityConversion:
     def test_unipolar_to_bipolar_midpoint(self):
         assert enc.unipolar_to_bipolar(0.5) == pytest.approx(0.0)
@@ -59,23 +46,9 @@ class TestPolarityConversion:
             enc.to_probability(0.5, "ternary")
         with pytest.raises(ValueError):
             enc.from_probability(0.5, "ternary")
-        with pytest.raises(ValueError):
-            enc.quantization_grid(4, "ternary")
 
 
 class TestQuantization:
-    def test_unipolar_grid_size(self):
-        grid = enc.quantization_grid(4)
-        assert len(grid) == 17
-        assert grid[0] == 0.0
-        assert grid[-1] == 1.0
-
-    def test_bipolar_grid_covers_range(self):
-        grid = enc.quantization_grid(3, enc.BIPOLAR)
-        assert grid[0] == -1.0
-        assert grid[-1] == 1.0
-        assert np.all(np.diff(grid) > 0)
-
     def test_quantize_unipolar_snaps_to_grid(self):
         assert enc.quantize_unipolar(0.26, 2) == pytest.approx(0.25)
         assert enc.quantize_unipolar(0.3749, 4) == pytest.approx(6 / 16)

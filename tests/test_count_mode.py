@@ -114,7 +114,7 @@ def test_engines_accept_only_the_configurations_the_paper_runs():
     # One level of TFF and MUX nodes: the factory alternates between them.
     factories = iter([TffAdder, MuxAdder] * 2)
     with pytest.raises(
-        ValueError, match="TffAdder nodes sharing one initial_state, MuxAdder nodes or OrAdder nodes"
+        ValueError, match="TffAdder nodes sharing one initial_state or MuxAdder nodes"
     ):
         TreePlan(lambda: next(factories)(), 4)
     with pytest.raises(TypeError, match="StochasticDotProductEngine"):

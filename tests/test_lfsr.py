@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rng import LFSR, LFSRSource, MAXIMAL_TAPS, ShiftedLFSRSource
+from repro.rng import LFSR, LFSRSource, MAXIMAL_TAPS
 
 
 class TestLFSR:
     @pytest.mark.parametrize("bits", [2, 3, 4, 5, 6, 7, 8])
     def test_maximal_period(self, bits):
         # A maximal-length n-bit LFSR must visit all 2**n - 1 non-zero states.
-        lfsr = LFSR(bits, seed=1)
-        cycle = lfsr.cycle()
-        assert len(cycle) == (1 << bits) - 1
-        assert len(set(cycle)) == len(cycle)
+        cycle = LFSR(bits, seed=1).states((1 << bits) - 1)
+        assert len(set(cycle.tolist())) == len(cycle)
         assert 0 not in cycle
-
-    def test_period_property(self):
-        assert LFSR(8).period == 255
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -32,7 +27,7 @@ class TestLFSR:
         with pytest.raises(ValueError):
             LFSR(25)
         lfsr = LFSR(4, taps=(4, 3))
-        assert len(lfsr.cycle()) == 15
+        assert len(set(lfsr.states(15).tolist())) == 15
 
     def test_bad_taps_rejected(self):
         with pytest.raises(ValueError):
@@ -40,20 +35,14 @@ class TestLFSR:
 
     def test_reset_restores_seed(self):
         lfsr = LFSR(6, seed=13)
-        lfsr.step()
-        lfsr.step()
+        lfsr.states(2)
         lfsr.reset()
-        assert lfsr.state == 13
+        assert lfsr.states(1)[0] == 13
 
     def test_states_deterministic(self):
         a = LFSR(8, seed=7).states(100)
         b = LFSR(8, seed=7).states(100)
         np.testing.assert_array_equal(a, b)
-
-    def test_bit_sequence_is_msb(self):
-        lfsr = LFSR(4, seed=8)  # state 8 = 0b1000, MSB = 1
-        bits = lfsr.bit_sequence(1)
-        assert bits[0] == 1
 
     def test_different_seeds_different_phases(self):
         a = LFSR(8, seed=1).states(50)
@@ -64,7 +53,7 @@ class TestLFSR:
     @settings(max_examples=25, deadline=None)
     def test_state_never_zero(self, bits, seed):
         lfsr = LFSR(bits, seed=(seed % ((1 << bits) - 1)) + 1)
-        states = lfsr.states(min(200, 4 * lfsr.period))
+        states = lfsr.states(min(200, 4 * ((1 << bits) - 1)))
         assert np.all(states != 0)
 
 
@@ -86,25 +75,3 @@ class TestLFSRSource:
 
     def test_resolution_bits(self):
         assert LFSRSource(6).resolution_bits == 6
-
-
-class TestShiftedLFSRSource:
-    def test_is_delayed_copy(self):
-        base = LFSRSource(8, seed=1)
-        shifted = ShiftedLFSRSource(base, shift=5)
-        full = base.sequence(300)
-        np.testing.assert_array_equal(shifted.sequence(100), full[5:105])
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(ValueError):
-            ShiftedLFSRSource(LFSRSource(4), shift=-1)
-
-    def test_highly_correlated_with_base(self):
-        # The whole point of the Table 1 comparison: a shifted copy of the
-        # same LFSR is far from independent of the original sequence.
-        base = LFSRSource(8, seed=1)
-        shifted = ShiftedLFSRSource(base, shift=4)
-        a = base.sequence(255)
-        b = shifted.sequence(255)
-        assert not np.array_equal(a, b)
-        assert set(np.round(a, 12)) == set(np.round(b, 12))

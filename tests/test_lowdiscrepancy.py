@@ -1,16 +1,9 @@
-"""Tests for low-discrepancy number sources (van der Corput, Sobol, Halton)."""
+"""Tests for low-discrepancy number sources (van der Corput, Sobol)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.rng import (
-    HaltonSource,
-    SobolSource,
-    VanDerCorputSource,
-    bit_reverse,
-    van_der_corput,
-)
+from repro.rng import SobolSource, VanDerCorputSource, bit_reverse
 
 
 class TestBitReverse:
@@ -25,14 +18,14 @@ class TestBitReverse:
 
 class TestVanDerCorput:
     def test_first_points(self):
-        seq = van_der_corput(8, 3)
+        seq = VanDerCorputSource(3).sequence(8)
         np.testing.assert_allclose(
             seq, [0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
         )
 
     def test_full_period_is_permutation_of_grid(self):
         bits = 6
-        seq = van_der_corput(1 << bits, bits)
+        seq = VanDerCorputSource(bits).sequence(1 << bits)
         expected = np.arange(1 << bits) / (1 << bits)
         np.testing.assert_allclose(np.sort(seq), expected)
 
@@ -40,7 +33,7 @@ class TestVanDerCorput:
         # Every prefix of length 2^k contains exactly one point per bin of
         # width 2^-k: the defining property that makes SNG error O(1/N).
         bits = 8
-        seq = van_der_corput(1 << bits, bits)
+        seq = VanDerCorputSource(bits).sequence(1 << bits)
         for k in range(1, bits + 1):
             prefix = seq[: 1 << k]
             bins = np.floor(prefix * (1 << k)).astype(int)
@@ -48,7 +41,7 @@ class TestVanDerCorput:
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
-            van_der_corput(8, 0)
+            VanDerCorputSource(0)
 
     def test_source_phase_offset(self):
         a = VanDerCorputSource(4).sequence(16)
@@ -61,7 +54,7 @@ class TestSobol:
     def test_dimension_zero_matches_van_der_corput_set(self):
         bits = 6
         sob = SobolSource(bits, dimension=0).sequence(1 << bits)
-        vdc = van_der_corput(1 << bits, bits)
+        vdc = VanDerCorputSource(bits).sequence(1 << bits)
         np.testing.assert_allclose(np.sort(sob), np.sort(vdc))
 
     @pytest.mark.parametrize("dimension", range(8))
@@ -91,23 +84,3 @@ class TestSobol:
         b = SobolSource(bits, dimension=1).sequence(1 << bits)
         quadrant = (a >= 0.5).astype(int) * 2 + (b >= 0.5).astype(int)
         assert set(np.unique(quadrant)) == {0, 1, 2, 3}
-
-
-class TestHalton:
-    def test_base2_matches_van_der_corput(self):
-        seq = HaltonSource(4, base=2).sequence(16)
-        np.testing.assert_allclose(seq, van_der_corput(16, 4))
-
-    def test_base3_values(self):
-        seq = HaltonSource(4, base=3).sequence(4)
-        np.testing.assert_allclose(seq, [0, 1 / 3, 2 / 3, 1 / 9])
-
-    def test_invalid_base(self):
-        with pytest.raises(ValueError):
-            HaltonSource(4, base=1)
-
-    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=20, deadline=None)
-    def test_values_in_unit_interval(self, base, length):
-        seq = HaltonSource(4, base=base).sequence(length)
-        assert np.all(seq >= 0.0) and np.all(seq < 1.0)

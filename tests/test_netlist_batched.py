@@ -296,27 +296,30 @@ def _feedback_counter_netlist():
     return netlist
 
 
-class TestTracePackedFeedbackCores:
-    """Per-trace feedback cores iterated with the trace axis packed into
-    words, bit-identical to independent per-trace oracle runs."""
+class TestPerTraceFeedbackCores:
+    """Per-trace feedback cores iterated once per trace, bit-identical to
+    independent per-trace oracle runs."""
 
-    def test_trace_packed_core_path_is_used_and_exact(self, monkeypatch):
+    def test_per_trace_core_path_is_used_and_exact(self, monkeypatch):
         import repro.netlist.simulator as simulator_module
 
         netlist = _feedback_counter_netlist()
         stimulus = batched_stimulus(netlist, 5, 130, seed=3)
         calls = {"count": 0}
-        original = simulator_module._iterate_core_tracewords
+        original = simulator_module._iterate_core
 
         def spy(*args, **kwargs):
             calls["count"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(simulator_module, "_iterate_core_tracewords", spy)
+        monkeypatch.setattr(simulator_module, "_iterate_core", spy)
+        simulate_batch(netlist, stimulus, record=netlist.nets, batch=5)
+        # Per-trace stimulus: the core is iterated once for each of the 5 traces.
+        assert calls["count"] == 5, "per-trace core resolution was not exercised"
+        monkeypatch.undo()
         assert_batch_equals_independent_runs(
             netlist, stimulus, 5, record=netlist.nets
         )
-        assert calls["count"] > 0, "trace-packed core resolution was not exercised"
 
     @given(
         batch=st.integers(min_value=1, max_value=70),
@@ -325,7 +328,8 @@ class TestTracePackedFeedbackCores:
     )
     @settings(max_examples=10, deadline=None)
     def test_hypothesis_batch_sizes_cross_word_boundaries(self, batch, cycles, seed):
-        # Batches above 64 traces exercise multi-word trace packing.
+        # Batches above 64 traces span more than one packed word per cycle
+        # in the batched waveforms around the core.
         netlist = _feedback_counter_netlist()
         stimulus = batched_stimulus(netlist, batch, cycles, seed)
         batched = simulate_batch(netlist, stimulus)

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
     Identity,
-    MeanSquaredError,
     ReLU,
-    Sigmoid,
     Sign,
     SoftmaxCrossEntropy,
-    Tanh,
     get_activation,
     one_hot,
     softmax,
@@ -59,21 +56,10 @@ class TestActivations:
         grad = act.backward(x, np.ones(4))
         np.testing.assert_allclose(grad, [0.0, 1.0, 1.0, 0.0])
 
-    def test_tanh_sigmoid_identity(self):
+    def test_identity_passes_values_and_gradients_through(self):
         x = np.linspace(-2, 2, 7)
-        assert np.allclose(Tanh().forward(x), np.tanh(x))
         assert np.allclose(Identity().forward(x), x)
-        s = Sigmoid().forward(x)
-        assert np.all((s > 0) & (s < 1))
-
-    @pytest.mark.parametrize("cls", [Tanh, Sigmoid])
-    def test_smooth_gradients_match_numerical(self, cls):
-        act = cls()
-        x = np.linspace(-1.5, 1.5, 11)
-        eps = 1e-6
-        numerical = (act.forward(x + eps) - act.forward(x - eps)) / (2 * eps)
-        analytical = act.backward(x, np.ones_like(x))
-        np.testing.assert_allclose(analytical, numerical, atol=1e-6)
+        assert np.allclose(Identity().backward(x, x), x)
 
     def test_get_activation_resolution(self):
         assert isinstance(get_activation("relu"), ReLU)
@@ -81,8 +67,9 @@ class TestActivations:
         assert isinstance(get_activation(None), Identity)
         relu = ReLU()
         assert get_activation(relu) is relu
-        with pytest.raises(ValueError):
-            get_activation("swish9")
+        for name in ("swish9", "tanh", "sigmoid"):
+            with pytest.raises(ValueError):
+                get_activation(name)
         with pytest.raises(TypeError):
             get_activation(3.14)
 
@@ -147,17 +134,3 @@ class TestSoftmaxCrossEntropy:
         logits = np.zeros((3, classes))
         value, _ = loss.forward(logits, np.zeros(3, dtype=np.int64))
         assert value == pytest.approx(np.log(classes), rel=1e-6)
-
-
-class TestMeanSquaredError:
-    def test_value_and_gradient(self):
-        loss = MeanSquaredError()
-        pred = np.array([[1.0, 2.0]])
-        target = np.array([[0.0, 0.0]])
-        value, grad = loss.forward(pred, target)
-        assert value == pytest.approx(2.5)
-        np.testing.assert_allclose(grad, [[1.0, 2.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MeanSquaredError().forward(np.zeros((2, 2)), np.zeros((2, 3)))

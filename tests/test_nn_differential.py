@@ -158,7 +158,7 @@ class TestConv2D:
     @given(
         geometry=conv_geometries(),
         filters=st.integers(1, 5),
-        activation=st.sampled_from([None, "relu", "tanh"]),
+        activation=st.sampled_from([None, "relu"]),
         seed=seeds,
     )
     def test_reordered_sums_stay_within_tolerance(self, geometry, filters, activation, seed):
@@ -185,7 +185,7 @@ class TestParameterGradientsOnly:
         "make, shape",
         [
             (lambda: Dense(6, 3, activation="relu"), (4, 6)),
-            (lambda: Conv2D(2, 3, 3, padding=1, activation="tanh"), (2, 2, 5, 5)),
+            (lambda: Conv2D(2, 3, 3, padding=1, activation="relu"), (2, 2, 5, 5)),
             (lambda: StochasticResolutionConv2D(1, 4, 3, precision=6, padding=1), (2, 1, 6, 6)),
         ],
     )
@@ -229,7 +229,7 @@ class TestFit:
         losses = nn_oracle.fit(reference, x, y, epochs=2, batch_size=batch_size,
                                optimizer=Adam(), rng=np.random.default_rng(seed))
         assert history.loss == losses
-        for mine, expected in zip(model.get_weights(), reference.get_weights()):
+        for mine, expected in zip(nn_oracle.parameters(model), nn_oracle.parameters(reference)):
             assert_identical(mine, expected)
 
     def test_retrain_backpropagates_only_to_first_trainable_layer(self):

@@ -1,10 +1,10 @@
-"""Property-based invariants of :class:`PackedBitstream` (hypothesis).
+"""Property-based invariants of the packed word kernels (hypothesis).
 
 Complements the differential suite: instead of comparing against the unpacked
 reference point-by-point, these tests assert the *invariants* every
-well-formed packed stream must satisfy -- value/ones preservation under the
-manipulation helpers, a spotless tail word after every operation, and edge
-cases (empty and length-1 streams) behaving exactly like the unpacked class.
+well-formed packed stream must satisfy -- ones preservation through packing,
+a spotless tail word after every kernel, and edge cases (empty and length-1
+streams) behaving exactly like the byte-per-bit :class:`Bitstream`.
 """
 
 import numpy as np
@@ -14,63 +14,57 @@ from hypothesis import given, settings, strategies as st
 from repro.bitstream import (
     WORD_BITS,
     Bitstream,
-    PackedBitstream,
+    mask_tail,
     pack_bits,
+    packed_alternating,
+    packed_delay,
+    packed_not,
+    packed_popcount,
+    packed_tff_add,
+    packed_toggle_states,
+    unpack_bits,
     words_for,
 )
+from repro.bitstream.packed import packed_apply_faults
 
 lengths = st.integers(min_value=1, max_value=300)
 values = st.floats(min_value=0.0, max_value=1.0)
 
 
-def tail_is_clean(packed: PackedBitstream) -> bool:
-    """True when no bit beyond ``n_bits`` is set in the tail word."""
-    rem = packed.n_bits % WORD_BITS
-    if rem == 0 or packed.words.shape[0] == 0:
+def tail_is_clear(words: np.ndarray, n_bits: int) -> bool:
+    """The tail-word invariant: no bit past ``n_bits`` is set.
+
+    Every kernel must return words whose unused tail positions are zero --
+    otherwise a later :func:`packed_popcount` would count garbage bits.
+    Kernels that can *set* bits past the stream length (NOT, the alternating
+    pad, fault injection) must therefore end with :func:`mask_tail`.
+    """
+    rem = int(n_bits) % WORD_BITS
+    if rem == 0 or words.shape[-1] == 0:
         return True
-    return int(packed.words[-1] >> np.uint64(rem)) == 0
+    return not bool(np.any(words[..., -1] >> np.uint64(rem)))
 
 
 class TestValuePreservation:
-    @given(values, lengths, st.integers(-400, 400))
-    @settings(max_examples=40, deadline=None)
-    def test_rotate_preserves_ones_and_value(self, value, length, shift):
-        packed = PackedBitstream.from_random(value, length, rng=7)
-        rotated = packed.rotate(shift)
-        assert rotated.ones == packed.ones
-        assert rotated.length == packed.length
-        assert rotated.value == packed.value
-        assert tail_is_clean(rotated)
-
-    @given(values, lengths, st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_repeat_preserves_value(self, value, length, times):
-        packed = PackedBitstream.from_random(value, length, rng=11)
-        repeated = packed.repeat(times)
-        assert repeated.length == length * times
-        assert repeated.ones == packed.ones * times
-        assert repeated.probability == pytest.approx(packed.probability)
-        assert tail_is_clean(repeated)
-
     @given(values, lengths, st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_permute_preserves_ones(self, value, length, seed):
-        packed = PackedBitstream.from_random(value, length, rng=3)
-        permuted = packed.permute(rng=seed)
-        assert permuted.ones == packed.ones
-        assert permuted.length == packed.length
-        assert tail_is_clean(permuted)
+        stream = Bitstream.from_random(value, length, rng=3)
+        words = pack_bits(stream.permute(rng=seed).bits)
+        assert packed_popcount(words) == stream.ones
+        assert tail_is_clear(words, length)
 
     @given(values, lengths)
     @settings(max_examples=40, deadline=None)
     def test_round_trip_and_complement(self, value, length):
-        packed = PackedBitstream.from_random(value, length, rng=5)
-        assert packed.unpack().pack() == packed
-        complement = ~packed
-        assert complement.ones == length - packed.ones
-        assert tail_is_clean(complement)
+        bits = Bitstream.from_random(value, length, rng=5).bits
+        words = pack_bits(bits)
+        assert np.array_equal(unpack_bits(words, length), bits)
+        complement = packed_not(words, length)
+        assert packed_popcount(complement) == length - int(bits.sum())
+        assert tail_is_clear(complement, length)
         # Involution: double complement restores the original words exactly.
-        assert ~complement == packed
+        assert np.array_equal(packed_not(complement, length), words)
 
 
 class TestTailMasking:
@@ -78,72 +72,59 @@ class TestTailMasking:
     @settings(max_examples=40, deadline=None)
     def test_logic_ops_never_leak_tail_bits(self, length, seed):
         rng = np.random.default_rng(seed)
-        x = PackedBitstream.from_random(rng.random(), length, rng=rng)
-        y = PackedBitstream.from_random(rng.random(), length, rng=rng)
-        for result in (x & y, x | y, x ^ y, ~x, ~y):
-            assert tail_is_clean(result)
+        x, y = pack_bits(rng.integers(0, 2, (2, length), dtype=np.int64).astype(np.uint8))
+        for result in (
+            x & y,
+            x | y,
+            x ^ y,
+            packed_not(x, length),
+            packed_not(x ^ y, length),
+            packed_tff_add(x, y, length, initial_state=1),
+            packed_delay(x, length, fill=1),
+            packed_toggle_states(x, length, initial_state=1),
+            packed_alternating(length),
+        ):
+            assert tail_is_clear(result, length)
             # popcount over words must agree with the unpacked ones-count,
             # which is only true when no stray tail bits exist.
-            assert result.ones == result.unpack().ones
+            assert packed_popcount(result) == unpack_bits(result, length).sum()
 
-    def test_constructor_rejects_stray_tail_bits(self):
-        words = np.array([0xFF], dtype=np.uint64)  # 8 bits set, length 4
-        with pytest.raises(ValueError, match="stray bits"):
-            PackedBitstream(words, 4)
-
-    def test_constructor_rejects_wrong_word_count(self):
+    def test_unpack_rejects_wrong_word_count(self):
         with pytest.raises(ValueError, match="words"):
-            PackedBitstream(np.zeros(2, dtype=np.uint64), 64)
+            unpack_bits(np.zeros(2, dtype=np.uint64), 64)
         with pytest.raises(TypeError):
-            PackedBitstream(np.zeros(1, dtype=np.int64), 64)
+            unpack_bits(np.zeros(1, dtype=np.int64), 64)
 
     def test_all_ones_tail_masked(self):
         for length in (1, 63, 64, 65, 130):
-            packed = PackedBitstream.all_ones(length)
-            assert packed.ones == length
-            assert tail_is_clean(packed)
+            words = np.full(words_for(length), np.uint64(2**64 - 1), dtype=np.uint64)
+            words = mask_tail(words, length)
+            assert packed_popcount(words) == length
+            assert tail_is_clear(words, length)
 
 
 class TestEdgeCases:
     def test_empty_stream_behaves_like_unpacked(self):
-        packed = PackedBitstream.all_zeros(0)
-        unpacked = Bitstream.all_zeros(0)
-        assert len(packed) == len(unpacked) == 0
-        assert packed.ones == unpacked.ones == 0
+        empty = Bitstream(np.zeros(0, dtype=np.uint8))
+        words = pack_bits(empty.bits)
+        assert len(empty) == 0 and empty.ones == 0
         with pytest.raises(ValueError):
-            _ = unpacked.probability
-        with pytest.raises(ValueError):
-            _ = packed.probability
-        assert words_for(0) == 0
-        assert packed.unpack() == unpacked
+            _ = empty.probability
+        assert words_for(0) == 0 and words.shape == (0,)
+        assert packed_popcount(words) == 0
+        assert unpack_bits(words, 0).shape == (0,)
 
     def test_length_one_streams(self):
         for bit in ("0", "1"):
-            packed = PackedBitstream.from_bits(bit)
-            unpacked = Bitstream(bit)
-            assert packed.ones == unpacked.ones
-            assert packed.value == unpacked.value
-            assert packed.unpack() == unpacked
-            assert len(packed) == 1
-
-    def test_length_mismatch_raises(self):
-        x = PackedBitstream.from_bits("0101")
-        y = PackedBitstream.from_bits("010")
-        with pytest.raises(ValueError, match="length mismatch"):
-            _ = x & y
-
-    def test_type_mismatch_raises(self):
-        x = PackedBitstream.from_bits("0101")
-        with pytest.raises(TypeError):
-            _ = x & Bitstream("0101")
+            stream = Bitstream(bit)
+            words = pack_bits(stream.bits)
+            assert packed_popcount(words) == stream.ones
+            assert np.array_equal(unpack_bits(words, 1), stream.bits)
+            assert words.shape == (1,)
 
     def test_invalid_encoding_raises(self):
         with pytest.raises(ValueError, match="unknown encoding"):
-            PackedBitstream(np.zeros(0, dtype=np.uint64), 0, encoding="ternary")
-
-    def test_repeat_requires_positive_times(self):
-        with pytest.raises(ValueError):
-            PackedBitstream.from_bits("01").repeat(0)
+            Bitstream("01", encoding="ternary")
 
 
 class TestFromExactRounding:
@@ -155,13 +136,11 @@ class TestFromExactRounding:
                 value = k / length
                 expected = min(int(np.floor(value * length + 0.5)), length)
                 assert Bitstream.from_exact(value, length).ones == expected
-                assert PackedBitstream.from_exact(value, length).ones == expected
 
     def test_midpoint_rounds_up(self):
         # 0.5 * 13 = 6.5: banker's rounding gave 6, half-up gives 7.
         assert Bitstream.from_exact(0.5, 13).ones == 7
         assert Bitstream.from_exact(0.5, 15).ones == 8
-        assert PackedBitstream.from_exact(0.5, 13).ones == 7
 
     def test_exact_counts_still_exact(self):
         assert Bitstream.from_exact(0.375, 16).ones == 6
@@ -169,39 +148,24 @@ class TestFromExactRounding:
         assert Bitstream.from_exact(1.0, 9).ones == 9
 
 
-class TestPackedBitstreamMisc:
-    def test_as_encoding_and_exact_value(self):
-        packed = PackedBitstream.from_bits("1100")
-        bipolar = packed.as_encoding("bipolar")
-        assert bipolar.value == 0.0
-        assert packed.exact_value == packed.unpack().exact_value
-
-    def test_from_bits_keeps_bitstream_encoding(self):
-        # Regression: from_bits used to reset a bipolar Bitstream to unipolar.
-        source = Bitstream("1100", encoding="bipolar")
-        packed = PackedBitstream.from_bits(source)
-        assert packed.encoding == "bipolar"
-        assert packed.value == source.value == 0.0
-        # An explicit encoding still wins over the source's.
-        assert PackedBitstream.from_bits(source, encoding="unipolar").value == 0.5
-
+class TestBitstreamMisc:
     def test_hash_and_eq(self):
-        a = PackedBitstream.from_bits("0110 1001")
-        b = Bitstream("0110 1001").pack()
+        a = Bitstream("0110 1001")
+        b = Bitstream([0, 1, 1, 0, 1, 0, 0, 1])
         assert a == b and hash(a) == hash(b)
-        assert a != PackedBitstream.from_bits("0110 1000")
+        assert a != Bitstream("0110 1000")
         assert (a == "0110") is False
 
     def test_repr_and_to_string(self):
-        packed = PackedBitstream.from_bits("0110")
-        assert "0110" in repr(packed)
-        assert packed.to_string() == "0110"
-        long = PackedBitstream.all_zeros(100)
+        stream = Bitstream("0110")
+        assert "0110" in repr(stream)
+        assert stream.to_string() == "0110"
+        long = Bitstream(np.zeros(100, dtype=np.uint8))
         assert "..." in repr(long)
 
     def test_pack_bits_accepts_bool(self):
         bits = np.array([True, False, True])
-        assert PackedBitstream(pack_bits(bits), 3).ones == 2
+        assert packed_popcount(pack_bits(bits)) == 2
 
 
 class TestFaultKernelTail:
@@ -216,13 +180,6 @@ class TestFaultKernelTail:
     @given(lengths, st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_apply_faults_masks_the_tail(self, length, seed):
-        from repro.bitstream.packed import (
-            packed_apply_faults,
-            packed_popcount,
-            tail_is_clear,
-            unpack_bits,
-        )
-
         rng = np.random.default_rng(seed)
         shape = (2, words_for(length))
         # Deliberately unmasked 64-bit garbage in every operand: the kernel
@@ -242,13 +199,6 @@ class TestFaultKernelTail:
     @given(lengths, st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_fault_plan_chained_with_kernels_stays_clean(self, length, seed):
-        from repro.bitstream.packed import (
-            packed_not,
-            packed_popcount,
-            packed_xnor,
-            tail_is_clear,
-            unpack_bits,
-        )
         from repro.faults import FaultSpec
 
         rng = np.random.default_rng(seed)
@@ -262,20 +212,18 @@ class TestFaultKernelTail:
         # every step.
         inverted = packed_not(faulted, length)
         assert tail_is_clear(inverted, length)
-        xnored = packed_xnor(faulted, inverted, length)
+        xnored = packed_not(faulted ^ inverted, length)
         assert tail_is_clear(xnored, length)
         # XNOR of a stream with its complement is all-zeros; with itself,
         # all-ones (and the tail masking keeps the count at ``length``, not
         # the word capacity).
         assert (packed_popcount(xnored) == 0).all()
-        assert (packed_popcount(packed_xnor(faulted, faulted, length)) == length).all()
+        assert (packed_popcount(packed_not(faulted ^ faulted, length)) == length).all()
         assert np.array_equal(
             packed_popcount(faulted), unpack_bits(faulted, length).sum(axis=-1)
         )
 
     def test_tail_is_clear_detects_stray_bits(self):
-        from repro.bitstream.packed import tail_is_clear
-
         words = np.array([0xFF], dtype=np.uint64)
         assert tail_is_clear(words, 8)
         assert not tail_is_clear(words, 4)

@@ -80,8 +80,8 @@ class TestStochasticInvariants:
     def test_quantize_and_freeze_preserves_other_layers(self, precision):
         model = build_lenet5_small(filters1=4, filters2=4, hidden_units=8, seed=1)
         frozen = quantize_and_freeze(model, precision=precision)
-        original_weights = model.get_weights()
-        frozen_weights = frozen.get_weights()
+        original_weights = [p for layer in model.layers for p in layer.params]
+        frozen_weights = [p for layer in frozen.layers for p in layer.params]
         # Same number of parameter arrays, and every array after the first
         # conv layer's (weights, bias) pair is identical.
         assert len(original_weights) == len(frozen_weights)

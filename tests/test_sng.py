@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bitstream import Bitstream
 from repro.rng import (
     ComparatorSNG,
-    ConstantSource,
+    NumberSource,
     RampCompareSNG,
     TABLE1_SCHEMES,
     VanDerCorputSource,
@@ -15,12 +15,22 @@ from repro.rng import (
 )
 
 
+class _ConstantSource(NumberSource):
+    """A source that always emits ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def sequence(self, length):
+        return np.full(length, self.value)
+
+
 class TestComparatorSNG:
     def test_generates_bitstream(self):
         sng = ComparatorSNG(VanDerCorputSource(4))
         stream = sng.generate(0.5, 16)
         assert isinstance(stream, Bitstream)
-        assert stream.length == 16
+        assert len(stream) == 16
 
     def test_low_discrepancy_exactness(self):
         # With a van der Corput source, every representable value is encoded
@@ -31,7 +41,7 @@ class TestComparatorSNG:
             assert stream.ones == k
 
     def test_constant_source_threshold_behaviour(self):
-        sng = ComparatorSNG(ConstantSource(0.4))
+        sng = ComparatorSNG(_ConstantSource(0.4))
         assert sng.generate(0.5, 8).ones == 8
         assert sng.generate(0.3, 8).ones == 0
 
@@ -78,11 +88,11 @@ class TestSNGPairFactory:
         sng_x, sng_y = sng_pair(scheme, precision=4)
         x = sng_x.generate(0.5, 16)
         y = sng_y.generate(0.25, 16)
-        assert x.length == y.length == 16
+        assert len(x) == len(y) == 16
 
     def test_random_scheme(self):
         sng_x, sng_y = sng_pair("random", precision=4, seed=3)
-        assert sng_x.generate(0.5, 16).length == 16
+        assert len(sng_x.generate(0.5, 16)) == 16
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
