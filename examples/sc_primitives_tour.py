@@ -318,11 +318,17 @@ def main() -> None:
           f"{healthy.waveforms['stream'].mean():.3f}, stream stuck-at-0 -> "
           f"{stuck.waveforms['stream'].mean():.3f}")
 
-    # And the engine-level spec threads through the convolution's tiles:
-    # stream faults make the bank build and AND faulted input streams, whose
-    # lane products shrink the automatic tile (a TFF tree then halves their
-    # popcounts), and corrupt every tile at its global patch offset, so
-    # tiling never changes the faulted counts.
+    # And the engine-level spec threads through the convolution's tiles.
+    # evaluation_path picks the faulted path from the rates and the stream
+    # length: sparse faults keep the leaf tables and correct each faulted
+    # input word, dense ones make the bank build and AND faulted input
+    # streams, whose lane products shrink the automatic tile (a TFF tree
+    # then halves their popcounts).  Every tile is corrupted at its global
+    # patch offset, so tiling never changes the faulted counts.
+    for rate in (1e-3, 1e-2):
+        path, reason = StochasticDotProductEngine(
+            precision=8, faults=FaultSpec(flip_rate=rate)).evaluation_path
+        print(f"flips {rate:g}: evaluation_path {path!r} ({reason})")
     rng2 = np.random.default_rng(5)
     tile_image = rng2.random((1, 28, 28))
     tile_kernels = rng2.uniform(-1, 1, (16, 3, 3))

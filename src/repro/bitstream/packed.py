@@ -52,6 +52,7 @@ __all__ = [
     "unpack_bits",
     "mask_tail",
     "extend_periodic",
+    "word_popcount",
     "packed_popcount",
     "packed_not",
     "packed_alternating",
@@ -195,7 +196,8 @@ def extend_periodic(
 
 if hasattr(np, "bitwise_count"):
 
-    def _word_popcount(words: np.ndarray) -> np.ndarray:
+    def word_popcount(words: np.ndarray) -> np.ndarray:
+        """Ones-count of every uint64 word, as uint8 of the same shape."""
         return np.bitwise_count(words)
 
 else:  # pragma: no cover - numpy < 2.0 fallback
@@ -203,15 +205,16 @@ else:  # pragma: no cover - numpy < 2.0 fallback
         [bin(i).count("1") for i in range(256)], dtype=np.uint8
     )
 
-    def _word_popcount(words: np.ndarray) -> np.ndarray:
+    def word_popcount(words: np.ndarray) -> np.ndarray:
+        """Ones-count of every uint64 word, as uint8 of the same shape."""
         byte_view = np.ascontiguousarray(words).view(np.uint8)
         counts = _POPCOUNT_LUT[byte_view]
-        return counts.reshape(words.shape + (8,)).sum(axis=-1)
+        return counts.reshape(words.shape + (8,)).sum(axis=-1, dtype=np.uint8)
 
 
 def packed_popcount(words: np.ndarray) -> np.ndarray:
     """Ones-count of each packed stream (sums the word axis, returns int64)."""
-    counts = _word_popcount(_as_words(words))
+    counts = word_popcount(_as_words(words))
     width = counts.shape[-1]
     if width == 0:
         return np.zeros(counts.shape[:-1], dtype=np.int64)

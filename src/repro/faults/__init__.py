@@ -23,10 +23,13 @@ claim measurable:
 
 Engines accept a spec via their ``faults`` field.  Stream-level faults are
 injected into the input streams, before the AND with the weights, so a
-faulted leaf is no comparator output and no leaf table holds its count:
-TFF adder trees halve the popcounts of the faulted leaf products (a TFF
-node's output count depends only on its input counts, whatever their bits)
-and MUX trees reduce the streams (see
+faulted leaf is no comparator output and no leaf table holds its count.
+TFF adder trees still count exactly from their leaf counts (a TFF node's
+output count depends only on its input counts, whatever their bits): under
+sparse faults the table counts plus one correction per faulted input word
+(:meth:`FaultSpec.word_fault_share`, :meth:`FaultPlan.nonzero_masks`),
+under dense faults the halved popcounts of the faulted leaf products.  MUX
+trees reduce the streams (see
 :attr:`~repro.sc.dotproduct.StochasticDotProductEngine.evaluation_path`).
 """
 

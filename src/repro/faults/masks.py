@@ -23,6 +23,17 @@ MSB-last as ``acc = word | acc`` where ``b_i == 1`` and ``acc = word & acc``
 where ``b_i == 0``, which yields exactly ``P(bit set) = p`` truncated to
 ``K`` bits of resolution per bit position, independently across positions.
 
+A small rate starts with zero digits ``b1 .. bL`` (nine of them at 1e-3),
+and those are the *last* Horner steps, all ANDs: the mask is
+``s_1 & s_2 & ... & s_L & acc_L``, where ``acc_L`` combines the remaining
+slices.  AND is associative and commutative, so :func:`bernoulli_words`
+ANDs the ``L`` leading slices first.  A word where that gate is zero is zero
+whatever ``acc_L`` holds, and every slice word is a hash of its own
+coordinate, so ``acc_L`` is hashed only on the words that survive (12% at
+1e-3) and ANDed in: the same bits with about a third of the hashing.  The
+SplitMix64 rounds run in place on reused buffers.  The plain loop over every
+slice and word is kept as the test oracle (``tests/fault_oracle.py``).
+
 Burst faults smear a Bernoulli "burst start" mask downstream over
 ``burst_length`` consecutive cycles (across word boundaries), modelling a
 multi-cycle upset such as a latched glitch.
@@ -53,6 +64,23 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 
 
+def _finalize(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's mixing rounds on ``z`` (counters plus the golden step), in place.
+
+    ``tmp`` is a work buffer of ``z``'s shape; uint64 array arithmetic wraps
+    modulo ``2**64`` silently, as the finalizer needs.
+    """
+    np.right_shift(z, _U64(30), out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, _U64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, _U64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer: uniform uint64 words from counters.
 
@@ -60,10 +88,8 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     whose designed use is exactly this: hashing sequential counter values
     into statistically independent 64-bit words.  Input must be uint64.
     """
-    z = (x + _GOLDEN).astype(_U64)
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    z = np.asarray(x + _GOLDEN, dtype=_U64)
+    return _finalize(z, np.empty_like(z))
 
 
 def coordinate_words(
@@ -126,26 +152,63 @@ def bernoulli_words(
     # changing the realized probability.
     while digits and digits[-1] == 0:
         digits.pop()
-    base = coordinate_words(seed, salt, n_streams, taps, n_bits, offset)
+    base = coordinate_words(seed, salt, n_streams, taps, n_bits, offset).reshape(-1)
+    # The leading zero digits b_1..b_lead are the last Horner steps, all
+    # ANDs, so they gate the rest (module docstring): AND them first and
+    # hash the other slices only on the words that survive.
+    lead = digits.index(1)
+    if lead:
+        gate = _slice_and(base, range(lead))
+        alive = np.flatnonzero(gate)
+        gate[alive] &= _horner(base[alive], digits, lead)
+        out = gate
+    else:
+        out = _horner(base, digits, 0)
+    return mask_tail(out.reshape(shape), n_bits)
 
-    # Odd stride: Bernoulli slice offsets never collide.  Offsets are folded
-    # in Python ints modulo 2**64 (numpy uint64 *scalar* products warn on
-    # wraparound; the subsequent array + scalar add wraps silently).
-    def slice_base(i: int) -> np.ndarray:
-        return base + _U64((i * 0x3C6EF372FE94F82B) % (1 << 64))
 
-    # Horner combination, LSB digit first: after processing digit b_i the
-    # accumulator's set-probability is exactly 0.b_i b_{i+1} ... b_M.  The
-    # last digit is 1 (trailing zeros were dropped), so the seed step
-    # ``acc = w | 0`` collapses to ``acc = w``.
-    acc = splitmix64(slice_base(len(digits) - 1))
-    for i in range(len(digits) - 2, -1, -1):
-        word = splitmix64(slice_base(i))
+def _slice_words(base: np.ndarray, i: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Bernoulli slice ``i``'s uniform words at the counters ``base``, into ``out``.
+
+    Slice offsets step by an odd stride, so no two slices share a hash
+    input.  The offset and SplitMix64's golden step are folded into one
+    scalar in Python ints modulo ``2**64`` (NumPy uint64 *scalar* sums warn
+    on wraparound; the array sum wraps silently).
+    """
+    np.add(base, _U64((i * 0x3C6EF372FE94F82B + int(_GOLDEN)) % (1 << 64)), out=out)
+    return _finalize(out, tmp)
+
+
+def _slice_and(base: np.ndarray, slices) -> np.ndarray:
+    """The AND of the given slices' words at the counters ``base``."""
+    acc = np.empty_like(base)
+    word, tmp = np.empty_like(base), np.empty_like(base)
+    first, *rest = slices
+    _slice_words(base, first, acc, tmp)
+    for i in rest:
+        acc &= _slice_words(base, i, word, tmp)
+    return acc
+
+
+def _horner(base: np.ndarray, digits, stop: int) -> np.ndarray:
+    """Words whose bits are set with the probability ``digits[stop:]`` spell.
+
+    The Horner combination, LSB digit first: after processing digit
+    ``digits[i]`` the accumulator's set-probability is exactly the binary
+    fraction ``0.digits[i] digits[i+1] ...``.  The last digit is 1 (trailing
+    zeros were dropped), so the seed step ``acc = w | 0`` collapses to
+    ``acc = w``.
+    """
+    acc = np.empty_like(base)
+    word, tmp = np.empty_like(base), np.empty_like(base)
+    _slice_words(base, len(digits) - 1, acc, tmp)
+    for i in range(len(digits) - 2, stop - 1, -1):
+        _slice_words(base, i, word, tmp)
         if digits[i]:
-            acc = word | acc
+            acc |= word
         else:
-            acc = word & acc
-    return mask_tail(acc, n_bits)
+            acc &= word
+    return acc
 
 
 def burst_words(

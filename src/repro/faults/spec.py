@@ -22,9 +22,18 @@ the engines' packed streams.
 
 Mask randomness is counter-hashed per global stream index (see
 :mod:`repro.faults.masks`): the caller passes the ``offset`` of its current
-tile into :meth:`FaultPlan.apply`, which is how tiled and untiled
-evaluation passes, every tile a filter bank picks, and repeated ``dot()``
-calls all see identical faults.
+tile into :meth:`FaultPlan.apply` or :meth:`FaultPlan.nonzero_masks`, which
+is how tiled and untiled evaluation passes, every tile a filter bank picks,
+and repeated ``dot()`` calls all see identical faults.
+
+Sparse faults need no stream at all.  :meth:`FaultSpec.word_fault_share`
+gives the expected share of packed words a spec faults (6.2% at 1e-3 flips
+and N = 256), and :meth:`FaultPlan.nonzero_masks` returns only those words
+with their flat indices.  Below a measured share the engines' TFF banks
+count from leaf tables and correct each faulted word
+(:attr:`repro.sc.dotproduct.StochasticDotProductEngine.evaluation_path`);
+every faulted word is still built by ``packed_apply_faults``, so the
+composition order above stays defined in one place.
 
 :class:`NetlistFaults` carries stuck-at-cell-output faults for the gate
 level simulator (:func:`repro.netlist.simulator.simulate`), validated
@@ -39,7 +48,8 @@ from typing import Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..bitstream.bitstream import Bitstream
-from ..bitstream.packed import pack_bits, packed_apply_faults, unpack_bits
+from ..bitstream.packed import WORD_BITS, pack_bits, packed_apply_faults, unpack_bits
+from ..utils.checks import check_count
 from .masks import bernoulli_words, burst_words
 
 __all__ = ["FaultSpec", "FaultPlan", "NetlistFaults", "inject_stream"]
@@ -100,10 +110,8 @@ class FaultSpec:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
-        if self.burst_length < 1:
-            raise ValueError(
-                f"burst_length must be at least 1, got {self.burst_length}"
-            )
+        check_count("burst_length", self.burst_length)
+        check_count("seed", self.seed, 0)
         if self.sensor_noise_sigma < 0.0:
             raise ValueError(
                 f"sensor_noise_sigma must be non-negative, "
@@ -132,6 +140,24 @@ class FaultSpec:
             or self.burst_rate > 0.0
         )
 
+    def word_fault_share(self, n_bits: int) -> float:
+        """Expected share of packed input words that carry a stream-fault mask bit.
+
+        A word of an ``n_bits`` stream holds ``b = min(n_bits, 64)`` cycles.
+        It is clean when none of its ``b`` positions draws a flip, stuck-at-0
+        or stuck-at-1 bit and no burst starts at one of them or at one of the
+        ``burst_length - 1`` earlier cycles of the stream.  Depends on the
+        rates and the stream length alone; the engines pick their faulted
+        evaluation path from it.
+        """
+        b = min(n_bits, WORD_BITS)
+        exposure = b + min(self.burst_length - 1, n_bits - b)
+        clean = (
+            ((1.0 - self.flip_rate) * (1.0 - self.stuck_zero_rate) * (1.0 - self.stuck_one_rate)) ** b
+            * (1.0 - self.burst_rate) ** exposure
+        )
+        return 1.0 - clean
+
     @property
     def active(self) -> bool:
         """Whether the spec perturbs anything at all."""
@@ -148,7 +174,13 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Applies a :class:`FaultSpec`'s stream faults to prepared bit-streams."""
+    """Applies a :class:`FaultSpec`'s stream faults to prepared bit-streams.
+
+    :meth:`masks` gives a stream block's dense ``(stuck0, stuck1, flips)``
+    masks, :meth:`apply` injects them into packed streams, and
+    :meth:`nonzero_masks` gives only the words that carry a mask bit, for
+    evaluation paths that correct counts instead of building streams.
+    """
 
     spec: FaultSpec
 
@@ -179,6 +211,22 @@ class FaultPlan:
                 n_streams, taps, n_bits, offset,
             )
         return stuck0, stuck1, flips
+
+    def nonzero_masks(
+        self, n_streams: int, taps: int, n_bits: int, offset: int = 0
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The :meth:`masks` words where any channel is nonzero.
+
+        Returns ``(index, stuck0, stuck1, flips)``: the ascending flat
+        indices into ``(n_streams, taps, W)`` of the words that carry a mask
+        bit, and the three channels' words there.  Every other word of the
+        block passes :func:`~repro.bitstream.packed.packed_apply_faults`
+        unchanged, so these are all a sparse fault path needs.
+        """
+        masks = self.masks(n_streams, taps, n_bits, offset)
+        index = np.flatnonzero(masks[0] | masks[1] | masks[2])
+        stuck0, stuck1, flips = (m.reshape(-1)[index] for m in masks)
+        return index, stuck0, stuck1, flips
 
     def apply(self, prepared: np.ndarray, n_bits: int, offset: int = 0) -> np.ndarray:
         """Inject stream faults into a prepared block of packed streams.

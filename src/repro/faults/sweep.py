@@ -52,6 +52,7 @@ from ..datasets.synthetic import generate_digits
 from ..nn.quantization import prepare_first_layer_weights
 from ..sc.convolution import StochasticConv2D
 from ..sc.dotproduct import new_sc_engine
+from ..utils.checks import check_count
 from ..utils.windows import extract_patches
 from .binary import flip_binary_words
 from .spec import FaultSpec
@@ -97,16 +98,9 @@ class FaultSweepConfig:
         for rate in self.rates:
             if not 0.0 <= float(rate) <= 1.0:
                 raise ValueError(f"fault rates must lie in [0, 1], got {rate}")
-        if self.precision < 2:
-            raise ValueError("precision must be at least 2 bits")
-        if self.images < 1:
-            raise ValueError("need at least one image")
-        if self.filters < 1:
-            raise ValueError("need at least one filter")
-        if self.kernel < 1:
-            raise ValueError("kernel side must be positive")
-        if self.trials < 1:
-            raise ValueError("need at least one fault trial")
+        check_count("precision", self.precision, 2)
+        for name in ("images", "filters", "kernel", "trials"):
+            check_count(name, getattr(self, name))
 
 
 @dataclass

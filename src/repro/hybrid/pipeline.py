@@ -104,8 +104,9 @@ class HybridStochasticBinaryNetwork:
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
         environment of the stochastic first layer.  Stream-level faults are
-        threaded into the engine (which then evaluates from faulted streams:
-        leaf popcounts for TFF trees, stream reduction for MUX trees, see
+        threaded into the engine (TFF trees then count from leaf tables plus
+        per-word fault corrections under sparse faults and from faulted leaf
+        popcounts under dense ones, MUX trees reduce the faulted streams; see
         :mod:`repro.faults`), and a non-zero ``sensor_noise_sigma`` is
         applied by the sensor front end during acquisition.  Overrides any
         fault spec already carried by ``engine``.  The binary layers are

@@ -75,8 +75,8 @@ class Dense(Layer):
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
+        self.in_features = check_count("in_features", in_features)
+        self.out_features = check_count("out_features", out_features)
         self.activation: Activation = get_activation(activation)
         self.weights = glorot_uniform(
             (in_features, out_features), in_features, out_features, rng
@@ -371,9 +371,7 @@ class MaxPool2D(Layer):
 
     def __init__(self, pool_size: int = 2) -> None:
         super().__init__()
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        self.pool_size = int(pool_size)
+        self.pool_size = check_count("pool_size", pool_size)
         self._argmax: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, ...]] = None
 

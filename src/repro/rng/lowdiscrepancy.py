@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.checks import check_count
 from .sources import NumberSource
 
 __all__ = ["bit_reverse", "VanDerCorputSource", "SobolSource"]
@@ -44,9 +45,7 @@ class VanDerCorputSource(NumberSource):
     """
 
     def __init__(self, bits: int, phase: int = 0) -> None:
-        if bits < 1:
-            raise ValueError("bits must be >= 1")
-        self.resolution_bits = int(bits)
+        self.resolution_bits = check_count("bits", bits)
         self._phase = int(phase) % (1 << bits)
 
     def sequence(self, length: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.checks import check_count
 from .sources import NumberSource
 
 __all__ = [
@@ -41,9 +42,7 @@ class RampSource(NumberSource):
     """
 
     def __init__(self, bits: int, descending: bool = False) -> None:
-        if bits < 1:
-            raise ValueError("bits must be >= 1")
-        self.resolution_bits = int(bits)
+        self.resolution_bits = check_count("bits", bits)
         self.descending = bool(descending)
 
     def sequence(self, length: int) -> np.ndarray:

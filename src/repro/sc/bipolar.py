@@ -18,7 +18,9 @@ Both designs drive their input SNGs from one shared number source, so the
 bipolar engine evaluates like the unipolar one: inputs become comparator
 levels, and its filter bank (:class:`BipolarWeightBank`, a
 :class:`~repro.sc.dotproduct.FilterBank`) gathers XNOR leaf counts from leaf
-tables, building packed streams only under stream faults and in stream mode.
+tables, building packed streams only under dense stream faults, under stream
+faults on MUX trees and in stream mode (under sparse faults TFF banks correct
+the table counts per faulted word, as the unipolar banks do).
 With ``C_a[c] = popcount(x & a)`` for the input ``x`` of level ``c``, a leaf's
 count inside its ownership mask ``m`` (all ones for TFF trees) is
 
@@ -61,7 +63,12 @@ from ..faults.spec import FaultSpec
 from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource, level_dtype
 from ..utils.checks import check_count
 from .elements.adders import AdderTree, TreePlan
-from .dotproduct import FilterBank, StochasticDotProductEngine, resolve_mode
+from .dotproduct import (
+    FilterBank,
+    StochasticDotProductEngine,
+    corrections_bytes,
+    resolve_mode,
+)
 
 __all__ = ["BipolarDotProductResult", "BipolarWeightBank", "BipolarDotProductEngine"]
 
@@ -131,7 +138,7 @@ class BipolarWeightBank(FilterBank):
         #: Kernel streams per leaf, ``(filters, leaves, W)`` packed words.  Pad
         #: leaves hold ``~1010...`` and see the all-zero input stream (level 0):
         #: their XNOR product is the bipolar-zero stream ``1010...``.
-        self.weight_streams = np.concatenate([engine.weight_words(weights), pad], axis=1)
+        self.lane_words = np.concatenate([engine.weight_words(weights), pad], axis=1)
 
     @property
     def tree_scale(self) -> int:
@@ -142,20 +149,19 @@ class BipolarWeightBank(FilterBank):
         """XNOR leaf counts ``popcount((x XNOR w) & m)`` (module docstring)."""
         n = self.n_bits
         if self.plan.supports_count_reduction:
-            masks = packed_not(np.zeros_like(self.weight_streams[:1]), n)
+            masks = packed_not(np.zeros_like(self.lane_words[:1]), n)
         else:
             masks = self.plan.leaf_masks(n, packed=True)
-        wm = self.weight_streams & masks
+        wm = self.lane_words & masks
         # 2 * C_{w&m} - C_m is one running sum of steps in {-1, 0, 1}, so it
         # never leaves [-N, N].
         tables = self._running_counts(2 * unpack_bits(wm, n).astype(np.int8) - unpack_bits(masks, n))
         tables += (packed_popcount(masks) - packed_popcount(wm)).T[:, np.newaxis]
         return tables
 
-    def _leaf_streams(self, x: np.ndarray) -> np.ndarray:
-        """XNOR products ``(..., filters, leaves, W)`` of input streams ``(..., taps, W)``."""
-        x = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, self.plan.count - self.taps), (0, 0)])
-        return packed_not(x[..., np.newaxis, :, :] ^ self.weight_streams, self.n_bits)
+    def _leaf_op(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The XNOR multiplier, bits past N unmasked."""
+        return ~(x ^ w)
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Tree-output counts ``(..., filters)`` for input values ``(..., taps)``.
@@ -196,8 +202,9 @@ class BipolarDotProductEngine:
         Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
         injected into the input streams (by :meth:`BipolarWeightBank.evaluate`
         via :meth:`apply_faults`, at each tile's row offset).  TFF trees then
-        halve the popcounts of the faulted XNOR products and MUX trees reduce
-        the streams.
+        correct their XNOR table counts per faulted word (sparse faults) or
+        halve the popcounts of the faulted XNOR products (dense faults), and
+        MUX trees reduce the streams, by the unipolar engine's rule.
     """
 
     precision: int = 8
@@ -232,10 +239,16 @@ class BipolarDotProductEngine:
     def patch_bytes(self, filters: int, taps: int) -> int:
         """Bytes per input row of a ``(filters, taps)`` bank's largest temporary over the
         padded leaves: on the table path the gathered leaf counts or, for few filters,
-        the int64 table-row index; else the XNOR products (``tile_patches``)."""
+        the int64 table-row index; on the corrections path the larger of those and the
+        fault temporaries over the taps (``corrections_bytes``); else the XNOR products
+        (``tile_patches``)."""
+        path = self.evaluation_path[0]
         leaves = 1 << AdderTree().depth(taps)
-        if self._use_count_mode:
-            return leaves * max(filters * level_dtype(self.length).itemsize, 8)
+        gathered = leaves * max(filters * level_dtype(self.length).itemsize, 8)
+        if path == "tables":
+            return gathered
+        if path == "corrections":
+            return max(gathered, corrections_bytes(self, filters, taps))
         return leaves * filters * words_for(self.length) * 8
 
     # ------------------------------------------------------------------ #

@@ -41,9 +41,12 @@ patches of the whole batch are cut into tiles of
 the per-patch size of the largest temporary on the path the bank runs --
 and each tile is fault-injected at its global patch offset and counted.
 Peak memory is therefore bounded at any batch size: gathered leaf counts on
-the leaf-table path, lane products wherever input streams are built (stream
-faults and ``mode="streams"``).  This is what lets ``REPRO_BITEXACT=1`` runs
-cover the full MNIST test set.  Any tiling -- including tiles that do not
+the leaf-table path; on the corrections path (TFF trees under sparse stream
+faults) the larger of those, the tile's fault masks and the expected
+per-word corrections, so one 28x28 image at 1e-3 flips is one tile; lane
+products wherever input streams are built (dense stream faults and
+``mode="streams"``).  This is what lets ``REPRO_BITEXACT=1`` runs cover the
+full MNIST test set.  Any tiling -- including tiles that do not
 divide the patch count -- produces counts bit-identical to one untiled
 pass.
 
@@ -59,8 +62,10 @@ Evaluation mode
 The layer inherits the engine's evaluation mode (:mod:`repro.sc.mode`):
 under the ``"auto"`` default and without stream faults, each tile is a
 gather from the bank's leaf tables, halved per level for TFF trees and
-summed over select-masked taps for MUX trees, and no stream is built --
-while ``mode="streams"`` forces the reference stream reduction.  Both
+summed over select-masked taps for MUX trees, and no stream is built; under
+sparse stream faults TFF trees add one exact correction per faulted input
+word to that gather -- while ``mode="streams"`` forces the reference stream
+reduction.  Both
 produce bit-identical counters.
 """
 

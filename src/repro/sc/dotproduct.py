@@ -68,22 +68,35 @@ Without stream faults (:mod:`repro.sc.mode`) a bank evaluates levels against
 such per-lane *leaf tables* (:meth:`FilterBank.leaf_tables`, here
 ``2 * filters * taps * (N + 1)`` integers: 0.8 MB at 32 filters, 25 taps and
 N = 256), as the bipolar engine's banks do with XNOR leaf counts
-(:mod:`repro.sc.bipolar`).  Packed streams -- 64 clock cycles per uint64 word
-(:mod:`repro.bitstream.packed`) -- are built from levels only where a path
-needs them (:meth:`~StochasticDotProductEngine.input_words`): under stream
-faults and in stream mode.
+(:mod:`repro.sc.bipolar`).  Under sparse stream faults a TFF bank gathers
+the same table counts and corrects them for each faulted input word: the
+clean word is a row of the input SNG's level words, the faulted word is
+``packed_apply_faults`` of it, and the count moves by the difference of their
+leaf-product popcounts (:meth:`FilterBank._corrected_counts`).  Packed
+streams -- 64 clock cycles per uint64 word (:mod:`repro.bitstream.packed`)
+-- are built from levels only where a path needs them
+(:meth:`~StochasticDotProductEngine.input_words`): under dense stream faults,
+under stream faults on MUX trees, and in stream mode.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Tuple
+from typing import Callable, ClassVar, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..bitstream import stream_length
-from ..bitstream.packed import packed_popcount, unpack_bits, words_for
+from ..bitstream.packed import (
+    WORD_BITS,
+    mask_tail,
+    packed_apply_faults,
+    packed_popcount,
+    unpack_bits,
+    word_popcount,
+    words_for,
+)
 from ..faults.spec import FaultSpec
 from ..rng import (
     ComparatorSNG,
@@ -106,7 +119,9 @@ __all__ = [
     "stochastic_dot_product",
     "DotProductResult",
     "TILE_BYTES",
+    "CORRECTIONS_SHARE",
     "tile_patches",
+    "FaultedLevels",
     "FilterBank",
     "PreparedWeights",
     "StochasticDotProductEngine",
@@ -192,6 +207,23 @@ class DotProductResult:
 #: Byte budget of the largest temporary one evaluation tile allocates.
 TILE_BYTES = 4 << 20
 
+#: Expected share of faulted input words below which faulted TFF banks count
+#: from leaf tables plus per-word corrections instead of leaf popcounts
+#: (:attr:`StochasticDotProductEngine.evaluation_path`).
+CORRECTIONS_SHARE = 0.25
+
+
+def corrections_bytes(engine, lanes: int, taps: int) -> int:
+    """Bytes per input row of the corrections path's fault temporaries.
+
+    The larger of the tile's three fault-mask channels, ``3 * taps`` words
+    per stream, and the per-lane weight and product words of the expected
+    faulted words, ``word_fault_share * taps`` words per stream.
+    """
+    words = taps * words_for(engine.length)
+    share = engine.faults.word_fault_share(engine.length)
+    return max(3 * words * 8, int(share * words * lanes * 8))
+
 
 def tile_patches(engine, filters: int, taps: int) -> int:
     """The tile rule: rows per evaluation tile of an engine's ``(filters, taps)`` bank.
@@ -204,19 +236,43 @@ def tile_patches(engine, filters: int, taps: int) -> int:
     return max(1, TILE_BYTES // engine.patch_bytes(filters, taps))
 
 
+class FaultedLevels(NamedTuple):
+    """One tile under sparse stream faults, from ``apply_faults`` on the corrections path.
+
+    The comparator levels ``(rows, taps)`` of the tile and the fault-mask
+    words that are not all zero (:meth:`repro.faults.FaultPlan.nonzero_masks`):
+    their ascending flat ``(row, tap, word)`` indices and the stuck-at-0,
+    stuck-at-1 and flip words there.  Every other input word is a clean
+    comparator output.
+    """
+
+    levels: np.ndarray
+    index: np.ndarray
+    stuck0: np.ndarray
+    stuck1: np.ndarray
+    flips: np.ndarray
+
+
 class FilterBank:
     """One kernel set's weight streams, adder-tree plan and leaf tables.
 
     The shared evaluation of :class:`PreparedWeights` and
     :class:`~repro.sc.bipolar.BipolarWeightBank`: subclasses set ``engine``,
-    ``filters``, ``taps``, ``n_bits`` and ``plan``, and define their leaf
-    products as tables (:meth:`_build_tables`) and as streams
-    (:meth:`_leaf_streams`).
+    ``filters``, ``taps``, ``n_bits``, ``plan`` and ``lane_words`` (the
+    weight words of every lane's leaves, ``(lanes, leaves, W)``), and define
+    their leaf multiplier on packed words (:meth:`_leaf_op`) and their leaf
+    tables (:meth:`_build_tables`).
     """
 
     #: Counters per filter, stacked on the leading axis of :meth:`_tiled`.
     counters = 1
+    lane_words: np.ndarray
     _tables: Optional[np.ndarray] = None
+    _level_words: Optional[np.ndarray] = None
+
+    def _leaf_op(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The leaf multiplier on broadcast packed words: AND or XNOR, bits past N unmasked."""
+        raise NotImplementedError
 
     def _tiled(self, inputs: np.ndarray, prepare: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Counts ``(counters, ..., filters)`` for inputs ``(..., taps)``, tile by tile.
@@ -259,33 +315,29 @@ class FilterBank:
         np.cumsum(steps[..., order].transpose(1, 2, 0), axis=1, dtype=tables.dtype, out=tables[:, 1:])
         return tables
 
-    def _root_counts(self, prepared: np.ndarray) -> np.ndarray:
+    def _root_counts(self, prepared) -> np.ndarray:
         """Lane-major root counts ``(..., lanes)`` for one tile of prepared inputs:
-        comparator levels ``(..., taps)`` from ``prepare_inputs``, or packed
-        streams ``(..., taps, W)`` from ``apply_faults`` under stream faults.
+        comparator levels ``(..., taps)`` from ``prepare_inputs``, a
+        :class:`FaultedLevels` tile or packed streams ``(..., taps, W)`` from
+        ``apply_faults`` under stream faults.
 
         On the ``"tables"`` path levels are one gather from the
         :meth:`leaf_tables`: TFF trees halve the gathered leaf counts
-        (:meth:`TreePlan.reduce_counts`), MUX trees sum them.  Otherwise
-        levels are expanded into streams (``input_words``) and combined into
-        leaf products (:meth:`_leaf_streams`).  A TFF tree outside stream mode
-        halves their popcounts -- its root count depends only on its leaf
-        counts, whatever the leaf bits -- and everything else runs the
-        reference reduction (:meth:`TreePlan.reduce_packed`).  Every path
-        produces identical counts.
+        (:meth:`TreePlan.reduce_counts`), MUX trees sum them.  A
+        :class:`FaultedLevels` tile gets the same gather plus one exact
+        correction per faulted input word (:meth:`_corrected_counts`).
+        Otherwise levels are expanded into streams (``input_words``) and
+        multiplied into leaf products (:meth:`_leaf_streams`).  A TFF tree
+        outside stream mode halves their popcounts -- its root count depends
+        only on its leaf counts, whatever the leaf bits -- and everything
+        else runs the reference reduction (:meth:`TreePlan.reduce_packed`).
+        Every path produces identical counts.
         """
+        if isinstance(prepared, FaultedLevels):
+            return self._corrected_counts(prepared)
         x = np.asarray(prepared)
         if x.dtype != np.uint64:
-            if not np.issubdtype(x.dtype, np.integer):
-                raise TypeError(
-                    "prepared inputs must be integer comparator levels or "
-                    f"uint64 stream words, got dtype {x.dtype}"
-                )
-            if x.ndim < 1 or x.shape[-1] != self.taps:
-                raise ValueError(
-                    f"comparator levels must have {self.taps} taps on axis -1, "
-                    f"got shape {x.shape}"
-                )
+            x = self._checked_levels(x)
             if self.engine._use_count_mode:
                 return self._table_counts(x)
             x = self.engine.input_words(x)
@@ -299,11 +351,35 @@ class FilterBank:
             return self.plan.reduce_counts(packed_popcount(leaves))
         return packed_popcount(self.plan.reduce_packed(leaves, self.n_bits))
 
-    def _table_counts(self, levels: np.ndarray) -> np.ndarray:
-        """Lane-major root counts ``(..., lanes)`` from comparator levels."""
+    def _checked_levels(self, levels: np.ndarray) -> np.ndarray:
+        """``levels`` if they are integer comparator levels ``(..., taps)`` in ``[0, N]``."""
+        if not np.issubdtype(levels.dtype, np.integer):
+            raise TypeError(
+                "prepared inputs must be integer comparator levels or "
+                f"uint64 stream words, got dtype {levels.dtype}"
+            )
+        if levels.ndim < 1 or levels.shape[-1] != self.taps:
+            raise ValueError(
+                f"comparator levels must have {self.taps} taps on axis -1, "
+                f"got shape {levels.shape}"
+            )
         n = self.n_bits
         if levels.size and (levels.min() < 0 or levels.max() > n):
             raise ValueError(f"comparator levels must lie in [0, {n}]")
+        return levels
+
+    def _leaf_streams(self, x: np.ndarray) -> np.ndarray:
+        """Leaf products ``(..., lanes, leaves, W)`` of input streams ``(..., taps, W)``;
+        pad leaves see the all-zero input stream."""
+        leaves = self.lane_words.shape[1]
+        if leaves > self.taps:
+            x = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, leaves - self.taps), (0, 0)])
+        return mask_tail(self._leaf_op(x[..., np.newaxis, :, :], self.lane_words), self.n_bits)
+
+    def _gathered(self, levels: np.ndarray) -> np.ndarray:
+        """Leaf counts ``(leaves, ..., lanes)`` of comparator levels ``(..., taps)``, gathered
+        from the :meth:`leaf_tables` in the table dtype."""
+        n = self.n_bits
         tables = self.leaf_tables()
         leaves, _, lanes = tables.shape
         if leaves > self.taps:
@@ -311,12 +387,69 @@ class FilterBank:
             levels = np.pad(levels, [(0, 0)] * (levels.ndim - 1) + [(0, leaves - self.taps)])
         rows = levels + np.arange(leaves) * (n + 1)
         # Leaf axis first: ``(leaves, ..., lanes)``, one table row per gather.
-        leaf = np.take(tables.reshape(-1, lanes), np.moveaxis(rows, -1, 0), axis=0)
+        return np.take(tables.reshape(-1, lanes), np.moveaxis(rows, -1, 0), axis=0)
+
+    def _table_counts(self, levels: np.ndarray) -> np.ndarray:
+        """Lane-major root counts ``(..., lanes)`` from comparator levels."""
+        leaf = self._gathered(levels)
         if self.plan.supports_count_reduction:
             return self.plan.reduce_counts(np.moveaxis(leaf, 0, -1))
         # A lane's masks are disjoint, so its root count (at most N) fits the
         # table dtype.
-        return leaf.sum(axis=0, dtype=tables.dtype).astype(np.int64)
+        return leaf.sum(axis=0, dtype=leaf.dtype).astype(np.int64)
+
+    def _corrected_counts(self, faulted: FaultedLevels) -> np.ndarray:
+        """Lane-major root counts ``(rows, lanes)`` of a TFF bank under sparse stream faults.
+
+        A faulted leaf count is the fault-free table count plus, for every
+        faulted input word, ``popcount(op(faulted, w)) - popcount(op(x, w))``
+        per lane, where ``x`` is the clean comparator word (a row of the
+        input SNG's level-word table), the faulted word is
+        ``packed_apply_faults`` of ``x`` and the tile's mask words, and ``w``
+        the lane's weight word.  The corrected leaf counts are halved like
+        the fault-free ones (:meth:`TreePlan.reduce_counts`); no stream is
+        built.  Pad leaves are never faulted.
+        """
+        levels = self._checked_levels(np.asarray(faulted.levels))
+        rows = levels.reshape(-1, self.taps)
+        leaf = self._gathered(rows)
+        if faulted.index.size:
+            width = words_for(self.n_bits)
+            stream, word = np.divmod(faulted.index, width)
+            # Words go on a trailing axis of length one, each a one-word
+            # stream: N is a power of two, so every word holds min(N, 64)
+            # cycles and masks the same tail.
+            bits = min(self.n_bits, WORD_BITS)
+            clean = self._input_level_words()[rows.reshape(-1)[stream], word]
+            clean, stuck0, stuck1, flips = (
+                m[:, np.newaxis, np.newaxis]
+                for m in (clean, faulted.stuck0, faulted.stuck1, faulted.flips)
+            )
+            hit = packed_apply_faults(clean, stuck0, stuck1, flips, bits)
+            # Weight words ``(taps * W, lanes)``, rows in flat (tap, word) order.
+            tap_words = self.lane_words[:, : self.taps].transpose(1, 2, 0).reshape(-1, leaf.shape[-1])
+            w = tap_words[faulted.index % (self.taps * width), :, np.newaxis]
+            # Counts of one word fit int8, so does their difference.
+            delta = word_popcount(mask_tail(self._leaf_op(hit, w), bits))[..., 0].view(np.int8)
+            delta -= word_popcount(mask_tail(self._leaf_op(clean, w), bits))[..., 0].view(np.int8)
+            # A stream's faulted words have distinct word indices, so the
+            # words of one index correct distinct leaf counts: one fancy-index
+            # add each (``np.add.at`` over the rows took 3-7x as long).
+            row, tap = np.divmod(stream, self.taps)
+            flat = leaf.reshape(-1, leaf.shape[-1])
+            cell = tap * rows.shape[0] + row
+            for j in range(width):
+                at = np.flatnonzero(word == j)
+                flat[cell[at]] += delta[at]
+        counts = self.plan.reduce_counts(np.moveaxis(leaf, 0, -1))
+        return counts.reshape(levels.shape[:-1] + counts.shape[-1:])
+
+    def _input_level_words(self) -> np.ndarray:
+        """The input SNG's comparator words of every level, ``(N + 1, W)``, built once."""
+        if self._level_words is None:
+            n = self.n_bits
+            self._level_words = self.engine._input_sng().expand_levels(np.arange(n + 1), n)
+        return self._level_words
 
 
 class PreparedWeights(FilterBank):
@@ -327,11 +460,12 @@ class PreparedWeights(FilterBank):
     runs it on input values and :meth:`evaluate_levels` on comparator levels
     in bounded-memory tiles, and :meth:`counts` -- the engine's only
     evaluator -- counts one tile of prepared inputs.
-    Weight streams carry a leading *filter* axis and a positive/negative axis
-    -- ``(filters, 2, taps, W)`` packed words -- so one vectorized tree
-    reduction covers every ``(filter, sign)`` pair at once, and the positive
-    and negative dot products of the paper's split-weight trick are fused
-    into a single pass over shared inputs.
+    Weight streams are laid out one lane per ``(filter, sign)`` pair,
+    filter-major -- ``lane_words``, ``(2 * filters, taps, W)`` packed words,
+    lane ``2 * f`` the positive and ``2 * f + 1`` the negative tree of filter
+    ``f`` -- so one vectorized tree reduction covers every pair at once, and
+    the positive and negative dot products of the paper's split-weight trick
+    are fused into a single pass over shared inputs.
 
     On the ``"tables"`` path the bank evaluates comparator levels against
     per-lane *leaf tables* (:meth:`leaf_tables`), built on the first call
@@ -362,9 +496,7 @@ class PreparedWeights(FilterBank):
         self.filters, self.taps = weights.shape
         self.n_bits = engine.length
         w_pos, w_neg = engine.weight_words(weights)
-        #: Weight streams with the filter axis leading: ``(filters, 2, taps, W)``
-        #: where index 0 of the second axis is the positive tree's streams.
-        self.weight_streams = np.stack([w_pos, w_neg], axis=1)
+        self.lane_words = np.stack([w_pos, w_neg], axis=1).reshape(2 * self.filters, self.taps, -1)
         # One tree lane per (filter, sign) pair, laid out filter-major.
         self.plan: TreePlan = AdderTree(engine._adder_factory()).plan(
             self.taps, lanes=2 * self.filters
@@ -377,17 +509,14 @@ class PreparedWeights(FilterBank):
 
     def _build_tables(self) -> np.ndarray:
         """AND leaf counts ``popcount(x & w)``, of mask-ANDed weights for MUX trees."""
-        words = self.weight_streams.reshape(2 * self.filters, self.taps, -1)
+        words = self.lane_words
         if not self.plan.supports_count_reduction:
             words = words & self.plan.leaf_masks(self.n_bits, packed=True)
         return self._running_counts(unpack_bits(words, self.n_bits))
 
-    def _leaf_streams(self, x: np.ndarray) -> np.ndarray:
-        """Tap products of input streams ``(..., taps, W)``, lane-major:
-        ``(..., 2 * filters, taps, W)``."""
-        return x[..., np.newaxis, :, :] & self.weight_streams.reshape(
-            2 * self.filters, self.taps, -1
-        )
+    def _leaf_op(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The AND multiplier."""
+        return x & w
 
     def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Positive and negative counts ``(..., filters)`` for input values ``(..., taps)``.
@@ -414,10 +543,11 @@ class PreparedWeights(FilterBank):
         pos, neg = self._tiled(levels, lambda rows: rows)
         return pos, neg
 
-    def counts(self, prepared: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def counts(self, prepared) -> Tuple[np.ndarray, np.ndarray]:
         """Positive and negative tree counts, int64 ``(..., filters)`` each, for one
-        tile of prepared inputs (levels or faulted streams, see
-        :meth:`FilterBank._root_counts`)."""
+        tile of prepared inputs: comparator levels, a :class:`FaultedLevels` tile
+        (corrections path) or faulted streams, whatever ``apply_faults``
+        returned (see :meth:`FilterBank._root_counts`)."""
         return self._split(self._root_counts(prepared))
 
     def _split(self, flat_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -476,10 +606,12 @@ class StochasticDotProductEngine:
         environment.  Stream-level faults (flips, stuck-at, bursts) are
         injected into the *input* streams -- by the bank's tiled
         evaluation calling :meth:`apply_faults` with each tile's row
-        offset, which expands the levels into streams first.  A faulted
-        stream is no comparator output, so no leaf table holds its counts: TFF trees then halve the popcounts of the
-        faulted leaf products (exact for any leaf bits) and MUX trees
-        reduce the streams.
+        offset.  A faulted stream is no comparator output, so no leaf
+        table holds its counts.  TFF trees count exactly from their leaf
+        counts whatever the leaf bits: under sparse faults the table
+        counts plus one correction per faulted word, no stream built;
+        under dense faults the halved popcounts of the faulted leaf
+        products.  MUX trees reduce the streams (:attr:`evaluation_path`).
         ``sng_stuck_cells`` additionally defects the LFSR of LFSR-based
         input SNGs; its tied source values keep the level representation
         exact (the leaf tables stay available).  Injection is
@@ -522,39 +654,56 @@ class StochasticDotProductEngine:
         """Whether the engine must inject fault masks into input streams."""
         return self.faults is not None and self.faults.corrupts_streams
 
-    def apply_faults(self, prepared: np.ndarray, offset: int = 0) -> np.ndarray:
+    def apply_faults(self, prepared: np.ndarray, offset: int = 0):
         """Inject the engine's stream faults into :meth:`prepare_inputs` output.
 
-        Expands the comparator levels into packed streams
-        (:meth:`input_words`) and corrupts them; ``offset`` is the global
-        index of the first stream in ``prepared``
+        ``offset`` is the global index of the first stream in ``prepared``
         (the bank's tiled evaluation passes its tile start, so every tile
-        yields the faulted streams of one untiled pass).  Returns the
-        levels unchanged when no stream fault channel is active.  Callers
-        feeding :meth:`PreparedWeights.counts` directly apply it
+        gets the faults of one untiled pass).  What comes back depends on
+        :attr:`evaluation_path`:
+
+        * ``"corrections"`` -- a :class:`FaultedLevels`: the levels with the
+          tile's nonzero fault-mask words
+          (:meth:`repro.faults.FaultPlan.nonzero_masks`); no stream is built;
+        * ``"popcounts"`` and ``"streams"`` under stream faults -- the levels
+          expanded into packed streams (:meth:`input_words`) and corrupted;
+        * otherwise the levels unchanged.
+
+        Callers feeding :meth:`PreparedWeights.counts` directly apply it
         themselves.
         """
         if not self._stream_faults_active:
             return prepared
-        return self.faults.plan().apply(
-            self.input_words(prepared), self.length, offset=offset
-        )
+        plan = self.faults.plan()
+        if self.evaluation_path[0] == "corrections":
+            levels = np.asarray(prepared)
+            n_streams = int(np.prod(levels.shape[:-1]))
+            masks = plan.nonzero_masks(n_streams, levels.shape[-1], self.length, offset)
+            return FaultedLevels(levels, *masks)
+        return plan.apply(self.input_words(prepared), self.length, offset=offset)
 
     @property
     def evaluation_path(self) -> Tuple[str, str]:
         """``(path, reason)``: the adder-tree evaluation this engine's banks run.
 
         Decided from the configuration alone -- the engine builds only
-        homogeneous TFF or MUX trees -- and read by :meth:`patch_bytes`
-        and :meth:`FilterBank._root_counts`; the bipolar engine shares the
-        rule.  ``path`` is one of
+        homogeneous TFF or MUX trees, and a fault spec's rates and the
+        stream length set the expected share of faulted input words
+        (:meth:`repro.faults.FaultSpec.word_fault_share`) -- and read by
+        :meth:`apply_faults`, :meth:`patch_bytes` and
+        :meth:`FilterBank._root_counts`; the bipolar engine shares the rule.
+        ``path`` is one of
 
         * ``"tables"`` -- comparator levels gathered from the bank's leaf
           tables (:meth:`FilterBank.leaf_tables`); no stream is built;
-        * ``"popcounts"`` -- TFF trees under stream faults: the faulted
-          leaf products are popcounted and halved per level
-          (:meth:`TreePlan.reduce_counts`), exact whatever the leaf bits
-          (:attr:`TreePlan.supports_count_reduction`);
+        * ``"corrections"`` -- TFF trees under sparse stream faults, when
+          fewer than :data:`CORRECTIONS_SHARE` of the input words are
+          expected to be faulted: the table gather plus an exact per-lane
+          correction for each faulted word, halved per level
+          (:meth:`TreePlan.reduce_counts`); no stream is built;
+        * ``"popcounts"`` -- TFF trees under denser stream faults: the
+          faulted leaf products are popcounted and halved per level, exact
+          whatever the leaf bits (:attr:`TreePlan.supports_count_reduction`);
         * ``"streams"`` -- the reference stream reduction
           (:meth:`TreePlan.reduce_packed`): ``mode="streams"`` and MUX trees
           under stream faults.
@@ -564,12 +713,21 @@ class StochasticDotProductEngine:
         if self._stream_faults_active and self.adder == "mux":
             return "streams", "stream faults rule out leaf tables; MUX trees reduce the streams"
         if self._stream_faults_active:
-            return "popcounts", "stream faults rule out leaf tables; TFF trees halve leaf popcounts"
+            share = self.faults.word_fault_share(self.length)
+            faulted = f"{share:.2%} of input words faulted"
+            if share < CORRECTIONS_SHARE:
+                return "corrections", (
+                    f"{faulted}, below {CORRECTIONS_SHARE:.0%}: TFF leaf-table counts "
+                    "plus one correction per faulted word"
+                )
+            return "popcounts", (
+                f"{faulted}, not below {CORRECTIONS_SHARE:.0%}: TFF trees halve leaf popcounts"
+            )
         return "tables", f"no stream faults: {self.adder.upper()} leaf counts from leaf tables"
 
     @property
     def _use_count_mode(self) -> bool:
-        """Whether banks gather leaf counts from leaf tables (:attr:`evaluation_path`)."""
+        """Whether banks gather fault-free leaf counts from leaf tables (:attr:`evaluation_path`)."""
         return self.evaluation_path[0] == "tables"
 
     def patch_bytes(self, filters: int, taps: int) -> int:
@@ -577,12 +735,17 @@ class StochasticDotProductEngine:
 
         On the table path the gathered leaf counts, ``taps * 2 * filters``
         table entries, or for a single filter the int64 table-row index,
-        ``taps`` entries; on the popcount and stream paths the lane products,
-        ``2 * filters * taps`` packed streams.  :func:`tile_patches` divides
-        the tile budget by it.
+        ``taps`` entries; on the corrections path the larger of those and
+        the fault temporaries (:func:`corrections_bytes`); on the popcount
+        and stream paths the lane products, ``2 * filters * taps`` packed
+        streams.  :func:`tile_patches` divides the tile budget by it.
         """
-        if self._use_count_mode:
-            return taps * max(2 * filters * level_dtype(self.length).itemsize, 8)
+        path = self.evaluation_path[0]
+        gathered = taps * max(2 * filters * level_dtype(self.length).itemsize, 8)
+        if path == "tables":
+            return gathered
+        if path == "corrections":
+            return max(gathered, corrections_bytes(self, 2 * filters, taps))
         return 2 * filters * taps * words_for(self.length) * 8
 
     # ------------------------------------------------------------------ #

@@ -64,8 +64,9 @@ them from leaf tables indexed by the inputs' comparator levels -- AND
 products for the unipolar engine, XNOR products for the bipolar one, for MUX
 trees restricted to the leaf masks -- so without stream faults they build
 no stream at all.  The TFF identity holds for any leaf bits, so a TFF tree
-whose leaf streams were corrupted by stream faults needs only their
-popcounts too.  Both shortcuts are bit-identical to reducing the streams.
+whose leaf streams were corrupted by stream faults needs only their counts
+too: the table counts corrected per faulted word, or the faulted leaves'
+popcounts.  Both shortcuts are bit-identical to reducing the streams.
 """
 
 from __future__ import annotations
@@ -332,31 +333,34 @@ class TreePlan:
                 out ^= x
                 level = out
                 continue
-            if level.shape[-2] % 2:
-                pad = np.zeros(
-                    level.shape[:-2] + (1, level.shape[-1]), dtype=level.dtype
-                )
-                level = np.concatenate([level, pad], axis=-2)
+            # A lone last node's zero partner is a one-node zero slab, so odd
+            # levels copy no level to pad it.
             x = level[..., 0::2, :]
             y = level[..., 1::2, :]
-            m = x.shape[-2]
-            flat_shape = x.shape[:-3] + (self.lanes * m, x.shape[-1])
-            xf = x.reshape(flat_shape)
-            yf = y.reshape(flat_shape)
-            if group[0] == "tff":
-                if packed:
-                    out = packed_tff_add(xf, yf, length, initial_state=group[1])
-                else:
-                    disagree = (xf ^ yf).astype(np.uint8)
-                    state = toggle_states(disagree, group[1])
-                    out = np.where(disagree == 1, state, xf).astype(np.uint8)
-            else:
-                # Byte-per-bit only; packed MUX levels are computed above.
-                sel = self._selects(li, length, packed)
-                out = np.where(sel == 1, yf, xf).astype(np.uint8)
-            level = out.reshape(x.shape[:-3] + (self.lanes, m, x.shape[-1]))
+            pairs = y.shape[-2]
+            out = np.empty(x.shape, dtype=level.dtype)
+            out[..., :pairs, :] = self._add(li, x[..., :pairs, :], y, length, packed, slice(pairs))
+            if x.shape[-2] > pairs:
+                lone = x[..., pairs:, :]
+                out[..., pairs:, :] = self._add(
+                    li, lone, np.zeros_like(lone), length, packed, slice(pairs, None)
+                )
+            level = out
         out = level[..., 0, :]
         return out[..., 0, :] if self.lanes == 1 else out
+
+    def _add(self, li, x, y, length, packed, nodes):
+        """Level ``li``'s adders at node slice ``nodes`` on inputs ``(..., lanes, m, .)``."""
+        kind, initial_state = self._groups[li]
+        if kind == "tff":
+            if packed:
+                return packed_tff_add(x, y, length, initial_state=initial_state)
+            disagree = (x ^ y).astype(np.uint8)
+            state = toggle_states(disagree, initial_state)
+            return np.where(disagree == 1, state, x)
+        # Byte-per-bit only; packed MUX levels are reduced in place above.
+        sel = self._selects(li, length, packed).reshape(self.lanes, -1, length)
+        return np.where(sel[:, nodes] == 1, y, x)
 
     @property
     def supports_count_reduction(self) -> bool:

@@ -9,8 +9,10 @@ The dot-product engines can evaluate their adder trees two ways:
   trees halve the leaf counts per level, since each node's output
   ones-count is exactly ``floor/ceil((ones_x + ones_y) / 2)``, and all-MUX
   trees sum leaf counts restricted to per-leaf ownership masks folded from
-  the cached select streams.  Under stream faults TFF trees halve the
-  popcounts of the faulted leaf products and MUX trees reduce the streams.
+  the cached select streams.  Under stream faults TFF trees correct the
+  gathered counts for each faulted input word (sparse faults) or halve the
+  popcounts of the faulted leaf products (dense faults), and MUX trees
+  reduce the streams.
 * ``"streams"`` -- materialize every tree node's packed bit-stream and
   popcount the root.  This is the reference path, what the hardware
   literally does, and what the differential suites compare ``"auto"``

@@ -19,6 +19,8 @@ from repro.rng import ramp_compare_batch
 from repro.sc.dotproduct import split_weights, stochastic_dot_product
 from repro.sc.elements import AdderTree, TffAdder, TreePlan, count_ones
 
+import fault_oracle
+
 
 def xnor_multiply(x, y):
     """Bipolar stochastic multiplication: bitwise XNOR of byte-per-bit streams."""
@@ -67,9 +69,10 @@ def reduce_packed(adder_factory, words, n_bits):
 def faulted_bits(engine, bits):
     """Byte-level fault injection: ``((w | stuck1) & ~stuck0) ^ flips``.
 
-    The masks are the engine's own packed masks (streams numbered from 0 in
-    C order), unpacked to bytes, so the result is what the engine's
-    :meth:`apply_faults` must produce.
+    The masks come from the independent mask reference
+    (``tests/fault_oracle.py``, streams numbered from 0 in C order), unpacked
+    to bytes, so the result is what the engine's :meth:`apply_faults` and
+    counts must reflect.
     """
     if not engine._stream_faults_active:
         return bits
@@ -78,7 +81,7 @@ def faulted_bits(engine, bits):
     n_streams = int(np.prod(lead)) if lead else 1
     s0, s1, fl = (
         unpack_bits(m, n)
-        for m in engine.faults.plan().masks(n_streams, taps, n, 0)
+        for m in fault_oracle.masks(engine.faults, n_streams, taps, n, 0)
     )
     flat = bits.reshape(n_streams, taps, n)
     return (((flat | s1) & (1 - s0)) ^ fl).reshape(bits.shape)

@@ -211,5 +211,5 @@ def test_leaf_tables_are_built_once_per_bank():
     assert bank.leaf_tables() is tables
     # Level 0 selects no cycle; the top level is the masked weight count.
     assert not tables[:, 0].any()
-    masked = bank.weight_streams.reshape(6, 7, -1) & bank.plan.leaf_masks(32, packed=True)
+    masked = bank.lane_words & bank.plan.leaf_masks(32, packed=True)
     np.testing.assert_array_equal(tables[:, -1], packed_popcount(masked).T)

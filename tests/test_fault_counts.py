@@ -2,13 +2,17 @@
 
 A TFF node emits ``floor((ones_x + ones_y) / 2)`` ones whatever the
 positions of its input bits, so a TFF tree whose leaf streams were corrupted
-by stream faults is still reduced exactly by halving the leaf popcounts.
-These tests pin the ``evaluation_path`` of both engines against the tree
-evaluation that actually ran (spies on ``FilterBank.leaf_tables``, the
-engines' ``input_words``, ``TreePlan.reduce_counts`` and
-``TreePlan.reduce_packed``), the faulted popcount path and the bipolar leaf
-tables against the stream reduction and the byte-per-bit oracle, and the
-paths that still reduce streams under faults.
+by stream faults is still reduced exactly from its leaf counts: under sparse
+faults the leaf-table counts plus one correction per faulted input word,
+under dense faults the halved leaf popcounts.  These tests pin the
+``evaluation_path`` of both engines against the tree evaluation that
+actually ran (spies on ``FilterBank.leaf_tables``, the engines'
+``input_words``, ``TreePlan.reduce_counts`` and ``TreePlan.reduce_packed``),
+both faulted count paths and the bipolar leaf tables against the stream
+reduction and the byte-per-bit oracle, and the paths that still reduce
+streams under faults.  The ``sparse_*`` channels scale a channel's rates to
+just below the corrections crossover for the drawn precision, so faults are
+present on the corrections path.
 """
 
 import contextlib
@@ -25,13 +29,15 @@ from repro.sc import (
     new_sc_engine,
     old_sc_engine,
 )
-from repro.sc.dotproduct import FilterBank
+from repro.sc.dotproduct import CORRECTIONS_SHARE, FilterBank
 from repro.sc.elements.adders import TreePlan
 
+import fault_oracle
 import sc_oracle
 from tiles import forced_tile
 
 FLIPS = FaultSpec(flip_rate=0.02, seed=3)
+SPARSE_FLIPS = FaultSpec(flip_rate=1e-3, seed=3)
 STUCK_CELLS = ((0, 1),)
 
 #: The stream-fault channels, one at a time and all four together.
@@ -45,6 +51,15 @@ CHANNELS = {
         burst_rate=0.01, burst_length=3,
     ),
 }
+CHANNEL_NAMES = sorted(CHANNELS) + [f"sparse_{name}" for name in sorted(CHANNELS)]
+
+
+def channel_spec(channel, precision, **fields):
+    """The spec of a channel; ``sparse_*`` ones sit just below the corrections crossover."""
+    spec = FaultSpec(**CHANNELS[channel.removeprefix("sparse_")], **fields)
+    if channel.startswith("sparse_"):
+        spec = fault_oracle.sparse_spec(spec, 1 << precision, 0.9 * CORRECTIONS_SHARE)
+    return spec
 
 
 @contextlib.contextmanager
@@ -72,27 +87,38 @@ def _inputs(seed, rows, taps, filters):
     return rng.random((rows, taps)), rng.uniform(-1.0, 1.0, (filters, taps))
 
 
-def _expected_path(adder, mode, stream_faults):
+def _expected_path(adder, mode, faults, n_bits):
+    """The rate rule: TFF trees correct leaf-table counts below the crossover share."""
+    stream_faults = faults is not None and faults.corrupts_streams
     if mode == "streams" or (stream_faults and adder == "mux"):
         return "streams"
-    return "popcounts" if stream_faults else "tables"
+    if not stream_faults:
+        return "tables"
+    sparse = faults.word_fault_share(n_bits) < CORRECTIONS_SHARE
+    return "corrections" if sparse else "popcounts"
 
 
 def _ran(adder, path):
-    """The spied methods each path runs; the table path expands no stream."""
+    """The spied methods each path runs; the table and corrections paths expand no stream."""
     return {
         "streams": {"input_words", "reduce_packed"},
         "popcounts": {"input_words", "reduce_counts"},
+        "corrections": {"leaf_tables", "reduce_counts"},
         "tables": {"leaf_tables", "reduce_counts"} if adder == "tff" else {"leaf_tables"},
     }[path]
 
 
+#: Flip rates at precision 5: none (False), dense -- 48% of the input words
+#: faulted -- (True) and sparse, 3.2% ("sparse").
+STREAM_FAULTS = {False: 0.0, True: 0.02, "sparse": 1e-3}
+
+
 @pytest.mark.parametrize("cells", [(), STUCK_CELLS])
-@pytest.mark.parametrize("stream_faults", [False, True])
+@pytest.mark.parametrize("stream_faults", list(STREAM_FAULTS))
 @pytest.mark.parametrize("mode", [None, *MODES])
 @pytest.mark.parametrize("adder", ["tff", "mux"])
 def test_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_faults, cells):
-    spec = FaultSpec(flip_rate=0.02 if stream_faults else 0.0, sng_stuck_cells=cells, seed=3)
+    spec = FaultSpec(flip_rate=STREAM_FAULTS[stream_faults], sng_stuck_cells=cells, seed=3)
 
     def engine():
         return StochasticDotProductEngine(
@@ -101,7 +127,10 @@ def test_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_
 
     path, reason = engine().evaluation_path
     assert reason
-    assert path == _expected_path(adder, mode, stream_faults)
+    assert path == _expected_path(adder, mode, spec, 32)
+    if path in ("corrections", "popcounts"):
+        assert path == ("corrections" if stream_faults == "sparse" else "popcounts")
+        assert f"{spec.word_fault_share(32):.2%} of input words faulted" in reason
     assert engine()._use_count_mode == (path == "tables")
     values, kernels = _inputs(4, 5, 9, 3)
     with spied() as seen:
@@ -109,18 +138,18 @@ def test_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_
     assert seen == _ran(adder, path)
 
 
-@pytest.mark.parametrize("stream_faults", [False, True])
+@pytest.mark.parametrize("stream_faults", list(STREAM_FAULTS))
 @pytest.mark.parametrize("mode", [None, *MODES])
 @pytest.mark.parametrize("adder", ["tff", "mux"])
 def test_bipolar_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_faults):
+    spec = FaultSpec(flip_rate=STREAM_FAULTS[stream_faults], seed=3)
+
     def engine():
-        return BipolarDotProductEngine(
-            precision=5, adder=adder, seed=2, mode=mode, faults=FLIPS if stream_faults else None
-        )
+        return BipolarDotProductEngine(precision=5, adder=adder, seed=2, mode=mode, faults=spec)
 
     path, reason = engine().evaluation_path
     assert reason
-    assert path == _expected_path(adder, mode, stream_faults)
+    assert path == _expected_path(adder, mode, spec, 32)
     assert engine()._use_count_mode == (path == "tables")
     values, kernels = _inputs(4, 5, 9, 3)
     with spied() as seen:
@@ -139,8 +168,14 @@ def test_bipolar_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode,
             BipolarDotProductEngine(precision=6, adder="mux", faults=FLIPS),
             {"input_words", "reduce_packed"},
         ),
+        (new_sc_engine(6, faults=SPARSE_FLIPS), {"leaf_tables", "reduce_counts"}),
+        (old_sc_engine(6, faults=SPARSE_FLIPS), {"input_words", "reduce_packed"}),
+        (BipolarDotProductEngine(precision=6, faults=SPARSE_FLIPS), {"leaf_tables", "reduce_counts"}),
     ],
-    ids=["this_work", "old_sc", "this_work_streams", "bipolar_tff", "bipolar_mux"],
+    ids=[
+        "this_work", "old_sc", "this_work_streams", "bipolar_tff", "bipolar_mux",
+        "this_work_sparse", "old_sc_sparse", "bipolar_tff_sparse",
+    ],
 )
 def test_faulted_tff_bank_reduces_no_stream(engine, ran):
     values, kernels = _inputs(1, 12, 25, 4)
@@ -150,9 +185,9 @@ def test_faulted_tff_bank_reduces_no_stream(engine, ran):
     assert seen == ran
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    channel=st.sampled_from(sorted(CHANNELS)),
+    channel=st.sampled_from(CHANNEL_NAMES),
     stuck_cells=st.booleans(),
     precision=st.integers(2, 10),
     input_generator=st.sampled_from(["ramp", "lfsr"]),
@@ -166,7 +201,7 @@ def test_faulted_tff_counts_match_streams_and_oracle(
     channel, stuck_cells, precision, input_generator, taps, filters, rows, tile, seed
 ):
     cells = ((seed % precision, seed & 1),) if stuck_cells else ()
-    spec = FaultSpec(seed=seed, sng_stuck_cells=cells, **CHANNELS[channel])
+    spec = channel_spec(channel, precision, seed=seed, sng_stuck_cells=cells)
     values, kernels = _inputs(seed, rows, taps, filters)
 
     def engine(mode=None):
@@ -184,9 +219,9 @@ def test_faulted_tff_counts_match_streams_and_oracle(
         np.testing.assert_array_equal(counts, expected)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    channel=st.sampled_from([None] + sorted(CHANNELS)),
+    channel=st.sampled_from([None] + CHANNEL_NAMES),
     adder=st.sampled_from(["tff", "mux"]),
     precision=st.integers(2, 10),
     taps=st.integers(1, 40),
@@ -198,7 +233,7 @@ def test_faulted_tff_counts_match_streams_and_oracle(
 def test_bipolar_counts_match_streams_and_oracle(
     channel, adder, precision, taps, filters, rows, tile, seed
 ):
-    spec = None if channel is None else FaultSpec(seed=seed, **CHANNELS[channel])
+    spec = None if channel is None else channel_spec(channel, precision, seed=seed)
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, (rows, taps))
     kernels = rng.uniform(-1.0, 1.0, (filters, taps))

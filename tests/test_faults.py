@@ -13,6 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bitstream import Bitstream
 from repro.bitstream.packed import pack_bits, unpack_bits
@@ -39,6 +40,7 @@ from repro.sc.convolution import StochasticConv2D
 from repro.sc.dotproduct import new_sc_engine, old_sc_engine
 from repro.utils.windows import extract_patches, patches_to_map
 
+import fault_oracle
 import netlist_oracle
 import sc_oracle
 from tiles import SINGLE_TILE, forced_tile
@@ -100,6 +102,35 @@ class TestMasks:
             rem = n_bits % 64
             if rem:
                 assert int(words[..., -1].max()) < (1 << rem)
+
+
+#: Rates at the edges of the 31-digit bit slicing and at the sweep's decades.
+EDGE_RATES = [0.0, 2**-31, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.75, 1 - 2**-31, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rate=st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.0)),
+    length=st.integers(1, 70),
+    seed=st.integers(0, 2**63),
+    salt=st.integers(0, 7),
+    n_streams=st.integers(0, 5),
+    taps=st.integers(0, 4),
+    n_bits=st.integers(0, 300),
+    offset=st.integers(0, 2**40),
+)
+def test_masks_match_the_plain_horner_oracle(
+    rate, length, seed, salt, n_streams, taps, n_bits, offset
+):
+    """The gated, in-place generator gives the oracle's bits for every argument."""
+    args = (seed, salt, n_streams, taps, n_bits, offset)
+    got = bernoulli_words(rate, *args)
+    expected = fault_oracle.bernoulli_words(rate, *args)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(
+        burst_words(rate, length, *args), fault_oracle.burst_words(rate, length, *args)
+    )
 
 
 # --------------------------------------------------------------------------- #

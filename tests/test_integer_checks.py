@@ -15,9 +15,11 @@ import pytest
 from repro.bitstream import stream_length
 from repro.cli import _accuracy_config, _fault_sweep_config, build_parser, main
 from repro.eval import AccuracyConfig
-from repro.faults.sweep import DEFAULT_RATES
+from repro.faults import FaultSpec
+from repro.faults.sweep import DEFAULT_RATES, FaultSweepConfig
 from repro.hybrid import SensorFrontEnd
-from repro.nn import Conv2D
+from repro.nn import Conv2D, Dense, MaxPool2D
+from repro.rng import RampCompareSNG, VanDerCorputSource
 from repro.sc import BipolarDotProductEngine, StochasticConv2D, new_sc_engine
 from repro.utils import check_count, conv_output_size
 
@@ -111,6 +113,36 @@ class TestConvGeometry:
             Conv2D(1, 2, 3, stride=True)
         with pytest.raises(ValueError):
             StochasticConv2D(KERNELS, padding=False)
+
+
+class TestFaultsSourcesAndLayers:
+    @pytest.mark.parametrize("make, name", [
+        pytest.param(lambda: FaultSpec(burst_rate=0.1, burst_length=2.5), "burst_length",
+                     id="fault_spec_burst_length"),
+        pytest.param(lambda: FaultSpec(seed=1.5), "seed", id="fault_spec_float_seed"),
+        pytest.param(lambda: FaultSpec(seed=True), "seed", id="fault_spec_bool_seed"),
+        pytest.param(lambda: FaultSweepConfig(kernel=2.5), "kernel", id="sweep_kernel"),
+        pytest.param(lambda: FaultSweepConfig(trials=1.5), "trials", id="sweep_trials"),
+        pytest.param(lambda: FaultSweepConfig(precision=8.5), "precision", id="sweep_precision"),
+        pytest.param(lambda: FaultSweepConfig(images=1.5), "images", id="sweep_images"),
+        pytest.param(lambda: VanDerCorputSource(8.5), "bits", id="van_der_corput_bits"),
+        pytest.param(lambda: RampCompareSNG(8.5), "bits", id="ramp_compare_bits"),
+        pytest.param(lambda: MaxPool2D(2.5), "pool_size", id="max_pool_size"),
+        pytest.param(lambda: Dense(4.5, 2), "in_features", id="dense_in_features"),
+    ])
+    def test_fractional_and_bool_counts_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        spec = FaultSpec(burst_rate=0.1, burst_length=np.int64(3), seed=np.int32(1))
+        assert spec == FaultSpec(burst_rate=0.1, burst_length=3, seed=1)
+        config = FaultSweepConfig(kernel=np.int64(3), trials=np.int8(1), precision=np.int16(6))
+        assert (config.kernel, config.trials, config.precision) == (3, 1, 6)
+        assert VanDerCorputSource(np.int64(3)).sequence(8).shape == (8,)
+        assert RampCompareSNG(np.int64(3)).generate(0.5, 8).bits.sum() == 4
+        assert MaxPool2D(np.int64(2)).forward(np.zeros((1, 1, 4, 4))).shape == (1, 1, 2, 2)
+        assert Dense(np.int64(4), np.int32(2)).forward(np.zeros((3, 4))).shape == (3, 2)
 
 
 class TestAccuracyConfig:

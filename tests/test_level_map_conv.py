@@ -8,7 +8,8 @@ bit, three references: the per-patch path the layer used to run
 its own), the ``mode="streams"`` layer and the byte-per-bit oracle
 (``sc_oracle``) -- on both designs, at precision 2-10, for every kernel
 size, stride and padding, without faults, under each stream-fault channel
-and with stuck SNG cells, at forced tiles.  The result's derived ``sign``
+(dense, and ``sparse_*`` just below the corrections crossover for the drawn
+precision) and with stuck SNG cells, at forced tiles.  The result's derived ``sign``
 and ``value`` must equal the formulas the layer used to store, byte for
 byte.
 """
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultSpec
 from repro.sc import StochasticConv2D, new_sc_engine, old_sc_engine
+from repro.sc.dotproduct import CORRECTIONS_SHARE
 from repro.utils.windows import extract_patches, patches_to_map
 
+import fault_oracle
 import sc_oracle
 from tiles import forced_tile
 
@@ -39,6 +42,17 @@ FAULTS = {
     "bursts": FaultSpec(burst_rate=0.02, burst_length=4, seed=6),
     "sng_stuck_cells": FaultSpec(sng_stuck_cells=((0, 1), (1, 0))),
 }
+#: Each stream-fault channel with its rates scaled just below the corrections
+#: crossover for the drawn precision, so this work's faulted banks take the
+#: corrections path with faults present.
+SPARSE = ("sparse_flips", "sparse_stuck_zero", "sparse_stuck_one", "sparse_bursts")
+
+
+def fault_spec(name, precision):
+    if name in SPARSE:
+        dense = FAULTS[name.removeprefix("sparse_")]
+        return fault_oracle.sparse_spec(dense, 1 << precision, 0.9 * CORRECTIONS_SHARE)
+    return FAULTS[name]
 
 
 def stored_sign_and_value(pos, neg, length, tree_scale, soft_threshold, out_shape):
@@ -57,7 +71,7 @@ def assert_same_bytes(actual, expected):
     assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
-@pytest.mark.parametrize("faults", FAULTS)
+@pytest.mark.parametrize("faults", [*FAULTS, *SPARSE])
 @pytest.mark.parametrize("design", DESIGNS)
 @settings(deadline=None, max_examples=15)
 @given(
@@ -85,7 +99,7 @@ def test_level_map_counts_match_every_reference(
     images.flat[0], images.flat[-1] = 0.0, 1.0
     kernels = rng.uniform(-1.0, 1.0, (filters, kernel, kernel))
     flat_kernels = kernels.reshape(filters, -1)
-    engine = DESIGNS[design](precision, seed=seed % 97 + 1, faults=FAULTS[faults])
+    engine = DESIGNS[design](precision, seed=seed % 97 + 1, faults=fault_spec(faults, precision))
     layer = StochasticConv2D(
         kernels, engine=engine, padding=padding, stride=stride, soft_threshold=soft_threshold
     )

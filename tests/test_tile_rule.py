@@ -45,6 +45,24 @@ class TestRule:
         for engine in (new_sc_engine(8, faults=FLIPS), new_sc_engine(8, mode="streams")):
             assert tile_patches(engine, 32, 25) == TILE_BYTES // 51200 == 81
 
+    def test_corrections_path_budgets_counts_masks_and_corrections(self):
+        # 1e-3 flips at N = 256: 6.2% of the words faulted, so the 3.2 KB
+        # gathered counts outweigh the masks (3 x 25 x 4 words, 2.4 KB) and
+        # the expected corrections (0.062 x 100 words x 64 lanes x 8 bytes):
+        # one 28x28 image (784 patches) is one tile.
+        sparse = new_sc_engine(8, faults=FaultSpec(flip_rate=1e-3, seed=1))
+        assert sparse.evaluation_path[0] == "corrections"
+        assert tile_patches(sparse, 32, 25) == 1310
+        # Eight filters: the masks dominate.
+        assert tile_patches(sparse, 8, 25) == TILE_BYTES // 2400
+        # 4e-3 flips (22.7%): the expected corrections dominate.
+        denser = new_sc_engine(8, faults=FaultSpec(flip_rate=4e-3, seed=1))
+        share = denser.faults.word_fault_share(256)
+        assert tile_patches(denser, 32, 25) == TILE_BYTES // int(share * 100 * 64 * 8)
+        # Bipolar: the masks outweigh 32 padded leaves x 32 filters x int16.
+        bipolar = BipolarDotProductEngine(precision=8, faults=FaultSpec(flip_rate=1e-3))
+        assert tile_patches(bipolar, 32, 25) == TILE_BYTES // 2400
+
     def test_bipolar_budgets_the_padded_xnor_products(self):
         # Table path: 32 padded leaves x the int64 table-row index, which
         # outweighs one filter's int16 gathered counts; 8 filters' counts
@@ -147,8 +165,13 @@ def _largest_counts_growth(monkeypatch, run) -> int:
 
 @pytest.mark.parametrize(
     "faults, filters, batches",
-    [(None, 32, (4, 64)), (FaultSpec(flip_rate=1e-3, seed=1), 8, (1, 8))],
-    ids=["count_path", "stream_faults"],
+    [
+        (None, 32, (4, 64)),
+        # The corrections tile (1,747 rows at 8 filters) exceeds one image.
+        (FaultSpec(flip_rate=1e-3, seed=1), 8, (3, 24)),
+        (FaultSpec(flip_rate=1e-2, seed=1), 8, (1, 8)),
+    ],
+    ids=["count_path", "stream_faults", "dense_stream_faults"],
 )
 def test_memory_is_bounded_by_default(monkeypatch, faults, filters, batches):
     """With no setting, the peak inside one counts call does not grow with the batch."""
