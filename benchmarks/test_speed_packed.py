@@ -35,6 +35,7 @@ from repro.sc import (
     split_weights,
 )
 from repro.sc.dotproduct import stochastic_dot_product
+from repro.sc.elements.adders import TreePlan
 from repro.utils import extract_patches
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_packed.json"
@@ -230,9 +231,11 @@ def test_mux_count_conv_speedup():
     comparator levels.  The default engine gathers each tap's leaf count
     from leaf tables built once per bank from the weight streams ANDed with
     the per-leaf select-ownership masks, and sums them over taps; the
-    ``mode="streams"`` path expands the levels into input streams and
-    reduces them level by level through word-level MUX selects.  Counts must be
-    bit-identical while clearing the acceptance floor of 3x.
+    ``mode="streams"`` path expands the levels into input streams, multiplies
+    them into leaf products and reduces those as one OR of the leaves ANDed
+    with the same ownership masks (``faulted_mux_conv`` times that
+    reduction).  Counts must be bit-identical while clearing the acceptance
+    floor of 3x.
     """
     rng = np.random.default_rng(3)
     images = rng.random((1, 16, 16))
@@ -331,6 +334,59 @@ def test_faulted_tff_conv_speedup():
             "path": path,
             "streams_seconds": timings["streams"],
             f"{path}_seconds": timings[None],
+            "speedup": speedup,
+        }
+    )
+
+
+def test_faulted_mux_conv_speedup(monkeypatch):
+    """Faulted MUX conv: the masked-OR stream reduction vs. the select cascade.
+
+    The old-SC first layer of the perfbench ``faults`` workload: 32 MUX
+    kernels (5x5) at N=256 over the 784 patches of one 28x28 image under
+    1e-3 stream flips, where ``evaluation_path`` is ``"streams"``.  Both
+    sides run the same bank's ``evaluate`` end to end -- level conversion,
+    fault masks, input streams and leaf products are common -- once as it
+    is, where ``TreePlan.reduce_packed`` ORs the leaf products ANDed with
+    their ownership masks, and once with the word-level select cascade of
+    ``sc_oracle.mux_select_cascade`` patched in, which reduces the leaves
+    level by level through the select streams.  Counts must be
+    bit-identical; CI bounds the ratio.
+    """
+    rng = np.random.default_rng(5)
+    image = rng.random((1, 28, 28))
+    kernels = rng.uniform(-1.0, 1.0, (32, 5, 5))
+    filters, taps = kernels.shape[0], 25
+    patches = extract_patches(image, (5, 5), padding=2).reshape(-1, taps)
+    spec = FaultSpec(flip_rate=1e-3, seed=1)
+    engine = old_sc_engine(8, seed=1, faults=spec)
+    assert engine.evaluation_path[0] == "streams"
+    bank = engine.prepare_weights(kernels.reshape(filters, taps))
+
+    masked_s, masked = best_of(lambda: bank.evaluate(patches))
+    with monkeypatch.context() as patch:
+        patch.setattr(TreePlan, "reduce_packed", sc_oracle.mux_select_cascade)
+        cascade_s, cascade = best_of(lambda: bank.evaluate(patches))
+
+    np.testing.assert_array_equal(masked[0], cascade[0])
+    np.testing.assert_array_equal(masked[1], cascade[1])
+
+    speedup = cascade_s / masked_s
+    print(
+        f"\nfaulted mux conv, {filters} kernels, {patches.shape[0]} patches, "
+        f"N=256, flips 1e-3: select cascade {cascade_s * 1e3:.1f} ms, "
+        f"masked OR {masked_s * 1e3:.1f} ms ({speedup:.1f}x)"
+    )
+
+    _write_artifact(
+        faulted_mux_conv={
+            "filters": filters,
+            "taps": taps,
+            "patches": int(patches.shape[0]),
+            "stream_length": 256,
+            "flip_rate": spec.flip_rate,
+            "cascade_seconds": cascade_s,
+            "masked_or_seconds": masked_s,
             "speedup": speedup,
         }
     )

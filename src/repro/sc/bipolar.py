@@ -60,7 +60,7 @@ from ..bitstream.packed import (
     words_for,
 )
 from ..faults.spec import FaultSpec
-from ..rng import ComparatorSNG, SobolSource, VanDerCorputSource, level_dtype
+from ..rng import ComparatorSNG, SobolSource, level_dtype
 from ..utils.checks import check_count
 from .elements.adders import AdderTree, TreePlan
 from .dotproduct import (
@@ -159,9 +159,12 @@ class BipolarWeightBank(FilterBank):
         tables += (packed_popcount(masks) - packed_popcount(wm)).T[:, np.newaxis]
         return tables
 
-    def _leaf_op(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _leaf_op(
+        self, x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """The XNOR multiplier, bits past N unmasked."""
-        return ~(x ^ w)
+        out = np.bitwise_xor(x, w, out=out)
+        return np.invert(out, out=out)
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Tree-output counts ``(..., filters)`` for input values ``(..., taps)``.
@@ -221,6 +224,7 @@ class BipolarDotProductEngine:
     _use_count_mode = StochasticDotProductEngine._use_count_mode
     input_words = StochasticDotProductEngine.input_words
     apply_faults = StochasticDotProductEngine.apply_faults
+    _input_sng = StochasticDotProductEngine._input_sng
     # Every bank restarts its MUX select seeds (node i gets 777*seed + 1 + i),
     # so repeated evaluations on one engine are deterministic.
     _select_seed_scale: ClassVar[int] = 777
@@ -254,8 +258,9 @@ class BipolarDotProductEngine:
     # ------------------------------------------------------------------ #
     # input levels and streams
     # ------------------------------------------------------------------ #
-    def _input_sng(self) -> ComparatorSNG:
-        return ComparatorSNG(VanDerCorputSource(self.precision))
+    def _input_source(self) -> tuple:
+        """The van der Corput input SNG (:func:`repro.sc.dotproduct.input_sng`)."""
+        return ("vdc", self.precision)
 
     def _weight_sng(self) -> ComparatorSNG:
         return ComparatorSNG(SobolSource(self.precision, dimension=1))

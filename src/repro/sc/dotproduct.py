@@ -76,11 +76,19 @@ leaf-product popcounts (:meth:`FilterBank._corrected_counts`).  Packed
 streams -- 64 clock cycles per uint64 word (:mod:`repro.bitstream.packed`)
 -- are built from levels only where a path needs them
 (:meth:`~StochasticDotProductEngine.input_words`): under dense stream faults,
-under stream faults on MUX trees, and in stream mode.
+under stream faults on MUX trees, and in stream mode.  Since a stream is set
+by its level, building one is a gather: row ``c`` of the input SNG's
+``(N + 1, W)`` level-word table is the stream of level ``c``
+(:func:`comparator_words`; one table per SNG configuration, 8 KB at N = 256
+and 2 MB at N = 4096, and past :data:`LEVEL_TABLE_BYTES` streams are
+compared cycle by cycle instead).  Every path that takes levels rejects
+non-integer ones (``TypeError``) and ones outside ``[0, N]``
+(``ValueError``) at its boundary (:func:`checked_levels`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Optional, Tuple
@@ -120,6 +128,7 @@ __all__ = [
     "DotProductResult",
     "TILE_BYTES",
     "CORRECTIONS_SHARE",
+    "LEVEL_TABLE_BYTES",
     "tile_patches",
     "FaultedLevels",
     "FilterBank",
@@ -236,6 +245,70 @@ def tile_patches(engine, filters: int, taps: int) -> int:
     return max(1, TILE_BYTES // engine.patch_bytes(filters, taps))
 
 
+#: Largest level-word table (:func:`comparator_words`) kept per input SNG: its
+#: ``(N + 1) * N / 8`` bytes are 8 KB at N = 256 and 2 MB at N = 4096; longer
+#: streams are expanded by comparison.
+LEVEL_TABLE_BYTES = 4 << 20
+
+
+def checked_levels(levels: np.ndarray, n_bits: int) -> np.ndarray:
+    """``levels`` as an array if they are integer comparator levels in ``[0, n_bits]``.
+
+    Raises ``TypeError`` for a non-integer dtype and ``ValueError`` for a
+    level outside the range, the boundary check of every path that takes
+    levels.
+    """
+    levels = np.asarray(levels)
+    if not np.issubdtype(levels.dtype, np.integer):
+        raise TypeError(f"comparator levels must be integers, got dtype {levels.dtype}")
+    if levels.size and (levels.min() < 0 or levels.max() > n_bits):
+        raise ValueError(f"comparator levels must lie in [0, {n_bits}]")
+    return levels
+
+
+def input_sng(source: tuple) -> ComparatorSNG:
+    """The input SNG of an engine's ``_input_source()`` key ``(kind, precision, ...)``.
+
+    ``("ramp", p)`` is the ramp-compare converter, ``("lfsr", p, seed,
+    stuck_cells)`` a comparator over an LFSR and ``("vdc", p)`` one over the
+    van der Corput sequence (the bipolar engine's inputs).
+    """
+    kind, precision = source[:2]
+    if kind == "ramp":
+        return RampCompareSNG(precision)
+    if kind == "lfsr":
+        seed, stuck = source[2:]
+        return ComparatorSNG(LFSRSource(precision, seed=seed, stuck_cells=stuck))
+    return ComparatorSNG(VanDerCorputSource(precision))
+
+
+@functools.lru_cache(maxsize=8)
+def _level_word_table(source: tuple) -> Optional[np.ndarray]:
+    """Read-only packed streams of every level ``0..N`` of input SNG ``source``,
+    ``(N + 1, W)``, or ``None`` above :data:`LEVEL_TABLE_BYTES`."""
+    n = stream_length(source[1])
+    if (n + 1) * words_for(n) * 8 > LEVEL_TABLE_BYTES:
+        return None
+    table = input_sng(source).expand_levels(np.arange(n + 1), n)
+    table.setflags(write=False)
+    return table
+
+
+def comparator_words(source: tuple, levels: np.ndarray) -> np.ndarray:
+    """Packed input streams ``levels.shape + (W,)`` of checked comparator levels.
+
+    One gather from the input SNG's level-word table, kept once per SNG
+    configuration ``source`` (an engine's ``_input_source()``, derived from
+    its fields on every call, so a table never outlives its configuration);
+    past :data:`LEVEL_TABLE_BYTES` the streams are compared cycle by cycle
+    (:meth:`~repro.rng.sng.ComparatorSNG.expand_levels`).
+    """
+    table = _level_word_table(source)
+    if table is None:
+        return input_sng(source).expand_levels(levels, stream_length(source[1]))
+    return np.take(table, levels, axis=0)
+
+
 class FaultedLevels(NamedTuple):
     """One tile under sparse stream faults, from ``apply_faults`` on the corrections path.
 
@@ -268,10 +341,13 @@ class FilterBank:
     counters = 1
     lane_words: np.ndarray
     _tables: Optional[np.ndarray] = None
-    _level_words: Optional[np.ndarray] = None
+    _leaf_words: Optional[np.ndarray] = None
 
-    def _leaf_op(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The leaf multiplier on broadcast packed words: AND or XNOR, bits past N unmasked."""
+    def _leaf_op(
+        self, x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The leaf multiplier on broadcast packed words, into ``out`` if given: AND or
+        XNOR, bits past N unmasked."""
         raise NotImplementedError
 
     def _tiled(self, inputs: np.ndarray, prepare: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -326,12 +402,14 @@ class FilterBank:
         (:meth:`TreePlan.reduce_counts`), MUX trees sum them.  A
         :class:`FaultedLevels` tile gets the same gather plus one exact
         correction per faulted input word (:meth:`_corrected_counts`).
-        Otherwise levels are expanded into streams (``input_words``) and
-        multiplied into leaf products (:meth:`_leaf_streams`).  A TFF tree
+        Otherwise levels are expanded into streams (``input_words``, a
+        gather from the input SNG's level-word table) and multiplied into
+        leaf-major leaf products (:meth:`_leaf_streams`).  A TFF tree
         outside stream mode halves their popcounts -- its root count depends
         only on its leaf counts, whatever the leaf bits -- and everything
-        else runs the reference reduction (:meth:`TreePlan.reduce_packed`).
-        Every path produces identical counts.
+        else reduces the streams (:meth:`TreePlan.reduce_packed`: TFF levels
+        paired slab by slab, MUX trees one OR of the leaves ANDed with their
+        ownership masks).  Every path produces identical counts.
         """
         if isinstance(prepared, FaultedLevels):
             return self._corrected_counts(prepared)
@@ -363,18 +441,37 @@ class FilterBank:
                 f"comparator levels must have {self.taps} taps on axis -1, "
                 f"got shape {levels.shape}"
             )
-        n = self.n_bits
-        if levels.size and (levels.min() < 0 or levels.max() > n):
-            raise ValueError(f"comparator levels must lie in [0, {n}]")
-        return levels
+        return checked_levels(levels, self.n_bits)
 
     def _leaf_streams(self, x: np.ndarray) -> np.ndarray:
         """Leaf products ``(..., lanes, leaves, W)`` of input streams ``(..., taps, W)``;
-        pad leaves see the all-zero input stream."""
-        leaves = self.lane_words.shape[1]
+        pad leaves see the all-zero input stream.
+
+        The products are written leaf-major with the lane axis innermost,
+        ``(leaves, ..., W, lanes)``, and returned as a view: every leaf is
+        one contiguous slab for :meth:`TreePlan.reduce_packed` and the
+        popcounts' :meth:`TreePlan.reduce_counts`, and the product pass
+        broadcasts each input word over a whole row of lanes.
+        """
+        words = self._leaf_major_words()
+        leaves = words.shape[0]
         if leaves > self.taps:
             x = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, leaves - self.taps), (0, 0)])
-        return mask_tail(self._leaf_op(x[..., np.newaxis, :, :], self.lane_words), self.n_bits)
+        lead = x.ndim - 2
+        out = np.empty((leaves,) + x.shape[:-2] + words.shape[1:], dtype=np.uint64)
+        self._leaf_op(
+            np.moveaxis(x, -2, 0)[..., np.newaxis],
+            words.reshape((leaves,) + (1,) * lead + words.shape[1:]),
+            out=out,
+        )
+        view = out.transpose(tuple(range(1, lead + 1)) + (lead + 2, 0, lead + 1))
+        return mask_tail(view, self.n_bits)
+
+    def _leaf_major_words(self) -> np.ndarray:
+        """The weight words in the leaf products' layout, ``(leaves, W, lanes)``, built once."""
+        if self._leaf_words is None:
+            self._leaf_words = np.ascontiguousarray(self.lane_words.transpose(1, 2, 0))
+        return self._leaf_words
 
     def _gathered(self, levels: np.ndarray) -> np.ndarray:
         """Leaf counts ``(leaves, ..., lanes)`` of comparator levels ``(..., taps)``, gathered
@@ -403,8 +500,8 @@ class FilterBank:
 
         A faulted leaf count is the fault-free table count plus, for every
         faulted input word, ``popcount(op(faulted, w)) - popcount(op(x, w))``
-        per lane, where ``x`` is the clean comparator word (a row of the
-        input SNG's level-word table), the faulted word is
+        per lane, where ``x`` is the clean comparator word (from the input
+        SNG's level-word table, :func:`comparator_words`), the faulted word is
         ``packed_apply_faults`` of ``x`` and the tile's mask words, and ``w``
         the lane's weight word.  The corrected leaf counts are halved like
         the fault-free ones (:meth:`TreePlan.reduce_counts`); no stream is
@@ -414,42 +511,53 @@ class FilterBank:
         rows = levels.reshape(-1, self.taps)
         leaf = self._gathered(rows)
         if faulted.index.size:
-            width = words_for(self.n_bits)
-            stream, word = np.divmod(faulted.index, width)
-            # Words go on a trailing axis of length one, each a one-word
-            # stream: N is a power of two, so every word holds min(N, 64)
-            # cycles and masks the same tail.
-            bits = min(self.n_bits, WORD_BITS)
-            clean = self._input_level_words()[rows.reshape(-1)[stream], word]
-            clean, stuck0, stuck1, flips = (
-                m[:, np.newaxis, np.newaxis]
-                for m in (clean, faulted.stuck0, faulted.stuck1, faulted.flips)
-            )
-            hit = packed_apply_faults(clean, stuck0, stuck1, flips, bits)
-            # Weight words ``(taps * W, lanes)``, rows in flat (tap, word) order.
-            tap_words = self.lane_words[:, : self.taps].transpose(1, 2, 0).reshape(-1, leaf.shape[-1])
-            w = tap_words[faulted.index % (self.taps * width), :, np.newaxis]
-            # Counts of one word fit int8, so does their difference.
-            delta = word_popcount(mask_tail(self._leaf_op(hit, w), bits))[..., 0].view(np.int8)
-            delta -= word_popcount(mask_tail(self._leaf_op(clean, w), bits))[..., 0].view(np.int8)
-            # A stream's faulted words have distinct word indices, so the
-            # words of one index correct distinct leaf counts: one fancy-index
-            # add each (``np.add.at`` over the rows took 3-7x as long).
-            row, tap = np.divmod(stream, self.taps)
-            flat = leaf.reshape(-1, leaf.shape[-1])
-            cell = tap * rows.shape[0] + row
-            for j in range(width):
-                at = np.flatnonzero(word == j)
-                flat[cell[at]] += delta[at]
+            self._correct(leaf, rows, faulted)
         counts = self.plan.reduce_counts(np.moveaxis(leaf, 0, -1))
         return counts.reshape(levels.shape[:-1] + counts.shape[-1:])
 
-    def _input_level_words(self) -> np.ndarray:
-        """The input SNG's comparator words of every level, ``(N + 1, W)``, built once."""
-        if self._level_words is None:
-            n = self.n_bits
-            self._level_words = self.engine._input_sng().expand_levels(np.arange(n + 1), n)
-        return self._level_words
+    def _correct(self, leaf: np.ndarray, rows: np.ndarray, faulted: FaultedLevels) -> None:
+        """Add every faulted word's per-lane count change to the gathered ``leaf``
+        counts of ``rows``, in place.
+
+        Its temporaries -- the largest is one ``(faulted words, lanes)``
+        buffer, which takes the weight words and then, in place, each
+        product in turn -- are freed before the halving levels are
+        allocated, so a tile's peak stays the gathered counts plus one of
+        them.
+        """
+        width = words_for(self.n_bits)
+        stream, word = np.divmod(faulted.index, width)
+        # Words go on a trailing axis of length one, each a one-word
+        # stream: N is a power of two, so every word holds min(N, 64)
+        # cycles and masks the same tail.
+        bits = min(self.n_bits, WORD_BITS)
+        streams = comparator_words(self.engine._input_source(), rows.reshape(-1)[stream])
+        clean = streams[np.arange(stream.size), word]
+        clean, stuck0, stuck1, flips = (
+            m[:, np.newaxis, np.newaxis]
+            for m in (clean, faulted.stuck0, faulted.stuck1, faulted.flips)
+        )
+        hit = packed_apply_faults(clean, stuck0, stuck1, flips, bits)
+        # Weight words ``(taps * W, lanes)``, rows in flat (tap, word) order.
+        tap_words = self._leaf_major_words()[: self.taps].reshape(-1, leaf.shape[-1])
+        tap_word = faulted.index % (self.taps * width)
+        prod = np.empty(tap_word.shape + tap_words.shape[1:] + (1,), dtype=np.uint64)
+        np.take(tap_words, tap_word, axis=0, out=prod[..., 0], mode="clip")
+        faulted_ones = word_popcount(mask_tail(self._leaf_op(hit, prod, out=prod), bits))
+        np.take(tap_words, tap_word, axis=0, out=prod[..., 0], mode="clip")
+        clean_ones = word_popcount(mask_tail(self._leaf_op(clean, prod, out=prod), bits))
+        # Counts of one word fit int8, so does their difference.
+        delta = faulted_ones[..., 0].view(np.int8)
+        delta -= clean_ones[..., 0].view(np.int8)
+        # A stream's faulted words have distinct word indices, so the
+        # words of one index correct distinct leaf counts: one fancy-index
+        # add each (``np.add.at`` over the rows took 3-7x as long).
+        row, tap = np.divmod(stream, self.taps)
+        flat = leaf.reshape(-1, leaf.shape[-1])
+        cell = tap * rows.shape[0] + row
+        for j in range(width):
+            at = np.flatnonzero(word == j)
+            flat[cell[at]] += delta[at]
 
 
 class PreparedWeights(FilterBank):
@@ -514,9 +622,11 @@ class PreparedWeights(FilterBank):
             words = words & self.plan.leaf_masks(self.n_bits, packed=True)
         return self._running_counts(unpack_bits(words, self.n_bits))
 
-    def _leaf_op(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _leaf_op(
+        self, x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """The AND multiplier."""
-        return x & w
+        return np.bitwise_and(x, w, out=out)
 
     def evaluate(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Positive and negative counts ``(..., filters)`` for input values ``(..., taps)``.
@@ -537,10 +647,7 @@ class PreparedWeights(FilterBank):
         converting before cutting rows (a whole image at once, say) changes
         no count.
         """
-        levels = np.asarray(levels)
-        if not np.issubdtype(levels.dtype, np.integer):
-            raise TypeError(f"comparator levels must be integers, got dtype {levels.dtype}")
-        pos, neg = self._tiled(levels, lambda rows: rows)
+        pos, neg = self._tiled(checked_levels(levels, self.n_bits), lambda rows: rows)
         return pos, neg
 
     def counts(self, prepared) -> Tuple[np.ndarray, np.ndarray]:
@@ -669,18 +776,22 @@ class StochasticDotProductEngine:
           expanded into packed streams (:meth:`input_words`) and corrupted;
         * otherwise the levels unchanged.
 
+        Under stream faults the levels are checked first, like
+        :meth:`input_words` checks them: a non-integer dtype raises
+        ``TypeError`` and a level outside ``[0, N]`` ``ValueError``.
+
         Callers feeding :meth:`PreparedWeights.counts` directly apply it
         themselves.
         """
         if not self._stream_faults_active:
             return prepared
+        levels = checked_levels(prepared, self.length)
         plan = self.faults.plan()
         if self.evaluation_path[0] == "corrections":
-            levels = np.asarray(prepared)
             n_streams = int(np.prod(levels.shape[:-1]))
             masks = plan.nonzero_masks(n_streams, levels.shape[-1], self.length, offset)
             return FaultedLevels(levels, *masks)
-        return plan.apply(self.input_words(prepared), self.length, offset=offset)
+        return plan.apply(self.input_words(levels), self.length, offset=offset)
 
     @property
     def evaluation_path(self) -> Tuple[str, str]:
@@ -704,9 +815,13 @@ class StochasticDotProductEngine:
         * ``"popcounts"`` -- TFF trees under denser stream faults: the
           faulted leaf products are popcounted and halved per level, exact
           whatever the leaf bits (:attr:`TreePlan.supports_count_reduction`);
-        * ``"streams"`` -- the reference stream reduction
-          (:meth:`TreePlan.reduce_packed`): ``mode="streams"`` and MUX trees
-          under stream faults.
+        * ``"streams"`` -- the stream reduction
+          (:meth:`TreePlan.reduce_packed`) of the leaf products of the input
+          streams (:meth:`input_words`, a gather from the level-word table):
+          TFF levels paired slab by slab, MUX trees one OR of the leaves
+          ANDed with their ownership masks (the masks of the table path, but
+          applied to streams, so faulted bits count where they fall).
+          ``mode="streams"`` and MUX trees under stream faults.
         """
         if self.mode == "streams":
             return "streams", "mode='streams' forces the reference stream reduction"
@@ -777,16 +892,23 @@ class StochasticDotProductEngine:
 
         ``W = ceil(N / 64)`` uint64 words per stream, holding exactly the
         bits the input SNG's comparator emits for the values behind
-        ``levels``.  Needed only by the stream paths: stream faults and
-        stream mode.
+        ``levels``: one gather of rows of the SNG's ``(N + 1, W)`` level-word
+        table (:func:`comparator_words`), instead of comparing all N cycles
+        of every stream.  A non-integer dtype raises ``TypeError`` and a
+        level outside ``[0, N]`` ``ValueError``.  Needed only by the stream
+        paths: stream faults and stream mode.
         """
-        return self._input_sng().expand_levels(levels, self.length)
+        return comparator_words(self._input_source(), checked_levels(levels, self.length))
+
+    def _input_source(self) -> tuple:
+        """The input SNG's configuration, read from the fields on every call (:func:`input_sng`)."""
+        if self.input_generator == "ramp":
+            return ("ramp", self.precision)
+        stuck = self.faults.sng_stuck_cells if self.faults is not None else ()
+        return ("lfsr", self.precision, self.seed, stuck)
 
     def _input_sng(self) -> ComparatorSNG:
-        if self.input_generator == "ramp":
-            return RampCompareSNG(self.precision)
-        stuck = self.faults.sng_stuck_cells if self.faults is not None else ()
-        return ComparatorSNG(LFSRSource(self.precision, seed=self.seed, stuck_cells=stuck))
+        return input_sng(self._input_source())
 
     def _weight_sng(self) -> ComparatorSNG:
         if self.weight_generator == "lowdisc":

@@ -21,30 +21,43 @@ structure used by the stochastic dot-product engine.
 
 Array-level reduction
 ---------------------
-Tree reduction is evaluated *level by level on whole arrays*: every level
-pairs the stream axis (``(..., k, N)`` bits or ``(..., k, W)`` packed words)
-and applies one vectorized kernel to all nodes of the level at once -- a
-single prefix-parity scan for TFF nodes, a single masked select for MUX
-nodes (per-node select streams stacked on the node axis).  Every level must
-hold nodes of one plain adder kind: :class:`TffAdder` nodes sharing one
-initial state, or :class:`MuxAdder` nodes.  A plan raises ``ValueError`` for
-a level that mixes kinds or holds a subclass.  Adder *objects* are
-instantiated through the factory level by level, left to right, so stateful
-factories -- e.g. per-node MUX select seeds -- see one fixed node
-enumeration.
+Tree reduction is evaluated *on whole arrays*, all nodes of a level at once.
+A plan holds one adder kind: every level holds plain :class:`TffAdder` nodes
+sharing one initial state (levels may differ in it), or every level holds
+plain :class:`MuxAdder` nodes.  A plan raises ``ValueError`` for a level that
+mixes kinds or holds a subclass, and for levels of different kinds.  Adder
+*objects* are instantiated through the factory level by level, left to
+right, so stateful factories -- e.g. per-node MUX select seeds -- see one
+fixed node enumeration.
+
+Packed words (``(..., k, W)``) are reduced with the leaf axis moved first, so
+every pass works on whole leaf slabs -- contiguous ones for the filter
+banks' leaf products, which are laid out leaf-major:
+
+* **all-TFF trees** pair the leading slabs level by level, one prefix-parity
+  scan per level (:func:`~repro.bitstream.packed.packed_tff_add`);
+* **all-MUX trees** are one masked OR: at every clock cycle the select bits
+  along the tree route exactly one leaf's bit (or a zero pad) to the root, so
+  the root stream is ``OR_i(leaf_i & mask_i)`` with the disjoint per-leaf
+  ownership masks of :meth:`TreePlan.leaf_masks`.
+
+Byte-per-bit arrays (``(..., k, N)``, :meth:`TreePlan.reduce_bits`) keep the
+level-by-level loop -- a toggle-state scan per TFF level, a per-node select
+per MUX level -- which defines the tree semantics the packed reduction and
+the count-domain shortcuts below are tested against.
 
 :class:`TreePlan` extends this to *lanes*: several identical trees (for the
 stochastic convolution, one tree per ``(filter, positive/negative)`` pair)
 laid side by side on axis ``-3`` and reduced together in the same vectorized
-level passes.  Lane adders are instantiated lane-major (lane 0's whole tree,
-then lane 1's, ...), matching a sequence of independent per-lane reductions,
-and the plan object is reusable across input tiles: select streams are
-generated once and cached, so tiled evaluation is bit-identical to a single
-untiled pass.
+passes.  Lane adders are instantiated lane-major (lane 0's whole tree, then
+lane 1's, ...), matching a sequence of independent per-lane reductions, and
+the plan object is reusable across input tiles: select streams and leaf
+masks are generated once and cached, so tiled evaluation is bit-identical to
+a single untiled pass.
 
 Count-domain shortcuts
 ----------------------
-Two tree families admit an *exact* count-domain evaluation that never
+Both tree families admit an *exact* count-domain evaluation that never
 materializes a node's output stream (the engines' default path, see
 :mod:`repro.sc.mode`):
 
@@ -52,11 +65,9 @@ materializes a node's output stream (the engines' default path, see
   ``floor/ceil((ones_x + ones_y) / 2)``, so :meth:`TreePlan.reduce_counts`
   halves integer leaf counts level by level (in int16 while the counts stay
   below ``2**14``);
-* **all-MUX trees** -- at each clock cycle the select bits along the tree
-  pick exactly one leaf whose bit the root forwards (or a zero pad), so
-  pushing the cached select streams down the tree yields one disjoint
-  *ownership mask* per leaf (:meth:`TreePlan.leaf_masks`) and the root count
-  is the sum of the masked leaf counts.
+* **all-MUX trees** -- the ownership masks that make the packed reduction
+  one masked OR also make the root count the sum of the masked leaf counts
+  ``popcount(leaf_i & mask_i)``.
 
 Neither needs the leaf streams themselves, only their (masked) ones-counts.
 Both engines' filter banks (:class:`~repro.sc.dotproduct.FilterBank`) take
@@ -243,8 +254,8 @@ class TreePlan:
     input arrays.  Because per-node select streams are generated once and
     cached, applying one plan to successive input tiles is bit-identical to
     reducing the concatenated tiles in a single pass -- the contract the
-    tile-streamed stochastic convolution relies on.  Every level must hold
-    one plain adder kind (see the module docstring), else construction
+    tile-streamed stochastic convolution relies on.  A plan holds one adder
+    kind, all TFF or all MUX (see the module docstring), else construction
     raises ``ValueError``.
     """
 
@@ -274,6 +285,14 @@ class TreePlan:
             for li, m in enumerate(sizes)
         ]
         self._groups = [_level_group(nodes) for nodes in self.levels]
+        kinds = sorted({kind for kind, _ in self._groups})
+        if len(kinds) > 1:
+            raise ValueError(
+                "a tree plan holds one adder kind: TffAdder levels or MuxAdder "
+                f"levels; got levels of both ({', '.join(kinds)})"
+            )
+        #: ``"tff"``, ``"mux"`` or ``None`` for a one-input plan (no adder).
+        self._kind = kinds[0] if kinds else None
         self._select_cache: dict = {}
         self._mask_cache: dict = {}
         # Input width of every level before its odd-width zero pad (leaves
@@ -317,50 +336,62 @@ class TreePlan:
             )
         return arr
 
-    def _reduce(self, arr: np.ndarray, length: int, packed: bool) -> np.ndarray:
-        """Shared level loop; ``arr`` is ``(..., lanes, k, W-or-N)``."""
+    def _reduce_bits(self, arr: np.ndarray, length: int) -> np.ndarray:
+        """The byte-per-bit level loop; ``arr`` is ``(..., lanes, k, N)``."""
         level = arr
-        for li, group in enumerate(self._groups):
-            if packed and group[0] == "mux":
-                # y where the select bit is 1, else x: x ^ ((x ^ y) & s), in
-                # place on one new array.  A lone last node's zero partner
-                # leaves x & ~s, so odd levels need no zero-pad copy.
-                x = level[..., 0::2, :]
-                y = level[..., 1::2, :]
-                out = x.copy()
-                out[..., : y.shape[-2], :] ^= y
-                out &= self._selects(li, length, packed).reshape(self.lanes, x.shape[-2], -1)
-                out ^= x
-                level = out
-                continue
+        for li in range(self.depth):
             # A lone last node's zero partner is a one-node zero slab, so odd
             # levels copy no level to pad it.
             x = level[..., 0::2, :]
             y = level[..., 1::2, :]
             pairs = y.shape[-2]
             out = np.empty(x.shape, dtype=level.dtype)
-            out[..., :pairs, :] = self._add(li, x[..., :pairs, :], y, length, packed, slice(pairs))
+            out[..., :pairs, :] = self._add(li, x[..., :pairs, :], y, length, slice(pairs))
             if x.shape[-2] > pairs:
                 lone = x[..., pairs:, :]
                 out[..., pairs:, :] = self._add(
-                    li, lone, np.zeros_like(lone), length, packed, slice(pairs, None)
+                    li, lone, np.zeros_like(lone), length, slice(pairs, None)
                 )
             level = out
         out = level[..., 0, :]
         return out[..., 0, :] if self.lanes == 1 else out
 
-    def _add(self, li, x, y, length, packed, nodes):
-        """Level ``li``'s adders at node slice ``nodes`` on inputs ``(..., lanes, m, .)``."""
+    def _add(self, li, x, y, length, nodes):
+        """Level ``li``'s adders at node slice ``nodes`` on bits ``(..., lanes, m, N)``."""
         kind, initial_state = self._groups[li]
         if kind == "tff":
-            if packed:
-                return packed_tff_add(x, y, length, initial_state=initial_state)
             disagree = (x ^ y).astype(np.uint8)
             state = toggle_states(disagree, initial_state)
             return np.where(disagree == 1, state, x)
-        # Byte-per-bit only; packed MUX levels are reduced in place above.
-        sel = self._selects(li, length, packed).reshape(self.lanes, -1, length)
+        sel = self._selects(li, length, packed=False).reshape(self.lanes, -1, length)
         return np.where(sel[:, nodes] == 1, y, x)
+
+    def _reduce_words(self, arr: np.ndarray, n_bits: int) -> np.ndarray:
+        """The packed reduction of ``arr``, ``(..., lanes, k, W)``, leaf axis first."""
+        leaves = np.moveaxis(arr, -2, 0)
+        if self._kind == "mux":
+            # Exactly one leaf (or a zero pad) owns each cycle of a lane's
+            # root: OR the leaves ANDed with their ownership masks.
+            masks = np.moveaxis(self.leaf_masks(n_bits, packed=True), 1, 0)
+            root = leaves[0] & masks[0]
+            term = np.empty_like(root)
+            for leaf, mask in zip(leaves[1:], masks[1:]):
+                root |= np.bitwise_and(leaf, mask, out=term)
+        else:
+            level = leaves
+            for _, initial_state in self._groups:
+                # An odd level's last node pairs with a zero stream.
+                pairs, odd = divmod(level.shape[0], 2)
+                out = np.empty_like(level[: pairs + odd])
+                out[:pairs] = packed_tff_add(
+                    level[0 : 2 * pairs : 2], level[1 : 2 * pairs : 2], n_bits, initial_state
+                )
+                if odd:
+                    lone = level[-1]
+                    out[pairs] = packed_tff_add(lone, np.zeros_like(lone), n_bits, initial_state)
+                level = out
+            root = level[0]
+        return root[..., 0, :] if self.lanes == 1 else root
 
     @property
     def supports_count_reduction(self) -> bool:
@@ -378,7 +409,7 @@ class TreePlan:
         levels are position-dependent: all-MUX trees have their own exact
         shortcut (:meth:`leaf_masks`).
         """
-        return all(group[0] == "tff" for group in self._groups)
+        return self._kind != "mux"
 
     def reduce_counts(self, leaf_counts: np.ndarray) -> np.ndarray:
         """Exact count-domain tree reduction for all-TFF plans.
@@ -439,12 +470,17 @@ class TreePlan:
         ``lane``'s tree route leaf ``i``'s bit to the root at cycle ``t``.
         Each plain :class:`MuxAdder` node forwards one input bit per cycle,
         chosen by its cached select stream, so a lane's masks are disjoint
-        (cycles routed to a zero pad belong to none) and its root ones-count
-        is the sum over leaves of ``popcount(leaf & mask)``.  Only all-MUX
-        trees have masks.  Cached per ``(length, packed)`` like the select
-        streams, so tiled evaluation reuses one derivation.
+        (cycles routed to a zero pad belong to none): its root stream is
+        ``OR_i(leaf_i & mask_i)`` -- the packed :meth:`reduce_packed` -- and
+        its root ones-count the sum over leaves of ``popcount(leaf_i &
+        mask_i)`` -- the banks' leaf tables.  Packed masks have clean tails.
+        The array is a view of leaf-major ``(count, ., lanes)`` memory, the
+        layout of the banks' leaf products (see :meth:`reduce_packed`), so
+        each leaf's masks are one contiguous slab.  Only all-MUX trees have
+        masks.  Cached per ``(length, packed)`` like the select streams, so
+        tiled evaluation reuses one derivation.
         """
-        if not all(group[0] == "mux" for group in self._groups):
+        if self._kind == "tff":
             raise ValueError(
                 "leaf ownership masks exist only for plain MuxAdder trees"
             )
@@ -453,46 +489,55 @@ class TreePlan:
         if cached is not None:
             return cached
         if packed:
-            width = words_for(length)
-            root = mask_tail(
-                np.full((self.lanes, 1, width), _ALL_WORD, dtype=np.uint64), length
-            )
+            masks = np.full((1, words_for(length), self.lanes), _ALL_WORD, dtype=np.uint64)
+            mask_tail(masks.transpose(0, 2, 1), length)
         else:
-            root = np.ones((self.lanes, 1, length), dtype=np.uint8)
-        masks = root
-        # Walk the tree top-down: a node's mask splits into its two children
-        # by its select stream (y / right child where select is 1), exactly
-        # undoing one _reduce level; odd-width levels drop the trailing pad
-        # column whose cycles are forwarded as hard zeros.
+            masks = np.ones((1, length, self.lanes), dtype=np.uint8)
+        # Walk the tree top-down, leaf-major: a node's mask splits into its
+        # two children by its select stream (y / right child where select is
+        # 1); odd-width levels drop the trailing pad row whose cycles are
+        # forwarded as hard zeros.
         for li in range(self.depth - 1, -1, -1):
             m = self.level_sizes[li]
-            sel = self._selects(li, length, packed).reshape(
-                self.lanes, m, masks.shape[-1]
-            )
+            sel = self._selects(li, length, packed).reshape(self.lanes, m, -1).transpose(1, 2, 0)
             inv = ~sel if packed else sel ^ 1
-            children = np.empty(
-                (self.lanes, 2 * m, masks.shape[-1]), dtype=masks.dtype
-            )
-            children[:, 0::2] = masks & inv
-            children[:, 1::2] = masks & sel
-            masks = children[:, : self._level_input_widths[li]]
+            children = np.empty((2 * m,) + masks.shape[1:], dtype=masks.dtype)
+            children[0::2] = masks & inv
+            children[1::2] = masks & sel
+            masks = children[: self._level_input_widths[li]]
+        masks = masks.transpose(2, 0, 1)
         self._mask_cache[key] = masks
         return masks
 
     def reduce_bits(self, bits: np.ndarray) -> np.ndarray:
         """Reduce unpacked bit arrays ``(..., lanes, k, N)`` (lane axis only
-        when ``lanes > 1``) to ``(..., lanes, N)`` output streams."""
+        when ``lanes > 1``) to ``(..., lanes, N)`` output streams.
+
+        Level by level through the node adders' own semantics: the
+        byte-per-bit reference that :meth:`reduce_packed` and the
+        count-domain shortcuts are tested against.
+        """
         arr = np.asarray(bits)
         if arr.dtype != np.uint8:
             arr = arr.astype(np.uint8)
         arr = self._check_input(arr, "N")
-        return self._reduce(arr, arr.shape[-1], packed=False)
+        return self._reduce_bits(arr, arr.shape[-1])
 
     def reduce_packed(self, words: np.ndarray, n_bits: int) -> np.ndarray:
         """Reduce packed word arrays ``(..., lanes, k, W)`` (lane axis only
-        when ``lanes > 1``) to ``(..., lanes, W)`` output streams."""
+        when ``lanes > 1``) to ``(..., lanes, W)`` output streams.
+
+        The leaf axis is moved first: all-TFF plans pair the leading slabs
+        level by level, all-MUX plans OR the leaf slabs ANDed with their
+        :meth:`leaf_masks`.  Any layout gives the same words; the passes
+        run on whole contiguous slabs for the banks' leaf products, views
+        of leaf-major ``(k, ..., W, lanes)`` memory
+        (:meth:`~repro.sc.dotproduct.FilterBank._leaf_streams`).  MUX roots
+        have clean tails; a TFF root's tail is clean when its leaves' tails
+        are.
+        """
         arr = self._check_input(np.asarray(words), "W")
-        return self._reduce(arr, n_bits, packed=True)
+        return self._reduce_words(arr, n_bits)
 
     def __repr__(self) -> str:
         return (
@@ -510,10 +555,9 @@ class AdderTree:
     adders.  Missing leaves (when ``k`` is not a power of two) are filled with
     all-zero streams, exactly like the padded hardware tree.
 
-    Reduction is applied level by level with one vectorized kernel per level,
-    so every level must hold one plain adder kind (see the module docstring);
-    node adders are instantiated through ``adder_factory`` level by level,
-    left to right.
+    Reduction runs through a :class:`TreePlan`, so the tree must hold one
+    plain adder kind (see the module docstring); node adders are
+    instantiated through ``adder_factory`` level by level, left to right.
 
     Parameters
     ----------

@@ -9,7 +9,11 @@ helpers here generate an engine's streams as bytes (``generate_bits`` /
 engine's own adder factory, so MUX select seeds are consumed in the engine's
 order.  The differential suites compare every engine path against them.
 :func:`reduce_packed` is the one-tree word-level reduction the packed
-differential tests and speed rows compare against.
+differential tests and speed rows compare against, and
+:func:`mux_select_cascade` the word-level MUX reduction that
+``TreePlan.reduce_packed`` ran before it became one masked OR over the leaf
+ownership masks: level by level through the select streams, never reading a
+mask.
 """
 
 import numpy as np
@@ -64,6 +68,34 @@ def reduce_packed(adder_factory, words, n_bits):
     if arr.ndim < 2 or arr.shape[-2] == 0:
         raise ValueError("stacked input must have shape (..., k, W) with k >= 1")
     return TreePlan(adder_factory, arr.shape[-2]).reduce_packed(arr, n_bits)
+
+
+def mux_select_cascade(plan, words, n_bits):
+    """``TreePlan.reduce_packed`` of an all-MUX ``plan`` through word-level selects.
+
+    The same signature as the method, so it patches in for it
+    (``benchmarks/test_speed_packed.py`` times the faulted MUX bank both
+    ways).  Each level selects ``y`` where the node's cached select stream
+    is 1 and ``x`` elsewhere, with the zero partner of an odd level's lone
+    node; bits past ``n_bits`` pass through from the leftmost leaf.
+    """
+    if plan.supports_count_reduction:
+        raise ValueError("the select cascade reduces all-MUX plans only")
+    arr = plan._check_input(np.asarray(words), "W")
+    level = arr
+    for li in range(plan.depth):
+        # y where the select bit is 1, else x: x ^ ((x ^ y) & s), in
+        # place on one new array.  A lone last node's zero partner
+        # leaves x & ~s, so odd levels need no zero-pad copy.
+        x = level[..., 0::2, :]
+        y = level[..., 1::2, :]
+        out = x.copy()
+        out[..., : y.shape[-2], :] ^= y
+        out &= plan._selects(li, n_bits, True).reshape(plan.lanes, x.shape[-2], -1)
+        out ^= x
+        level = out
+    out = level[..., 0, :]
+    return out[..., 0, :] if plan.lanes == 1 else out
 
 
 def faulted_bits(engine, bits):

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bitstream.packed import pack_bits, packed_popcount
 from repro.faults import FaultSpec
-from repro.rng import ComparatorSNG, LFSRSource, level_dtype
-from repro.sc import BipolarDotProductEngine, StochasticDotProductEngine
+from repro.rng import ComparatorSNG, LFSRSource, RampCompareSNG, level_dtype
+from repro.sc import BipolarDotProductEngine, StochasticDotProductEngine, dotproduct
 
 import sc_oracle
 
@@ -124,6 +124,45 @@ def test_levels_reproduce_comparator_streams(engine, data):
         ]
     )
     assert_levels_match_comparator(engine, values.reshape(1, -1))
+
+
+def test_input_words_follow_engine_field_changes():
+    # The level-word tables are kept per input-SNG configuration; an engine
+    # whose fields change reads the table of its new configuration.
+    engine = make_engine("lfsr", 6, seed=1)
+    stuck = FaultSpec(sng_stuck_cells=((0, 1),))
+    for field, value in (
+        ("seed", 2),
+        ("faults", stuck),
+        ("precision", 5),
+        ("input_generator", "ramp"),
+        ("precision", 7),
+    ):
+        setattr(engine, field, value)
+        n = engine.length
+        if engine.input_generator == "ramp":
+            sng = RampCompareSNG(engine.precision)
+        else:
+            cells = engine.faults.sng_stuck_cells if engine.faults else ()
+            sng = ComparatorSNG(LFSRSource(engine.precision, seed=engine.seed, stuck_cells=cells))
+        levels = np.arange(n + 1)
+        np.testing.assert_array_equal(engine.input_words(levels), sng.expand_levels(levels, n))
+
+
+def test_level_word_gather_matches_comparison(monkeypatch):
+    # Past LEVEL_TABLE_BYTES streams are compared cycle by cycle instead.
+    engines = [make_engine(g, 7, seed=3) for g in GENERATORS]
+    engines.append(BipolarDotProductEngine(precision=7))
+    levels = np.arange(129).reshape(3, 43)
+    gathered = [engine.input_words(levels) for engine in engines]
+    monkeypatch.setattr(dotproduct, "LEVEL_TABLE_BYTES", 0)
+    dotproduct._level_word_table.cache_clear()
+    try:
+        for engine, words in zip(engines, gathered):
+            assert dotproduct._level_word_table(engine._input_source()) is None
+            np.testing.assert_array_equal(engine.input_words(levels), words)
+    finally:
+        dotproduct._level_word_table.cache_clear()
 
 
 def test_stuck_cells_create_source_ties():

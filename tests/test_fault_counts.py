@@ -185,6 +185,53 @@ def test_faulted_tff_bank_reduces_no_stream(engine, ran):
     assert seen == ran
 
 
+#: One engine per (encoding, evaluation path), at precision 4 (N = 16): 1e-3
+#: flips fault ~1.6% of the input words, 5e-2 flips 56%.
+PATH_ENGINES = {
+    ("unipolar", "tables"): lambda: old_sc_engine(4),
+    ("unipolar", "corrections"): lambda: new_sc_engine(4, faults=FaultSpec(flip_rate=1e-3)),
+    ("unipolar", "popcounts"): lambda: new_sc_engine(4, faults=FaultSpec(flip_rate=5e-2)),
+    ("unipolar", "streams"): lambda: old_sc_engine(4, faults=FaultSpec(flip_rate=1e-2)),
+    ("bipolar", "tables"): lambda: BipolarDotProductEngine(precision=4),
+    ("bipolar", "corrections"): lambda: BipolarDotProductEngine(
+        precision=4, faults=FaultSpec(flip_rate=1e-3)
+    ),
+    ("bipolar", "popcounts"): lambda: BipolarDotProductEngine(
+        precision=4, faults=FaultSpec(flip_rate=5e-2)
+    ),
+    ("bipolar", "streams"): lambda: BipolarDotProductEngine(
+        precision=4, adder="mux", faults=FaultSpec(flip_rate=1e-2)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "encoding, path", list(PATH_ENGINES), ids=[f"{e}-{p}" for e, p in PATH_ENGINES]
+)
+def test_bad_levels_fail_at_the_boundary(encoding, path):
+    # Levels reach a bank through apply_faults and counts; the stream paths
+    # expand them with input_words, whose table gather would read a wrong
+    # row for a level outside [0, N] instead of failing.
+    engine = PATH_ENGINES[encoding, path]()
+    assert engine.evaluation_path[0] == path
+    n = engine.length
+    bank = engine.prepare_weights(np.linspace(-1.0, 1.0, 8).reshape(2, 4))
+
+    def count(levels):
+        return bank.counts(engine.apply_faults(np.asarray(levels)))
+
+    count([[0, 3, n, 7]])
+    with pytest.raises(TypeError, match="integer"):
+        count([[0.5, 3.7, 17, -2]])
+    with pytest.raises(TypeError, match="integer"):
+        engine.input_words(np.array([0.5, 3.7, 300, -2]))
+    for bad in (-2, n + 1, 300):
+        with pytest.raises(ValueError, match=rf"must lie in \[0, {n}\]"):
+            count([[0, 3, bad, 7]])
+        with pytest.raises(ValueError, match=rf"must lie in \[0, {n}\]"):
+            engine.input_words(np.array([0, bad]))
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     channel=st.sampled_from(CHANNEL_NAMES),

@@ -9,11 +9,15 @@ reference kernels (see ``sc_oracle``).  The claim is *bit-identical*
 output, so every assertion here is exact equality, never approximate.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bitstream import (
     Bitstream,
+    mask_tail,
     pack_bits,
     packed_not,
     packed_popcount,
@@ -31,7 +35,7 @@ from repro.sc import (
     old_sc_engine,
 )
 from repro.sc.dotproduct import stochastic_dot_product
-from repro.sc.elements.adders import mux_add, tff_add
+from repro.sc.elements.adders import TreePlan, mux_add, tff_add
 from repro.sc.elements.flipflops import toggle_states
 from repro.utils.windows import extract_patches, patches_to_map
 
@@ -196,6 +200,81 @@ class TestAdderTreeEquivalence:
         expected = AdderTree(make_factories()).reduce(streams)
         got = sc_oracle.reduce_packed(make_factories(), pack_bits(streams), length)
         np.testing.assert_array_equal(unpack_bits(got, length), expected)
+
+
+def plan_factory(kind):
+    """A fresh node factory: seeded or toggle MUX selects, or TFF nodes of one initial state."""
+    if kind == "mux_seeded":
+        seeds = itertools.count(101)
+        return lambda: MuxAdder(seed=next(seeds))
+    if kind == "mux_toggle":
+        return lambda: MuxAdder(toggle_select=True)
+    return lambda: TffAdder(initial_state=int(kind[-1]))
+
+
+def laid_out(words, layout):
+    """``words`` ``(..., k, W)`` as the same view over C, leaf-major or bank memory.
+
+    ``"leaf_major"`` is ``np.moveaxis`` of a ``(k, ..., W)`` array and
+    ``"bank"`` the filter banks' leaf products, ``(k, ..., W, lanes)``
+    memory with the lane axis (axis -3) innermost.
+    """
+    if layout == "c":
+        return words
+    leaf_major = np.ascontiguousarray(np.moveaxis(words, -2, 0))
+    if layout == "leaf_major" or words.ndim < 3:
+        return np.moveaxis(leaf_major, 0, -2)
+    bank = np.ascontiguousarray(np.moveaxis(leaf_major, -2, -1))
+    return np.moveaxis(np.moveaxis(bank, -1, -2), 0, -2)
+
+
+class TestTreePlanEquivalence:
+    """``TreePlan.reduce_packed`` against the byte-level level loop ``reduce_bits``.
+
+    All-MUX plans reduce packed words as one OR of the leaves ANDed with
+    their ``leaf_masks``, the masks the banks' leaf tables read too; here
+    they also meet the word-level select cascade of the oracle, which reads
+    only the select streams.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["mux_seeded", "mux_toggle", "tff0", "tff1"]),
+        leaves=st.integers(1, 40),
+        lanes=st.integers(1, 5),
+        rows=st.lists(st.integers(1, 3), max_size=2),
+        n_bits=st.sampled_from([16, 96, 200, 256]),
+        layout=st.sampled_from(["c", "leaf_major", "bank"]),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_reduce_packed_matches_reduce_bits(
+        self, kind, leaves, lanes, rows, n_bits, layout, seed
+    ):
+        plan = TreePlan(plan_factory(kind), leaves, lanes=lanes)
+        rng = np.random.default_rng(seed)
+        shape = tuple(rows) + ((lanes,) if lanes > 1 else ()) + (leaves, n_bits)
+        bits = random_bits(rng, shape)
+        words = laid_out(pack_bits(bits), layout)
+        expected = pack_bits(plan.reduce_bits(bits))
+        got = plan.reduce_packed(words, n_bits)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(mask_tail(got.copy(), n_bits), got)  # clean tail bits
+        if kind.startswith("mux") and leaves > 1:
+            cascade = sc_oracle.mux_select_cascade(plan, words, n_bits)
+            np.testing.assert_array_equal(cascade, expected)
+
+    def test_plan_rejects_levels_of_two_kinds(self):
+        # Four leaves: two TFF nodes on the first level, a MUX root.
+        nodes = iter([TffAdder(), TffAdder(), MuxAdder(seed=1)])
+        with pytest.raises(ValueError, match="one adder kind"):
+            TreePlan(lambda: next(nodes), 4)
+        # Levels may differ in their TFF initial state.
+        states = iter([TffAdder(), TffAdder(), TffAdder(initial_state=1)])
+        plan = TreePlan(lambda: next(states), 4)
+        bits = random_bits(np.random.default_rng(3), (5, 4, 96))
+        np.testing.assert_array_equal(
+            plan.reduce_packed(pack_bits(bits), 96), pack_bits(plan.reduce_bits(bits))
+        )
 
 
 class TestDotProductEquivalence:
