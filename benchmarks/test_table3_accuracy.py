@@ -7,10 +7,10 @@ Paper reference (misclassification rate, %):
     Old SC      2.22    3.91    1.30    1.55    1.63    2.71    4.89
     This Work   0.94    0.99    1.04    1.12    1.04    2.20   43.82
 
-Absolute rates differ from the paper because the dataset is the synthetic
-MNIST substitute and the training budget is scaled down (see
-:mod:`repro.datasets.synthetic` and ``conftest.py``);
-the assertions check the paper's qualitative findings:
+The stochastic rows are scored from bit-exact counters.  Absolute rates
+differ from the paper because the dataset is the synthetic MNIST substitute
+and the training budget is scaled down (see :mod:`repro.datasets.synthetic`
+and ``conftest.py``); the assertions check the paper's qualitative findings:
 
 * retraining recovers most of the accuracy lost to quantization + sign
   activation (the no-retraining ablation row is far worse);
@@ -32,7 +32,6 @@ def test_table3_accuracy_scaling_run(benchmark):
         test_size=150,
         baseline_epochs=2,
         retrain_epochs=1,
-        sc_mode="emulate",
         seed=1,
     )
     result = benchmark.pedantic(

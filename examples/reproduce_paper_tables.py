@@ -11,8 +11,9 @@ Usage:
 
 ``--quick`` shrinks the accuracy experiment (for a smoke run); without it the
 default benchmark-scale configuration is used (~10 minutes on a laptop CPU).
-Environment variables REPRO_TRAIN_SIZE / REPRO_TEST_SIZE / REPRO_BITEXACT
-scale it up further.
+Environment variables REPRO_TRAIN_SIZE / REPRO_TEST_SIZE scale it up
+further; the stochastic rows are scored bit-exactly on every test image
+unless REPRO_EVAL_IMAGES caps them.
 """
 
 import argparse

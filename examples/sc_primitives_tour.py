@@ -225,8 +225,7 @@ def main() -> None:
     # accumulated tile by tile and stay bit-identical to one untiled pass
     # (level conversion is stateless, the weight bank -- select streams,
     # leaf tables -- is reused), so memory is bounded at any batch size.
-    # This is what lets REPRO_BITEXACT=1 Table 3 runs cover the whole MNIST
-    # test set.
+    # This is what lets the bit-exact Table 3 rows cover the whole test set.
     images = rng.random((4, 28, 28))
     tile_engine = StochasticDotProductEngine(precision=8)
     tile = tile_patches(tile_engine, 32, 25)

@@ -21,11 +21,11 @@ netlists structurally sound.  ``--verbose`` adds info-level findings plus
 the fanout histogram and critical-path statistics.
 
 The accuracy experiment honours the same environment variables as the
-benchmark suite (REPRO_TRAIN_SIZE, REPRO_TEST_SIZE, REPRO_BITEXACT,
-REPRO_EVAL_IMAGES).  Bit-exact runs stream the stochastic convolution in
-byte-budgeted patch tiles by default, so full-test-set runs
-(``REPRO_BITEXACT=1`` without ``REPRO_EVAL_IMAGES``) stay in bounded memory,
-and the engines take the exact count-domain shortcut whenever it applies.
+benchmark suite (REPRO_TRAIN_SIZE, REPRO_TEST_SIZE, REPRO_EVAL_IMAGES).  Its
+stochastic rows are scored bit-exactly, on every test image unless
+REPRO_EVAL_IMAGES caps them: the stochastic convolution streams in
+byte-budgeted patch tiles, so full-test-set runs stay in bounded memory, and
+the engines take the exact count-domain shortcut whenever it applies.
 Stochastic streams are always simulated as packed 64-bit words.
 ``activity`` runs the PrimeTime-style switching-annotated power
 estimate: it simulates the Table 3 stochastic dot-product netlist against a

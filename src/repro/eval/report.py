@@ -83,7 +83,7 @@ def format_table3_accuracy(result: Table3AccuracyResult) -> str:
         f"(baseline full-precision misclassification: "
         f"{100 * result.baseline_misclassification:.2f}%, "
         f"train={result.train_size}, test={result.test_size}, "
-        f"sc_mode={result.config.sc_mode})"
+        f"stochastic rows: bit-exact on {result.sc_test_size} test images)"
     )
     return "\n".join(lines)
 

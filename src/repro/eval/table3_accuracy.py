@@ -4,28 +4,26 @@ For every precision the harness produces three rows, mirroring the paper:
 
 * **Binary**    -- first layer quantized to ``b`` bits with a sign activation,
                    evaluated in the binary domain, remaining layers retrained;
-* **Old SC**    -- the same retrained network, but the first layer evaluated
-                   with the conventional stochastic design (MUX adders, LFSR
-                   SNGs);
-* **This Work** -- the first layer evaluated with the proposed stochastic
-                   design (TFF adders, ramp-compare inputs, low-discrepancy
-                   weights).
+* **Old SC**    -- first layer quantized to ``b`` bits and evaluated with
+                   the conventional stochastic design (MUX adders, LFSR
+                   SNGs), remaining layers retrained against the stochastic
+                   layer's resolution (input quantization, counter LSBs and
+                   soft threshold);
+* **This Work** -- the same network, its first layer evaluated with the
+                   proposed stochastic design (TFF adders, ramp-compare
+                   inputs, low-discrepancy weights).
 
-The experiment is CPU-budget-aware: dataset sizes, training epochs and the
-number of bit-exact evaluation images are configurable (environment variables
-``REPRO_TRAIN_SIZE``, ``REPRO_TEST_SIZE``, ``REPRO_EVAL_IMAGES``,
-``REPRO_BITEXACT``), and the stochastic rows default to the calibrated fast
-emulator validated against bit-exact simulation (see
-:mod:`repro.hybrid.emulation`).  With ``REPRO_BITEXACT=1`` the
-filter-parallel, tile-streamed convolution path (see
-:mod:`repro.sc.convolution`) lets the stochastic rows cover the full test
-set in bounded memory: its filter bank picks a byte-budgeted patch tile by
-itself.
+The stochastic rows are scored bit-exactly: every first-layer output comes
+from the engine's own counters (:mod:`repro.sc.convolution`), whose filter
+bank streams the patches in byte-budgeted tiles, so the rows cover the whole
+test set in bounded memory.  The experiment is CPU-budget-aware: dataset
+sizes, training epochs and the number of scored test images are
+configurable (environment variables ``REPRO_TRAIN_SIZE``,
+``REPRO_TEST_SIZE`` and ``REPRO_EVAL_IMAGES``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -52,39 +50,21 @@ class AccuracyConfig:
     retrain_epochs: int = 3
     batch_size: int = 64
     learning_rate: float = 1e-3
-    #: First-layer evaluation mode for the stochastic rows: "emulate" or "bitexact"
-    #: ("bitexact" is selected automatically when REPRO_BITEXACT=1).
-    sc_mode: str = "emulate"
-    #: Precisions below this many bits are always evaluated bit-exactly even in
-    #: "emulate" mode: the calibrated emulator is validated for stream lengths
-    #: of 8 and above, and bit-exact simulation is cheap for short streams.
-    bitexact_below_bits: int = 4
-    #: Number of test images evaluated by the stochastic rows: a positive
-    #: integer, or None for all of them (``REPRO_EVAL_IMAGES`` when unset;
-    #: 100 under bit-exact evaluation).
+    #: Number of test images scored by the stochastic rows: a positive
+    #: integer, or None for all of them (``REPRO_EVAL_IMAGES`` when unset).
     sc_eval_images: Optional[int] = None
     #: Soft-threshold level for the stochastic sign activation (fraction of range).
     soft_threshold: float = 0.02
-    #: Retrain the binary remainder against a first layer that emulates the
-    #: stochastic engine's resolution (input quantization + counter LSBs) for
-    #: the stochastic rows, per the paper's "compensate for precision losses
-    #: introduced by shorter stochastic bit-streams".  The Binary row always
-    #: uses plain binary-domain retraining.
-    sc_aware_retraining: bool = True
     #: Evaluate a no-retraining ablation row as well.
     include_no_retrain: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sc_mode not in ("emulate", "bitexact"):
-            raise ValueError("sc_mode must be 'emulate' or 'bitexact'")
-        bitexact = os.environ.get("REPRO_BITEXACT", "")
-        if bitexact not in ("", "0", "1"):
-            raise ValueError(
-                f"REPRO_BITEXACT must be unset, empty, 0 or 1, got {bitexact!r}"
-            )
-        if bitexact == "1":
-            self.sc_mode = "bitexact"
+        self.precisions = tuple(self.precisions)
+        if not self.precisions:
+            raise ValueError("precisions must name at least one precision")
+        for precision in self.precisions:
+            check_count("precision", precision, 2)
         check_count("train_size", self.train_size, optional=True)
         check_count("test_size", self.test_size, optional=True)
         check_count("baseline_epochs", self.baseline_epochs, 0)
@@ -97,9 +77,7 @@ class AccuracyConfig:
         if self.test_size is None:
             env_positive_int("REPRO_TEST_SIZE")
         if self.sc_eval_images is None:
-            self.sc_eval_images = env_positive_int(
-                "REPRO_EVAL_IMAGES", 100 if self.sc_mode == "bitexact" else None
-            )
+            self.sc_eval_images = env_positive_int("REPRO_EVAL_IMAGES")
         check_count("sc_eval_images", self.sc_eval_images, optional=True)
 
 
@@ -114,6 +92,8 @@ class Table3AccuracyResult:
     config: AccuracyConfig
     train_size: int
     test_size: int
+    #: Number of test images the stochastic rows scored.
+    sc_test_size: int
 
     def gap_to_binary(self, design: str, precision: int) -> float:
         """Misclassification gap (positive = worse than binary) at a precision."""
@@ -158,7 +138,8 @@ def run_table3_accuracy(config: Optional[AccuracyConfig] = None) -> Table3Accura
     if config.include_no_retrain:
         rates["binary_no_retrain"] = {}
 
-    sc_limit = config.sc_eval_images
+    x_sc = data.x_test[: config.sc_eval_images]
+    y_sc = y_test[: config.sc_eval_images]
     for precision in config.precisions:
         # --- Binary row: quantized weights + sign activation, retrained. ---
         frozen = quantize_and_freeze(baseline, precision=precision)
@@ -177,29 +158,25 @@ def run_table3_accuracy(config: Optional[AccuracyConfig] = None) -> Table3Accura
         )
         rates["binary"][precision] = frozen.misclassification_rate(x_test, y_test)
 
-        # --- Stochastic rows: optionally retrain against the SC resolution. ---
-        if config.sc_aware_retraining:
-            sc_model = quantize_and_freeze(
-                baseline,
-                precision=precision,
-                sc_resolution=True,
-                soft_threshold=config.soft_threshold,
-            )
-            retrain(
-                sc_model,
-                x_train,
-                y_train,
-                epochs=config.retrain_epochs,
-                batch_size=config.batch_size,
-                optimizer=Adam(config.learning_rate),
-                rng=np.random.default_rng(config.seed + 100 + precision),
-            )
-        else:
-            sc_model = frozen
-
-        mode = config.sc_mode
-        if mode == "emulate" and precision < config.bitexact_below_bits:
-            mode = "bitexact"
+        # --- Stochastic rows: the remainder retrained against the SC
+        # resolution (input quantization + counter LSBs), per the paper's
+        # "compensate for precision losses introduced by shorter stochastic
+        # bit-streams"; the first layer scored from bit-exact counters. ---
+        sc_model = quantize_and_freeze(
+            baseline,
+            precision=precision,
+            sc_resolution=True,
+            soft_threshold=config.soft_threshold,
+        )
+        retrain(
+            sc_model,
+            x_train,
+            y_train,
+            epochs=config.retrain_epochs,
+            batch_size=config.batch_size,
+            optimizer=Adam(config.learning_rate),
+            rng=np.random.default_rng(config.seed + 100 + precision),
+        )
         for design, engine_factory in (
             ("this_work", new_sc_engine),
             ("old_sc", old_sc_engine),
@@ -211,10 +188,7 @@ def run_table3_accuracy(config: Optional[AccuracyConfig] = None) -> Table3Accura
                 seed=config.seed,
             )
             rates[design][precision] = hybrid.misclassification_rate(
-                data.x_test,
-                y_test,
-                mode=mode,
-                limit=sc_limit,
+                x_sc, y_sc, mode="bitexact"
             )
 
     return Table3AccuracyResult(
@@ -223,4 +197,5 @@ def run_table3_accuracy(config: Optional[AccuracyConfig] = None) -> Table3Accura
         config=config,
         train_size=x_train.shape[0],
         test_size=x_test.shape[0],
+        sc_test_size=y_sc.shape[0],
     )

@@ -8,7 +8,7 @@ By default the stochastic engine's switching activity comes from the
 technology assumption; ``activity_traces > 0`` instead *measures* it the way
 PrimeTime would -- the engine netlist is simulated against a whole batch of
 randomly drawn input windows in one word-parallel run
-(:meth:`repro.hybrid.emulation.CalibratedSCEmulator.measure_activity`).  The
+(:func:`measure_sc_activity`).  The
 measurement is taken *per precision column*: every requested precision gets
 its own batched simulation at its own stream length (``2**precision``
 cycles), and each row's power model is driven by the activity measured at
@@ -28,8 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from ..bitstream import unpack_bits
 from ..hw import HardwareComparison, HardwareComparisonRow
 from ..hw.technology import DEFAULT_GEOMETRY
+from ..netlist import build_sc_dot_product, simulate_batch
+from ..sc import new_sc_engine
+from ..utils.checks import check_count
 
 __all__ = ["Table3HardwareResult", "run_table3_hardware", "measure_sc_activity"]
 
@@ -78,24 +84,31 @@ def measure_sc_activity(
 ) -> float:
     """Mean switching activity of the SC engine over a random trace batch.
 
-    Draws ``traces`` random input windows and one random kernel, runs one
-    batched packed simulation of the engine netlist at the given precision,
-    and returns the mean toggle rate (toggles per cycle per net) across the
-    whole trace set.
+    Draws ``traces`` random input windows and one random kernel, converts
+    every window into this work's engine's actual input bit-streams (one
+    trace per window, stacked on the leading axis) plus the shared weight
+    streams, runs one batched word-parallel simulation of the engine's
+    dot-product netlist (:func:`repro.netlist.circuits.build_sc_dot_product`,
+    :func:`repro.netlist.simulator.simulate_batch`) at the given precision,
+    and returns the mean toggle rate (toggles per cycle per net) of its
+    :class:`~repro.netlist.simulator.BatchSimulationResult` across the whole
+    trace set.  ``traces`` must be a positive integer.
     """
-    import numpy as np
-
-    from ..hybrid.emulation import CalibratedSCEmulator
-    from ..sc import new_sc_engine
-
-    if traces < 1:
-        raise ValueError(f"traces must be positive, got {traces}")
+    check_count("traces", traces)
     rng = np.random.default_rng(seed)
     windows = rng.random((traces, taps))
     weights = rng.uniform(-1.0, 1.0, taps)
-    emulator = CalibratedSCEmulator(new_sc_engine(precision), seed=seed)
-    simulation = emulator.measure_activity(windows, weights)
-    return simulation.average_activity()
+    engine = new_sc_engine(precision)
+    n = engine.length
+    x_bits = unpack_bits(engine.input_words(engine.prepare_inputs(windows)), n)
+    wp_bits, wn_bits = (unpack_bits(words, n) for words in engine.weight_words(weights))
+    stimulus = {}
+    for i in range(taps):
+        stimulus[f"x{i}"] = x_bits[:, i, :]
+        stimulus[f"wp{i}"] = wp_bits[i]
+        stimulus[f"wn{i}"] = wn_bits[i]
+    netlist = build_sc_dot_product(taps, precision + 1, adder=engine.adder)
+    return simulate_batch(netlist, stimulus, strict=True).average_activity()
 
 
 def run_table3_hardware(

@@ -1,12 +1,12 @@
 """Fast, calibrated emulation of the stochastic first layer.
 
 Bit-exact simulation of the stochastic convolution (every window, every
-kernel, every clock cycle) is the ground truth.  The filter-parallel,
-tile-streamed engine path (see :mod:`repro.sc.convolution`) now makes it
-feasible at full test-set scale, but it still costs orders of magnitude more
-than a matrix multiplication; the emulator in this module provides the
-matmul-speed path used by default for the full-test-set accuracy
-experiments:
+kernel, every clock cycle) is the ground truth, and the Table 3 harness
+(:mod:`repro.eval.table3_accuracy`) scores every stochastic row with it:
+the filter-parallel, tile-streamed engine path (see
+:mod:`repro.sc.convolution`) counts from leaf tables at about the cost of
+emulation.  The emulator in this module is the matmul-speed model behind
+``mode="emulate"`` of :class:`~repro.hybrid.pipeline.HybridStochasticBinaryNetwork`:
 
 1. the *ideal* quantized dot products are computed with a single matrix
    multiplication (ramp conversion quantizes the inputs, the weight SNGs
@@ -22,10 +22,7 @@ experiments:
 
 :meth:`CalibratedSCEmulator.calibrate` performs the calibration,
 :meth:`CalibratedSCEmulator.forward` applies the model, and the test suite
-checks the emulator's sign decisions against the bit-exact engine.  This
-module docstring is the documentation of that substitution; the
-``REPRO_BITEXACT=1`` environment variable switches the Table 3 harness
-(:mod:`repro.eval.table3_accuracy`) to full bit-exact evaluation.
+checks the emulator's sign decisions against the bit-exact engine.
 
 The emulator models the paper's split-weight
 :class:`~repro.sc.dotproduct.StochasticDotProductEngine`, the first layer of
@@ -41,9 +38,11 @@ while the measured residuals stay bit-identical to ``mode="streams"``.
 Validity range: the emulator is calibrated and validated for stream lengths
 of 8 bits and above (precision >= 3).  At 2-bit precision (stream length 4)
 the counter values are so coarse that the additive-residual model no longer
-captures the engine's behaviour; the experiment harness evaluates such
-precisions bit-exactly instead (cheap, because the cost scales with the
-stream length).
+captures the engine's behaviour.  Within that range it is still a model,
+not the engine: on the retrained networks of the Table 3 benchmark it
+overstated the old-SC (MUX-tree) misclassification rate 7-11x at 8, 6 and 4
+bits, and understated this work's at 3 bits (1.00% emulated against 8.50%
+bit-exact).
 """
 
 from __future__ import annotations
@@ -53,9 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..bitstream import quantize_unipolar, unpack_bits
-from ..netlist import build_sc_dot_product, simulate_batch
-from ..netlist.simulator import BatchSimulationResult
+from ..bitstream import quantize_unipolar
 from ..sc.dotproduct import StochasticDotProductEngine, split_weights
 from ..sc.elements.adders import AdderTree
 from ..utils.windows import conv_output_size, extract_patches, patches_to_map
@@ -169,65 +166,6 @@ class CalibratedSCEmulator:
         w_pos, w_neg = split_weights(kernels)
         columns = [(quantized @ w) / tree_scale * n for w in (w_pos - w_neg)]
         return np.stack(columns, axis=-1)
-
-    # ------------------------------------------------------------------ #
-    # trace-driven switching activity (batched netlist simulation)
-    # ------------------------------------------------------------------ #
-    def measure_activity(
-        self,
-        windows: np.ndarray,
-        weights: np.ndarray,
-    ) -> BatchSimulationResult:
-        """Gate-level switching activity of the engine on a real trace set.
-
-        Builds the engine's dot-product netlist
-        (:func:`repro.netlist.circuits.build_sc_dot_product`), converts every
-        calibration window into the engine's actual input bit-streams (one
-        trace per window, stacked on the leading axis) plus the shared weight
-        streams, and runs one batched word-parallel simulation
-        (:func:`repro.netlist.simulator.simulate_batch`).  The returned
-        :class:`~repro.netlist.simulator.BatchSimulationResult` plugs
-        directly into :func:`repro.netlist.power.estimate_power`, giving the
-        PrimeTime-style switching-annotated power of the Table 3 hardware
-        rows from data-driven rather than assumed activity.
-
-        Parameters
-        ----------
-        windows:
-            Unipolar input windows of shape ``(traces, taps)``.
-        weights:
-            One signed kernel of shape ``(taps,)`` (shared by every trace).
-        """
-        windows = np.asarray(windows, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if windows.ndim != 2:
-            raise ValueError("windows must have shape (traces, taps)")
-        if weights.shape != (windows.shape[1],):
-            raise ValueError("weights must have shape (taps,)")
-
-        taps = windows.shape[1]
-        netlist = build_sc_dot_product(
-            taps, self.engine.precision + 1, adder=self.engine.adder
-        )
-        n = self.engine.length
-        x_bits = unpack_bits(self.engine.input_words(self.engine.prepare_inputs(windows)), n)
-        wp_words, wn_words = self.engine.weight_words(weights)
-        wp_bits, wn_bits = unpack_bits(wp_words, n), unpack_bits(wn_words, n)
-
-        stimulus = {}
-        for i in range(taps):
-            stimulus[f"x{i}"] = x_bits[:, i, :]
-            stimulus[f"wp{i}"] = wp_bits[i]
-            stimulus[f"wn{i}"] = wn_bits[i]
-        # MUX trees expose per-node select inputs, driven by free-running
-        # 0.5-density sources shared across the array (hence across traces).
-        rng = np.random.default_rng(self.seed)
-        for net in netlist.primary_inputs:
-            if net not in stimulus:
-                stimulus[net] = rng.integers(
-                    0, 2, self.engine.length, dtype=np.int64
-                ).astype(np.uint8)
-        return simulate_batch(netlist, stimulus, strict=True)
 
     # ------------------------------------------------------------------ #
     # fast forward pass

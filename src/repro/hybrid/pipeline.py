@@ -13,7 +13,8 @@ The class supports three evaluation modes for the first layer:
 
 * ``"binary"``    -- the frozen quantized sign layer itself (the "Binary"
                      row of Table 3);
-* ``"bitexact"``  -- full bit-level stochastic simulation (ground truth);
+* ``"bitexact"``  -- full bit-level stochastic simulation (ground truth, and
+                     what the Table 3 stochastic rows score);
 * ``"emulate"``   -- the calibrated fast emulator
                      (:mod:`repro.hybrid.emulation`).
 
@@ -309,7 +310,9 @@ class HybridStochasticBinaryNetwork:
         """The paper's metric: fraction of test images classified incorrectly.
 
         ``limit`` scores only the first ``limit`` images; it must be a
-        positive integer, and ``None`` scores every image.
+        positive integer, and ``None`` scores every image.  ``labels`` must
+        hold one class per scored image, a ``(scored images,)`` array; both
+        are checked before any forward pass.
         """
         images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(labels)
@@ -317,6 +320,11 @@ class HybridStochasticBinaryNetwork:
         if limit is not None:
             images = images[:limit]
             labels = labels[:limit]
+        if labels.shape != images.shape[:1]:
+            raise ValueError(
+                f"labels must have shape {images.shape[:1]}, one class per scored "
+                f"image, got shape {labels.shape}"
+            )
         predictions = self.predict_classes(images, mode=mode, batch_size=batch_size)
         return float(np.mean(predictions != labels))
 

@@ -45,10 +45,10 @@ the leaf-table path; on the corrections path (TFF trees under sparse stream
 faults) the larger of those, the tile's fault masks and the expected
 per-word corrections, so one 28x28 image at 1e-3 flips is one tile; lane
 products wherever input streams are built (dense stream faults and
-``mode="streams"``).  This is what lets ``REPRO_BITEXACT=1`` runs cover the
-full MNIST test set.  Any tiling -- including tiles that do not
-divide the patch count -- produces counts bit-identical to one untiled
-pass.
+``mode="streams"``).  This is what lets the bit-exact Table 3 rows
+(:mod:`repro.eval.table3_accuracy`) cover the full test set.  Any tiling --
+including tiles that do not divide the patch count -- produces counts
+bit-identical to one untiled pass.
 
 Results
 -------

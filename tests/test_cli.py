@@ -133,7 +133,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "name, value, argv",
         [
-            ("REPRO_BITEXACT", "true", ["accuracy", "--quick"]),
+            ("REPRO_EVAL_IMAGES", "0", ["accuracy", "--quick"]),
             ("REPRO_TRAIN_SIZE", "abc", ["accuracy", "--precisions", "8"]),
             ("REPRO_TEST_SIZE", "-4", ["accuracy", "--precisions", "8"]),
         ],

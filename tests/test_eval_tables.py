@@ -1,7 +1,11 @@
 """Tests for the experiment harness (Tables 1-3, summary, report formatting)."""
 
+import numpy as np
 import pytest
 
+import netlist_oracle
+from repro.datasets import load_dataset
+from repro.eval import table3_accuracy, table3_hardware
 from repro.eval import (
     AccuracyConfig,
     HeadlineClaims,
@@ -18,6 +22,9 @@ from repro.eval import (
     run_table3_hardware,
     summarize,
 )
+from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork
+from repro.nn import Adam, quantize_and_freeze, retrain
+from repro.sc import new_sc_engine, old_sc_engine
 
 
 class TestTable1:
@@ -107,7 +114,6 @@ def accuracy_result():
         test_size=100,
         baseline_epochs=2,
         retrain_epochs=1,
-        sc_mode="emulate",
         sc_eval_images=60,
         include_no_retrain=True,
         seed=0,
@@ -134,6 +140,7 @@ class TestTable3Accuracy:
     def test_metadata(self, accuracy_result):
         assert accuracy_result.train_size == 300
         assert accuracy_result.test_size == 100
+        assert accuracy_result.sc_test_size == 60
         assert 0.0 <= accuracy_result.baseline_misclassification <= 1.0
 
     def test_helper_accessors(self, accuracy_result):
@@ -147,31 +154,45 @@ class TestTable3Accuracy:
         assert "Misclassification" in text
         assert "This Work" in text
         assert "%" in text
+        assert "stochastic rows: bit-exact on 60 test images" in text
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AccuracyConfig(sc_mode="approximate")
+    def test_stochastic_rows_are_scored_bit_exactly(self, monkeypatch):
+        # Every stochastic rate is the bit-exact rate of a network built the
+        # way the harness builds it; the emulator never runs.
+        for name in ("calibrate", "forward"):
+            monkeypatch.setattr(
+                CalibratedSCEmulator, name, lambda *a, **k: pytest.fail("emulator ran")
+            )
+        config = AccuracyConfig(
+            precisions=(6, 4), train_size=200, test_size=80, baseline_epochs=1,
+            retrain_epochs=1, sc_eval_images=60, seed=3,
+        )
+        result = run_table3_accuracy(config)
+        assert result.sc_test_size == 60
 
-    def test_bitexact_env_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITEXACT", "1")
-        config = AccuracyConfig()
-        assert config.sc_mode == "bitexact"
-        assert config.sc_eval_images == 100
-
-    @pytest.mark.parametrize("value", ["", "0"])
-    def test_bitexact_env_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BITEXACT", value)
-        monkeypatch.delenv("REPRO_EVAL_IMAGES", raising=False)
-        config = AccuracyConfig()
-        assert config.sc_mode == "emulate"
-        assert config.sc_eval_images is None
-
-    @pytest.mark.parametrize("value", ["true", "yes", "2", " 1"])
-    def test_bitexact_env_rejects_other_values(self, monkeypatch, value):
-        # "true" used to select the emulated rows without a word.
-        monkeypatch.setenv("REPRO_BITEXACT", value)
-        with pytest.raises(ValueError, match="REPRO_BITEXACT"):
-            AccuracyConfig()
+        data = load_dataset(train_size=200, test_size=80, seed=3)
+        x_train = data.x_train[:, np.newaxis, :, :]
+        baseline = table3_accuracy._train_baseline(x_train, data.y_train, config)
+        for precision in config.precisions:
+            sc_model = quantize_and_freeze(
+                baseline, precision=precision, sc_resolution=True,
+                soft_threshold=config.soft_threshold,
+            )
+            retrain(
+                sc_model, x_train, data.y_train, epochs=config.retrain_epochs,
+                batch_size=config.batch_size,
+                optimizer=Adam(config.learning_rate),
+                rng=np.random.default_rng(config.seed + 100 + precision),
+            )
+            for design, factory in (("this_work", new_sc_engine), ("old_sc", old_sc_engine)):
+                hybrid = HybridStochasticBinaryNetwork(
+                    sc_model, engine=factory(precision, seed=config.seed + 1),
+                    soft_threshold=config.soft_threshold, seed=config.seed,
+                )
+                exact = hybrid.misclassification_rate(
+                    data.x_test[:60], data.y_test[:60], mode="bitexact"
+                )
+                assert result.rates[design][precision] == exact, (design, precision)
 
     @pytest.mark.parametrize("name", ["REPRO_TRAIN_SIZE", "REPRO_TEST_SIZE"])
     @pytest.mark.parametrize("value", ["abc", "-4"])
@@ -196,7 +217,6 @@ class TestTable3Accuracy:
     @pytest.mark.parametrize("value", [-3, 0, 2.5, True])
     def test_eval_images_must_be_positive(self, monkeypatch, value):
         monkeypatch.delenv("REPRO_EVAL_IMAGES", raising=False)
-        monkeypatch.delenv("REPRO_BITEXACT", raising=False)
         with pytest.raises(ValueError, match="sc_eval_images"):
             AccuracyConfig(sc_eval_images=value)
         assert AccuracyConfig().sc_eval_images is None
@@ -273,6 +293,46 @@ class TestTable3Hardware:
         raw = run_table3_hardware(precisions=(8, 4), calibrate=False)
         assert not raw.calibrated
         assert raw.rows[0].binary_power_mw > 0
+
+
+class TestMeasureScActivity:
+    """Trace-driven switching activity via batched netlist simulation."""
+
+    def test_batched_result_matches_oracle(self, monkeypatch):
+        runs = {}
+        for name, simulate in (
+            ("packed", table3_hardware.simulate_batch),
+            ("oracle", netlist_oracle.simulate_batch),
+        ):
+            def record(netlist, stimulus, strict=False, name=name, simulate=simulate):
+                runs[name] = simulate(netlist, stimulus, strict=strict)
+                return runs[name]
+
+            monkeypatch.setattr(table3_hardware, "simulate_batch", record)
+            activity = table3_hardware.measure_sc_activity(4, 3, taps=4, seed=2)
+            assert activity == runs[name].average_activity()
+        packed, reference = runs["packed"], runs["oracle"]
+        assert packed.batch == reference.batch == 3
+        assert packed.cycles == new_sc_engine(4).length
+        assert packed.total_toggles() == reference.total_toggles()
+        assert set(packed.toggles) == set(reference.toggles)
+        for net in packed.toggles:
+            np.testing.assert_array_equal(
+                packed.toggles[net], reference.toggles[net], err_msg=net
+            )
+        for net in reference.waveforms:
+            np.testing.assert_array_equal(
+                packed.waveforms[net], reference.waveforms[net], err_msg=net
+            )
+        assert 0.0 < packed.average_activity() < 1.0
+
+    @pytest.mark.parametrize("traces", [0, -1, 2.5, True])
+    def test_traces_must_be_a_positive_integer(self, traces):
+        with pytest.raises(ValueError, match="traces"):
+            table3_hardware.measure_sc_activity(4, traces)
+        if traces:  # activity_traces=0 keeps the technology default
+            with pytest.raises(ValueError, match="traces"):
+                run_table3_hardware(precisions=(4,), activity_traces=traces)
 
 
 class TestSummary:

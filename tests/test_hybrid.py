@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-import netlist_oracle
 from repro.datasets import SyntheticDigits
 from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork, SensorFrontEnd
-from repro.hybrid import emulation
 from repro.nn import Adam, build_lenet5_small, quantize_and_freeze, retrain
 from repro.nn.activations import Sign
 from repro.nn.layers import Conv2D
@@ -119,50 +117,6 @@ class TestCalibratedEmulator:
         emulator.calibrate(inputs, kernels)
         with pytest.raises(ValueError):
             emulator.forward(np.zeros((1, 8, 8)), kernels)  # kernels not 3-D
-
-
-class TestMeasureActivity:
-    """Trace-driven switching activity via batched netlist simulation."""
-
-    def test_batched_result_matches_oracle(self, monkeypatch):
-        engine = new_sc_engine(precision=4)
-        emulator = CalibratedSCEmulator(engine, seed=2)
-        rng = np.random.default_rng(2)
-        windows = rng.random((3, 4))
-        weights = rng.uniform(-1.0, 1.0, 4)
-        packed = emulator.measure_activity(windows, weights)
-        monkeypatch.setattr(emulation, "simulate_batch", netlist_oracle.simulate_batch)
-        reference = emulator.measure_activity(windows, weights)
-        assert packed.batch == reference.batch == 3
-        assert packed.cycles == engine.length
-        assert packed.total_toggles() == reference.total_toggles()
-        assert set(packed.toggles) == set(reference.toggles)
-        for net in packed.toggles:
-            np.testing.assert_array_equal(
-                packed.toggles[net], reference.toggles[net], err_msg=net
-            )
-        for net in reference.waveforms:
-            np.testing.assert_array_equal(
-                packed.waveforms[net], reference.waveforms[net], err_msg=net
-            )
-        assert 0.0 < packed.average_activity() < 1.0
-
-    def test_mux_adder_engine_covers_select_inputs(self):
-        # The old-SC engine uses MUX trees whose select nets are extra
-        # primary inputs; measure_activity must drive them too.
-        emulator = CalibratedSCEmulator(old_sc_engine(precision=4), seed=3)
-        rng = np.random.default_rng(3)
-        result = emulator.measure_activity(
-            rng.random((2, 4)), rng.uniform(-1, 1, 4)
-        )
-        assert result.batch == 2
-
-    def test_rejects_bad_shapes(self):
-        emulator = CalibratedSCEmulator(new_sc_engine(precision=4))
-        with pytest.raises(ValueError, match="traces"):
-            emulator.measure_activity(np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError, match="taps"):
-            emulator.measure_activity(np.zeros((2, 4)), np.zeros(5))
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +234,20 @@ class TestHybridNetwork:
         monkeypatch.undo()
         predictions = hybrid.predict_classes(images, mode="binary", batch_size=np.int64(2))
         assert predictions.shape == (3,)
+
+    @pytest.mark.parametrize("labels, limit", [
+        (np.array([2]), None),  # would broadcast against every prediction
+        (np.zeros((5, 1), dtype=np.int64), None),  # would broadcast to 5x5
+        (np.zeros(3, dtype=np.int64), None),
+        (np.zeros(2, dtype=np.int64), 3),
+        (np.array(2), None),
+    ])
+    def test_bad_labels_rejected_before_any_forward_pass(self, labels, limit, monkeypatch):
+        hybrid = self._untrained_hybrid(monkeypatch)
+        with pytest.raises(ValueError, match="labels"):
+            hybrid.misclassification_rate(
+                np.zeros((5, 28, 28)), labels, mode="binary", limit=limit
+            )
 
     @pytest.mark.parametrize("mode", ["binary", "bitexact", "emulate"])
     def test_empty_batch_rejected_before_any_forward_pass(self, mode, monkeypatch):

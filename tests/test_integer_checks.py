@@ -158,6 +158,13 @@ class TestAccuracyConfig:
         with pytest.raises(ValueError, match=field):
             AccuracyConfig(**{field: value})
 
+    @pytest.mark.parametrize("precisions", [(8, 1), (8.5,), (), (True,)])
+    def test_rejects_bad_precisions(self, precisions):
+        # Checked before any training: (8, 1) used to train the baseline and
+        # score every 8-bit row before quantize_and_freeze raised.
+        with pytest.raises(ValueError, match="precision"):
+            AccuracyConfig(precisions=precisions)
+
     def test_accepts_numpy_integers_and_unset_sizes(self):
         config = AccuracyConfig(train_size=np.int64(40), baseline_epochs=np.int32(0))
         assert config.train_size == 40 and config.test_size is None
