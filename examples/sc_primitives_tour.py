@@ -18,7 +18,7 @@ import numpy as np
 from repro.bitstream import Bitstream, autocorrelation, stochastic_cross_correlation
 from repro.bitstream.packed import pack_bits, packed_popcount, unpack_bits
 from repro.eval import format_table1, format_table2, run_table1, run_table2
-from repro.faults import FaultSpec, flip_binary_words, inject_stream
+from repro.faults import FaultSpec, flip_binary_words
 from repro.netlist import (
     LintError,
     build_binary_mac,
@@ -289,10 +289,12 @@ def main() -> None:
     section("Fault injection: the 1/N graceful-degradation bound, measured")
     # A flipped stream bit moves the encoded value by exactly 1/N -- the
     # error of a faulted stream is bounded by (number of flips) / N.
+    # FaultSpec.apply flips packed words, (taps, W) here: w ^ flips.
     n = 256
     stream = Bitstream.from_random(0.7, n, rng=1)
     spec = FaultSpec(flip_rate=0.02, seed=3)
-    faulted = inject_stream(stream, spec)
+    words = spec.apply(pack_bits(stream.bits)[np.newaxis], n)
+    faulted = Bitstream(unpack_bits(words[0], n))
     flips = int(np.count_nonzero(faulted.bits != stream.bits))
     err = abs(faulted.value - stream.value)
     assert err <= flips / n + 1e-12
@@ -305,17 +307,6 @@ def main() -> None:
                 for s in range(40))
     print(f"16-bit binary word 1000 at the same exposure: worst observed "
           f"swing {worst} LSBs across 40 seeds")
-
-    # Stuck-at faults drop straight into the gate-level view: force the SNG
-    # comparator's output net and the stream density collapses.
-    sng = build_sng(4, MAXIMAL_TAPS[4])
-    value_bits = {f"value{i}": np.full(16, (11 >> i) & 1, dtype=np.uint8)
-                  for i in range(4)}
-    healthy = simulate(sng, value_bits)
-    stuck = simulate(sng, value_bits, faults={"stream": 0})
-    print(f"SNG netlist converting 11/16: healthy density "
-          f"{healthy.waveforms['stream'].mean():.3f}, stream stuck-at-0 -> "
-          f"{stuck.waveforms['stream'].mean():.3f}")
 
     # And the engine-level spec threads through the convolution's tiles.
     # evaluation_path picks the faulted path from the rates and the stream

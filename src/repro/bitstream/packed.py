@@ -18,7 +18,7 @@ first), which is exactly what ``np.packbits(..., bitorder="little")`` produces
 when the byte array is viewed as little-endian ``uint64``.  Unused positions
 in the final ("tail") word are always zero -- every kernel below preserves
 that invariant, and kernels that can set bits past the stream length (NOT,
-the alternating pad, fault injection) end with :func:`mask_tail`.
+the alternating pad) end with :func:`mask_tail`.
 
 Contents
 --------
@@ -27,8 +27,8 @@ Contents
 * :func:`pack_comparator_output` -- comparator outputs packed straight into
   words, the shared core of the SNGs;
 * word kernels for the SC datapath: NOT, the one-cycle delay, the TFF state
-  scan and TFF adder (a word-parallel prefix-parity scan), transition counts,
-  fault injection and popcount.
+  scan and TFF adder (a word-parallel prefix-parity scan), transition counts
+  and popcount.
 
 The engines keep their streams as plain ``uint64`` arrays; the byte-per-bit
 :class:`~repro.bitstream.bitstream.Bitstream` is the object form.
@@ -60,7 +60,6 @@ __all__ = [
     "packed_transition_count",
     "packed_toggle_states",
     "packed_tff_add",
-    "packed_apply_faults",
 ]
 
 #: Number of stream bits stored per machine word.
@@ -315,31 +314,3 @@ def packed_tff_add(
     state = packed_toggle_states(disagree, n_bits, initial_state)
     return (state & disagree) | (xw & ~disagree)
 
-
-def packed_apply_faults(
-    words: np.ndarray,
-    stuck0: np.ndarray,
-    stuck1: np.ndarray,
-    flips: np.ndarray,
-    n_bits: int,
-) -> np.ndarray:
-    """Apply composed fault masks to packed stream(s): one vectorized pass.
-
-    The canonical fault composition of :mod:`repro.faults` (order is part of
-    the contract and pinned by tests):
-
-    1. stuck-at-1 positions are forced high (``w | stuck1``),
-    2. stuck-at-0 positions are forced low (``& ~stuck0``) -- a position in
-       both masks therefore reads 0, the dominant-low convention of a short
-       to ground,
-    3. soft-error flips (including burst flips) invert the *faulted* wire
-       (``^ flips``), modelling transient upsets downstream of the stuck
-       defects.
-
-    All masks broadcast against ``words``; the tail word is re-masked because
-    ``stuck1`` / ``flips`` may carry bits past ``n_bits`` (the mask
-    generators hash whole words).  Returns a new array.
-    """
-    out = (_as_words(words) | _as_words(stuck1)) & ~_as_words(stuck0)
-    out = out ^ _as_words(flips)
-    return mask_tail(out, n_bits)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bitstream.packed import WORD_BITS
 from .masks import bernoulli_words
 
 __all__ = ["flip_binary_words"]
 
-#: Salt separating the binary-word flip channel from every stream channel.
+#: Salt separating the binary-word flip channel from the stream flips.
 _SALT_BINARY = 101
 
 
@@ -49,7 +48,7 @@ def flip_binary_words(
         Mask seed; same ``(seed, offset)`` always flips the same bits.
     offset:
         Global index of the first element (flattened C order), mirroring the
-        tiling contract of :meth:`repro.faults.FaultPlan.apply`.
+        tiling contract of :meth:`repro.faults.FaultSpec.apply`.
 
     Returns
     -------

@@ -1,10 +1,7 @@
 """Deterministic fault-mask generation: counter-hashed packed word masks.
 
-Every fault model in :mod:`repro.faults` reduces to three packed 64-bit word
-masks per stream -- ``stuck0``, ``stuck1`` and ``flips`` -- applied in one
-vectorized pass by :func:`repro.bitstream.packed.packed_apply_faults`:
-
-    faulted = ((w | stuck1) & ~stuck0) ^ flips
+The fault model of :mod:`repro.faults` is one packed 64-bit flip mask per
+stream, XORed into its words (:meth:`repro.faults.FaultSpec.apply`).
 
 The masks are *counter-based*: the random word at ``(stream, tap, word,
 slice)`` is a SplitMix64 hash of that coordinate tuple and the spec's seed,
@@ -33,24 +30,19 @@ coordinate, so ``acc_L`` is hashed only on the words that survive (12% at
 1e-3) and ANDed in: the same bits with about a third of the hashing.  The
 SplitMix64 rounds run in place on reused buffers.  The plain loop over every
 slice and word is kept as the test oracle (``tests/fault_oracle.py``).
-
-Burst faults smear a Bernoulli "burst start" mask downstream over
-``burst_length`` consecutive cycles (across word boundaries), modelling a
-multi-cycle upset such as a latched glitch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..bitstream.packed import WORD_BITS, mask_tail, words_for
+from ..bitstream.packed import mask_tail, words_for
 
 __all__ = [
     "RATE_BITS",
     "splitmix64",
     "coordinate_words",
     "bernoulli_words",
-    "burst_words",
 ]
 
 #: Binary digits of the fault rate used by the Bernoulli bit-slicing scheme;
@@ -99,8 +91,8 @@ def coordinate_words(
 
     Every ``(stream, tap, word)`` cell holds a distinct uint64 counter derived
     from the *global* stream index ``offset + stream``; ``salt`` separates the
-    mask channels (flips vs. stuck-at-0 vs. ...) and the Bernoulli slices so
-    no two channels ever reuse a hash input.
+    mask channels (stream flips vs. binary-word flips) and the Bernoulli
+    slices so no two channels ever reuse a hash input.
     """
     width = words_for(n_bits)
     stream_idx = np.arange(offset, offset + n_streams, dtype=np.uint64)
@@ -210,38 +202,3 @@ def _horner(base: np.ndarray, digits, stop: int) -> np.ndarray:
             acc &= word
     return acc
 
-
-def burst_words(
-    rate: float,
-    length: int,
-    seed: int,
-    salt: int,
-    n_streams: int,
-    taps: int,
-    n_bits: int,
-    offset: int = 0,
-) -> np.ndarray:
-    """Burst-fault flip masks: Bernoulli(``rate``) starts smeared ``length`` bits.
-
-    Each burst start flips itself and the ``length - 1`` following stream
-    positions (later cycles, across word boundaries), so a burst of length
-    ``L`` corrupts ``L`` consecutive clock edges.  Overlapping bursts merge
-    (OR), as colliding upsets would on a real wire.
-    """
-    if length < 1:
-        raise ValueError(f"burst_length must be positive, got {length}")
-    starts = bernoulli_words(rate, seed, salt, n_streams, taps, n_bits, offset)
-    if length == 1 or not starts.any():
-        return starts
-    out = starts.copy()
-    shifted = starts
-    for _ in range(min(length, n_bits) - 1):
-        # Shift every stream one position toward later cycles, carrying the
-        # top bit of each word into the next word (same layout as
-        # packed_delay, but accumulated so each start covers a whole run).
-        nxt = shifted << _U64(1)
-        if shifted.shape[-1] > 1:
-            nxt[..., 1:] |= shifted[..., :-1] >> _U64(WORD_BITS - 1)
-        shifted = nxt
-        out |= shifted
-    return mask_tail(out, n_bits)

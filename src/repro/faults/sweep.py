@@ -124,7 +124,6 @@ class FaultSweepResult:
             "images": cfg.images,
             "filters": cfg.filters,
             "kernel": cfg.kernel,
-            "backend": "packed",
             "seed": cfg.seed,
             "trials": cfg.trials,
             "rows": self.rows,

@@ -6,14 +6,13 @@ a shared ramp, and the comparator output *is* the stochastic bit-stream --
 no ADC, no SNG, no random number generator on the input path.
 
 There is no physical sensor in this reproduction, so the front end is
-simulated: pixels arrive as digital values in ``[0, 1]`` and optional sensor
-noise models photon/readout noise.  The ramp compare itself is the
-first-layer engine's input SNG (:class:`~repro.rng.sng.RampCompareSNG`),
-which emits bit-streams with exactly the structure the analog circuit would
-(exact ones-counts, maximal auto-correlation).  Conversion energy is tracked
-as metadata but -- following the paper, which cites ~100 pJ per conversion
-versus 100s of nJ per frame of compute -- excluded from the energy-per-frame
-results.
+simulated: pixels arrive as digital values in ``[0, 1]``.  The ramp compare
+itself is the first-layer engine's input SNG
+(:class:`~repro.rng.sng.RampCompareSNG`), which emits bit-streams with
+exactly the structure the analog circuit would (exact ones-counts, maximal
+auto-correlation).  Conversion energy is tracked as metadata but --
+following the paper, which cites ~100 pJ per conversion versus 100s of nJ
+per frame of compute -- excluded from the energy-per-frame results.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ class SensorFrontEnd:
     precision:
         Bit precision of the conversion; one ramp period equals
         ``2**precision`` clock cycles.
-    noise_sigma:
-        Standard deviation of additive Gaussian sensor noise applied to the
-        normalized pixel values before conversion (0 disables noise).
-    seed:
-        Seed for the sensor-noise generator.
     conversion_energy_pj:
         Bookkeeping value for the per-pixel conversion energy; reported by
         :meth:`conversion_energy_nj` but never added to compute energy,
@@ -48,14 +42,10 @@ class SensorFrontEnd:
     """
 
     precision: int = 8
-    noise_sigma: float = 0.0
-    seed: int = 0
     conversion_energy_pj: float = 100.0
 
     def __post_init__(self) -> None:
         check_count("precision", self.precision, 2)
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
 
     @property
     def stream_length(self) -> int:
@@ -63,17 +53,18 @@ class SensorFrontEnd:
         return stream_length(self.precision)
 
     def acquire(self, images: np.ndarray) -> np.ndarray:
-        """Apply sensor noise and clip to the valid pixel range ``[0, 1]``."""
+        """Check the pixels and clip them to the valid range ``[0, 1]``.
+
+        Pixels must be finite and lie in ``[0, 1]`` up to a ``1e-9``
+        tolerance, which the clip removes; anything else raises
+        ``ValueError``.
+        """
         images = np.asarray(images, dtype=np.float64)
         if not np.all(np.isfinite(images)):
             raise ValueError("pixel values must be finite")
         if images.min() < -1e-9 or images.max() > 1.0 + 1e-9:
             raise ValueError("pixel values must lie in [0, 1]")
-        if self.noise_sigma == 0.0:
-            return np.clip(images, 0.0, 1.0)
-        rng = np.random.default_rng(self.seed)
-        noisy = images + rng.normal(0.0, self.noise_sigma, size=images.shape)
-        return np.clip(noisy, 0.0, 1.0)
+        return np.clip(images, 0.0, 1.0)
 
     def conversion_energy_nj(self, pixel_count: int) -> float:
         """Total conversion energy for ``pixel_count`` pixels, in nJ (metadata only)."""

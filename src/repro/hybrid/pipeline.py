@@ -95,23 +95,22 @@ class HybridStochasticBinaryNetwork:
         Stochastic dot-product engine configuration; defaults to the paper's
         proposed design at the precision implied by the caller.
     front_end:
-        Sensor front-end model; defaults to a noise-free front end at the
-        engine's precision.
+        Sensor front-end model; defaults to one at the engine's precision.
     soft_threshold:
         Soft-thresholding level applied to the stochastic sign activation
         (fraction of the counter range).
     calibration_samples:
-        Number of input windows used to calibrate the fast emulator.
+        Number of input windows used to calibrate the fast emulator, a
+        positive integer.
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
-        environment of the stochastic first layer.  Stream-level faults are
+        environment of the stochastic first layer: its stream-bit flips are
         threaded into the engine (TFF trees then count from leaf tables plus
-        per-word fault corrections under sparse faults and from faulted leaf
+        per-word fault corrections under sparse flips and from faulted leaf
         popcounts under dense ones, MUX trees reduce the faulted streams; see
-        :mod:`repro.faults`), and a non-zero ``sensor_noise_sigma`` is
-        applied by the sensor front end during acquisition.  Overrides any
-        fault spec already carried by ``engine``.  The binary layers are
-        unaffected -- this models defects in the stochastic fabric only.
+        :mod:`repro.faults`).  Overrides any fault spec already carried by
+        ``engine``.  The binary layers are unaffected -- this models upsets
+        in the stochastic fabric only.
     """
 
     def __init__(
@@ -130,23 +129,18 @@ class HybridStochasticBinaryNetwork:
             engine = dataclasses.replace(engine, faults=faults)
         self.faults = engine.faults
         self.engine = engine
-        front_end = (
+        self.front_end = (
             front_end
             if front_end is not None
             else SensorFrontEnd(precision=engine.precision)
         )
-        if faults is not None and faults.sensor_noise_sigma > 0.0:
-            front_end = dataclasses.replace(
-                front_end, noise_sigma=faults.sensor_noise_sigma
-            )
-        self.front_end = front_end
         if self.front_end.precision != self.engine.precision:
             raise ValueError(
                 "front end and engine must use the same precision "
                 f"({self.front_end.precision} vs {self.engine.precision})"
             )
         self.soft_threshold = float(soft_threshold)
-        self.calibration_samples = int(calibration_samples)
+        self.calibration_samples = int(check_count("calibration_samples", calibration_samples))
         self.seed = int(seed)
         self._info = self._extract_first_layer(model)
         #: The bit-exact first layer: one filter bank for the network's lifetime.

@@ -82,7 +82,6 @@ from ..bitstream.packed import (
     unpack_bits,
     words_for,
 )
-from ..faults.spec import NetlistFaults
 from .graph import strongly_connected_instances
 from .netlist import Instance, Netlist
 
@@ -227,37 +226,12 @@ def _validate_record(
     return record
 
 
-def _validate_faults(
-    netlist: Netlist,
-    faults: Optional[NetlistFaults | Mapping[str, int]],
-    nets: List[str],
-) -> Dict[str, int]:
-    """Coerce and lint-validate stuck-at faults against the netlist's nets.
-
-    Mirrors :func:`_validate_record`: every faulted net must be a driven net
-    of the netlist (a primary input or an instance output), so a typo cannot
-    silently simulate a fault-free circuit.  Constant nets cannot be forced.
-    """
-    coerced = NetlistFaults.coerce(faults)
-    if coerced is None or not coerced:
-        return {}
-    known = set(nets)
-    unknown = sorted(net for net in coerced.stuck_at if net not in known)
-    if unknown:
-        raise ValueError(
-            f"cannot force stuck-at faults on nets that do not exist in "
-            f"netlist {netlist.name!r} (or are constants): {unknown}"
-        )
-    return dict(coerced.stuck_at)
-
-
 def simulate(
     netlist: Netlist,
     stimulus: Mapping[str, Sequence[int] | np.ndarray],
     cycles: Optional[int] = None,
     record: Optional[Sequence[str]] = None,
     strict: bool = False,
-    faults: Optional[NetlistFaults | Mapping[str, int]] = None,
 ) -> SimulationResult:
     """Simulate a netlist against input waveforms.
 
@@ -287,13 +261,6 @@ def simulate(
         cannot see -- duplicate instance names silently sharing sequential
         state, out-of-range initial states, undriven primary outputs --
         instead of producing wrong waveforms.
-    faults:
-        Optional :class:`~repro.faults.NetlistFaults` (or a plain
-        ``{net: 0-or-1}`` mapping) of stuck-at faults: each listed net is
-        forced to its constant at the driver for the whole run, so all
-        fan-out, register captures, recorded waveforms and toggle counts see
-        the defect.  Unknown net names raise ``ValueError`` (the same
-        lint-style validation as ``record``).
 
     Returns
     -------
@@ -306,9 +273,7 @@ def simulate(
                 f"{np.shape(stimulus[net])}; use simulate_batch() for stacked "
                 "trace sets"
             )
-    return simulate_batch(
-        netlist, stimulus, cycles, record, batch=1, strict=strict, faults=faults
-    ).trace(0)
+    return simulate_batch(netlist, stimulus, cycles, record, batch=1, strict=strict).trace(0)
 
 
 def simulate_batch(
@@ -318,7 +283,6 @@ def simulate_batch(
     record: Optional[Sequence[str]] = None,
     batch: Optional[int] = None,
     strict: bool = False,
-    faults: Optional[NetlistFaults | Mapping[str, int]] = None,
 ) -> BatchSimulationResult:
     """Simulate a netlist against a whole batch of stimulus traces at once.
 
@@ -349,9 +313,6 @@ def simulate_batch(
         Same strict elaboration mode as :func:`simulate`: error-severity
         lint rules run once before the batch and raise
         :class:`~repro.netlist.lint.LintError` on any hit.
-    faults:
-        Same stuck-at fault model as :func:`simulate`; the forced constants
-        are shared by every trace in the batch.
 
     Returns
     -------
@@ -431,8 +392,7 @@ def simulate_batch(
 
     nets = _driven_nets(netlist)
     record = _validate_record(netlist, record, nets)
-    forced = _validate_faults(netlist, faults, nets)
-    return _simulate_packed(netlist, waves, cycles, record, nets, batch, forced)
+    return _simulate_packed(netlist, waves, cycles, record, nets, batch)
 
 
 # --------------------------------------------------------------------------- #
@@ -445,7 +405,6 @@ def _simulate_packed(
     record: List[str],
     nets: List[str],
     batch: int,
-    forced: Dict[str, int],
 ) -> BatchSimulationResult:
     """Word-parallel simulation of a batch of traces.
 
@@ -459,20 +418,12 @@ def _simulate_packed(
     """
     width = words_for(cycles)
     ones = mask_tail(np.full(width, np.uint64(0xFFFFFFFFFFFFFFFF)), cycles)
-    # Stuck-at forcing in the word domain: a faulted net's full-run waveform
-    # is the all-ones (tail-masked) or all-zeros word array, substituted at
-    # every driver write so downstream word kernels only ever see the
-    # constant.
-    forced_words: Dict[str, np.ndarray] = {
-        net: (ones if value else np.zeros(width, dtype=np.uint64))
-        for net, value in forced.items()
-    }
     values: Dict[str, np.ndarray] = {
         "0": np.zeros(width, dtype=np.uint64),
         "1": ones,
     }
     for net in netlist.primary_inputs:
-        values[net] = forced_words.get(net, pack_bits(waves[net][..., :cycles]))
+        values[net] = pack_bits(waves[net][..., :cycles])
 
     comb_order = netlist.topological_order()
     pending_comb = list(comb_order)
@@ -485,8 +436,7 @@ def _simulate_packed(
                 outs = inst.cell.word_logic(
                     tuple(values[net] for net in inst.inputs), ones
                 )
-                for net, wave in zip(inst.outputs, outs):
-                    values[net] = forced_words.get(net, wave)
+                values.update(zip(inst.outputs, outs))
                 progress = True
             else:
                 still_comb.append(inst)
@@ -499,8 +449,7 @@ def _simulate_packed(
                     cycles,
                     inst.initial_state,
                 )
-                for net, wave in zip(inst.outputs, outs):
-                    values[net] = forced_words.get(net, wave)
+                values.update(zip(inst.outputs, outs))
                 progress = True
             else:
                 still_seq.append(inst)
@@ -510,7 +459,7 @@ def _simulate_packed(
             # components of the stuck dependency graph, then keep going
             # word-parallel on everything they unblock.
             resolved = _resolve_register_cores(
-                pending_comb + pending_seq, comb_order, values, cycles, batch, forced
+                pending_comb + pending_seq, comb_order, values, cycles, batch
             )
             pending_comb = [i for i in pending_comb if id(i) not in resolved]
             pending_seq = [i for i in pending_seq if id(i) not in resolved]
@@ -552,7 +501,6 @@ def _resolve_register_cores(
     values: Dict[str, np.ndarray],
     cycles: int,
     batch: int,
-    forced: Dict[str, int],
 ) -> Set[int]:
     """Resolve every *ready* feedback core among the stuck instances.
 
@@ -591,7 +539,7 @@ def _resolve_register_cores(
             # A trivial ready node cannot exist at a stall (it would have
             # been evaluated word-parallel); skip defensively.
             continue  # pragma: no cover
-        _resolve_core(component, comb_order, values, cycles, batch, forced)
+        _resolve_core(component, comb_order, values, cycles, batch)
         resolved |= member_ids
     if not resolved:  # pragma: no cover - stalls always expose a ready core
         raise RuntimeError(
@@ -606,7 +554,6 @@ def _resolve_core(
     values: Dict[str, np.ndarray],
     cycles: int,
     batch: int,
-    forced: Dict[str, int],
 ) -> None:
     """Per-cycle resolution of one feedback core; packs waveforms into ``values``."""
     core_ids = {id(inst) for inst in core}
@@ -623,8 +570,6 @@ def _resolve_core(
     autonomous = not external
     shared = all(values[net].ndim == 1 for net in external)
 
-    core_forced = {net: forced[net] for net in out_nets if net in forced}
-
     if shared:
         ext_bits = {net: unpack_bits(values[net], cycles) for net in external}
         rec = _iterate_core(
@@ -634,7 +579,6 @@ def _resolve_core(
             ext_bits,
             cycles,
             detect_period=autonomous,
-            forced=core_forced,
         )
         values.update({net: pack_bits(wave) for net, wave in rec.items()})
         return
@@ -650,7 +594,6 @@ def _resolve_core(
             {net: wave if wave.ndim == 1 else wave[k] for net, wave in ext_full.items()},
             cycles,
             detect_period=False,
-            forced=core_forced,
         )
         for k in range(batch)
     ]
@@ -664,7 +607,6 @@ def _iterate_core(
     ext_bits: Dict[str, np.ndarray],
     cycles: int,
     detect_period: bool,
-    forced: Optional[Dict[str, int]] = None,
 ) -> Dict[str, np.ndarray]:
     """Cycle-by-cycle evaluation of a feedback core's narrow state vector.
 
@@ -673,12 +615,9 @@ def _iterate_core(
     (autonomous cores only) the iteration stops at the first repeated
     register state and the recorded prefix is wrapped periodically out to
     ``cycles``, which is what keeps LFSR-heavy netlists fast at stream
-    lengths far beyond the register period.  ``forced`` pins stuck-at nets
-    driven inside the core at every write, so the fault feeds back into the
-    state evolution exactly like the reference cycle loop.
+    lengths far beyond the register period.
     """
     out_nets = list(out_nets)
-    forced = forced or {}
     state = {inst.name: inst.initial_state for inst in core_seq}
     rec = {net: np.empty(cycles, dtype=np.uint8) for net in out_nets}
     seen: Optional[Dict[tuple, int]] = {} if detect_period else None
@@ -699,11 +638,11 @@ def _iterate_core(
         for inst in core_seq:
             _, outs = inst.cell.logic(state[inst.name], tuple(0 for _ in inst.inputs))
             for net, bit in zip(inst.outputs, outs):
-                vals[net] = forced[net] if net in forced else int(bit)
+                vals[net] = int(bit)
         for inst in core_comb:
             out_bits = inst.cell.logic(tuple(vals[n] for n in inst.inputs))
             for net, bit in zip(inst.outputs, out_bits):
-                vals[net] = forced[net] if net in forced else int(bit)
+                vals[net] = int(bit)
         for inst in core_seq:
             new_state, _ = inst.cell.logic(
                 state[inst.name], tuple(vals[n] for n in inst.inputs)

@@ -93,13 +93,6 @@ class LFSR:
     taps:
         Optional explicit tap positions (polynomial exponents, 1-indexed).
         Defaults to the maximal-length taps.
-    stuck_cells:
-        Fault model: ``(bit_index, value)`` pairs of register cells whose
-        outputs are stuck at 0 or 1 (0-indexed from the LSB).  The forcing
-        is applied to the seed and after every shift, exactly like a
-        hardware flip-flop whose output node is shorted; the register may
-        then leave its maximal-length cycle (or even reach the all-zeros
-        lock-up state), which is the defect being modelled.
     """
 
     def __init__(
@@ -107,7 +100,6 @@ class LFSR:
         bits: int,
         seed: int = 1,
         taps: Sequence[int] | None = None,
-        stuck_cells: Sequence[tuple[int, int]] = (),
     ):
         if bits < 2:
             raise ValueError("LFSR needs at least 2 bits")
@@ -127,51 +119,27 @@ class LFSR:
         self.bits = int(bits)
         self.taps = tuple(int(t) for t in taps)
         self._seed = seed & mask
-        self._mask = mask
         # Galois feedback mask: one bit per polynomial exponent.
         self._feedback_mask = 0
         for tap in self.taps:
             self._feedback_mask |= 1 << (tap - 1)
-        # Stuck-cell forcing masks: state is read as (state | or) & and.
-        self.stuck_cells = tuple((int(i), int(v)) for i, v in stuck_cells)
-        self._stuck_or = 0
-        self._stuck_and = mask
-        for index, value in self.stuck_cells:
-            if not 0 <= index < self.bits:
-                raise ValueError(
-                    f"stuck cell index must lie in [0, {self.bits - 1}], "
-                    f"got {index}"
-                )
-            if value not in (0, 1):
-                raise ValueError(f"stuck cell value must be 0 or 1, got {value}")
-            if value:
-                self._stuck_or |= 1 << index
-            else:
-                self._stuck_and &= ~(1 << index)
-        self._state = self._force(self._seed)
-
-    def _force(self, state: int) -> int:
-        """Apply the stuck-cell forcing masks to a register state."""
-        return (state | self._stuck_or) & self._stuck_and
+        self._state = self._seed
 
     def reset(self) -> None:
-        """Restore the register to its seed value (stuck cells still forced)."""
-        self._state = self._force(self._seed)
+        """Restore the register to its seed value."""
+        self._state = self._seed
 
     def states(self, length: int) -> np.ndarray:
         """Return the next ``length`` states (starting from the current one)."""
         out = np.empty(length, dtype=np.int64)
         state = self._state
         feedback_mask = self._feedback_mask
-        stuck_or = self._stuck_or
-        stuck_and = self._stuck_and
         for i in range(length):
             out[i] = state
             lsb = state & 1
             state >>= 1
             if lsb:
                 state ^= feedback_mask
-            state = (state | stuck_or) & stuck_and
         self._state = state
         return out
 
@@ -182,8 +150,7 @@ class LFSRSource(NumberSource):
     The register state is interpreted as the integer ``k`` and emitted as the
     value ``k / 2**bits``, the conventional comparator arrangement of Fig. 1c.
     Seeds are wrapped into the register's non-zero range so callers can pass
-    any positive integer regardless of the register width.  ``stuck_cells``
-    forwards the stuck register-cell fault model of :class:`LFSR`.
+    any positive integer regardless of the register width.
     """
 
     def __init__(
@@ -191,13 +158,12 @@ class LFSRSource(NumberSource):
         bits: int,
         seed: int = 1,
         taps: Sequence[int] | None = None,
-        stuck_cells: Sequence[tuple[int, int]] = (),
     ):
         if seed < 1:
             raise ValueError("seed must be a positive integer")
         period = (1 << int(bits)) - 1
         wrapped_seed = ((int(seed) - 1) % period) + 1
-        self._lfsr = LFSR(bits, seed=wrapped_seed, taps=taps, stuck_cells=stuck_cells)
+        self._lfsr = LFSR(bits, seed=wrapped_seed, taps=taps)
         self.resolution_bits = int(bits)
 
     @property

@@ -99,8 +99,8 @@ class ComparatorSNG:
     # sequence ``s``, so a stream is fully set by its *level*
     # ``c = #{n : s[n] < p}``: its ones sit exactly at the first ``c``
     # positions of the stable argsort of ``s``.  A threshold always takes a
-    # group of tied source values whole, so ties (the LFSR's repeated value,
-    # sources collapsed by stuck register cells) need no special case.
+    # group of tied source values whole, so ties (the value an LFSR repeats
+    # in every 2**p-cycle stream) need no special case.
 
     def sort_order(self, length: int) -> np.ndarray:
         """Stable argsort of the source sequence: level ``c`` sets bits

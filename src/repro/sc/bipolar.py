@@ -202,7 +202,7 @@ class BipolarDotProductEngine:
         from the bank's leaf tables; ``"streams"`` forces the reference
         stream reduction.  Bit-identical counter values either way.
     faults:
-        Optional :class:`~repro.faults.FaultSpec`.  Stream-level faults are
+        Optional :class:`~repro.faults.FaultSpec`.  Its stream-bit flips are
         injected into the input streams (by :meth:`BipolarWeightBank.evaluate`
         via :meth:`apply_faults`, at each tile's row offset).  TFF trees then
         correct their XNOR table counts per faulted word (sparse faults) or

@@ -70,8 +70,8 @@ such per-lane *leaf tables* (:meth:`FilterBank.leaf_tables`, here
 N = 256), as the bipolar engine's banks do with XNOR leaf counts
 (:mod:`repro.sc.bipolar`).  Under sparse stream faults a TFF bank gathers
 the same table counts and corrects them for each faulted input word: the
-clean word is a row of the input SNG's level words, the faulted word is
-``packed_apply_faults`` of it, and the count moves by the difference of their
+clean word is a row of the input SNG's level words, the faulted word is the
+clean word XOR its flip word, and the count moves by the difference of their
 leaf-product popcounts (:meth:`FilterBank._corrected_counts`).  Packed
 streams -- 64 clock cycles per uint64 word (:mod:`repro.bitstream.packed`)
 -- are built from levels only where a path needs them
@@ -99,7 +99,6 @@ from ..bitstream import stream_length
 from ..bitstream.packed import (
     WORD_BITS,
     mask_tail,
-    packed_apply_faults,
     packed_popcount,
     unpack_bits,
     word_popcount,
@@ -225,9 +224,11 @@ CORRECTIONS_SHARE = 0.25
 def corrections_bytes(engine, lanes: int, taps: int) -> int:
     """Bytes per input row of the corrections path's fault temporaries.
 
-    The larger of the tile's three fault-mask channels, ``3 * taps`` words
-    per stream, and the per-lane weight and product words of the expected
-    faulted words, ``word_fault_share * taps`` words per stream.
+    The larger of ``3 * taps`` words per stream, the budget for the buffers
+    that hash the tile's flip mask (:func:`~repro.faults.masks.bernoulli_words`;
+    under tracemalloc one mask call peaks at about 4x its mask words), and
+    the per-lane weight and product words of the expected faulted words,
+    ``word_fault_share * taps`` words per stream.
     """
     words = taps * words_for(engine.length)
     share = engine.faults.word_fault_share(engine.length)
@@ -269,16 +270,15 @@ def checked_levels(levels: np.ndarray, n_bits: int) -> np.ndarray:
 def input_sng(source: tuple) -> ComparatorSNG:
     """The input SNG of an engine's ``_input_source()`` key ``(kind, precision, ...)``.
 
-    ``("ramp", p)`` is the ramp-compare converter, ``("lfsr", p, seed,
-    stuck_cells)`` a comparator over an LFSR and ``("vdc", p)`` one over the
-    van der Corput sequence (the bipolar engine's inputs).
+    ``("ramp", p)`` is the ramp-compare converter, ``("lfsr", p, seed)`` a
+    comparator over an LFSR and ``("vdc", p)`` one over the van der Corput
+    sequence (the bipolar engine's inputs).
     """
     kind, precision = source[:2]
     if kind == "ramp":
         return RampCompareSNG(precision)
     if kind == "lfsr":
-        seed, stuck = source[2:]
-        return ComparatorSNG(LFSRSource(precision, seed=seed, stuck_cells=stuck))
+        return ComparatorSNG(LFSRSource(precision, seed=source[2]))
     return ComparatorSNG(VanDerCorputSource(precision))
 
 
@@ -312,17 +312,14 @@ def comparator_words(source: tuple, levels: np.ndarray) -> np.ndarray:
 class FaultedLevels(NamedTuple):
     """One tile under sparse stream faults, from ``apply_faults`` on the corrections path.
 
-    The comparator levels ``(rows, taps)`` of the tile and the fault-mask
-    words that are not all zero (:meth:`repro.faults.FaultPlan.nonzero_masks`):
-    their ascending flat ``(row, tap, word)`` indices and the stuck-at-0,
-    stuck-at-1 and flip words there.  Every other input word is a clean
-    comparator output.
+    The comparator levels ``(rows, taps)`` of the tile and the flip-mask
+    words that are not zero (:meth:`repro.faults.FaultSpec.nonzero_masks`):
+    their ascending flat ``(row, tap, word)`` indices and the flip words
+    there.  Every other input word is a clean comparator output.
     """
 
     levels: np.ndarray
     index: np.ndarray
-    stuck0: np.ndarray
-    stuck1: np.ndarray
     flips: np.ndarray
 
 
@@ -502,10 +499,10 @@ class FilterBank:
         faulted input word, ``popcount(op(faulted, w)) - popcount(op(x, w))``
         per lane, where ``x`` is the clean comparator word (from the input
         SNG's level-word table, :func:`comparator_words`), the faulted word is
-        ``packed_apply_faults`` of ``x`` and the tile's mask words, and ``w``
-        the lane's weight word.  The corrected leaf counts are halved like
-        the fault-free ones (:meth:`TreePlan.reduce_counts`); no stream is
-        built.  Pad leaves are never faulted.
+        ``x`` XOR its flip word, and ``w`` the lane's weight word.  The
+        corrected leaf counts are halved like the fault-free ones
+        (:meth:`TreePlan.reduce_counts`); no stream is built.  Pad leaves are
+        never faulted.
         """
         levels = self._checked_levels(np.asarray(faulted.levels))
         rows = levels.reshape(-1, self.taps)
@@ -532,12 +529,8 @@ class FilterBank:
         # cycles and masks the same tail.
         bits = min(self.n_bits, WORD_BITS)
         streams = comparator_words(self.engine._input_source(), rows.reshape(-1)[stream])
-        clean = streams[np.arange(stream.size), word]
-        clean, stuck0, stuck1, flips = (
-            m[:, np.newaxis, np.newaxis]
-            for m in (clean, faulted.stuck0, faulted.stuck1, faulted.flips)
-        )
-        hit = packed_apply_faults(clean, stuck0, stuck1, flips, bits)
+        clean = streams[np.arange(stream.size), word][:, np.newaxis, np.newaxis]
+        hit = clean ^ faulted.flips[:, np.newaxis, np.newaxis]
         # Weight words ``(taps * W, lanes)``, rows in flat (tap, word) order.
         tap_words = self._leaf_major_words()[: self.taps].reshape(-1, leaf.shape[-1])
         tap_word = faulted.index % (self.taps * width)
@@ -710,20 +703,16 @@ class StochasticDotProductEngine:
         affects speed and memory.
     faults:
         Optional :class:`~repro.faults.FaultSpec` describing the fault
-        environment.  Stream-level faults (flips, stuck-at, bursts) are
-        injected into the *input* streams -- by the bank's tiled
-        evaluation calling :meth:`apply_faults` with each tile's row
-        offset.  A faulted stream is no comparator output, so no leaf
-        table holds its counts.  TFF trees count exactly from their leaf
-        counts whatever the leaf bits: under sparse faults the table
-        counts plus one correction per faulted word, no stream built;
-        under dense faults the halved popcounts of the faulted leaf
-        products.  MUX trees reduce the streams (:attr:`evaluation_path`).
-        ``sng_stuck_cells`` additionally defects the LFSR of LFSR-based
-        input SNGs; its tied source values keep the level representation
-        exact (the leaf tables stay available).  Injection is
-        seed-deterministic and bit-identical across tilings and repeated
-        calls.
+        environment.  Its stream-bit flips are injected into the *input*
+        streams -- by the bank's tiled evaluation calling
+        :meth:`apply_faults` with each tile's row offset.  A faulted stream
+        is no comparator output, so no leaf table holds its counts.  TFF
+        trees count exactly from their leaf counts whatever the leaf bits:
+        under sparse faults the table counts plus one correction per
+        faulted word, no stream built; under dense faults the halved
+        popcounts of the faulted leaf products.  MUX trees reduce the
+        streams (:attr:`evaluation_path`).  Injection is seed-deterministic
+        and bit-identical across tilings and repeated calls.
     """
 
     #: Stream representation, recorded in run manifests: packed uint64 words.
@@ -758,8 +747,8 @@ class StochasticDotProductEngine:
 
     @property
     def _stream_faults_active(self) -> bool:
-        """Whether the engine must inject fault masks into input streams."""
-        return self.faults is not None and self.faults.corrupts_streams
+        """Whether the engine must inject flips into input streams."""
+        return self.faults is not None and self.faults.flip_rate > 0.0
 
     def apply_faults(self, prepared: np.ndarray, offset: int = 0):
         """Inject the engine's stream faults into :meth:`prepare_inputs` output.
@@ -770,8 +759,8 @@ class StochasticDotProductEngine:
         :attr:`evaluation_path`:
 
         * ``"corrections"`` -- a :class:`FaultedLevels`: the levels with the
-          tile's nonzero fault-mask words
-          (:meth:`repro.faults.FaultPlan.nonzero_masks`); no stream is built;
+          tile's nonzero flip words
+          (:meth:`repro.faults.FaultSpec.nonzero_masks`); no stream is built;
         * ``"popcounts"`` and ``"streams"`` under stream faults -- the levels
           expanded into packed streams (:meth:`input_words`) and corrupted;
         * otherwise the levels unchanged.
@@ -786,19 +775,18 @@ class StochasticDotProductEngine:
         if not self._stream_faults_active:
             return prepared
         levels = checked_levels(prepared, self.length)
-        plan = self.faults.plan()
         if self.evaluation_path[0] == "corrections":
             n_streams = int(np.prod(levels.shape[:-1]))
-            masks = plan.nonzero_masks(n_streams, levels.shape[-1], self.length, offset)
+            masks = self.faults.nonzero_masks(n_streams, levels.shape[-1], self.length, offset)
             return FaultedLevels(levels, *masks)
-        return plan.apply(self.input_words(levels), self.length, offset=offset)
+        return self.faults.apply(self.input_words(levels), self.length, offset=offset)
 
     @property
     def evaluation_path(self) -> Tuple[str, str]:
         """``(path, reason)``: the adder-tree evaluation this engine's banks run.
 
         Decided from the configuration alone -- the engine builds only
-        homogeneous TFF or MUX trees, and a fault spec's rates and the
+        homogeneous TFF or MUX trees, and a fault spec's flip rate and the
         stream length set the expected share of faulted input words
         (:meth:`repro.faults.FaultSpec.word_fault_share`) -- and read by
         :meth:`apply_faults`, :meth:`patch_bytes` and
@@ -904,8 +892,7 @@ class StochasticDotProductEngine:
         """The input SNG's configuration, read from the fields on every call (:func:`input_sng`)."""
         if self.input_generator == "ramp":
             return ("ramp", self.precision)
-        stuck = self.faults.sng_stuck_cells if self.faults is not None else ()
-        return ("lfsr", self.precision, self.seed, stuck)
+        return ("lfsr", self.precision, self.seed)
 
     def _input_sng(self) -> ComparatorSNG:
         return input_sng(self._input_source())

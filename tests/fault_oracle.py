@@ -5,10 +5,10 @@ reused buffers and hashes most slices only on the words that survive the
 rate's leading-zero slices.  This module keeps the plain definition those
 shortcuts must reproduce bit for bit: the allocating SplitMix64 finalizer,
 the counter grid, and the Horner loop that combines every slice on every
-word, MSB digit last.  :func:`masks` composes them like
-:meth:`repro.faults.FaultPlan.masks`, so the byte-per-bit engine oracle
+word, MSB digit last.  :func:`masks` gives a spec's flip mask like
+:meth:`repro.faults.FaultSpec.masks`, so the byte-per-bit engine oracle
 (``tests/sc_oracle.py``) injects faults without the library's generator.
-:func:`sparse_spec` scales a spec's rates to a chosen share of faulted
+:func:`sparse_spec` scales a spec's flip rate to a chosen share of faulted
 words, so the differential suites can put faults just below the engines'
 corrections crossover at any precision.
 """
@@ -17,9 +17,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.bitstream.packed import WORD_BITS, mask_tail, words_for
+from repro.bitstream.packed import mask_tail, words_for
 from repro.faults.masks import RATE_BITS
-from repro.faults.spec import _SALT_BURST, _SALT_FLIP, _SALT_STUCK0, _SALT_STUCK1
+from repro.faults.spec import _SALT_FLIP
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -83,54 +83,20 @@ def bernoulli_words(rate, seed, salt, n_streams, taps, n_bits, offset=0):
     return mask_tail(acc, n_bits)
 
 
-def burst_words(rate, length, seed, salt, n_streams, taps, n_bits, offset=0):
-    """Bernoulli(``rate``) burst starts smeared over ``length`` later cycles."""
-    if length < 1:
-        raise ValueError(f"burst_length must be positive, got {length}")
-    starts = bernoulli_words(rate, seed, salt, n_streams, taps, n_bits, offset)
-    if length == 1 or not starts.any():
-        return starts
-    out = starts.copy()
-    shifted = starts
-    for _ in range(min(length, n_bits) - 1):
-        nxt = shifted << _U64(1)
-        if shifted.shape[-1] > 1:
-            nxt[..., 1:] |= shifted[..., :-1] >> _U64(WORD_BITS - 1)
-        shifted = nxt
-        out |= shifted
-    return mask_tail(out, n_bits)
-
-
 def masks(spec, n_streams, taps, n_bits, offset=0):
-    """The ``(stuck0, stuck1, flips)`` masks of ``spec``, bursts ORed into the flips."""
-    stuck0 = bernoulli_words(
-        spec.stuck_zero_rate, spec.seed, _SALT_STUCK0, n_streams, taps, n_bits, offset
-    )
-    stuck1 = bernoulli_words(
-        spec.stuck_one_rate, spec.seed, _SALT_STUCK1, n_streams, taps, n_bits, offset
-    )
-    flips = bernoulli_words(spec.flip_rate, spec.seed, _SALT_FLIP, n_streams, taps, n_bits, offset)
-    if spec.burst_rate > 0.0:
-        flips = flips | burst_words(
-            spec.burst_rate, spec.burst_length, spec.seed, _SALT_BURST,
-            n_streams, taps, n_bits, offset,
-        )
-    return stuck0, stuck1, flips
-
-
-RATE_FIELDS = ("flip_rate", "stuck_zero_rate", "stuck_one_rate", "burst_rate")
+    """The flip mask ``(n_streams, taps, W)`` of ``spec``."""
+    return bernoulli_words(spec.flip_rate, spec.seed, _SALT_FLIP, n_streams, taps, n_bits, offset)
 
 
 def sparse_spec(spec, n_bits, share):
-    """``spec`` with its stream-fault rates scaled by one factor, so that the
-    expected share of faulted words of an ``n_bits`` stream
-    (``FaultSpec.word_fault_share``) lies just below ``share``."""
-    rates = {name: getattr(spec, name) for name in RATE_FIELDS}
+    """``spec`` with its flip rate scaled so that the expected share of
+    faulted words of an ``n_bits`` stream (``FaultSpec.word_fault_share``)
+    lies just below ``share``."""
 
     def scaled(factor):
-        return dataclasses.replace(spec, **{n: r * factor for n, r in rates.items()})
+        return dataclasses.replace(spec, flip_rate=spec.flip_rate * factor)
 
-    low, high = 0.0, 1.0 / max(rates.values())
+    low, high = 0.0, 1.0 / spec.flip_rate
     for _ in range(50):
         middle = (low + high) / 2
         if scaled(middle).word_fault_share(n_bits) < share:

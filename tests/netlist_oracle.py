@@ -15,11 +15,10 @@ validation belongs to the library, and its tests target the library.
 
 import numpy as np
 
-from repro.faults import NetlistFaults
 from repro.netlist import BatchSimulationResult, SimulationResult
 
 
-def simulate(netlist, stimulus, cycles=None, record=None, strict=False, faults=None):
+def simulate(netlist, stimulus, cycles=None, record=None, strict=False):
     """Reference run of one trace: every cell evaluated every cycle."""
     waves = {
         net: (np.asarray(stimulus[net]) != 0).astype(np.uint8)
@@ -29,8 +28,6 @@ def simulate(netlist, stimulus, cycles=None, record=None, strict=False, faults=N
         cycles = min(len(w) for w in waves.values())
     cycles = int(cycles)
     record = list(netlist.primary_outputs) if record is None else list(record)
-    coerced = NetlistFaults.coerce(faults)
-    forced = dict(coerced.stuck_at) if coerced else {}
     nets = list(netlist.primary_inputs)
     for inst in netlist.instances:
         nets.extend(inst.outputs)
@@ -45,23 +42,20 @@ def simulate(netlist, stimulus, cycles=None, record=None, strict=False, faults=N
     recorded = {net: np.zeros(cycles, dtype=np.uint8) for net in record}
 
     for t in range(cycles):
-        # Stuck-at forcing happens at every driver write: a faulted net is
-        # pinned to its constant before any reader (topologically later
-        # cells, register captures, waveform recording) can observe it.
         for net in netlist.primary_inputs:
-            values[net] = forced[net] if net in forced else int(waves[net][t])
+            values[net] = int(waves[net][t])
         # Sequential outputs present their stored state for this cycle
         # (inputs are irrelevant for the Q value, so zeros are passed).
         for inst in sequential:
             _, outs = inst.cell.logic(state[inst.name], tuple(0 for _ in inst.inputs))
             for net, bit in zip(inst.outputs, outs):
-                values[net] = forced[net] if net in forced else int(bit)
+                values[net] = int(bit)
 
         for inst in order:
             in_bits = tuple(values[n] for n in inst.inputs)
             out_bits = inst.cell.logic(in_bits)
             for net, bit in zip(inst.outputs, out_bits):
-                values[net] = forced[net] if net in forced else int(bit)
+                values[net] = int(bit)
 
         # Capture next state using the settled input values.
         for inst in sequential:
@@ -80,9 +74,7 @@ def simulate(netlist, stimulus, cycles=None, record=None, strict=False, faults=N
     return SimulationResult(cycles=cycles, waveforms=recorded, toggles=toggles)
 
 
-def simulate_batch(
-    netlist, stimulus, cycles=None, record=None, batch=None, strict=False, faults=None
-):
+def simulate_batch(netlist, stimulus, cycles=None, record=None, batch=None, strict=False):
     """Reference run of a batch: one :func:`simulate` per trace, stacked.
 
     2-D stimulus arrays carry one waveform per trace, 1-D arrays are shared
@@ -99,7 +91,6 @@ def simulate_batch(
             {net: (a if a.ndim == 1 else a[k]) for net, a in arrays.items()},
             cycles=cycles,
             record=record,
-            faults=faults,
         )
         for k in range(batch)
     ]

@@ -99,9 +99,9 @@ def mux_select_cascade(plan, words, n_bits):
 
 
 def faulted_bits(engine, bits):
-    """Byte-level fault injection: ``((w | stuck1) & ~stuck0) ^ flips``.
+    """Byte-level fault injection: ``bits ^ flips``.
 
-    The masks come from the independent mask reference
+    The flip mask comes from the independent mask reference
     (``tests/fault_oracle.py``, streams numbered from 0 in C order), unpacked
     to bytes, so the result is what the engine's :meth:`apply_faults` and
     counts must reflect.
@@ -111,12 +111,8 @@ def faulted_bits(engine, bits):
     n = engine.length
     lead, taps = bits.shape[:-2], bits.shape[-2]
     n_streams = int(np.prod(lead)) if lead else 1
-    s0, s1, fl = (
-        unpack_bits(m, n)
-        for m in fault_oracle.masks(engine.faults, n_streams, taps, n, 0)
-    )
-    flat = bits.reshape(n_streams, taps, n)
-    return (((flat | s1) & (1 - s0)) ^ fl).reshape(bits.shape)
+    flips = unpack_bits(fault_oracle.masks(engine.faults, n_streams, taps, n, 0), n)
+    return (bits.reshape(n_streams, taps, n) ^ flips).reshape(bits.shape)
 
 
 def input_bits(engine, values):

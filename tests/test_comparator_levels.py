@@ -5,9 +5,9 @@ source sequence ``s`` (the ramp or an LFSR), so the engine
 prepares an input as its level ``c = #{n : s[n] < v}`` and expands it into
 streams only where a stream path needs them.  These tests pin that the
 levels reproduce the comparator's streams bit for bit -- source ties
-included (the LFSR's repeated value, sources collapsed by stuck register
-cells) -- and that the leaf tables built on them give the stream path's
-counters at both level dtypes.  The bipolar engine's van der Corput input
+included (the value an LFSR repeats in every ``2**p``-cycle stream) -- and
+that the leaf tables built on them give the stream path's counters at both
+level dtypes.  The bipolar engine's van der Corput input
 SNG is held to the same comparator contract at every source point.
 """
 
@@ -16,28 +16,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bitstream.packed import pack_bits, packed_popcount
-from repro.faults import FaultSpec
 from repro.rng import ComparatorSNG, LFSRSource, RampCompareSNG, level_dtype
 from repro.sc import BipolarDotProductEngine, StochasticDotProductEngine, dotproduct
 
 import sc_oracle
 
-#: Input generators under test; ``lfsr_stuck`` is an LFSR with stuck cells.
-GENERATORS = ["ramp", "lfsr", "lfsr_stuck"]
+#: Input generators under test; ``lfsr_top`` is the LFSR seeded with all
+#: ones, so the value its stream repeats is the top of the source range
+#: (seed 1 repeats the bottom one) and level ``N - 1`` is never reached.
+GENERATORS = ["ramp", "lfsr", "lfsr_top"]
 
 
-def make_engine(generator, precision, seed=1, stuck_cells=None):
-    faults = None
-    if generator == "lfsr_stuck":
-        if stuck_cells is None:
-            stuck_cells = ((0, 1), (precision - 1, 0))
-        faults = FaultSpec(sng_stuck_cells=stuck_cells)
-    return StochasticDotProductEngine(
-        precision=precision,
-        input_generator=generator.split("_")[0],
-        seed=seed,
-        faults=faults,
-    )
+def make_engine(generator, precision, seed=1):
+    if generator == "lfsr_top":
+        generator, seed = "lfsr", (1 << precision) - 1
+    return StochasticDotProductEngine(precision=precision, input_generator=generator, seed=seed)
 
 
 def assert_levels_match_comparator(engine, values):
@@ -92,16 +85,8 @@ def test_van_der_corput_levels_at_every_source_point_and_neighbour(precision):
 def engines(draw):
     generator = draw(st.sampled_from(GENERATORS))
     precision = draw(st.integers(min_value=2, max_value=10))
-    cells = draw(
-        st.lists(
-            st.tuples(st.integers(0, precision - 1), st.integers(0, 1)),
-            min_size=1,
-            max_size=3,
-            unique_by=lambda cell: cell[0],
-        )
-    )
     seed = draw(st.integers(min_value=1, max_value=1000))
-    return make_engine(generator, precision, seed=seed, stuck_cells=tuple(cells))
+    return make_engine(generator, precision, seed=seed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,10 +115,8 @@ def test_input_words_follow_engine_field_changes():
     # The level-word tables are kept per input-SNG configuration; an engine
     # whose fields change reads the table of its new configuration.
     engine = make_engine("lfsr", 6, seed=1)
-    stuck = FaultSpec(sng_stuck_cells=((0, 1),))
     for field, value in (
         ("seed", 2),
-        ("faults", stuck),
         ("precision", 5),
         ("input_generator", "ramp"),
         ("precision", 7),
@@ -143,8 +126,7 @@ def test_input_words_follow_engine_field_changes():
         if engine.input_generator == "ramp":
             sng = RampCompareSNG(engine.precision)
         else:
-            cells = engine.faults.sng_stuck_cells if engine.faults else ()
-            sng = ComparatorSNG(LFSRSource(engine.precision, seed=engine.seed, stuck_cells=cells))
+            sng = ComparatorSNG(LFSRSource(engine.precision, seed=engine.seed))
         levels = np.arange(n + 1)
         np.testing.assert_array_equal(engine.input_words(levels), sng.expand_levels(levels, n))
 
@@ -165,15 +147,26 @@ def test_level_word_gather_matches_comparison(monkeypatch):
         dotproduct._level_word_table.cache_clear()
 
 
-def test_stuck_cells_create_source_ties():
-    # The premise of the lfsr_stuck generator: its source repeats values.
-    engine = make_engine("lfsr_stuck", 8)
+@pytest.mark.parametrize("generator", ["lfsr", "lfsr_top"])
+@pytest.mark.parametrize("precision", [3, 5, 8])
+def test_lfsr_source_repeats_one_value(precision, generator):
+    # The premise of the tie coverage: the LFSR's period is 2**p - 1, so its
+    # 2**p-cycle stream repeats exactly one value, its first.
+    engine = make_engine(generator, precision, seed=3)
     source = engine._input_sng().source.sequence(engine.length)
-    assert np.unique(source).size < source.size // 4
+    values, counts = np.unique(source, return_counts=True)
+    assert values.size == source.size - 1
+    assert values[counts == 2].tolist() == [source[0]]
+    if generator == "lfsr_top":
+        # The tied top value steps the level from N - 2 straight to N.
+        assert source[0] == values[-1] == 1.0 - 1.0 / engine.length
+        points = np.concatenate([values, np.nextafter(values, np.inf)])
+        levels = engine._input_sng().levels(points, engine.length)
+        assert engine.length in levels and engine.length - 1 not in levels
 
 
 def test_sort_order_is_stable_under_ties():
-    sng = ComparatorSNG(LFSRSource(6, seed=3, stuck_cells=((1, 1), (4, 0))))
+    sng = ComparatorSNG(LFSRSource(6, seed=3))
     source = sng.source.sequence(64)
     order = sng.sort_order(64)
     np.testing.assert_array_equal(source[order], np.sort(source))

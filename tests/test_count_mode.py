@@ -35,7 +35,6 @@ from repro.sc import (
 from repro.sc.elements.adders import TreePlan
 from repro.bitstream.packed import pack_bits, packed_popcount
 from repro.eval.table2 import ADDER_CONFIGS, adder_mse
-from repro.faults import FaultSpec
 from repro.hybrid import CalibratedSCEmulator
 from repro.utils.windows import extract_patches, patches_to_map
 
@@ -132,28 +131,16 @@ def test_engine_rejects_unknown_mode():
 # unipolar split-weight engine: counts == streams, bit for bit
 # --------------------------------------------------------------------- #
 
-#: Stuck LFSR cells collapse the input source to a few tied values, so
-#: many comparator levels share one threshold group.
-STUCK_CELLS = FaultSpec(sng_stuck_cells=((0, 1), (3, 0)))
-
-#: Every input x weight generator pair the engine accepts; ``lfsr_stuck``
-#: is the LFSR input generator with :data:`STUCK_CELLS`.
+#: Every input x weight generator pair the engine accepts; ``lfsr_top`` is
+#: the LFSR input generator seeded with all ones, so the one value its
+#: 64-cycle stream repeats is the top of the range and level 63 is skipped.
 UNIPOLAR_GENERATORS = [
     ("ramp", "lowdisc"),
     ("lfsr", "lfsr"),
     ("ramp", "lfsr"),
     ("lfsr", "lowdisc"),
-    ("lfsr_stuck", "lfsr"),
+    ("lfsr_top", "lfsr"),
 ]
-
-
-def unipolar_engine(input_gen, **kwargs):
-    """An engine for one :data:`UNIPOLAR_GENERATORS` input generator."""
-    return StochasticDotProductEngine(
-        input_generator=input_gen.split("_")[0],
-        faults=STUCK_CELLS if input_gen == "lfsr_stuck" else None,
-        **kwargs,
-    )
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
@@ -165,10 +152,12 @@ def test_unipolar_counts_bit_identical(adder, reference, input_gen, weight_gen, 
     x = rng.random((5, taps))
     w = rng.uniform(-1.0, 1.0, taps)
 
+    seed = 63 if input_gen == "lfsr_top" else 11
+
     def make(mode):
-        return unipolar_engine(
-            input_gen, precision=6, adder=adder, weight_generator=weight_gen,
-            seed=11, mode=mode,
+        return StochasticDotProductEngine(
+            precision=6, adder=adder, input_generator=input_gen.removesuffix("_top"),
+            weight_generator=weight_gen, seed=seed, mode=mode,
         )
 
     counted = make(None).dot(x, w)
@@ -258,16 +247,17 @@ def test_conv_counts_mode_tiling_bit_identical(adder, tile):
 
 
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-def test_stuck_sng_cells_conv_tiled_bit_identical(adder):
-    """On a tied input source, the tiled count-domain conv matches the untiled
-    stream conv and the byte oracle -- both counters, over three successive
-    forwards of one layer (its one bank serves every call)."""
+def test_tied_lfsr_source_conv_tiled_bit_identical(adder):
+    """On a tied input source (the LFSR repeats one value in its 64-cycle
+    stream), the tiled count-domain conv matches the untiled stream conv and
+    the byte oracle -- both counters, over three successive forwards of one
+    layer (its one bank serves every call)."""
     rng = np.random.default_rng(32)
     kernels = rng.uniform(-1.0, 1.0, (3, 3, 3))
 
     def make(mode):
-        return unipolar_engine(
-            "lfsr_stuck", precision=6, adder=adder, weight_generator="lfsr",
+        return StochasticDotProductEngine(
+            precision=6, adder=adder, input_generator="lfsr", weight_generator="lfsr",
             seed=5, mode=mode,
         )
 

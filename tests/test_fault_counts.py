@@ -10,9 +10,10 @@ actually ran (spies on ``FilterBank.leaf_tables``, the engines'
 ``input_words``, ``TreePlan.reduce_counts`` and ``TreePlan.reduce_packed``),
 both faulted count paths and the bipolar leaf tables against the stream
 reduction and the byte-per-bit oracle, and the paths that still reduce
-streams under faults.  The ``sparse_*`` channels scale a channel's rates to
-just below the corrections crossover for the drawn precision, so faults are
-present on the corrections path.
+streams under faults.  The fault channels are flip rates on both sides of
+``CORRECTIONS_SHARE``, plus a ``"sparse"`` one whose rate is scaled to just
+below the crossover for the drawn precision, so faults are present on the
+corrections path.
 """
 
 import contextlib
@@ -38,28 +39,22 @@ from tiles import forced_tile
 
 FLIPS = FaultSpec(flip_rate=0.02, seed=3)
 SPARSE_FLIPS = FaultSpec(flip_rate=1e-3, seed=3)
-STUCK_CELLS = ((0, 1),)
 
-#: The stream-fault channels, one at a time and all four together.
-CHANNELS = {
-    "flips": dict(flip_rate=0.03),
-    "stuck_zero": dict(stuck_zero_rate=0.05),
-    "stuck_one": dict(stuck_one_rate=0.05),
-    "bursts": dict(burst_rate=0.01, burst_length=3),
-    "all": dict(
-        flip_rate=0.03, stuck_zero_rate=0.05, stuck_one_rate=0.05,
-        burst_rate=0.01, burst_length=3,
-    ),
-}
-CHANNEL_NAMES = sorted(CHANNELS) + [f"sparse_{name}" for name in sorted(CHANNELS)]
+#: Flip rates on both sides of the crossover, with the TFF path each takes
+#: from N = 64 up, where a word holds 64 cycles: 1e-4, 1e-3 and 4e-3 fault
+#: 0.6%, 6.2% and 22.6% of the input words, 1e-2 and 1e-1 47% and ~100%.
+FLIP_RATES = {1e-4: "corrections", 1e-3: "corrections", 4e-3: "corrections",
+              1e-2: "popcounts", 1e-1: "popcounts"}
+#: The differential suites' fault channels: each flip rate, and ``"sparse"``.
+CHANNELS = [*FLIP_RATES, "sparse"]
 
 
-def channel_spec(channel, precision, **fields):
-    """The spec of a channel; ``sparse_*`` ones sit just below the corrections crossover."""
-    spec = FaultSpec(**CHANNELS[channel.removeprefix("sparse_")], **fields)
-    if channel.startswith("sparse_"):
-        spec = fault_oracle.sparse_spec(spec, 1 << precision, 0.9 * CORRECTIONS_SHARE)
-    return spec
+def channel_spec(channel, precision, seed):
+    """The spec of a channel; ``"sparse"`` sits just below the corrections crossover."""
+    if channel == "sparse":
+        dense = FaultSpec(flip_rate=0.03, seed=seed)
+        return fault_oracle.sparse_spec(dense, 1 << precision, 0.9 * CORRECTIONS_SHARE)
+    return FaultSpec(flip_rate=channel, seed=seed)
 
 
 @contextlib.contextmanager
@@ -89,7 +84,7 @@ def _inputs(seed, rows, taps, filters):
 
 def _expected_path(adder, mode, faults, n_bits):
     """The rate rule: TFF trees correct leaf-table counts below the crossover share."""
-    stream_faults = faults is not None and faults.corrupts_streams
+    stream_faults = faults is not None and faults.flip_rate > 0.0
     if mode == "streams" or (stream_faults and adder == "mux"):
         return "streams"
     if not stream_faults:
@@ -113,16 +108,19 @@ def _ran(adder, path):
 STREAM_FAULTS = {False: 0.0, True: 0.02, "sparse": 1e-3}
 
 
-@pytest.mark.parametrize("cells", [(), STUCK_CELLS])
+@pytest.mark.parametrize("input_generator", ["ramp", "lfsr"])
 @pytest.mark.parametrize("stream_faults", list(STREAM_FAULTS))
 @pytest.mark.parametrize("mode", [None, *MODES])
 @pytest.mark.parametrize("adder", ["tff", "mux"])
-def test_evaluation_path_names_the_tree_evaluation_that_ran(adder, mode, stream_faults, cells):
-    spec = FaultSpec(flip_rate=STREAM_FAULTS[stream_faults], sng_stuck_cells=cells, seed=3)
+def test_evaluation_path_names_the_tree_evaluation_that_ran(
+    adder, mode, stream_faults, input_generator
+):
+    spec = FaultSpec(flip_rate=STREAM_FAULTS[stream_faults], seed=3)
 
     def engine():
         return StochasticDotProductEngine(
-            precision=5, adder=adder, input_generator="lfsr", seed=2, mode=mode, faults=spec
+            precision=5, adder=adder, input_generator=input_generator, seed=2, mode=mode,
+            faults=spec,
         )
 
     path, reason = engine().evaluation_path
@@ -232,10 +230,45 @@ def test_bad_levels_fail_at_the_boundary(encoding, path):
             engine.input_words(np.array([0, bad]))
 
 
+#: ``(precision, adder, flip rate, path)`` at N = 256 on both sides of the
+#: crossover, MUX trees, and N = 32, where a word holds 32 cycles.
+CROSSOVER_CASES = [
+    *((8, "tff", rate, path) for rate, path in FLIP_RATES.items()),
+    (8, "mux", 1e-3, "streams"),
+    (5, "tff", 4e-3, "corrections"),
+    (5, "tff", 1e-2, "popcounts"),
+]
+
+
+@pytest.mark.parametrize("encoding", ["unipolar", "bipolar"])
+@pytest.mark.parametrize(
+    "precision, adder, rate, path", CROSSOVER_CASES,
+    ids=[f"N{1 << p}-{a}-{r:g}" for p, a, r, _ in CROSSOVER_CASES],
+)
+def test_flip_rates_on_both_sides_of_the_crossover(encoding, precision, adder, rate, path):
+    """Each rate takes its path, and its counts equal the streams' and the oracle's."""
+    rng = np.random.default_rng(8)
+    low = 0.0 if encoding == "unipolar" else -1.0
+    values = rng.uniform(low, 1.0, (40, 25))
+    kernels = rng.uniform(-1.0, 1.0, (6, 25))
+    spec = FaultSpec(flip_rate=rate, seed=5)
+    if encoding == "unipolar":
+        make, oracle = StochasticDotProductEngine, sc_oracle.dot_filters
+    else:
+        make, oracle = BipolarDotProductEngine, sc_oracle.bipolar_dot_filters
+
+    def engine(mode=None):
+        return make(precision=precision, adder=adder, seed=2, mode=mode, faults=spec)
+
+    assert engine().evaluation_path[0] == path
+    got = engine().prepare_weights(kernels).evaluate(values)
+    np.testing.assert_array_equal(got, engine("streams").prepare_weights(kernels).evaluate(values))
+    np.testing.assert_array_equal(got, oracle(engine(), values, kernels))
+
+
 @settings(max_examples=120, deadline=None)
 @given(
-    channel=st.sampled_from(CHANNEL_NAMES),
-    stuck_cells=st.booleans(),
+    channel=st.sampled_from(CHANNELS),
     precision=st.integers(2, 10),
     input_generator=st.sampled_from(["ramp", "lfsr"]),
     taps=st.integers(1, 40),
@@ -245,10 +278,9 @@ def test_bad_levels_fail_at_the_boundary(encoding, path):
     seed=st.integers(1, 1 << 16),
 )
 def test_faulted_tff_counts_match_streams_and_oracle(
-    channel, stuck_cells, precision, input_generator, taps, filters, rows, tile, seed
+    channel, precision, input_generator, taps, filters, rows, tile, seed
 ):
-    cells = ((seed % precision, seed & 1),) if stuck_cells else ()
-    spec = channel_spec(channel, precision, seed=seed, sng_stuck_cells=cells)
+    spec = channel_spec(channel, precision, seed)
     values, kernels = _inputs(seed, rows, taps, filters)
 
     def engine(mode=None):
@@ -268,7 +300,7 @@ def test_faulted_tff_counts_match_streams_and_oracle(
 
 @settings(max_examples=120, deadline=None)
 @given(
-    channel=st.sampled_from([None] + CHANNEL_NAMES),
+    channel=st.sampled_from([None, *CHANNELS]),
     adder=st.sampled_from(["tff", "mux"]),
     precision=st.integers(2, 10),
     taps=st.integers(1, 40),
@@ -280,7 +312,7 @@ def test_faulted_tff_counts_match_streams_and_oracle(
 def test_bipolar_counts_match_streams_and_oracle(
     channel, adder, precision, taps, filters, rows, tile, seed
 ):
-    spec = None if channel is None else channel_spec(channel, precision, seed=seed)
+    spec = None if channel is None else channel_spec(channel, precision, seed)
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, (rows, taps))
     kernels = rng.uniform(-1.0, 1.0, (filters, taps))

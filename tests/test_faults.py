@@ -1,12 +1,11 @@
 """Tests for the deterministic fault-injection subsystem (:mod:`repro.faults`).
 
 Covers the mask generator's statistics and coordinate determinism, the
-``((w | stuck1) & ~stuck0) ^ flips`` composition contract, bit-identity of
-faulted engines and convolutions with the byte-per-bit reference and across
-tilings, the mode interaction (stream faults rule out the leaf tables),
-stream injection helpers, netlist stuck-at faults against the per-cycle
-oracle, stuck SNG register cells, the matched binary-word flip baseline, and
-the degradation sweep.
+``w ^ flips`` injection of :class:`FaultSpec` and its boundary checks,
+bit-identity of faulted engines and convolutions with the byte-per-bit
+reference and across tilings, the mode interaction (stream faults rule out
+the leaf tables), the matched binary-word flip baseline, and the
+degradation sweep.
 """
 
 import dataclasses
@@ -15,33 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bitstream import Bitstream
 from repro.bitstream.packed import pack_bits, unpack_bits
-from repro.faults import (
-    FaultPlan,
-    FaultSpec,
-    NetlistFaults,
-    bernoulli_words,
-    burst_words,
-    coordinate_words,
-    flip_binary_words,
-    inject_stream,
-)
+from repro.faults import FaultSpec, bernoulli_words, coordinate_words, flip_binary_words
 from repro.faults.sweep import (
     FaultSweepConfig,
     parse_rates,
     run_fault_sweep,
     write_artifact,
 )
-from repro.netlist import Netlist, build_sc_dot_product, simulate, simulate_batch
-from repro.rng.lfsr import LFSR
 from repro.sc.bipolar import BipolarDotProductEngine
 from repro.sc.convolution import StochasticConv2D
-from repro.sc.dotproduct import new_sc_engine, old_sc_engine
+from repro.sc.dotproduct import new_sc_engine
 from repro.utils.windows import extract_patches, patches_to_map
 
 import fault_oracle
-import netlist_oracle
 import sc_oracle
 from tiles import SINGLE_TILE, forced_tile
 
@@ -87,15 +73,6 @@ class TestMasks:
         grid = coordinate_words(seed=0, salt=5, n_streams=3, taps=4, n_bits=130)
         assert grid.shape == (3, 4, 3)  # ceil(130 / 64) == 3 words
 
-    def test_burst_run_lengths(self):
-        words = burst_words(0.01, length=6, seed=2, salt=4, n_streams=30,
-                            taps=1, n_bits=1024)
-        bits = _unpack(words, 1024)
-        # Bursts smear each seed bit across up to ``length`` positions, so
-        # the hit rate must land well above the per-bit seed rate.
-        assert bits.mean() > 0.02
-        assert bits.mean() < 0.12
-
     def test_tail_bits_always_clear(self):
         for n_bits in (1, 63, 64, 65, 127, 200):
             words = bernoulli_words(1.0, 0, 1, 2, 2, n_bits)
@@ -111,7 +88,6 @@ EDGE_RATES = [0.0, 2**-31, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.75, 1 - 2**-31, 1.0]
 @settings(max_examples=150, deadline=None)
 @given(
     rate=st.one_of(st.sampled_from(EDGE_RATES), st.floats(0.0, 1.0)),
-    length=st.integers(1, 70),
     seed=st.integers(0, 2**63),
     salt=st.integers(0, 7),
     n_streams=st.integers(0, 5),
@@ -119,131 +95,92 @@ EDGE_RATES = [0.0, 2**-31, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.75, 1 - 2**-31, 1.0]
     n_bits=st.integers(0, 300),
     offset=st.integers(0, 2**40),
 )
-def test_masks_match_the_plain_horner_oracle(
-    rate, length, seed, salt, n_streams, taps, n_bits, offset
-):
+def test_masks_match_the_plain_horner_oracle(rate, seed, salt, n_streams, taps, n_bits, offset):
     """The gated, in-place generator gives the oracle's bits for every argument."""
     args = (seed, salt, n_streams, taps, n_bits, offset)
     got = bernoulli_words(rate, *args)
     expected = fault_oracle.bernoulli_words(rate, *args)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(
-        burst_words(rate, length, *args), fault_oracle.burst_words(rate, length, *args)
-    )
 
 
 # --------------------------------------------------------------------------- #
-# FaultSpec / FaultPlan
+# FaultSpec
 # --------------------------------------------------------------------------- #
 class TestFaultSpec:
+    def test_two_fields(self):
+        assert [f.name for f in dataclasses.fields(FaultSpec)] == ["flip_rate", "seed"]
+        spec = FaultSpec(flip_rate=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.flip_rate = 0.1
+
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(flip_rate=-0.1)
-        with pytest.raises(ValueError):
-            FaultSpec(stuck_zero_rate=1.5)
-        with pytest.raises(ValueError):
-            FaultSpec(burst_rate=0.1, burst_length=0)
-        with pytest.raises(ValueError):
-            FaultSpec(sensor_noise_sigma=-1.0)
-        with pytest.raises(ValueError):
-            FaultSpec(sng_stuck_cells=((0, 2),))
+        # Only real, non-bool numbers in [0, 1]; anything else fails at the
+        # boundary with an error naming the field.
+        for rate in (-0.1, 1.5, float("nan"), float("inf"), "0.1", None,
+                     np.array([0.1, 0.2]), np.array(0.1), True, False, np.True_, 1j):
+            with pytest.raises(ValueError, match="flip_rate must be a real number in"):
+                FaultSpec(flip_rate=rate)
+        for rate in (0, 1, 0.0, 1.0, 1e-3, np.float64(0.25), np.float32(0.5), np.int64(0)):
+            assert FaultSpec(flip_rate=rate).flip_rate == rate
 
-    def test_activity_flags(self):
-        assert not FaultSpec().active
-        assert FaultSpec(flip_rate=0.1).corrupts_streams
-        noise_only = FaultSpec(sensor_noise_sigma=0.05)
-        assert noise_only.active and not noise_only.corrupts_streams
-        cells_only = FaultSpec(sng_stuck_cells=((1, 0),))
-        assert cells_only.active and not cells_only.corrupts_streams
-
-    def test_composition_order(self):
-        # Contract: ((w | stuck1) & ~stuck0) ^ flips -- stuck-at-0 dominates
-        # stuck-at-1, and flips act on the stuck value.
-        base = np.random.default_rng(0).integers(0, 2, (2, 3, 128), dtype=np.int64)
-        prepared = pack_bits(base.astype(np.uint8))
-
-        all_one = FaultSpec(stuck_one_rate=1.0).plan().apply(prepared, 128)
-        assert _unpack(all_one, 128).all()
-
-        dominated = (
-            FaultSpec(stuck_one_rate=1.0, stuck_zero_rate=1.0)
-            .plan().apply(prepared, 128)
-        )
-        assert not _unpack(dominated, 128).any()
-
-        inverted = (
-            FaultSpec(stuck_one_rate=1.0, stuck_zero_rate=1.0, flip_rate=1.0)
-            .plan().apply(prepared, 128)
-        )
-        assert _unpack(inverted, 128).all()
+    def test_full_rate_inverts_every_bit(self):
+        # w ^ flips with every mask bit set: each stream bit inverts, and the
+        # tail word past the stream length stays clear.
+        bits = np.random.default_rng(0).integers(0, 2, (2, 3, 100), dtype=np.int64).astype(np.uint8)
+        inverted = FaultSpec(flip_rate=1.0).apply(pack_bits(bits), 100)
+        np.testing.assert_array_equal(_unpack(inverted, 100), 1 - bits)
+        assert int(inverted[..., -1].max()) < (1 << 36)
+        with pytest.raises(TypeError, match="uint64"):
+            FaultSpec(flip_rate=1.0).apply(bits, 100)
 
     def test_packed_and_unpacked_apply_identical(self):
-        # Packed injection against the byte-level composition of the same
-        # (unpacked) masks.
-        spec = FaultSpec(flip_rate=0.05, stuck_zero_rate=0.02,
-                         stuck_one_rate=0.02, burst_rate=0.01, seed=11)
+        # Packed injection against the byte-level XOR of the same (unpacked)
+        # mask.
+        spec = FaultSpec(flip_rate=0.05, seed=11)
         bits = np.random.default_rng(1).integers(0, 2, (4, 5, 200),
                                                  dtype=np.int64).astype(np.uint8)
-        packed = spec.plan().apply(pack_bits(bits), 200)
-        s0, s1, fl = (unpack_bits(m, 200) for m in spec.plan().masks(4, 5, 200, 0))
-        assert np.array_equal(unpack_bits(packed, 200), ((bits | s1) & (1 - s0)) ^ fl)
+        packed = spec.apply(pack_bits(bits), 200)
+        flips = unpack_bits(spec.masks(4, 5, 200, 0), 200)
+        assert np.array_equal(unpack_bits(packed, 200), bits ^ flips)
+
+    def test_nonzero_masks_are_the_nonzero_mask_words(self):
+        spec = FaultSpec(flip_rate=2e-3, seed=6)
+        masks = spec.masks(9, 25, 256, offset=40)
+        index, flips = spec.nonzero_masks(9, 25, 256, offset=40)
+        np.testing.assert_array_equal(index, np.flatnonzero(masks))
+        np.testing.assert_array_equal(flips, masks.reshape(-1)[index])
+        assert 0 < index.size < masks.size
 
     def test_apply_is_offset_composable(self):
         spec = FaultSpec(flip_rate=0.1, seed=3)
         words = pack_bits(np.random.default_rng(2).integers(0, 2, (6, 2, 100),
                                                             dtype=np.int64).astype(np.uint8))
-        whole = spec.plan().apply(words, 100)
-        head = spec.plan().apply(words[:4], 100)
-        tail = spec.plan().apply(words[4:], 100, offset=4)
+        whole = spec.apply(words, 100)
+        head = spec.apply(words[:4], 100)
+        tail = spec.apply(words[4:], 100, offset=4)
         assert np.array_equal(whole, np.concatenate([head, tail], axis=0))
 
-    def test_empty_apply_is_noop(self):
-        plan = FaultSpec(flip_rate=0.5).plan()
-        empty = np.zeros((0, 3, 2), dtype=np.uint64)
-        assert plan.apply(empty, 100).shape == empty.shape
-        zero_taps = np.zeros((2, 0, 2), dtype=np.uint64)
-        assert plan.apply(zero_taps, 100).shape == zero_taps.shape
-        zero_length = np.zeros((2, 3, 0), dtype=np.uint64)
-        assert plan.apply(zero_length, 0).shape == zero_length.shape
-
-    def test_plan_is_frozen_dataclass(self):
-        plan = FaultSpec(flip_rate=0.5).plan()
-        assert isinstance(plan, FaultPlan)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.spec = None
-
-
-class TestInjectStream:
-    def test_packed_unpacked_equivalent(self):
-        # A Bitstream is corrupted exactly like the packed words of stream 0.
-        spec = FaultSpec(flip_rate=0.2, seed=5)
-        stream = Bitstream.from_random(0.5, 300, rng=7, encoding="bipolar")
-        faulted = inject_stream(stream, spec)
-        words = spec.plan().apply(pack_bits(stream.bits)[np.newaxis], 300)[0]
-        assert np.array_equal(faulted.bits, unpack_bits(words, 300))
-        assert faulted != stream
-        assert faulted.encoding == stream.encoding
-
-    def test_index_selects_the_stream_coordinate(self):
+    def test_offset_selects_the_stream_coordinate(self):
+        # The same words at another stream offset take another mask.
         spec = FaultSpec(flip_rate=0.3, seed=1)
-        stream = Bitstream.from_random(0.5, 256, rng=3)
-        assert inject_stream(stream, spec, index=0) != inject_stream(
-            stream, spec, index=1
-        )
+        words = pack_bits(np.random.default_rng(3).integers(0, 2, (1, 2, 256),
+                                                            dtype=np.int64).astype(np.uint8))
+        at_zero = spec.apply(words, 256)
+        at_one = spec.apply(words, 256, offset=1)
+        assert not np.array_equal(at_zero, at_one)
+        np.testing.assert_array_equal(at_one ^ words, spec.masks(1, 2, 256, 1))
 
-    def test_empty_stream_is_noop(self):
-        spec = FaultSpec(flip_rate=1.0)
-        empty = Bitstream(np.zeros(0, dtype=np.uint8))
-        assert inject_stream(empty, spec) is empty
-
-    def test_inactive_spec_is_noop(self):
-        stream = Bitstream.from_random(0.5, 128, rng=0)
-        assert inject_stream(stream, FaultSpec()) is stream
-
-    def test_type_error(self):
-        with pytest.raises(TypeError):
-            inject_stream([0, 1, 0], FaultSpec(flip_rate=0.5))
+    def test_empty_apply_is_noop(self):
+        spec = FaultSpec(flip_rate=0.5)
+        empty = np.zeros((0, 3, 2), dtype=np.uint64)
+        assert spec.apply(empty, 100).shape == empty.shape
+        zero_taps = np.zeros((2, 0, 2), dtype=np.uint64)
+        assert spec.apply(zero_taps, 100).shape == zero_taps.shape
+        zero_length = np.zeros((2, 3, 0), dtype=np.uint64)
+        assert spec.apply(zero_length, 0).shape == zero_length.shape
+        words = np.ones((2, 3, 2), dtype=np.uint64)
+        assert FaultSpec().apply(words, 100) is words
 
 
 # --------------------------------------------------------------------------- #
@@ -258,7 +195,7 @@ class TestEngineFaults:
     def test_backends_bit_identical_under_faults(self):
         # The packed engine against the byte-per-bit reference fed the same
         # (unpacked) fault masks.
-        spec = FaultSpec(flip_rate=0.02, stuck_one_rate=0.01, seed=9)
+        spec = FaultSpec(flip_rate=0.02, seed=9)
         result = new_sc_engine(precision=6, faults=spec).dot(self.x, self.w)
         pos, neg = sc_oracle.dot(new_sc_engine(precision=6, faults=spec), self.x, self.w)
         assert np.array_equal(result.positive_count, pos)
@@ -274,7 +211,7 @@ class TestEngineFaults:
     def test_faults_actually_perturb(self):
         clean = new_sc_engine(precision=6).dot(self.x, self.w)
         faulted = new_sc_engine(
-            precision=6, faults=FaultSpec(stuck_one_rate=0.3, seed=1)
+            precision=6, faults=FaultSpec(flip_rate=0.3, seed=1)
         ).dot(self.x, self.w)
         assert not (
             np.array_equal(clean.positive_count, faulted.positive_count)
@@ -286,11 +223,10 @@ class TestEngineFaults:
         assert engine._stream_faults_active
         assert not engine._use_count_mode
         assert new_sc_engine(precision=6)._use_count_mode
-        # Non-stream fault channels keep the count-domain shortcut legal.
-        cells_only = new_sc_engine(precision=6,
-                                   faults=FaultSpec(sng_stuck_cells=((1, 1),)))
-        assert not cells_only._stream_faults_active
-        assert cells_only._use_count_mode
+        # A zero flip rate faults nothing and keeps the leaf tables.
+        zero = new_sc_engine(precision=6, faults=FaultSpec(seed=4))
+        assert not zero._stream_faults_active
+        assert zero._use_count_mode
 
     def test_faults_type_checked(self):
         with pytest.raises(TypeError):
@@ -306,24 +242,13 @@ class TestEngineFaults:
         clean = BipolarDotProductEngine(precision=6).dot(values, weights)
         assert not np.array_equal(clean.count, faulted)
 
-    def test_sng_stuck_cells_thread_into_generator(self):
-        values = self.rng.random((6, 9))
-        weights = self.rng.uniform(-1, 1, 9)
-        spec = FaultSpec(sng_stuck_cells=((0, 1), (3, 0)))
-        faulted = old_sc_engine(precision=6, faults=spec).dot(values, weights)
-        pos, _ = sc_oracle.dot(old_sc_engine(precision=6, faults=spec), values, weights)
-        assert np.array_equal(faulted.positive_count, pos)
-        clean = old_sc_engine(precision=6).dot(values, weights)
-        assert not np.array_equal(clean.positive_count, faulted.positive_count)
-
-
 class TestConvolutionFaults:
     def test_tiling_and_backend_invariance(self):
         # Every tiling equals the byte-per-bit reference over all patches.
         rng = np.random.default_rng(7)
         images = rng.random((2, 10, 10))
         kernels = rng.uniform(-1, 1, (3, 3, 3))
-        spec = FaultSpec(flip_rate=0.02, burst_rate=0.005, seed=13)
+        spec = FaultSpec(flip_rate=0.02, seed=13)
         pos, neg = (
             patches_to_map(c, (10, 10))
             for c in sc_oracle.dot_filters(
@@ -339,101 +264,6 @@ class TestConvolutionFaults:
                 result = layer.forward(images)
             assert np.array_equal(result.positive_count, pos)
             assert np.array_equal(result.negative_count, neg)
-
-
-# --------------------------------------------------------------------------- #
-# netlist stuck-at faults
-# --------------------------------------------------------------------------- #
-def _toy_netlist():
-    net = Netlist("toy_faults")
-    a = net.add_input("a")
-    b = net.add_input("b")
-    (c,) = net.add_cell("AND2", [a, b], outputs=["c"])
-    net.add_output(c)
-    return net
-
-
-class TestNetlistFaults:
-    def test_stuck_at_forces_constant_output(self):
-        net = _toy_netlist()
-        stim = {
-            "a": np.ones(32, dtype=np.uint8),
-            "b": np.zeros(32, dtype=np.uint8),
-        }
-        result = simulate(net, stim, faults={"c": 1})
-        assert result.waveforms["c"].all()
-        reference = netlist_oracle.simulate(net, stim, faults={"c": 1})
-        assert np.array_equal(result.waveforms["c"], reference.waveforms["c"])
-        assert result.toggles == reference.toggles
-        clean = simulate(net, stim)
-        assert not clean.waveforms["c"].any()
-
-    def test_unknown_net_rejected(self):
-        net = _toy_netlist()
-        stim = {"a": np.zeros(8, dtype=np.uint8), "b": np.zeros(8, dtype=np.uint8)}
-        with pytest.raises(ValueError, match="do not exist"):
-            simulate(net, stim, faults={"nonexistent": 1})
-
-    def test_matches_oracle_on_real_circuit(self):
-        net = build_sc_dot_product(9, 5)
-        rng = np.random.default_rng(3)
-        stim = {
-            name: rng.integers(0, 2, 64, dtype=np.int64).astype(np.uint8)
-            for name in net.primary_inputs
-        }
-        victim = net.instances[len(net.instances) // 3].outputs[0]
-        faults = NetlistFaults({victim: 0})
-        packed = simulate(net, stim, faults=faults)
-        reference = netlist_oracle.simulate(net, stim, faults=faults)
-        for out in net.primary_outputs:
-            assert np.array_equal(packed.waveforms[out], reference.waveforms[out])
-        assert packed.toggles == reference.toggles
-        clean = simulate(net, stim)
-        assert any(
-            not np.array_equal(packed.waveforms[out], clean.waveforms[out])
-            for out in net.primary_outputs
-        )
-
-    def test_batched_faults_and_zero_traces(self):
-        net = _toy_netlist()
-        rng = np.random.default_rng(5)
-        stim = {
-            name: rng.integers(0, 2, (3, 40), dtype=np.int64).astype(np.uint8)
-            for name in net.primary_inputs
-        }
-        result = simulate_batch(net, stim, faults={"c": 1})
-        assert result.waveforms["c"].all()
-        reference = netlist_oracle.simulate_batch(net, stim, faults={"c": 1})
-        assert np.array_equal(result.waveforms["c"], reference.waveforms["c"])
-        for name in reference.toggles:
-            assert np.array_equal(result.toggles[name], reference.toggles[name])
-        empty = {name: np.zeros((0, 16), dtype=np.uint8)
-                 for name in net.primary_inputs}
-        with pytest.raises(ValueError, match="at least one trace"):
-            simulate_batch(net, empty)
-
-    def test_coerce_and_normalization(self):
-        faults = NetlistFaults.coerce({"n1": 1, "n2": 0})
-        assert faults.stuck_at == {"n1": 1, "n2": 0}
-        assert NetlistFaults.coerce(None) is None
-        assert not NetlistFaults({})
-        with pytest.raises(ValueError):
-            NetlistFaults({"n": 2})
-
-
-class TestLFSRStuckCells:
-    def test_cell_forced(self):
-        clean = LFSR(bits=8, seed=1)
-        stuck = LFSR(bits=8, seed=1, stuck_cells=((2, 1),))
-        assert np.all((stuck.states(21) >> 2) & 1 == 1)
-        # The clean register visits states with bit 2 low.
-        assert np.any((clean.states(21) >> 2) & 1 == 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LFSR(bits=8, seed=1, stuck_cells=((8, 1),))
-        with pytest.raises(ValueError):
-            LFSR(bits=8, seed=1, stuck_cells=((0, 5),))
 
 
 # --------------------------------------------------------------------------- #
@@ -497,6 +327,7 @@ class TestSweep:
         data = json.loads(artifact.read_text())
         assert data["fault_sweep"]["rows"] == result.rows
         assert data["fault_sweep"]["accumulator_bits"] == 2 * 5 + 5
+        assert "backend" not in data["fault_sweep"]
 
     def test_parse_rates(self):
         assert parse_rates("0,1e-3, 0.5") == (0.0, 1e-3, 0.5)

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultSpec
 from repro.hybrid import CalibratedSCEmulator, HybridStochasticBinaryNetwork
 from repro.nn import build_lenet5_small, quantize_and_freeze
 from repro.sc import StochasticConv2D
@@ -55,11 +54,10 @@ def make_engine(adder, precision=5, mode=None):
     return StochasticDotProductEngine(precision=precision, adder=adder, seed=3, mode=mode)
 
 
-def stuck_cell_engine(adder, mode=None):
-    """An LFSR-input engine whose stuck SNG cells leave a tied source."""
+def lfsr_engine(adder, mode=None):
+    """An LFSR-input engine: its 32-cycle source repeats one value, a tie."""
     return StochasticDotProductEngine(
-        precision=5, adder=adder, input_generator="lfsr", seed=3, mode=mode,
-        faults=FaultSpec(sng_stuck_cells=((1, 0), (2, 1))),
+        precision=5, adder=adder, input_generator="lfsr", seed=3, mode=mode
     )
 
 
@@ -102,15 +100,15 @@ class TestFilterBankEquivalence:
 
     @pytest.mark.parametrize("adder", ["tff", "mux"])
     @pytest.mark.parametrize("reference", ["packed", "unpacked"])
-    def test_stuck_sng_cells_bank_matches_per_filter_loop(self, adder, reference):
+    def test_tied_lfsr_source_bank_matches_per_filter_loop(self, adder, reference):
         # A tied input source, three successive calls, and a tiled bank
         # whose tile size does not divide the input count.  Each call builds
         # a second bank on the same engine, which returns the first bank's
         # counts.
         rng = np.random.default_rng(21)
         kernels = rng.uniform(-1, 1, (5, 11))
-        reference_engine = stuck_cell_engine(adder, mode="streams")
-        bank_engine = stuck_cell_engine(adder)
+        reference_engine = lfsr_engine(adder, mode="streams")
+        bank_engine = lfsr_engine(adder)
         first_bank = bank_engine.prepare_weights(kernels)
         for _ in range(3):
             x = rng.random((10, 11))

@@ -17,13 +17,21 @@ from repro.cli import _accuracy_config, _fault_sweep_config, build_parser, main
 from repro.eval import AccuracyConfig
 from repro.faults import FaultSpec
 from repro.faults.sweep import DEFAULT_RATES, FaultSweepConfig
-from repro.hybrid import SensorFrontEnd
-from repro.nn import Conv2D, Dense, MaxPool2D
+from repro.hybrid import HybridStochasticBinaryNetwork, SensorFrontEnd
+from repro.nn import Conv2D, Dense, MaxPool2D, build_lenet5_small, quantize_and_freeze
 from repro.rng import RampCompareSNG, VanDerCorputSource
 from repro.sc import BipolarDotProductEngine, StochasticConv2D, new_sc_engine
 from repro.utils import check_count, conv_output_size
 
 KERNELS = np.full((2, 3, 3), 0.5)
+
+
+def hybrid_network(calibration_samples):
+    """A hybrid network on a frozen, untrained LeNet-small at precision 4."""
+    model = quantize_and_freeze(build_lenet5_small(seed=0), precision=4)
+    return HybridStochasticBinaryNetwork(
+        model, engine=new_sc_engine(4), calibration_samples=calibration_samples
+    )
 
 
 class TestCheckCount:
@@ -117,8 +125,6 @@ class TestConvGeometry:
 
 class TestFaultsSourcesAndLayers:
     @pytest.mark.parametrize("make, name", [
-        pytest.param(lambda: FaultSpec(burst_rate=0.1, burst_length=2.5), "burst_length",
-                     id="fault_spec_burst_length"),
         pytest.param(lambda: FaultSpec(seed=1.5), "seed", id="fault_spec_float_seed"),
         pytest.param(lambda: FaultSpec(seed=True), "seed", id="fault_spec_bool_seed"),
         pytest.param(lambda: FaultSweepConfig(kernel=2.5), "kernel", id="sweep_kernel"),
@@ -129,14 +135,22 @@ class TestFaultsSourcesAndLayers:
         pytest.param(lambda: RampCompareSNG(8.5), "bits", id="ramp_compare_bits"),
         pytest.param(lambda: MaxPool2D(2.5), "pool_size", id="max_pool_size"),
         pytest.param(lambda: Dense(4.5, 2), "in_features", id="dense_in_features"),
+        *(
+            pytest.param(
+                lambda samples=samples: hybrid_network(samples),
+                "calibration_samples",
+                id=f"hybrid_calibration_samples_{samples!r}",
+            )
+            for samples in (0, -3, 2.5, "8", True)
+        ),
     ])
     def test_fractional_and_bool_counts_rejected(self, make, name):
         with pytest.raises(ValueError, match=f"{name} must be"):
             make()
 
     def test_numpy_integers_accepted(self):
-        spec = FaultSpec(burst_rate=0.1, burst_length=np.int64(3), seed=np.int32(1))
-        assert spec == FaultSpec(burst_rate=0.1, burst_length=3, seed=1)
+        assert FaultSpec(seed=np.int32(1)) == FaultSpec(seed=1)
+        assert hybrid_network(np.int64(16)).calibration_samples == 16
         config = FaultSweepConfig(kernel=np.int64(3), trials=np.int8(1), precision=np.int16(6))
         assert (config.kernel, config.trials, config.precision) == (3, 1, 6)
         assert VanDerCorputSource(np.int64(3)).sequence(8).shape == (8,)

@@ -7,11 +7,10 @@ bit, three references: the per-patch path the layer used to run
 (``bank.evaluate(extract_patches(images, ...))``, every tap converted on
 its own), the ``mode="streams"`` layer and the byte-per-bit oracle
 (``sc_oracle``) -- on both designs, at precision 2-10, for every kernel
-size, stride and padding, without faults, under each stream-fault channel
-(dense, and ``sparse_*`` just below the corrections crossover for the drawn
-precision) and with stuck SNG cells, at forced tiles.  The result's derived ``sign``
-and ``value`` must equal the formulas the layer used to store, byte for
-byte.
+size, stride and padding, without faults, under flip rates on both sides of
+the corrections crossover (and ``"sparse"``, just below it for the drawn
+precision), at forced tiles.  The result's derived ``sign`` and ``value``
+must equal the formulas the layer used to store, byte for byte.
 """
 
 import dataclasses
@@ -32,25 +31,19 @@ from tiles import forced_tile
 
 DESIGNS = {"this_work": new_sc_engine, "old_sc": old_sc_engine}
 
-#: No faults, each stream-fault channel, and stuck SNG cells (which tie the
-#: LFSR input source of old SC and leave the ramp untouched).
-FAULTS = {
-    "none": None,
-    "flips": FaultSpec(flip_rate=0.05, seed=3),
-    "stuck_zero": FaultSpec(stuck_zero_rate=0.05, seed=4),
-    "stuck_one": FaultSpec(stuck_one_rate=0.05, seed=5),
-    "bursts": FaultSpec(burst_rate=0.02, burst_length=4, seed=6),
-    "sng_stuck_cells": FaultSpec(sng_stuck_cells=((0, 1), (1, 0))),
-}
-#: Each stream-fault channel with its rates scaled just below the corrections
-#: crossover for the drawn precision, so this work's faulted banks take the
-#: corrections path with faults present.
-SPARSE = ("sparse_flips", "sparse_stuck_zero", "sparse_stuck_one", "sparse_bursts")
+#: No faults and flip rates on both sides of the corrections crossover: from
+#: N = 64 up 1e-4, 1e-3 and 4e-3 fault 0.6-22.6% of the input words, 1e-2
+#: and 1e-1 47% and ~100%.
+FLIP_RATES = (1e-4, 1e-3, 4e-3, 1e-2, 1e-1)
+FAULTS = {"none": None, **{f"flips_{r:g}": FaultSpec(flip_rate=r, seed=3) for r in FLIP_RATES}}
+#: Flips scaled just below the corrections crossover for the drawn precision,
+#: so this work's faulted banks take the corrections path with faults present.
+SPARSE = "sparse"
 
 
 def fault_spec(name, precision):
-    if name in SPARSE:
-        dense = FAULTS[name.removeprefix("sparse_")]
+    if name == SPARSE:
+        dense = FaultSpec(flip_rate=0.05, seed=3)
         return fault_oracle.sparse_spec(dense, 1 << precision, 0.9 * CORRECTIONS_SHARE)
     return FAULTS[name]
 
@@ -71,7 +64,7 @@ def assert_same_bytes(actual, expected):
     assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
-@pytest.mark.parametrize("faults", [*FAULTS, *SPARSE])
+@pytest.mark.parametrize("faults", [*FAULTS, SPARSE])
 @pytest.mark.parametrize("design", DESIGNS)
 @settings(deadline=None, max_examples=15)
 @given(

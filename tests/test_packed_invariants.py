@@ -25,7 +25,7 @@ from repro.bitstream import (
     unpack_bits,
     words_for,
 )
-from repro.bitstream.packed import packed_apply_faults
+from repro.faults import FaultSpec
 
 lengths = st.integers(min_value=1, max_value=300)
 values = st.floats(min_value=0.0, max_value=1.0)
@@ -37,7 +37,8 @@ def tail_is_clear(words: np.ndarray, n_bits: int) -> bool:
     Every kernel must return words whose unused tail positions are zero --
     otherwise a later :func:`packed_popcount` would count garbage bits.
     Kernels that can *set* bits past the stream length (NOT, the alternating
-    pad, fault injection) must therefore end with :func:`mask_tail`.
+    pad) must therefore end with :func:`mask_tail`, and fault masks are
+    generated with a clear tail.
     """
     rem = int(n_bits) % WORD_BITS
     if rem == 0 or words.shape[-1] == 0:
@@ -169,43 +170,34 @@ class TestBitstreamMisc:
 
 
 class TestFaultKernelTail:
-    """Tail-word hygiene of the fault-injection kernel (repro.faults).
+    """Tail-word hygiene of fault injection (:meth:`repro.faults.FaultSpec.apply`).
 
-    The fault masks and the ``packed_apply_faults`` kernel must never leave
-    garbage beyond ``n_bits`` in the tail word: every popcount in the engine
-    trusts the tail invariant, so a single stray bit would silently corrupt
-    counter values.
+    A faulted word is ``w ^ flips``, so the flip masks must never carry a bit
+    beyond ``n_bits`` in the tail word: every popcount in the engine trusts
+    the tail invariant, so a single stray bit would silently corrupt counter
+    values.
     """
 
-    @given(lengths, st.integers(0, 2**32))
+    @given(lengths, st.sampled_from([1e-3, 0.3, 0.5, 1.0]), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
-    def test_apply_faults_masks_the_tail(self, length, seed):
+    def test_flip_masks_keep_the_tail_clear(self, length, rate, seed):
         rng = np.random.default_rng(seed)
-        shape = (2, words_for(length))
-        # Deliberately unmasked 64-bit garbage in every operand: the kernel
-        # must re-establish the invariant itself.
-        words, s0, s1, flips = (
-            rng.integers(0, 2**64, shape, dtype=np.uint64) for _ in range(4)
-        )
-        out = packed_apply_faults(words, s0, s1, flips, length)
+        bits = rng.integers(0, 2, (2, 3, length), dtype=np.int64).astype(np.uint8)
+        spec = FaultSpec(flip_rate=rate, seed=seed % 1000)
+        flips = spec.masks(2, 3, length)
+        assert tail_is_clear(flips, length)
+        out = spec.apply(pack_bits(bits), length)
         assert tail_is_clear(out, length)
         # Popcount must agree with the bit-level reference computation.
-        ref = (
-            (unpack_bits(words, length) | unpack_bits(s1, length))
-            & (1 - unpack_bits(s0, length))
-        ) ^ unpack_bits(flips, length)
+        ref = bits ^ unpack_bits(flips, length)
         assert np.array_equal(packed_popcount(out), ref.sum(axis=-1))
 
     @given(lengths, st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
-    def test_fault_plan_chained_with_kernels_stays_clean(self, length, seed):
-        from repro.faults import FaultSpec
-
+    def test_faulted_streams_chained_with_kernels_stay_clean(self, length, seed):
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, (3, 2, length), dtype=np.int64).astype(np.uint8)
-        spec = FaultSpec(flip_rate=0.3, stuck_one_rate=0.2, stuck_zero_rate=0.1,
-                         burst_rate=0.05, seed=seed % 1000)
-        faulted = spec.plan().apply(pack_bits(bits), length)
+        faulted = FaultSpec(flip_rate=0.3, seed=seed % 1000).apply(pack_bits(bits), length)
         assert tail_is_clear(faulted, length)
         # Chain the usual packed kernels after injection: the tail must stay
         # spotless and popcounts must match the unpacked reference after

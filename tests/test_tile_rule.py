@@ -47,19 +47,19 @@ class TestRule:
 
     def test_corrections_path_budgets_counts_masks_and_corrections(self):
         # 1e-3 flips at N = 256: 6.2% of the words faulted, so the 3.2 KB
-        # gathered counts outweigh the masks (3 x 25 x 4 words, 2.4 KB) and
-        # the expected corrections (0.062 x 100 words x 64 lanes x 8 bytes):
-        # one 28x28 image (784 patches) is one tile.
+        # gathered counts outweigh the flip mask's hashing buffers (3 x 25 x
+        # 4 words, 2.4 KB) and the expected corrections (0.062 x 100 words x
+        # 64 lanes x 8 bytes): one 28x28 image (784 patches) is one tile.
         sparse = new_sc_engine(8, faults=FaultSpec(flip_rate=1e-3, seed=1))
         assert sparse.evaluation_path[0] == "corrections"
         assert tile_patches(sparse, 32, 25) == 1310
-        # Eight filters: the masks dominate.
+        # Eight filters: the mask buffers dominate.
         assert tile_patches(sparse, 8, 25) == TILE_BYTES // 2400
         # 4e-3 flips (22.7%): the expected corrections dominate.
         denser = new_sc_engine(8, faults=FaultSpec(flip_rate=4e-3, seed=1))
         share = denser.faults.word_fault_share(256)
         assert tile_patches(denser, 32, 25) == TILE_BYTES // int(share * 100 * 64 * 8)
-        # Bipolar: the masks outweigh 32 padded leaves x 32 filters x int16.
+        # Bipolar: the mask buffers outweigh 32 padded leaves x 32 filters x int16.
         bipolar = BipolarDotProductEngine(precision=8, faults=FaultSpec(flip_rate=1e-3))
         assert tile_patches(bipolar, 32, 25) == TILE_BYTES // 2400
 
@@ -82,7 +82,7 @@ class TestRule:
     def test_path_decision_needs_no_plan(self):
         assert new_sc_engine(8)._use_count_mode
         assert old_sc_engine(8)._use_count_mode
-        assert new_sc_engine(8, faults=FaultSpec(sng_stuck_cells=((1, 1),)))._use_count_mode
+        assert new_sc_engine(8, faults=FaultSpec(seed=1))._use_count_mode
         assert not new_sc_engine(8, mode="streams")._use_count_mode
         assert not new_sc_engine(8, faults=FLIPS)._use_count_mode
         for adder in ("tff", "mux"):
